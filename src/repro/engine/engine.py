@@ -14,9 +14,11 @@ of the index — avoiding the wedge-enumeration pass that dominates a rebuild
 — and invalidate only cache entries whose result could actually change: a
 hyperedge of size ``k`` can never appear in — nor contribute a pair to —
 any ``L_s`` with ``s > k``, so those entries are re-keyed to the new
-fingerprint instead of being recomputed.  (Refreshing the immutable
-:class:`Hypergraph` and its fingerprint is still one vectorised O(|H|)
-pass per update; only the overlap *counting* is incremental.)
+fingerprint instead of being recomputed.  The immutable
+:class:`Hypergraph` is refreshed incrementally too: both of its CSRs are
+extended (or cut) in place of a transpose, and its fingerprint hashes the
+already-sorted rows without re-sorting them — what remains per update is
+array copies and one SHA-256 over the incidences, no sort and no rebuild.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.graph.graph import Graph
 from repro.hypergraph.csr import CSRMatrix
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.preprocessing import SqueezeResult
+from repro.obs import get_registry
 from repro.obs.trace import get_tracer
 from repro.parallel.executor import ParallelConfig
 from repro.utils.validation import ValidationError, check_s_value
@@ -134,6 +137,14 @@ class QueryEngine:
         self._index: Optional[OverlapIndex] = index
         self._cache = LRUCache(maxsize=cache_size, metrics_label="engine")
         self._tracer = get_tracer()
+        update_seconds = get_registry().histogram(
+            "repro_engine_update_seconds",
+            "Wall time of one incremental update inside the engine (index "
+            "patch, hypergraph refresh, cache migration; durability excluded).",
+            ("op",),
+        )
+        self._m_add_seconds = update_seconds.labels(op="add")
+        self._m_remove_seconds = update_seconds.labels(op="remove")
         self._index_builds = 0
         self._incremental_adds = 0
         self._incremental_removes = 0
@@ -385,6 +396,7 @@ class QueryEngine:
         member_arr = np.unique(np.asarray(list(members), dtype=np.int64))
         if member_arr.size and int(member_arr.min()) < 0:
             raise ValidationError("vertex IDs must be non-negative")
+        start = time.perf_counter()
         old_fp = self._h.fingerprint()
         new_id = self._h.num_edges
         pair_ids = pair_weights = None
@@ -396,6 +408,7 @@ class QueryEngine:
         self._h = with_appended_edge(self._h, member_arr, name)
         self._incremental_adds += 1
         self._migrate_cache(old_fp, threshold_s=int(member_arr.size))
+        self._m_add_seconds.observe(time.perf_counter() - start)
         self._record_add(new_id, member_arr, name, pair_ids, pair_weights)
         return new_id
 
@@ -413,12 +426,14 @@ class QueryEngine:
         old_size = self._h.edge_size(edge_id)
         if old_size == 0:
             return  # already empty: removing it changes nothing
+        start = time.perf_counter()
         old_fp = self._h.fingerprint()
         if self._index is not None:
             self._index.remove_hyperedge(edge_id)
         self._h = with_emptied_edge(self._h, edge_id)
         self._incremental_removes += 1
         self._migrate_cache(old_fp, threshold_s=int(old_size))
+        self._m_remove_seconds.observe(time.perf_counter() - start)
         self._record_remove(edge_id)
 
     def _record_add(self, new_id, members, name, pair_ids, pair_weights) -> None:
@@ -478,27 +493,52 @@ def _resize_id_space(graph: SLineGraph, num_hyperedges: int) -> SLineGraph:
     return resized
 
 
+def _shifted_indptr(indptr: np.ndarray, rows: np.ndarray, step: int) -> np.ndarray:
+    """``indptr`` after every row in ``rows`` grew (or shrank) by ``step`` entries."""
+    shifted = indptr.copy()
+    shifted[1:] += step * np.cumsum(np.bincount(rows, minlength=indptr.size - 1))
+    return shifted
+
+
 def with_appended_edge(
     h: Hypergraph, members: np.ndarray, name: Optional[object]
 ) -> Hypergraph:
-    """A new hypergraph equal to ``h`` plus one trailing hyperedge."""
+    """A new hypergraph equal to ``h`` plus one trailing hyperedge.
+
+    Both CSRs are extended in place of a rebuild: the new edge has the
+    largest ID, so in the vertex→edge CSR it lands at the *end* of each
+    member's row — one ``np.insert`` plus an ``indptr`` shift, no transpose.
+    """
     edges = h.edges_csr
+    vertices = h.vertices_csr
+    new_id = h.num_edges
     num_vertices = h.num_vertices
     if members.size:
         num_vertices = max(num_vertices, int(members.max()) + 1)
-    new_indptr = np.append(edges.indptr, edges.indptr[-1] + members.size)
-    new_indices = np.concatenate([edges.indices, members])
-    edge_names = None
-    if h.edge_names is not None:
-        edge_names = list(h.edge_names) + [name if name is not None else h.num_edges]
-    vertex_names = None
-    if h.vertex_names is not None:
-        vertex_names = list(h.vertex_names) + list(
-            range(h.num_vertices, num_vertices)
+    vertex_indptr = vertices.indptr
+    if num_vertices > h.num_vertices:  # brand-new vertices: empty rows
+        vertex_indptr = np.concatenate(
+            [
+                vertex_indptr,
+                np.full(num_vertices - h.num_vertices, vertex_indptr[-1]),
+            ]
         )
+    edge_names = h.edge_names
+    if edge_names is not None:
+        edge_names = edge_names + [name if name is not None else new_id]
+    vertex_names = h.vertex_names
+    if vertex_names is not None and num_vertices > h.num_vertices:
+        vertex_names = vertex_names + list(range(h.num_vertices, num_vertices))
     return Hypergraph(
         edges=CSRMatrix(
-            indptr=new_indptr, indices=new_indices, num_cols=num_vertices
+            indptr=np.append(edges.indptr, edges.indptr[-1] + members.size),
+            indices=np.concatenate([edges.indices, members]),
+            num_cols=num_vertices,
+        ),
+        vertices=CSRMatrix(
+            indptr=_shifted_indptr(vertex_indptr, members, 1),
+            indices=np.insert(vertices.indices, vertex_indptr[members + 1], new_id),
+            num_cols=new_id + 1,
         ),
         edge_names=edge_names,
         vertex_names=vertex_names,
@@ -506,15 +546,30 @@ def with_appended_edge(
 
 
 def with_emptied_edge(h: Hypergraph, edge_id: int) -> Hypergraph:
-    """A new hypergraph equal to ``h`` with one hyperedge emptied in place."""
+    """A new hypergraph equal to ``h`` with one hyperedge emptied in place.
+
+    The mirror image of :func:`with_appended_edge`: the edge's row is cut
+    out of the edge→vertex CSR and its ID out of each member's
+    vertex→edge row, again without a transpose.
+    """
     edges = h.edges_csr
+    vertices = h.vertices_csr
     start, stop = int(edges.indptr[edge_id]), int(edges.indptr[edge_id + 1])
-    new_indices = np.delete(edges.indices, slice(start, stop))
-    new_indptr = edges.indptr.copy()
-    new_indptr[edge_id + 1 :] -= stop - start
+    members = edges.indices[start:stop]
+    edge_indptr = edges.indptr.copy()
+    edge_indptr[edge_id + 1 :] -= stop - start
     return Hypergraph(
         edges=CSRMatrix(
-            indptr=new_indptr, indices=new_indices, num_cols=edges.num_cols
+            indptr=edge_indptr,
+            indices=np.delete(edges.indices, slice(start, stop)),
+            num_cols=edges.num_cols,
+        ),
+        vertices=CSRMatrix(
+            indptr=_shifted_indptr(vertices.indptr, members, -1),
+            indices=np.delete(
+                vertices.indices, np.flatnonzero(vertices.indices == edge_id)
+            ),
+            num_cols=vertices.num_cols,
         ),
         edge_names=h.edge_names,
         vertex_names=h.vertex_names,

@@ -57,6 +57,26 @@ def overlap_counts_for_members(
     return edge_ids.astype(np.int64), counts.astype(np.int64)
 
 
+def insert_by_weight(
+    edges: np.ndarray,
+    weights: np.ndarray,
+    new_edges: np.ndarray,
+    new_weights: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge weight-ascending ``new`` pairs into a weight-ascending pair store.
+
+    Each new pair lands *in front of* the stored pairs of equal weight, new
+    pairs that tie keep their given order — the store's update order, which
+    every writer of the pair arrays must share for snapshots to agree byte
+    for byte.  One binary search plus one ``np.insert`` per array.
+    """
+    positions = np.searchsorted(weights, new_weights, side="left")
+    return (
+        np.insert(edges, positions, new_edges, axis=0),
+        np.insert(weights, positions, new_weights),
+    )
+
+
 class OverlapIndex:
     """All pairwise hyperedge overlaps of a hypergraph, sorted by weight.
 
@@ -231,9 +251,9 @@ class OverlapIndex:
             new_pairs = np.column_stack(
                 [pair_ids, np.full(pair_ids.size, new_id, dtype=np.int64)]
             )
-            positions = np.searchsorted(self._weights, pair_weights, side="left")
-            self._edges = np.insert(self._edges, positions, new_pairs, axis=0)
-            self._weights = np.insert(self._weights, positions, pair_weights)
+            self._edges, self._weights = insert_by_weight(
+                self._edges, self._weights, new_pairs, pair_weights
+            )
         self._edge_sizes = np.append(self._edge_sizes, np.int64(max(int(size), 0)))
         return int(pair_ids.size)
 
@@ -255,6 +275,35 @@ class OverlapIndex:
             self._weights = self._weights[keep]
         self._edge_sizes[edge_id] = 0
         return removed
+
+    def apply_batch(
+        self,
+        new_edges: np.ndarray,
+        new_weights: np.ndarray,
+        removed_ids: np.ndarray,
+        edge_sizes: np.ndarray,
+    ) -> None:
+        """Apply a pre-folded run of updates in one step.
+
+        Equivalent to the :meth:`add_hyperedge` / :meth:`remove_hyperedge`
+        sequence the batch was folded from (see
+        :func:`repro.store.overlay.fold_records`): pairs touching
+        ``removed_ids`` are dropped, ``new_edges`` — weight-ascending, ties
+        in the order they must end up in — are merged with one insert, and
+        ``edge_sizes`` replaces the size array.
+        """
+        if removed_ids.size:
+            keep = ~(
+                np.isin(self._edges[:, 0], removed_ids)
+                | np.isin(self._edges[:, 1], removed_ids)
+            )
+            self._edges = self._edges[keep]
+            self._weights = self._weights[keep]
+        if new_weights.size:
+            self._edges, self._weights = insert_by_weight(
+                self._edges, self._weights, new_edges, new_weights
+            )
+        self._edge_sizes = np.asarray(edge_sizes, dtype=np.int64).copy()
 
     # ------------------------------------------------------------------ #
     # Dunders

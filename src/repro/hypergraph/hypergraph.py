@@ -27,6 +27,28 @@ from repro.hypergraph.csr import CSRMatrix
 from repro.utils.validation import ValidationError
 
 
+def _rows_ascend(csr: CSRMatrix) -> bool:
+    """True when every row of ``csr`` lists its columns in ascending order.
+
+    One vectorised pass: a step ``indices[k] -> indices[k + 1]`` may only
+    descend where ``k + 1`` starts a new row.
+    """
+    indices = csr.indices
+    if indices.size < 2:
+        return True
+    ascends = indices[1:] >= indices[:-1]
+    starts = csr.indptr[1:-1]
+    ascends[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+    return bool(ascends.all())
+
+
+def _as_label_list(names: Optional[Sequence[Hashable]]) -> Optional[list]:
+    """``names`` as the list a hypergraph stores: adopted if already one."""
+    if names is None or type(names) is list:
+        return names
+    return list(names)
+
+
 class Hypergraph:
     """A non-uniform hypergraph stored as edge→vertex and vertex→edge CSR.
 
@@ -43,7 +65,9 @@ class Hypergraph:
         Optional transpose (vertex→edge CSR).  Computed when omitted.
     edge_names, vertex_names:
         Optional sequences mapping internal integer IDs back to user-facing
-        labels (author names, gene symbols, …).
+        labels (author names, gene symbols, …).  A ``list`` is adopted as
+        given — derived hypergraphs share their parent's labels instead of
+        copying them — any other sequence is copied into one.
     """
 
     __slots__ = ("_edges", "_vertices", "_edge_names", "_vertex_names", "_fingerprint")
@@ -75,8 +99,8 @@ class Hypergraph:
             raise ValidationError("edge_names length must equal the number of hyperedges")
         if vertex_names is not None and len(vertex_names) != edges.num_cols:
             raise ValidationError("vertex_names length must equal the number of vertices")
-        self._edge_names = None if edge_names is None else list(edge_names)
-        self._vertex_names = None if vertex_names is None else list(vertex_names)
+        self._edge_names = _as_label_list(edge_names)
+        self._vertex_names = _as_label_list(vertex_names)
         self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------ #
@@ -221,20 +245,24 @@ class Hypergraph:
         every s-line-graph computation depends on.  Used as the cache key of
         :class:`repro.engine.QueryEngine`.  The digest is computed once and
         memoised (instances are immutable by convention).
+
+        Rows whose members already ascend — every hypergraph the builders
+        and the engine's incremental updates produce — are hashed as stored;
+        only an input with an out-of-order row pays the per-row sort.
         """
         if self._fingerprint is None:
             edges = self._edges
-            row_ids = np.repeat(
-                np.arange(edges.num_rows, dtype=np.int64), edges.row_degrees()
-            )
-            order = np.lexsort((edges.indices, row_ids))
+            indices = edges.indices
+            if not _rows_ascend(edges):
+                row_ids = np.repeat(
+                    np.arange(edges.num_rows, dtype=np.int64), edges.row_degrees()
+                )
+                indices = indices[np.lexsort((indices, row_ids))]
             hasher = hashlib.sha256()
             hasher.update(np.int64(edges.num_rows).tobytes())
             hasher.update(np.int64(edges.num_cols).tobytes())
             hasher.update(np.ascontiguousarray(edges.indptr, dtype=np.int64).tobytes())
-            hasher.update(
-                np.ascontiguousarray(edges.indices[order], dtype=np.int64).tobytes()
-            )
+            hasher.update(np.ascontiguousarray(indices, dtype=np.int64).tobytes())
             self._fingerprint = hasher.hexdigest()
         return self._fingerprint
 

@@ -11,6 +11,8 @@ the system's storage layer:
   format version, build provenance);
 * :mod:`repro.store.wal` — a checksummed write-ahead log of incremental
   ``add`` / ``remove`` updates with torn-tail crash recovery;
+* :mod:`repro.store.overlay` — that log folded once into arrays, so opens,
+  replica refreshes and compaction apply it in one batched step;
 * :class:`ShardedIndex` — an out-of-core ``OverlapIndex`` drop-in streaming
   threshold views from lazily mmap'd shards;
 * :class:`IndexStore` — the directory manager (build / open / update /

@@ -172,6 +172,7 @@ class PersistentQueryEngine(QueryEngine):
         """
         self.store.check_writable()
         self.store.compact(num_shards=num_shards)
+        self.close()  # the superseded index maps files compaction just swept
         if self.sharded:
             self._index = self.store.sharded_index(
                 max_resident_shards=self._max_resident_shards

@@ -28,6 +28,7 @@ from repro.core.slinegraph import SLineGraph
 from repro.obs import get_registry, get_tracer
 from repro.parallel.workload import WorkloadStats
 from repro.store.format import Manifest, PathLike, read_manifest
+from repro.store.overlay import WalOverlay
 from repro.store.snapshot import load_edge_sizes, load_shard
 from repro.utils.validation import ValidationError, check_s_value
 
@@ -357,6 +358,33 @@ class ShardedIndex:
         self._edge_sizes[edge_id] = 0
         self._max_weight_cache = None
         return removed
+
+    def apply_overlay(self, overlay: WalOverlay) -> None:
+        """Install a folded write-ahead log as the overlay of a fresh index.
+
+        The batched equivalent of replaying the log through
+        :meth:`add_hyperedge` / :meth:`remove_hyperedge`: the appended
+        pairs, tombstones and size array are adopted as folded, and the
+        base pairs the tombstones hide are counted in one pass over the
+        shards instead of one pass per removed hyperedge.
+        """
+        self._extra_edges = overlay.edges
+        self._extra_weights = overlay.weights
+        self._removed = overlay.removed
+        self._edge_sizes = overlay.edge_sizes
+        self._max_weight_cache = None
+        hidden = 0
+        if overlay.removed.size:
+            for info in self._manifest.shards:
+                if info.num_pairs:
+                    edges, _ = self._shard_arrays(info.shard_id)
+                    hidden += int(
+                        np.count_nonzero(
+                            np.isin(edges[:, 0], overlay.removed)
+                            | np.isin(edges[:, 1], overlay.removed)
+                        )
+                    )
+        self._removed_base_pairs = hidden
 
     def _count_base_pairs(self, edge_id: int) -> int:
         """Live base pairs incident to ``edge_id`` (scans candidate shards)."""

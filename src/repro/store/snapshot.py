@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.index import OverlapIndex
+from repro.engine.index import OverlapIndex, insert_by_weight
 from repro.parallel.partition import blocked_partitions
 from repro.store.format import (
     EDGE_SIZES_NAME,
@@ -31,7 +31,13 @@ from repro.store.format import (
     shard_file_names,
     write_manifest,
 )
+from repro.store.overlay import WalOverlay
 from repro.utils.validation import check_positive_int
+
+
+#: ``(row_start, row_stop) -> (edges, weights)``: the pairs ``(i, j)`` with
+#: ``row_start <= i < row_stop``, weight-ascending, in the order to store.
+BlockPairs = Callable[[int, int], Tuple[np.ndarray, np.ndarray]]
 
 
 def write_snapshot(
@@ -52,14 +58,105 @@ def write_snapshot(
     down a fresh snapshot next to the live one before switching the
     manifest atomically.
     """
+    edges, weights = index.pairs_at_least(1)
+    rows = edges[:, 0] if edges.size else np.empty(0, dtype=np.int64)
+
+    def block_pairs(row_start: int, row_stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        mask = (rows >= row_start) & (rows < row_stop)
+        return edges[mask], weights[mask]
+
+    return _write_generation(
+        block_pairs,
+        index.edge_sizes,
+        index.algorithm,
+        store_path,
+        fingerprint,
+        num_shards,
+        generation,
+        provenance,
+    )
+
+
+def write_folded_snapshot(
+    base: Manifest,
+    overlay: WalOverlay,
+    store_path: PathLike,
+    fingerprint: str,
+    num_shards: int,
+    generation: int,
+    provenance: Optional[Dict[str, object]] = None,
+) -> Manifest:
+    """Serialise snapshot ``base`` plus a folded log, one row block at a time.
+
+    Writes exactly the files :func:`write_snapshot` writes for the index
+    obtained by replaying the log over ``base`` record by record — without
+    ever holding that index: each output block gathers its rows from the
+    (memory-mapped) input shards that overlap it, drops tombstoned pairs,
+    sorts that block alone and merges the overlay's rows for it.  Peak
+    memory is one output block plus the overlay, whatever the store's size.
+    """
+    dead = np.zeros(overlay.edge_sizes.size, dtype=bool)
+    dead[overlay.removed] = True
+    overlay_rows = overlay.edges[:, 0]
+
+    def live_rows(info: ShardInfo, row_start: int, row_stop: int):
+        """One input shard's pairs that fall in the block and are not tombstoned."""
+        edges, weights = load_shard(store_path, info)  # mapped for this call only
+        rows = edges[:, 0]
+        keep = (rows >= row_start) & (rows < row_stop)
+        if overlay.removed.size:
+            keep &= ~(dead[rows] | dead[edges[:, 1]])
+        return edges[keep], weights[keep]
+
+    def block_pairs(row_start: int, row_stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        parts = [(np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64))]
+        parts += [
+            live_rows(info, row_start, row_stop)
+            for info in base.shards
+            if info.num_pairs and info.row_start < row_stop and info.row_stop > row_start
+        ]
+        edges = np.concatenate([e for e, _ in parts], axis=0)
+        weights = np.concatenate([w for _, w in parts])
+        # The memory bound is the point of this function: drop each copy of
+        # the block as soon as the next one exists.
+        del parts
+        # Canonical base order, as materialising the snapshot would give.
+        order = np.lexsort((edges[:, 1], edges[:, 0], weights))
+        edges, weights = edges[order], weights[order]
+        del order
+        mine = (overlay_rows >= row_start) & (overlay_rows < row_stop)
+        return insert_by_weight(
+            edges, weights, overlay.edges[mine], overlay.weights[mine]
+        )
+
+    return _write_generation(
+        block_pairs,
+        overlay.edge_sizes,
+        base.algorithm,
+        store_path,
+        fingerprint,
+        num_shards,
+        generation,
+        provenance,
+    )
+
+
+def _write_generation(
+    block_pairs: BlockPairs,
+    edge_sizes: np.ndarray,
+    algorithm: str,
+    store_path: PathLike,
+    fingerprint: str,
+    num_shards: int,
+    generation: int,
+    provenance: Optional[Dict[str, object]],
+) -> Manifest:
+    """Lay down one snapshot generation, shard by shard, then its manifest."""
     num_shards = check_positive_int(num_shards, "num_shards")
     store_path = str(store_path)
     shard_dir = os.path.join(store_path, SHARD_DIR)
     os.makedirs(shard_dir, exist_ok=True)
-
-    edges, weights = index.pairs_at_least(1)
-    rows = edges[:, 0] if edges.size else np.empty(0, dtype=np.int64)
-    blocks = blocked_partitions(index.num_hyperedges, num_shards)
+    blocks = blocked_partitions(int(edge_sizes.size), num_shards)
 
     shards: List[ShardInfo] = []
     start = 0
@@ -67,9 +164,9 @@ def write_snapshot(
         row_start = int(block[0]) if block.size else start
         row_stop = int(block[-1]) + 1 if block.size else row_start
         start = row_stop
-        mask = (rows >= row_start) & (rows < row_stop)
-        shard_edges = np.ascontiguousarray(edges[mask])
-        shard_weights = np.ascontiguousarray(weights[mask])
+        shard_edges, shard_weights = block_pairs(row_start, row_stop)
+        shard_edges = np.ascontiguousarray(shard_edges)
+        shard_weights = np.ascontiguousarray(shard_weights)
         edges_file, weights_file = shard_file_names(generation, shard_id)
         np.save(os.path.join(shard_dir, edges_file), shard_edges)
         np.save(os.path.join(shard_dir, weights_file), shard_weights)
@@ -93,7 +190,7 @@ def write_snapshot(
     edge_sizes_file = edge_sizes_file_name(generation)
     np.save(
         os.path.join(store_path, edge_sizes_file),
-        np.ascontiguousarray(index.edge_sizes, dtype=np.int64),
+        np.ascontiguousarray(edge_sizes, dtype=np.int64),
     )
     fsync_path(os.path.join(store_path, edge_sizes_file))
     # Data files must be durable BEFORE the manifest rename makes them
@@ -106,10 +203,10 @@ def write_snapshot(
     manifest = Manifest(
         format_version=FORMAT_VERSION,
         fingerprint=str(fingerprint),
-        num_hyperedges=index.num_hyperedges,
-        num_pairs=index.num_pairs,
-        max_weight=index.max_weight,
-        algorithm=index.algorithm,
+        num_hyperedges=int(edge_sizes.size),
+        num_pairs=sum(info.num_pairs for info in shards),
+        max_weight=max((info.max_weight for info in shards), default=0),
+        algorithm=algorithm,
         generation=int(generation),
         shards=shards,
         provenance=meta,

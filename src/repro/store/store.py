@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.chaos.failpoints import fire as _failpoint
 from repro.engine.index import OverlapIndex
+from repro.hypergraph.csr import CSRMatrix
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.io.serialization import load_hypergraph_npz, save_hypergraph_npz
 from repro.parallel.executor import ParallelConfig
@@ -47,10 +48,13 @@ from repro.store.format import (
     manifest_path,
     read_manifest,
 )
+from repro.store.overlay import fold_records
 from repro.store.sharded import ShardedIndex
 from repro.store.snapshot import (
+    load_edge_sizes,
     materialize_index,
     sweep_orphan_shards,
+    write_folded_snapshot,
     write_snapshot,
 )
 from repro.store.wal import OP_ADD, WalRecord, WriteAheadLog
@@ -88,6 +92,58 @@ def _save_hypergraph_atomic(h: Hypergraph, path: str) -> None:
         os.fsync(handle.fileno())
     os.replace(tmp, path)
     fsync_path(os.path.dirname(path) or ".")
+
+
+def _replay_hypergraph(h: Hypergraph, records: List[WalRecord]) -> Hypergraph:
+    """``h`` after every logged add and remove, built in one step.
+
+    All logged member lists are appended with one concatenation and every
+    removed hyperedge's row is cut with one mask, so the result pays for a
+    single :class:`Hypergraph` construction (one transpose) however long
+    the log is.
+    """
+    if not records:
+        return h
+    edges = h.edges_csr
+    adds = [record for record in records if record.op == OP_ADD]
+    removed = [record.edge_id for record in records if record.op != OP_ADD]
+    members = [
+        np.asarray(record.payload["members"], dtype=np.int64) for record in adds
+    ]
+    indices = np.concatenate([edges.indices, *members])
+    degrees = np.concatenate(
+        [edges.row_degrees(), np.asarray([m.size for m in members], dtype=np.int64)]
+    )
+    num_vertices = edges.num_cols
+    if indices.size:
+        num_vertices = max(num_vertices, int(indices.max()) + 1)
+    if removed:
+        starts = np.concatenate([[0], np.cumsum(degrees)])
+        keep = np.ones(indices.size, dtype=bool)
+        for edge_id in removed:
+            keep[starts[edge_id] : starts[edge_id + 1]] = False
+        indices = indices[keep]
+        degrees[removed] = 0
+    edge_names = h.edge_names
+    if edge_names is not None:
+        edge_names = edge_names + [
+            record.edge_id
+            if record.payload.get("name") is None
+            else record.payload["name"]
+            for record in adds
+        ]
+    vertex_names = h.vertex_names
+    if vertex_names is not None:
+        vertex_names = vertex_names + list(range(h.num_vertices, num_vertices))
+    return Hypergraph(
+        edges=CSRMatrix(
+            indptr=np.concatenate([[0], np.cumsum(degrees)]),
+            indices=indices,
+            num_cols=num_vertices,
+        ),
+        edge_names=edge_names,
+        vertex_names=vertex_names,
+    )
 
 
 class IndexStore:
@@ -311,22 +367,13 @@ class IndexStore:
     # ------------------------------------------------------------------ #
     # Reconstruction (snapshot + replayed WAL)
     # ------------------------------------------------------------------ #
-    def _replay_into(self, index) -> None:
-        for record in self._records:
-            if record.op == OP_ADD:
-                index.add_hyperedge(
-                    record.edge_id,
-                    int(record.payload["size"]),
-                    np.asarray(record.payload["pair_ids"], dtype=np.int64),
-                    np.asarray(record.payload["pair_weights"], dtype=np.int64),
-                )
-            else:
-                index.remove_hyperedge(record.edge_id)
-
     def load_index(self) -> OverlapIndex:
         """The current index fully materialised in memory."""
         index = materialize_index(self.path, self._manifest)
-        self._replay_into(index)
+        overlay = fold_records(self._records, index.edge_sizes)
+        index.apply_batch(
+            overlay.edges, overlay.weights, overlay.removed, overlay.edge_sizes
+        )
         return index
 
     def sharded_index(
@@ -341,7 +388,7 @@ class IndexStore:
             max_resident_shards=max_resident_shards,
             mmap=mmap,
         )
-        self._replay_into(index)
+        index.apply_overlay(fold_records(self._records, index.edge_sizes))
         return index
 
     def load_hypergraph(self) -> Hypergraph:
@@ -358,8 +405,6 @@ class IndexStore:
                 f"store at {self.path} was built without its hypergraph "
                 "(save_hypergraph=False); supply one when opening"
             )
-        from repro.engine.engine import with_appended_edge, with_emptied_edge
-
         h = load_hypergraph_npz(path)
         target = self.current_fingerprint()
         saved = h.fingerprint()
@@ -376,12 +421,7 @@ class IndexStore:
             if record.fingerprint is not None and record.fingerprint == saved:
                 records = records[position + 1:]
                 break
-        for record in records:
-            if record.op == OP_ADD:
-                members = np.asarray(record.payload["members"], dtype=np.int64)
-                h = with_appended_edge(h, members, record.payload.get("name"))
-            else:
-                h = with_emptied_edge(h, record.edge_id)
+        h = _replay_hypergraph(h, records)
         if target is not None and h.fingerprint() != target:
             raise StoreError(
                 f"store at {self.path} is inconsistent: saved hypergraph plus "
@@ -455,7 +495,9 @@ class IndexStore:
         the still-intact WAL remain authoritative and
         :meth:`load_hypergraph` detects the already-current copy by its
         fingerprint; (2) the new generation's shard files are laid down
-        (fsynced) next to the live ones; (3) the manifest is atomically
+        (fsynced) next to the live ones, streamed one row block at a time
+        from the mmap'd old shards plus the folded log, so the pair store
+        is never materialised (see :func:`write_folded_snapshot`); (3) the manifest is atomically
         replaced — from this point the WAL is stale and recovery discards
         it by its generation stamp even if (4) the truncate never runs.
         Superseded and abandoned shard files are swept last.
@@ -464,7 +506,9 @@ class IndexStore:
         old_manifest = self._manifest
         if num_shards is None:
             num_shards = max(1, len(old_manifest.shards))
-        index = self.load_index()
+        overlay = fold_records(
+            self._records, load_edge_sizes(self.path, old_manifest)
+        )
         # Chaos: a fault here models a crash during the fold, before any
         # on-disk state of the new generation exists.
         _failpoint("store.compact.fold")
@@ -484,8 +528,9 @@ class IndexStore:
         # files may be partially laid down, the manifest swap has not
         # happened, so the old generation + WAL must stay authoritative.
         _failpoint("store.compact.install")
-        manifest = write_snapshot(
-            index,
+        manifest = write_folded_snapshot(
+            old_manifest,
+            overlay,
             self.path,
             fingerprint=fingerprint,
             num_shards=num_shards,

@@ -66,6 +66,20 @@ class TestAddHyperedge:
         assert engine.hypergraph.edge_name(new_id) == "new-paper"
         assert_matches_full_rebuild(engine)
 
+    def test_labels_are_extended_not_aliased(self, paper_example):
+        engine = QueryEngine(paper_example)
+        before = engine.hypergraph
+        edge_names, vertex_names = list(before.edge_names), list(before.vertex_names)
+        engine.add_hyperedge([0, 7], name="new-paper")  # vertices 6 and 7 are new
+        after = engine.hypergraph
+        assert after.edge_names == edge_names + ["new-paper"]
+        assert after.vertex_names == vertex_names + [6, 7]
+        # The superseded hypergraph keeps its own, unextended labels.
+        assert before.edge_names == edge_names
+        assert before.vertex_names == vertex_names
+        engine.remove_hyperedge(0)
+        assert engine.hypergraph.edge_names == after.edge_names
+
     def test_update_before_index_build_defers_to_lazy_build(
         self, paper_example_unlabelled
     ):
@@ -170,6 +184,28 @@ class TestInterleavedUpdates:
         assert stats.incremental_adds == 2
         assert stats.incremental_removes == 2
         assert stats.index_builds == 1
+
+
+class TestUpdateTelemetry:
+    def test_update_seconds_histogram_counts_applied_updates(
+        self, paper_example_unlabelled
+    ):
+        from repro.obs import MetricsRegistry, use_registry
+
+        with use_registry(MetricsRegistry()) as registry:
+            engine = QueryEngine(paper_example_unlabelled)
+            engine.line_graph(1)
+            engine.add_hyperedge([0, 1])
+            engine.add_hyperedge([2, 3])
+            engine.remove_hyperedge(0)
+            engine.remove_hyperedge(0)  # already empty: not an update
+            with pytest.raises(ValidationError):
+                engine.add_hyperedge([-1])  # refused: not an update
+            family = registry.snapshot()["repro_engine_update_seconds"]
+        assert family["type"] == "histogram"
+        counts = {v["labels"]["op"]: v["count"] for v in family["values"]}
+        assert counts == {"add": 2, "remove": 1}
+        assert all(v["sum"] > 0 for v in family["values"])
 
 
 class TestWeightOrderInvariant:

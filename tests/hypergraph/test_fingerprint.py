@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.generators import load_dataset
 from repro.hypergraph.builders import (
     hypergraph_from_edge_lists,
 )
@@ -49,6 +50,49 @@ class TestFingerprintStability:
         )
         built = hypergraph_from_edge_lists([[0, 1, 2], [2, 3]], num_vertices=4)
         assert direct.fingerprint() == built.fingerprint()
+
+
+class TestFingerprintPinned:
+    """The digest is a storage format: manifests and WAL records carry it.
+
+    These hex values were produced by the sort-every-row implementation;
+    a store written then must still open, so they may never change.
+    """
+
+    def test_paper_example_digest(self, paper_example_unlabelled):
+        assert paper_example_unlabelled.fingerprint() == (
+            "7434a26ffc73dbae3c4ee43c7fdc470277c9653a423ff491d10c8d97f42a5e43"
+        )
+
+    def test_generated_dataset_digest(self):
+        h = load_dataset("livejournal", scale=0.2, seed=7)
+        assert (h.num_vertices, h.num_edges, h.num_incidences) == (640, 804, 6957)
+        assert h.fingerprint() == (
+            "4c2cc7d999fcfec7d426d1d509c41509bc1b3d0ec67dcaa761afa023b8125210"
+        )
+
+    def test_sorted_rows_and_unsorted_rows_share_the_digest(self):
+        # Same structure, with empty rows at both ends and in the middle:
+        # ascending rows are hashed as stored, descending rows are sorted.
+        indptr = np.array([0, 0, 3, 3, 5, 6, 6])
+        ascending = Hypergraph(
+            edges=CSRMatrix(indptr, np.array([0, 2, 4, 1, 3, 0]), num_cols=5)
+        )
+        descending = Hypergraph(
+            edges=CSRMatrix(indptr, np.array([4, 2, 0, 3, 1, 0]), num_cols=5)
+        )
+        built = hypergraph_from_edge_lists(
+            [[], [0, 2, 4], [], [1, 3], [0], []], num_vertices=5
+        )
+        assert ascending.fingerprint() == descending.fingerprint() == built.fingerprint()
+
+    def test_row_boundary_descent_is_not_mistaken_for_disorder(self):
+        # Each row ascends; the flat index array descends only across rows.
+        h = Hypergraph(
+            edges=CSRMatrix(np.array([0, 2, 4]), np.array([2, 3, 0, 1]), num_cols=4)
+        )
+        built = hypergraph_from_edge_lists([[3, 2], [1, 0]], num_vertices=4)
+        assert h.fingerprint() == built.fingerprint()
 
 
 class TestFingerprintSensitivity:

@@ -18,6 +18,8 @@ from repro.core.filtration import line_graph_from_filtration
 from repro.core.pipeline import SLinePipeline
 from repro.engine.engine import QueryEngine
 from repro.hypergraph.builders import hypergraph_from_edge_lists
+from repro.hypergraph.csr import CSRMatrix
+from repro.hypergraph.hypergraph import Hypergraph
 
 S_RANGE = range(1, 6)
 
@@ -117,3 +119,59 @@ def test_fingerprint_invariant_under_member_permutation(h, data):
     ]
     twin = hypergraph_from_edge_lists(shuffled, num_vertices=h.num_vertices)
     assert twin.fingerprint() == h.fingerprint()
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=hypergraphs(), data=st.data())
+def test_fingerprint_of_stored_row_order_matches_sorted_rows(h, data):
+    """Sorted rows are hashed as stored, permuted rows are sorted first:
+    the two paths of ``fingerprint()`` must agree on every structure."""
+    edges = h.edges_csr
+    permuted = np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [
+            np.asarray(data.draw(st.permutations(list(map(int, members)))), dtype=np.int64)
+            for _, members in edges.iter_rows()
+        ]
+    )
+    twin = Hypergraph(
+        edges=CSRMatrix(indptr=edges.indptr, indices=permuted, num_cols=edges.num_cols)
+    )
+    assert twin.fingerprint() == h.fingerprint()
+
+
+def assert_dual_csr_consistent(h):
+    """``vertices_csr`` is exactly the transpose of ``edges_csr``."""
+    transposed = h.edges_csr.transpose()
+    assert h.vertices_csr.shape == transposed.shape
+    assert np.array_equal(h.vertices_csr.indptr, transposed.indptr)
+    assert np.array_equal(h.vertices_csr.indices, transposed.indices)
+
+
+@settings(max_examples=30, deadline=None)
+@given(h=hypergraphs(), steps=update_steps)
+def test_every_update_keeps_dual_csr_and_answers_of_a_fresh_engine(h, steps):
+    """Adds (empty member sets and brand-new vertex IDs included) and removes
+    maintain the vertex→edge CSR incrementally; after *every* step it equals
+    the transpose and the engine answers like one built from scratch."""
+    engine = QueryEngine(h)
+    engine.sweep(S_RANGE)
+    for step in steps:
+        if isinstance(step, list):
+            engine.add_hyperedge(step)
+        else:
+            engine.remove_hyperedge(step % engine.hypergraph.num_edges)
+        current = engine.hypergraph
+        assert_dual_csr_consistent(current)
+        rebuilt = hypergraph_from_edge_lists(
+            [list(map(int, members)) for _, members in current.iter_edges()],
+            num_vertices=current.num_vertices,
+        )
+        assert current.fingerprint() == rebuilt.fingerprint()
+        fresh = QueryEngine(rebuilt)
+        for s in S_RANGE:
+            assert engine.line_graph(s) == fresh.line_graph(s), s
+            assert np.array_equal(
+                engine.metric(s, "connected_components"),
+                fresh.metric(s, "connected_components"),
+            ), s

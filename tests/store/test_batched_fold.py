@@ -1,0 +1,412 @@
+"""The batched WAL fold against its record-by-record reference.
+
+``IndexStore`` folds the log once (``repro.store.overlay.fold_records``)
+and applies it in one step — to the in-memory index, to the sharded
+overlay, to the saved hypergraph, and, streamed shard by shard, to the next
+snapshot generation.  The reference here replays the same records one at a
+time through the public single-update methods, which is what the store did
+before and what every result must stay equal to — byte for byte where
+bytes are written.
+"""
+
+import os
+import shutil
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import repro.store.store as store_module
+from repro.chaos import failpoints
+from repro.chaos.failpoints import FailpointError
+from repro.engine.engine import with_appended_edge, with_emptied_edge
+from repro.generators.community import planted_community_hypergraph
+from repro.hypergraph.builders import hypergraph_from_edge_dict
+from repro.io.serialization import load_hypergraph_npz
+from repro.store.format import HYPERGRAPH_NAME, SHARD_DIR
+from repro.store.persistent import PersistentQueryEngine
+from repro.store.sharded import ShardedIndex
+from repro.store.snapshot import materialize_index, write_snapshot
+from repro.store.store import IndexStore
+from repro.store.wal import OP_ADD
+from repro.utils.rng import make_rng
+from repro.utils.validation import ValidationError
+
+
+# --------------------------------------------------------------------- #
+# Reference: one record at a time
+# --------------------------------------------------------------------- #
+def replay_per_record(index, records):
+    for record in records:
+        if record.op == OP_ADD:
+            index.add_hyperedge(
+                record.edge_id,
+                int(record.payload["size"]),
+                np.asarray(record.payload["pair_ids"], dtype=np.int64),
+                np.asarray(record.payload["pair_weights"], dtype=np.int64),
+            )
+        else:
+            index.remove_hyperedge(record.edge_id)
+    return index
+
+
+def reference_index(store):
+    return replay_per_record(
+        materialize_index(store.path, store.manifest), store.wal_records
+    )
+
+
+def reference_sharded(store):
+    return replay_per_record(
+        ShardedIndex(store.path, manifest=store.manifest), store.wal_records
+    )
+
+
+def reference_hypergraph(store):
+    h = load_hypergraph_npz(os.path.join(store.path, HYPERGRAPH_NAME))
+    for record in store.wal_records:
+        if record.op == OP_ADD:
+            members = np.asarray(record.payload["members"], dtype=np.int64)
+            h = with_appended_edge(h, members, record.payload.get("name"))
+        else:
+            h = with_emptied_edge(h, record.edge_id)
+    return h
+
+
+# --------------------------------------------------------------------- #
+# Logs
+# --------------------------------------------------------------------- #
+def log_nothing(engine, rng):
+    pass
+
+
+def log_adds(engine, rng):
+    h = engine.hypergraph
+    for size in (0, 1, 3, 5, 8, 2):
+        engine.add_hyperedge(rng.choice(h.num_vertices + 2, size=size, replace=False))
+
+
+def log_removes_of_base_edges(engine, rng):
+    for edge_id in (0, 17, 17, engine.hypergraph.num_edges - 1):
+        engine.remove_hyperedge(edge_id)
+
+
+def log_remove_of_edge_added_in_same_log(engine, rng):
+    h = engine.hypergraph
+    first = engine.add_hyperedge(rng.choice(h.num_vertices, size=6, replace=False))
+    second = engine.add_hyperedge(rng.choice(h.num_vertices, size=6, replace=False))
+    engine.remove_hyperedge(first)
+    engine.add_hyperedge(engine.hypergraph.edge_members(second))  # overlaps `second`
+    engine.remove_hyperedge(3)
+
+
+def log_random_mix(engine, rng):
+    added = []
+    for _ in range(40):
+        h = engine.hypergraph
+        roll = rng.random()
+        if roll < 0.6 or not added:
+            size = int(rng.integers(0, 9))
+            added.append(
+                engine.add_hyperedge(
+                    rng.choice(h.num_vertices + 3, size=size, replace=False)
+                )
+            )
+        elif roll < 0.8:
+            engine.remove_hyperedge(int(rng.integers(h.num_edges)))
+        else:
+            engine.remove_hyperedge(added[int(rng.integers(len(added)))])
+
+
+LOGS = [
+    log_nothing,
+    log_adds,
+    log_removes_of_base_edges,
+    log_remove_of_edge_added_in_same_log,
+    log_random_mix,
+]
+
+
+@pytest.fixture(params=LOGS, ids=lambda log: log.__name__)
+def logged_store(request, community_hypergraph, tmp_path):
+    """A 4-shard store with one of the logs above pending in its WAL."""
+    path = tmp_path / "idx"
+    engine = PersistentQueryEngine.build(
+        community_hypergraph, path, num_shards=4, sharded=True
+    )
+    request.param(engine, make_rng(11))
+    engine.close()
+    return IndexStore.open(path)
+
+
+def files_under(path):
+    out = {}
+    for root, _, names in os.walk(path):
+        for name in names:
+            full = os.path.join(root, name)
+            with open(full, "rb") as handle:
+                out[os.path.relpath(full, path)] = handle.read()
+    return out
+
+
+# --------------------------------------------------------------------- #
+# Batched replay == per-record replay
+# --------------------------------------------------------------------- #
+class TestBatchedReplay:
+    def test_load_index_arrays_equal_per_record_replay(self, logged_store):
+        batched = logged_store.load_index()
+        reference = reference_index(logged_store)
+        for got, want in zip(batched.pairs_at_least(1), reference.pairs_at_least(1)):
+            assert np.array_equal(got, want)  # same pairs in the same order
+        assert np.array_equal(batched.edge_sizes, reference.edge_sizes)
+
+    def test_sharded_index_equals_per_record_replay(self, logged_store):
+        batched = logged_store.sharded_index()
+        reference = reference_sharded(logged_store)
+        assert batched.num_pairs == reference.num_pairs
+        assert batched.num_hyperedges == reference.num_hyperedges
+        assert batched.max_weight == reference.max_weight
+        assert np.array_equal(batched.edge_sizes, reference.edge_sizes)
+        for s in range(1, reference.max_weight + 2):
+            assert batched.line_graph(s) == reference.line_graph(s), s
+            assert batched.edge_count(s) == reference.edge_count(s), s
+
+    def test_sharded_index_keeps_taking_live_updates(self, logged_store):
+        batched = logged_store.sharded_index()
+        reference = reference_index(logged_store)
+        for index in (batched, reference):
+            index.add_hyperedge(
+                index.num_hyperedges, 4, np.array([1, 5]), np.array([2, 1])
+            )
+            index.remove_hyperedge(5)
+        assert batched.num_pairs == reference.num_pairs
+        for s in (1, 2, 3):
+            assert batched.line_graph(s) == reference.line_graph(s), s
+
+    def test_load_hypergraph_equals_per_record_replay(self, logged_store):
+        batched = logged_store.load_hypergraph()
+        reference = reference_hypergraph(logged_store)
+        assert batched == reference
+        assert batched.fingerprint() == reference.fingerprint()
+        assert batched.fingerprint() == logged_store.current_fingerprint()
+        for got, want in (
+            (batched.edges_csr, reference.edges_csr),
+            (batched.vertices_csr, reference.vertices_csr),
+        ):
+            assert got.shape == want.shape
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+
+    def test_load_hypergraph_replays_labels(self, tmp_path):
+        h = hypergraph_from_edge_dict({"x": ["a", "b", "c"], "y": ["b", "c", "d"]})
+        engine = PersistentQueryEngine.build(h, tmp_path / "idx")
+        engine.add_hyperedge([0, 3, 5], name="z")
+        engine.add_hyperedge([1, 6])
+        engine.remove_hyperedge(0)
+        store = IndexStore.open(tmp_path / "idx")
+        batched = store.load_hypergraph()
+        reference = reference_hypergraph(store)
+        assert batched.edge_names == reference.edge_names == ["x", "y", "z", 3]
+        assert batched.vertex_names == reference.vertex_names
+        assert batched.vertex_names[-3:] == [4, 5, 6]
+
+
+# --------------------------------------------------------------------- #
+# Streamed compaction == write_snapshot(per-record-replayed index)
+# --------------------------------------------------------------------- #
+class TestStreamedCompaction:
+    @pytest.mark.parametrize("num_shards", [None, 1, 7])
+    def test_generation_is_byte_identical(self, logged_store, tmp_path, num_shards):
+        old = logged_store.manifest
+        reference_dir = tmp_path / "reference"
+        shutil.copytree(logged_store.path, reference_dir)
+        provenance = dict(old.provenance)
+        provenance["compacted_from_generation"] = old.generation
+        provenance["compacted_wal_records"] = logged_store.num_wal_records()
+        write_snapshot(
+            reference_index(logged_store),
+            reference_dir,
+            fingerprint=logged_store.current_fingerprint(),
+            num_shards=len(old.shards) if num_shards is None else num_shards,
+            generation=old.generation + 1,
+            provenance=provenance,
+        )
+        want = files_under(reference_dir)
+
+        manifest = logged_store.compact(num_shards=num_shards)
+        got = files_under(logged_store.path)
+        new_files = {manifest.edge_sizes_file, "manifest.json"}
+        for info in manifest.shards:
+            new_files.add(os.path.join(SHARD_DIR, info.edges_file))
+            new_files.add(os.path.join(SHARD_DIR, info.weights_file))
+        for name in sorted(new_files):
+            assert got[name] == want[name], name
+
+    def test_compacted_store_reopens_to_the_same_state(self, logged_store):
+        before = reference_index(logged_store)
+        fingerprint = logged_store.current_fingerprint()
+        logged_store.compact()
+        reopened = IndexStore.open(logged_store.path)
+        assert reopened.num_wal_records() == 0
+        assert reopened.manifest.fingerprint == fingerprint
+        assert reopened.load_hypergraph().fingerprint() == fingerprint
+        after = reopened.load_index()
+        assert after.num_pairs == before.num_pairs
+        assert np.array_equal(after.edge_sizes, before.edge_sizes)
+        for s in range(1, before.max_weight + 2):
+            assert after.line_graph(s) == before.line_graph(s), s
+
+    def test_peak_allocation_is_one_shard_plus_overlay_not_the_store(self, tmp_path):
+        h = planted_community_hypergraph(
+            num_vertices=600,
+            num_edges=3000,
+            num_communities=6,
+            mean_edge_size=8.0,
+            max_edge_size=24,
+            seed=5,
+        )
+        engine = PersistentQueryEngine.build(
+            h, tmp_path / "idx", num_shards=32, sharded=True
+        )
+        rng = make_rng(2)
+        for _ in range(30):
+            engine.add_hyperedge(rng.choice(h.num_vertices, size=5, replace=False))
+        engine.remove_hyperedge(10)
+        engine.close()
+        store = IndexStore.open(tmp_path / "idx")
+        bytes_per_pair = 24  # (i, j) int64 + weight int64
+        store_bytes = bytes_per_pair * store.manifest.num_pairs
+        largest_shard = bytes_per_pair * max(
+            info.num_pairs for info in store.manifest.shards
+        )
+        overlay_bytes = bytes_per_pair * sum(
+            len(record.payload.get("pair_ids", ())) for record in store.wal_records
+        )
+        assert store_bytes > 16 * largest_shard  # the bounds below mean something
+
+        tracemalloc.start()
+        try:
+            store.compact()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # At most the gathered block, its sort keys and order, and the sorted
+        # or merged copy are alive together: a fixed multiple of the largest
+        # shard.  Materialising the pair store, as a fold through
+        # load_index() did, peaks above 3x store_bytes on this store.
+        slack = 1 << 19  # hypergraph archive, manifests, interpreter noise
+        assert peak < 6 * largest_shard + overlay_bytes + slack
+        assert peak < store_bytes / 2
+
+
+# --------------------------------------------------------------------- #
+# Malformed logs: the same typed errors as replaying record by record
+# --------------------------------------------------------------------- #
+def bad_new_id(store, n):
+    store.append_add(n + 1, [0, 1], [2], [1])
+
+
+def bad_pair_id(store, n):
+    store.append_add(n, [0, 1], [n + 5], [1])
+
+
+def bad_pair_id_forward_reference(store, n):
+    store.append_add(n, [0, 1], [n], [1])
+
+
+def bad_remove_id(store, n):
+    store.append_add(n, [0, 1], [2], [1])
+    store.append_remove(n + 1)
+
+
+def pair_with_removed_edge(store, n):
+    store.append_remove(2)
+    store.append_add(n, [0, 1], [2], [1])
+
+
+MALFORMED = [
+    (bad_new_id, "new hyperedge ID must be"),
+    (bad_pair_id, "existing hyperedges"),
+    (bad_pair_id_forward_reference, "existing hyperedges"),
+    (bad_remove_id, "out of range"),
+    (pair_with_removed_edge, "live hyperedges"),
+]
+
+
+class TestMalformedLogs:
+    @pytest.mark.parametrize(
+        "corrupt, message", MALFORMED, ids=[c.__name__ for c, _ in MALFORMED]
+    )
+    def test_same_typed_error_as_per_record_replay(
+        self, community_hypergraph, tmp_path, corrupt, message
+    ):
+        store = IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=2)
+        corrupt(store, community_hypergraph.num_edges)
+        with pytest.raises(ValidationError, match=message):
+            reference_sharded(store)
+        before = files_under(store.path)
+        for fold in (store.sharded_index, store.load_index, store.compact):
+            with pytest.raises(ValidationError, match=message):
+                fold()
+        assert files_under(store.path) == before  # a refused fold writes nothing
+
+    def test_mismatched_row_lengths_are_refused(self, community_hypergraph, tmp_path):
+        store = IndexStore.build(community_hypergraph, tmp_path / "idx")
+        store.append_add(community_hypergraph.num_edges, [0, 1], [2, 3], [1])
+        with pytest.raises(ValidationError, match="pair weights"):
+            store.sharded_index()
+
+
+# --------------------------------------------------------------------- #
+# Failpoints: where they were, in the order they were
+# --------------------------------------------------------------------- #
+class TestCompactionFailpoints:
+    @pytest.fixture(autouse=True)
+    def _disarm(self):
+        yield
+        failpoints.reset()
+
+    def test_fold_then_install_fire_before_any_new_generation_file(
+        self, logged_store, monkeypatch
+    ):
+        before = files_under(logged_store.path)
+        archive_before = before.pop(HYPERGRAPH_NAME)
+        target = logged_store.current_fingerprint()
+        seen = []
+
+        def spy(point):
+            on_disk = files_under(logged_store.path)
+            archive = on_disk.pop(HYPERGRAPH_NAME)
+            assert on_disk == before, point  # no shard, size or manifest byte yet
+            seen.append((point, archive != archive_before))
+
+        monkeypatch.setattr(store_module, "_failpoint", spy)
+        logged_store.compact()
+        assert [point for point, _ in seen] == [
+            "store.compact.fold",
+            "store.compact.install",
+        ]
+        assert seen[0][1] is False  # fold: not even the hypergraph swap happened
+        assert logged_store.load_hypergraph().fingerprint() == target
+
+    @pytest.mark.parametrize("point", ["store.compact.fold", "store.compact.install"])
+    def test_injected_failure_leaves_the_old_generation_authoritative(
+        self, logged_store, point
+    ):
+        reference = reference_index(logged_store)
+        fingerprint = logged_store.current_fingerprint()
+        generation = logged_store.manifest.generation
+        failpoints.activate(point, "error", count=1)
+        with pytest.raises(FailpointError):
+            logged_store.compact()
+        assert failpoints.hits()[point] == 1
+
+        reopened = IndexStore.open(logged_store.path)
+        assert reopened.manifest.generation == generation
+        assert reopened.num_wal_records() == len(logged_store.wal_records)
+        assert reopened.load_hypergraph().fingerprint() == fingerprint
+        recovered = reopened.load_index()
+        for got, want in zip(recovered.pairs_at_least(1), reference.pairs_at_least(1)):
+            assert np.array_equal(got, want)
+        reopened.compact()  # and the retry goes through
+        assert IndexStore.open(logged_store.path).manifest.generation == generation + 1

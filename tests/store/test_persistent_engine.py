@@ -76,6 +76,19 @@ class TestDurability:
         assert engine.line_graph(2) == before
         assert PersistentQueryEngine.open(store_path).line_graph(2) == before
 
+    def test_compact_closes_the_superseded_sharded_index(self, store_path):
+        engine = PersistentQueryEngine.open(store_path, sharded=True)
+        engine.add_hyperedge([3, 4, 5])
+        engine.line_graph(1)  # fault every shard of the old generation in
+        superseded = engine.index
+        assert superseded.num_resident_shards > 0
+        engine.compact()
+        # Its mmaps pointed at files compaction just swept: released now,
+        # not whenever the garbage collector reaches the dropped index.
+        assert superseded.num_resident_shards == 0
+        assert engine.index is not superseded
+        assert engine.index.manifest.generation == superseded.manifest.generation + 1
+
 
 class TestFromStore:
     def test_creates_when_asked(self, community_hypergraph, tmp_path):
