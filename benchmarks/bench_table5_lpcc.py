@@ -11,9 +11,9 @@ like the paper's table.
 
 from __future__ import annotations
 
+from repro.benchmarks.harness import time_callable
 from repro.benchmarks.reporting import format_table
 from repro.core.pipeline import SLinePipeline
-from repro.utils.timing import Timer
 
 DATASET_NAMES = ["friendster", "livejournal", "com-orkut", "web"]
 #: Bytes per s-line-graph edge in the squeezed CSR representation
@@ -37,9 +37,7 @@ def run_lpcc(h, s):
         algorithm="vectorized", relabel="ascending", metrics=("lpcc",),
         config=None,
     )
-    timer = Timer().start()
-    result = pipeline.run(h, s)
-    elapsed = timer.stop()
+    elapsed, result = time_callable(lambda: pipeline.run(h, s))
     footprint = result.num_line_graph_edges * BYTES_PER_EDGE
     return elapsed, footprint, result
 

@@ -33,17 +33,18 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: (The replication ratio is loopback but byte-dominated — the delta
 #: moves a small fraction of the store — so it is stable enough to gate
 #: on, unlike the latency-dominated transport *batch* bench.)
-#: PR 9 adds the protocol v2 data-plane headlines (docs/PROTOCOL.md):
+#: PR 9 adds the protocol v2 data-plane headline (docs/PROTOCOL.md):
 #: binary numpy columns vs the JSON plane on bulk metric/sweep responses
-#: (``transport_binary``, floor 2x) and byte-offset WAL cursor polls vs
-#: legacy full-log replay (``replication_cursor``, floor 3x) — both
-#: byte/CPU-dominated ratios, stable enough to gate on.
+#: (``transport_binary``, floor 2x) — a byte/CPU-dominated ratio, stable
+#: enough to gate on.  Its sibling ``replication_cursor`` (cursor polls vs
+#: full-log record replay, floor 3x) is gone with the record-replay
+#: follower that was its baseline arm; ``benchmarks/e2e``'s
+#: ``write_follow`` workload measures the cursor path's absolute cost.
 DEFAULT_REQUIRED = (
     "engine_sweep",
     "store_reuse",
     "service_group_commit",
     "replication",
-    "replication_cursor",
     "obs_overhead",
     "trace_overhead",
     "transport_binary",

@@ -57,7 +57,7 @@ def main() -> None:
     # 2. Every later boot: warm open (mmap), serve immediately.
     # ------------------------------------------------------------------ #
     start = time.perf_counter()
-    warm = PersistentQueryEngine.open(store_dir, sharded=True)
+    warm = PersistentQueryEngine.open(store_dir)
     warm.sweep(range(1, 9), metrics=("connected_components",))
     print(
         f"[boot 2] warm open + s=1..8 sweep in {time.perf_counter() - start:.4f}s "
@@ -95,7 +95,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     start = time.perf_counter()
     recovered.compact()
-    served = PersistentQueryEngine.open(store_dir, sharded=True)
+    served = PersistentQueryEngine.open(store_dir)
     final = served.sweep(range(1, 9), metrics=("connected_components",))
     print(
         f"[compact] generation {served.store.manifest.generation}, WAL empty, "

@@ -102,8 +102,8 @@ class FlakySource:
     def repl_manifest(self):
         return self._inner.repl_manifest()
 
-    def repl_wal(self, generation, after_seq):
-        return self._inner.repl_wal(generation, after_seq)
+    def repl_wal_suffix(self, generation, after_bytes, next_seq):
+        return self._inner.repl_wal_suffix(generation, after_bytes, next_seq)
 
     def repl_fetch(self, name, generation, offset, length):
         self.fetches += 1

@@ -44,7 +44,7 @@ Examples
     python -m repro query --dataset email-euall --s 3 --metric pagerank --top 5
     python -m repro sweep --dataset email-euall --s-max 8 --metrics connected_components
     python -m repro index build --dataset email-euall --path idx/ --shards 8
-    python -m repro index query --path idx/ --s 3 --metric pagerank --sharded
+    python -m repro index query --path idx/ --s 3 --metric pagerank
     python -m repro index compact --path idx/
     echo '{"op": "metric", "s": 3, "metric": "pagerank"}' \
         | python -m repro serve --path idx/ --read-only
@@ -123,6 +123,57 @@ def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="MS",
         help="always keep traces of requests slower than this many ms, "
         "regardless of the sample rate",
+    )
+
+
+def _add_listener_arguments(parser: argparse.ArgumentParser, flag: str) -> None:
+    """Flags of a process that fronts a store with a socket (``serve`` with
+    ``--listen``, ``replicate`` with ``--serve``); ``flag`` names that switch."""
+    parser.add_argument(
+        "--max-connections",
+        type=int,
+        default=32,
+        help=f"with {flag}: concurrent connections before new ones get "
+        "a 'busy' error (backpressure)",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=4,
+        help="thread fan-out for runs of consecutive query requests",
+    )
+    parser.add_argument(
+        "--metrics-port",
+        type=int,
+        default=None,
+        metavar="N",
+        help="serve Prometheus text, /healthz and /readyz on "
+        "http://127.0.0.1:N (0 picks an ephemeral port, printed on the "
+        "'metrics-listening' line)",
+    )
+    parser.add_argument(
+        "--chaos",
+        action="store_true",
+        help="allow remote failpoint control via the 'chaos' wire op "
+        "(testing only; equivalent to REPRO_CHAOS=1)",
+    )
+
+
+def _add_peer_arguments(parser: argparse.ArgumentParser) -> None:
+    """Flags of a process that dials a serving peer (``connect``, ``replicate``)."""
+    parser.add_argument(
+        "--timeout", type=float, default=30.0, help="per-operation socket timeout"
+    )
+    parser.add_argument(
+        "--connect-retries",
+        type=int,
+        default=40,
+        help="connection attempts before giving up (busy/refused peers)",
+    )
+    parser.add_argument(
+        "--no-compression",
+        action="store_true",
+        help="do not offer payload compression during the handshake",
     )
 
 
@@ -390,13 +441,12 @@ def _cmd_index_query(args: argparse.Namespace) -> int:
     from repro.store import PersistentQueryEngine
 
     start = time.perf_counter()
-    engine = PersistentQueryEngine.open(args.path, sharded=args.sharded)
+    engine = PersistentQueryEngine.open(args.path)
     opened = time.perf_counter() - start
     graph = engine.line_graph(args.s)
     print(
         f"L_{args.s}: {graph.num_edges} edges over {graph.num_active_vertices} "
         f"active hyperedges (store opened in {opened:.4f}s, "
-        f"{'sharded/mmap' if args.sharded else 'materialised'}, "
         f"{engine.index.num_pairs} pairs, max s = {engine.max_s()})"
     )
     ranked = sorted(
@@ -588,7 +638,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = QueryService(
         args.path,
         read_only=args.read_only,
-        sharded=not args.materialize,
         num_workers=args.workers,
         max_batch=args.max_batch if args.max_batch is not None else 64,
         compaction=policy,
@@ -820,9 +869,10 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     directory's writer lock is held for the duration, so a local writer
     (or second ``replicate``) cannot corrupt it.
 
-    On a protocol v2 peer the delta syncs use the byte-offset WAL cursor
-    and raw binary file chunks (``--protocol 1`` pins the JSON/base64 v1
-    path; ``--no-compression`` keeps v2 framing but skips the codec).
+    The peer must negotiate protocol 2 — delta syncs use the byte-offset
+    WAL cursor and raw binary file chunks (``--no-compression`` keeps v2
+    framing but skips the codec); against a v1-only peer the sync fails
+    with a typed "replication needs protocol 2" error.
     """
     import threading
 
@@ -839,7 +889,6 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
             port,
             timeout=args.timeout,
             connect_retries=args.connect_retries,
-            protocol_max=args.protocol,
             compression=not args.no_compression,
         ).connect()
     except TransportError as exc:
@@ -891,7 +940,6 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
                 remote_source=(host, port),
                 num_workers=args.workers,
                 replica_poll_interval=args.poll_interval,
-                remote_protocol_max=args.protocol,
                 remote_compression=not args.no_compression,
             )
         except (TransportError, StoreError, OSError) as exc:
@@ -1090,11 +1138,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metric", choices=sorted(METRIC_FUNCTIONS), default="connected_components"
     )
     ip.add_argument("--top", type=int, default=10)
-    ip.add_argument(
-        "--sharded",
-        action="store_true",
-        help="stream from mmap'd shards instead of materialising the index",
-    )
     ip.set_defaults(func=_cmd_index_query)
 
     p = sub.add_parser(
@@ -1118,19 +1161,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the length-prefixed JSON protocol on this TCP address "
         "(port 0 picks an ephemeral port, printed on the 'listening' line)",
     )
-    p.add_argument(
-        "--max-connections",
-        type=int,
-        default=32,
-        help="with --listen: concurrent connections before new ones get "
-        "a 'busy' error (backpressure)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="thread fan-out for runs of consecutive query requests",
-    )
+    _add_listener_arguments(p, "--listen")
     p.add_argument(
         "--max-batch",
         type=int,
@@ -1144,31 +1175,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="background-compact once the WAL holds this many records",
     )
     p.add_argument(
-        "--materialize",
-        action="store_true",
-        help="serve from a materialised index instead of mmap'd shards",
-    )
-    p.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="N",
-        help="serve Prometheus text on http://127.0.0.1:N/metrics "
-        "(0 picks an ephemeral port, printed on the 'metrics-listening' line)",
-    )
-    p.add_argument(
         "--slow-query-ms",
         type=float,
         default=None,
         metavar="MS",
         help="record queries slower than this many ms in the stats "
         "payload's slow-query log",
-    )
-    p.add_argument(
-        "--chaos",
-        action="store_true",
-        help="allow remote failpoint control via the 'chaos' wire op "
-        "(testing only; equivalent to REPRO_CHAOS=1)",
     )
     p.add_argument(
         "--protocol",
@@ -1200,15 +1212,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--requests",
         help="JSONL request file to proxy over the socket (default: stdin)",
     )
-    p.add_argument(
-        "--timeout", type=float, default=30.0, help="per-operation socket timeout"
-    )
-    p.add_argument(
-        "--connect-retries",
-        type=int,
-        default=40,
-        help="connection attempts before giving up (busy/refused servers)",
-    )
+    _add_peer_arguments(p)
     p.add_argument(
         "--protocol",
         type=int,
@@ -1216,11 +1220,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="highest protocol version to offer (1 pins the JSON-only v1 "
         "data plane; default: all supported)",
-    )
-    p.add_argument(
-        "--no-compression",
-        action="store_true",
-        help="do not offer payload compression during the handshake",
     )
     p.set_defaults(func=_cmd_connect)
 
@@ -1254,35 +1253,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.5,
         help="seconds between change-token polls of the peer (with --serve)",
     )
-    p.add_argument(
-        "--max-connections",
-        type=int,
-        default=32,
-        help="with --serve: concurrent connections before 'busy' backpressure",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="with --serve: thread fan-out for batched query requests",
-    )
-    p.add_argument(
-        "--timeout", type=float, default=30.0, help="per-operation socket timeout"
-    )
-    p.add_argument(
-        "--connect-retries",
-        type=int,
-        default=40,
-        help="connection attempts before giving up (busy/refused peers)",
-    )
-    p.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --serve: expose Prometheus text (incl. replica lag), "
-        "/healthz and /readyz on http://127.0.0.1:N",
-    )
+    _add_listener_arguments(p, "--serve")
+    _add_peer_arguments(p)
     p.add_argument(
         "--ready-max-lag",
         type=int,
@@ -1290,26 +1262,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="with --serve and --metrics-port: /readyz reports 503 once "
         "the replica runs more than N generations behind the peer",
-    )
-    p.add_argument(
-        "--chaos",
-        action="store_true",
-        help="allow remote failpoint control via the 'chaos' wire op "
-        "(testing only; equivalent to REPRO_CHAOS=1)",
-    )
-    p.add_argument(
-        "--protocol",
-        type=int,
-        default=None,
-        metavar="N",
-        help="highest protocol version to offer the peer — applies to the "
-        "bootstrap sync, the serving follower, and (with --serve) the "
-        "local listener (1 pins JSON-only v1)",
-    )
-    p.add_argument(
-        "--no-compression",
-        action="store_true",
-        help="do not offer payload compression for replication transfers",
     )
     _add_trace_arguments(p)
     p.set_defaults(func=_cmd_replicate)

@@ -161,7 +161,6 @@ class QueryEngine:
         hypergraph: Optional[Hypergraph] = None,
         create: bool = False,
         on_mismatch: str = "raise",
-        sharded: bool = False,
         algorithm: str = "hashmap",
         num_shards: int = 4,
         config: Optional[ParallelConfig] = None,
@@ -183,12 +182,10 @@ class QueryEngine:
             than the one supplied: ``"raise"`` (default) raises
             :class:`repro.store.FingerprintMismatchError`; ``"rebuild"``
             replaces the snapshot with one for ``hypergraph``.
-        sharded:
-            Serve out-of-core from mmap'd shards instead of materialising
-            the index in memory.
 
-        Returns a :class:`repro.store.PersistentQueryEngine` — updates are
-        WAL-logged and survive the process.
+        Returns a :class:`repro.store.PersistentQueryEngine` — it serves
+        out-of-core from mmap'd shards, and updates are WAL-logged and
+        survive the process.
         """
         from repro.store import (
             FingerprintMismatchError,
@@ -213,12 +210,11 @@ class QueryEngine:
                 algorithm=algorithm,
                 num_shards=num_shards,
                 config=config,
-                sharded=sharded,
                 **kwargs,
             )
         try:
             return PersistentQueryEngine.open(
-                path, hypergraph=hypergraph, sharded=sharded, config=config, **kwargs
+                path, hypergraph=hypergraph, config=config, **kwargs
             )
         except FingerprintMismatchError:
             if on_mismatch != "rebuild" or hypergraph is None:
@@ -229,7 +225,6 @@ class QueryEngine:
                 algorithm=algorithm,
                 num_shards=num_shards,
                 config=config,
-                sharded=sharded,
                 **kwargs,
             )
 

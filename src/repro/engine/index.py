@@ -276,35 +276,6 @@ class OverlapIndex:
         self._edge_sizes[edge_id] = 0
         return removed
 
-    def apply_batch(
-        self,
-        new_edges: np.ndarray,
-        new_weights: np.ndarray,
-        removed_ids: np.ndarray,
-        edge_sizes: np.ndarray,
-    ) -> None:
-        """Apply a pre-folded run of updates in one step.
-
-        Equivalent to the :meth:`add_hyperedge` / :meth:`remove_hyperedge`
-        sequence the batch was folded from (see
-        :func:`repro.store.overlay.fold_records`): pairs touching
-        ``removed_ids`` are dropped, ``new_edges`` — weight-ascending, ties
-        in the order they must end up in — are merged with one insert, and
-        ``edge_sizes`` replaces the size array.
-        """
-        if removed_ids.size:
-            keep = ~(
-                np.isin(self._edges[:, 0], removed_ids)
-                | np.isin(self._edges[:, 1], removed_ids)
-            )
-            self._edges = self._edges[keep]
-            self._weights = self._weights[keep]
-        if new_weights.size:
-            self._edges, self._weights = insert_by_weight(
-                self._edges, self._weights, new_edges, new_weights
-            )
-        self._edge_sizes = np.asarray(edge_sizes, dtype=np.int64).copy()
-
     # ------------------------------------------------------------------ #
     # Dunders
     # ------------------------------------------------------------------ #

@@ -12,10 +12,9 @@ The moving parts:
 * a :class:`~repro.store.StoreMirror` that materialises/refreshes the
   local store directory from the peer's ``repl_manifest`` /
   ``repl_fetch`` / ``repl_wal`` ops — full fetch once, then delta syncs
-  (WAL tails between compactions, changed-shards-only after one).  On a
-  protocol v2 connection the tails use the byte-offset cursor (raw log
-  suffix per poll) and file chunks ride binary frames raw instead of
-  base64 — the mirror code is identical either way;
+  (WAL tails between compactions, changed-shards-only after one).  The
+  peer connection must negotiate protocol 2: tails use the byte-offset
+  cursor (raw log suffix per poll) and file chunks ride binary frames raw;
 * a :class:`~repro.service.ReadReplica` over the mirror directory, whose
   existing change-token polling notices every completed sync and
   hot-swaps engines without dropping in-flight queries.
@@ -74,14 +73,12 @@ class RemoteReadReplica:
     client:
         An already-connected :class:`ServiceClient` to reuse (the replica
         then does not close it); by default one is created and owned.
-        ``protocol_max`` / ``compression`` only apply to the owned client.
-    sharded / max_resident_shards / cache_size / config:
+        ``compression`` only applies to the owned client.
+    max_resident_shards / cache_size / config:
         Forwarded to the inner :class:`ReadReplica`.
-    protocol_max / compression:
-        Handshake pins for the owned client: ``protocol_max=1`` keeps the
-        peer connection on the JSON-only v1 data plane,
-        ``compression=False`` negotiates the replication codec off (see
-        ``docs/PROTOCOL.md``).
+    compression:
+        Handshake pin for the owned client: ``False`` negotiates the
+        replication codec off (see ``docs/PROTOCOL.md``).
     """
 
     def __init__(
@@ -91,12 +88,10 @@ class RemoteReadReplica:
         store_path: PathLike = None,
         poll_interval: float = 0.0,
         client: Optional[ServiceClient] = None,
-        sharded: bool = True,
         max_resident_shards: Optional[int] = None,
         cache_size: int = 256,
         config: Optional[ParallelConfig] = None,
         chunk_bytes: Optional[int] = None,
-        protocol_max: Optional[int] = None,
         compression: bool = True,
     ) -> None:
         if store_path is None:
@@ -104,12 +99,7 @@ class RemoteReadReplica:
         if client is None:
             if host is None or port is None:
                 raise StoreError("RemoteReadReplica needs host/port or a client")
-            client = ServiceClient(
-                str(host),
-                int(port),
-                protocol_max=protocol_max,
-                compression=compression,
-            ).connect()
+            client = ServiceClient(str(host), int(port), compression=compression).connect()
             self._owns_client = True
         else:
             self._owns_client = False
@@ -133,7 +123,6 @@ class RemoteReadReplica:
             self.mirror.sync()
             self._replica = ReadReplica(
                 store_path,
-                sharded=sharded,
                 poll_interval=0.0,  # the local token is checked after syncs
                 max_resident_shards=max_resident_shards,
                 cache_size=cache_size,

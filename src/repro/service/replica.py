@@ -44,9 +44,6 @@ class ReadReplica:
     ----------
     path:
         Store directory (shared with the writer).
-    sharded:
-        Stream from mmap'd shards (default) instead of materialising the
-        index per reload — reloads stay cheap even for large stores.
     poll_interval:
         Minimum seconds between staleness checks; ``0`` (default) checks
         before every query.  Between checks, queries are served from the
@@ -58,14 +55,12 @@ class ReadReplica:
     def __init__(
         self,
         path: PathLike,
-        sharded: bool = True,
         poll_interval: float = 0.0,
         max_resident_shards: Optional[int] = None,
         cache_size: int = 256,
         config: Optional[ParallelConfig] = None,
     ) -> None:
         self._path = str(path)
-        self._sharded = bool(sharded)
         self._poll_interval = float(poll_interval)
         self._max_resident_shards = max_resident_shards
         self._cache_size = int(cache_size)
@@ -94,7 +89,6 @@ class ReadReplica:
                 engine = PersistentQueryEngine.open(
                     self._path,
                     read_only=True,
-                    sharded=self._sharded,
                     max_resident_shards=self._max_resident_shards,
                     cache_size=self._cache_size,
                     config=self._config,
@@ -239,11 +233,14 @@ class ReadReplica:
     def close(self) -> None:
         """Stop serving: new queries raise a clear :class:`StoreError`.
 
-        Queries already running on the last engine finish undisturbed (the
-        reference is kept; mmaps close once they are garbage collected).
+        The last engine's shard mmaps are released now; queries already
+        running on it finish undisturbed (closing a
+        :class:`~repro.store.ShardedIndex` is not terminal — they re-open
+        the shards they still touch).
         """
         with self._swap_lock:
             self._closed = True
+            self._engine.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = ", closed" if self._closed else ""

@@ -61,8 +61,6 @@ class QueryService:
         Serve as a read replica: no writer lock, no admission queue;
         ``submit_add`` / ``submit_remove`` / ``compact`` raise
         :class:`~repro.store.ReadOnlyStoreError`.
-    sharded:
-        Serve from mmap'd shards (default) instead of a materialised index.
     num_workers:
         Default thread fan-out for :meth:`serve` request batches.
     max_pending / max_batch:
@@ -87,11 +85,10 @@ class QueryService:
         the writer shares the filesystem.  This is how a chained replica
         process serves: its socket server front, this service, and the
         wire-fed mirror underneath.
-    remote_protocol_max / remote_compression:
+    remote_compression:
         Forwarded to the replica's :class:`ServiceClient` handshake:
-        ``remote_protocol_max=1`` pins the JSON-only v1 data plane toward
-        the peer; ``remote_compression=False`` negotiates the codec off
-        (see ``docs/PROTOCOL.md``).  Ignored without ``remote_source``.
+        ``False`` negotiates the replication codec off (see
+        ``docs/PROTOCOL.md``).  Ignored without ``remote_source``.
     """
 
     def __init__(
@@ -100,7 +97,6 @@ class QueryService:
         hypergraph: Optional[Hypergraph] = None,
         create: bool = False,
         read_only: bool = False,
-        sharded: bool = True,
         num_workers: int = 4,
         algorithm: str = "hashmap",
         num_shards: int = 4,
@@ -115,7 +111,6 @@ class QueryService:
         slow_query_ms: Optional[float] = None,
         slow_query_capacity: int = 128,
         remote_source: Optional[Tuple[str, int]] = None,
-        remote_protocol_max: Optional[int] = None,
         remote_compression: bool = True,
     ) -> None:
         self.path = str(path)
@@ -163,16 +158,13 @@ class QueryService:
                     int(port),
                     store_path=path,
                     poll_interval=replica_poll_interval,
-                    sharded=sharded,
                     cache_size=cache_size,
                     config=config,
-                    protocol_max=remote_protocol_max,
                     compression=remote_compression,
                 )
             else:
                 self._replica = ReadReplica(
                     path,
-                    sharded=sharded,
                     poll_interval=replica_poll_interval,
                     cache_size=cache_size,
                     config=config,
@@ -187,7 +179,6 @@ class QueryService:
                 path,
                 hypergraph=hypergraph,
                 create=create,
-                sharded=sharded,
                 algorithm=algorithm,
                 num_shards=num_shards,
                 cache_size=cache_size,
@@ -685,7 +676,8 @@ class QueryService:
     # Shutdown
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Stop background threads, flush pending updates, drop the lock."""
+        """Stop background threads, flush pending updates, release the
+        engine's shard mmaps, drop the lock."""
         with self._close_lock:
             if self._closed:
                 return
@@ -694,6 +686,8 @@ class QueryService:
             self._compactor.stop()
         if self._admission is not None:
             self._admission.close()
+        if self._engine is not None:
+            self._engine.close()
         if self._replica is not None:
             self._replica.close()
         if self._lock is not None:

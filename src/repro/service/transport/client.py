@@ -37,7 +37,6 @@ store with the exact guard rails of the local engine path.
 
 from __future__ import annotations
 
-import base64
 import socket
 import time
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -513,83 +512,59 @@ class ServiceClient:
         """The peer's live manifest text plus per-file checksums."""
         return dict(self._repl_request({"op": "repl_manifest"}))
 
-    def repl_wal(self, generation: int, after_seq: int) -> Dict[str, object]:
-        """Legacy WAL tail: decoded records after a ``(generation, seq)`` cursor."""
-        return dict(
-            self._repl_request(
-                {
-                    "op": "repl_wal",
-                    "generation": int(generation),
-                    "after_seq": int(after_seq),
-                }
+    def _require_replication_protocol(self) -> None:
+        """Refuse, before anything is sent, to follow over a v1 connection."""
+        if not self._use_columns():
+            raise ProtocolVersionError(
+                f"replication needs protocol {PROTOCOL_VERSION_BINARY}; the "
+                f"connection to {self.host}:{self.port} negotiated "
+                f"{self._protocol}"
             )
-        )
 
     def repl_wal_suffix(
         self, generation: int, after_bytes: int, next_seq: int
-    ) -> Optional[Dict[str, object]]:
+    ) -> Dict[str, object]:
         """Raw WAL suffix after a ``(generation, byte_offset)`` cursor.
 
-        The :class:`~repro.store.replication.StoreMirror` fast path:
         ``data`` is the source log's on-disk bytes after ``after_bytes``
         (validated from sequence ``next_seq``), ridden raw over a binary
         frame, plus the advanced cursor (``count``/``next_seq``/
-        ``end_offset``) or ``rebase=True`` when the source log shrank
-        under the cursor.  Returns ``None`` when the connection negotiated
-        a protocol below 2 — an older server would ignore the cursor
-        fields and answer the legacy shape — so the mirror falls back to
-        :meth:`repl_wal`.
+        ``end_offset``) — or ``rebase=True`` when the source log shrank
+        under the cursor.  Raises :class:`ProtocolVersionError` on a
+        connection that negotiated a protocol below 2.
         """
-        if self._sock is None:
-            self.connect()
-        if self._protocol < PROTOCOL_VERSION_BINARY:
-            return None
-        response = dict(
-            self._repl_request(
-                {
-                    "op": "repl_wal",
-                    "generation": int(generation),
-                    "after_bytes": int(after_bytes),
-                    "next_seq": int(next_seq),
-                    "raw": True,
-                }
-            )
+        self._require_replication_protocol()
+        return self._repl_request(
+            {
+                "op": "repl_wal",
+                "generation": int(generation),
+                "after_bytes": int(after_bytes),
+                "next_seq": int(next_seq),
+                "raw": True,
+            }
         )
-        if "data" not in response and not response.get("rebase"):
-            return None  # unexpected legacy shape: use the fallback path
-        data = response.get("data", b"")
-        if isinstance(data, str):
-            data = base64.b64decode(data)
-        if not isinstance(data, (bytes, bytearray)):
-            data = bytes(data)
-        response["data"] = bytes(data)
-        return response
 
     def repl_fetch(
         self, name: str, generation: int, offset: int, length: int
     ) -> Dict[str, object]:
-        """One chunk of one snapshot file, as bytes.
+        """One chunk of one snapshot file; ``response["data"]`` is ``bytes``.
 
-        On a protocol v2 connection the chunk rides a binary frame raw
-        (optionally compressed per the negotiated codec, decompressed by
-        the framing layer); on v1 it arrives base64-in-JSON and is decoded
-        here.  Either way ``response["data"]`` is ``bytes``.
+        The chunk rides a binary frame raw (optionally compressed per the
+        negotiated codec, decompressed by the framing layer).  Raises
+        :class:`ProtocolVersionError` on a connection that negotiated a
+        protocol below 2.
         """
-        request: Dict[str, object] = {
-            "op": "repl_fetch",
-            "file": str(name),
-            "generation": int(generation),
-            "offset": int(offset),
-            "length": int(length),
-        }
-        if self._use_columns():
-            request["raw"] = True
-        response = dict(self._repl_request(request))
-        data = response.get("data", b"")
-        if isinstance(data, str):
-            data = base64.b64decode(data)
-        response["data"] = bytes(data)
-        return response
+        self._require_replication_protocol()
+        return self._repl_request(
+            {
+                "op": "repl_fetch",
+                "file": str(name),
+                "generation": int(generation),
+                "offset": int(offset),
+                "length": int(length),
+                "raw": True,
+            }
+        )
 
 
 class RemoteEngine:

@@ -1,13 +1,11 @@
 """The write-ahead log folded into arrays: one batched overlay per fold.
 
-Replaying a log record by record costs one array rebuild per record — and,
-on an in-memory index, one ``np.insert`` into the *whole* pair store each.
+Replaying a log record by record costs one array rebuild per record.
 :func:`fold_records` instead reduces the log to the three things its
 records can change — appended overlap pairs, tombstoned hyperedges and the
-size array — with one concatenation and one mask, so every consumer
-(:meth:`~repro.store.IndexStore.load_index`,
-:meth:`~repro.store.IndexStore.sharded_index`,
-:meth:`~repro.store.IndexStore.compact`) applies the log in a single
+size array — with one concatenation and one mask, so both consumers
+(:meth:`~repro.store.IndexStore.sharded_index`,
+:meth:`~repro.store.IndexStore.compact`) apply the log in a single
 step, whatever its length.
 """
 

@@ -9,9 +9,9 @@ instead of being recomputed per process:
 * **durable updates** — every ``add_hyperedge`` / ``remove_hyperedge`` is
   appended to the store's write-ahead log *before* it is acknowledged, so a
   later process recovers the updated index without a rebuild;
-* **out-of-core serving** — with ``sharded=True`` the engine streams
-  threshold views from mmap'd shards (:class:`~repro.store.ShardedIndex`),
-  so the full overlap structure never has to fit in RAM.
+* **out-of-core serving** — the engine streams threshold views from
+  mmap'd shards (:class:`~repro.store.ShardedIndex`), so the full overlap
+  structure never has to fit in RAM.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class PersistentQueryEngine(QueryEngine):
         self,
         store: IndexStore,
         hypergraph: Optional[Hypergraph] = None,
-        sharded: bool = False,
         max_resident_shards: Optional[int] = None,
         config: Optional[ParallelConfig] = None,
         cache_size: int = 256,
@@ -48,10 +47,7 @@ class PersistentQueryEngine(QueryEngine):
                 f"store at {store.path} describes hypergraph {current[:12]}…, "
                 f"not {h.fingerprint()[:12]}…"
             )
-        if sharded:
-            index = store.sharded_index(max_resident_shards=max_resident_shards)
-        else:
-            index = store.load_index()
+        index = store.sharded_index(max_resident_shards=max_resident_shards)
         super().__init__(
             h,
             algorithm=index.algorithm or "hashmap",
@@ -60,7 +56,6 @@ class PersistentQueryEngine(QueryEngine):
             index=index,
         )
         self.store = store
-        self.sharded = bool(sharded)
         self._max_resident_shards = max_resident_shards
 
     # ------------------------------------------------------------------ #
@@ -153,10 +148,7 @@ class PersistentQueryEngine(QueryEngine):
         dropped, or every superseded refresh leaks open shard mmaps until
         garbage collection gets around to them.
         """
-        index = self._index
-        close_index = getattr(index, "close", None)
-        if close_index is not None:
-            close_index()
+        self._index.close()
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -165,17 +157,12 @@ class PersistentQueryEngine(QueryEngine):
         """Fold the WAL into a fresh snapshot generation.
 
         The served index is re-opened against the new generation —
-        compaction sweeps the old generation's shard files, so a sharded
-        (mmap-streaming) index must not keep referencing them.  Cached
+        compaction sweeps the old generation's shard files, so the
+        mmap-streaming index must not keep referencing them.  Cached
         query results stay valid: compaction changes the representation,
         never the logical state (the fingerprint is unchanged).
         """
         self.store.check_writable()
         self.store.compact(num_shards=num_shards)
         self.close()  # the superseded index maps files compaction just swept
-        if self.sharded:
-            self._index = self.store.sharded_index(
-                max_resident_shards=self._max_resident_shards
-            )
-        else:
-            self._index = self.store.load_index()
+        self._index = self.store.sharded_index(max_resident_shards=self._max_resident_shards)

@@ -13,17 +13,18 @@ serving peer answers:
 ``repl_fetch``
     One chunk of one snapshot file (shard arrays, the generation-named
     edge-size array, ``hypergraph.npz``) at a pinned generation, sized
-    under the frame cap.  On a protocol v2 connection the chunk rides a
-    binary frame as raw (optionally compressed) bytes; v1 peers get
-    base64-in-JSON (see ``docs/PROTOCOL.md``).
+    under the frame cap, riding a protocol v2 binary frame as raw
+    (optionally compressed) bytes.
 ``repl_wal``
-    The write-ahead-log tail.  Cursor-capable peers ask with a
-    ``(generation, byte_offset, next_seq)`` cursor and receive the raw
-    validated on-disk suffix — O(suffix) per poll, byte-identical by
-    construction, with a ``rebase`` signal when the source log shrank
-    under the cursor.  The legacy shape (records after a ``(generation,
-    seq)`` cursor, re-framed by the mirror with the WAL's deterministic
-    encoder) remains for older peers.
+    The write-ahead-log tail: the mirror asks with a ``(generation,
+    byte_offset, next_seq)`` cursor and receives the raw validated on-disk
+    suffix — O(suffix) per poll, byte-identical by construction, with a
+    ``rebase`` signal when the source log shrank under the cursor.
+
+The mirror speaks only that shape and needs a protocol 2 connection.  The
+*server-side* builders still answer followers from outside this repo that
+predate it — :func:`wal_payload` (records after a ``(generation, seq)``
+cursor) and the ``raw=False`` base64 chunks — see ``docs/PROTOCOL.md``.
 
 Sync is *delta* by construction: files whose checksum the mirror already
 holds (under any name — compaction renames shards it did not change) are
@@ -68,15 +69,14 @@ from repro.store.format import (
     read_manifest,
 )
 from repro.store.snapshot import sweep_orphan_shards
-from repro.store.wal import WriteAheadLog, _frame
+from repro.store.wal import WriteAheadLog
 from repro.utils.validation import ValidationError
 
 #: Sidecar file recording the mirror's sync cursor and per-file checksums.
 #: Not part of the store format — store readers ignore it.
 MIRROR_STATE_NAME = "replication.json"
 
-#: Default raw bytes per ``repl_fetch`` chunk.  Base64 inflates by 4/3, so
-#: a 4 MiB chunk rides a ~5.6 MiB frame — far under the 64 MiB frame cap.
+#: Default raw bytes per ``repl_fetch`` chunk — far under the 64 MiB frame cap.
 DEFAULT_CHUNK_BYTES = 4 * 1024 * 1024
 
 #: Server-side clamp on one chunk, so a client cannot request a frame the
@@ -362,25 +362,18 @@ class ReplicationSource(Protocol):
 
     Implemented by :class:`LocalReplicationSource` (same-process source
     directory) and :class:`repro.service.transport.client.ServiceClient`
-    (the socket protocol) — ``repl_fetch`` must return ``data`` as bytes.
-    ``repl_wal_suffix`` is the optional byte-offset-cursor fast path: the
-    mirror probes for it with ``getattr`` and accepts ``None`` (a peer —
-    or a negotiated connection — without cursor support), falling back to
-    the legacy record-replay ``repl_wal``.
+    (the socket protocol).  All three methods are required, and ``data``
+    always comes back as ``bytes``.
     """
 
     def repl_manifest(self) -> Dict[str, object]:
         """The live manifest plus per-file size and CRC32, pinned to a generation."""
         ...
 
-    def repl_wal(self, generation: int, after_seq: int) -> Dict[str, object]:
-        """Record mode: WAL records with ``seq > after_seq`` (full-log replay)."""
-        ...
-
     def repl_wal_suffix(
         self, generation: int, after_bytes: int, next_seq: int
-    ) -> Optional[Dict[str, object]]:
-        """Cursor mode: the raw log suffix past ``after_bytes``, or ``None``."""
+    ) -> Dict[str, object]:
+        """The raw log suffix past ``after_bytes`` (see :func:`wal_suffix_payload`)."""
         ...
 
     def repl_fetch(
@@ -406,7 +399,7 @@ class LocalReplicationSource:
         return manifest_payload(self.path, cache=self._crc_cache)
 
     def repl_wal(self, generation: int, after_seq: int) -> Dict[str, object]:
-        """Legacy ``repl_wal``: decoded records after a sequence cursor."""
+        """Record-mode ``repl_wal``, answered for pre-cursor followers only."""
         return wal_payload(self.path, generation, after_seq)
 
     def repl_wal_suffix(
@@ -629,28 +622,24 @@ class StoreMirror:
     # -- WAL tail only (same generation) ------------------------------- #
     def _wal_suffix(
         self, generation: int, after_bytes: int, next_seq: int
-    ) -> Optional[Dict[str, object]]:
-        """Cursor-mode tail from the source, or ``None`` for the legacy path.
+    ) -> Dict[str, object]:
+        """The source's log suffix at a cursor, or its ``rebase`` answer.
 
-        ``None`` means the source has no byte-offset cursor — no
-        ``repl_wal_suffix`` attribute, a connection that negotiated it
-        away, or a pre-cursor server that answered the legacy shape — and
-        the caller re-frames decoded records instead.
+        A ``rebase`` with nothing left to rebase to — the cursor already is
+        byte 0 / sequence 1 — or an answer without ``data``/``count`` raises
+        :class:`ReplicationStaleError`, so :meth:`sync` restarts from a
+        fresh manifest within its retry bound.
         """
-        fetch = getattr(self.source, "repl_wal_suffix", None)
-        if fetch is None:
-            return None
-        payload = fetch(int(generation), int(after_bytes), int(next_seq))
-        if not isinstance(payload, dict):
-            return None
+        payload = self.source.repl_wal_suffix(generation, after_bytes, next_seq)
         if payload.get("rebase"):
-            return payload
-        if "data" not in payload or "count" not in payload:
-            return None
-        data = payload["data"]
-        if isinstance(data, str):
-            data = base64.b64decode(data)
-        payload["data"] = bytes(data)
+            if after_bytes == 0 and next_seq == 1:
+                raise ReplicationStaleError(
+                    "source WAL does not validate from its first byte"
+                )
+        elif "data" not in payload or "count" not in payload:
+            raise ReplicationStaleError(
+                "source answered repl_wal without the cursor fields data/count"
+            )
         return payload
 
     def _sync_wal_only(self, generation: int) -> SyncReport:
@@ -659,95 +648,34 @@ class StoreMirror:
             local_bytes = os.path.getsize(wal_path)
         except OSError:
             local_bytes = 0
-        intact = local_bytes == int(self._state.get("wal_bytes", 0))
-        cursor_supported = True
-        if intact:
-            # Byte-offset fast path: ship only the bytes after our cursor
-            # and append them verbatim — O(new tail) per poll,
-            # byte-identical to the source by construction.
+        suffix: Dict[str, object] = {"rebase": True}
+        if local_bytes == int(self._state.get("wal_bytes", 0)):
+            # Ship only the bytes after our cursor and append them
+            # verbatim — O(new tail) per poll, byte-identical to the
+            # source by construction.
             suffix = self._wal_suffix(generation, local_bytes, self.wal_seq + 1)
-            if suffix is None:
-                cursor_supported = False
-            elif suffix.get("rebase"):
-                # rebase: the source's log shrank under our cursor (writer
-                # restart recovery) — fall through to a full rewrite.
-                intact = False
-            else:
-                count = int(suffix["count"])
-                if not count:
-                    return SyncReport(
-                        generation=generation, full_sync=False, changed=False
-                    )
-                with open(wal_path, "ab") as handle:
-                    handle.write(suffix["data"])
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                self._state["wal_seq"] = self.wal_seq + count
-                self._state["wal_bytes"] = os.path.getsize(wal_path)
-                self._save_state()
-                return SyncReport(
-                    generation=generation,
-                    full_sync=False,
-                    changed=True,
-                    wal_records=count,
-                )
-        # A full rewrite is needed: our tail is suspect (killed
-        # mid-append) or the cursor rebased.  Suffix-from-zero keeps the
-        # rewrite raw when the source supports the cursor.
-        if cursor_supported:
+        if suffix.get("rebase"):
+            # Our tail is suspect (killed mid-append) or the source's log
+            # shrank under our cursor (writer restart recovery): re-read
+            # from byte 0 and swap the whole log in atomically.
             suffix = self._wal_suffix(generation, 0, 1)
-            if suffix is not None and not suffix.get("rebase"):
-                applied = int(suffix["count"])
-                _write_file_atomic(wal_path, suffix["data"])
-                self._state["wal_seq"] = applied
-                self._state["wal_bytes"] = os.path.getsize(wal_path)
-                self._save_state()
-                return SyncReport(
-                    generation=generation,
-                    full_sync=False,
-                    changed=True,
-                    wal_records=applied,
-                )
-        # Legacy record-replay path (source without the byte-offset
-        # cursor, or a source whose log keeps moving mid-rebase).
-        after_seq = self.wal_seq if intact else 0
-        tail = self.source.repl_wal(generation, after_seq)
-        total = int(tail["total"])
-        if intact and total == after_seq:
-            return SyncReport(generation=generation, full_sync=False, changed=False)
-        if intact and total > after_seq:
-            frames = b"".join(
-                _frame(int(r["seq"]), dict(r["payload"])) for r in tail["records"]
-            )
+            applied = total = int(suffix["count"])
+            _write_file_atomic(wal_path, suffix["data"])
+        else:
+            applied = int(suffix["count"])
+            if not applied:
+                return SyncReport(generation=generation, full_sync=False, changed=False)
+            total = self.wal_seq + applied
             with open(wal_path, "ab") as handle:
-                handle.write(frames)
+                handle.write(suffix["data"])
                 handle.flush()
                 os.fsync(handle.fileno())
-            applied = total - after_seq
-        else:
-            # The source's log shrank under our cursor (writer restart
-            # recovery) or our own tail is suspect (killed mid-append):
-            # rewrite the whole log atomically.
-            if after_seq:
-                tail = self.source.repl_wal(generation, 0)
-                total = int(tail["total"])
-            self._write_wal_atomic(tail["records"])
-            applied = total
         self._state["wal_seq"] = total
         self._state["wal_bytes"] = os.path.getsize(wal_path)
         self._save_state()
         return SyncReport(
-            generation=generation,
-            full_sync=False,
-            changed=True,
-            wal_records=applied,
+            generation=generation, full_sync=False, changed=True, wal_records=applied
         )
-
-    def _write_wal_atomic(self, records) -> str:
-        frames = b"".join(_frame(int(r["seq"]), dict(r["payload"])) for r in records)
-        wal_path = os.path.join(self.path, WAL_NAME)
-        _write_file_atomic(wal_path, frames)
-        return wal_path
 
     # -- Snapshot (generation changed or first sync) -------------------- #
     def _sync_snapshot(self, remote: Dict[str, object]) -> SyncReport:
@@ -836,23 +764,14 @@ class StoreMirror:
             fsync_path(os.path.join(self.path, SHARD_DIR))
             fsync_path(self.path)
 
-        # The WAL for the pinned generation, staged next to the live one.
-        # Cursor-capable sources ship the raw on-disk bytes; others ship
-        # records the mirror re-frames deterministically.
+        # The WAL for the pinned generation (the source's raw on-disk
+        # bytes), staged next to the live one.
         suffix = self._wal_suffix(generation, 0, 1)
-        if suffix is not None and not suffix.get("rebase"):
-            wal_frames = suffix["data"]
-            wal_total = int(suffix["count"])
-        else:
-            tail = self.source.repl_wal(generation, 0)
-            wal_frames = b"".join(
-                _frame(int(r["seq"]), dict(r["payload"])) for r in tail["records"]
-            )
-            wal_total = int(tail["total"])
+        wal_total = int(suffix["count"])
         wal_path = os.path.join(self.path, WAL_NAME)
         wal_tmp = wal_path + ".sync"
         with open(wal_tmp, "wb") as handle:
-            handle.write(wal_frames)
+            handle.write(suffix["data"])
             handle.flush()
             os.fsync(handle.fileno())
 
@@ -924,8 +843,6 @@ class StoreMirror:
                     name, generation, received, min(self.chunk_bytes, size - received)
                 )
                 data = chunk["data"]
-                if isinstance(data, str):
-                    data = base64.b64decode(data)
                 if not data:
                     break
                 handle.write(data)

@@ -1,7 +1,9 @@
 """Out-of-core threshold views over a sharded snapshot.
 
-:class:`ShardedIndex` is a drop-in for :class:`~repro.engine.index.OverlapIndex`
-that never materialises the full pair store: shards are opened lazily as
+:class:`ShardedIndex` is the index every store-backed engine serves from —
+same query/update surface as the in-memory build product
+:class:`~repro.engine.index.OverlapIndex`, without ever materialising the
+full pair store: shards are opened lazily as
 ``np.load(mmap_mode="r")`` views (at most ``max_resident_shards`` handles are
 kept, LRU), and every query streams per-shard weight slices.  Because each
 shard keeps the ascending-weight invariant, ``weight >= s`` is one binary
@@ -45,8 +47,6 @@ class ShardedIndex:
     max_resident_shards:
         Upper bound on simultaneously open shard mmaps; the least recently
         used handle is dropped when exceeded.  ``None`` keeps all open.
-    mmap:
-        Open shards memory-mapped (default) or copied into memory.
     """
 
     def __init__(
@@ -54,14 +54,12 @@ class ShardedIndex:
         store_path: PathLike,
         manifest: Optional[Manifest] = None,
         max_resident_shards: Optional[int] = None,
-        mmap: bool = True,
     ) -> None:
         self._path = str(store_path)
         self._manifest = manifest if manifest is not None else read_manifest(store_path)
         if max_resident_shards is not None and max_resident_shards < 1:
             raise ValidationError("max_resident_shards must be >= 1 or None")
         self._max_resident = max_resident_shards
-        self._mmap = bool(mmap)
         # Residency is the one structure concurrent *reader* threads race
         # on (the service layer fans queries over a thread pool); the lock
         # covers only the LRU bookkeeping, never the shard file I/O.
@@ -180,7 +178,7 @@ class ShardedIndex:
         # identical views, the duplicate handle is dropped on insert.
         with self._tracer.start_span("store.shard_load", {"shard_id": shard_id}):
             _failpoint("store.shard_load")
-            arrays = load_shard(self._path, info, mmap=self._mmap)
+            arrays = load_shard(self._path, info)
         self._m_misses.inc()
         with self._residency_lock:
             self._resident[shard_id] = arrays

@@ -11,10 +11,10 @@
   write-ahead log, truncating any torn tail left by a crash;
 * :meth:`append_add` / :meth:`append_remove` make incremental updates
   durable before they are acknowledged;
-* :meth:`load_index` / :meth:`sharded_index` / :meth:`load_hypergraph`
-  reconstruct the *current* state — base snapshot plus replayed log — as an
-  in-memory :class:`~repro.engine.index.OverlapIndex`, an out-of-core
-  :class:`~repro.store.sharded.ShardedIndex`, or a
+* :meth:`sharded_index` / :meth:`load_hypergraph` reconstruct the
+  *current* state — base snapshot plus replayed log — as an out-of-core
+  :class:`~repro.store.sharded.ShardedIndex` (the one index every
+  store-backed engine serves from) and a
   :class:`~repro.hypergraph.hypergraph.Hypergraph`;
 * :meth:`compact` folds the log back into a fresh snapshot generation and
   truncates it, keeping recovery O(log length) between compactions.
@@ -52,7 +52,6 @@ from repro.store.overlay import fold_records
 from repro.store.sharded import ShardedIndex
 from repro.store.snapshot import (
     load_edge_sizes,
-    materialize_index,
     sweep_orphan_shards,
     write_folded_snapshot,
     write_snapshot,
@@ -367,26 +366,12 @@ class IndexStore:
     # ------------------------------------------------------------------ #
     # Reconstruction (snapshot + replayed WAL)
     # ------------------------------------------------------------------ #
-    def load_index(self) -> OverlapIndex:
-        """The current index fully materialised in memory."""
-        index = materialize_index(self.path, self._manifest)
-        overlay = fold_records(self._records, index.edge_sizes)
-        index.apply_batch(
-            overlay.edges, overlay.weights, overlay.removed, overlay.edge_sizes
-        )
-        return index
-
-    def sharded_index(
-        self,
-        max_resident_shards: Optional[int] = None,
-        mmap: bool = True,
-    ) -> ShardedIndex:
+    def sharded_index(self, max_resident_shards: Optional[int] = None) -> ShardedIndex:
         """The current index as an out-of-core shard-streaming view."""
         index = ShardedIndex(
             self.path,
             manifest=self._manifest,
             max_resident_shards=max_resident_shards,
-            mmap=mmap,
         )
         index.apply_overlay(fold_records(self._records, index.edge_sizes))
         return index

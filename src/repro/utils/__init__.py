@@ -6,7 +6,7 @@ benchmark harness, and input-validation helpers that raise uniform,
 actionable error messages.
 """
 
-from repro.utils.timing import Timer, StageTimes, timed
+from repro.utils.timing import StageTimes
 from repro.utils.validation import (
     check_positive_int,
     check_s_value,
@@ -16,9 +16,7 @@ from repro.utils.validation import (
 from repro.utils.rng import make_rng
 
 __all__ = [
-    "Timer",
     "StageTimes",
-    "timed",
     "check_positive_int",
     "check_s_value",
     "check_array_int",

@@ -11,43 +11,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
-
-
-@dataclass
-class Timer:
-    """A simple start/stop wall-clock timer.
-
-    Examples
-    --------
-    >>> t = Timer()
-    >>> t.start()
-    >>> _ = sum(range(1000))
-    >>> elapsed = t.stop()
-    >>> elapsed >= 0.0
-    True
-    """
-
-    _start: Optional[float] = None
-    elapsed: float = 0.0
-
-    def start(self) -> "Timer":
-        """Start (or restart) the timer."""
-        self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        """Stop the timer and return the elapsed seconds since :meth:`start`."""
-        if self._start is None:
-            raise RuntimeError("Timer.stop() called before Timer.start()")
-        self.elapsed = time.perf_counter() - self._start
-        self._start = None
-        return self.elapsed
-
-    @property
-    def running(self) -> bool:
-        """Whether the timer is currently running."""
-        return self._start is not None
+from typing import Dict, Iterator
 
 
 @dataclass
@@ -98,22 +62,3 @@ class StageTimes:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         parts = [f"{k}={v:.4f}s" for k, v in self.times.items()]
         return "StageTimes(" + ", ".join(parts) + f", total={self.total:.4f}s)"
-
-
-@contextmanager
-def timed() -> Iterator[Timer]:
-    """Context manager yielding a running :class:`Timer`; stopped on exit.
-
-    Examples
-    --------
-    >>> with timed() as t:
-    ...     _ = [i * i for i in range(100)]
-    >>> t.elapsed >= 0.0
-    True
-    """
-    timer = Timer().start()
-    try:
-        yield timer
-    finally:
-        if timer.running:
-            timer.stop()

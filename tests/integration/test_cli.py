@@ -36,6 +36,27 @@ class TestParser:
             args = parser.parse_args([command] + extra_args.get(command, []))
             assert args.command == command
 
+    def test_shared_flag_groups_keep_one_default_per_flag(self):
+        """serve/replicate share the listener flags, connect/replicate the
+        peer flags; the selectors of the deleted paths are gone."""
+        parser = build_parser()
+        serve = parser.parse_args(["serve", "--path", "idx"])
+        connect = parser.parse_args(["connect", "--address", "h:1"])
+        replicate = parser.parse_args(["replicate", "--from", "h:1", "--store", "m"])
+        for args in (serve, replicate):
+            assert (args.max_connections, args.workers) == (32, 4)
+            assert args.metrics_port is None and args.chaos is False
+        for args in (connect, replicate):
+            assert (args.timeout, args.connect_retries) == (30.0, 40)
+            assert args.no_compression is False
+        for argv in (
+            ["serve", "--path", "idx", "--materialize"],
+            ["index", "query", "--path", "idx", "--s", "2", "--sharded"],
+            ["replicate", "--from", "h:1", "--store", "m", "--protocol", "1"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+
 
 class TestCommands:
     def test_datasets_lists_all(self, capsys):
@@ -199,12 +220,6 @@ class TestIndexCommands:
         out = capsys.readouterr().out
         assert "L_2: 3 edges" in out
         assert "top" in out
-
-    def test_query_sharded(self, store_dir, capsys):
-        assert main(
-            ["index", "query", "--path", store_dir, "--s", "2", "--sharded"]
-        ) == 0
-        assert "sharded/mmap" in capsys.readouterr().out
 
     def test_compact(self, store_dir, capsys):
         assert main(["index", "compact", "--path", store_dir]) == 0

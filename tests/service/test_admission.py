@@ -85,7 +85,7 @@ class TestDurability:
         reopened = IndexStore.open(persistent_engine.store.path)
         assert reopened.num_wal_records() == 7
         oracle = QueryEngine(reopened.load_hypergraph())
-        loaded = reopened.load_index()
+        loaded = reopened.sharded_index()
         for s in range(1, max(loaded.max_weight, 1) + 1):
             assert loaded.line_graph(s) == oracle.line_graph(s), s
 

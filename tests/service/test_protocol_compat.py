@@ -7,14 +7,24 @@ server and a v1-pinned client against a v2 server each settle on the JSON
 data plane and serve identical answers to a native v2 pairing.
 """
 
+import base64
+import os
 import socket
 
 import pytest
 
-from repro.service import QueryService, ServiceClient, SocketServer
+from repro.cli import main as cli_main
+from repro.service import (
+    QueryService,
+    RemoteReadReplica,
+    ServiceClient,
+    SocketServer,
+    StoreLock,
+)
 from repro.service.transport import (
     PROTOCOL_VERSION,
     PROTOCOL_VERSION_BINARY,
+    ProtocolVersionError,
     RemoteServiceError,
 )
 from repro.service.transport.framing import (
@@ -23,6 +33,8 @@ from repro.service.transport.framing import (
     recv_frame,
     send_frame,
 )
+from repro.store.format import WAL_NAME
+from repro.store.replication import StoreMirror
 from repro.store.store import IndexStore
 
 
@@ -69,13 +81,6 @@ class TestCompatMatrix:
             assert client.metric(2, "connected_components") == _oracle(writer, 2)
             sweep = client.sweep(range(1, 5))
             assert set(sweep) == {"edge_counts", "active_counts"}
-            # Replication helpers fall back to the JSON/base64 plane ...
-            manifest = client.repl_manifest()
-            name = manifest["files"][0]["name"]
-            data = client.repl_fetch(name, manifest["generation"], 0, 64)
-            assert isinstance(data["data"], bytes)
-            # ... and the cursor op reports "not supported here".
-            assert client.repl_wal_suffix(manifest["generation"], 0, 1) is None
 
     def test_v1_client_against_v2_server(self, v2_server, writer):
         """A pinned (pre-v2) client speaks v1 against a modern server."""
@@ -84,8 +89,6 @@ class TestCompatMatrix:
         ) as client:
             assert client.protocol == PROTOCOL_VERSION
             assert client.metric(2, "connected_components") == _oracle(writer, 2)
-            data = client.repl_fetch(client.repl_manifest()["files"][0]["name"], 0, 0, 64)
-            assert isinstance(data["data"], bytes)
 
     def test_both_planes_serve_identical_answers(self, v2_server, writer):
         with ServiceClient(*v2_server.address, connect_retries=5) as v2_client:
@@ -141,6 +144,118 @@ class TestCompatMatrix:
                 assert transport["connections"]["by_protocol"] == {"1": 1, "2": 1}
                 transport = v1_client.stats()["transport"]
                 assert transport["negotiated"] == PROTOCOL_VERSION
+
+
+class TestFollowerNeedsProtocol2:
+    """A follower in this repo speaks only the byte-offset cursor and raw
+    chunks; on a v1 connection it ends in a typed error — never a hang, a
+    ``KeyError`` or a partly installed mirror."""
+
+    def test_client_helpers_refuse_before_sending(self, v1_server):
+        with ServiceClient(*v1_server.address, connect_retries=5) as client:
+            manifest = client.repl_manifest()  # plain JSON: still answered
+            served = v1_server.stats.requests_served
+            with pytest.raises(ProtocolVersionError, match="needs protocol 2"):
+                client.repl_wal_suffix(manifest["generation"], 0, 1)
+            with pytest.raises(ProtocolVersionError, match="needs protocol 2"):
+                client.repl_fetch(manifest["files"][0]["name"], 0, 0, 64)
+            assert v1_server.stats.requests_served == served
+
+    def test_v1_pinned_client_against_a_v2_server_is_refused_too(self, v2_server):
+        with ServiceClient(
+            *v2_server.address, connect_retries=5, protocol_max=1
+        ) as client:
+            with pytest.raises(ProtocolVersionError, match="needs protocol 2"):
+                client.repl_wal_suffix(0, 0, 1)
+
+    def test_store_mirror_sync_raises_typed(self, v1_server, tmp_path):
+        mirror_path = tmp_path / "mirror"
+        with ServiceClient(*v1_server.address, connect_retries=5) as client:
+            with pytest.raises(ProtocolVersionError, match="needs protocol 2"):
+                StoreMirror(client, mirror_path).sync()
+        assert not IndexStore.exists(mirror_path)
+
+    def test_remote_read_replica_refuses_to_start(self, v1_server, tmp_path):
+        mirror_path = tmp_path / "mirror"
+        with pytest.raises(ProtocolVersionError, match="needs protocol 2"):
+            RemoteReadReplica(*v1_server.address, mirror_path)
+        assert not IndexStore.exists(mirror_path)
+        # The failed start released the mirror directory's writer lock.
+        StoreLock(mirror_path).acquire(blocking=False).release()
+
+    def test_replica_whose_peer_downgrades_reports_not_ready(
+        self, writer, v1_server, tmp_path
+    ):
+        """A peer restarted as a v1-only build: the replica keeps serving
+        its last good mirror and /readyz says why it stopped following."""
+        v2_server = SocketServer(writer, port=0).start()
+        client = ServiceClient(*v2_server.address, connect_retries=2).connect()
+        replica = RemoteReadReplica(store_path=tmp_path / "mirror", client=client)
+        try:
+            before = replica.metric_by_hyperedge(2, "pagerank")
+            v2_server.close()
+            client.close()
+            client.port = v1_server.port  # the "restarted" peer
+            writer.submit_add([0, 1, 2, 3]).result()
+            assert replica.metric_by_hyperedge(2, "pagerank") == pytest.approx(before)
+            ready, detail = replica.readiness()
+            assert not ready and detail["reason"] == "last sync failed"
+            assert "ProtocolVersionError" in detail["error"]
+            assert "needs protocol 2" in detail["error"]
+        finally:
+            replica.close()
+            client.close()
+
+    def test_cli_replicate_reports_sync_failed(self, v1_server, tmp_path):
+        mirror_path = tmp_path / "mirror"
+        host, port = v1_server.address
+        with pytest.raises(SystemExit, match="sync failed.*needs protocol 2"):
+            cli_main(
+                ["replicate", "--from", f"{host}:{port}", "--store", str(mirror_path)]
+            )
+        assert not IndexStore.exists(mirror_path)
+
+
+class TestServerStillAnswersOlderFollowers:
+    """The responders for pre-cursor followers outside this repo stay
+    (docs/PROTOCOL.md section 2): record-mode ``repl_wal`` and base64
+    ``repl_fetch``/``repl_wal``, pinned here by raw requests because no
+    in-repo follower speaks them any more."""
+
+    def test_record_mode_repl_wal(self, v1_server, writer):
+        writer.submit_add([0, 1, 2]).result()
+        writer.submit_add([1, 2, 3]).result()
+        with ServiceClient(*v1_server.address, connect_retries=5) as client:
+            full = client.call({"op": "repl_wal", "generation": 0, "after_seq": 0})
+            assert full["ok"] and full["total"] == 2
+            assert [r["seq"] for r in full["records"]] == [1, 2]
+            assert full["records"][0]["payload"]["op"] == "add"
+            tail = client.call({"op": "repl_wal", "generation": 0, "after_seq": 1})
+            assert [r["seq"] for r in tail["records"]] == [2]
+
+    def test_base64_repl_fetch_and_cursor_repl_wal(self, v1_server, writer, store_path):
+        writer.submit_add([0, 1, 2]).result()
+        with ServiceClient(*v1_server.address, connect_retries=5) as client:
+            manifest = client.repl_manifest()
+            entry = manifest["files"][0]
+            chunk = client.call(
+                {
+                    "op": "repl_fetch",
+                    "file": entry["name"],
+                    "generation": manifest["generation"],
+                    "offset": 0,
+                    "length": 64,
+                }
+            )
+            assert chunk["ok"] and isinstance(chunk["data"], str)
+            with open(os.path.join(store_path, *entry["name"].split("/")), "rb") as f:
+                assert base64.b64decode(chunk["data"]) == f.read(64)
+            suffix = client.call(
+                {"op": "repl_wal", "generation": 0, "after_bytes": 0, "next_seq": 1}
+            )
+            assert suffix["ok"] and suffix["count"] == 1 and not suffix["rebase"]
+            with open(os.path.join(store_path, WAL_NAME), "rb") as f:
+                assert base64.b64decode(suffix["data"]) == f.read()
 
 
 class TestBadBinaryFrames:

@@ -158,6 +158,7 @@ class TestEngineLeaks:
         self, store_path, writer, close_counter
     ):
         replica = ReadReplica(store_path)
+        served = replica.engine
         real_open = replica._open
 
         def open_then_close():
@@ -168,8 +169,10 @@ class TestEngineLeaks:
         replica._open = open_then_close
         writer.add_hyperedge([0, 1, 2])
         assert replica.refresh() is False
-        # Exactly the freshly opened (never-installed) engine was closed.
-        assert len(close_counter) == 1
+        # close() released the serving engine; the refresh then closed
+        # exactly the freshly opened (never-installed) one.
+        assert len(close_counter) == 2
+        assert close_counter[0] is served and close_counter[1] is not served
 
     def test_installed_refresh_closes_nothing(self, store_path, writer, close_counter):
         replica = ReadReplica(store_path)
@@ -180,7 +183,7 @@ class TestEngineLeaks:
         assert close_counter == []
 
     def test_sharded_index_close_releases_and_reopens(self, store_path):
-        engine = PersistentQueryEngine.open(store_path, read_only=True, sharded=True)
+        engine = PersistentQueryEngine.open(store_path, read_only=True)
         graph = engine.line_graph(2)
         assert engine.index.num_resident_shards > 0
         engine.close()
@@ -198,6 +201,14 @@ class TestLifecycleAndConcurrency:
         with pytest.raises(StoreError, match="closed"):
             replica.metric(2, "pagerank")
         assert replica.refresh() is False
+
+    def test_close_releases_the_shard_mmaps(self, store_path):
+        replica = ReadReplica(store_path)
+        replica.line_graph(1)  # fault every shard in
+        engine = replica.engine
+        assert engine.index.num_resident_shards > 0
+        replica.close()
+        assert engine.index.num_resident_shards == 0
 
     def test_recovers_after_writer_truncates_the_wal(self, store_path, writer):
         """A restarted writer legitimately *shrinks* the log (torn-tail

@@ -67,6 +67,15 @@ class TestLifecycle:
         svc.close()
         svc.close()
 
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_close_releases_the_shard_mmaps(self, store_path, read_only):
+        svc = QueryService(store_path, read_only=read_only)
+        svc.line_graph(1)  # fault every shard in
+        engine = svc.engine
+        assert engine.index.num_resident_shards > 0
+        svc.close()
+        assert engine.index.num_resident_shards == 0
+
 
 class TestQueries:
     def test_queries_match_fresh_engine(self, store_path, community_hypergraph):

@@ -1,10 +1,10 @@
 """The batched WAL fold against its record-by-record reference.
 
 ``IndexStore`` folds the log once (``repro.store.overlay.fold_records``)
-and applies it in one step — to the in-memory index, to the sharded
-overlay, to the saved hypergraph, and, streamed shard by shard, to the next
-snapshot generation.  The reference here replays the same records one at a
-time through the public single-update methods, which is what the store did
+and applies it in one step — to the sharded overlay, to the saved
+hypergraph, and, streamed shard by shard, to the next snapshot
+generation.  The reference here replays the same records one at a time
+through the public single-update methods, which is what the store did
 before and what every result must stay equal to — byte for byte where
 bytes are written.
 """
@@ -131,9 +131,7 @@ LOGS = [
 def logged_store(request, community_hypergraph, tmp_path):
     """A 4-shard store with one of the logs above pending in its WAL."""
     path = tmp_path / "idx"
-    engine = PersistentQueryEngine.build(
-        community_hypergraph, path, num_shards=4, sharded=True
-    )
+    engine = PersistentQueryEngine.build(community_hypergraph, path, num_shards=4)
     request.param(engine, make_rng(11))
     engine.close()
     return IndexStore.open(path)
@@ -153,13 +151,6 @@ def files_under(path):
 # Batched replay == per-record replay
 # --------------------------------------------------------------------- #
 class TestBatchedReplay:
-    def test_load_index_arrays_equal_per_record_replay(self, logged_store):
-        batched = logged_store.load_index()
-        reference = reference_index(logged_store)
-        for got, want in zip(batched.pairs_at_least(1), reference.pairs_at_least(1)):
-            assert np.array_equal(got, want)  # same pairs in the same order
-        assert np.array_equal(batched.edge_sizes, reference.edge_sizes)
-
     def test_sharded_index_equals_per_record_replay(self, logged_store):
         batched = logged_store.sharded_index()
         reference = reference_sharded(logged_store)
@@ -250,7 +241,7 @@ class TestStreamedCompaction:
         assert reopened.num_wal_records() == 0
         assert reopened.manifest.fingerprint == fingerprint
         assert reopened.load_hypergraph().fingerprint() == fingerprint
-        after = reopened.load_index()
+        after = reopened.sharded_index()
         assert after.num_pairs == before.num_pairs
         assert np.array_equal(after.edge_sizes, before.edge_sizes)
         for s in range(1, before.max_weight + 2):
@@ -265,9 +256,7 @@ class TestStreamedCompaction:
             max_edge_size=24,
             seed=5,
         )
-        engine = PersistentQueryEngine.build(
-            h, tmp_path / "idx", num_shards=32, sharded=True
-        )
+        engine = PersistentQueryEngine.build(h, tmp_path / "idx", num_shards=32)
         rng = make_rng(2)
         for _ in range(30):
             engine.add_hyperedge(rng.choice(h.num_vertices, size=5, replace=False))
@@ -292,8 +281,8 @@ class TestStreamedCompaction:
             tracemalloc.stop()
         # At most the gathered block, its sort keys and order, and the sorted
         # or merged copy are alive together: a fixed multiple of the largest
-        # shard.  Materialising the pair store, as a fold through
-        # load_index() did, peaks above 3x store_bytes on this store.
+        # shard.  Materialising the pair store peaks above 3x store_bytes
+        # on this store.
         slack = 1 << 19  # hypergraph archive, manifests, interpreter noise
         assert peak < 6 * largest_shard + overlay_bytes + slack
         assert peak < store_bytes / 2
@@ -345,7 +334,7 @@ class TestMalformedLogs:
         with pytest.raises(ValidationError, match=message):
             reference_sharded(store)
         before = files_under(store.path)
-        for fold in (store.sharded_index, store.load_index, store.compact):
+        for fold in (store.sharded_index, store.compact):
             with pytest.raises(ValidationError, match=message):
                 fold()
         assert files_under(store.path) == before  # a refused fold writes nothing
@@ -405,8 +394,9 @@ class TestCompactionFailpoints:
         assert reopened.manifest.generation == generation
         assert reopened.num_wal_records() == len(logged_store.wal_records)
         assert reopened.load_hypergraph().fingerprint() == fingerprint
-        recovered = reopened.load_index()
-        for got, want in zip(recovered.pairs_at_least(1), reference.pairs_at_least(1)):
-            assert np.array_equal(got, want)
+        recovered = reopened.sharded_index()
+        assert recovered.num_pairs == reference.num_pairs
+        for s in range(1, reference.max_weight + 2):
+            assert recovered.line_graph(s) == reference.line_graph(s), s
         reopened.compact()  # and the retry goes through
         assert IndexStore.open(logged_store.path).manifest.generation == generation + 1

@@ -7,6 +7,7 @@ from repro.core.pipeline import SLinePipeline
 from repro.engine.engine import QueryEngine
 from repro.store.format import FingerprintMismatchError
 from repro.store.persistent import PersistentQueryEngine
+from repro.store.sharded import ShardedIndex
 from repro.store.store import IndexStore
 from repro.utils.validation import ValidationError
 
@@ -19,9 +20,8 @@ def store_path(community_hypergraph, tmp_path):
 
 
 class TestOpenAndServe:
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_matches_fresh_engine(self, store_path, community_hypergraph, sharded):
-        engine = PersistentQueryEngine.open(store_path, sharded=sharded)
+    def test_matches_fresh_engine(self, store_path, community_hypergraph):
+        engine = PersistentQueryEngine.open(store_path)
         fresh = QueryEngine(community_hypergraph)
         sweep = engine.sweep(range(1, 9), metrics=("connected_components",))
         expected = fresh.sweep(range(1, 9), metrics=("connected_components",))
@@ -46,6 +46,23 @@ class TestOpenAndServe:
         assert engine.line_graph(2) == QueryEngine(community_hypergraph).line_graph(2)
         assert IndexStore.exists(tmp_path / "fresh")
 
+    def test_every_store_backed_engine_serves_a_sharded_index(
+        self, store_path, community_hypergraph, tmp_path
+    ):
+        """One index path: however the engine reaches its store, the pair
+        store stays on disk behind a ShardedIndex."""
+        opened = PersistentQueryEngine.open(store_path)
+        built = PersistentQueryEngine.build(community_hypergraph, tmp_path / "built")
+        created = QueryEngine.from_store(
+            tmp_path / "created", hypergraph=community_hypergraph, create=True
+        )
+        for engine in (opened, built, created):
+            assert isinstance(engine.index, ShardedIndex)
+        opened.add_hyperedge([0, 1, 2])
+        opened.compact()
+        assert isinstance(opened.index, ShardedIndex)
+        assert opened.index.manifest.generation == 1
+
 
 class TestDurability:
     def test_updates_survive_reopen(self, store_path, community_hypergraph):
@@ -56,7 +73,7 @@ class TestDurability:
             s: engine.line_graph(s).edge_set() for s in range(1, 6)
         }
         # "New process": reopen purely from disk.
-        reloaded = PersistentQueryEngine.open(store_path, sharded=True)
+        reloaded = PersistentQueryEngine.open(store_path)
         assert reloaded.hypergraph.num_edges == community_hypergraph.num_edges + 1
         # Unlabelled hypergraphs stay unlabelled: replay matches the live engine.
         assert reloaded.hypergraph.edge_name(new_id) == engine.hypergraph.edge_name(
@@ -77,7 +94,7 @@ class TestDurability:
         assert PersistentQueryEngine.open(store_path).line_graph(2) == before
 
     def test_compact_closes_the_superseded_sharded_index(self, store_path):
-        engine = PersistentQueryEngine.open(store_path, sharded=True)
+        engine = PersistentQueryEngine.open(store_path)
         engine.add_hyperedge([3, 4, 5])
         engine.line_graph(1)  # fault every shard of the old generation in
         superseded = engine.index

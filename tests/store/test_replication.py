@@ -184,7 +184,7 @@ class TestStoreMirror:
         assert report.fetched_files > 0
         assert_byte_identical(source_path, mirror_path)
         # The mirror is a fully functional store.
-        engine = PersistentQueryEngine.open(mirror_path, read_only=True, sharded=True)
+        engine = PersistentQueryEngine.open(mirror_path, read_only=True)
         source = PersistentQueryEngine.open(source_path, read_only=True)
         assert engine.fingerprint() == source.fingerprint()
         assert engine.metric_by_hyperedge(2, "pagerank") == pytest.approx(
@@ -247,9 +247,7 @@ class TestStoreMirror:
                 writer.compact()
             mirror.sync()
             assert_byte_identical(source_path, mirror_path)
-            served = PersistentQueryEngine.open(
-                mirror_path, read_only=True, sharded=True
-            )
+            served = PersistentQueryEngine.open(mirror_path, read_only=True)
             oracle = QueryEngine(writer.hypergraph)
             for s in (1, 2, 3):
                 assert served.line_graph(s) == oracle.line_graph(s), (phase, s)
@@ -273,10 +271,10 @@ class _FlakySource:
     def repl_manifest(self):
         return self._inner.repl_manifest()
 
-    def repl_wal(self, generation, after_seq):
+    def repl_wal_suffix(self, generation, after_bytes, next_seq):
         if self.fail_after is not None and self.fetches >= self.fail_after:
             raise _KilledSync()
-        return self._inner.repl_wal(generation, after_seq)
+        return self._inner.repl_wal_suffix(generation, after_bytes, next_seq)
 
     def repl_fetch(self, name, generation, offset, length):
         self.fetches += 1
@@ -389,26 +387,6 @@ class TestCrashSafety:
             mirror.sync()
 
 
-class _CursorOnlySource:
-    """A source whose legacy ``repl_wal`` op is forbidden — proves a sync
-    was served by the byte-offset cursor alone (docs/PROTOCOL.md)."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def repl_manifest(self):
-        return self._inner.repl_manifest()
-
-    def repl_wal(self, generation, after_seq):
-        raise AssertionError("legacy repl_wal used despite a cursor-capable source")
-
-    def repl_wal_suffix(self, generation, after_bytes, next_seq):
-        return self._inner.repl_wal_suffix(generation, after_bytes, next_seq)
-
-    def repl_fetch(self, name, generation, offset, length):
-        return self._inner.repl_fetch(name, generation, offset, length)
-
-
 class TestByteOffsetCursor:
     """The protocol v2 WAL cursor: raw suffix reads after (generation,
     byte offset), with rebase on any divergence under the cursor."""
@@ -455,9 +433,8 @@ class TestByteOffsetCursor:
             wal_suffix_payload(source_path, 0, 0, 1)
 
     def test_cursor_delta_appends_raw_suffix(self, source_path, mirror_path, writer):
-        """Intact polls are served by suffix appends alone — the legacy
-        record-replay op is never consulted."""
-        source = _CursorOnlySource(LocalReplicationSource(source_path))
+        """Intact polls are served by suffix appends alone."""
+        source = LocalReplicationSource(source_path)
         mirror = StoreMirror(source, mirror_path)
         mirror.sync()
         rng = make_rng(5)
@@ -479,7 +456,7 @@ class TestByteOffsetCursor:
         """A writer restart that truncated the log leaves the mirror's
         byte cursor past end-of-file; the next cursor poll detects the
         overrun, rebases to offset 0 and rewrites the local log."""
-        source = _CursorOnlySource(LocalReplicationSource(source_path))
+        source = LocalReplicationSource(source_path)
         mirror = StoreMirror(source, mirror_path)
         writer.add_hyperedge([0, 1, 2])
         writer.add_hyperedge([1, 2, 3])
@@ -501,7 +478,7 @@ class TestByteOffsetCursor:
     ):
         """Same-length log whose records differ under the cursor: the CRC
         and sequence checks refuse the suffix and force the rewrite."""
-        source = _CursorOnlySource(LocalReplicationSource(source_path))
+        source = LocalReplicationSource(source_path)
         mirror = StoreMirror(source, mirror_path)
         writer.add_hyperedge([0, 1, 2])
         mirror.sync()
@@ -515,18 +492,31 @@ class TestByteOffsetCursor:
         assert mirror.wal_seq == 2
         assert_byte_identical(source_path, mirror_path)
 
-    def test_legacy_source_without_cursor_still_syncs(
-        self, source_path, mirror_path, writer
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            {"generation": 0, "mode": "suffix", "after_bytes": 0, "rebase": True},
+            {"generation": 0, "total": 0, "after_seq": 0, "records": []},
+        ],
+        ids=["rebase-at-origin", "record-mode-shape"],
+    )
+    def test_unusable_cursor_answer_exhausts_the_retry_bound(
+        self, source_path, mirror_path, answer
     ):
-        """A pre-v2 source (no repl_wal_suffix attribute) is served by the
-        original record-replay path, byte-identically."""
-        source = _FlakySource(LocalReplicationSource(source_path), None)
-        assert not hasattr(source, "repl_wal_suffix")
-        mirror = StoreMirror(source, mirror_path)
-        mirror.sync()
-        rng = make_rng(9)
-        for _ in range(3):
-            writer.add_hyperedge(random_members(writer.hypergraph, rng))
-        report = mirror.sync()
-        assert not report.full_sync and report.wal_records == 3
-        assert_byte_identical(source_path, mirror_path)
+        """A rebase with nowhere left to rebase to, or an answer without
+        data/count, restarts the sync from a fresh manifest — boundedly —
+        instead of switching to another tail shape."""
+
+        class _BadTail(_FlakySource):
+            polls = 0
+
+            def repl_wal_suffix(self, generation, after_bytes, next_seq):
+                self.polls += 1
+                return dict(answer)
+
+        source = _BadTail(LocalReplicationSource(source_path), None)
+        mirror = StoreMirror(source, mirror_path, sync_retries=3)
+        with pytest.raises(ReplicationError, match="3 attempts"):
+            mirror.sync()
+        assert source.polls == 3
+        assert not IndexStore.exists(mirror_path)  # nothing was installed

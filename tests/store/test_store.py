@@ -46,7 +46,7 @@ class TestBuildOpen:
         reopened = IndexStore.open(store.path)
         assert reopened.manifest.fingerprint == community_hypergraph.fingerprint()
         oracle = OverlapIndex.build(community_hypergraph)
-        loaded = reopened.load_index()
+        loaded = reopened.sharded_index()
         for s in range(1, oracle.max_weight + 1):
             assert loaded.line_graph(s) == oracle.line_graph(s), s
         assert reopened.load_hypergraph() == community_hypergraph
@@ -79,12 +79,9 @@ class TestDurableUpdates:
         h = reopened.load_hypergraph()
         assert h.fingerprint() == engine.fingerprint()
         oracle = QueryEngine(h)
-        loaded = reopened.load_index()
-        sharded = reopened.sharded_index()
+        loaded = reopened.sharded_index()
         for s in range(1, max(loaded.max_weight, 1) + 1):
-            expected = oracle.line_graph(s)
-            assert loaded.line_graph(s) == expected, s
-            assert sharded.line_graph(s) == expected, s
+            assert loaded.line_graph(s) == oracle.line_graph(s), s
 
     def test_crash_mid_append_recovers_prefix(self, store, community_hypergraph):
         engine = updated_engine(store, n_adds=2, n_removes=1)
@@ -98,7 +95,7 @@ class TestDurableUpdates:
         assert reopened.current_fingerprint() == fp_before
         # The acknowledged prefix fully survives.
         oracle = QueryEngine(reopened.load_hypergraph())
-        loaded = reopened.load_index()
+        loaded = reopened.sharded_index()
         for s in range(1, max(loaded.max_weight, 1) + 1):
             assert loaded.line_graph(s) == oracle.line_graph(s), s
 
@@ -142,7 +139,7 @@ class TestCompaction:
         assert manifest.fingerprint == fp
         assert manifest.provenance["compacted_wal_records"] == 5
         reopened = IndexStore.open(store.path, fingerprint=fp)
-        loaded = reopened.load_index()
+        loaded = reopened.sharded_index()
         for s in range(1, max(loaded.max_weight, 1) + 1):
             assert loaded.line_graph(s) == oracle.line_graph(s), s
 
@@ -203,7 +200,7 @@ class TestCompactionCrashWindows:
         assert reopened.discarded_stale_wal
         assert reopened.num_wal_records() == 0
         assert os.path.getsize(wal_path) == 0  # physically truncated
-        loaded = reopened.load_index()
+        loaded = reopened.sharded_index()
         for s in range(1, max(loaded.max_weight, 1) + 1):
             assert loaded.line_graph(s) == oracle.line_graph(s), s
         assert reopened.load_hypergraph().fingerprint() == engine.fingerprint()
@@ -243,7 +240,7 @@ class TestCompactionCrashWindows:
         must re-open against the new generation, not the unlinked mmaps."""
         from repro.store.persistent import PersistentQueryEngine
 
-        engine = PersistentQueryEngine(store, sharded=True, max_resident_shards=1)
+        engine = PersistentQueryEngine(store, max_resident_shards=1)
         engine.add_hyperedge([0, 1, 2, 3])
         before = {s: engine.line_graph(s) for s in (1, 2, 3)}
         engine.compact()
@@ -262,4 +259,4 @@ class TestCompactionCrashWindows:
         assert shard_files and all(f.startswith("g2-") for f in shard_files)
         # The rebuilt store serves the new hypergraph.
         oracle = QueryEngine(paper_example)
-        assert rebuilt.load_index().line_graph(2) == oracle.line_graph(2)
+        assert rebuilt.sharded_index().line_graph(2) == oracle.line_graph(2)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.utils.log import enable_verbose, get_logger
 from repro.utils.rng import make_rng
-from repro.utils.timing import StageTimes, Timer, timed
+from repro.utils.timing import StageTimes
 from repro.utils.validation import (
     ValidationError,
     check_array_int,
@@ -16,25 +16,6 @@ from repro.utils.validation import (
     check_s_value,
 )
 from repro.utils.validation import check_s_values
-
-
-class TestTimer:
-    def test_start_stop(self):
-        t = Timer()
-        t.start()
-        assert t.running
-        elapsed = t.stop()
-        assert elapsed >= 0.0
-        assert not t.running
-
-    def test_stop_before_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_timed_context_manager(self):
-        with timed() as t:
-            time.sleep(0.001)
-        assert t.elapsed >= 0.001
 
 
 class TestStageTimes:
