@@ -213,6 +213,13 @@ def scenario_partition_replica(h: ChaosHarness, quick: bool) -> ScenarioResult:
     partition_at = time.monotonic()
     h.chaos(w_client, "activate", point="repl.manifest", action="error")
     h.submit_updates(w_client, updates)
+    # compact() resets the writer's token to (generation + 1, 0 WAL bytes),
+    # so the wal-lag gauge can only read > 0 between the first acked update
+    # and the compaction: hold the compaction until a sample has seen it.
+    wait_until(
+        lambda: any(s[2] > 0.0 for s in sampler.window(partition_at)),
+        description="wal-lag gauge > 0 during partition",
+    )
     w_client.compact()  # bumps the writer generation: generation lag >= 1
     h.await_unready(r_url)
     status, payload = probe(r_url, "/readyz")

@@ -460,24 +460,20 @@ def _cmd_index_query(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Request ops that only read — safe to fan out over worker threads.
-_SERVE_QUERY_OPS = frozenset(
-    {"metric", "components", "sweep", "stats", "metrics", "trace"}
-)
-
-
 def _run_jsonl_loop(stream, interactive, execute_one, execute_batch, batch_chunk=None):
     """The JSONL request-loop shared by ``serve`` and ``connect``.
 
     One request object per input line, one response object per output
-    line, order preserved.  Runs of consecutive query requests are
-    buffered and handed to ``execute_batch`` (optionally capped at
-    ``batch_chunk`` per call); anything else — mutations, bad lines —
-    drains the buffer first so sequential semantics hold.  In
-    ``interactive`` mode every line is answered immediately.  A
-    ``{"op": "stop"}`` line (or EOF) ends the loop; returns the number of
-    requests served.
+    line, order preserved.  Runs of consecutive query requests (the
+    contract's ``fanout_read`` ops, which only read) are buffered and
+    handed to ``execute_batch`` (optionally capped at ``batch_chunk`` per
+    call); anything else — mutations, bad lines — drains the buffer first
+    so sequential semantics hold.  In ``interactive`` mode every line is
+    answered immediately.  A ``{"op": "stop"}`` line (or EOF) ends the
+    loop; returns the number of requests served.
     """
+    from repro.service.contract import is_fanout_read, op_name
+
     served = 0
     pending: list = []
 
@@ -507,9 +503,10 @@ def _run_jsonl_loop(stream, interactive, execute_one, execute_batch, batch_chunk
             drain()
             emit({"ok": False, "error": "request must be an object"})
             continue
-        if request.get("op") == "stop":
+        op = op_name(request)
+        if op == "stop":
             break
-        if request.get("op") in _SERVE_QUERY_OPS:
+        if is_fanout_read(op):
             pending.append(request)
             if interactive or (batch_chunk is not None and len(pending) >= batch_chunk):
                 drain()

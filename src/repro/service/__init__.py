@@ -16,6 +16,9 @@ it a *served* one.  The pieces, bottom-up:
 * :class:`CompactionPolicy` / :class:`BackgroundCompactor`
   (:mod:`repro.service.compaction`) — fold the WAL into a new snapshot
   generation off the query path when it grows past thresholds;
+* :mod:`repro.service.contract` — the wire contract declared once: the
+  service op rows and the exception-class → error-code rows that dispatch,
+  client retry, metric labels and ``docs/PROTOCOL.md`` derive from;
 * :class:`QueryService` (:mod:`repro.service.service`) — the façade: a
   writer (or read-only replica) serving batched s-metric requests across
   worker threads under a readers-writer lock;

@@ -33,6 +33,7 @@ from repro.engine.engine import QueryEngine, SweepResult
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs import get_registry, get_tracer, render_prometheus
 from repro.parallel.executor import ParallelConfig, run_partitioned
+from repro.service import contract
 from repro.service.admission import AdmissionQueue, AdmissionStats
 from repro.service.compaction import BackgroundCompactor, CompactionPolicy
 from repro.service.lock import StoreLock
@@ -47,6 +48,7 @@ from repro.utils.validation import ValidationError
 Request = Mapping[str, object]
 
 
+@contract.bind_handlers
 class QueryService:
     """Concurrent serving façade over one shared store (module docstring).
 
@@ -392,27 +394,14 @@ class QueryService:
     ) -> List[Dict[str, object]]:
         """Serve a batch of requests across worker threads, in order.
 
-        Each request is a mapping with an ``op`` key:
+        Each request is a mapping whose ``op`` key names a row of
+        :data:`repro.service.contract.OPS`; the ``_op_<name>`` handler
+        below documents that op's arguments and result fields.
 
-        ========== ==================================== =====================
-        op         arguments                            result payload
-        ========== ==================================== =====================
-        metric     ``s``, ``metric``                    ``values`` (by edge)
-        components ``s``                                ``count``
-        sweep      ``s_values`` or ``s_min``/``s_max``  ``edge_counts``, …
-        add        ``members``, ``name?``, ``wait?``    ``queued``/``edge_id``
-        remove     ``edge_id``, ``wait?``               ``queued``/``removed``
-        flush      —                                    ``flushed``
-        compact    —                                    ``generation``
-        stats      —                                    :meth:`stats`
-        metrics    —                                    Prometheus ``text``
-        trace      ``trace_id?``, ``limit?``            finished ``traces``
-        repl_*     see :mod:`repro.store.replication`   manifest/chunks/WAL
-        ========== ==================================== =====================
-
-        Responses carry ``ok`` (bool) and, on failure, ``error``; request
-        order is preserved.  Worker threads share the engine through the
-        read lock, so queries parallelise while updates stay serialised.
+        Responses carry ``ok`` (bool), ``op`` and, on failure, ``error``
+        plus the machine-readable ``code``; request order is preserved.
+        Worker threads share the engine through the read lock, so queries
+        parallelise while updates stay serialised.
         """
         if num_workers is None:
             num_workers = self._num_workers
@@ -439,163 +428,180 @@ class QueryService:
         return merged  # type: ignore[return-value]
 
     def execute(self, request: Request) -> Dict[str, object]:
-        """Serve one request mapping, never raising: errors become payloads."""
-        op = str(request.get("op", ""))
+        """Serve one request mapping, never raising: errors become payloads
+        carrying the contract's ``code`` for the exception's class."""
+        op = contract.op_name(request)
         try:
             # Disabled-failpoint cost on every request rides inside the
             # `obs_overhead` benchmark floor (one module-global bool read).
             _failpoints.fire("service.execute")
-            return self._dispatch(op, request)
-        except Exception as exc:
-            return {"ok": False, "op": op, "error": f"{type(exc).__name__}: {exc}"}
-
-    def _dispatch(self, op: str, request: Request) -> Dict[str, object]:
-        if op == "metric":
-            s = int(request["s"])
-            name = str(request.get("metric", "connected_components"))
-            if name not in METRIC_FUNCTIONS:
+            handler = self._handlers.get(op)
+            if handler is None:
                 raise ValidationError(
-                    f"unknown metric {name!r}; available: {sorted(METRIC_FUNCTIONS)}"
+                    f"unknown op {op!r}; expected one of "
+                    + "/".join(contract.OP_NAMES)
                 )
-            values = self.metric_by_hyperedge(s, name)
-            base = {
-                "ok": True,
-                "op": op,
-                "s": s,
-                "metric": name,
-                "generation": self.generation,
-            }
-            if request.get("columns"):
-                # Columnar fast path (binary data plane): parallel sorted
-                # int64/float64 arrays instead of a str-keyed JSON object.
-                # Sections like these only survive a protocol >= 2
-                # connection; the transport enforces that.
-                ids = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
-                vals = np.fromiter(values.values(), dtype=np.float64, count=len(values))
-                order = np.argsort(ids, kind="stable")
-                base["columns"] = True
-                base["edge_ids"] = ids[order]
-                base["values"] = vals[order]
-                return base
-            base["values"] = {str(k): float(v) for k, v in sorted(values.items())}
-            return base
-        if op == "components":
-            s = int(request["s"])
-            return {"ok": True, "op": op, "s": s, "count": self.num_components(s)}
-        if op == "sweep":
-            if "s_values" in request:
-                s_values = [int(v) for v in request["s_values"]]  # type: ignore[arg-type]
-            else:
-                s_values = list(
-                    range(int(request.get("s_min", 1)), int(request["s_max"]) + 1)
-                )
-            metrics = [str(m) for m in request.get("metrics", ())]  # type: ignore[union-attr]
-            result = self.sweep(s_values, metrics=metrics)
-            if request.get("columns"):
-                ordered = sorted(result.edge_counts)
-                return {
-                    "ok": True,
-                    "op": op,
-                    "columns": True,
-                    "s_values": np.asarray(ordered, dtype=np.int64),
-                    "edge_counts": np.asarray(
-                        [result.edge_counts[s] for s in ordered], dtype=np.int64
-                    ),
-                    "active_counts": np.asarray(
-                        [result.active_counts[s] for s in ordered], dtype=np.int64
-                    ),
-                }
+            return {"ok": True, "op": op, **handler(self, request)}
+        except Exception as exc:
             return {
-                "ok": True,
+                "ok": False,
                 "op": op,
-                "edge_counts": {str(s): int(n) for s, n in result.edge_counts.items()},
-                "active_counts": {
-                    str(s): int(n) for s, n in result.active_counts.items()
-                },
+                "error": f"{type(exc).__name__}: {exc}",
+                "code": contract.error_code(exc),
             }
-        if op == "add":
-            future = self.submit_add(
-                [int(v) for v in request["members"]],  # type: ignore[arg-type]
-                name=request.get("name"),
+
+    # One handler per contract row, returning the fields that follow
+    # ``ok``/``op`` in the response (see contract.bind_handlers).
+    def _op_metric(self, request: Request) -> Dict[str, object]:
+        """``s``, ``metric``, ``columns?`` -> ``values`` by hyperedge ID."""
+        s = int(request["s"])
+        name = str(request.get("metric", "connected_components"))
+        if name not in METRIC_FUNCTIONS:
+            raise ValidationError(
+                f"unknown metric {name!r}; available: {sorted(METRIC_FUNCTIONS)}"
             )
-            if request.get("wait"):
-                return {"ok": True, "op": op, "edge_id": int(future.result())}
-            return {"ok": True, "op": op, "queued": True}
-        if op == "remove":
-            future = self.submit_remove(int(request["edge_id"]))
-            if request.get("wait"):
-                future.result()
-                return {"ok": True, "op": op, "removed": True}
-            return {"ok": True, "op": op, "queued": True}
-        if op == "flush":
-            self.flush()
-            return {"ok": True, "op": op, "flushed": True}
-        if op == "compact":
-            compacted = self.compact()
+        values = self.metric_by_hyperedge(s, name)
+        base: Dict[str, object] = {
+            "s": s,
+            "metric": name,
+            "generation": self.generation,
+        }
+        if request.get("columns"):
+            # Columnar fast path (binary data plane): parallel sorted
+            # int64/float64 arrays instead of a str-keyed JSON object.
+            # Sections like these only survive a protocol >= 2
+            # connection; the transport enforces that.
+            ids = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
+            vals = np.fromiter(values.values(), dtype=np.float64, count=len(values))
+            order = np.argsort(ids, kind="stable")
+            base["columns"] = True
+            base["edge_ids"] = ids[order]
+            base["values"] = vals[order]
+            return base
+        base["values"] = {str(k): float(v) for k, v in sorted(values.items())}
+        return base
+
+    def _op_components(self, request: Request) -> Dict[str, object]:
+        """``s`` -> ``count`` of s-connected components."""
+        s = int(request["s"])
+        return {"s": s, "count": self.num_components(s)}
+
+    def _op_sweep(self, request: Request) -> Dict[str, object]:
+        """``s_values`` or ``s_min``/``s_max``, ``metrics?``, ``columns?``
+        -> ``edge_counts`` and ``active_counts`` per s."""
+        if "s_values" in request:
+            s_values = [int(v) for v in request["s_values"]]  # type: ignore[arg-type]
+        else:
+            s_values = list(
+                range(int(request.get("s_min", 1)), int(request["s_max"]) + 1)
+            )
+        metrics = [str(m) for m in request.get("metrics", ())]  # type: ignore[union-attr]
+        result = self.sweep(s_values, metrics=metrics)
+        if request.get("columns"):
+            ordered = sorted(result.edge_counts)
             return {
-                "ok": True,
-                "op": op,
-                "compacted": bool(compacted),
-                "generation": self.generation,
-            }
-        if op == "stats":
-            return {"ok": True, "op": op, "stats": self.stats()}
-        if op == "metrics":
-            return {
-                "ok": True,
-                "op": op,
-                "content_type": "text/plain; version=0.0.4; charset=utf-8",
-                "text": render_prometheus(self._registry),
-            }
-        if op == "trace":
-            trace_id = request.get("trace_id")
-            return {
-                "ok": True,
-                "op": op,
-                "traces": self._tracer.finished_traces(
-                    trace_id=None if trace_id is None else str(trace_id),
-                    limit=int(request.get("limit", 20)),
+                "columns": True,
+                "s_values": np.asarray(ordered, dtype=np.int64),
+                "edge_counts": np.asarray(
+                    [result.edge_counts[s] for s in ordered], dtype=np.int64
                 ),
-                "tracing": self._tracer.stats(),
+                "active_counts": np.asarray(
+                    [result.active_counts[s] for s in ordered], dtype=np.int64
+                ),
             }
-        if op == "repl_manifest":
-            return {"ok": True, "op": op, **self._replication.repl_manifest()}
-        if op == "repl_wal":
-            if "after_bytes" in request or "next_seq" in request:
-                # Byte-offset cursor mode: ship the raw validated log
-                # suffix after (generation, byte_offset) — O(suffix), not
-                # O(WAL) — see docs/PROTOCOL.md.
-                payload = self._replication.repl_wal_suffix(
-                    int(request["generation"]),
-                    int(request.get("after_bytes", 0)),
-                    int(request.get("next_seq", 1)),
-                    raw=bool(request.get("raw", False)),
-                )
-            else:
-                payload = self._replication.repl_wal(
-                    int(request["generation"]), int(request.get("after_seq", 0))
-                )
-            return {"ok": True, "op": op, **payload}
-        if op == "repl_fetch":
-            payload = self._replication.repl_fetch(
-                str(request["file"]),
+        return {
+            "edge_counts": {str(s): int(n) for s, n in result.edge_counts.items()},
+            "active_counts": {
+                str(s): int(n) for s, n in result.active_counts.items()
+            },
+        }
+
+    def _op_add(self, request: Request) -> Dict[str, object]:
+        """``members``, ``name?``, ``wait?`` -> ``queued``, or the durable
+        ``edge_id`` with ``wait``."""
+        future = self.submit_add(
+            [int(v) for v in request["members"]],  # type: ignore[arg-type]
+            name=request.get("name"),
+        )
+        if request.get("wait"):
+            return {"edge_id": int(future.result())}
+        return {"queued": True}
+
+    def _op_remove(self, request: Request) -> Dict[str, object]:
+        """``edge_id``, ``wait?`` -> ``queued``, or ``removed`` once durable."""
+        future = self.submit_remove(int(request["edge_id"]))
+        if request.get("wait"):
+            future.result()
+            return {"removed": True}
+        return {"queued": True}
+
+    def _op_flush(self, request: Request) -> Dict[str, object]:
+        """-> ``flushed`` once every earlier update is durable."""
+        self.flush()
+        return {"flushed": True}
+
+    def _op_compact(self, request: Request) -> Dict[str, object]:
+        """-> ``compacted`` and the new ``generation``."""
+        compacted = self.compact()
+        return {"compacted": bool(compacted), "generation": self.generation}
+
+    def _op_stats(self, request: Request) -> Dict[str, object]:
+        """-> the :meth:`stats` snapshot."""
+        return {"stats": self.stats()}
+
+    def _op_metrics(self, request: Request) -> Dict[str, object]:
+        """-> the registry as Prometheus exposition ``text``."""
+        return {
+            "content_type": "text/plain; version=0.0.4; charset=utf-8",
+            "text": render_prometheus(self._registry),
+        }
+
+    def _op_trace(self, request: Request) -> Dict[str, object]:
+        """``trace_id?``, ``limit?`` -> finished ``traces``, oldest first."""
+        trace_id = request.get("trace_id")
+        return {
+            "traces": self._tracer.finished_traces(
+                trace_id=None if trace_id is None else str(trace_id),
+                limit=int(request.get("limit", 20)),
+            ),
+            "tracing": self._tracer.stats(),
+        }
+
+    def _op_repl_manifest(self, request: Request) -> Dict[str, object]:
+        """-> live manifest plus per-file checksums (docs/PROTOCOL.md §4.1)."""
+        return self._replication.repl_manifest()
+
+    def _op_repl_wal(self, request: Request) -> Dict[str, object]:
+        """``generation`` plus a cursor -> WAL suffix or records (§4.3-4.4)."""
+        if "after_bytes" in request or "next_seq" in request:
+            # Byte-offset cursor mode: ship the raw validated log
+            # suffix after (generation, byte_offset) — O(suffix), not
+            # O(WAL) — see docs/PROTOCOL.md.
+            return self._replication.repl_wal_suffix(
                 int(request["generation"]),
-                int(request.get("offset", 0)),
-                int(request["length"]),
-                # Raw bytes ride a binary frame; base64 is the v1 fallback.
+                int(request.get("after_bytes", 0)),
+                int(request.get("next_seq", 1)),
                 raw=bool(request.get("raw", False)),
             )
-            return {"ok": True, "op": op, **payload}
-        if op == "chaos":
-            return self._serve_chaos(request)
-        raise ValidationError(
-            f"unknown op {op!r}; expected one of metric/components/sweep/"
-            "add/remove/flush/compact/stats/metrics/trace/"
-            "repl_manifest/repl_wal/repl_fetch/chaos"
+        return self._replication.repl_wal(
+            int(request["generation"]), int(request.get("after_seq", 0))
         )
 
-    def _serve_chaos(self, request: Request) -> Dict[str, object]:
-        """Failpoint control for a live process (the chaos harness's lever).
+    def _op_repl_fetch(self, request: Request) -> Dict[str, object]:
+        """``file``, ``generation``, ``offset?``, ``length``, ``raw?`` -> one
+        snapshot-file chunk (§4.2)."""
+        return self._replication.repl_fetch(
+            str(request["file"]),
+            int(request["generation"]),
+            int(request.get("offset", 0)),
+            int(request["length"]),
+            # Raw bytes ride a binary frame; base64 is the v1 fallback.
+            raw=bool(request.get("raw", False)),
+        )
+
+    def _op_chaos(self, request: Request) -> Dict[str, object]:
+        """Failpoint control for a live process (the chaos harness's lever):
+        ``cmd`` = activate/deactivate/reset/list -> ``active``, ``hits``.
 
         Gated: unless the process was launched with ``REPRO_CHAOS`` set
         (``repro serve --chaos`` does this), the op is refused — fault
@@ -627,8 +633,6 @@ class QueryService:
                 "activate/deactivate/reset/list"
             )
         return {
-            "ok": True,
-            "op": "chaos",
             "cmd": cmd,
             "active": _failpoints.active(),
             "hits": _failpoints.hits(),

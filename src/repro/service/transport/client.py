@@ -41,10 +41,9 @@ import socket
 import time
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.service.contract import E_STALE, is_idempotent, op_name
 from repro.service.transport.framing import (
     DEFAULT_MAX_FRAME_BYTES,
-    E_STALE,
-    IDEMPOTENT_OPS,
     PROTOCOL_VERSION,
     PROTOCOL_VERSION_BINARY,
     SUPPORTED_PROTOCOLS,
@@ -62,13 +61,6 @@ from repro.service.transport.framing import (
 )
 from repro.obs.trace import get_tracer
 from repro.store.replication import ReplicationStaleError
-
-#: Request ops the client may safely re-send after a reconnect — the wire
-#: contract's partition (``framing.IDEMPOTENT_OPS``), not a private copy
-#: that could drift into a double-apply bug.  The replication ops are
-#: pure reads of pinned-generation state, so a mirror mid-sync survives a
-#: server restart instead of aborting the sync.
-_IDEMPOTENT_OPS = IDEMPOTENT_OPS
 
 
 def _close_quietly(sock: Optional[socket.socket]) -> None:
@@ -93,14 +85,16 @@ def _is_idempotent(request: Dict[str, object]) -> bool:
     A ``batch`` is only as idempotent as its contents: one ``add`` inside
     makes the whole frame non-retryable, otherwise a batch committed just
     before the connection died would be applied twice on the re-send.
+    Which ops qualify is the contract's ``idempotent`` flag — the
+    replication ops do, so a mirror mid-sync survives a server restart.
     """
-    op = request.get("op")
+    op = op_name(request)
     if op == "batch":
         requests = request.get("requests")
         return isinstance(requests, list) and all(
-            isinstance(r, dict) and r.get("op") in _IDEMPOTENT_OPS for r in requests
+            isinstance(r, dict) and is_idempotent(op_name(r)) for r in requests
         )
-    return op in _IDEMPOTENT_OPS
+    return is_idempotent(op)
 
 
 class ServiceClient:
@@ -293,7 +287,7 @@ class ServiceClient:
         joins the same trace; servers that predate tracing ignore the
         extra key.
         """
-        op = str(request.get("op", ""))
+        op = op_name(request)
         with self._tracer.start_span(f"client.{op or 'unknown'}") as span:
             if span.recording and "trace" not in request:
                 ctx = self._tracer.wire_context()

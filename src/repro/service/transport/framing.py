@@ -2,7 +2,8 @@
 
 This module implements the frame layer specified normatively in
 ``docs/PROTOCOL.md`` — the byte layouts, the hello/version-negotiation
-state machine, and the error-code registry all live there; the docstrings
+state machine, and the op and error-code tables all live there (their
+code-side declaration is :mod:`repro.service.contract`); the docstrings
 below are a summary, the spec is the source of truth.
 
 A connection is a bidirectional stream of *frames*.  Every frame starts
@@ -50,9 +51,10 @@ Transport-level ops (see ``docs/PROTOCOL.md`` for payload shapes):
     Graceful connection teardown: the server acknowledges, then closes.
 
 Failure responses carry ``ok = false``, a human-readable ``error`` and a
-machine-readable ``code`` (the ``E_*`` constants below), so clients can
-distinguish "retry later" (:data:`E_BUSY`) from "fix the request"
-(:data:`E_BAD_REQUEST`) from "talk to the writer" (:data:`E_READ_ONLY`).
+machine-readable ``code`` (the ``E_*`` constants of
+:mod:`repro.service.contract`), so clients can distinguish "retry later"
+(``busy``) from "fix the request" (``bad_request``) from "talk to the
+writer" (``read_only``).
 
 Framing errors are symmetric: a reader that hits end-of-stream *inside* a
 frame raises :class:`TruncatedFrameError`; a declared length above the
@@ -60,7 +62,7 @@ reader's ``max_frame_bytes`` raises :class:`FrameTooLargeError` before any
 payload is read, so an adversarial or buggy peer cannot make the reader
 allocate unbounded memory.  A corrupt binary frame raises
 :class:`FrameError` after the body is read — the server answers it with a
-:data:`E_BAD_FRAME` error and drops only that connection.
+``bad_frame`` error and drops only that connection.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.service.contract import E_BUSY, E_INTERNAL, E_PROTOCOL
 
 try:  # pragma: no cover - exercised only where zstandard is installed
     import zstandard as _zstd
@@ -104,49 +108,6 @@ DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: Bytes below which a compressible section is sent uncompressed (the
 #: codec round trip would cost more than the bytes saved).
 MIN_COMPRESS_BYTES = 512
-
-# --------------------------------------------------------------------- #
-# Error codes (the ``code`` field of failure responses)
-# --------------------------------------------------------------------- #
-E_PROTOCOL = "protocol_mismatch"  #: handshake version/shape not accepted
-E_BAD_FRAME = "bad_frame"  #: unparseable or oversized frame
-E_BAD_REQUEST = "bad_request"  #: well-formed frame, invalid request
-E_READ_ONLY = "read_only"  #: write sent to a read-only replica server
-E_BUSY = "busy"  #: connection limit reached — retry later
-E_UNAVAILABLE = "unavailable"  #: server is shutting down / store error
-E_STALE = "stale_generation"  #: replication op pinned a superseded generation
-E_INTERNAL = "internal"  #: unexpected server-side failure
-
-# --------------------------------------------------------------------- #
-# Op idempotency (the auto-retry contract)
-# --------------------------------------------------------------------- #
-#: Service ops a client may transparently re-send after a reconnect.
-#: Pure reads only — the replication ops read pinned-generation state, so
-#: a re-send cannot observe (let alone apply) anything twice.  The client
-#: derives its auto-retry set from this constant; keeping the partition
-#: here, next to the error codes, makes idempotency part of the wire
-#: contract rather than a per-client opinion.
-IDEMPOTENT_OPS = frozenset(
-    {
-        "metric",
-        "components",
-        "sweep",
-        "stats",
-        "metrics",
-        "trace",
-        "repl_manifest",
-        "repl_fetch",
-        "repl_wal",
-    }
-)
-
-#: Service ops that mutate server state or act as durability barriers:
-#: never auto-retried.  A connection lost after sending one loses the
-#: reply, and re-sending could apply the mutation twice — the caller must
-#: decide (at-least-once vs give-up), not the transport.  Every op the
-#: service dispatches must appear in exactly one of these two sets
-#: (enforced by ``tools/repro-lint``'s op-contract rule).
-NONIDEMPOTENT_OPS = frozenset({"add", "remove", "flush", "compact", "chaos"})
 
 
 class TransportError(Exception):

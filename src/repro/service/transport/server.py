@@ -32,21 +32,23 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.chaos.failpoints import fire as _failpoint
 from repro.obs import get_registry, get_tracer
-from repro.service.service import QueryService
-from repro.service.transport.framing import (
-    DEFAULT_MAX_FRAME_BYTES,
+from repro.service.contract import (
     E_BAD_FRAME,
     E_BAD_REQUEST,
     E_BUSY,
     E_INTERNAL,
     E_PROTOCOL,
-    E_READ_ONLY,
-    E_STALE,
     E_UNAVAILABLE,
+    OP_NAMES,
+    op_name,
+)
+from repro.service.service import QueryService
+from repro.service.transport.framing import (
+    DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     PROTOCOL_VERSION_BINARY,
     SUPPORTED_PROTOCOLS,
@@ -76,45 +78,8 @@ _SHUTDOWN_GRACE = 1.0
 #: own, much larger budget before the connection is declared dead.
 _SEND_TIMEOUT = 60.0
 
-#: Error codes for the exception type names reported by
-#: :meth:`QueryService.execute` (anything unlisted is ``internal``).
-_ERROR_CODE_BY_TYPE = {
-    "ValidationError": E_BAD_REQUEST,
-    "ReadOnlyStoreError": E_READ_ONLY,
-    "StoreError": E_UNAVAILABLE,
-    "StoreFormatError": E_UNAVAILABLE,
-    "FingerprintMismatchError": E_UNAVAILABLE,
-    "ReplicationError": E_UNAVAILABLE,
-    "ReplicationStaleError": E_STALE,
-    "KeyError": E_BAD_REQUEST,
-    "TypeError": E_BAD_REQUEST,
-    "ValueError": E_BAD_REQUEST,
-}
-
 #: Ops handled by the transport itself rather than the service.
 _TRANSPORT_OPS = frozenset({"hello", "goodbye", "batch"})
-
-#: The op vocabulary the per-op latency histogram is labelled with.  A
-#: bounded set keeps label cardinality fixed no matter what clients send;
-#: anything else is folded into ``other``.
-_METRIC_OPS = (
-    "metric",
-    "components",
-    "sweep",
-    "add",
-    "remove",
-    "flush",
-    "compact",
-    "stats",
-    "metrics",
-    "trace",
-    "repl_manifest",
-    "repl_wal",
-    "repl_fetch",
-    "chaos",
-    "batch",
-    "other",
-)
 
 
 @dataclass
@@ -128,16 +93,6 @@ class ServerStats:
     active_connections: int = 0
 
 
-def classify_error(response: Dict[str, object]) -> Dict[str, object]:
-    """Attach a transport error ``code`` to a failed service response."""
-    if response.get("ok") or "code" in response:
-        return response
-    error = str(response.get("error", ""))
-    type_name = error.split(":", 1)[0]
-    response["code"] = _ERROR_CODE_BY_TYPE.get(type_name, E_INTERNAL)
-    return response
-
-
 def _request_needs_v2(request: Dict[str, object]) -> bool:
     """Whether a request asks for a response only binary frames can carry.
 
@@ -148,7 +103,7 @@ def _request_needs_v2(request: Dict[str, object]) -> bool:
     """
     if request.get("columns") or request.get("raw"):
         return True
-    if request.get("op") == "batch":
+    if op_name(request) == "batch":
         requests = request.get("requests")
         if isinstance(requests, list):
             return any(
@@ -220,8 +175,12 @@ class SocketServer:
             ("op",),
         )
         # Children are bound once here so the per-request cost is a single
-        # striped observe — and the label set stays bounded (see _METRIC_OPS).
-        self._m_latency = {op: latency.labels(op=op) for op in _METRIC_OPS}
+        # striped observe — and the label set stays bounded no matter what
+        # clients send: the contract's rows plus the transport's own
+        # ``batch``; anything else is folded into ``other``.
+        self._m_latency = {
+            op: latency.labels(op=op) for op in (*OP_NAMES, "batch", "other")
+        }
         self._m_inflight = registry.gauge(
             "repro_inflight_requests", "Request frames currently being served."
         )
@@ -447,7 +406,7 @@ class SocketServer:
                 return
             if request is None:
                 return
-            op = str(request.get("op", ""))
+            op = op_name(request)
             if op == "goodbye":
                 self._send_best_effort(conn, {"ok": True, "op": "goodbye"})
                 return
@@ -476,7 +435,7 @@ class SocketServer:
                     elif op == "batch":
                         response = self._serve_batch(request)
                     else:
-                        response = classify_error(self.service.execute(request))
+                        response = self.service.execute(request)
                         if op == "stats" and response.get("ok"):
                             stats_obj = response.get("stats")
                             if isinstance(stats_obj, dict):
@@ -509,7 +468,7 @@ class SocketServer:
                     conn,
                     {
                         "ok": False,
-                        "op": str(request.get("op", "")),
+                        "op": op,
                         "code": E_BAD_FRAME,
                         "error": f"response exceeds the frame cap: {exc}",
                     },
@@ -536,7 +495,7 @@ class SocketServer:
                 return
             if request is None:
                 return
-            op = str(request.get("op", ""))
+            op = op_name(request)
             if op == "goodbye":
                 self._send_best_effort(conn, {"ok": True, "op": "goodbye"})
                 return
@@ -561,17 +520,14 @@ class SocketServer:
                 "code": E_BAD_REQUEST,
                 "error": "'batch' needs a 'requests' list of objects",
             }
-        if any(r.get("op") in _TRANSPORT_OPS for r in requests):
+        if any(op_name(r) in _TRANSPORT_OPS for r in requests):
             return {
                 "ok": False,
                 "op": "batch",
                 "code": E_BAD_REQUEST,
                 "error": "transport ops cannot be nested inside a batch",
             }
-        results: List[Dict[str, object]] = [
-            classify_error(r) for r in self.service.serve(requests)
-        ]
-        return {"ok": True, "op": "batch", "results": results}
+        return {"ok": True, "op": "batch", "results": self.service.serve(requests)}
 
     # ------------------------------------------------------------------ #
     # Frame I/O (stop-flag aware)

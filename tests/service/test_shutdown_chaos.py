@@ -15,8 +15,8 @@ import pytest
 
 from repro.chaos import failpoints as fp
 from repro.service import QueryService, SocketServer
+from repro.service.contract import E_UNAVAILABLE
 from repro.service.transport.framing import (
-    E_UNAVAILABLE,
     hello_request,
     recv_frame,
     send_frame,

@@ -1,19 +1,34 @@
-"""Cross-module wire-contract invariants, pinned as plain unit tests.
+"""The wire contract (``repro.service.contract``), checked by behaviour.
 
-``tools/repro-lint`` checks the same facts statically in CI; these tests
-assert them against the *imported* modules, so a refactor that happens to
-slip past the AST pass still fails here.
+The op and error tables are declared once and everything else derives
+from them, so there are no copies left to compare.  These tests drive the
+derived behaviour instead: per row, what the client does after a dropped
+response and which metric label the server observes; per exception class,
+which code the response carries; and that a handler/row mismatch cannot
+even be defined.
 """
+
+import socket
 
 import pytest
 
+from repro.chaos import failpoints as fp
 from repro.obs import MetricsRegistry, use_registry
-from repro.service import QueryService
-from repro.service.transport import ServiceClient, SocketServer
-from repro.service.transport import client as client_mod
-from repro.service.transport import framing
-from repro.service.transport import server as server_mod
+from repro.service import QueryService, StoreLockHeldError, contract
+from repro.service.transport import ServiceClient, SocketServer, TransportError
+from repro.service.transport.client import _is_idempotent
+from repro.service.transport.framing import hello_request, recv_frame, send_frame
+from repro.store.format import ReadOnlyStoreError, StoreError
+from repro.store.replication import ReplicationStaleError
 from repro.store.store import IndexStore
+from repro.utils.validation import ValidationError
+
+
+@pytest.fixture(autouse=True)
+def clean_failpoints():
+    fp.reset()
+    yield
+    fp.reset()
 
 
 @pytest.fixture
@@ -22,30 +37,28 @@ def store_path(community_hypergraph, tmp_path):
     return str(tmp_path / "idx")
 
 
-class TestOpPartition:
-    def test_every_op_is_classified_exactly_once(self):
-        assert not framing.IDEMPOTENT_OPS & framing.NONIDEMPOTENT_OPS
-        assert framing.IDEMPOTENT_OPS and framing.NONIDEMPOTENT_OPS
-
-    def test_client_retry_set_is_the_framing_constant(self):
-        """Regression: the client kept a private copy of the retry set; a
-        mutating op landing in the stale copy would be transparently
-        re-sent after a reconnect (double-apply)."""
-        assert client_mod._IDEMPOTENT_OPS is framing.IDEMPOTENT_OPS
-
-    def test_mutating_ops_are_never_auto_retried(self):
-        for op in framing.NONIDEMPOTENT_OPS:
-            assert op not in client_mod._IDEMPOTENT_OPS, op
-
-
-class TestMetricLabelVocabulary:
-    def test_per_op_labels_cover_the_whole_contract(self):
-        """Regression: ``chaos`` was missing from the server's label
-        vocabulary, so its latency and errors were folded into
-        ``op="other"`` and invisible per-op."""
-        every_op = framing.IDEMPOTENT_OPS | framing.NONIDEMPOTENT_OPS
-        missing = every_op - set(server_mod._METRIC_OPS)
-        assert not missing, f"ops without metric labels: {sorted(missing)}"
+class TestEveryContractRow:
+    @pytest.mark.parametrize("row", contract.OPS, ids=lambda row: row.name)
+    def test_retry_and_label_follow_the_row(self, store_path, row):
+        """The double-apply guard, exercised: the server executes the
+        request, its response is dropped, and only an idempotent row is
+        transparently sent a second time."""
+        with use_registry(MetricsRegistry()) as registry:
+            with QueryService(store_path) as svc, SocketServer(svc) as server:
+                with ServiceClient(*server.address) as client:
+                    fp.activate("transport.send", "drop", count=1)
+                    if row.idempotent:
+                        response = client.call({"op": row.name})
+                        assert response["op"] == row.name
+                        served = 2
+                    else:
+                        with pytest.raises(TransportError, match="not idempotent"):
+                            client.call({"op": row.name})
+                        served = 1
+                assert server.stats.requests_served == served
+        latency = registry.get("repro_request_seconds")
+        assert latency.labels(op=row.name).count == served
+        assert latency.labels(op="other").count == 0
 
     def test_refused_chaos_op_counts_under_its_own_label(self, store_path):
         with use_registry(MetricsRegistry()) as registry:
@@ -56,3 +69,110 @@ class TestMetricLabelVocabulary:
         assert not response["ok"]
         errors = registry.get("repro_request_errors_total")
         assert errors.labels(op="chaos", code="bad_request").value == 1
+
+
+def _service_class(op_names):
+    return type(
+        "Service", (), {f"_op_{name}": lambda self, request: {} for name in op_names}
+    )
+
+
+class TestHandlersMatchRows:
+    def test_one_handler_per_row_binds(self):
+        cls = contract.bind_handlers(_service_class(contract.OP_NAMES))
+        assert tuple(cls._handlers) == contract.OP_NAMES
+
+    def test_row_without_handler_is_rejected_at_class_definition(self):
+        with pytest.raises(TypeError, match=r"missing \['chaos'\]"):
+            contract.bind_handlers(_service_class(contract.OP_NAMES[:-1]))
+
+    def test_handler_without_row_is_rejected_at_class_definition(self):
+        with pytest.raises(TypeError, match=r"without a row \['teleport'\]"):
+
+            @contract.bind_handlers
+            class Surplus(QueryService):
+                def _op_teleport(self, request):  # pragma: no cover
+                    return {}
+
+
+class _StaleByAnotherName(ReplicationStaleError):
+    pass
+
+
+ERROR_CASES = [
+    pytest.param(_StaleByAnotherName("gen 3 superseded"), "stale_generation", id="stale-subclass"),
+    pytest.param(StoreLockHeldError("held by pid 1"), "unavailable", id="lock-held"),
+    pytest.param(ReadOnlyStoreError("replica"), "read_only", id="read-only-beats-store"),
+    pytest.param(StoreError("bad shard"), "unavailable", id="store-beats-validation"),
+    pytest.param(ValidationError("s must be >= 1"), "bad_request", id="validation"),
+    pytest.param(KeyError("s"), "bad_request", id="key"),
+    pytest.param(RuntimeError("boom"), "internal", id="unrelated"),
+]
+
+
+class TestErrorCodeFollowsTheClass:
+    @pytest.mark.parametrize("exc, code", ERROR_CASES)
+    def test_in_process_and_wire_payloads_carry_the_same_code(
+        self, store_path, monkeypatch, exc, code
+    ):
+        def failing_stats():
+            raise exc
+
+        with QueryService(store_path) as svc, SocketServer(svc) as server:
+            monkeypatch.setattr(svc, "stats", failing_stats)
+            local = svc.execute({"op": "stats"})
+            with ServiceClient(*server.address) as client:
+                remote = client.call({"op": "stats"})
+        assert local["ok"] is False and local["code"] == code
+        assert remote == local
+        assert local["error"].startswith(type(exc).__name__ + ": ")
+
+
+def _raw_connection(address, protocols):
+    sock = socket.create_connection(address, timeout=10.0)
+    hello = hello_request()
+    if protocols:
+        hello["protocols"] = protocols
+    send_frame(sock, hello)
+    reply = recv_frame(sock)
+    assert reply["ok"] and reply["negotiated"] == max(protocols or [1]), reply
+    return sock
+
+
+class TestNonStringOpIsJustAnUnknownOp:
+    @pytest.mark.parametrize("protocols", [None, [1, 2]], ids=["v1", "v2"])
+    @pytest.mark.parametrize("bad_op", [["x"], {"x": 1}], ids=["list", "object"])
+    def test_batch_answers_typed_and_connection_survives(
+        self, store_path, protocols, bad_op
+    ):
+        """Regression: the unhashable ``op`` of a sub-request raised
+        ``TypeError`` out of the handler thread — the peer read a bare EOF
+        and no error was counted."""
+        with QueryService(store_path) as svc, SocketServer(svc) as server:
+            sock = _raw_connection(server.address, protocols)
+            try:
+                send_frame(
+                    sock,
+                    {"op": "batch", "requests": [{"op": bad_op}, {"op": "components", "s": 1}]},
+                )
+                response = recv_frame(sock)
+                assert response is not None, "handler thread died: bare EOF"
+                assert response["ok"] and response["op"] == "batch"
+                refused, served = response["results"]
+                assert refused["ok"] is False
+                assert refused["code"] == "bad_request"
+                assert "unknown op" in refused["error"]
+                assert served["ok"] and served["count"] >= 1
+                send_frame(sock, {"op": bad_op})
+                single = recv_frame(sock)
+                assert single["code"] == "bad_request"
+                send_frame(sock, {"op": "components", "s": 1})
+                assert recv_frame(sock)["ok"]
+            finally:
+                sock.close()
+
+    def test_client_retry_test_does_not_raise(self):
+        assert _is_idempotent({"op": ["x"]}) is False
+        assert _is_idempotent({"op": "batch", "requests": [{"op": {"x": 1}}]}) is False
+        assert _is_idempotent({"op": "batch", "requests": [{"op": "stats"}]}) is True
+        assert _is_idempotent({"op": "batch", "requests": [{"op": "add"}]}) is False

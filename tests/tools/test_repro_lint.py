@@ -46,24 +46,6 @@ SEEDED = [
         id="blocking-under-lock",
     ),
     pytest.param(
-        "error_contract/src",
-        "error_contract/docs",
-        ["error-code-contract"],
-        [
-            ("docs/PROTOCOL.md", None),
-            ("docs/PROTOCOL.md", 9),
-            ("service/transport/server.py", None),
-        ],
-        id="error-code-contract",
-    ),
-    pytest.param(
-        "op_contract/src",
-        None,
-        ["op-contract"],
-        [("service/transport/client.py", None)],
-        id="op-contract",
-    ),
-    pytest.param(
         "failpoint_contract/src",
         None,
         ["failpoint-contract"],
@@ -189,8 +171,12 @@ def test_syntax_error_file_is_skipped(tmp_path):
 # --------------------------------------------------------------------- #
 # CLI surface
 # --------------------------------------------------------------------- #
-def test_cli_rejects_unknown_rule():
-    assert cli.main(["--rules", "no-such-rule", "--no-docs"]) == 2
+@pytest.mark.parametrize(
+    "rule", ["no-such-rule", "op-contract", "error-code-contract"]
+)
+def test_cli_rejects_unknown_rule(rule):
+    """The two retired contract rules are gone, not silently accepted."""
+    assert cli.main(["--rules", rule, "--no-docs"]) == 2
 
 
 def test_cli_rejects_missing_src_root(tmp_path):
@@ -201,7 +187,7 @@ def test_cli_list_rules(capsys):
     assert cli.main(["--list-rules"]) == 0
     out = capsys.readouterr().out.split()
     assert set(NON_CONTRACT_RULES) <= set(out)
-    assert len(out) == 9
+    assert len(out) == 7
 
 
 # --------------------------------------------------------------------- #

@@ -15,12 +15,12 @@ silently rot away from the code:
    context).
 3. **Intra-repo links resolve.**  Relative markdown link targets
    (anchors stripped) must exist on disk, relative to the document.
-4. **Contract tables mirror the code.**  ``docs/PROTOCOL.md``'s
-   error-code table is checked against the ``E_*`` registry in
-   ``framing.py`` and ``docs/OPERATIONS.md``'s metrics catalogue against
-   the names actually registered in ``src/`` — via the same extraction
-   code ``tools/repro-lint`` uses (imported from ``repro_lint.contracts``,
-   shared, not duplicated).
+4. **Contract tables mirror the code.**  ``docs/PROTOCOL.md``'s op table
+   (§3) and error-code table (§5) are compared with the rows *imported*
+   from ``repro.service.contract``, and ``docs/OPERATIONS.md``'s metrics
+   catalogue with the names actually registered in ``src/`` — the latter
+   via the same extraction code ``tools/repro-lint`` uses (imported from
+   ``repro_lint.contracts``, shared, not duplicated).
 
 Exit status is non-zero when any check fails; failures are reported
 with ``file:line`` so they are clickable in CI logs.
@@ -133,19 +133,77 @@ def check_python_blocks(doc, text):
     return errors
 
 
+def _compare_table(doc, what, rows, expected):
+    """Error strings for a docs table that is not exactly ``expected``.
+
+    ``rows`` is ``[(lineno, key, value)]`` as documented, ``expected`` the
+    ``{key: value}`` the code declares.  A missing row is anchored at the
+    table's last line — where it would be added.
+    """
+    if not rows:
+        return [f"{doc}:0: {what} table not found"]
+    errors = []
+    for lineno, key, value in rows:
+        if key not in expected:
+            errors.append(f"{doc}:{lineno}: documents unknown {what} {key!r}")
+        elif value != expected[key]:
+            errors.append(
+                f"{doc}:{lineno}: {what} {key!r} documented as {value}, "
+                f"the contract says {expected[key]}"
+            )
+    documented = {key for _, key, _ in rows}
+    for key in expected:
+        if key not in documented:
+            errors.append(
+                f"{doc}:{rows[-1][0]}: {what} {key!r} ({expected[key]}) "
+                "missing from the table"
+            )
+    return errors
+
+
+def check_protocol_tables(doc):
+    """PROTOCOL.md's op (§3) and error-code (§5) tables vs the rows of
+    ``repro.service.contract``."""
+    from repro.service import contract
+
+    lines = doc.read_text(encoding="utf-8").splitlines()
+
+    def documented(header, width):
+        return [
+            (lineno, cells[0], " / ".join(cells[1:width]))
+            for lineno, cells in contracts.table_rows(lines, header)
+        ]
+
+    yes_no = {True: "yes", False: "no"}
+    ops = {
+        op.name: f"{yes_no[op.idempotent]} / {yes_no[op.fanout_read]}"
+        for op in contract.OPS
+    }
+    codes = {
+        value: name for name, value in vars(contract).items() if name.startswith("E_")
+    }
+    return _compare_table(
+        doc, "op", documented(["Op", "Auto-retried after a reconnect"], 3), ops
+    ) + _compare_table(
+        doc, "error code", documented(["Code", "Constant"], 2), codes
+    )
+
+
 def check_contract_tables(doc):
-    """Verify a doc's contract table against the code registries.
+    """Verify a doc's contract tables against the code.
 
     Only PROTOCOL.md and OPERATIONS.md carry such tables; other
     documents return no errors.  Returns error strings.
     """
-    src_root = REPO_ROOT / "src" / "repro"
-    findings = []
     if doc.name == "PROTOCOL.md":
-        findings = contracts.check_protocol_error_table(src_root, doc)
-    elif doc.name == "OPERATIONS.md":
-        findings = contracts.check_metrics_catalogue(src_root, doc)
-    return [finding.render() for finding in findings]
+        return check_protocol_tables(doc)
+    if doc.name == "OPERATIONS.md":
+        src_root = REPO_ROOT / "src" / "repro"
+        return [
+            finding.render()
+            for finding in contracts.check_metrics_catalogue(src_root, doc)
+        ]
+    return []
 
 
 def main(argv=None):

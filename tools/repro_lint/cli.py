@@ -3,7 +3,7 @@
 Usage::
 
     python tools/repro-lint                    # lint src/repro against docs/
-    python tools/repro-lint --rules op-contract,ack-before-fsync
+    python tools/repro-lint --rules failpoint-contract,ack-before-fsync
     python tools/repro-lint --src-root tools/repro_lint/fixtures/lock_cycle \
         --no-docs --rules lock-order-cycle     # fixture self-test form
 
@@ -30,8 +30,6 @@ LOCK_SCOPE = ("service/", "store/", "obs/", "engine/", "chaos/")
 RULES = (
     lockgraph.RULE_CYCLE,
     lockgraph.RULE_BLOCKING,
-    contracts.RULE_ERRORS,
-    contracts.RULE_OPS,
     contracts.RULE_FAILPOINTS,
     contracts.RULE_METRICS_DOC,
     invariants.RULE_WALLCLOCK,
@@ -39,12 +37,7 @@ RULES = (
     invariants.RULE_ACK,
 )
 
-_CONTRACT_RULES = {
-    contracts.RULE_ERRORS,
-    contracts.RULE_OPS,
-    contracts.RULE_FAILPOINTS,
-    contracts.RULE_METRICS_DOC,
-}
+_CONTRACT_RULES = {contracts.RULE_FAILPOINTS, contracts.RULE_METRICS_DOC}
 _LOCK_RULES = {lockgraph.RULE_CYCLE, lockgraph.RULE_BLOCKING}
 _INVARIANT_RULES = {
     invariants.RULE_WALLCLOCK,
@@ -95,7 +88,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--docs-root",
         type=Path,
         default=REPO_ROOT / "docs",
-        help="directory holding PROTOCOL.md / OPERATIONS.md (default: docs/)",
+        help="directory holding OPERATIONS.md (default: docs/)",
     )
     parser.add_argument(
         "--no-docs",

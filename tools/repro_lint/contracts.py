@@ -1,27 +1,22 @@
-"""Contract-consistency checks: one source of truth, all consumers agree.
+"""Contract-consistency checks: a declared table vs the call sites it names.
 
-Four registries anchor the serving stack's wire and operability
-contracts.  Each has consumers that can silently drift; these checks
-cross-reference them mechanically:
+Two registries have consumers that are *call sites* scattered over
+``src/`` — no single declaration can make them agree by construction, so
+these checks cross-reference them mechanically:
 
-* ``error-code-contract`` — the ``E_*`` registry in
-  ``service/transport/framing.py`` vs the server's exception-type -> code
-  map vs the error-code table in ``docs/PROTOCOL.md``.
-* ``op-contract`` — the op vocabulary dispatched by
-  ``service/service.py`` vs the wire-level idempotency partition in
-  ``framing.py`` (``IDEMPOTENT_OPS`` / ``NONIDEMPOTENT_OPS``) vs the
-  ``ServiceClient`` helpers vs the per-op metrics vocabulary.  An op the
-  client auto-retries but the server does not treat as idempotent is a
-  double-apply bug; the partition being total keeps every new op an
-  explicit decision.
 * ``failpoint-contract`` — the ``CATALOGUE`` in ``chaos/failpoints.py``
   vs the compiled ``fire()``/``_failpoint()`` call sites.
 * ``metrics-doc-contract`` — metric names registered anywhere in
   ``src/`` vs the catalogue table in ``docs/OPERATIONS.md``.
 
-``check_protocol_error_table`` and ``check_metrics_catalogue`` are also
-imported by ``tools/check_docs.py`` so the docs CI job verifies the same
-tables from the same extraction code (shared, not duplicated).
+(The op vocabulary and the error-code map need no rule: they are declared
+once in ``repro/service/contract.py`` and everything else derives from
+that module; ``tools/check_docs.py`` compares PROTOCOL.md's tables with
+the imported rows.)
+
+``check_metrics_catalogue`` and ``table_rows`` are also imported by
+``tools/check_docs.py`` so the docs CI job reads the tables through the
+same parser (shared, not duplicated).
 """
 
 from __future__ import annotations
@@ -31,17 +26,11 @@ import re
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro_lint.model import Finding, SourceFile, load_source
+from repro_lint.model import Finding, SourceFile
 
-RULE_ERRORS = "error-code-contract"
-RULE_OPS = "op-contract"
 RULE_FAILPOINTS = "failpoint-contract"
 RULE_METRICS_DOC = "metrics-doc-contract"
 
-_FRAMING = "service/transport/framing.py"
-_SERVER = "service/transport/server.py"
-_CLIENT = "service/transport/client.py"
-_SERVICE = "service/service.py"
 _FAILPOINTS = "chaos/failpoints.py"
 
 _METRIC_NAME_RE = re.compile(r"^(repro_|process_|chaos_)[a-z0-9_]+$")
@@ -52,39 +41,6 @@ _CELL_SPLIT_RE = re.compile(r"(?<!\\)\|")
 # --------------------------------------------------------------------- #
 # AST extraction helpers
 # --------------------------------------------------------------------- #
-def _load(src_root: Path, relpath: str) -> Optional[SourceFile]:
-    path = src_root / relpath
-    if not path.is_file():
-        return None
-    return load_source(path, src_root)
-
-
-def _missing(rule: str, src_root: Path, relpath: str) -> Finding:
-    return Finding(
-        rule=rule,
-        path=relpath,
-        line=0,
-        message=f"anchor file missing under {src_root} — contract unverifiable",
-    )
-
-
-def module_constants(tree: ast.AST, prefix: str) -> Dict[str, str]:
-    """Module-level ``NAME = "literal"`` assignments matching ``prefix``."""
-    out: Dict[str, str] = {}
-    for stmt in getattr(tree, "body", []):
-        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
-            continue
-        target = stmt.targets[0]
-        if (
-            isinstance(target, ast.Name)
-            and target.id.startswith(prefix)
-            and isinstance(stmt.value, ast.Constant)
-            and isinstance(stmt.value.value, str)
-        ):
-            out[target.id] = stmt.value.value
-    return out
-
-
 def _find_assignment(tree: ast.AST, name: str) -> Optional[ast.AST]:
     for stmt in ast.walk(tree):
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
@@ -92,37 +48,6 @@ def _find_assignment(tree: ast.AST, name: str) -> Optional[ast.AST]:
             if isinstance(target, ast.Name) and target.id == name:
                 return stmt.value
     return None
-
-
-def string_collection(value: Optional[ast.AST]) -> Optional[Set[str]]:
-    """Strings in a (frozen)set/tuple/list literal, unwrapping
-    ``frozenset({...})`` / ``frozenset((...))`` calls."""
-    if value is None:
-        return None
-    if isinstance(value, ast.Call) and value.args:
-        value = value.args[0]
-    if isinstance(value, (ast.Set, ast.Tuple, ast.List)):
-        out = set()
-        for element in value.elts:
-            if isinstance(element, ast.Constant) and isinstance(element.value, str):
-                out.add(element.value)
-        return out
-    return None
-
-
-def dict_value_names(value: Optional[ast.AST]) -> Dict[str, str]:
-    """``{"Key": E_NAME}`` dict literal -> ``{"Key": "E_NAME"}``."""
-    out: Dict[str, str] = {}
-    if not isinstance(value, ast.Dict):
-        return out
-    for key, val in zip(value.keys, value.values):
-        if (
-            isinstance(key, ast.Constant)
-            and isinstance(key.value, str)
-            and isinstance(val, ast.Name)
-        ):
-            out[key.value] = val.id
-    return out
 
 
 def dict_literal_keys(value: Optional[ast.AST]) -> Set[str]:
@@ -133,43 +58,6 @@ def dict_literal_keys(value: Optional[ast.AST]) -> Set[str]:
         for key in value.keys
         if isinstance(key, ast.Constant) and isinstance(key.value, str)
     }
-
-
-def extract_dispatch_ops(service: SourceFile) -> Set[str]:
-    """Ops compared against in ``QueryService._dispatch``."""
-    ops: Set[str] = set()
-    for node in ast.walk(service.tree):
-        if not (isinstance(node, ast.FunctionDef) and node.name == "_dispatch"):
-            continue
-        for compare in ast.walk(node):
-            if (
-                isinstance(compare, ast.Compare)
-                and isinstance(compare.left, ast.Name)
-                and compare.left.id == "op"
-                and len(compare.ops) == 1
-                and isinstance(compare.ops[0], ast.Eq)
-                and isinstance(compare.comparators[0], ast.Constant)
-                and isinstance(compare.comparators[0].value, str)
-            ):
-                ops.add(compare.comparators[0].value)
-    return ops
-
-
-def extract_request_ops(client: SourceFile) -> Set[str]:
-    """Every ``{"op": "<literal>"}`` the client constructs."""
-    ops: Set[str] = set()
-    for node in ast.walk(client.tree):
-        if not isinstance(node, ast.Dict):
-            continue
-        for key, value in zip(node.keys, node.values):
-            if (
-                isinstance(key, ast.Constant)
-                and key.value == "op"
-                and isinstance(value, ast.Constant)
-                and isinstance(value.value, str)
-            ):
-                ops.add(value.value)
-    return ops
 
 
 def extract_fire_sites(sources: Sequence[SourceFile]) -> List[Tuple[str, str, int]]:
@@ -220,7 +108,7 @@ def extract_registered_metrics(
 # --------------------------------------------------------------------- #
 # Markdown table parsing
 # --------------------------------------------------------------------- #
-def _table_rows(
+def table_rows(
     lines: Sequence[str], header_cells: Sequence[str], start: int = 0
 ) -> List[Tuple[int, List[str]]]:
     """Rows of the first table whose header starts with ``header_cells``;
@@ -244,16 +132,6 @@ def _table_rows(
             continue  # separator row
         rows.append((lineno + 1, [c.strip("`") for c in cells]))
     return rows
-
-
-def parse_protocol_error_table(protocol_md: Path) -> Dict[str, Tuple[str, int]]:
-    """``code -> (constant, lineno)`` from PROTOCOL.md's error table."""
-    lines = protocol_md.read_text(encoding="utf-8").splitlines()
-    out: Dict[str, Tuple[str, int]] = {}
-    for lineno, cells in _table_rows(lines, ["Code", "Constant"]):
-        if len(cells) >= 2:
-            out[cells[0]] = (cells[1], lineno)
-    return out
 
 
 def expand_metric_cell(token: str) -> List[str]:
@@ -305,7 +183,7 @@ def parse_metrics_catalogue(operations_md: Path) -> Dict[str, int]:
         0,
     )
     out: Dict[str, int] = {}
-    for lineno, cells in _table_rows(lines, ["Layer", "Metrics"], start=start):
+    for lineno, cells in table_rows(lines, ["Layer", "Metrics"], start=start):
         if len(cells) < 2:
             continue
         for token in re.findall(r"`([^`]+)`", lines[lineno - 1]):
@@ -319,224 +197,20 @@ def parse_metrics_catalogue(operations_md: Path) -> Dict[str, int]:
 # --------------------------------------------------------------------- #
 # Checks
 # --------------------------------------------------------------------- #
-def check_error_registry(src_root: Path) -> List[Finding]:
-    """Server error map values must exist in the ``E_*`` registry."""
-    framing = _load(src_root, _FRAMING)
-    server = _load(src_root, _SERVER)
-    if framing is None:
-        return [_missing(RULE_ERRORS, src_root, _FRAMING)]
-    if server is None:
-        return [_missing(RULE_ERRORS, src_root, _SERVER)]
-    registry = module_constants(framing.tree, "E_")
-    findings: List[Finding] = []
-    if not registry:
-        findings.append(
-            Finding(RULE_ERRORS, framing.relpath, 1, "no E_* constants found")
-        )
-        return findings
-    error_map = dict_value_names(_find_assignment(server.tree, "_ERROR_CODE_BY_TYPE"))
-    if not error_map:
-        findings.append(
-            Finding(
-                RULE_ERRORS,
-                server.relpath,
-                1,
-                "_ERROR_CODE_BY_TYPE dict literal not found",
-            )
-        )
-    for exc_type, constant in error_map.items():
-        if constant not in registry:
-            findings.append(
-                Finding(
-                    RULE_ERRORS,
-                    server.relpath,
-                    1,
-                    f"_ERROR_CODE_BY_TYPE[{exc_type!r}] uses {constant},"
-                    f" not in framing.py's E_* registry",
-                )
-            )
-    return findings
-
-
-def check_protocol_error_table(src_root: Path, protocol_md: Path) -> List[Finding]:
-    """PROTOCOL.md's error table must mirror the ``E_*`` registry exactly."""
-    framing = _load(src_root, _FRAMING)
-    if framing is None:
-        return [_missing(RULE_ERRORS, src_root, _FRAMING)]
-    if not protocol_md.is_file():
-        return [
-            Finding(RULE_ERRORS, str(protocol_md), 0, "PROTOCOL.md not found")
-        ]
-    registry = module_constants(framing.tree, "E_")  # name -> code
-    by_code = {code: name for name, code in registry.items()}
-    table = parse_protocol_error_table(protocol_md)
-    doc = protocol_md.name if protocol_md.parent.name == "" else (
-        f"{protocol_md.parent.name}/{protocol_md.name}"
-    )
-    findings: List[Finding] = []
-    if not table:
-        findings.append(
-            Finding(RULE_ERRORS, doc, 0, "error-code table (Code|Constant) not found")
-        )
-        return findings
-    for code, (constant, lineno) in table.items():
-        if code not in by_code:
-            findings.append(
-                Finding(
-                    RULE_ERRORS,
-                    doc,
-                    lineno,
-                    f"documents unknown error code {code!r}",
-                )
-            )
-        elif by_code[code] != constant:
-            findings.append(
-                Finding(
-                    RULE_ERRORS,
-                    doc,
-                    lineno,
-                    f"code {code!r} documented as {constant}, registry says"
-                    f" {by_code[code]}",
-                )
-            )
-    for code, name in sorted(by_code.items()):
-        if code not in table:
-            findings.append(
-                Finding(
-                    RULE_ERRORS,
-                    doc,
-                    0,
-                    f"error code {code!r} ({name}) missing from the table",
-                )
-            )
-    return findings
-
-
-def check_op_vocabulary(src_root: Path) -> List[Finding]:
-    """Dispatch ops, idempotency partition, client helpers, metric labels."""
-    service = _load(src_root, _SERVICE)
-    framing = _load(src_root, _FRAMING)
-    server = _load(src_root, _SERVER)
-    client = _load(src_root, _CLIENT)
-    for relpath, source in (
-        (_SERVICE, service),
-        (_FRAMING, framing),
-        (_SERVER, server),
-        (_CLIENT, client),
-    ):
-        if source is None:
-            return [_missing(RULE_OPS, src_root, relpath)]
-
-    findings: List[Finding] = []
-    dispatch = extract_dispatch_ops(service)
-    if not dispatch:
-        return [
-            Finding(RULE_OPS, service.relpath, 1, "_dispatch op vocabulary not found")
-        ]
-
-    idempotent = string_collection(_find_assignment(framing.tree, "IDEMPOTENT_OPS"))
-    nonidempotent = string_collection(
-        _find_assignment(framing.tree, "NONIDEMPOTENT_OPS")
-    )
-    if idempotent is None or nonidempotent is None:
-        findings.append(
-            Finding(
-                RULE_OPS,
-                framing.relpath,
-                1,
-                "IDEMPOTENT_OPS / NONIDEMPOTENT_OPS partition not found in"
-                " framing.py (the wire contract owns idempotency)",
-            )
-        )
-        idempotent, nonidempotent = set(), set()
-    else:
-        overlap = idempotent & nonidempotent
-        if overlap:
-            findings.append(
-                Finding(
-                    RULE_OPS,
-                    framing.relpath,
-                    1,
-                    f"ops {sorted(overlap)} are both idempotent and"
-                    f" non-idempotent — double-apply hazard",
-                )
-            )
-        unclassified = dispatch - idempotent - nonidempotent
-        if unclassified:
-            findings.append(
-                Finding(
-                    RULE_OPS,
-                    framing.relpath,
-                    1,
-                    f"dispatched ops {sorted(unclassified)} not classified in"
-                    f" the IDEMPOTENT_OPS/NONIDEMPOTENT_OPS partition",
-                )
-            )
-        phantom = (idempotent | nonidempotent) - dispatch
-        if phantom:
-            findings.append(
-                Finding(
-                    RULE_OPS,
-                    framing.relpath,
-                    1,
-                    f"classified ops {sorted(phantom)} are never dispatched",
-                )
-            )
-
-    # The client's auto-retry set must *be* the wire-contract set, not a
-    # private copy that can drift (the drift is the double-apply bug).
-    client_retry = string_collection(
-        _find_assignment(client.tree, "_IDEMPOTENT_OPS")
-    )
-    if client_retry is not None and idempotent and client_retry != idempotent:
-        findings.append(
-            Finding(
-                RULE_OPS,
-                client.relpath,
-                1,
-                f"client auto-retry set diverges from framing.IDEMPOTENT_OPS:"
-                f" {sorted(client_retry ^ idempotent)}",
-            )
-        )
-
-    transport_ops = (
-        string_collection(_find_assignment(server.tree, "_TRANSPORT_OPS")) or set()
-    )
-    unknown = extract_request_ops(client) - dispatch - transport_ops
-    if unknown:
-        findings.append(
-            Finding(
-                RULE_OPS,
-                client.relpath,
-                1,
-                f"client sends ops the server never dispatches: {sorted(unknown)}",
-            )
-        )
-
-    metric_ops = string_collection(_find_assignment(server.tree, "_METRIC_OPS"))
-    if metric_ops is not None:
-        expected = dispatch | {"batch", "other"}
-        if metric_ops != expected:
-            findings.append(
-                Finding(
-                    RULE_OPS,
-                    server.relpath,
-                    1,
-                    f"_METRIC_OPS label vocabulary != dispatch ops + batch/other"
-                    f" (diff: {sorted(metric_ops ^ expected)}) — per-op"
-                    f" latency for the missing ops folds into 'other'",
-                )
-            )
-    return findings
-
-
 def check_failpoint_registry(
     src_root: Path, sources: Sequence[SourceFile]
 ) -> List[Finding]:
     """CATALOGUE keys and compiled fire sites must match both ways."""
-    failpoints = _load(src_root, _FAILPOINTS)
+    failpoints = next((s for s in sources if s.relpath == _FAILPOINTS), None)
     if failpoints is None:
-        return [_missing(RULE_FAILPOINTS, src_root, _FAILPOINTS)]
+        return [
+            Finding(
+                RULE_FAILPOINTS,
+                _FAILPOINTS,
+                0,
+                f"anchor file missing under {src_root} — contract unverifiable",
+            )
+        ]
     catalogue = dict_literal_keys(_find_assignment(failpoints.tree, "CATALOGUE"))
     if not catalogue:
         return [
@@ -628,13 +302,8 @@ def run_all(
 ) -> List[Finding]:
     """Every contract check; doc-backed ones skip when docs_root is None."""
     findings: List[Finding] = []
-    findings.extend(check_error_registry(src_root))
-    findings.extend(check_op_vocabulary(src_root))
     findings.extend(check_failpoint_registry(src_root, sources))
     if docs_root is not None:
-        findings.extend(
-            check_protocol_error_table(src_root, docs_root / "PROTOCOL.md")
-        )
         findings.extend(
             check_metrics_catalogue(src_root, docs_root / "OPERATIONS.md", sources)
         )
