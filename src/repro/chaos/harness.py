@@ -206,9 +206,6 @@ class ManagedProcess:
             self.kill()
             self.proc.wait(timeout=timeout)
 
-    def stderr_text(self) -> str:
-        return "".join(self._stderr)
-
 
 # --------------------------------------------------------------------- #
 # HTTP probe / metrics-scrape helpers

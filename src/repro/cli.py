@@ -880,34 +880,14 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 
     _apply_chaos_flag(args)
     host, port = _parse_address(args.source)
-    try:
-        client = ServiceClient(
-            host,
-            port,
-            timeout=args.timeout,
-            connect_retries=args.connect_retries,
-            compression=not args.no_compression,
-        ).connect()
-    except TransportError as exc:
-        raise SystemExit(f"connect failed: {exc}") from None
-    try:
-        mirror = StoreMirror(client, args.store)
-        lock = StoreLock(args.store, owner="repro-replicate").acquire(blocking=False)
-    except (StoreError, OSError) as exc:
-        # OSError: --store points at a file / an unwritable directory.
-        client.close()
-        raise SystemExit(str(exc)) from None
-    try:
-        try:
-            report = mirror.sync()
-        except (TransportError, StoreError) as exc:
-            raise SystemExit(f"sync failed: {exc}") from None
+
+    def print_synced(store: str, report) -> None:
         print(
             json.dumps(
                 {
                     "ok": True,
                     "op": "synced",
-                    "store": mirror.path,
+                    "store": store,
                     "generation": report.generation,
                     "full_sync": report.full_sync,
                     "fetched_files": report.fetched_files,
@@ -918,67 +898,85 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
             ),
             flush=True,
         )
-        if not args.serve:
+
+    if not args.serve:
+        try:
+            client = ServiceClient(
+                host,
+                port,
+                timeout=args.timeout,
+                connect_retries=args.connect_retries,
+                compression=not args.no_compression,
+            ).connect()
+        except TransportError as exc:
+            raise SystemExit(f"connect failed: {exc}") from None
+        try:
+            mirror = StoreMirror(client, args.store)
+            lock = StoreLock(args.store, owner="repro-replicate").acquire(blocking=False)
+        except (StoreError, OSError) as exc:
+            # OSError: --store points at a file / an unwritable directory.
+            client.close()
+            raise SystemExit(str(exc)) from None
+        try:
+            print_synced(mirror.path, mirror.sync())
             return 0
-
-        # Serving mode: hand the mirror over to a remote-fed service
-        # (QueryService over a RemoteReadReplica) so every query's path
-        # includes the peer staleness check — traced as a
-        # ``replica.sync_check`` span under the server's request span.
-        # The replica re-locks the directory as its writer and opens its
-        # own client, so drop the bootstrap lock first; its startup sync
-        # is a checksum-driven no-op against the mirror just written.
-        lock.release()
-        _apply_trace_flags(args)
-        try:
-            service = QueryService(
-                args.store,
-                read_only=True,
-                remote_source=(host, port),
-                num_workers=args.workers,
-                replica_poll_interval=args.poll_interval,
-                remote_compression=not args.no_compression,
-            )
-        except (TransportError, StoreError, OSError) as exc:
-            raise SystemExit(f"replica start failed: {exc}") from None
-        stop = threading.Event()
-
-        def follow() -> None:
-            """Keep the mirror fresh while no queries arrive.
-
-            Queries trigger their own staleness checks through the
-            replica's poll interval; this thread covers quiet periods so
-            the lag gauges and the ``/readyz`` probe track the peer even
-            on an idle replica.  Peer outages leave the local mirror
-            serving its last good state; a failed poll backs off so an
-            outage costs one connect budget per backoff window, not a
-            continuous retry storm against the dead address."""
-            backoff = 0.0
-            while not stop.wait(max(args.poll_interval, backoff, 0.05)):
-                try:
-                    service.replica.sync()
-                    backoff = 0.0
-                except (TransportError, StoreError, OSError):
-                    backoff = max(1.0, args.poll_interval)
-
-        syncer = threading.Thread(target=follow, name="repro-replicate-sync", daemon=True)
-        syncer.start()
-        args.listen = args.serve
-        args.read_only = True
-        metrics_server = _start_metrics_server(
-            args,
-            readiness=lambda: service.readiness(max_generation_lag=args.ready_max_lag),
-        )
-        try:
-            return _serve_socket(service, args)
+        except (TransportError, StoreError) as exc:
+            raise SystemExit(f"sync failed: {exc}") from None
         finally:
-            stop.set()
-            syncer.join(timeout=10)
-            if metrics_server is not None:
-                metrics_server.close()
+            lock.release()
+            client.close()
+
+    # Serving mode: one remote-fed service (QueryService over a
+    # RemoteReadReplica) owns the peer connection, the mirror and the
+    # directory's writer lock from the first sync on; every query's path
+    # includes the peer staleness check (a ``replica.sync_check`` span).
+    _apply_trace_flags(args)
+    try:
+        service = QueryService(
+            args.store,
+            read_only=True,
+            remote_source=(host, port),
+            num_workers=args.workers,
+            replica_poll_interval=args.poll_interval,
+            remote_compression=not args.no_compression,
+        )
+    except (TransportError, StoreError, OSError) as exc:
+        raise SystemExit(f"replica start failed: {exc}") from None
+    print_synced(service.path, service.replica.first_sync)
+    # Dialled with the client defaults (= these flags' defaults); later
+    # reconnects of the one peer connection honour the flags.
+    peer = service.replica.client
+    peer.timeout, peer.connect_retries = args.timeout, args.connect_retries
+    stop = threading.Event()
+
+    def follow() -> None:
+        """Keep the mirror fresh while no queries arrive.
+
+        The same rate-limited check queries run, so the lag gauges and
+        ``/readyz`` track the peer on an idle replica and an outage is
+        recorded and backed off once for both; the local mirror keeps
+        serving its last good state."""
+        while not stop.wait(max(args.poll_interval, 0.05)):
+            try:
+                service.replica.refresh()
+            except (StoreError, OSError):
+                pass  # the local reload raced a sync; the next round retries
+
+    syncer = threading.Thread(target=follow, name="repro-replicate-sync", daemon=True)
+    syncer.start()
+    args.listen = args.serve
+    args.read_only = True
+    metrics_server = _start_metrics_server(
+        args,
+        readiness=lambda: service.readiness(max_generation_lag=args.ready_max_lag),
+    )
+    try:
+        return _serve_socket(service, args)
     finally:
-        lock.release()
-        client.close()
+        stop.set()
+        syncer.join(timeout=10)
+        if metrics_server is not None:
+            metrics_server.close()
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:

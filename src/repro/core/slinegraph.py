@@ -104,6 +104,30 @@ class SLineGraph:
     # Constructors
     # ------------------------------------------------------------------ #
     @classmethod
+    def from_canonical(
+        cls,
+        s: int,
+        edges: np.ndarray,
+        weights: np.ndarray,
+        num_hyperedges: int,
+        active_vertices: Optional[np.ndarray] = None,
+    ) -> "SLineGraph":
+        """Adopt arrays already in canonical form, skipping ``__post_init__``.
+
+        For callers holding exactly what ``__post_init__`` would
+        re-establish — unique ``(i, j)`` rows with ``i < j`` in (lo, hi)
+        order, every weight ``>= s``, sorted unique ``active_vertices`` —
+        that must not pay a second normalisation pass.
+        """
+        graph = cls.__new__(cls)
+        graph.s = int(s)
+        graph.edges = edges
+        graph.weights = weights
+        graph.num_hyperedges = int(num_hyperedges)
+        graph.active_vertices = active_vertices
+        return graph
+
+    @classmethod
     def from_weighted_pairs(
         cls,
         s: int,

@@ -459,7 +459,15 @@ class QueryEngine:
                     # promote the entry in the LRU order.
                     graph = self._cache.peek(key)
                     if graph.num_hyperedges != num_edges:
-                        graph = _resize_id_space(graph, num_edges)
+                        # The ID space only grows (add_hyperedge); the
+                        # canonical arrays are shared, not copied.
+                        graph = SLineGraph.from_canonical(
+                            graph.s,
+                            graph.edges,
+                            graph.weights,
+                            num_edges,
+                            graph.active_vertices,
+                        )
                         self._cache.pop(key)
                         self._cache.put((new_fp, s, kind), graph)
                     else:
@@ -470,22 +478,6 @@ class QueryEngine:
             else:
                 self._cache.pop(key)
                 self._invalidated += 1
-
-
-def _resize_id_space(graph: SLineGraph, num_hyperedges: int) -> SLineGraph:
-    """Rebind a line graph to a larger hyperedge-ID space without copying.
-
-    Bypasses ``__post_init__``: the arrays are already canonical and shared
-    with the original; only the ID-space bound changes (it can only grow,
-    via :meth:`QueryEngine.add_hyperedge`).
-    """
-    resized = SLineGraph.__new__(SLineGraph)
-    resized.s = graph.s
-    resized.edges = graph.edges
-    resized.weights = graph.weights
-    resized.num_hyperedges = int(num_hyperedges)
-    resized.active_vertices = graph.active_vertices
-    return resized
 
 
 def _shifted_indptr(indptr: np.ndarray, rows: np.ndarray, step: int) -> np.ndarray:

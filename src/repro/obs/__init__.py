@@ -50,8 +50,6 @@ from repro.obs.registry import (
     NullRegistry,
     get_registry,
     set_registry,
-    time_block,
-    timed,
     use_registry,
 )
 
@@ -76,8 +74,6 @@ __all__ = [
     "render_trace",
     "set_registry",
     "set_tracer",
-    "time_block",
-    "timed",
     "use_registry",
     "use_tracer",
 ]

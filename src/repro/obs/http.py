@@ -54,6 +54,10 @@ ReadinessCheck = Callable[[], Tuple[bool, Dict[str, object]]]
 #: The bounded label vocabulary for ``repro_probe_seconds``.
 _PROBES = ("healthz", "readyz", "metrics")
 
+#: Seconds between serve_forever's checks of its shutdown flag — the most
+#: ``close()`` waits for the accept loop to stop (the stdlib default is 0.5).
+_SHUTDOWN_POLL = 0.02
+
 
 class _MetricsHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
@@ -181,6 +185,7 @@ class MetricsHTTPServer:
             raise RuntimeError("metrics server already started")
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            kwargs={"poll_interval": _SHUTDOWN_POLL},
             name=f"repro-metrics-{self.port}",
             daemon=True,
         )

@@ -42,10 +42,8 @@ from __future__ import annotations
 
 import re
 import threading
-import time
 from bisect import bisect_left
 from contextlib import contextmanager
-from functools import wraps
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -59,8 +57,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     "use_registry",
-    "time_block",
-    "timed",
 ]
 
 
@@ -531,39 +527,3 @@ def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
         yield registry
     finally:
         set_registry(previous)
-
-
-# --------------------------------------------------------------------- #
-# Timing helpers
-# --------------------------------------------------------------------- #
-@contextmanager
-def time_block(histogram, **labels: object) -> Iterator[None]:
-    """Observe the wall time of a ``with`` block into a histogram.
-
-    ``histogram`` may be a bare instrument or an already-bound child;
-    ``labels`` (if any) are resolved once on entry, off the measured path.
-    """
-    child = histogram.labels(**labels) if labels else histogram
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        child.observe(time.perf_counter() - start)
-
-
-def timed(histogram, **labels: object):
-    """Decorator form of :func:`time_block`."""
-    child = histogram.labels(**labels) if labels else histogram
-
-    def decorate(fn):
-        @wraps(fn)
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                child.observe(time.perf_counter() - start)
-
-        return wrapper
-
-    return decorate

@@ -28,11 +28,11 @@ it a *served* one.  The pieces, bottom-up:
   plane plus a version-negotiated binary data plane (protocol v2) for
   bulk responses, so writers and replicas serve clients on other
   machines;
-* :class:`RemoteReadReplica` (:mod:`repro.service.remote`) — a replica fed
-  purely over the wire: a :class:`~repro.store.StoreMirror` pulls
-  snapshot/WAL deltas through the socket protocol into a local mirror
-  directory served by an inner :class:`ReadReplica` — read fleets without
-  a shared filesystem.
+* :class:`RemoteReadReplica` (:mod:`repro.service.remote`) — a
+  :class:`ReadReplica` fed purely over the wire: its own
+  :class:`~repro.store.StoreMirror` pulls snapshot/WAL deltas through the
+  socket protocol into the local directory it serves — read fleets
+  without a shared filesystem.
 """
 
 from repro.service.admission import AdmissionQueue, AdmissionStats

@@ -3,7 +3,8 @@
 :class:`RemoteReadReplica` closes the loop the replication ops opened: it
 bootstraps a local mirror of a remote store **over the socket protocol
 alone** (no shared filesystem) and keeps serving from it exactly like a
-local :class:`~repro.service.ReadReplica` — because it *contains* one.
+local :class:`~repro.service.ReadReplica` — because it *is* one, opened
+on the mirror directory.
 
 The moving parts:
 
@@ -15,16 +16,21 @@ The moving parts:
   (WAL tails between compactions, changed-shards-only after one).  The
   peer connection must negotiate protocol 2: tails use the byte-offset
   cursor (raw log suffix per poll) and file chunks ride binary frames raw;
-* a :class:`~repro.service.ReadReplica` over the mirror directory, whose
-  existing change-token polling notices every completed sync and
-  hot-swaps engines without dropping in-flight queries.
+* the inherited :class:`~repro.service.ReadReplica` machinery over the
+  mirror directory, whose change-token polling notices every completed
+  sync and hot-swaps engines without dropping in-flight queries.  Every
+  query method is the base class's; this class only puts a peer check in
+  front of the poll.
 
 Staleness is detected by polling the *peer's* ``state_token`` through one
 ``stats`` round trip (cheap; no checksum work on either side) and only
-then pulling a sync.  Transient failures — the peer restarting, a
-compaction racing the sync — leave the replica serving its last good
-local state, the same degraded-but-available contract ``ReadReplica``
-has on a shared filesystem.
+then pulling a sync.  A poll dials an unreachable peer **once** — the
+replica's own poll/backoff schedule is the retry loop, so neither a query
+nor a ``/readyz`` probe ever waits out the client's reconnect budget.
+Transient failures — the peer restarting, a compaction racing the sync —
+leave the replica serving its last good local state, the same
+degraded-but-available contract ``ReadReplica`` has on a shared
+filesystem.
 
 The mirror directory is guarded with the store's single-writer
 :class:`~repro.service.StoreLock`: the syncing replica is the directory's
@@ -36,13 +42,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-import numpy as np
-
-from repro.engine.engine import SweepResult
 from repro.obs.trace import get_tracer
-from repro.parallel.executor import ParallelConfig
 from repro.service.lock import StoreLock
 from repro.service.replica import ReadReplica
 from repro.service.transport.client import ServiceClient
@@ -51,13 +53,12 @@ from repro.store.format import PathLike, StoreError
 from repro.store.replication import ReplicationError, StoreMirror, SyncReport
 
 #: Seconds before the next remote poll after one *failed* (peer down,
-#: racing compaction).  Without this, a ``poll_interval=0`` replica would
-#: pay the client's full connect-retry budget on every query of an
-#: outage instead of serving the local mirror immediately.
+#: racing compaction): an outage costs one dial per window, not one per
+#: query, and probes inside the window answer from the recorded failure.
 _FAILED_POLL_BACKOFF = 1.0
 
 
-class RemoteReadReplica:
+class RemoteReadReplica(ReadReplica):
     """A hot-reloading read replica fed purely over the wire.
 
     Parameters
@@ -74,8 +75,8 @@ class RemoteReadReplica:
         An already-connected :class:`ServiceClient` to reuse (the replica
         then does not close it); by default one is created and owned.
         ``compression`` only applies to the owned client.
-    max_resident_shards / cache_size / config:
-        Forwarded to the inner :class:`ReadReplica`.
+    max_resident_shards / cache_size:
+        As for :class:`ReadReplica`.
     compression:
         Handshake pin for the owned client: ``False`` negotiates the
         replication codec off (see ``docs/PROTOCOL.md``).
@@ -90,58 +91,48 @@ class RemoteReadReplica:
         client: Optional[ServiceClient] = None,
         max_resident_shards: Optional[int] = None,
         cache_size: int = 256,
-        config: Optional[ParallelConfig] = None,
-        chunk_bytes: Optional[int] = None,
         compression: bool = True,
     ) -> None:
         if store_path is None:
             raise StoreError("RemoteReadReplica needs a local store_path to mirror into")
+        self._owns_client = client is None
         if client is None:
             if host is None or port is None:
                 raise StoreError("RemoteReadReplica needs host/port or a client")
             client = ServiceClient(str(host), int(port), compression=compression).connect()
-            self._owns_client = True
-        else:
-            self._owns_client = False
-        self._client = client
-        self._poll_interval = float(poll_interval)
+        #: The peer connection (borrowed when passed in, else owned).
+        self.client = client
+        self._peer_poll_interval = float(poll_interval)
         self._sync_lock = threading.Lock()
-        self._closed = False
         self._lock: Optional[StoreLock] = None
         self._tracer = get_tracer()
         #: Why the most recent sync attempt failed (None: it succeeded).
         self._last_sync_error: Optional[str] = None
         try:
-            mirror_kwargs = (
-                {} if chunk_bytes is None else {"chunk_bytes": int(chunk_bytes)}
-            )
-            self.mirror = StoreMirror(client, store_path, **mirror_kwargs)
+            self.mirror = StoreMirror(client, store_path)
             self._lock = StoreLock(store_path, owner="RemoteReadReplica").acquire(
                 blocking=False
             )
-            self._remote_token = self._peer_token()
-            self.mirror.sync()
-            self._replica = ReadReplica(
+            self._remote_token = client.poll_state_token()
+            #: What the constructor's bootstrap sync did.
+            self.first_sync: SyncReport = self.mirror.sync()
+            super().__init__(
                 store_path,
                 poll_interval=0.0,  # the local token is checked after syncs
                 max_resident_shards=max_resident_shards,
                 cache_size=cache_size,
-                config=config,
             )
         except BaseException:
             if self._lock is not None:
                 self._lock.release()
             if self._owns_client:
-                self._client.close()
+                self.client.close()
             raise
-        self._next_check = time.monotonic() + self._poll_interval
+        self._next_check = time.monotonic() + self._peer_poll_interval
 
     # ------------------------------------------------------------------ #
     # Syncing
     # ------------------------------------------------------------------ #
-    def _peer_token(self) -> Optional[Tuple[int, ...]]:
-        return self._client.state_token()
-
     def sync(self, force: bool = False) -> Optional[SyncReport]:
         """Pull the peer's state if it changed; ``None`` when it had not.
 
@@ -154,9 +145,13 @@ class RemoteReadReplica:
         # Blocking network/disk I/O under this lock is the design: the
         # lock exists to serialise the one client socket and the one
         # on-disk mirror, and queries never take it (they serve the last
-        # swapped-in replica).
+        # swapped-in engine).
         with self._sync_lock:  # repro-lint: allow[blocking-under-lock]
-            token = self._peer_token()
+            # Polls dial a dead peer once: this replica's poll/backoff
+            # schedule is the retry loop, and queries and ``/readyz`` probes
+            # queue behind this lock.  Requests inside the mirror sync keep
+            # the client's reconnect budget.
+            token = self.client.poll_state_token()
             self.mirror.observe_peer_token(token)
             if not force and token is not None and token == self._remote_token:
                 self._last_sync_error = None
@@ -166,7 +161,7 @@ class RemoteReadReplica:
             self._last_sync_error = None
         # The mirror moved on disk; swap the serving engine now rather
         # than waiting for the next query's poll.
-        self._replica.refresh()
+        self._reload()
         return report
 
     def _maybe_sync(self) -> None:
@@ -177,16 +172,33 @@ class RemoteReadReplica:
             try:
                 report = self.sync()
                 span.set_attribute("synced", report is not None)
-                self._next_check = time.monotonic() + self._poll_interval
+                self._next_check = time.monotonic() + self._peer_poll_interval
             except (TransportError, ReplicationError, StoreError, OSError) as exc:
                 # Keep serving the last good local state through peer
-                # restarts and racing compactions; back off so an outage
-                # costs one connect budget per backoff window, not per query.
+                # restarts and racing compactions, and back off.
                 self._last_sync_error = f"{type(exc).__name__}: {exc}"
                 span.set_status("error", self._last_sync_error)
                 self._next_check = time.monotonic() + max(
-                    self._poll_interval, _FAILED_POLL_BACKOFF
+                    self._peer_poll_interval, _FAILED_POLL_BACKOFF
                 )
+
+    def _current_engine(self):
+        """Peer check (per ``poll_interval``), then the inherited local poll."""
+        self._maybe_sync()
+        return super()._current_engine()
+
+    def refresh(self, force: bool = False) -> bool:
+        """Remote check, then the local swap.
+
+        ``force=True`` pays an unconditional mirror sync (and may raise on
+        an unreachable peer); the default path respects the poll interval
+        and degrades to serving local state, like queries do.
+        """
+        if force:
+            self.sync(force=True)
+        else:
+            self._maybe_sync()
+        return self._reload(force)
 
     def lag(self) -> Dict[str, float]:
         """Measure how far behind the peer this replica is, without syncing.
@@ -198,62 +210,7 @@ class RemoteReadReplica:
         time, and probes may run on a different thread than queries.
         """
         with self._sync_lock:
-            return self.mirror.observe_peer_token(self._peer_token())
-
-    def _serve(self, method: str, *args, **kwargs):
-        if self._closed:
-            raise StoreError(f"remote replica for {self.path} is closed")
-        self._maybe_sync()
-        return getattr(self._replica, method)(*args, **kwargs)
-
-    # ------------------------------------------------------------------ #
-    # State
-    # ------------------------------------------------------------------ #
-    @property
-    def path(self) -> str:
-        """The local mirror directory."""
-        return self.mirror.path
-
-    @property
-    def client(self) -> ServiceClient:
-        return self._client
-
-    @property
-    def protocol(self) -> int:
-        """Protocol version negotiated with the peer (1 = JSON data plane)."""
-        return self._client.protocol
-
-    @property
-    def replica(self) -> ReadReplica:
-        """The inner (local) read replica serving the mirror."""
-        return self._replica
-
-    @property
-    def generation(self) -> int:
-        return self._replica.generation
-
-    @property
-    def engine(self):
-        """The inner replica's current engine (ReadReplica surface)."""
-        return self._replica.engine
-
-    @property
-    def reloads(self) -> int:
-        """Engine hot-swaps performed by the inner replica."""
-        return self._replica.reloads
-
-    def refresh(self, force: bool = False) -> bool:
-        """ReadReplica-compatible refresh: remote check, then local swap.
-
-        ``force=True`` pays an unconditional mirror sync (and may raise on
-        an unreachable peer); the default path respects the poll interval
-        and degrades to serving local state, like queries do.
-        """
-        if force:
-            self.sync(force=True)
-            return self._replica.refresh(force=True)
-        self._maybe_sync()
-        return self._replica.refresh()
+            return self.mirror.observe_peer_token(self.client.poll_state_token())
 
     def readiness(
         self, max_generation_lag: Optional[int] = 1
@@ -263,15 +220,12 @@ class RemoteReadReplica:
         Backs ``GET /readyz`` on a replica: not ready when closed, when
         the most recent sync attempt failed, when the peer is unreachable
         for the lag check, or when the generation lag exceeds
-        ``max_generation_lag`` (``None`` disables the lag bound).
+        ``max_generation_lag`` (``None`` disables the lag bound).  A
+        recorded failed poll is reported without dialling.
         """
-        detail: Dict[str, object] = {
-            "role": "replica",
-            "generation": int(self.generation),
-            "protocol": int(self._client.protocol),
-        }
-        if self._closed:
-            detail["reason"] = "closed"
+        ready, detail = super().readiness()
+        detail["protocol"] = int(self.client.protocol)
+        if not ready:
             return False, detail
         if self._last_sync_error is not None:
             detail["reason"] = "last sync failed"
@@ -291,36 +245,6 @@ class RemoteReadReplica:
             return False, detail
         return True, detail
 
-    def fingerprint(self) -> str:
-        return self._serve("fingerprint")
-
-    def max_s(self) -> int:
-        return self._serve("max_s")
-
-    # ------------------------------------------------------------------ #
-    # Queries (the ReadReplica surface)
-    # ------------------------------------------------------------------ #
-    def line_graph(self, s: int):
-        return self._serve("line_graph", s)
-
-    #: ``extract(s)`` is the service-facing name for a threshold view.
-    extract = line_graph
-
-    def metric(self, s: int, name: str) -> np.ndarray:
-        return self._serve("metric", s, name)
-
-    def metric_by_hyperedge(self, s: int, name: str) -> Dict[int, float]:
-        return self._serve("metric_by_hyperedge", s, name)
-
-    def metrics(self, s: int, names: Sequence[str]) -> Dict[str, np.ndarray]:
-        return self._serve("metrics", s, names)
-
-    def sweep(self, s_values: Iterable[int], metrics: Sequence[str] = ()) -> SweepResult:
-        return self._serve("sweep", list(s_values), metrics=metrics)
-
-    def num_components(self, s: int) -> int:
-        return self._serve("num_components", s)
-
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
@@ -328,21 +252,7 @@ class RemoteReadReplica:
         """Stop serving and release the mirror lock (idempotent)."""
         if self._closed:
             return
-        self._closed = True
-        self._replica.close()
+        super().close()
         self._lock.release()
         if self._owns_client:
-            self._client.close()
-
-    def __enter__(self) -> "RemoteReadReplica":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = ", closed" if self._closed else ""
-        return (
-            f"RemoteReadReplica(path={self.path!r}, "
-            f"generation={self.generation}{state})"
-        )
+            self.client.close()

@@ -26,7 +26,6 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.engine import SweepResult
-from repro.parallel.executor import ParallelConfig
 from repro.store.format import PathLike, StoreError
 from repro.store.persistent import PersistentQueryEngine
 from repro.store.store import IndexStore
@@ -48,7 +47,7 @@ class ReadReplica:
         Minimum seconds between staleness checks; ``0`` (default) checks
         before every query.  Between checks, queries are served from the
         current engine without touching the manifest.
-    max_resident_shards / cache_size / config:
+    max_resident_shards / cache_size:
         Forwarded to the underlying engine.
     """
 
@@ -58,13 +57,11 @@ class ReadReplica:
         poll_interval: float = 0.0,
         max_resident_shards: Optional[int] = None,
         cache_size: int = 256,
-        config: Optional[ParallelConfig] = None,
     ) -> None:
         self._path = str(path)
         self._poll_interval = float(poll_interval)
         self._max_resident_shards = max_resident_shards
         self._cache_size = int(cache_size)
-        self._config = config
         self._swap_lock = threading.Lock()
         self._closed = False
         #: Completed hot reloads (observability / tests).
@@ -91,7 +88,6 @@ class ReadReplica:
                     read_only=True,
                     max_resident_shards=self._max_resident_shards,
                     cache_size=self._cache_size,
-                    config=self._config,
                 )
                 return engine, token
             except (StoreError, OSError) as exc:
@@ -150,6 +146,10 @@ class ReadReplica:
             if superseded is not None:
                 superseded.close()
 
+    #: What queries' polls and stale-view retries call: this class's own
+    #: ``refresh``, even where a subclass widens the public one with a sync.
+    _reload = refresh
+
     def _current_engine(self) -> PersistentQueryEngine:
         if self._closed:
             raise StoreError(f"read replica for {self._path} is closed")
@@ -157,14 +157,13 @@ class ReadReplica:
         if now - self._last_check >= self._poll_interval:
             self._last_check = now
             try:
-                self.refresh()
+                self._reload()
             except (StoreError, OSError):
                 # Keep serving the last good view through transient races
                 # (racing compaction, ESTALE/EACCES reading the manifest);
                 # the next poll (or a forced refresh on error) retries.
                 pass
-        with self._swap_lock:
-            return self._engine
+        return self.engine
 
     def _serve(self, method: str, *args, **kwargs):
         engine = self._current_engine()
@@ -173,10 +172,8 @@ class ReadReplica:
         except (StoreError, OSError):
             # Stale view: a compaction swept shard files this lazily
             # mmap'ing engine had not touched yet.  Reload and retry once.
-            self.refresh(force=True)
-            with self._swap_lock:
-                engine = self._engine
-            return getattr(engine, method)(*args, **kwargs)
+            self._reload(force=True)
+            return getattr(self.engine, method)(*args, **kwargs)
 
     # ------------------------------------------------------------------ #
     # State
@@ -188,8 +185,7 @@ class ReadReplica:
     @property
     def generation(self) -> int:
         """Snapshot generation of the currently served view."""
-        with self._swap_lock:
-            return self._engine.store.manifest.generation
+        return self.engine.store.manifest.generation
 
     @property
     def engine(self) -> PersistentQueryEngine:
@@ -197,16 +193,29 @@ class ReadReplica:
         with self._swap_lock:
             return self._engine
 
-    def fingerprint(self) -> str:
-        with self._swap_lock:
-            return self._engine.fingerprint()
+    def readiness(
+        self, max_generation_lag: Optional[int] = 1
+    ) -> Tuple[bool, Dict[str, object]]:
+        """``(ready, detail)`` for the ``/readyz`` probe: ready while open.
 
-    def max_s(self) -> int:
-        return self._serve("max_s")
+        A shared-filesystem replica has no peer to fall behind, so
+        ``max_generation_lag`` only matters to the remote-fed subclass.
+        """
+        detail: Dict[str, object] = {"role": "replica", "generation": int(self.generation)}
+        if self._closed:
+            detail["reason"] = "closed"
+            return False, detail
+        return True, detail
 
     # ------------------------------------------------------------------ #
     # Queries (each checks staleness per poll_interval, then serves)
     # ------------------------------------------------------------------ #
+    def fingerprint(self) -> str:
+        return self._serve("fingerprint")
+
+    def max_s(self) -> int:
+        return self._serve("max_s")
+
     def line_graph(self, s: int):
         return self._serve("line_graph", s)
 
@@ -242,9 +251,15 @@ class ReadReplica:
             self._closed = True
             self._engine.close()
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = ", closed" if self._closed else ""
         return (
-            f"ReadReplica(path={self._path!r}, generation={self.generation}, "
-            f"reloads={self.reloads}{state})"
+            f"{type(self).__name__}(path={self._path!r}, "
+            f"generation={self.generation}, reloads={self.reloads}{state})"
         )

@@ -70,9 +70,6 @@ class QueryService:
     compaction:
         A :class:`CompactionPolicy` to enable background compaction
         (``None`` — the default — leaves compaction manual).
-    lock_timeout:
-        Seconds to wait for the writer lock (``None``: fail immediately
-        when another writer holds it).
     slow_query_ms:
         When set, queries slower than this many milliseconds are recorded
         in a bounded in-memory ring exposed as ``stats()["slow_queries"]``
@@ -108,7 +105,6 @@ class QueryService:
         compaction: Optional[CompactionPolicy] = None,
         compaction_poll_interval: float = 0.1,
         replica_poll_interval: float = 0.0,
-        lock_timeout: Optional[float] = None,
         config: Optional[ParallelConfig] = None,
         slow_query_ms: Optional[float] = None,
         slow_query_capacity: int = 128,
@@ -161,7 +157,6 @@ class QueryService:
                     store_path=path,
                     poll_interval=replica_poll_interval,
                     cache_size=cache_size,
-                    config=config,
                     compression=remote_compression,
                 )
             else:
@@ -169,13 +164,10 @@ class QueryService:
                     path,
                     poll_interval=replica_poll_interval,
                     cache_size=cache_size,
-                    config=config,
                 )
             return
 
-        self._lock = StoreLock(path, owner="QueryService").acquire(
-            blocking=lock_timeout is not None, timeout=lock_timeout
-        )
+        self._lock = StoreLock(path, owner="QueryService").acquire(blocking=False)
         try:
             self._engine = QueryEngine.from_store(
                 path,
@@ -217,19 +209,18 @@ class QueryService:
     def replica(self):
         """The backing replica in reader mode (``None`` for the writer).
 
-        A :class:`~repro.service.ReadReplica`, or a
-        :class:`~repro.service.remote.RemoteReadReplica` when the service
-        was built with ``remote_source`` — callers keeping a remote-fed
-        replica fresh while idle call its ``sync()`` through this.
+        A :class:`~repro.service.ReadReplica` — the
+        :class:`~repro.service.remote.RemoteReadReplica` subclass when the
+        service was built with ``remote_source``; callers keeping a
+        remote-fed replica fresh while idle call its ``refresh()``
+        through this.
         """
         return self._replica
 
     @property
     def generation(self) -> int:
         """Snapshot generation of the served view."""
-        if self._replica is not None:
-            return self._replica.generation
-        return self._engine.store.manifest.generation
+        return self.engine.store.manifest.generation
 
     def stats(self) -> Dict[str, object]:
         """Engine + admission counters (the ``stats`` request payload).
@@ -288,11 +279,6 @@ class QueryService:
         """One dispatch rule for every read: the replica serves directly
         (its engine swap is atomic), the writer's engine is read-locked
         so no query overlaps an update batch or compaction."""
-        if self._slow_query_ms is None:
-            if self._replica is not None:
-                return getattr(self._replica, method)(*args, **kwargs)
-            with self._rw.read():
-                return getattr(self._engine, method)(*args, **kwargs)
         start = time.perf_counter()
         try:
             if self._replica is not None:
@@ -300,9 +286,10 @@ class QueryService:
             with self._rw.read():
                 return getattr(self._engine, method)(*args, **kwargs)
         finally:
-            duration_ms = (time.perf_counter() - start) * 1000.0
-            if duration_ms >= self._slow_query_ms:
-                self._record_slow(method, args, kwargs, duration_ms)
+            if self._slow_query_ms is not None:
+                duration_ms = (time.perf_counter() - start) * 1000.0
+                if duration_ms >= self._slow_query_ms:
+                    self._record_slow(method, args, kwargs, duration_ms)
 
     def _record_slow(self, method: str, args, kwargs, duration_ms: float) -> None:
         entry: Dict[str, object] = {
@@ -347,8 +334,6 @@ class QueryService:
 
     def num_components(self, s: int) -> int:
         """Number of s-connected components among non-isolated hyperedges."""
-        if self._replica is not None:
-            return self._replica.num_components(s)
         labels = self.metric(s, "connected_components")
         return int(labels.max()) + 1 if labels.size else 0
 
@@ -648,25 +633,15 @@ class QueryService:
 
         Writer: ready while the store lock is held and the admission
         queue has not been poisoned by a failed group commit.  Replica:
-        delegates to :meth:`RemoteReadReplica.readiness` when serving a
-        remote mirror (last sync ok, generation lag within
-        ``max_generation_lag``); a shared-filesystem replica is ready as
-        long as its store is readable.
+        what its :meth:`ReadReplica.readiness` says — open, and for a
+        remote-fed mirror also last sync ok and generation lag within
+        ``max_generation_lag``.
         """
         if self._closed:
             return False, {"reason": "service closed"}
         if self._replica is not None:
-            probe = getattr(self._replica, "readiness", None)
-            if probe is not None:
-                return probe(max_generation_lag)
-            detail: Dict[str, object] = {"role": "replica"}
-            try:
-                detail["generation"] = int(self.generation)
-            except (StoreError, OSError) as exc:
-                detail["reason"] = f"store unreadable: {exc}"
-                return False, detail
-            return True, detail
-        detail = {"role": "writer"}
+            return self._replica.readiness(max_generation_lag)
+        detail: Dict[str, object] = {"role": "writer"}
         if self._lock is None or not self._lock.held:
             detail["reason"] = "store writer lock not held"
             return False, detail

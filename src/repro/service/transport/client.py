@@ -488,6 +488,16 @@ class ServiceClient:
         token = self.stats().get("state_token")
         return None if token is None else tuple(int(v) for v in token)
 
+    def poll_state_token(self) -> Optional[tuple]:
+        """:meth:`state_token` for pollers that bring their own retry
+        schedule: a dead connection is re-dialled once, not
+        ``connect_retries`` times, so a down peer costs one refused connect."""
+        budget, self.connect_retries = self.connect_retries, 1
+        try:
+            return self.state_token()
+        finally:
+            self.connect_retries = budget
+
     # ------------------------------------------------------------------ #
     # Replication (the StoreMirror source interface — see
     # repro.store.replication; a connected client IS a ReplicationSource)

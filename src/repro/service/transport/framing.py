@@ -468,16 +468,6 @@ def send_frame(
     sock.sendall(encode_frame(payload, max_frame_bytes))
 
 
-def send_binary_frame(
-    sock: socket.socket,
-    payload: Dict[str, object],
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    codec: Optional[str] = None,
-) -> None:
-    """Encode and send one binary (protocol 2) frame."""
-    sock.sendall(encode_binary_frame(payload, max_frame_bytes, codec=codec))
-
-
 def recv_frame(
     sock: socket.socket,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,

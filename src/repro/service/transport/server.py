@@ -63,6 +63,9 @@ from repro.service.transport.framing import (
     recv_frame,
 )
 
+#: Listen-queue depth: connections the kernel holds between ``accept`` calls.
+_BACKLOG = 32
+
 #: Seconds a handler blocked in ``recv`` waits before re-checking the stop
 #: flag (bounds shutdown latency; no effect on throughput).
 _POLL_INTERVAL = 0.2
@@ -143,7 +146,6 @@ class SocketServer:
         port: int = 0,
         max_connections: int = 32,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        backlog: int = 32,
         protocol_max: Optional[int] = None,
     ) -> None:
         self.service = service
@@ -190,7 +192,7 @@ class SocketServer:
             ("op", "code"),
         )
         self._accept_thread: Optional[threading.Thread] = None
-        self._listener = socket.create_server((host, int(port)), backlog=backlog)
+        self._listener = socket.create_server((host, int(port)), backlog=_BACKLOG)
         self._listener.settimeout(_POLL_INTERVAL)
         self.host, self.port = self._listener.getsockname()[:2]
 

@@ -447,8 +447,6 @@ class StoreMirror:
         reader — :class:`~repro.store.IndexStore`,
         :class:`~repro.service.ReadReplica` — can open it read-only while
         the mirror keeps syncing; generation swaps are atomic.
-    chunk_bytes:
-        Raw bytes per fetch round trip.
 
     The mirror is the directory's only writer (pair it with the service
     layer's ``StoreLock`` when that needs enforcing across processes).
@@ -458,12 +456,10 @@ class StoreMirror:
         self,
         source: ReplicationSource,
         path: PathLike,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         sync_retries: int = _SYNC_RETRIES,
     ) -> None:
         self.source = source
         self.path = str(path)
-        self.chunk_bytes = int(chunk_bytes)
         self.sync_retries = int(sync_retries)
         #: Completed syncs that changed anything (observability).
         self.syncs = 0
@@ -840,7 +836,7 @@ class StoreMirror:
         with open(tmp, "wb") as handle:
             while received < size:
                 chunk = self.source.repl_fetch(
-                    name, generation, received, min(self.chunk_bytes, size - received)
+                    name, generation, received, min(DEFAULT_CHUNK_BYTES, size - received)
                 )
                 data = chunk["data"]
                 if not data:

@@ -18,8 +18,6 @@ replayed image of a write-ahead log on top of an immutable base snapshot.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -27,7 +25,8 @@ import numpy as np
 from repro.chaos.failpoints import fire as _failpoint
 from repro.core.filtration import filter_weighted_arrays
 from repro.core.slinegraph import SLineGraph
-from repro.obs import get_registry, get_tracer
+from repro.engine.cache import LRUCache
+from repro.obs import get_tracer
 from repro.parallel.workload import WorkloadStats
 from repro.store.format import Manifest, PathLike, read_manifest
 from repro.store.overlay import WalOverlay
@@ -59,32 +58,17 @@ class ShardedIndex:
         self._manifest = manifest if manifest is not None else read_manifest(store_path)
         if max_resident_shards is not None and max_resident_shards < 1:
             raise ValidationError("max_resident_shards must be >= 1 or None")
-        self._max_resident = max_resident_shards
         # Residency is the one structure concurrent *reader* threads race
-        # on (the service layer fans queries over a thread pool); the lock
-        # covers only the LRU bookkeeping, never the shard file I/O.
-        # Overlay mutations (add/remove) remain single-writer territory,
-        # serialised by the service's readers-writer lock.
-        self._residency_lock = threading.Lock()
-        self._resident: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]" = OrderedDict()
+        # on (the service layer fans queries over a thread pool); the
+        # cache's lock covers only the LRU bookkeeping, never the shard
+        # file I/O.  Overlay mutations (add/remove) remain single-writer
+        # territory, serialised by the service's readers-writer lock.
+        self._resident = LRUCache(
+            maxsize=max_resident_shards or self.num_shards or 1,
+            metrics_label="shards",
+        )
         self._edge_sizes = load_edge_sizes(self._path, self._manifest)
-        #: Number of shard file loads performed (observability / tests).
-        self.shard_loads = 0
         self._tracer = get_tracer()
-        # Shard-residency telemetry: same family as the engine result
-        # cache, distinguished by the ``cache`` label.
-        registry = get_registry()
-        self._m_hits = registry.counter(
-            "repro_cache_hits_total", "Cache lookups served from cache.", ("cache",)
-        ).labels(cache="shards")
-        self._m_misses = registry.counter(
-            "repro_cache_misses_total", "Cache lookups that missed.", ("cache",)
-        ).labels(cache="shards")
-        self._m_evictions = registry.counter(
-            "repro_cache_evictions_total",
-            "Entries evicted by the LRU policy.",
-            ("cache",),
-        ).labels(cache="shards")
         # WAL overlay: appended pairs, tombstoned IDs, removed-base count.
         self._extra_edges = np.empty((0, 2), dtype=np.int64)
         self._extra_weights = np.empty(0, dtype=np.int64)
@@ -109,6 +93,11 @@ class ShardedIndex:
     def num_resident_shards(self) -> int:
         """Currently open shard handles (<= ``max_resident_shards``)."""
         return len(self._resident)
+
+    @property
+    def shard_loads(self) -> int:
+        """Shard file loads so far: one per residency miss (observability / tests)."""
+        return self._resident.misses
 
     @property
     def num_pairs(self) -> int:
@@ -167,28 +156,14 @@ class ShardedIndex:
     # Shard residency
     # ------------------------------------------------------------------ #
     def _shard_arrays(self, shard_id: int) -> Tuple[np.ndarray, np.ndarray]:
-        with self._residency_lock:
-            cached = self._resident.get(shard_id)
-            if cached is not None:
-                self._resident.move_to_end(shard_id)
-                self._m_hits.inc()
-                return cached
-        info = self._manifest.shards[shard_id]
-        # Two threads may both miss and load the same shard; the mmaps are
-        # identical views, the duplicate handle is dropped on insert.
-        with self._tracer.start_span("store.shard_load", {"shard_id": shard_id}):
-            _failpoint("store.shard_load")
-            arrays = load_shard(self._path, info)
-        self._m_misses.inc()
-        with self._residency_lock:
-            self._resident[shard_id] = arrays
-            self.shard_loads += 1
-            if (
-                self._max_resident is not None
-                and len(self._resident) > self._max_resident
-            ):
-                self._resident.popitem(last=False)
-                self._m_evictions.inc()
+        arrays = self._resident.get(shard_id)
+        if arrays is None:
+            # Two threads may both miss and load the same shard; the mmaps
+            # are identical views, the second insert replaces the first.
+            with self._tracer.start_span("store.shard_load", {"shard_id": shard_id}):
+                _failpoint("store.shard_load")
+                arrays = load_shard(self._path, self._manifest.shards[shard_id])
+            self._resident.put(shard_id, arrays)
         return arrays
 
     def _iter_filtered(self, s: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -291,7 +266,10 @@ class ShardedIndex:
         out: Dict[int, SLineGraph] = {}
         for s in s_list:
             mask = weights >= s
-            out[s] = _canonical_line_graph(
+            # The store's pair invariants (every row (i, j) with i < j,
+            # pairs unique) plus the (lo, hi) sort and ``>= s`` mask above
+            # are what ``__post_init__`` would re-establish.
+            out[s] = SLineGraph.from_canonical(
                 s,
                 edges[mask],
                 weights[mask],
@@ -413,8 +391,7 @@ class ShardedIndex:
         swap) use it to return file handles eagerly instead of waiting for
         garbage collection.
         """
-        with self._residency_lock:
-            self._resident.clear()
+        self._resident.clear()
 
     # ------------------------------------------------------------------ #
     # Dunders
@@ -424,26 +401,3 @@ class ShardedIndex:
             f"ShardedIndex(path={self._path!r}, num_shards={self.num_shards}, "
             f"num_hyperedges={self.num_hyperedges}, num_pairs={self.num_pairs})"
         )
-
-
-def _canonical_line_graph(
-    s: int,
-    edges: np.ndarray,
-    weights: np.ndarray,
-    num_hyperedges: int,
-    active_vertices: np.ndarray,
-) -> SLineGraph:
-    """Build an :class:`SLineGraph` from arrays already in canonical form.
-
-    The store's pair invariants — every row ``(i, j)`` with ``i < j``,
-    pairs unique — plus the caller's (lo, hi) sort and ``>= s`` mask are
-    exactly what ``SLineGraph.__post_init__`` would re-establish, so the
-    sweep fast path skips that second normalisation pass.
-    """
-    graph = SLineGraph.__new__(SLineGraph)
-    graph.s = int(s)
-    graph.edges = edges
-    graph.weights = weights
-    graph.num_hyperedges = int(num_hyperedges)
-    graph.active_vertices = active_vertices
-    return graph

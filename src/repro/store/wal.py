@@ -68,6 +68,22 @@ def _frame(seq: int, payload: dict) -> bytes:
     return f"{seq}\t{crc:08x}\t{body}\n".encode("utf-8")
 
 
+def _checked_body(line: bytes, expected_seq: int) -> Optional[bytes]:
+    """The JSON body of one frame line (no trailing newline), or ``None``
+    unless its shape, sequence number and CRC32 all hold."""
+    parts = line.split(b"\t", 2)
+    if len(parts) != 3:
+        return None
+    try:
+        seq = int(parts[0])
+        crc = int(parts[1], 16)
+    except ValueError:
+        return None
+    if seq != expected_seq or zlib.crc32(parts[2]) & 0xFFFFFFFF != crc:
+        return None
+    return parts[2]
+
+
 class WriteAheadLog:
     """Append-only, checksummed redo log for one store directory."""
 
@@ -127,20 +143,11 @@ class WriteAheadLog:
 
     @staticmethod
     def _decode(line: bytes, expected_seq: int) -> Optional[WalRecord]:
-        parts = line.split(b"\t", 2)
-        if len(parts) != 3:
+        body = _checked_body(line, expected_seq)
+        if body is None:
             return None
         try:
-            seq = int(parts[0])
-            crc = int(parts[1], 16)
-        except ValueError:
-            return None
-        if seq != expected_seq:
-            return None
-        if zlib.crc32(parts[2]) & 0xFFFFFFFF != crc:
-            return None
-        try:
-            payload = json.loads(parts[2].decode("utf-8"))
+            payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None
         if not isinstance(payload, dict) or payload.get("op") not in (
@@ -148,7 +155,7 @@ class WriteAheadLog:
             OP_REMOVE,
         ):
             return None
-        return WalRecord(seq=seq, op=str(payload["op"]), payload=payload)
+        return WalRecord(seq=expected_seq, op=str(payload["op"]), payload=payload)
 
     def read_suffix(
         self, offset: int, next_seq: int
@@ -195,15 +202,7 @@ class WriteAheadLog:
             newline = data.find(b"\n", pos)
             if newline < 0:
                 break  # torn in-flight append: stop cleanly before it
-            parts = data[pos:newline].split(b"\t", 2)
-            if len(parts) != 3:
-                return None
-            try:
-                seq = int(parts[0])
-                crc = int(parts[1], 16)
-            except ValueError:
-                return None
-            if seq != expected or zlib.crc32(parts[2]) & 0xFFFFFFFF != crc:
+            if _checked_body(data[pos:newline], expected) is None:
                 # A complete line that does not continue the cursor: the
                 # log diverged (rewritten or corrupt) — rebase.  A partial
                 # flush can only truncate the tail, never alter a complete

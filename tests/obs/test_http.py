@@ -1,11 +1,13 @@
 """The plain-HTTP /metrics listener and its /healthz + /readyz probes."""
 
 import json
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.chaos.harness import wait_until
 from repro.obs import (
     CONTENT_TYPE,
     MetricsHTTPServer,
@@ -158,6 +160,18 @@ class TestHeadProbes:
             assert (status, body) == (503, b"")
 
 
+class TestShutdown:
+    def test_close_does_not_wait_out_the_stdlib_poll_tick(self, registry):
+        """close() waits for serve_forever's loop to notice the shutdown
+        flag: one poll interval, which must not be the stdlib's 0.5 s."""
+        server = MetricsHTTPServer(registry=registry).start()
+        assert _get_json(server, "/healthz")[0] == 200
+        start = time.monotonic()
+        server.close()
+        assert time.monotonic() - start < 0.1
+        server.close()  # still idempotent
+
+
 class TestProbeTiming:
     def test_every_probe_is_timed_into_the_histogram(self, registry):
         with MetricsHTTPServer(registry=registry) as server:
@@ -165,6 +179,16 @@ class TestProbeTiming:
             _get_json(server, "/readyz")
             urllib.request.urlopen(server.url).read()
             _head(server, "/healthz")
+            # A handler observes its own wall time *after* answering, so a
+            # client can be back before the sample of its last probe lands.
+            timers = server._httpd.probe_timers
+            expected = {"healthz": 2, "readyz": 1, "metrics": 1}
+            wait_until(
+                lambda: all(timers[probe].count >= n for probe, n in expected.items()),
+                timeout=5.0,
+                interval=0.001,
+                description="every probe's sample to land",
+            )
             body = urllib.request.urlopen(server.url).read().decode("utf-8")
         # healthz: 1 GET + 1 HEAD; metrics: first scrape + this one (the
         # second scrape observes itself only after rendering).

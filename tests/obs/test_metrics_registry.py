@@ -1,4 +1,4 @@
-"""MetricsRegistry semantics: instruments, labels, concurrency, helpers."""
+"""MetricsRegistry semantics: instruments, labels, concurrency."""
 
 import threading
 
@@ -10,8 +10,6 @@ from repro.obs import (
     MetricsRegistry,
     NullRegistry,
     get_registry,
-    time_block,
-    timed,
     use_registry,
 )
 
@@ -185,38 +183,6 @@ class TestDefaultRegistry:
         null.histogram("h").observe(1.0)
         assert c.value == 0
         assert null.snapshot() == {}
-
-
-class TestTimingHelpers:
-    def test_time_block_observes_once(self, registry):
-        h = registry.histogram("lat")
-        with time_block(h):
-            pass
-        assert h.count == 1
-        assert h.sum >= 0
-
-    def test_time_block_observes_on_exception(self, registry):
-        h = registry.histogram("lat")
-        with pytest.raises(ValueError):
-            with time_block(h):
-                raise ValueError("boom")
-        assert h.count == 1
-
-    def test_time_block_resolves_labels(self, registry):
-        h = registry.histogram("lat", "", ("op",))
-        with time_block(h, op="sweep"):
-            pass
-        assert h.labels(op="sweep").count == 1
-
-    def test_timed_decorator(self, registry):
-        h = registry.histogram("lat", "", ("op",))
-
-        @timed(h, op="work")
-        def work(x):
-            return x * 2
-
-        assert work(21) == 42
-        assert h.labels(op="work").count == 1
 
 
 class TestConcurrency:

@@ -10,24 +10,16 @@ hypergraph.
 """
 
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from repro.core.pipeline import SLinePipeline
+from repro.chaos.harness import harness_env, oracle_values_json
 from repro.service import QueryService
 from repro.store.store import IndexStore
 from repro.utils.rng import make_rng
-
-
-def _env():
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    return env
 
 
 @pytest.fixture
@@ -41,7 +33,7 @@ def reader(store_path):
     """A read-replica serving process sharing the store directory."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--path", store_path, "--read-only"],
-        env=_env(),
+        env=harness_env(),
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -71,12 +63,8 @@ def ask(proc, request):
 
 
 def oracle_metric(h, s, metric):
-    """The single-process five-stage pipeline, keyed by hyperedge ID."""
-    pipeline = SLinePipeline(
-        metrics=(metric,), drop_empty_edges=False, drop_isolated_vertices=False
-    )
-    result = pipeline.run(h, s)
-    return {str(k): v for k, v in result.metric_by_hyperedge(metric).items()}
+    """The single-process five-stage pipeline, keyed like the wire's ``values``."""
+    return json.loads(oracle_values_json(h, s, metric))
 
 
 def random_members(h, rng, size=5):
@@ -151,7 +139,7 @@ class TestWriterAndReaderProcessesShareTheStore:
         with QueryService(store_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "repro", "serve", "--path", store_path],
-                env=_env(),
+                env=harness_env(),
                 input="",
                 capture_output=True,
                 text=True,

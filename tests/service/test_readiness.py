@@ -7,10 +7,12 @@ readable, remote replica ready = last sync succeeded and generation lag
 within the threshold.
 """
 
+import time
+
 import pytest
 
 from repro.obs import MetricsRegistry, use_registry
-from repro.service import QueryService
+from repro.service import QueryService, RemoteReadReplica
 from repro.service.transport import SocketServer
 from repro.store.store import IndexStore
 
@@ -89,9 +91,40 @@ class TestRemoteReplicaReadiness:
             try:
                 assert replica.readiness()[0]
                 upstream.close()
+                start = time.monotonic()
                 ready, detail = replica.readiness()
+                elapsed = time.monotonic() - start
                 assert not ready
                 assert detail["reason"] == "peer unreachable"
+                # One refused dial, not the client's 40 x 0.25 s reconnect
+                # budget.
+                assert elapsed < 1.0, elapsed
+            finally:
+                replica.close()
+                upstream.close()
+
+    def test_failed_poll_is_reported_without_dialling_again(
+        self, store_path, registry, tmp_path
+    ):
+        """The state a failed poll leaves behind answers the probe: an
+        idle replica's follower (``refresh()``) records the outage once,
+        fast, and ``/readyz`` reads it instead of re-dialling."""
+        with QueryService(store_path, max_batch=16) as writer:
+            upstream = SocketServer(writer).start()
+            replica = RemoteReadReplica(*upstream.address, str(tmp_path / "mirror"))
+            try:
+                upstream.close()
+                start = time.monotonic()
+                replica.refresh()  # what `replicate --serve` runs while idle
+                ready, detail = replica.readiness()
+                elapsed = time.monotonic() - start
+                assert not ready
+                assert detail["reason"] == "last sync failed"
+                assert "TransportError" in detail["error"]
+                assert elapsed < 1.0, elapsed
+                assert not replica.client.connected  # and nothing re-dialled
+                assert replica.client.connect_retries == 40  # budget restored
+                assert replica.num_components(1) >= 1  # still serving
             finally:
                 replica.close()
                 upstream.close()

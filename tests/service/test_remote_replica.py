@@ -6,11 +6,13 @@ shared store path — exercising bootstrap, WAL-delta convergence,
 compaction hot-swap, peer-outage degradation and mirror locking.
 """
 
+import numpy as np
 import pytest
 
 from repro.engine.engine import QueryEngine
 from repro.service import (
     QueryService,
+    ReadReplica,
     RemoteReadReplica,
     ServiceClient,
     SocketServer,
@@ -176,3 +178,55 @@ class TestRemoteReadReplica:
             assert client.components(1) >= 0
         finally:
             client.close()
+
+
+#: The query surface both replica kinds serve — one implementation
+#: (``ReadReplica``'s) since the remote-fed replica became a subclass.
+QUERY_SURFACE = [
+    ("fingerprint", ()),
+    ("max_s", ()),
+    ("line_graph", (2,)),
+    ("extract", (2,)),
+    ("metric", (2, "pagerank")),
+    ("metric_by_hyperedge", (1, "connected_components")),
+    ("metrics", (2, ("pagerank", "connected_components"))),
+    ("sweep", ((1, 2, 3), ("connected_components",))),
+    ("num_components", (1,)),
+]
+
+
+def _comparable(value):
+    """Query results as plain values ``==`` can compare."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _comparable(v) for key, v in value.items()}
+    if hasattr(value, "edge_counts"):  # SweepResult
+        return (value.edge_counts, value.active_counts, _comparable(value.metrics))
+    return value
+
+
+class TestSharedQuerySurface:
+    """A shared-filesystem replica and a remote-fed one follow the same
+    writer through an update and a compaction and must answer every query
+    method identically — and equal to the writer's own engine."""
+
+    @pytest.mark.parametrize("method, args", QUERY_SURFACE)
+    def test_local_and_remote_replicas_answer_identically(
+        self, method, args, server, writer, store_path, mirror_path
+    ):
+        assert issubclass(RemoteReadReplica, ReadReplica)
+        with ReadReplica(store_path) as local, RemoteReadReplica(
+            server.host, server.port, mirror_path
+        ) as remote:
+            for step in ("snapshot", "updated", "compacted"):
+                if step == "updated":
+                    writer.submit_add([0, 1, 2, 3]).result()
+                    writer.submit_remove(2).result()
+                elif step == "compacted":
+                    writer.compact()
+                source = writer if method == "num_components" else writer.engine
+                expected = _comparable(getattr(source, method)(*args))
+                assert _comparable(getattr(local, method)(*args)) == expected, step
+                assert _comparable(getattr(remote, method)(*args)) == expected, step
+            assert local.generation == remote.generation == 1

@@ -14,41 +14,28 @@ compaction (changed-shards-only delta sync with a hot generation swap).
 
 import json
 import multiprocessing as mp
-import os
 import subprocess
 import sys
-import time
 
 import pytest
 
+from repro.chaos.harness import (
+    ManagedProcess,
+    diff_stores,
+    harness_env,
+    oracle_values_json,
+    wait_until,
+)
 from repro.core.pipeline import SLinePipeline
 from repro.service import QueryService, ServiceClient, SocketServer
 from repro.store.store import IndexStore
 from repro.utils.rng import make_rng
 
 
-def _env():
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
 @pytest.fixture
 def store_path(community_hypergraph, tmp_path):
     IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
     return str(tmp_path / "idx")
-
-
-def oracle_json(h, s, metric):
-    """Pipeline oracle, serialised exactly like the wire's ``values``."""
-    pipeline = SLinePipeline(
-        metrics=(metric,), drop_empty_edges=False, drop_isolated_vertices=False
-    )
-    values = pipeline.run(h, s).metric_by_hyperedge(metric)
-    return json.dumps(
-        {str(k): float(v) for k, v in sorted(values.items())}, sort_keys=True
-    )
 
 
 def reader_process(address, phases, results):
@@ -67,19 +54,19 @@ def reader_process(address, phases, results):
             results.put((phase, answers, client.generation()))
 
 
-def await_convergence(monitor, fingerprint, timeout=60.0):
-    deadline = time.monotonic() + timeout
-    while monitor.fingerprint() != fingerprint:
-        assert time.monotonic() < deadline, "remote mirror did not catch up"
-        time.sleep(0.05)
+def await_convergence(monitor, fingerprint):
+    wait_until(
+        lambda: monitor.fingerprint() == fingerprint,
+        description="the remote mirror to catch up",
+    )
 
 
-def await_generation(monitor, generation, timeout=60.0):
+def await_generation(monitor, generation):
     """Compaction does not change the fingerprint — wait on the generation."""
-    deadline = time.monotonic() + timeout
-    while monitor.generation() != generation:
-        assert time.monotonic() < deadline, "remote mirror did not pull the compaction"
-        time.sleep(0.05)
+    wait_until(
+        lambda: monitor.generation() == generation,
+        description="the remote mirror to pull the compaction",
+    )
 
 
 NUM_READERS = 2
@@ -92,7 +79,7 @@ class TestRemoteMirrorAcceptance:
         mirror_path = str(tmp_path / "mirror")
         with QueryService(store_path, max_batch=16) as writer:
             with SocketServer(writer, port=0) as writer_server:
-                proc = subprocess.Popen(
+                proc = ManagedProcess(
                     [
                         sys.executable, "-m", "repro", "replicate",
                         "--from", f"{writer_server.host}:{writer_server.port}",
@@ -100,18 +87,17 @@ class TestRemoteMirrorAcceptance:
                         "--serve", "127.0.0.1:0",
                         "--poll-interval", "0.1",
                     ],
-                    env=_env(),
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
-                    text=True,
-                    bufsize=1,
+                    name="replicate",
                 )
                 try:
-                    synced = json.loads(proc.stdout.readline())
-                    assert synced["op"] == "synced" and synced["full_sync"]
-                    listening = json.loads(proc.stdout.readline())
-                    assert listening["op"] == "listening" and listening["read_only"]
+                    synced = proc.expect("synced")
+                    assert synced["full_sync"]
+                    listening = proc.expect("listening")
+                    assert listening["read_only"]
                     replica_address = (listening["host"], listening["port"])
+                    # Serving mode bootstraps once, over the replica's own
+                    # peer connection.
+                    assert writer_server.stats.connections_accepted == 1
 
                     ctx = mp.get_context("spawn")
                     phases = [ctx.Queue() for _ in range(NUM_READERS)]
@@ -129,8 +115,8 @@ class TestRemoteMirrorAcceptance:
                     def run_phase(name):
                         h = writer.engine.hypergraph
                         expected = {
-                            "pagerank/2": oracle_json(h, 2, "pagerank"),
-                            "connected_components/1": oracle_json(
+                            "pagerank/2": oracle_values_json(h, 2, "pagerank"),
+                            "connected_components/1": oracle_values_json(
                                 h, 1, "connected_components"
                             ),
                             "components/2": SLinePipeline(
@@ -178,10 +164,7 @@ class TestRemoteMirrorAcceptance:
                             if reader.is_alive():  # pragma: no cover - cleanup
                                 reader.terminate()
                 finally:
-                    proc.terminate()
-                    proc.wait(timeout=30)
-                    proc.stdout.close()
-                    proc.stderr.close()
+                    proc.close(timeout=30)
 
     def test_replicate_bootstrap_once_is_byte_identical(self, store_path, tmp_path):
         """Without --serve, replicate is a one-shot bootstrap/backup."""
@@ -195,7 +178,7 @@ class TestRemoteMirrorAcceptance:
                         "--from", f"{server.host}:{server.port}",
                         "--store", mirror_path,
                     ],
-                    env=_env(),
+                    env=harness_env(),
                     capture_output=True,
                     text=True,
                     timeout=120,
@@ -203,25 +186,4 @@ class TestRemoteMirrorAcceptance:
         assert out.returncode == 0, out.stderr
         synced = json.loads(out.stdout.splitlines()[0])
         assert synced["op"] == "synced" and synced["wal_records"] == 1
-        _assert_byte_identical(store_path, mirror_path)
-
-
-def _store_files(path):
-    skip = {"replication.json", "writer.lock"}
-    out = {}
-    for root, _, files in os.walk(str(path)):
-        for name in files:
-            if name in skip or name.endswith((".sync", ".staged")):
-                continue
-            full = os.path.join(root, name)
-            rel = os.path.relpath(full, str(path)).replace(os.sep, "/")
-            with open(full, "rb") as handle:
-                out[rel] = handle.read()
-    return out
-
-
-def _assert_byte_identical(source_path, mirror_path):
-    source, mirror = _store_files(source_path), _store_files(mirror_path)
-    assert sorted(source) == sorted(mirror)
-    for name in source:
-        assert source[name] == mirror[name], f"mirror differs from source: {name}"
+        assert diff_stores(store_path, mirror_path) == []

@@ -12,13 +12,11 @@ hot reload.
 
 import json
 import multiprocessing as mp
-import os
-import subprocess
 import sys
-import time
 
 import pytest
 
+from repro.chaos.harness import ManagedProcess, oracle_values_json, wait_until
 from repro.core.pipeline import SLinePipeline
 from repro.service import (
     QueryService,
@@ -30,13 +28,6 @@ from repro.store.store import IndexStore
 from repro.utils.rng import make_rng
 
 
-def _env():
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
 @pytest.fixture
 def store_path(community_hypergraph, tmp_path):
     IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
@@ -46,35 +37,19 @@ def store_path(community_hypergraph, tmp_path):
 @pytest.fixture
 def replica_server(store_path):
     """A ``serve --read-only --listen`` subprocess; yields its address."""
-    proc = subprocess.Popen(
+    proc = ManagedProcess(
         [
             sys.executable, "-m", "repro", "serve", "--path", store_path,
             "--read-only", "--listen", "127.0.0.1:0",
         ],
-        env=_env(),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        bufsize=1,
+        name="replica-server",
     )
-    listening = json.loads(proc.stdout.readline())
-    assert listening["op"] == "listening" and listening["read_only"]
-    yield (listening["host"], listening["port"])
-    proc.terminate()
-    proc.wait(timeout=30)
-    proc.stdout.close()
-    proc.stderr.close()
-
-
-def oracle_json(h, s, metric):
-    """Pipeline oracle, serialised exactly like the wire's ``values``."""
-    pipeline = SLinePipeline(
-        metrics=(metric,), drop_empty_edges=False, drop_isolated_vertices=False
-    )
-    values = pipeline.run(h, s).metric_by_hyperedge(metric)
-    return json.dumps(
-        {str(k): float(v) for k, v in sorted(values.items())}, sort_keys=True
-    )
+    try:
+        listening = proc.expect("listening")
+        assert listening["read_only"]
+        yield (listening["host"], listening["port"])
+    finally:
+        proc.close(timeout=30)
 
 
 def reader_process(address, phases, results):
@@ -95,11 +70,11 @@ def reader_process(address, phases, results):
             results.put((phase, answers, client.generation()))
 
 
-def await_convergence(monitor, fingerprint, timeout=60.0):
-    deadline = time.monotonic() + timeout
-    while monitor.fingerprint() != fingerprint:
-        assert time.monotonic() < deadline, "replica did not catch up"
-        time.sleep(0.05)
+def await_convergence(monitor, fingerprint):
+    wait_until(
+        lambda: monitor.fingerprint() == fingerprint,
+        description="the replica to catch up",
+    )
 
 
 NUM_READERS = 2
@@ -122,8 +97,8 @@ class TestRemoteServingAcceptance:
         def run_phase(name, writer):
             h = writer.engine.hypergraph
             expected = {
-                "pagerank/2": oracle_json(h, 2, "pagerank"),
-                "connected_components/1": oracle_json(h, 1, "connected_components"),
+                "pagerank/2": oracle_values_json(h, 2, "pagerank"),
+                "connected_components/1": oracle_values_json(h, 1, "connected_components"),
                 "components/2": SLinePipeline(
                     metrics=("connected_components",)
                 ).run(h, 2).num_components(),
@@ -175,19 +150,15 @@ class TestRemoteServingAcceptance:
 
     def test_writer_cli_server_locks_out_a_second_writer(self, store_path):
         """A serve --listen writer subprocess holds the single-writer lock."""
-        proc = subprocess.Popen(
+        proc = ManagedProcess(
             [
                 sys.executable, "-m", "repro", "serve", "--path", store_path,
                 "--listen", "127.0.0.1:0",
             ],
-            env=_env(),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            bufsize=1,
+            name="writer-server",
         )
         try:
-            listening = json.loads(proc.stdout.readline())
+            listening = proc.expect("listening")
             assert not listening["read_only"]
             with pytest.raises(StoreLockHeldError):
                 QueryService(store_path)
@@ -195,7 +166,4 @@ class TestRemoteServingAcceptance:
             with ServiceClient("127.0.0.1", listening["port"]) as client:
                 assert client.components(1) >= 0
         finally:
-            proc.terminate()
-            proc.wait(timeout=30)
-            proc.stdout.close()
-            proc.stderr.close()
+            proc.close(timeout=30)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.index import OverlapIndex, overlap_counts_for_members
+from repro.obs import MetricsRegistry, use_registry
 from repro.store.sharded import ShardedIndex
 from repro.store.snapshot import write_snapshot
 from repro.utils.validation import ValidationError
@@ -80,6 +81,37 @@ class TestLaziness:
     def test_resident_cap_validated(self, store_path):
         with pytest.raises(ValidationError):
             ShardedIndex(store_path, max_resident_shards=0)
+
+    def test_residency_telemetry_counts_every_lookup(self, store_path):
+        """Full passes over 6 populated shards with room for 2: every
+        lookup of a later pass misses again (LRU order = scan order)."""
+        with use_registry(MetricsRegistry()) as registry:
+            sharded = ShardedIndex(store_path, max_resident_shards=2)
+            sharded.line_graph(1)
+            sharded.line_graph(1)
+            sharded.line_graph(1)
+            assert sharded.shard_loads == 18
+            capped = _shard_cache_counters(registry)
+            roomy = ShardedIndex(store_path)
+            roomy.line_graph(1)
+            roomy.edge_count(1)
+            assert roomy.shard_loads == 6
+            assert roomy.num_resident_shards == 6
+            roomy.close()
+            assert roomy.num_resident_shards == 0
+            both = _shard_cache_counters(registry)
+        assert capped == {"hits": 0, "misses": 18, "evictions": 16}
+        # The unbounded index hits on its second pass and never evicts.
+        assert both == {"hits": 6, "misses": 24, "evictions": 16}
+
+
+def _shard_cache_counters(registry):
+    return {
+        kind: registry.counter(
+            f"repro_cache_{kind}_total", "", ("cache",)
+        ).labels(cache="shards").value
+        for kind in ("hits", "misses", "evictions")
+    }
 
 
 class TestOverlay:
