@@ -71,6 +71,7 @@ from repro.core.dispatch import ALGORITHMS, s_line_graph
 from repro.core.pipeline import METRIC_FUNCTIONS
 from repro.engine.engine import QueryEngine
 from repro.generators.datasets import available_datasets, load_dataset
+from repro.graph.connected_components import num_components
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.properties import compute_stats
 from repro.io.edgelist import read_bipartite_edgelist, read_hyperedge_list
@@ -315,13 +316,18 @@ def _cmd_components(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_top(scores, top: int, title: str, name_of) -> None:
+    """Rank ``{hyperedge ID: score}`` by (-score, ID) and print the first ``top``."""
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
+    print(f"top {len(ranked)} hyperedges by {title}")
+    for edge_id, score in ranked:
+        print(f"  {name_of(edge_id)}\t{score:.6f}")
+
+
 def _cmd_centrality(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args)
     scores = CENTRALITY_FUNCTIONS[args.measure](h, args.s)
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[: args.top]
-    print(f"top {len(ranked)} hyperedges by s-{args.measure} (s={args.s})")
-    for edge_id, score in ranked:
-        print(f"  {h.edge_name(edge_id)}\t{score:.6f}")
+    _print_top(scores, args.top, f"s-{args.measure} (s={args.s})", h.edge_name)
     return 0
 
 
@@ -350,20 +356,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"active hyperedges (index: {engine.index.num_pairs} weighted pairs, "
         f"max s = {engine.max_s()})"
     )
-    ranked = sorted(
-        engine.metric_by_hyperedge(args.s, args.metric).items(),
-        key=lambda kv: (-kv[1], kv[0]),
-    )[: args.top]
-    print(f"top {len(ranked)} hyperedges by {args.metric} (s={args.s})")
-    for edge_id, score in ranked:
-        print(f"  {h.edge_name(edge_id)}\t{score:.6f}")
+    scores = engine.metric_by_hyperedge(args.s, args.metric)
+    _print_top(scores, args.top, f"{args.metric} (s={args.s})", h.edge_name)
     return 0
 
 
 def _metric_summary(name: str, values: np.ndarray):
     """One table cell per (s, metric): component count, or the max value."""
     if name in ("connected_components", "lpcc"):
-        return int(values.max()) + 1 if values.size else 0
+        return num_components(values)
     return float(values.max()) if values.size else 0.0
 
 
@@ -449,14 +450,10 @@ def _cmd_index_query(args: argparse.Namespace) -> int:
         f"active hyperedges (store opened in {opened:.4f}s, "
         f"{engine.index.num_pairs} pairs, max s = {engine.max_s()})"
     )
-    ranked = sorted(
-        engine.metric_by_hyperedge(args.s, args.metric).items(),
-        key=lambda kv: (-kv[1], kv[0]),
-    )[: args.top]
-    print(f"top {len(ranked)} hyperedges by {args.metric} (s={args.s})")
-    h = engine.hypergraph
-    for edge_id, score in ranked:
-        print(f"  {h.edge_name(edge_id)}\t{score:.6f}")
+    scores = engine.metric_by_hyperedge(args.s, args.metric)
+    _print_top(
+        scores, args.top, f"{args.metric} (s={args.s})", engine.hypergraph.edge_name
+    )
     return 0
 
 
@@ -773,10 +770,7 @@ def _cmd_connect(args: argparse.Namespace) -> int:
                 f"{host}:{port} ({'replica' if info.get('read_only') else 'writer'}, "
                 f"generation {client.generation()})"
             )
-            ranked = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))[: args.top]
-            print(f"top {len(ranked)} hyperedges by {args.metric} (s={args.s})")
-            for edge_id, score in ranked:
-                print(f"  {edge_id}\t{score:.6f}")
+            _print_top(values, args.top, f"{args.metric} (s={args.s})", str)
             return 0
 
         stream = (  # noqa: SIM115 - sys.stdin branch forbids `with`; closed below

@@ -31,6 +31,7 @@ from repro.graph.betweenness import betweenness_centrality
 from repro.graph.connected_components import (
     connected_components,
     label_propagation_components,
+    num_components,
 )
 from repro.graph.distance import closeness_centrality, eccentricity
 from repro.graph.graph import Graph
@@ -60,6 +61,15 @@ METRIC_FUNCTIONS: Dict[str, Callable[[Graph], np.ndarray]] = {
 }
 
 
+def check_metric_names(names: Sequence[str]) -> None:
+    """Raise :class:`ValidationError` unless every name is a Stage-5 metric."""
+    unknown = [m for m in names if m not in METRIC_FUNCTIONS]
+    if unknown:
+        raise ValidationError(
+            f"unknown metrics {unknown}; available: {sorted(METRIC_FUNCTIONS)}"
+        )
+
+
 @dataclass
 class PipelineResult:
     """Everything produced by one end-to-end pipeline run."""
@@ -81,10 +91,8 @@ class PipelineResult:
     def num_components(self) -> Optional[int]:
         """Number of s-connected components (if a component metric was computed)."""
         for key in ("connected_components", "lpcc"):
-            if key in self.metrics and self.metrics[key].size:
-                return int(self.metrics[key].max()) + 1
-        if "connected_components" in self.metrics or "lpcc" in self.metrics:
-            return 0
+            if key in self.metrics:
+                return num_components(self.metrics[key])
         return None
 
     def metric_by_hyperedge(self, metric: str) -> Dict[int, float]:
@@ -94,10 +102,7 @@ class PipelineResult:
         values = self.metrics[metric]
         if self.squeeze_mapping is None:
             return {int(i): float(v) for i, v in enumerate(values)}
-        return {
-            int(self.squeeze_mapping.new_to_old[i]): float(v)
-            for i, v in enumerate(values)
-        }
+        return self.squeeze_mapping.by_hyperedge(values)
 
 
 class SLinePipeline:
@@ -124,14 +129,6 @@ class SLinePipeline:
         Stage 4/5 results are shared with the engine's cache.  Incompatible
         with ``compute_toplexes`` (the index describes the unsimplified
         hypergraph).
-    store_path:
-        Optional path of a persistent index store
-        (:class:`repro.store.IndexStore`).  The first :meth:`run` builds
-        the overlap index once and persists it there; every later run —
-        including in a *new process* — reuses the snapshot instead of
-        recomputing, provided the hypergraph fingerprint matches (a stale
-        snapshot for a different hypergraph is rebuilt in place).  Mutually
-        exclusive with ``engine`` and ``compute_toplexes``.
 
     Examples
     --------
@@ -153,32 +150,20 @@ class SLinePipeline:
         drop_empty_edges: bool = True,
         drop_isolated_vertices: bool = True,
         engine: Optional["QueryEngine"] = None,
-        store_path: Optional[str] = None,
     ) -> None:
         if algorithm not in ALGORITHMS:
             raise ValidationError(
                 f"unknown algorithm {algorithm!r}; available: {sorted(ALGORITHMS)}"
             )
-        unknown = [m for m in metrics if m not in METRIC_FUNCTIONS]
-        if unknown:
-            raise ValidationError(
-                f"unknown metrics {unknown}; available: {sorted(METRIC_FUNCTIONS)}"
-            )
+        check_metric_names(metrics)
         if metrics and not squeeze:
             raise ValidationError("Stage-5 metrics require squeeze=True")
-        if (engine is not None or store_path is not None) and compute_toplexes:
+        if engine is not None and compute_toplexes:
             raise ValidationError(
                 "engine/store reuse is incompatible with compute_toplexes: "
                 "the overlap index describes the unsimplified hypergraph"
             )
-        if engine is not None and store_path is not None:
-            raise ValidationError(
-                "pass either engine= or store_path=, not both (a persistent "
-                "engine can be opened with QueryEngine.from_store)"
-            )
         self.engine = engine
-        self.store_path = None if store_path is None else str(store_path)
-        self._store_engine: Optional["QueryEngine"] = None
         self.algorithm = algorithm
         self.relabel: RelabelOrder = relabel
         self.compute_toplexes = compute_toplexes
@@ -192,9 +177,7 @@ class SLinePipeline:
         """Execute all configured stages on ``h`` for overlap threshold ``s``."""
         s = check_s_value(s)
         if self.engine is not None:
-            return self._run_via_engine(h, s, self.engine)
-        if self.store_path is not None:
-            return self._run_via_engine(h, s, self._engine_for_store(h))
+            return self._run_via_engine(h, s)
         times = StageTimes()
 
         # Stage 1 — preprocessing.
@@ -255,33 +238,7 @@ class SLinePipeline:
             preprocess_info=prep,
         )
 
-    def _engine_for_store(self, h: Hypergraph) -> "QueryEngine":
-        """The persist/reuse path: open (or build) the store-backed engine.
-
-        The engine is cached across runs; a different hypergraph than the
-        cached one re-opens the store, rebuilding its snapshot in place when
-        the fingerprints disagree (stale persisted index).
-        """
-        from repro.engine.engine import QueryEngine
-
-        cached = self._store_engine
-        if cached is not None and (
-            h is cached.hypergraph or h.fingerprint() == cached.fingerprint()
-        ):
-            return cached
-        self._store_engine = QueryEngine.from_store(
-            self.store_path,
-            hypergraph=h,
-            create=True,
-            on_mismatch="rebuild",
-            algorithm=self.algorithm,
-            config=self.config,
-        )
-        return self._store_engine
-
-    def _run_via_engine(
-        self, h: Hypergraph, s: int, engine: "QueryEngine"
-    ) -> PipelineResult:
+    def _run_via_engine(self, h: Hypergraph, s: int) -> PipelineResult:
         """Serve Stage 3–5 from the engine's overlap index and result cache.
 
         Pairwise overlaps are invariant under Stage-1 preprocessing (dropping
@@ -290,6 +247,7 @@ class SLinePipeline:
         hypergraph anyway), so the engine's threshold view *is* the Stage-3
         result in original IDs.  Stage 1 still runs for its diagnostics.
         """
+        engine = self.engine
         if h is not engine.hypergraph and h.fingerprint() != engine.fingerprint():
             raise ValidationError(
                 "engine reuse requires the same hypergraph the engine serves "

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
-from repro.hypergraph.preprocessing import SqueezeResult, squeeze_ids
+from repro.hypergraph.preprocessing import SqueezeResult
 from repro.utils.validation import ValidationError, check_array_int, check_s_value
 
 
@@ -93,12 +93,21 @@ class SLineGraph:
             raise ValidationError("num_hyperedges must be non-negative")
         if self.edges.size and int(self.edges.max()) >= self.num_hyperedges:
             raise ValidationError("edge endpoint exceeds num_hyperedges")
+        if self.edges.size and int(self.edges.min()) < 0:
+            raise ValidationError("edge endpoints must be non-negative")
         if self.weights.size and int(self.weights.min()) < self.s:
             raise ValidationError("all edge weights must be >= s")
         if self.active_vertices is not None:
             self.active_vertices = np.unique(
                 check_array_int(self.active_vertices, "active_vertices")
             )
+            if self.active_vertices.size and (
+                int(self.active_vertices[0]) < 0
+                or int(self.active_vertices[-1]) >= self.num_hyperedges
+            ):
+                raise ValidationError(
+                    "active_vertices must lie in [0, num_hyperedges)"
+                )
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -213,27 +222,25 @@ class SLineGraph:
             The squeezed :class:`SLineGraph` (IDs ``0..k-1``) and the ID
             mapping.
         """
+        # One presence mask over the bounded ID space is the whole mapping:
+        # its set positions are ``new_to_old`` and its prefix sum relabels.
+        present = np.zeros(self.num_hyperedges, dtype=bool)
+        present[self.edges] = True
         if include_isolated and self.active_vertices is not None:
-            id_pool = np.union1d(self.vertex_ids, self.active_vertices)
-        else:
-            id_pool = self.vertex_ids
-        squeezer = squeeze_ids(id_pool) if id_pool.size else SqueezeResult(
-            new_to_old=np.empty(0, dtype=np.int64), old_to_new={}
+            present[self.active_vertices] = True
+        mapping = SqueezeResult(new_to_old=np.flatnonzero(present))
+        old_to_new = np.cumsum(present, dtype=np.int64) - 1
+        # A strictly increasing relabel keeps unique, pair-sorted ``i < j``
+        # rows canonical, so nothing is normalised twice (the property
+        # test in tests/properties/test_property_squeeze.py holds this).
+        squeezed = SLineGraph.from_canonical(
+            self.s,
+            old_to_new[self.edges],
+            self.weights,
+            mapping.num_ids,
+            np.arange(mapping.num_ids, dtype=np.int64),
         )
-        if self.num_edges:
-            lookup = np.full(self.num_hyperedges, -1, dtype=np.int64)
-            lookup[squeezer.new_to_old] = np.arange(squeezer.num_ids, dtype=np.int64)
-            new_edges = lookup[self.edges]
-        else:
-            new_edges = np.empty((0, 2), dtype=np.int64)
-        squeezed = SLineGraph(
-            s=self.s,
-            edges=new_edges,
-            weights=self.weights.copy(),
-            num_hyperedges=max(squeezer.num_ids, 1) if squeezer.num_ids else 0,
-            active_vertices=np.arange(squeezer.num_ids, dtype=np.int64),
-        )
-        return squeezed, squeezer
+        return squeezed, mapping
 
     def adjacency_matrix(
         self, squeezed: bool = False, weighted: bool = False

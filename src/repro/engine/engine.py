@@ -29,10 +29,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.pipeline import METRIC_FUNCTIONS
+from repro.core.pipeline import METRIC_FUNCTIONS, check_metric_names
 from repro.core.slinegraph import SLineGraph
 from repro.engine.cache import LRUCache
 from repro.engine.index import OverlapIndex, overlap_counts_for_members
+from repro.graph.connected_components import num_components
 from repro.graph.graph import Graph
 from repro.hypergraph.csr import CSRMatrix
 from repro.hypergraph.hypergraph import Hypergraph
@@ -83,7 +84,7 @@ class SweepResult:
         for key in ("connected_components", "lpcc"):
             values = self.metrics.get(s, {}).get(key)
             if values is not None:
-                return int(values.max()) + 1 if values.size else 0
+                return num_components(values)
         return None
 
 
@@ -304,6 +305,9 @@ class QueryEngine:
             return cached
         squeezed_line, mapping = self.line_graph(s).squeeze()
         graph = squeezed_line.to_graph(squeezed=False)
+        # Every reader shares the cached arrays (the wire serves them as
+        # they are), so none of them may write through.
+        mapping.new_to_old.setflags(write=False)
         self._cache.put(key, (graph, mapping))
         return graph, mapping
 
@@ -325,16 +329,22 @@ class QueryEngine:
             span.set_attribute("cache_hit", False)
             graph, _ = self.squeezed_graph(s)
             values = METRIC_FUNCTIONS[name](graph)
+            values.setflags(write=False)  # shared by every reader, see above
             self._cache.put(key, values)
             return values
 
-    def metric_by_hyperedge(self, s: int, name: str) -> Dict[int, float]:
-        """A metric keyed by *original* hyperedge IDs."""
+    def metric_columns(self, s: int, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """A metric as parallel ``(hyperedge IDs, values)`` columns,
+        ascending by *original* hyperedge ID (the cached arrays, re-keyed by
+        :meth:`SqueezeResult.columns`, not copies for the caller to keep)."""
         values = self.metric(s, name)
         _, mapping = self.squeezed_graph(s)
-        return {
-            int(mapping.new_to_old[i]): float(v) for i, v in enumerate(values)
-        }
+        return mapping.columns(values)
+
+    def metric_by_hyperedge(self, s: int, name: str) -> Dict[int, float]:
+        """A metric keyed by *original* hyperedge IDs."""
+        ids, values = self.metric_columns(s, name)
+        return dict(zip(ids.tolist(), values.tolist()))
 
     def metrics(self, s: int, names: Sequence[str]) -> Dict[str, np.ndarray]:
         """Several metrics of the same s, sharing one squeeze."""
@@ -354,11 +364,7 @@ class QueryEngine:
         s_list = sorted({check_s_value(s) for s in s_values})
         if not s_list:
             raise ValidationError("sweep requires at least one s value")
-        unknown = [m for m in metrics if m not in METRIC_FUNCTIONS]
-        if unknown:
-            raise ValidationError(
-                f"unknown metrics {unknown}; available: {sorted(METRIC_FUNCTIONS)}"
-            )
+        check_metric_names(metrics)
         start = time.perf_counter()
         result = SweepResult(s_values=s_list)
         with self._tracer.start_span(

@@ -16,6 +16,7 @@ from repro.graph.connected_components import (
     label_propagation_components,
     component_sizes,
     components_as_lists,
+    num_components,
 )
 from repro.graph.betweenness import betweenness_centrality, betweenness_centrality_sampled
 from repro.graph.pagerank import pagerank
@@ -56,6 +57,7 @@ __all__ = [
     "label_propagation_components",
     "component_sizes",
     "components_as_lists",
+    "num_components",
     "betweenness_centrality",
     "betweenness_centrality_sampled",
     "pagerank",

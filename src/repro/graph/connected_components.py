@@ -78,14 +78,14 @@ def component_sizes(labels: np.ndarray) -> np.ndarray:
     return np.bincount(labels.astype(np.int64))
 
 
+def num_components(labels: np.ndarray) -> int:
+    """Number of components given a label array (labels are ``0..k-1``)."""
+    return int(labels.max()) + 1 if labels.size else 0
+
+
 def components_as_lists(labels: np.ndarray) -> List[np.ndarray]:
     """Vertex IDs per component, ordered by component label."""
-    out: List[np.ndarray] = []
-    if labels.size == 0:
-        return out
-    for c in range(int(labels.max()) + 1):
-        out.append(np.flatnonzero(labels == c))
-    return out
+    return [np.flatnonzero(labels == c) for c in range(num_components(labels))]
 
 
 def largest_component(graph: Graph) -> np.ndarray:

@@ -52,10 +52,14 @@ class RelabelResult:
 
 @dataclass
 class SqueezeResult:
-    """Outcome of squeezing a sparse ID space to a contiguous range."""
+    """Outcome of squeezing a sparse ID space to a contiguous range.
+
+    ``new_to_old`` is sorted and duplicate-free — squeezed ID ``i`` stands
+    for original ID ``new_to_old[i]`` — so the relabel is strictly
+    increasing and the one array serves both directions.
+    """
 
     new_to_old: np.ndarray
-    old_to_new: Dict[int, int]
 
     @property
     def num_ids(self) -> int:
@@ -68,7 +72,24 @@ class SqueezeResult:
 
     def to_squeezed(self, old_id: int) -> int:
         """Squeezed ID for an original ID (KeyError if the ID was dropped)."""
-        return self.old_to_new[int(old_id)]
+        old_id = int(old_id)
+        new_id = int(np.searchsorted(self.new_to_old, old_id))
+        if new_id == self.num_ids or self.new_to_old[new_id] != old_id:
+            raise KeyError(old_id)
+        return new_id
+
+    def columns(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Re-key an array over squeezed IDs by original ID.
+
+        Returns parallel ``(ids int64, values float64)`` columns, ascending
+        by original ID because ``new_to_old`` is.
+        """
+        return self.new_to_old, np.asarray(values, dtype=np.float64)
+
+    def by_hyperedge(self, values: np.ndarray) -> Dict[int, float]:
+        """:meth:`columns` as an ``{original ID: value}`` dict."""
+        ids, column = self.columns(values)
+        return dict(zip(ids.tolist(), column.tolist()))
 
 
 @dataclass
@@ -170,9 +191,7 @@ def squeeze_ids(ids: Sequence[int] | np.ndarray) -> SqueezeResult:
     are compacted before building adjacency structures.
     """
     arr = check_array_int(np.asarray(ids).ravel(), "ids")
-    unique = np.unique(arr)
-    old_to_new = {int(v): i for i, v in enumerate(unique)}
-    return SqueezeResult(new_to_old=unique.astype(np.int64), old_to_new=old_to_new)
+    return SqueezeResult(new_to_old=np.unique(arr).astype(np.int64))
 
 
 def preprocess(

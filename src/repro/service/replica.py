@@ -26,6 +26,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.engine import SweepResult
+from repro.graph.connected_components import num_components
 from repro.store.format import PathLike, StoreError
 from repro.store.persistent import PersistentQueryEngine
 from repro.store.store import IndexStore
@@ -225,6 +226,9 @@ class ReadReplica:
     def metric(self, s: int, name: str) -> np.ndarray:
         return self._serve("metric", s, name)
 
+    def metric_columns(self, s: int, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        return self._serve("metric_columns", s, name)
+
     def metric_by_hyperedge(self, s: int, name: str) -> Dict[int, float]:
         return self._serve("metric_by_hyperedge", s, name)
 
@@ -236,8 +240,7 @@ class ReadReplica:
 
     def num_components(self, s: int) -> int:
         """Number of s-connected components among non-isolated hyperedges."""
-        labels = self.metric(s, "connected_components")
-        return int(labels.max()) + 1 if labels.size else 0
+        return num_components(self.metric(s, "connected_components"))
 
     def close(self) -> None:
         """Stop serving: new queries raise a clear :class:`StoreError`.

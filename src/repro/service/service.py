@@ -28,8 +28,8 @@ from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tup
 import numpy as np
 
 from repro.chaos import failpoints as _failpoints
-from repro.core.pipeline import METRIC_FUNCTIONS
 from repro.engine.engine import QueryEngine, SweepResult
+from repro.graph.connected_components import num_components
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs import get_registry, get_tracer, render_prometheus
 from repro.parallel.executor import ParallelConfig, run_partitioned
@@ -305,8 +305,8 @@ class QueryService:
             first = args[0]
             if isinstance(first, (int, np.integer)):
                 entry["s"] = int(first)
-        if method in ("metric", "metric_by_hyperedge") and len(args) > 1:
-            entry["metric"] = str(args[1])
+        if len(args) > 1 and isinstance(args[1], str):
+            entry["metric"] = args[1]
         metrics = kwargs.get("metrics")
         if metrics:
             entry["metric"] = ",".join(str(m) for m in metrics)
@@ -319,6 +319,9 @@ class QueryService:
 
     def metric(self, s: int, name: str) -> np.ndarray:
         return self._query("metric", s, name)
+
+    def metric_columns(self, s: int, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        return self._query("metric_columns", s, name)
 
     def metric_by_hyperedge(self, s: int, name: str) -> Dict[int, float]:
         return self._query("metric_by_hyperedge", s, name)
@@ -334,8 +337,7 @@ class QueryService:
 
     def num_components(self, s: int) -> int:
         """Number of s-connected components among non-isolated hyperedges."""
-        labels = self.metric(s, "connected_components")
-        return int(labels.max()) + 1 if labels.size else 0
+        return num_components(self.metric(s, "connected_components"))
 
     # ------------------------------------------------------------------ #
     # Updates (async admission; writer mode only)
@@ -441,29 +443,22 @@ class QueryService:
         """``s``, ``metric``, ``columns?`` -> ``values`` by hyperedge ID."""
         s = int(request["s"])
         name = str(request.get("metric", "connected_components"))
-        if name not in METRIC_FUNCTIONS:
-            raise ValidationError(
-                f"unknown metric {name!r}; available: {sorted(METRIC_FUNCTIONS)}"
-            )
-        values = self.metric_by_hyperedge(s, name)
+        edge_ids, values = self.metric_columns(s, name)
         base: Dict[str, object] = {
             "s": s,
             "metric": name,
             "generation": self.generation,
         }
         if request.get("columns"):
-            # Columnar fast path (binary data plane): parallel sorted
-            # int64/float64 arrays instead of a str-keyed JSON object.
-            # Sections like these only survive a protocol >= 2
-            # connection; the transport enforces that.
-            ids = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
-            vals = np.fromiter(values.values(), dtype=np.float64, count=len(values))
-            order = np.argsort(ids, kind="stable")
+            # Columnar fast path (binary data plane): the engine's cached
+            # int64/float64 columns as they are, instead of a str-keyed
+            # JSON object.  Sections like these only survive a protocol
+            # >= 2 connection; the transport enforces that.
             base["columns"] = True
-            base["edge_ids"] = ids[order]
-            base["values"] = vals[order]
+            base["edge_ids"] = edge_ids
+            base["values"] = values
             return base
-        base["values"] = {str(k): float(v) for k, v in sorted(values.items())}
+        base["values"] = dict(zip(map(str, edge_ids.tolist()), values.tolist()))
         return base
 
     def _op_components(self, request: Request) -> Dict[str, object]:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.core.dispatch import s_line_graph
 from repro.core.slinegraph import SLineGraph
 from repro.graph.graph import Graph
@@ -51,15 +49,6 @@ def line_graph_and_mapping(
     squeezed, mapping = line_graph.squeeze(include_isolated=include_isolated)
     graph = squeezed.to_graph(squeezed=False)
     return graph, mapping, line_graph
-
-
-def values_to_hyperedge_dict(
-    values: np.ndarray, mapping: SqueezeResult
-) -> Dict[int, float]:
-    """Re-key an array over squeezed IDs by the original hyperedge IDs."""
-    return {
-        int(mapping.new_to_old[i]): float(v) for i, v in enumerate(np.asarray(values))
-    }
 
 
 def metric_via_engine(

@@ -32,11 +32,7 @@ from repro.graph.distance import closeness_centrality, eccentricity, harmonic_ce
 from repro.graph.pagerank import pagerank
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.parallel.executor import ParallelConfig
-from repro.smetrics.base import (
-    line_graph_and_mapping,
-    metric_via_engine,
-    values_to_hyperedge_dict,
-)
+from repro.smetrics.base import line_graph_and_mapping, metric_via_engine
 
 
 def s_betweenness_centrality(
@@ -68,9 +64,7 @@ def s_betweenness_centrality(
         h, s, algorithm=algorithm, config=config, line_graph=line_graph,
         include_isolated=include_isolated,
     )
-    return values_to_hyperedge_dict(
-        betweenness_centrality(graph, normalized=normalized), mapping
-    )
+    return mapping.by_hyperedge(betweenness_centrality(graph, normalized=normalized))
 
 
 def s_closeness_centrality(
@@ -93,7 +87,7 @@ def s_closeness_centrality(
         h, s, algorithm=algorithm, config=config, line_graph=line_graph,
         include_isolated=include_isolated,
     )
-    return values_to_hyperedge_dict(closeness_centrality(graph), mapping)
+    return mapping.by_hyperedge(closeness_centrality(graph))
 
 
 def s_harmonic_centrality(
@@ -109,7 +103,7 @@ def s_harmonic_centrality(
         h, s, algorithm=algorithm, config=config, line_graph=line_graph,
         include_isolated=include_isolated,
     )
-    return values_to_hyperedge_dict(harmonic_centrality(graph), mapping)
+    return mapping.by_hyperedge(harmonic_centrality(graph))
 
 
 def s_eccentricity(
@@ -131,7 +125,7 @@ def s_eccentricity(
         h, s, algorithm=algorithm, config=config, line_graph=line_graph,
         include_isolated=include_isolated,
     )
-    return values_to_hyperedge_dict(eccentricity(graph), mapping)
+    return mapping.by_hyperedge(eccentricity(graph))
 
 
 def s_pagerank(
@@ -162,6 +156,4 @@ def s_pagerank(
         h, s, algorithm=algorithm, config=config, line_graph=line_graph,
         include_isolated=include_isolated,
     )
-    return values_to_hyperedge_dict(
-        pagerank(graph, damping=damping, weighted=weighted), mapping
-    )
+    return mapping.by_hyperedge(pagerank(graph, damping=damping, weighted=weighted))

@@ -40,13 +40,13 @@ def s_component_labels(
             engine, h, s, "connected_components",
             non_default=line_graph is not None or include_isolated,
         )
-        return {edge_id: int(label) for edge_id, label in labels.items()}
-    graph, mapping, _ = line_graph_and_mapping(
-        h, s, algorithm=algorithm, config=config, line_graph=line_graph,
-        include_isolated=include_isolated,
-    )
-    labels = connected_components(graph)
-    return {int(mapping.new_to_old[i]): int(c) for i, c in enumerate(labels)}
+    else:
+        graph, mapping, _ = line_graph_and_mapping(
+            h, s, algorithm=algorithm, config=config, line_graph=line_graph,
+            include_isolated=include_isolated,
+        )
+        labels = mapping.by_hyperedge(connected_components(graph))
+    return {edge_id: int(label) for edge_id, label in labels.items()}
 
 
 def s_connected_components(

@@ -47,6 +47,24 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             make_graph(edges=((0, 9, 2),), num_hyperedges=5)
 
+    def test_negative_endpoint_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            make_graph(edges=((-1, 0, 2),), num_hyperedges=5)
+
+    @pytest.mark.parametrize("active", [[0, 5], [-1, 4], [5, -1]])
+    def test_active_vertices_outside_the_id_space_rejected(self, active):
+        with pytest.raises(ValidationError, match="active_vertices"):
+            SLineGraph(
+                s=1, edges=[], weights=[], num_hyperedges=5, active_vertices=active
+            )
+
+    def test_active_vertices_at_both_ends_of_the_id_space_accepted(self):
+        g = SLineGraph(
+            s=1, edges=[], weights=[], num_hyperedges=5, active_vertices=[4, 0]
+        )
+        _, mapping = g.squeeze(include_isolated=True)
+        assert mapping.new_to_old.tolist() == [0, 4]
+
     def test_invalid_s(self):
         with pytest.raises(ValidationError):
             make_graph(s=0)
@@ -78,6 +96,17 @@ class TestSqueeze:
         squeezed, mapping = g.squeeze()
         assert squeezed.num_edges == 0
         assert mapping.num_ids == 0
+
+    def test_mapping_rekeys_values_by_original_id(self):
+        g = make_graph(edges=((2, 7, 3), (7, 9, 4)), num_hyperedges=10, s=2)
+        _, mapping = g.squeeze()
+        ids, values = mapping.columns(np.array([5, 0, 1]))
+        assert (ids.dtype, values.dtype) == (np.int64, np.float64)
+        assert ids.tolist() == [2, 7, 9] and values.tolist() == [5.0, 0.0, 1.0]
+        rekeyed = mapping.by_hyperedge(np.array([5, 0, 1]))
+        assert rekeyed == {2: 5.0, 7: 0.0, 9: 1.0}
+        assert [type(k) for k in rekeyed] == [int] * 3
+        assert [type(v) for v in rekeyed.values()] == [float] * 3
 
 
 class TestConversions:

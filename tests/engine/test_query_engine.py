@@ -81,6 +81,28 @@ class TestCaching:
             assert engine.line_graph(s).edge_set() == PAPER_EXAMPLE_SLINE_EDGES[s]
         assert engine.stats().cache_evictions > 0
 
+    def test_cached_arrays_are_read_only(self, engine):
+        before = engine.metric_by_hyperedge(2, "pagerank")
+        values = engine.metric(2, "pagerank")
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 99.0
+        _, mapping = engine.squeezed_graph(2)
+        with pytest.raises(ValueError, match="read-only"):
+            mapping.new_to_old[0] = 99
+        for column in engine.metric_columns(2, "pagerank"):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 99
+        assert engine.metric_by_hyperedge(2, "pagerank") == before
+
+    def test_metric_columns_are_the_dict_view_sorted_by_hyperedge(self, engine):
+        for name in ("connected_components", "pagerank"):
+            ids, values = engine.metric_columns(1, name)
+            assert (ids.dtype, values.dtype) == (np.int64, np.float64)
+            assert ids.tolist() == sorted(ids.tolist())
+            assert dict(zip(ids.tolist(), values.tolist())) == (
+                engine.metric_by_hyperedge(1, name)
+            )
+
     def test_hit_rate(self, engine):
         engine.line_graph(2)
         engine.line_graph(2)

@@ -115,8 +115,11 @@ class TestCommands:
                 "2",
             ]
         ) == 0
-        out = capsys.readouterr().out
-        assert "betweenness" in out
+        assert capsys.readouterr().out == (
+            "top 2 hyperedges by s-betweenness (s=1)\n"
+            "  2\t0.666667\n"
+            "  0\t0.000000\n"
+        )
 
     def test_variants_on_small_dataset(self, capsys):
         assert main(
@@ -149,9 +152,13 @@ class TestCommands:
                 "2",
             ]
         ) == 0
-        out = capsys.readouterr().out
-        assert "L_2: 3 edges" in out
-        assert "top 2 hyperedges by pagerank" in out
+        assert capsys.readouterr().out == (
+            "L_2: 3 edges over 4 active hyperedges "
+            "(index: 4 weighted pairs, max s = 3)\n"
+            "top 2 hyperedges by pagerank (s=2)\n"
+            "  0\t0.333333\n"
+            "  1\t0.333333\n"
+        )
 
     def test_query_reports_index_stats(self, hyperedge_file, capsys):
         assert main(["query", "--input", hyperedge_file, "--s", "1"]) == 0
@@ -217,9 +224,15 @@ class TestIndexCommands:
         assert main(
             ["index", "query", "--path", store_dir, "--s", "2", "--metric", "pagerank"]
         ) == 0
-        out = capsys.readouterr().out
-        assert "L_2: 3 edges" in out
-        assert "top" in out
+        banner, ranking = capsys.readouterr().out.split("\n", 1)
+        assert banner.startswith("L_2: 3 edges over 4 active hyperedges (store opened in ")
+        assert banner.endswith("s, 4 pairs, max s = 3)")
+        assert ranking == (
+            "top 3 hyperedges by pagerank (s=2)\n"
+            "  0\t0.333333\n"
+            "  1\t0.333333\n"
+            "  2\t0.333333\n"
+        )
 
     def test_compact(self, store_dir, capsys):
         assert main(["index", "compact", "--path", store_dir]) == 0

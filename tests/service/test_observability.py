@@ -87,6 +87,19 @@ class TestSlowQueryLog:
         assert entry["generation"] == 0
         assert "timestamp" in entry
 
+    @pytest.mark.parametrize("columns", [False, True])
+    def test_wire_metric_requests_keep_their_metric_name(
+        self, store_path, registry, columns
+    ):
+        request = {"op": "metric", "s": 3, "metric": "pagerank", "columns": columns}
+        with QueryService(store_path, slow_query_ms=0.0) as svc:
+            assert svc.execute(request)["ok"]
+            entry = svc.stats()["slow_queries"][-1]
+        assert entry["op"] == "metric_columns"
+        assert entry["s"] == 3
+        assert entry["metric"] == "pagerank"
+        assert entry["generation"] == 0
+
     def test_fast_queries_stay_out(self, store_path, registry):
         with QueryService(store_path, slow_query_ms=60_000.0) as svc:
             svc.metric(2, "connected_components")

@@ -188,6 +188,7 @@ QUERY_SURFACE = [
     ("line_graph", (2,)),
     ("extract", (2,)),
     ("metric", (2, "pagerank")),
+    ("metric_columns", (1, "connected_components")),
     ("metric_by_hyperedge", (1, "connected_components")),
     ("metrics", (2, ("pagerank", "connected_components"))),
     ("sweep", ((1, 2, 3), ("connected_components",))),
@@ -199,6 +200,8 @@ def _comparable(value):
     """Query results as plain values ``==`` can compare."""
     if isinstance(value, np.ndarray):
         return value.tolist()
+    if isinstance(value, tuple):  # metric_columns
+        return tuple(_comparable(v) for v in value)
     if isinstance(value, dict):
         return {key: _comparable(v) for key, v in value.items()}
     if hasattr(value, "edge_counts"):  # SweepResult

@@ -10,6 +10,7 @@ even be defined.
 
 import socket
 
+import numpy as np
 import pytest
 
 from repro.chaos import failpoints as fp
@@ -17,7 +18,14 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.service import QueryService, StoreLockHeldError, contract
 from repro.service.transport import ServiceClient, SocketServer, TransportError
 from repro.service.transport.client import _is_idempotent
-from repro.service.transport.framing import hello_request, recv_frame, send_frame
+from repro.service.transport.framing import (
+    DEFAULT_MAX_FRAME_BYTES,
+    encode_binary_frame,
+    encode_frame,
+    hello_request,
+    recv_frame,
+    send_frame,
+)
 from repro.store.format import ReadOnlyStoreError, StoreError
 from repro.store.replication import ReplicationStaleError
 from repro.store.store import IndexStore
@@ -176,3 +184,56 @@ class TestNonStringOpIsJustAnUnknownOp:
         assert _is_idempotent({"op": "batch", "requests": [{"op": {"x": 1}}]}) is False
         assert _is_idempotent({"op": "batch", "requests": [{"op": "stats"}]}) is True
         assert _is_idempotent({"op": "batch", "requests": [{"op": "add"}]}) is False
+
+
+def _reference_metric_response(engine, s, name, generation, columns):
+    """The ``metric`` response as it was derived before the engine's cached
+    columns were served as they are: the vector re-keyed into an
+    ``{int: float}`` dict one element at a time, then taken apart again
+    (``fromiter`` + stable ``argsort`` for the column plane, ``sorted``
+    items for the JSON plane)."""
+    _, mapping = engine.squeezed_graph(s)
+    values = {
+        int(mapping.new_to_old[i]): float(v)
+        for i, v in enumerate(engine.metric(s, name))
+    }
+    response = {"ok": True, "op": "metric", "s": s, "metric": name, "generation": generation}
+    if columns:
+        ids = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
+        vals = np.fromiter(values.values(), dtype=np.float64, count=len(values))
+        order = np.argsort(ids, kind="stable")
+        response["columns"] = True
+        response["edge_ids"] = ids[order]
+        response["values"] = vals[order]
+    else:
+        response["values"] = {str(k): float(v) for k, v in sorted(values.items())}
+    return response
+
+
+class TestMetricWireIdentity:
+    """Serving the cached ``(new_to_old, values)`` columns must not move a
+    byte on either plane, for int-labelled and float-valued metrics alike,
+    on the writer and on a read-only service."""
+
+    @pytest.mark.parametrize("read_only", [False, True], ids=["writer", "read-only"])
+    @pytest.mark.parametrize("name", ["connected_components", "pagerank"])
+    def test_v1_and_v2_frames_equal_the_reference_derivation(
+        self, store_path, read_only, name
+    ):
+        with QueryService(store_path) as writer:
+            writer.submit_add([0, 1, 2, 3]).result()
+            writer.submit_remove(2).result()
+        with QueryService(store_path, read_only=read_only) as svc:
+            for s in (1, 2, 3, 50):  # 50: nothing overlaps that much -> empty columns
+                for columns, encode in ((False, encode_frame), (True, encode_binary_frame)):
+                    request = {"op": "metric", "s": s, "metric": name}
+                    if columns:
+                        request["columns"] = True
+                    served = svc.execute(request)
+                    reference = _reference_metric_response(
+                        svc.engine, s, name, svc.generation, columns
+                    )
+                    assert list(served) == list(reference)
+                    assert encode(served, DEFAULT_MAX_FRAME_BYTES) == encode(
+                        reference, DEFAULT_MAX_FRAME_BYTES
+                    ), (s, columns)

@@ -160,33 +160,47 @@ class TestIndexInjection:
         assert engine.stats().index_builds == 0
 
 
-class TestPipelineStorePath:
+class TestPipelineOverStoreEngine:
     def test_persist_then_reuse(self, community_hypergraph, tmp_path):
         path = str(tmp_path / "pipe-idx")
         baseline = SLinePipeline(metrics=("connected_components",)).run(
             community_hypergraph, 2
         )
-        first = SLinePipeline(
-            metrics=("connected_components",), store_path=path
+        first = QueryEngine.from_store(
+            path, hypergraph=community_hypergraph, create=True, on_mismatch="rebuild"
         )
-        r1 = first.run(community_hypergraph, 2)
+        try:
+            r1 = SLinePipeline(metrics=("connected_components",), engine=first).run(
+                community_hypergraph, 2
+            )
+        finally:
+            first.close()
         assert r1.line_graph == baseline.line_graph
         assert np.array_equal(
             r1.metrics["connected_components"],
             baseline.metrics["connected_components"],
         )
-        # A second pipeline (fresh process) opens the snapshot: no rebuild.
-        second = SLinePipeline(metrics=("connected_components",), store_path=path)
-        r2 = second.run(community_hypergraph, 3)
+        # A second engine (fresh process) opens the snapshot: no rebuild.
+        second = QueryEngine.from_store(
+            path, hypergraph=community_hypergraph, create=True, on_mismatch="rebuild"
+        )
+        try:
+            r2 = SLinePipeline(metrics=("connected_components",), engine=second).run(
+                community_hypergraph, 3
+            )
+            assert second.stats().index_builds == 0
+        finally:
+            second.close()
         baseline3 = SLinePipeline(metrics=("connected_components",)).run(
             community_hypergraph, 3
         )
         assert r2.line_graph == baseline3.line_graph
-        assert second._store_engine.stats().index_builds == 0
 
-    def test_store_path_excludes_engine_and_toplexes(self, community_hypergraph, tmp_path):
+    def test_engine_excludes_toplexes_and_store_path_is_gone(
+        self, community_hypergraph, tmp_path
+    ):
         engine = QueryEngine(community_hypergraph)
-        with pytest.raises(ValidationError, match="not both"):
-            SLinePipeline(engine=engine, store_path=str(tmp_path / "x"))
         with pytest.raises(ValidationError, match="compute_toplexes"):
-            SLinePipeline(compute_toplexes=True, store_path=str(tmp_path / "x"))
+            SLinePipeline(compute_toplexes=True, engine=engine)
+        with pytest.raises(TypeError, match="store_path"):
+            SLinePipeline(store_path=str(tmp_path / "x"))
