@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Literal, Optional
 
-import numpy as np
-
 from repro.core.algorithms.base import AlgorithmResult
 from repro.core.algorithms.hashmap import s_line_graph_hashmap
 from repro.core.algorithms.heuristic import s_line_graph_heuristic
@@ -93,24 +91,6 @@ def parse_variant(notation: str) -> VariantSpec:
     )
 
 
-def _map_edges_to_original(graph: SLineGraph, new_to_old: np.ndarray) -> SLineGraph:
-    """Translate the edge endpoints of a relabelled run back to original IDs."""
-    if graph.num_edges:
-        edges = new_to_old[graph.edges]
-    else:
-        edges = graph.edges
-    active = None
-    if graph.active_vertices is not None:
-        active = new_to_old[graph.active_vertices]
-    return SLineGraph(
-        s=graph.s,
-        edges=edges,
-        weights=graph.weights.copy(),
-        num_hyperedges=graph.num_hyperedges,
-        active_vertices=active,
-    )
-
-
 def run_variant(
     h: Hypergraph,
     s: int,
@@ -154,7 +134,7 @@ def run_variant(
             result: AlgorithmResult = s_line_graph_heuristic(working, s, config=config)
         else:
             result = s_line_graph_hashmap(working, s, config=config)
-    graph = _map_edges_to_original(result.graph, relabel.new_to_old)
+    graph = result.graph.translate_ids(relabel.new_to_old, h.num_edges)
     return VariantRunResult(
         spec=spec, graph=graph, times=times, workload=result.workload
     )

@@ -210,7 +210,14 @@ class SLinePipeline:
         # edges irreversibly with respect to contiguous numbering).
         line_graph = graph
         if not self.compute_toplexes:
-            line_graph = self._restore_original_ids(graph, prep, h.num_edges)
+            # algorithm id --(relabel new→old)--> preprocessed id
+            #              --(kept_edge_ids)--> original id.
+            new_to_old = prep.kept_edge_ids
+            if new_to_old is None:
+                new_to_old = np.arange(h.num_edges, dtype=np.int64)
+            if prep.relabel is not None:
+                new_to_old = new_to_old[prep.relabel.new_to_old]
+            line_graph = graph.translate_ids(new_to_old, h.num_edges)
 
         # Stage 4 — ID squeezing and graph construction.
         squeezed_graph: Optional[Graph] = None
@@ -285,34 +292,4 @@ class SLinePipeline:
             stage_times=times,
             workload=engine.index.workload,
             preprocess_info=prep,
-        )
-
-    @staticmethod
-    def _restore_original_ids(
-        graph: SLineGraph, prep: PreprocessResult, num_original_edges: int
-    ) -> SLineGraph:
-        """Translate algorithm edge IDs back through relabelling and edge dropping."""
-        # Chain: algorithm id --(relabel new→old)--> preprocessed id
-        #        --(kept_edge_ids)--> original id.
-        if prep.kept_edge_ids is not None:
-            kept = prep.kept_edge_ids
-        else:
-            kept = np.arange(num_original_edges, dtype=np.int64)
-        if prep.relabel is not None:
-            to_pre = prep.relabel.new_to_old
-        else:
-            to_pre = np.arange(kept.size, dtype=np.int64)
-        full_map = kept[to_pre]
-        edges = full_map[graph.edges] if graph.num_edges else graph.edges
-        active = (
-            full_map[graph.active_vertices]
-            if graph.active_vertices is not None
-            else None
-        )
-        return SLineGraph(
-            s=graph.s,
-            edges=edges,
-            weights=graph.weights.copy(),
-            num_hyperedges=num_original_edges,
-            active_vertices=active,
         )

@@ -242,6 +242,32 @@ class SLineGraph:
         )
         return squeezed, mapping
 
+    def translate_ids(self, new_to_old: np.ndarray, num_hyperedges: int) -> "SLineGraph":
+        """This graph with every ID gathered through ``new_to_old`` into an ID
+        space of ``num_hyperedges`` — :meth:`squeeze`'s relabel run backwards,
+        undoing Stage-1 edge dropping and degree relabelling.
+
+        The identity returns ``self``; a strictly increasing map keeps
+        canonical rows canonical and is adopted as :meth:`squeeze` adopts
+        its own; only a real permutation pays the constructor's passes.
+        """
+        if num_hyperedges == self.num_hyperedges and np.array_equal(
+            new_to_old, np.arange(num_hyperedges)
+        ):
+            return self
+        build = (
+            SLineGraph.from_canonical
+            if np.all(new_to_old[1:] > new_to_old[:-1])
+            else SLineGraph
+        )
+        return build(
+            self.s,
+            new_to_old[self.edges],
+            self.weights,
+            num_hyperedges,
+            None if self.active_vertices is None else new_to_old[self.active_vertices],
+        )
+
     def adjacency_matrix(
         self, squeezed: bool = False, weighted: bool = False
     ) -> sparse.csr_matrix:
@@ -259,8 +285,6 @@ class SLineGraph:
             graph, _ = self.squeeze()
             return graph.adjacency_matrix(squeezed=False, weighted=weighted)
         n = self.num_hyperedges
-        if self.num_edges == 0:
-            return sparse.csr_matrix((n, n), dtype=np.int64)
         vals = self.weights if weighted else np.ones(self.num_edges, dtype=np.int64)
         i, j = self.edges[:, 0], self.edges[:, 1]
         mat = sparse.coo_matrix(
@@ -273,15 +297,8 @@ class SLineGraph:
         """Convert to a :class:`repro.graph.Graph` (CSR graph substrate)."""
         from repro.graph.graph import Graph
 
-        source = self
-        mapping = None
-        if squeezed:
-            source, mapping = self.squeeze()
-        graph = Graph.from_edge_list(
-            num_vertices=source.num_hyperedges if not squeezed else source.num_active_vertices,
-            edges=source.edges,
-            weights=source.weights,
-        )
+        source, mapping = self.squeeze() if squeezed else (self, None)
+        graph = Graph.from_symmetric_csr(source.adjacency_matrix(weighted=True))
         graph.metadata["s"] = self.s
         if mapping is not None:
             graph.metadata["squeeze"] = mapping

@@ -64,6 +64,28 @@ class QueryStats:
         return self.cache_hits / total if total else 0.0
 
 
+#: Most distinct thresholds one sweep may name.  Every value costs a line
+#: graph and a cache entry, so an unbounded request (``s_max = 10**9`` fits
+#: a 40-byte frame) would exhaust memory; the paper's sweeps stop at 1024.
+MAX_SWEEP_THRESHOLDS = 4096
+
+
+def sweep_thresholds(s_values: Iterable[int]) -> List[int]:
+    """The sorted distinct thresholds of a sweep request, read lazily: more
+    than :data:`MAX_SWEEP_THRESHOLDS` of them raise before anything
+    proportional to the request (a huge ``range``) is allocated."""
+    distinct: set[int] = set()
+    for s in s_values:
+        distinct.add(check_s_value(s))
+        if len(distinct) > MAX_SWEEP_THRESHOLDS:
+            raise ValidationError(
+                f"sweep names more than {MAX_SWEEP_THRESHOLDS} distinct s values"
+            )
+    if not distinct:
+        raise ValidationError("sweep requires at least one s value")
+    return sorted(distinct)
+
+
 @dataclass
 class SweepResult:
     """Outcome of one batched multi-s sweep."""
@@ -287,6 +309,7 @@ class QueryEngine:
                 return cached
             span.set_attribute("cache_hit", False)
             graph = self.index.line_graph(s)
+            _freeze(graph.edges, graph.weights, graph.active_vertices)
             self._cache.put(key, graph)
             return graph
 
@@ -305,9 +328,7 @@ class QueryEngine:
             return cached
         squeezed_line, mapping = self.line_graph(s).squeeze()
         graph = squeezed_line.to_graph(squeezed=False)
-        # Every reader shares the cached arrays (the wire serves them as
-        # they are), so none of them may write through.
-        mapping.new_to_old.setflags(write=False)
+        _freeze(graph.indptr, graph.indices, graph.weights, mapping.new_to_old)
         self._cache.put(key, (graph, mapping))
         return graph, mapping
 
@@ -329,7 +350,7 @@ class QueryEngine:
             span.set_attribute("cache_hit", False)
             graph, _ = self.squeezed_graph(s)
             values = METRIC_FUNCTIONS[name](graph)
-            values.setflags(write=False)  # shared by every reader, see above
+            _freeze(values)
             self._cache.put(key, values)
             return values
 
@@ -361,9 +382,7 @@ class QueryEngine:
         Squeezing work is shared per s across the requested metrics, and all
         intermediate results land in the cache for later point queries.
         """
-        s_list = sorted({check_s_value(s) for s in s_values})
-        if not s_list:
-            raise ValidationError("sweep requires at least one s value")
+        s_list = sweep_thresholds(s_values)
         check_metric_names(metrics)
         start = time.perf_counter()
         result = SweepResult(s_values=s_list)
@@ -484,6 +503,13 @@ class QueryEngine:
             else:
                 self._cache.pop(key)
                 self._invalidated += 1
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    """Mark arrays entering the cache read-only: every reader shares them
+    (the wire serves them as they are), so none of them may write through."""
+    for array in arrays:
+        array.setflags(write=False)
 
 
 def _shifted_indptr(indptr: np.ndarray, rows: np.ndarray, step: int) -> np.ndarray:

@@ -4,9 +4,21 @@ Once an s-line graph is built (Stage 3/4 of the framework), the paper's
 Stage 5 runs ordinary graph analytics on it: connected components (both
 BFS-based and label-propagation, the latter matching the paper's LPCC
 experiments), betweenness centrality, PageRank, distances and spectral
-measures.  This subpackage implements those algorithms from scratch on a
-compact CSR graph type; :mod:`networkx` is used only as a correctness oracle
-in the test suite.
+measures, on a compact CSR graph type.
+
+Three kernels are library-backed — scipy (already a dependency) returns the
+same arrays bit for bit from compiled code: CSR construction (one
+``scipy.sparse`` coo→csr conversion adopted by
+:meth:`Graph.from_symmetric_csr`), :func:`connected_components` and
+:func:`bfs_distances` (``scipy.sparse.csgraph``), and through those two
+eccentricity, closeness, harmonic centrality, diameter and the largest
+component.  The rest is written from scratch:
+:func:`label_propagation_components` is the kernel the paper's Table V
+times and, with :func:`union_find_components` and :func:`bfs_tree`, the
+independent implementation the tests hold the library-backed kernels to;
+Brandes betweenness, k-core, clustering and PageRank have no library call
+that reproduces their outputs bit for bit.  :mod:`networkx` is used only as
+a correctness oracle in the test suite.
 """
 
 from repro.graph.graph import Graph

@@ -11,6 +11,7 @@ from collections import deque
 from typing import Tuple
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from repro.graph.graph import Graph
 
@@ -20,20 +21,11 @@ UNREACHABLE = -1
 
 def bfs_distances(graph: Graph, source: int) -> np.ndarray:
     """Hop distances from ``source`` to every vertex (−1 when unreachable)."""
-    if source < 0 or source >= graph.num_vertices:
+    if source < 0 or source >= graph.num_vertices:  # scipy would wrap a negative one
         raise IndexError(f"source {source} out of range")
-    dist = np.full(graph.num_vertices, UNREACHABLE, dtype=np.int64)
-    dist[source] = 0
-    frontier = deque([source])
-    while frontier:
-        u = frontier.popleft()
-        du = dist[u]
-        for v in graph.neighbors(u):
-            v = int(v)
-            if dist[v] == UNREACHABLE:
-                dist[v] = du + 1
-                frontier.append(v)
-    return dist
+    hops = csgraph.shortest_path(graph.structure(), unweighted=True, indices=source)
+    hops[np.isinf(hops)] = UNREACHABLE
+    return hops.astype(np.int64)
 
 
 def bfs_tree(graph: Graph, source: int) -> Tuple[np.ndarray, np.ndarray]:

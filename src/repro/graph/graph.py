@@ -29,7 +29,7 @@ class Graph:
         Optional per-stored-entry weights aligned with ``indices``.
     """
 
-    __slots__ = ("num_vertices", "indptr", "indices", "weights", "metadata")
+    __slots__ = ("num_vertices", "indptr", "indices", "weights", "metadata", "_structure")
 
     def __init__(
         self,
@@ -58,10 +58,19 @@ class Graph:
             if self.weights.shape != self.indices.shape:
                 raise ValidationError("weights must align with indices")
         self.metadata: Dict[str, object] = {}
+        self._structure: Optional[sparse.csr_matrix] = None
 
     # ------------------------------------------------------------------ #
     # Constructors
     # ------------------------------------------------------------------ #
+    @classmethod
+    def from_symmetric_csr(cls, adjacency: sparse.csr_matrix) -> "Graph":
+        """Adopt a scipy CSR that already *is* the graph: symmetric, no stored
+        diagonal, no duplicate entries.  Its rows are sorted in place and its
+        arrays go through the constructor's checks and dtype coercion."""
+        adjacency.sort_indices()
+        return cls(adjacency.shape[0], adjacency.indptr, adjacency.indices, adjacency.data)
+
     @classmethod
     def from_edge_list(
         cls,
@@ -71,8 +80,9 @@ class Graph:
     ) -> "Graph":
         """Build from an undirected edge list ``(k, 2)`` (duplicates collapsed).
 
-        Each input edge is stored in both directions.  Self-loops are
-        rejected — s-line graphs never contain them.
+        Each input edge is stored in both directions; of a repeated edge the
+        first weight wins.  Self-loops are rejected — s-line graphs never
+        contain them.
         """
         arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if weights is None:
@@ -85,46 +95,32 @@ class Graph:
             raise ValidationError("self-loops are not supported")
         if arr.size and (arr.min() < 0 or arr.max() >= num_vertices):
             raise ValidationError("edge endpoint out of range")
-        if arr.shape[0] == 0:
-            return cls(
-                num_vertices,
-                np.zeros(num_vertices + 1, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        # Symmetrise and deduplicate.
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        order = np.lexsort((hi, lo))
-        lo, hi, w = lo[order], hi[order], w[order]
-        keep = np.ones(lo.size, dtype=bool)
-        keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        lo, hi, w = lo[keep], hi[keep], w[keep]
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        val = np.concatenate([w, w])
-        order = np.lexsort((dst, src))
-        src, dst, val = src[order], dst[order], val[order]
-        counts = np.bincount(src, minlength=num_vertices)
-        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(num_vertices, indptr, dst, val)
+        lo, hi = arr.min(axis=1), arr.max(axis=1)
+        # One key per undirected edge (exact: both endpoints < num_vertices,
+        # whose indptr alone outgrows memory long before the product wraps).
+        _, first = np.unique(lo * num_vertices + hi, return_index=True)
+        lo, hi, w = lo[first], hi[first], w[first]
+        return cls.from_symmetric_csr(
+            sparse.coo_matrix(
+                (
+                    np.concatenate([w, w]),
+                    (np.concatenate([lo, hi]), np.concatenate([hi, lo])),
+                ),
+                shape=(num_vertices, num_vertices),
+            ).tocsr()
+        )
 
     @classmethod
     def from_scipy(cls, adjacency: sparse.spmatrix) -> "Graph":
         """Build from a symmetric scipy adjacency matrix (diagonal dropped)."""
-        adj = sparse.csr_matrix(adjacency)
+        adj = sparse.coo_matrix(adjacency)
         if adj.shape[0] != adj.shape[1]:
             raise ValidationError("adjacency matrix must be square")
-        adj = adj.tolil()
-        adj.setdiag(0)
-        adj = adj.tocsr()
-        adj.eliminate_zeros()
-        adj.sort_indices()
-        return cls(
-            num_vertices=adj.shape[0],
-            indptr=adj.indptr.astype(np.int64),
-            indices=adj.indices.astype(np.int64),
-            weights=adj.data.astype(np.float64),
+        keep = (adj.row != adj.col) & (adj.data != 0)
+        return cls.from_symmetric_csr(
+            sparse.coo_matrix(
+                (adj.data[keep], (adj.row[keep], adj.col[keep])), shape=adj.shape
+            ).tocsr()
         )
 
     # ------------------------------------------------------------------ #
@@ -176,25 +172,20 @@ class Graph:
             shape=(self.num_vertices, self.num_vertices),
         )
 
+    def structure(self) -> sparse.csr_matrix:
+        """The unweighted adjacency the ``scipy.sparse.csgraph`` traversals
+        read: built once per graph (an all-sources metric asks once per
+        vertex) and shared, so callers must not write to it."""
+        if self._structure is None:
+            self._structure = self.adjacency_matrix(weighted=False)
+        return self._structure
+
     def subgraph(self, vertex_ids: Sequence[int] | np.ndarray) -> Tuple["Graph", np.ndarray]:
         """Induced subgraph; returns ``(graph, kept_vertex_ids)`` with compact IDs."""
         keep = np.unique(np.asarray(vertex_ids, dtype=np.int64))
         if keep.size and (keep.min() < 0 or keep.max() >= self.num_vertices):
             raise ValidationError("vertex id out of range")
-        lookup = np.full(self.num_vertices, -1, dtype=np.int64)
-        lookup[keep] = np.arange(keep.size, dtype=np.int64)
-        edges = []
-        weights = []
-        for u, v, w in self.edges():
-            if lookup[u] >= 0 and lookup[v] >= 0:
-                edges.append((lookup[u], lookup[v]))
-                weights.append(w)
-        sub = Graph.from_edge_list(
-            keep.size,
-            np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-            np.asarray(weights, dtype=np.float64),
-        )
-        return sub, keep
+        return Graph.from_symmetric_csr(self.adjacency_matrix()[keep][:, keep]), keep
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph(num_vertices={self.num_vertices}, num_edges={self.num_edges})"

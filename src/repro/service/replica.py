@@ -25,7 +25,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.engine import SweepResult
+from repro.engine.engine import SweepResult, sweep_thresholds
 from repro.graph.connected_components import num_components
 from repro.store.format import PathLike, StoreError
 from repro.store.persistent import PersistentQueryEngine
@@ -236,7 +236,8 @@ class ReadReplica:
         return self._serve("metrics", s, names)
 
     def sweep(self, s_values: Iterable[int], metrics: Sequence[str] = ()) -> SweepResult:
-        return self._serve("sweep", list(s_values), metrics=metrics)
+        # Materialised (a retry re-reads it), but only up to the engine's bound.
+        return self._serve("sweep", sweep_thresholds(s_values), metrics=metrics)
 
     def num_components(self, s: int) -> int:
         """Number of s-connected components among non-isolated hyperedges."""

@@ -469,12 +469,13 @@ class QueryService:
     def _op_sweep(self, request: Request) -> Dict[str, object]:
         """``s_values`` or ``s_min``/``s_max``, ``metrics?``, ``columns?``
         -> ``edge_counts`` and ``active_counts`` per s."""
+        # Both spellings stay lazy: the engine refuses more than
+        # ``MAX_SWEEP_THRESHOLDS`` values before materialising any of them.
+        s_values: Iterable[int]
         if "s_values" in request:
-            s_values = [int(v) for v in request["s_values"]]  # type: ignore[arg-type]
+            s_values = map(int, request["s_values"])  # type: ignore[arg-type]
         else:
-            s_values = list(
-                range(int(request.get("s_min", 1)), int(request["s_max"]) + 1)
-            )
+            s_values = range(int(request.get("s_min", 1)), int(request["s_max"]) + 1)
         metrics = [str(m) for m in request.get("metrics", ())]  # type: ignore[union-attr]
         result = self.sweep(s_values, metrics=metrics)
         if request.get("columns"):

@@ -109,6 +109,51 @@ class TestSqueeze:
         assert [type(v) for v in rekeyed.values()] == [float] * 3
 
 
+class TestTranslateIds:
+    """Every map must give what gathering by hand and re-running the full
+    constructor gives; the cheap paths only skip work."""
+
+    @pytest.mark.parametrize(
+        "new_to_old, num_hyperedges",
+        [
+            ([0, 1, 2, 3, 4], 5),  # identity
+            ([0, 1, 2, 3, 4], 7),  # identity into a larger ID space
+            ([1, 3, 4, 8, 9], 10),  # edges were dropped: strictly increasing
+            ([4, 0, 3, 1, 2], 5),  # degree relabel: a permutation
+            ([9, 2, 7, 0, 4], 10),  # both
+        ],
+    )
+    @pytest.mark.parametrize("active", [None, [0, 1, 3, 4]])
+    def test_equals_the_full_constructor_on_gathered_arrays(
+        self, new_to_old, num_hyperedges, active
+    ):
+        g = make_graph(edges=((0, 1, 2), (1, 3, 5), (0, 4, 3)), active=active)
+        mapping = np.asarray(new_to_old, dtype=np.int64)
+        translated = g.translate_ids(mapping, num_hyperedges)
+        reference = SLineGraph(
+            s=g.s,
+            edges=mapping[g.edges],
+            weights=g.weights,
+            num_hyperedges=num_hyperedges,
+            active_vertices=None if active is None else mapping[active],
+        )
+        assert translated == reference
+        assert translated.edges.dtype == translated.weights.dtype == np.int64
+        if active is None:
+            assert translated.active_vertices is None
+        else:
+            assert np.array_equal(translated.active_vertices, reference.active_vertices)
+
+    def test_identity_returns_the_graph_itself(self):
+        g = make_graph()
+        assert g.translate_ids(np.arange(5), 5) is g
+        assert g.translate_ids(np.arange(5), 6) is not g
+
+    def test_empty_graph(self):
+        g = SLineGraph.from_weighted_pairs(s=1, pairs=[], num_hyperedges=0)
+        assert g.translate_ids(np.empty(0, dtype=np.int64), 3).num_hyperedges == 3
+
+
 class TestConversions:
     def test_adjacency_matrix_unsqueezed(self):
         g = make_graph()

@@ -1,11 +1,13 @@
 """Tests for :class:`repro.engine.QueryEngine` — caching, sweeps, pipeline reuse."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.filtration import line_graph_from_filtration
 from repro.core.pipeline import SLinePipeline
-from repro.engine.engine import QueryEngine
+from repro.engine.engine import MAX_SWEEP_THRESHOLDS, QueryEngine
 from repro.generators.random import random_hypergraph
 from repro.utils.validation import ValidationError
 
@@ -86,13 +88,24 @@ class TestCaching:
         values = engine.metric(2, "pagerank")
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 99.0
-        _, mapping = engine.squeezed_graph(2)
-        with pytest.raises(ValueError, match="read-only"):
-            mapping.new_to_old[0] = 99
-        for column in engine.metric_columns(2, "pagerank"):
+        graph, mapping = engine.squeezed_graph(2)
+        line_graph = engine.line_graph(2)
+        edges_before = line_graph.edge_set()
+        for array in (
+            mapping.new_to_old,
+            *engine.metric_columns(2, "pagerank"),
+            line_graph.edges,
+            line_graph.weights,
+            line_graph.active_vertices,
+            graph.indptr,
+            graph.indices,
+            graph.weights,
+        ):
             with pytest.raises(ValueError, match="read-only"):
-                column[0] = 99
+                array.flat[0] = 99
         assert engine.metric_by_hyperedge(2, "pagerank") == before
+        assert engine.line_graph(2).edge_set() == edges_before
+        assert engine.metric(2, "connected_components").tolist() == [0.0, 0.0, 0.0]
 
     def test_metric_columns_are_the_dict_view_sorted_by_hyperedge(self, engine):
         for name in ("connected_components", "pagerank"):
@@ -147,6 +160,28 @@ class TestSweep:
     def test_rejects_empty_range(self, engine):
         with pytest.raises(ValidationError):
             engine.sweep([])
+
+    @pytest.mark.parametrize(
+        "s_values",
+        [range(1, 10**12), list(range(1, MAX_SWEEP_THRESHOLDS + 2))],
+        ids=["range", "list"],
+    )
+    def test_rejects_more_thresholds_than_the_cap_before_doing_any_work(
+        self, engine, s_values
+    ):
+        engine.line_graph(2)
+        entries = engine.stats().cache_entries
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="more than 4096 distinct"):
+            engine.sweep(s_values)
+        assert time.perf_counter() - start < 1.0
+        assert engine.stats().cache_entries == entries
+
+    def test_a_sweep_of_exactly_the_cap_succeeds(self, engine):
+        repeated = [*range(1, MAX_SWEEP_THRESHOLDS + 1), 1, 2, 3]  # 4096 distinct
+        sweep = engine.sweep(repeated)
+        assert sweep.s_values == list(range(1, MAX_SWEEP_THRESHOLDS + 1))
+        assert sweep.edge_counts[2] == 3 and sweep.edge_counts[MAX_SWEEP_THRESHOLDS] == 0
 
     def test_rejects_unknown_metric(self, engine):
         with pytest.raises(ValidationError):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.graph.connected_components import connected_components
+from repro.graph.distance import closeness_centrality, eccentricity
 from repro.graph.graph import Graph
 from repro.utils.validation import ValidationError
 
@@ -79,6 +81,24 @@ class TestAccess:
         assert A[0, 2] == 3.0
         B = g.adjacency_matrix(weighted=False).toarray()
         assert B[0, 2] == 1.0
+
+
+class TestTraversalView:
+    def test_every_traversal_shares_one_scipy_view(self, monkeypatch):
+        built = []
+        original = Graph.adjacency_matrix
+
+        def counting(self, weighted=True):
+            built.append(weighted)
+            return original(self, weighted)
+
+        monkeypatch.setattr(Graph, "adjacency_matrix", counting)
+        g = triangle_plus_isolated()
+        assert connected_components(g).tolist() == [0, 0, 0, 1]
+        assert closeness_centrality(g).shape == (4,)  # one BFS per vertex
+        assert eccentricity(g).tolist() == [1, 1, 1, 0]
+        assert built == [False]
+        assert g.structure() is g.structure()
 
 
 class TestSubgraph:

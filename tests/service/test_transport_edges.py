@@ -9,9 +9,11 @@ compacts the store underneath it.
 
 import socket
 import threading
+import time
 
 import pytest
 
+from repro.engine.engine import MAX_SWEEP_THRESHOLDS
 from repro.service import (
     CompactionPolicy,
     QueryService,
@@ -138,6 +140,49 @@ class TestMalformedPeers:
                 assert small["ok"] is True
         finally:
             server.close()
+
+
+class TestUnboundedSweep:
+    """A sweep over more thresholds than ``MAX_SWEEP_THRESHOLDS`` is a
+    legal frame of a few bytes; it must cost a ``bad_request``, not the
+    server's memory."""
+
+    OVERSIZED = (
+        {"op": "sweep", "s_max": 10**12},
+        {"op": "sweep", "s_values": list(range(1, MAX_SWEEP_THRESHOLDS + 2))},
+    )
+
+    @pytest.mark.parametrize("request_", OVERSIZED, ids=["s_max", "s_values"])
+    def test_refused_in_process_before_any_work(self, writer, request_):
+        writer.metric(2, "connected_components")
+        entries = writer.engine.stats().cache_entries
+        start = time.perf_counter()
+        response = writer.execute(request_)
+        assert time.perf_counter() - start < 1.0
+        assert (response["ok"], response["code"]) == (False, "bad_request")
+        assert "more than 4096 distinct" in response["error"]
+        assert writer.engine.stats().cache_entries == entries
+
+    @pytest.mark.parametrize("protocol_max", [1, 2])
+    @pytest.mark.parametrize("request_", OVERSIZED, ids=["s_max", "s_values"])
+    def test_refused_over_a_socket_and_the_connection_lives_on(
+        self, writer, server, protocol_max, request_
+    ):
+        with ServiceClient(*server.address, protocol_max=protocol_max) as client:
+            expected = client.components(2)
+            entries = writer.engine.stats().cache_entries
+            start = time.perf_counter()
+            response = client.call(request_)
+            assert time.perf_counter() - start < 1.0
+            assert (response["ok"], response["code"]) == (False, "bad_request")
+            assert client.components(2) == expected  # same connection
+            assert writer.engine.stats().cache_entries == entries
+
+    def test_a_sweep_of_exactly_the_cap_is_served(self, writer, server):
+        with ServiceClient(*server.address) as client:
+            counts = client.sweep(s_max=MAX_SWEEP_THRESHOLDS)["edge_counts"]
+        assert sorted(counts) == list(range(1, MAX_SWEEP_THRESHOLDS + 1))
+        assert counts[1] == writer.sweep([1]).edge_counts[1] > 0
 
 
 class TestClientReconnect:
