@@ -71,10 +71,12 @@ def filter_weighted_arrays(
     if weights.size != edges.shape[0]:
         raise ValueError("weights length must equal the number of pairs")
     mask = weights >= s
+    if not mask.all():  # an index's ``pairs_at_least(s)`` slice is already the cut
+        edges, weights = edges[mask], weights[mask]
     return SLineGraph(
         s=s,
-        edges=edges[mask],
-        weights=weights[mask],
+        edges=edges,
+        weights=weights,
         num_hyperedges=num_hyperedges,
         active_vertices=active_vertices,
     )

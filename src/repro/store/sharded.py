@@ -23,12 +23,11 @@ from typing import Dict, Iterable, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.chaos.failpoints import fire as _failpoint
-from repro.core.filtration import filter_weighted_arrays
 from repro.core.slinegraph import SLineGraph
 from repro.engine.cache import LRUCache
 from repro.obs import get_tracer
 from repro.parallel.workload import WorkloadStats
-from repro.store.format import Manifest, PathLike, read_manifest
+from repro.store.format import Manifest, PathLike, StoreFormatError, read_manifest
 from repro.store.overlay import WalOverlay
 from repro.store.snapshot import load_edge_sizes, load_shard
 from repro.utils.validation import ValidationError, check_s_value
@@ -234,16 +233,23 @@ class ShardedIndex:
         return np.flatnonzero(self._edge_sizes >= s).astype(np.int64)
 
     def line_graph(self, s: int) -> SLineGraph:
-        """``L_s(H)`` streamed from the shard slices (plus the overlay)."""
+        """``L_s(H)`` streamed from the shard slices (plus the overlay).
+
+        The slices already are the ``weight >= s`` cut, so they go to the
+        full :class:`SLineGraph` constructor as they are.  A row it rejects
+        — a self-loop, an endpoint out of range, a weight below ``s`` in a
+        file that must be ascending — came from the store, not from the
+        caller, and is reported as a damaged store.
+        """
         s = check_s_value(s)
         edges, weights = self.pairs_at_least(s)
-        return filter_weighted_arrays(
-            edges,
-            weights,
-            s,
-            num_hyperedges=self.num_hyperedges,
-            active_vertices=self.active_vertices(s),
-        )
+        try:
+            return SLineGraph(s, edges, weights, self.num_hyperedges, self.active_vertices(s))
+        except ValidationError as exc:
+            raise StoreFormatError(
+                f"store {self._path!r} generation {self._manifest.generation} "
+                f"holds invalid pair rows: {exc}"
+            ) from exc
 
     #: ``extract(s)`` is the service-facing name for a threshold view.
     extract = line_graph
@@ -251,28 +257,24 @@ class ShardedIndex:
     def sweep(self, s_values: Iterable[int]) -> Dict[int, SLineGraph]:
         """``s -> L_s`` for a batch of thresholds from *one* shard pass.
 
-        Streams the pairs surviving the smallest requested threshold once,
-        canonicalises them once (one pair-order sort instead of one per s —
-        the dominant cost of serving a sweep), then derives every ``L_s``
-        as a weight mask over the shared arrays.  Each result is equal to
-        the corresponding :meth:`line_graph` output.
+        Builds :meth:`line_graph` at the smallest requested threshold —
+        one stream over the shards, one canonicalisation, every check —
+        then derives each larger ``L_s`` as a weight mask over its arrays.
+        Each result is equal to the corresponding :meth:`line_graph` output.
         """
         s_list = sorted({check_s_value(v) for v in s_values})
         if not s_list:
             raise ValidationError("sweep requires at least one s value")
-        edges, weights = self.pairs_at_least(s_list[0])
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges, weights = edges[order], weights[order]
-        out: Dict[int, SLineGraph] = {}
-        for s in s_list:
-            mask = weights >= s
-            # The store's pair invariants (every row (i, j) with i < j,
-            # pairs unique) plus the (lo, hi) sort and ``>= s`` mask above
-            # are what ``__post_init__`` would re-establish.
+        base = self.line_graph(s_list[0])
+        out: Dict[int, SLineGraph] = {base.s: base}
+        for s in s_list[1:]:
+            mask = base.weights >= s
+            # A weight mask keeps canonical rows canonical, which is all
+            # ``__post_init__`` would re-establish.
             out[s] = SLineGraph.from_canonical(
                 s,
-                edges[mask],
-                weights[mask],
+                base.edges.compress(mask, axis=0),
+                base.weights.compress(mask),
                 self.num_hyperedges,
                 self.active_vertices(s),
             )

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.index import OverlapIndex, insert_by_weight
+from repro.engine.index import OverlapIndex, insert_by_weight, weight_pair_order
 from repro.parallel.partition import blocked_partitions
 from repro.store.format import (
     EDGE_SIZES_NAME,
@@ -121,8 +121,8 @@ def write_folded_snapshot(
         # the block as soon as the next one exists.
         del parts
         # Canonical base order, as materialising the snapshot would give.
-        order = np.lexsort((edges[:, 1], edges[:, 0], weights))
-        edges, weights = edges[order], weights[order]
+        order = weight_pair_order(edges, weights)
+        edges, weights = edges.take(order, axis=0), weights.take(order)
         del order
         mine = (overlay_rows >= row_start) & (overlay_rows < row_stop)
         return insert_by_weight(

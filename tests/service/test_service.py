@@ -245,3 +245,30 @@ class TestRequestProtocol:
             svc.submit_add([0, 1, 2])
             response = svc.execute({"op": "compact"})
             assert response["ok"] and response["generation"] == 1
+
+    def test_a_damaged_shard_answers_unavailable_not_bad_request(self, store_path):
+        """The constructor's check fires on a row the *store* supplied: the
+        client must hear "store unavailable", an invalid ``s`` is still its
+        own ``bad_request``, and once the row is whole again the same
+        service answers."""
+        import os
+
+        from repro.store.format import SHARD_DIR, read_manifest
+
+        info = next(i for i in read_manifest(store_path).shards if i.num_pairs)
+        edges_file = os.path.join(store_path, SHARD_DIR, info.edges_file)
+        request = {"op": "metric", "s": 1, "metric": "connected_components"}
+        with QueryService(store_path) as svc:
+            shard = np.load(edges_file, mmap_mode="r+")
+            intact = shard[-1].copy()
+            shard[-1] = (3, 3)
+            shard.flush()
+            response = svc.execute(request)
+            assert response["ok"] is False
+            assert response["code"] == "unavailable"
+            assert response["error"].startswith("StoreFormatError: ")
+            assert store_path in response["error"] and "self-loops" in response["error"]
+            assert svc.execute({**request, "s": 0})["code"] == "bad_request"
+            shard[-1] = intact
+            shard.flush()
+            assert svc.execute(request)["ok"] is True
