@@ -37,7 +37,8 @@ def measure(h, s):
     The paper's SpGEMM library and its algorithms run on the same (C++)
     substrate; here the like-for-like comparison keeps every method in pure
     Python (``gustavson`` kernel), while the scipy product is reported as an
-    extra reference column (see EXPERIMENTS.md).
+    extra reference column (see "Which kernel runs where" in
+    docs/ARCHITECTURE.md).
     """
     spgemm_t, spgemm_r = _timed(lambda: s_line_graph_spgemm(h, s, kernel="gustavson"))
     scipy_t, scipy_r = _timed(lambda: s_line_graph_spgemm(h, s, kernel="scipy"))

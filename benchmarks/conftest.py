@@ -5,8 +5,8 @@ Datasets are laptop-scale surrogates (see ``repro.generators.datasets``);
 the scale factor can be raised with the ``REPRO_BENCH_SCALE`` environment
 variable for heavier runs.  Each benchmark prints the paper-style rows or
 series through the ``report`` fixture, which also writes them to
-``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can be filled in
-directly from the artefacts.
+``benchmarks/results/<name>.txt``; docs/ARCHITECTURE.md ("Which kernel runs
+where") says which kernels these benchmarks time and why.
 """
 
 from __future__ import annotations

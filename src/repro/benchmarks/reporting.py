@@ -2,8 +2,9 @@
 
 Every reproduction benchmark prints the same kind of artefact the paper
 presents — a table of rows (Tables I, II, IV, V) or a series of (x, y)
-points (Figures 4, 6–11) — so the EXPERIMENTS.md comparison can be filled in
-directly from the benchmark output.
+points (Figures 4, 6–11) — so the comparison with the paper can be read
+directly off the benchmark output (docs/ARCHITECTURE.md, "Which kernel runs
+where", says which kernels those benchmarks time).
 """
 
 from __future__ import annotations

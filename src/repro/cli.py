@@ -70,6 +70,7 @@ from repro.core.algorithms.registry import ALL_VARIANTS, run_variant
 from repro.core.dispatch import ALGORITHMS, s_line_graph
 from repro.core.pipeline import METRIC_FUNCTIONS
 from repro.engine.engine import QueryEngine
+from repro.engine.index import BUILD_ALGORITHM
 from repro.generators.datasets import available_datasets, load_dataset
 from repro.graph.connected_components import num_components
 from repro.hypergraph.hypergraph import Hypergraph
@@ -1085,7 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--metric", choices=sorted(METRIC_FUNCTIONS), default="connected_components"
     )
-    p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="hashmap")
+    p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default=BUILD_ALGORITHM)
     p.add_argument("--top", type=int, default=10)
     p.set_defaults(func=_cmd_query)
 
@@ -1098,7 +1099,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="connected_components",
         help="comma-separated Stage-5 metrics (empty string for none)",
     )
-    p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="hashmap")
+    p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default=BUILD_ALGORITHM)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("index", help="manage persistent overlap-index stores")
@@ -1108,7 +1109,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_arguments(ip)
     ip.add_argument("--path", required=True, help="store directory to create")
     ip.add_argument("--shards", type=int, default=4, help="number of row-block shards")
-    ip.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="hashmap")
+    ip.add_argument("--algorithm", choices=sorted(ALGORITHMS), default=BUILD_ALGORITHM)
     ip.set_defaults(func=_cmd_index_build)
 
     ip = isub.add_parser("info", help="print a store's manifest and WAL state")

@@ -9,8 +9,9 @@ Module              Algorithm
                     pruning, visited-skipping and short-circuiting.
 ``hashmap``         Algorithm 2: wedge enumeration with per-hyperedge
                     overlap-count hashmaps — no set intersections.
-``vectorized``      Algorithm 2 with the inner counting expressed as NumPy
-                    ``unique``/``bincount`` operations.
+``vectorized``      Algorithm 2 a block of hyperedges at a time: two CSR
+                    gathers, one sort of packed pair keys and a run-length
+                    count per block.  What every index build runs.
 ``ensemble``        Algorithm 3: one counting pass shared by an ensemble of
                     s values.
 ``spgemm``          SpGEMM-based baselines (``H^T H`` + filtration), both

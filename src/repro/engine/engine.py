@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.pipeline import METRIC_FUNCTIONS, check_metric_names
 from repro.core.slinegraph import SLineGraph
 from repro.engine.cache import LRUCache
-from repro.engine.index import OverlapIndex, overlap_counts_for_members
+from repro.engine.index import BUILD_ALGORITHM, OverlapIndex, overlap_counts_for_members
 from repro.graph.connected_components import num_components
 from repro.graph.graph import Graph
 from repro.hypergraph.csr import CSRMatrix
@@ -139,7 +139,7 @@ class QueryEngine:
     def __init__(
         self,
         h: Hypergraph,
-        algorithm: str = "hashmap",
+        algorithm: str = BUILD_ALGORITHM,
         config: Optional[ParallelConfig] = None,
         cache_size: int = 256,
         index: Optional[OverlapIndex] = None,
@@ -184,7 +184,7 @@ class QueryEngine:
         hypergraph: Optional[Hypergraph] = None,
         create: bool = False,
         on_mismatch: str = "raise",
-        algorithm: str = "hashmap",
+        algorithm: str = BUILD_ALGORITHM,
         num_shards: int = 4,
         config: Optional[ParallelConfig] = None,
         **kwargs,

@@ -29,6 +29,12 @@ from repro.parallel.executor import ParallelConfig
 from repro.parallel.workload import WorkloadStats
 from repro.utils.validation import ValidationError, check_s_value
 
+#: The Stage-3 kernel every index build runs unless a caller names another:
+#: the block kernel of :mod:`repro.core.algorithms.vectorized`.  Written
+#: once — the engine, the store, the service and the CLI import it — and
+#: recorded in each snapshot manifest as provenance.
+BUILD_ALGORITHM = "vectorized"
+
 
 def overlap_counts_for_members(
     h: Hypergraph, members: np.ndarray
@@ -133,7 +139,7 @@ class OverlapIndex:
     def build(
         cls,
         h: Hypergraph,
-        algorithm: str = "hashmap",
+        algorithm: str = BUILD_ALGORITHM,
         config: Optional[ParallelConfig] = None,
     ) -> "OverlapIndex":
         """Enumerate every weighted overlap pair of ``h`` once.

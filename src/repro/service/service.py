@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.chaos import failpoints as _failpoints
 from repro.engine.engine import QueryEngine, SweepResult
+from repro.engine.index import BUILD_ALGORITHM
 from repro.graph.connected_components import num_components
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs import get_registry, get_tracer, render_prometheus
@@ -97,7 +98,7 @@ class QueryService:
         create: bool = False,
         read_only: bool = False,
         num_workers: int = 4,
-        algorithm: str = "hashmap",
+        algorithm: str = BUILD_ALGORITHM,
         num_shards: int = 4,
         cache_size: int = 256,
         max_pending: int = 1024,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.engine.engine import QueryEngine
+from repro.engine.index import BUILD_ALGORITHM
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.parallel.executor import ParallelConfig
 from repro.store.format import FingerprintMismatchError, PathLike
@@ -50,7 +51,7 @@ class PersistentQueryEngine(QueryEngine):
         index = store.sharded_index(max_resident_shards=max_resident_shards)
         super().__init__(
             h,
-            algorithm=index.algorithm or "hashmap",
+            algorithm=index.algorithm or BUILD_ALGORITHM,
             config=config,
             cache_size=cache_size,
             index=index,
@@ -87,7 +88,7 @@ class PersistentQueryEngine(QueryEngine):
         cls,
         h: Hypergraph,
         path: PathLike,
-        algorithm: str = "hashmap",
+        algorithm: str = BUILD_ALGORITHM,
         num_shards: int = 4,
         config: Optional[ParallelConfig] = None,
         save_hypergraph: bool = True,

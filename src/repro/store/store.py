@@ -29,7 +29,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.chaos.failpoints import fire as _failpoint
-from repro.engine.index import OverlapIndex
+from repro.engine.index import BUILD_ALGORITHM, OverlapIndex
 from repro.hypergraph.csr import CSRMatrix
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.io.serialization import load_hypergraph_npz, save_hypergraph_npz
@@ -213,7 +213,7 @@ class IndexStore:
         cls,
         h: Hypergraph,
         path: PathLike,
-        algorithm: str = "hashmap",
+        algorithm: str = BUILD_ALGORITHM,
         num_shards: int = 4,
         config: Optional[ParallelConfig] = None,
         save_hypergraph: bool = True,

@@ -1,7 +1,8 @@
 """Integration tests asserting the paper's qualitative claims on surrogate data.
 
 Each test corresponds to a statement in the paper's evaluation or
-applications sections; EXPERIMENTS.md cross-references them.
+applications sections; docs/ARCHITECTURE.md ("Which kernel runs where")
+says which kernels the claims are measured on.
 """
 
 import pytest

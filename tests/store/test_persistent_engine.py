@@ -46,6 +46,23 @@ class TestOpenAndServe:
         assert engine.line_graph(2) == QueryEngine(community_hypergraph).line_graph(2)
         assert IndexStore.exists(tmp_path / "fresh")
 
+    def test_store_serves_the_same_whichever_kernel_built_it(
+        self, community_hypergraph, tmp_path
+    ):
+        """The manifest's ``algorithm`` is provenance only: a store built
+        with either name opens, serves, takes updates and compacts alike."""
+        engines = {}
+        for algorithm in ("hashmap", "vectorized"):
+            path = tmp_path / algorithm
+            PersistentQueryEngine.build(community_hypergraph, path, algorithm=algorithm)
+            engines[algorithm] = engine = PersistentQueryEngine.open(path)
+            assert engine.algorithm == engine.index.manifest.algorithm == algorithm
+            engine.add_hyperedge([0, 1, 2, 50])
+            engine.compact()
+            assert engine.index.manifest.algorithm == algorithm
+        for s in range(1, 5):
+            assert engines["hashmap"].line_graph(s) == engines["vectorized"].line_graph(s)
+
     def test_every_store_backed_engine_serves_a_sharded_index(
         self, store_path, community_hypergraph, tmp_path
     ):

@@ -105,10 +105,17 @@ class TestManifestSafety:
         raw = json.loads((tmp_path / "manifest.json").read_text())
         assert raw["format_version"] == FORMAT_VERSION
         assert raw["fingerprint"] == fingerprint
-        assert raw["algorithm"] == "hashmap"
+        assert raw["algorithm"] == index.algorithm
         assert raw["provenance"]["source"] == "unit-test"
         assert raw["provenance"]["builder"] == "repro.store"
         assert manifest.fingerprint == fingerprint
+
+    def test_manifest_records_the_kernel_asked_for(
+        self, community_hypergraph, fingerprint, tmp_path
+    ):
+        index = OverlapIndex.build(community_hypergraph, algorithm="hashmap")
+        write_snapshot(index, tmp_path, fingerprint)
+        assert read_manifest(tmp_path).algorithm == "hashmap"
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(StoreFormatError, match="no snapshot manifest"):
