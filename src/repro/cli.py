@@ -246,6 +246,10 @@ def _remote_stats(args: argparse.Namespace) -> int:
             "cache_entries",
             "incremental_adds",
             "incremental_removes",
+            "retained_entries",
+            "invalidated_entries",
+            "patched_entries",
+            "delta_fallbacks",
         ):
             if key in engine:
                 rows.append((f"engine.{key}", engine[key]))

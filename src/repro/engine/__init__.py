@@ -14,7 +14,9 @@ structure, so:
   s-metrics and batched multi-s sweeps with shared Stage-4 squeezing;
 * incremental maintenance (:meth:`QueryEngine.add_hyperedge` /
   :meth:`QueryEngine.remove_hyperedge`) patches only the affected overlap
-  rows and invalidates only cache entries whose result could change.
+  rows, and the cache entries whose result could change are brought
+  forward by the next miss (:mod:`repro.engine.delta`) rather than
+  recomputed.
 """
 
 from repro.engine.cache import LRUCache

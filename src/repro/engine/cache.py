@@ -2,11 +2,15 @@
 
 Keys are ``(hypergraph fingerprint, s, kind)`` tuples where ``kind`` names
 what is cached ("line_graph", "squeezed", or a Stage-5 metric name).  The
-fingerprint component makes entries from superseded hypergraph versions
-unreachable; the engine additionally *re-keys* entries that provably cannot
-have changed after an incremental update (see
-:meth:`repro.engine.QueryEngine.add_hyperedge`), so the cache doubles as the
-bookkeeping structure for selective invalidation.
+fingerprint component keeps entries of superseded hypergraph versions from
+being served as they are; after an incremental update the engine *re-keys*
+the entries that provably cannot have changed and leaves the others under
+their old fingerprint, where a later miss finds them through the engine's
+update journal and brings them forward — ``peek`` the ancestor, ``put``
+the successor, then ``pop`` the ancestor (see :mod:`repro.engine.engine`).
+The cache is therefore also the bookkeeping structure of that
+carry-forward; entries the journal no longer reaches are popped by the
+next update.
 
 Concurrency contract
 --------------------
@@ -20,10 +24,13 @@ deliberately *not* made:
   the same key may both compute it and both ``put`` — the second insert
   wins.  Engine results are deterministic for a key, so this only costs a
   duplicated computation, never an inconsistent cache.
-* Multi-key passes (the engine's ``_migrate_cache`` over :meth:`keys`)
-  are not atomic as a whole; callers that need a consistent multi-entry
-  view must serialise against writers externally (the service layer's
-  readers-writer lock does exactly this for incremental updates).
+* Multi-key passes (the engine's ``_journal_update`` over :meth:`keys`,
+  a reader's ``peek`` → ``put`` → ``pop`` of an ancestor) are not atomic
+  as a whole; callers that need a consistent multi-entry view must
+  serialise against writers externally (the service layer's
+  readers-writer lock does exactly this for incremental updates).  Two
+  readers may bring the same ancestor forward: both compute the same
+  bytes, the second ``put`` wins and the second ``pop`` finds nothing.
 """
 
 from __future__ import annotations
@@ -101,9 +108,9 @@ class LRUCache:
         """Look up ``key`` with *no* side effects.
 
         Unlike :meth:`get`, peeking neither marks the entry recently used
-        nor counts a hit/miss — it is for bookkeeping passes (the engine's
-        selective invalidation inspects entries while re-keying them, which
-        must not distort the service-traffic statistics or the LRU order).
+        nor counts a hit/miss — it is for bookkeeping (the engine looks
+        for an ancestor entry to bring forward after a miss, which must not
+        distort the service-traffic statistics or the LRU order).
         """
         with self._lock:
             value = self._data.get(key, _MISSING)

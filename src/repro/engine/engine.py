@@ -11,27 +11,68 @@ s.
 Incremental updates (:meth:`~QueryEngine.add_hyperedge`,
 :meth:`~QueryEngine.remove_hyperedge`) patch only the affected overlap rows
 of the index — avoiding the wedge-enumeration pass that dominates a rebuild
-— and invalidate only cache entries whose result could actually change: a
-hyperedge of size ``k`` can never appear in — nor contribute a pair to —
-any ``L_s`` with ``s > k``, so those entries are re-keyed to the new
-fingerprint instead of being recomputed.  The immutable
-:class:`Hypergraph` is refreshed incrementally too: both of its CSRs are
-extended (or cut) in place of a transpose, and its fingerprint hashes the
-already-sorted rows without re-sorting them — what remains per update is
-array copies and one SHA-256 over the incidences, no sort and no rebuild.
+— and the cache *carries its entries forward* instead of dropping them:
+
+* **Retained.**  A hyperedge of size ``k`` can never appear in — nor
+  contribute a pair to — any ``L_s`` with ``s > k``, so those entries are
+  re-keyed to the new fingerprint at update time.
+* **Journalled.**  Every update appends one :class:`~repro.engine.delta.Update`
+  to a bounded journal — fingerprint before → after, add or remove, the
+  edge's ID and size, and its overlap row (the one
+  :func:`~repro.engine.index.overlap_counts_for_members` returns; O(row), no
+  copy proportional to ``L_s``).  Entries at ``s <= k`` are left where
+  they are, one more update behind; the update itself patches nothing.
+  One exception keeps memory where it was: a line graph whose squeezed
+  form is cached under the same fingerprint is dropped, not left behind —
+  Stages 4-5 are served from the squeezed entry, and holding two
+  generations of both forms is what would move the process's peak RSS.
+* **Patched at read time.**  A miss at the current fingerprint that finds
+  an ancestor entry within the journal walks it forward one update at a
+  time with the array kernels of :mod:`repro.engine.delta` — ``L_s`` takes
+  the row's pairs (or loses them), the squeezed CSR gains (or loses) one
+  vertex, connected-component labels merge under an add — caching each
+  step's result and only then dropping the entry it came from.  Every
+  other metric is carried across updates whose row is empty at its ``s``.
+* **Fallbacks.**  The from-scratch path is the cold miss, and what a
+  kernel defers to when a delta is not cheap: an add that gives a
+  previously isolated hyperedge its first neighbour, or a remove that
+  takes a neighbour's last one, shifts the squeeze, so Stage 4 is rebuilt
+  from the patched ``L_s``; a remove whose row is not empty re-runs
+  connected components on the patched CSR; any other metric is recomputed
+  once a pending row reaches its ``s``.  An entry more than
+  :data:`_MAX_PENDING` updates behind, or updated before the index (and so
+  an overlap row) existed, is dropped and recomputed on demand.
+
+The contract is byte equality: a carried value has the ``tobytes()``,
+dtype, shape and C order of the recomputed one, and is read-only
+(``tests/properties/test_property_delta_cache.py``).  Concurrency: updates
+are the single writer's, so readers see the journal as an immutable tuple;
+two readers that miss the same key may both patch the same ancestor — the
+results are identical, the second ``put`` wins, and the ancestor is popped
+after the ``put``, so the later reader finds one of the two or, at worst,
+recomputes the same bytes.
+
+The immutable :class:`Hypergraph` is refreshed incrementally too: both of
+its CSRs are extended (or cut) in place of a transpose, and its fingerprint
+hashes the already-sorted rows without re-sorting them — what remains per
+update is array copies and one SHA-256 over the incidences, no sort and no
+rebuild.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.pipeline import METRIC_FUNCTIONS, check_metric_names
 from repro.core.slinegraph import SLineGraph
+from repro.engine import delta
 from repro.engine.cache import LRUCache
+from repro.engine.delta import Update, shifted_indptr
 from repro.engine.index import BUILD_ALGORITHM, OverlapIndex, overlap_counts_for_members
 from repro.graph.connected_components import num_components
 from repro.graph.graph import Graph
@@ -55,8 +96,16 @@ class QueryStats:
     index_builds: int = 0
     incremental_adds: int = 0
     incremental_removes: int = 0
+    #: Entries an update left unservable as they were (one step behind the
+    #: journal; a later miss may still bring them forward).
     invalidated_entries: int = 0
+    #: Entries an update provably could not touch, re-keyed on the spot.
     retained_entries: int = 0
+    #: Entries a miss brought forward through the journal.
+    patched_entries: int = 0
+    #: Misses that found an ancestor but had to recompute (a delta kernel
+    #: declined: the squeeze shifted, a vertex left a component, ...).
+    delta_fallbacks: int = 0
 
     def hit_rate(self) -> float:
         """Fraction of lookups served from cache (0.0 when none yet)."""
@@ -68,6 +117,17 @@ class QueryStats:
 #: graph and a cache entry, so an unbounded request (``s_max = 10**9`` fits
 #: a 40-byte frame) would exhaust memory; the paper's sweeps stop at 1024.
 MAX_SWEEP_THRESHOLDS = 4096
+
+#: Most updates a cached entry may trail the hypergraph by and still be
+#: brought forward; an entry further behind is dropped and its next query
+#: recomputes.  Measured on the served fixture (livejournal x2, 215k pairs
+#: at s = 1; ``benchmarks/bench_delta_miss.py``): an s = 1 ``metric`` miss
+#: k adds behind costs 2.2 / 3.7 / 6.0 / 8.2 ms at k = 1..4 against a
+#: 24-30 ms recompute (a remove in the walk adds a ~8 ms CC re-run), so
+#: four steps are still a third of a recompute; the bound is kept this
+#: short because every entry left behind is memory held for a query that
+#: may never come.
+_MAX_PENDING = 4
 
 
 def sweep_thresholds(s_values: Iterable[int]) -> List[int]:
@@ -173,6 +233,14 @@ class QueryEngine:
         self._incremental_removes = 0
         self._invalidated = 0
         self._retained = 0
+        #: The last ``_MAX_PENDING`` updates, oldest first; replaced (never
+        #: mutated) by the one writer, so readers iterate a stable snapshot.
+        self._journal: Tuple[Update, ...] = ()
+        # Concurrent readers carry entries forward: their two counters are
+        # the only engine counters not owned by the single writer.
+        self._carry_lock = threading.Lock()
+        self._patched = 0
+        self._fallbacks = 0
 
     # ------------------------------------------------------------------ #
     # Persistence
@@ -286,6 +354,8 @@ class QueryEngine:
             incremental_removes=self._incremental_removes,
             invalidated_entries=self._invalidated,
             retained_entries=self._retained,
+            patched_entries=self._patched,
+            delta_fallbacks=self._fallbacks,
         )
 
     def max_s(self) -> int:
@@ -298,6 +368,73 @@ class QueryEngine:
     def _key(self, s: int, kind: str) -> Tuple[str, int, str]:
         return (self._h.fingerprint(), int(s), kind)
 
+    def _ancestor(self, key: Tuple[str, int, str]):
+        """The nearest cached ancestor of ``key`` the journal still reaches:
+        ``(its key, its value, the updates between it and now)``, or three
+        ``None`` when there is none."""
+        fp, s, kind = key
+        journal = self._journal
+        for first in range(len(journal) - 1, -1, -1):
+            if journal[first].after != fp:
+                break
+            fp = journal[first].before
+            value = self._cache.peek((fp, s, kind))
+            if value is not None:
+                return (fp, s, kind), value, journal[first:]
+        return None, None, None
+
+    def _fill(
+        self,
+        key: Tuple[str, int, str],
+        carry: Callable,
+        compute: Callable,
+        arrays: Callable,
+        whole_journal: bool = False,
+    ):
+        """Cache and return the value of ``key`` after a miss.
+
+        A cached ancestor within the journal is brought forward by
+        ``carry(value, updates)``; with no ancestor, or when ``carry``
+        declines (returns ``None``), ``compute()`` builds the value from
+        scratch.  ``arrays(value)`` names the arrays to freeze.
+
+        The walk is one update at a time — each step caches its result
+        under that update's fingerprint and only then drops the entry it
+        came from — so two generations of a large value are alive at once,
+        never three, and a concurrent reader of the same key finds an
+        ancestor at every moment (or recomputes the same bytes).
+        ``whole_journal`` hands ``carry`` all pending updates in one call
+        instead, for a kernel that has to judge them together.
+        """
+
+        def publish(at, value):
+            _freeze(*arrays(value))
+            self._cache.put(at, value)
+
+        behind, value, pending = self._ancestor(key)
+        if behind is not None:
+            # zip(pending): one 1-tuple per update.
+            for updates in [pending] if whole_journal else zip(pending):
+                value = carry(value, updates)
+                if value is None:
+                    # No reader can do better with it: release it ahead of
+                    # the rebuild's temporaries, not after them.
+                    self._cache.pop(behind)
+                    break
+                ahead = (updates[-1].after,) + key[1:]
+                publish(ahead, value)
+                self._cache.pop(behind)
+                behind = ahead
+            with self._carry_lock:
+                if value is None:
+                    self._fallbacks += 1
+                else:
+                    self._patched += 1
+        if value is None:
+            value = compute()
+            publish(key, value)
+        return value
+
     def line_graph(self, s: int) -> SLineGraph:
         """``L_s(H)`` in original hyperedge IDs (cached threshold view)."""
         s = check_s_value(s)
@@ -308,10 +445,12 @@ class QueryEngine:
                 span.set_attribute("cache_hit", True)
                 return cached
             span.set_attribute("cache_hit", False)
-            graph = self.index.line_graph(s)
-            _freeze(graph.edges, graph.weights, graph.active_vertices)
-            self._cache.put(key, graph)
-            return graph
+            return self._fill(
+                key,
+                lambda graph, updates: delta.line_graph(graph, *updates),
+                lambda: self.index.line_graph(s),
+                lambda graph: (graph.edges, graph.weights, graph.active_vertices),
+            )
 
     #: ``extract(s)`` is the service-facing name for a threshold view.
     extract = line_graph
@@ -326,11 +465,23 @@ class QueryEngine:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        squeezed_line, mapping = self.line_graph(s).squeeze()
-        graph = squeezed_line.to_graph(squeezed=False)
-        _freeze(graph.indptr, graph.indices, graph.weights, mapping.new_to_old)
-        self._cache.put(key, (graph, mapping))
-        return graph, mapping
+
+        def compute():
+            squeezed_line, mapping = self.line_graph(s).squeeze()
+            return squeezed_line.to_graph(squeezed=False), mapping
+
+        return self._fill(
+            key,
+            # None when the update shifts the squeeze: rebuild Stage 4.
+            lambda value, updates: delta.squeezed(*value, *updates, s),
+            compute,
+            lambda value: (
+                value[0].indptr,
+                value[0].indices,
+                value[0].weights,
+                value[1].new_to_old,
+            ),
+        )
 
     def metric(self, s: int, name: str) -> np.ndarray:
         """A Stage-5 metric of ``L_s`` over squeezed vertex IDs (cached)."""
@@ -348,11 +499,30 @@ class QueryEngine:
                 span.set_attribute("cache_hit", True)
                 return cached
             span.set_attribute("cache_hit", False)
-            graph, _ = self.squeezed_graph(s)
-            values = METRIC_FUNCTIONS[name](graph)
-            _freeze(values)
-            self._cache.put(key, values)
-            return values
+            graph, mapping = self.squeezed_graph(s)
+            if name == "connected_components":
+
+                def carry(labels, pending):
+                    return delta.component_labels(
+                        labels, mapping.new_to_old, pending, s
+                    )
+
+            else:
+
+                def carry(values, pending):
+                    return delta.unchanged(values, pending, s)
+
+            def compute():
+                try:
+                    return METRIC_FUNCTIONS[name](graph)
+                finally:
+                    # As large as the graph itself: shared by the sources
+                    # of this metric, not held in the cache for the next.
+                    graph.release_structure()
+
+            return self._fill(
+                key, carry, compute, lambda values: (values,), whole_journal=True
+            )
 
     def metric_columns(self, s: int, name: str) -> Tuple[np.ndarray, np.ndarray]:
         """A metric as parallel ``(hyperedge IDs, values)`` columns,
@@ -405,11 +575,12 @@ class QueryEngine:
     def add_hyperedge(
         self, members: Iterable[int], name: Optional[object] = None
     ) -> int:
-        """Append a hyperedge, patching the index and cache incrementally.
+        """Append a hyperedge, patching the index and journalling the update.
 
         Only the overlap row of the new edge is computed (a wedge walk from
         its members); cached results for every ``s > |members|`` provably
-        cannot change and are retained under the new fingerprint.
+        cannot change and are retained under the new fingerprint, the rest
+        stay one update behind the journal until a query wants them.
 
         Returns the ID assigned to the new hyperedge.
         """
@@ -419,15 +590,17 @@ class QueryEngine:
         start = time.perf_counter()
         old_fp = self._h.fingerprint()
         new_id = self._h.num_edges
-        pair_ids = pair_weights = None
+        pair_ids = pair_weights = row = None
         if self._index is not None:
-            pair_ids, pair_weights = overlap_counts_for_members(self._h, member_arr)
+            pair_ids, pair_weights = row = overlap_counts_for_members(
+                self._h, member_arr
+            )
             self._index.add_hyperedge(
                 new_id, member_arr.size, pair_ids, pair_weights
             )
         self._h = with_appended_edge(self._h, member_arr, name)
         self._incremental_adds += 1
-        self._migrate_cache(old_fp, threshold_s=int(member_arr.size))
+        self._journal_update(old_fp, True, new_id, int(member_arr.size), row)
         self._m_add_seconds.observe(time.perf_counter() - start)
         self._record_add(new_id, member_arr, name, pair_ids, pair_weights)
         return new_id
@@ -448,11 +621,19 @@ class QueryEngine:
             return  # already empty: removing it changes nothing
         start = time.perf_counter()
         old_fp = self._h.fingerprint()
+        row = None
         if self._index is not None:
+            # The row being removed: the same wedge walk an add makes,
+            # minus the edge's overlap with itself.
+            ids, weights = overlap_counts_for_members(
+                self._h, self._h.edge_members(edge_id)
+            )
+            others = ids != edge_id
+            row = ids[others], weights[others]
             self._index.remove_hyperedge(edge_id)
         self._h = with_emptied_edge(self._h, edge_id)
         self._incremental_removes += 1
-        self._migrate_cache(old_fp, threshold_s=int(old_size))
+        self._journal_update(old_fp, False, edge_id, int(old_size), row)
         self._m_remove_seconds.observe(time.perf_counter() - start)
         self._record_remove(edge_id)
 
@@ -462,47 +643,56 @@ class QueryEngine:
     def _record_remove(self, edge_id) -> None:
         """Durability hook: no-op here, WAL-appended by the persistent engine."""
 
-    def _migrate_cache(self, old_fp: str, threshold_s: int) -> None:
-        """Selective invalidation after an update affecting sizes ``<= threshold_s``.
+    def _journal_update(
+        self,
+        old_fp: str,
+        added: bool,
+        edge_id: int,
+        size: int,
+        row: Optional[Tuple[np.ndarray, np.ndarray]],
+    ) -> None:
+        """Journal one applied update and sort the cache by what it did.
 
-        Entries keyed at ``s > threshold_s`` cannot have changed (the edge
-        involved has size ``<= threshold_s``, so it is inactive and pairless
-        at those thresholds): they are re-keyed to the new fingerprint.
-        Everything else under the old fingerprint is dropped.  Retained line
-        graphs get their ID-space bound refreshed so they compare equal to a
-        full rebuild after ``add_hyperedge`` grew the hyperedge count.
+        Entries of the superseded hypergraph at ``s > size`` cannot have
+        changed (the edge is inactive and pairless there): they are
+        *retained* — re-keyed to the new fingerprint now, a line graph with
+        its ID-space bound refreshed so it equals a full rebuild after an
+        add.  The other entries are *invalidated*: left in place, one more
+        update behind, for :meth:`_fill` to bring forward if a query asks
+        before the journal forgets the update.  Dropped instead: entries
+        the journal no longer reaches, and a line graph whose squeezed
+        form sits beside it (the squeezed entry serves Stages 4-5; keeping
+        both behind doubles the bytes held for a query that may not come).
+        ``row=None`` (the index was never built, so nothing was ever
+        cached) empties the journal.
         """
         new_fp = self._h.fingerprint()
-        num_edges = self._h.num_edges
+        journalled = row is not None
+        if not journalled:
+            row = (np.empty(0, dtype=np.int64),) * 2
+        _freeze(*row)
+        update = Update(old_fp, new_fp, added, edge_id, size, *row)
+        self._journal = (
+            (self._journal + (update,))[-_MAX_PENDING:] if journalled else ()
+        )
+        reachable = {pending.before for pending in self._journal}
         for key in self._cache.keys():
             fp, s, kind = key
-            if fp != old_fp:
-                continue
-            if s > threshold_s:
-                if kind == "line_graph":
-                    # peek: bookkeeping must not inflate hit/miss stats nor
-                    # promote the entry in the LRU order.
-                    graph = self._cache.peek(key)
-                    if graph.num_hyperedges != num_edges:
-                        # The ID space only grows (add_hyperedge); the
-                        # canonical arrays are shared, not copied.
-                        graph = SLineGraph.from_canonical(
-                            graph.s,
-                            graph.edges,
-                            graph.weights,
-                            num_edges,
-                            graph.active_vertices,
-                        )
-                        self._cache.pop(key)
-                        self._cache.put((new_fp, s, kind), graph)
-                    else:
-                        self._cache.rekey(key, (new_fp, s, kind))
+            if fp == old_fp and s > size:
+                if kind == "line_graph" and added:
+                    # The canonical arrays are shared, not copied.
+                    graph = delta.line_graph(self._cache.pop(key), update)
+                    self._cache.put((new_fp, s, kind), graph)
                 else:
                     self._cache.rekey(key, (new_fp, s, kind))
                 self._retained += 1
-            else:
-                self._cache.pop(key)
+                continue
+            if fp == old_fp:
                 self._invalidated += 1
+            if fp not in reachable or (
+                kind == "line_graph" and (fp, s, "squeezed") in self._cache
+            ):
+                self._cache.pop(key)
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -510,13 +700,6 @@ def _freeze(*arrays: np.ndarray) -> None:
     (the wire serves them as they are), so none of them may write through."""
     for array in arrays:
         array.setflags(write=False)
-
-
-def _shifted_indptr(indptr: np.ndarray, rows: np.ndarray, step: int) -> np.ndarray:
-    """``indptr`` after every row in ``rows`` grew (or shrank) by ``step`` entries."""
-    shifted = indptr.copy()
-    shifted[1:] += step * np.cumsum(np.bincount(rows, minlength=indptr.size - 1))
-    return shifted
 
 
 def with_appended_edge(
@@ -555,7 +738,7 @@ def with_appended_edge(
             num_cols=num_vertices,
         ),
         vertices=CSRMatrix(
-            indptr=_shifted_indptr(vertex_indptr, members, 1),
+            indptr=shifted_indptr(vertex_indptr, members, 1),
             indices=np.insert(vertices.indices, vertex_indptr[members + 1], new_id),
             num_cols=new_id + 1,
         ),
@@ -584,7 +767,7 @@ def with_emptied_edge(h: Hypergraph, edge_id: int) -> Hypergraph:
             num_cols=edges.num_cols,
         ),
         vertices=CSRMatrix(
-            indptr=_shifted_indptr(vertices.indptr, members, -1),
+            indptr=shifted_indptr(vertices.indptr, members, -1),
             indices=np.delete(
                 vertices.indices, np.flatnonzero(vertices.indices == edge_id)
             ),

@@ -180,6 +180,11 @@ class Graph:
             self._structure = self.adjacency_matrix(weighted=False)
         return self._structure
 
+    def release_structure(self) -> None:
+        """Forget the cached :meth:`structure` (the next call rebuilds it):
+        for an owner that keeps the graph long after its traversals ran."""
+        self._structure = None
+
     def subgraph(self, vertex_ids: Sequence[int] | np.ndarray) -> Tuple["Graph", np.ndarray]:
         """Induced subgraph; returns ``(graph, kept_vertex_ids)`` with compact IDs."""
         keep = np.unique(np.asarray(vertex_ids, dtype=np.int64))

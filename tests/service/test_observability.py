@@ -58,6 +58,27 @@ class TestStatsPayload:
         assert admission["pending"] == 0
         assert admission["applied"] + admission["failed"] <= admission["submitted"]
 
+    def test_engine_object_counts_the_carry_forward_and_the_cli_shows_it(
+        self, store_path, registry, capsys
+    ):
+        from repro.cli import main
+
+        with QueryService(store_path) as svc:
+            svc.metric(1, "connected_components")
+            svc.submit_add([0, 1, 2]).result(timeout=10)
+            svc.metric(1, "connected_components")  # brought forward, not recomputed
+            with SocketServer(svc) as server:
+                with ServiceClient(*server.address) as client:
+                    engine = client.stats()["engine"]
+                assert main(["stats", "--address", f"{server.host}:{server.port}"]) == 0
+        assert engine["invalidated_entries"] == 3  # L_1, its squeezed CSR, the labels
+        assert engine["patched_entries"] == 2  # the last two; L_1 was dropped
+        assert engine["delta_fallbacks"] == 0 and engine["retained_entries"] == 0
+        out = capsys.readouterr().out
+        for key in ("retained", "invalidated", "patched"):
+            assert f"engine.{key}_entries" in out
+        assert "engine.delta_fallbacks" in out
+
     def test_engine_cache_counters_feed_the_registry(self, store_path, registry):
         with QueryService(store_path) as svc:
             svc.metric(2, "connected_components")

@@ -148,6 +148,53 @@ class TestQueries:
                 assert svc.line_graph(s) == oracle.line_graph(s), s
 
 
+    def test_two_readers_missing_one_entry_after_an_update_both_get_the_oracle(
+        self, store_path
+    ):
+        """Both readers find the same ancestor one update behind and each
+        brings it forward: same bytes as a from-scratch engine, twice."""
+        cc = "connected_components"
+        with QueryService(store_path) as svc:
+            svc.metric(1, cc)
+            svc.submit_add([0, 1, 2]).result(timeout=10)
+            engine = svc.engine
+            both_found_it = threading.Barrier(2)
+            find_ancestor = engine._ancestor
+
+            def find_ancestor_together(key):
+                found = find_ancestor(key)
+                if key[2] == cc:  # neither has cached the successor yet
+                    both_found_it.wait(timeout=10)
+                return found
+
+            engine._ancestor = find_ancestor_together
+            answers, errors = [], []
+
+            def read():
+                try:
+                    answers.append(svc.metric(1, cc))
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20)
+            assert not errors and not any(t.is_alive() for t in threads)
+            expected = QueryEngine(engine.hypergraph).metric(1, cc)
+            assert len(answers) == 2
+            for labels in answers:
+                assert labels.dtype == expected.dtype
+                assert labels.tobytes() == expected.tobytes()
+            stats = engine.stats()
+            assert stats.patched_entries >= 3  # squeezed once or twice, labels twice
+            assert stats.delta_fallbacks == 0
+            # Successors cached, their ancestors gone.
+            assert {key[0] for key in engine._cache.keys()} == {engine.fingerprint()}
+            assert svc.metric(1, cc).tobytes() == expected.tobytes()
+
+
 class TestCompaction:
     def test_manual_compact_folds_wal(self, store_path):
         with QueryService(store_path) as svc:

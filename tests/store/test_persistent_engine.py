@@ -221,3 +221,58 @@ class TestPipelineOverStoreEngine:
             SLinePipeline(compute_toplexes=True, engine=engine)
         with pytest.raises(TypeError, match="store_path"):
             SLinePipeline(store_path=str(tmp_path / "x"))
+
+
+class TestChurnStreamAgainstTheOracle:
+    def test_churn_query_stream_with_compaction_and_reopen(
+        self, community_hypergraph, tmp_path
+    ):
+        """``churn_query``'s stream through the delta-applied cache: adds of
+        3 members, every 4th update a remove of the oldest added hyperedge,
+        ``metric`` rotating s = 1..3, one ``sweep(1..8, [CC])`` per 6 updates,
+        a ``compact()`` and a close / reopen mid-stream — every answer
+        against :class:`SLinePipeline` on an independently kept model."""
+        from repro.hypergraph.builders import hypergraph_from_edge_lists
+        from repro.utils.rng import make_rng
+
+        cc = "connected_components"
+        oracle = SLinePipeline(
+            metrics=(cc,), drop_empty_edges=False, drop_isolated_vertices=False
+        )
+        num_vertices = community_hypergraph.num_vertices
+        model = [members.tolist() for _, members in community_hypergraph.iter_edges()]
+        added = []
+        rng = make_rng(22)
+        path = tmp_path / "churn"
+        engine = PersistentQueryEngine.build(community_hypergraph, path, num_shards=4)
+        engine.sweep(range(1, 9), metrics=(cc,))
+        for i in range(36):
+            if i % 4 == 3:
+                victim = added.pop(0)
+                engine.remove_hyperedge(victim)
+                model[victim] = []
+            else:
+                members = sorted(rng.choice(num_vertices, size=3, replace=False).tolist())
+                added.append(engine.add_hyperedge(members))
+                assert added[-1] == len(model)
+                model.append(members)
+            if i == 13:
+                engine.compact()
+            if i == 25:
+                engine.close()
+                engine = PersistentQueryEngine.open(path)
+            h = hypergraph_from_edge_lists(model, num_vertices=num_vertices)
+            assert engine.fingerprint() == h.fingerprint()
+            s = 1 + i % 3
+            expected = oracle.run(h, s).metric_by_hyperedge(cc)
+            assert engine.metric_by_hyperedge(s, cc) == expected, (i, s)
+            if i % 6 == 5:
+                sweep = engine.sweep(range(1, 9), metrics=(cc,))
+                for s in range(1, 9):
+                    result = oracle.run(h, s)
+                    assert sweep.line_graphs[s] == result.line_graph, (i, s)
+                    assert sweep.active_counts[s] == result.line_graph.num_active_vertices
+                    assert np.array_equal(sweep.metrics[s][cc], result.metrics[cc]), (i, s)
+        stats = engine.stats()
+        assert stats.patched_entries > 0 and stats.index_builds == 0
+        engine.close()
