@@ -1,32 +1,17 @@
 """Shared infrastructure for the experiment-reproduction benchmarks.
 
 The ``benchmarks/`` directory at the repository root contains one module per
-table/figure of the paper; they all use the helpers here to time pipeline
-stages, build speedup tables and print the rows/series the paper reports.
+table/figure of the paper; they all use the helpers here to pick quick
+mode, time a callable and print the rows/series the paper reports.
 """
 
-from repro.benchmarks.harness import (
-    quick_mode,
-    scaling_series,
-    speedup_table,
-    stage_breakdown,
-    time_callable,
-)
-from repro.benchmarks.reporting import (
-    format_table,
-    format_series,
-    format_speedups,
-    print_experiment_header,
-)
+from repro.benchmarks.harness import quick_mode, time_callable
+from repro.benchmarks.reporting import format_table, format_series, format_speedups
 
 __all__ = [
     "quick_mode",
     "time_callable",
-    "stage_breakdown",
-    "speedup_table",
-    "scaling_series",
     "format_table",
     "format_series",
     "format_speedups",
-    "print_experiment_header",
 ]

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple, TypeVar
-
-from repro.utils.timing import StageTimes
+from typing import Callable, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -31,29 +29,3 @@ def time_callable(fn: Callable[[], T], repeats: int = 1) -> Tuple[float, T]:
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
-
-
-def stage_breakdown(times: StageTimes, stages: Sequence[str]) -> Dict[str, float]:
-    """Extract the requested stages (seconds) plus a ``total`` entry."""
-    out = {stage: times.get(stage) for stage in stages}
-    out["total"] = times.total
-    return out
-
-
-def speedup_table(
-    runtimes: Dict[str, float], baseline: str
-) -> Dict[str, float]:
-    """Speedup of each entry relative to ``baseline`` (baseline → 1.0)."""
-    base = runtimes[baseline]
-    return {
-        name: (base / seconds if seconds > 0 else float("inf"))
-        for name, seconds in runtimes.items()
-    }
-
-
-def scaling_series(
-    worker_counts: Iterable[int],
-    run: Callable[[int], float],
-) -> List[Tuple[int, float]]:
-    """Evaluate ``run(num_workers)`` for each worker count; returns (workers, seconds)."""
-    return [(int(p), float(run(int(p)))) for p in worker_counts]

@@ -12,12 +12,6 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence, Tuple
 
 
-def print_experiment_header(experiment: str, description: str) -> None:
-    """Print a banner identifying the paper experiment being reproduced."""
-    line = "=" * 72
-    print(f"\n{line}\n{experiment}: {description}\n{line}")
-
-
 def format_table(
     headers: Sequence[str], rows: Iterable[Sequence[object]], float_format: str = "{:.4f}"
 ) -> str:

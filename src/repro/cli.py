@@ -68,7 +68,7 @@ import numpy as np
 from repro.benchmarks.reporting import format_table
 from repro.core.algorithms.registry import ALL_VARIANTS, run_variant
 from repro.core.dispatch import ALGORITHMS, s_line_graph
-from repro.core.pipeline import METRIC_FUNCTIONS
+from repro.core.pipeline import COMPONENT_METRICS, METRIC_FUNCTIONS
 from repro.engine.engine import QueryEngine
 from repro.engine.index import BUILD_ALGORITHM
 from repro.generators.datasets import available_datasets, load_dataset
@@ -368,7 +368,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _metric_summary(name: str, values: np.ndarray):
     """One table cell per (s, metric): component count, or the max value."""
-    if name in ("connected_components", "lpcc"):
+    if name in COMPONENT_METRICS:
         return num_components(values)
     return float(values.max()) if values.size else 0.0
 
@@ -379,8 +379,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     metrics = [m for m in (args.metrics or "").split(",") if m]
     result = engine.sweep(range(args.s_min, args.s_max + 1), metrics=metrics)
     headers = ["s", "active", "edges"] + [
-        "components" if m in ("connected_components", "lpcc") else f"max {m}"
-        for m in metrics
+        "components" if m in COMPONENT_METRICS else f"max {m}" for m in metrics
     ]
     rows = []
     for s in result.s_values:

@@ -16,7 +16,6 @@ Public entry points:
 """
 
 from repro.core.slinegraph import SLineGraph, SLineGraphEnsemble
-from repro.core.filtration import filter_weighted_edges, filtration_matrix
 from repro.core.dispatch import s_line_graph, s_line_graph_ensemble, ALGORITHMS
 from repro.core.pipeline import SLinePipeline, PipelineResult
 from repro.core.algorithms.registry import (
@@ -39,8 +38,6 @@ __all__ = [
     "weighted_clique_expansion",
     "SLineGraph",
     "SLineGraphEnsemble",
-    "filter_weighted_edges",
-    "filtration_matrix",
     "s_line_graph",
     "s_line_graph_ensemble",
     "ALGORITHMS",

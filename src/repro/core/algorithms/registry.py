@@ -18,7 +18,7 @@ hyperedge IDs so different variants are directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Optional
+from typing import Literal, Optional
 
 from repro.core.algorithms.base import AlgorithmResult
 from repro.core.algorithms.hashmap import s_line_graph_hashmap
@@ -49,11 +49,6 @@ class VariantSpec:
     partitioning: Literal["blocked", "cyclic"]
     relabel: Literal["ascending", "descending", "none"]
     notation: str
-
-    @property
-    def uses_hashmap(self) -> bool:
-        """True when the variant uses Algorithm 2 (hashmap counting)."""
-        return self.algorithm == 2
 
 
 @dataclass
@@ -138,17 +133,3 @@ def run_variant(
     return VariantRunResult(
         spec=spec, graph=graph, times=times, workload=result.workload
     )
-
-
-def run_all_variants(
-    h: Hypergraph,
-    s: int,
-    variants: Optional[List[str]] = None,
-    num_workers: int = 1,
-    backend: Backend = "serial",
-) -> Dict[str, VariantRunResult]:
-    """Run several variants and return ``{notation: result}`` (Figure 7 helper)."""
-    out: Dict[str, VariantRunResult] = {}
-    for name in variants or ALL_VARIANTS:
-        out[name] = run_variant(h, s, name, num_workers=num_workers, backend=backend)
-    return out

@@ -17,10 +17,7 @@ breakdown compatible with the paper's Table I.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from repro.engine.engine import QueryEngine
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +58,19 @@ METRIC_FUNCTIONS: Dict[str, Callable[[Graph], np.ndarray]] = {
 }
 
 
+#: The Stage-5 metrics whose values are component labels.
+COMPONENT_METRICS = ("connected_components", "lpcc")
+
+
+def component_count(metrics: Mapping[str, np.ndarray]) -> Optional[int]:
+    """Number of components from the first component-label metric in
+    ``metrics`` (``None`` when none of :data:`COMPONENT_METRICS` ran)."""
+    for name in COMPONENT_METRICS:
+        if name in metrics:
+            return num_components(metrics[name])
+    return None
+
+
 def check_metric_names(names: Sequence[str]) -> None:
     """Raise :class:`ValidationError` unless every name is a Stage-5 metric."""
     unknown = [m for m in names if m not in METRIC_FUNCTIONS]
@@ -90,10 +100,7 @@ class PipelineResult:
 
     def num_components(self) -> Optional[int]:
         """Number of s-connected components (if a component metric was computed)."""
-        for key in ("connected_components", "lpcc"):
-            if key in self.metrics:
-                return num_components(self.metrics[key])
-        return None
+        return component_count(self.metrics)
 
     def metric_by_hyperedge(self, metric: str) -> Dict[int, float]:
         """Map a squeezed-graph metric back to original hyperedge IDs."""
@@ -122,13 +129,10 @@ class SLinePipeline:
         Names of Stage-5 metrics (keys of :data:`METRIC_FUNCTIONS`).
     config:
         Parallel configuration forwarded to the Stage-3 algorithm.
-    engine:
-        Optional :class:`repro.engine.QueryEngine` built over the same
-        hypergraph.  When set, Stage 3 is served from the engine's overlap
-        index (a cached threshold view) instead of being recomputed, and
-        Stage 4/5 results are shared with the engine's cache.  Incompatible
-        with ``compute_toplexes`` (the index describes the unsimplified
-        hypergraph).
+
+    Every run recomputes the configured stages from its input: this is the
+    correctness oracle every served answer is tested against, so it shares
+    no state with the serving stack.
 
     Examples
     --------
@@ -149,7 +153,6 @@ class SLinePipeline:
         config: Optional[ParallelConfig] = None,
         drop_empty_edges: bool = True,
         drop_isolated_vertices: bool = True,
-        engine: Optional["QueryEngine"] = None,
     ) -> None:
         if algorithm not in ALGORITHMS:
             raise ValidationError(
@@ -158,12 +161,6 @@ class SLinePipeline:
         check_metric_names(metrics)
         if metrics and not squeeze:
             raise ValidationError("Stage-5 metrics require squeeze=True")
-        if engine is not None and compute_toplexes:
-            raise ValidationError(
-                "engine/store reuse is incompatible with compute_toplexes: "
-                "the overlap index describes the unsimplified hypergraph"
-            )
-        self.engine = engine
         self.algorithm = algorithm
         self.relabel: RelabelOrder = relabel
         self.compute_toplexes = compute_toplexes
@@ -176,8 +173,6 @@ class SLinePipeline:
     def run(self, h: Hypergraph, s: int) -> PipelineResult:
         """Execute all configured stages on ``h`` for overlap threshold ``s``."""
         s = check_s_value(s)
-        if self.engine is not None:
-            return self._run_via_engine(h, s)
         times = StageTimes()
 
         # Stage 1 — preprocessing.
@@ -242,54 +237,5 @@ class SLinePipeline:
             metrics=metric_results,
             stage_times=times,
             workload=workload,
-            preprocess_info=prep,
-        )
-
-    def _run_via_engine(self, h: Hypergraph, s: int) -> PipelineResult:
-        """Serve Stage 3–5 from the engine's overlap index and result cache.
-
-        Pairwise overlaps are invariant under Stage-1 preprocessing (dropping
-        empty hyperedges / isolated vertices and relabelling never change
-        ``inc(e_i, e_j)``, and the pipeline maps IDs back to the input
-        hypergraph anyway), so the engine's threshold view *is* the Stage-3
-        result in original IDs.  Stage 1 still runs for its diagnostics.
-        """
-        engine = self.engine
-        if h is not engine.hypergraph and h.fingerprint() != engine.fingerprint():
-            raise ValidationError(
-                "engine reuse requires the same hypergraph the engine serves "
-                "(fingerprints differ)"
-            )
-        times = StageTimes()
-        with times.stage("preprocessing"):
-            prep = preprocess(
-                h,
-                relabel=self.relabel,
-                drop_empty_edges=self.drop_empty_edges,
-                drop_isolated_vertices=self.drop_isolated_vertices,
-            )
-        with times.stage("s_overlap"):
-            line_graph = engine.line_graph(s)
-
-        squeezed_graph: Optional[Graph] = None
-        mapping: Optional[SqueezeResult] = None
-        if self.squeeze:
-            with times.stage("squeeze"):
-                squeezed_graph, mapping = engine.squeezed_graph(s)
-
-        metric_results: Dict[str, np.ndarray] = {}
-        if self.metrics and squeezed_graph is not None:
-            for name in self.metrics:
-                with times.stage(name):
-                    metric_results[name] = engine.metric(s, name)
-
-        return PipelineResult(
-            s=s,
-            line_graph=line_graph,
-            squeezed_graph=squeezed_graph,
-            squeeze_mapping=mapping,
-            metrics=metric_results,
-            stage_times=times,
-            workload=engine.index.workload,
             preprocess_info=prep,
         )

@@ -68,13 +68,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.pipeline import METRIC_FUNCTIONS, check_metric_names
+from repro.core.pipeline import METRIC_FUNCTIONS, check_metric_names, component_count
 from repro.core.slinegraph import SLineGraph
 from repro.engine import delta
 from repro.engine.cache import LRUCache
 from repro.engine.delta import Update, shifted_indptr
 from repro.engine.index import BUILD_ALGORITHM, OverlapIndex, overlap_counts_for_members
-from repro.graph.connected_components import num_components
 from repro.graph.graph import Graph
 from repro.hypergraph.csr import CSRMatrix
 from repro.hypergraph.hypergraph import Hypergraph
@@ -163,11 +162,7 @@ class SweepResult:
 
     def num_components(self, s: int) -> Optional[int]:
         """Number of s-connected components, if a component metric ran."""
-        for key in ("connected_components", "lpcc"):
-            values = self.metrics.get(s, {}).get(key)
-            if values is not None:
-                return num_components(values)
-        return None
+        return component_count(self.metrics.get(s, {}))
 
 
 class QueryEngine:

@@ -6,9 +6,9 @@ email-EuAll) and application datasets (disGeNet, condMat, compBoard, lesMis,
 virology genomics, IMDB).  None of these can be downloaded in an offline
 reproduction, so this subpackage provides:
 
-* generic generators (:mod:`random`, :mod:`bipartite`, :mod:`community`)
-  that produce non-uniform hypergraphs with controllable skew and planted
-  overlap structure; and
+* generic generators (:mod:`random`, :mod:`community`) that produce
+  non-uniform hypergraphs with controllable skew and planted overlap
+  structure; and
 * named surrogates (:mod:`datasets`) whose shapes — vertex/edge ratios,
   degree skew, planted high-overlap cores — are matched to the paper's
   Table IV and application sections at laptop scale.
@@ -20,8 +20,6 @@ from repro.generators.random import (
     power_law_weights,
     zipf_edge_sizes,
 )
-from repro.generators.bipartite import configuration_bipartite_hypergraph
-from repro.generators.preferential import preferential_attachment_hypergraph
 from repro.generators.community import (
     planted_community_hypergraph,
     planted_overlap_core,
@@ -31,7 +29,6 @@ from repro.generators.datasets import (
     DATASET_SPECS,
     available_datasets,
     load_dataset,
-    dataset_stats_table,
     disgenet_surrogate,
     condmat_surrogate,
     compboard_surrogate,
@@ -45,15 +42,12 @@ __all__ = [
     "chung_lu_hypergraph",
     "power_law_weights",
     "zipf_edge_sizes",
-    "configuration_bipartite_hypergraph",
-    "preferential_attachment_hypergraph",
     "planted_community_hypergraph",
     "planted_overlap_core",
     "add_overlap_core",
     "DATASET_SPECS",
     "available_datasets",
     "load_dataset",
-    "dataset_stats_table",
     "disgenet_surrogate",
     "condmat_surrogate",
     "compboard_surrogate",

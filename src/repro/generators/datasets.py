@@ -18,7 +18,7 @@ All generators are deterministic given a ``seed``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from repro.generators.community import add_overlap_core, planted_community_hyper
 from repro.generators.random import power_law_weights, zipf_edge_sizes, chung_lu_hypergraph
 from repro.hypergraph.builders import hypergraph_from_edge_dict
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.properties import compute_stats
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import ValidationError
 
@@ -156,17 +155,6 @@ def load_dataset(name: str, scale: float = 1.0, seed: SeedLike = 0) -> Hypergrap
             seed=rng,
         )
     return h
-
-
-def dataset_stats_table(
-    names: Optional[Sequence[str]] = None, scale: float = 1.0, seed: SeedLike = 0
-) -> str:
-    """Format the Table IV characteristics of the surrogate datasets."""
-    rows = []
-    for name in names or available_datasets():
-        stats = compute_stats(load_dataset(name, scale=scale, seed=seed))
-        rows.append(stats.as_table_row(name))
-    return "\n".join(rows)
 
 
 # --------------------------------------------------------------------------- #

@@ -11,14 +11,13 @@ same arrays bit for bit from compiled code: CSR construction (one
 ``scipy.sparse`` coo→csr conversion adopted by
 :meth:`Graph.from_symmetric_csr`), :func:`connected_components` and
 :func:`bfs_distances` (``scipy.sparse.csgraph``), and through those two
-eccentricity, closeness, harmonic centrality, diameter and the largest
-component.  The rest is written from scratch:
+eccentricity, closeness and diameter.  The rest is written from scratch:
 :func:`label_propagation_components` is the kernel the paper's Table V
 times and, with :func:`union_find_components` and :func:`bfs_tree`, the
 independent implementation the tests hold the library-backed kernels to;
-Brandes betweenness, k-core, clustering and PageRank have no library call
-that reproduces their outputs bit for bit.  :mod:`networkx` is used only as
-a correctness oracle in the test suite.
+Brandes betweenness and PageRank have no library call that reproduces
+their outputs bit for bit.  :mod:`networkx` is used only as a correctness
+oracle in the test suite.
 """
 
 from repro.graph.graph import Graph
@@ -27,57 +26,29 @@ from repro.graph.connected_components import (
     connected_components,
     label_propagation_components,
     component_sizes,
-    components_as_lists,
     num_components,
 )
-from repro.graph.betweenness import betweenness_centrality, betweenness_centrality_sampled
+from repro.graph.betweenness import betweenness_centrality
 from repro.graph.pagerank import pagerank
-from repro.graph.distance import (
-    eccentricity,
-    diameter,
-    closeness_centrality,
-    harmonic_centrality,
-    all_pairs_shortest_path_lengths,
-)
+from repro.graph.distance import eccentricity, diameter, closeness_centrality
 from repro.graph.conversion import to_networkx, from_networkx
-from repro.graph.kcore import core_numbers, k_core_vertices, k_core_subgraph, degeneracy
-from repro.graph.clustering import (
-    triangle_counts,
-    total_triangles,
-    clustering_coefficients,
-    average_clustering,
-    transitivity,
-)
 from repro.graph.union_find import DisjointSet, union_find_components
 
 __all__ = [
     "DisjointSet",
     "union_find_components",
-    "core_numbers",
-    "k_core_vertices",
-    "k_core_subgraph",
-    "degeneracy",
-    "triangle_counts",
-    "total_triangles",
-    "clustering_coefficients",
-    "average_clustering",
-    "transitivity",
     "Graph",
     "bfs_distances",
     "bfs_tree",
     "connected_components",
     "label_propagation_components",
     "component_sizes",
-    "components_as_lists",
     "num_components",
     "betweenness_centrality",
-    "betweenness_centrality_sampled",
     "pagerank",
     "eccentricity",
     "diameter",
     "closeness_centrality",
-    "harmonic_centrality",
-    "all_pairs_shortest_path_lengths",
     "to_networkx",
     "from_networkx",
 ]

@@ -9,13 +9,10 @@ back-propagation per source, O(V·E) total for unweighted graphs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.utils.rng import SeedLike, make_rng
-from repro.utils.validation import ValidationError
 
 
 def betweenness_centrality(
@@ -74,93 +71,5 @@ def betweenness_centrality(
             scale = 2.0 / (n * (n - 1)) if n > 1 else 1.0
         else:
             scale = 2.0 / ((n - 1) * (n - 2)) if n > 2 else 1.0
-        centrality *= scale
-    return centrality
-
-
-def _single_source_dependencies(graph: Graph, source: int) -> np.ndarray:
-    """Brandes dependency contribution of one BFS source (helper for sampling)."""
-    n = graph.num_vertices
-    sigma = np.zeros(n, dtype=np.float64)
-    sigma[source] = 1.0
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    predecessors: list[list[int]] = [[] for _ in range(n)]
-    order: list[int] = []
-    frontier = deque([source])
-    while frontier:
-        u = frontier.popleft()
-        order.append(u)
-        du = dist[u]
-        for v in graph.neighbors(u):
-            v = int(v)
-            if dist[v] == -1:
-                dist[v] = du + 1
-                frontier.append(v)
-            if dist[v] == du + 1:
-                sigma[v] += sigma[u]
-                predecessors[v].append(u)
-    delta = np.zeros(n, dtype=np.float64)
-    contribution = np.zeros(n, dtype=np.float64)
-    for v in reversed(order):
-        for u in predecessors[v]:
-            delta[u] += (sigma[u] / sigma[v]) * (1.0 + delta[v])
-        if v != source:
-            contribution[v] = delta[v]
-    return contribution
-
-
-def betweenness_centrality_sampled(
-    graph: Graph,
-    num_sources: int,
-    normalized: bool = True,
-    seed: SeedLike = None,
-    sources: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """Approximate betweenness centrality from a sample of BFS sources.
-
-    The exact Brandes algorithm runs one BFS per vertex, which is the
-    bottleneck of Stage 5 on dense low-``s`` line graphs; sampling ``k``
-    source vertices uniformly (Brandes–Pich estimator) scales the summed
-    dependencies by ``n / k`` and converges to the exact values as ``k → n``.
-
-    Parameters
-    ----------
-    graph:
-        Undirected CSR graph.
-    num_sources:
-        Number of pivot sources to sample (clamped to ``n``); ignored when an
-        explicit ``sources`` sequence is given.
-    normalized:
-        Apply the same pair-count normalisation as the exact algorithm.
-    seed:
-        RNG seed for pivot selection.
-    sources:
-        Optional explicit pivot set (deduplicated); useful for tests.
-    """
-    n = graph.num_vertices
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-    if sources is None:
-        if num_sources < 1:
-            raise ValidationError("num_sources must be >= 1")
-        rng = make_rng(seed)
-        k = min(int(num_sources), n)
-        pivots = rng.choice(n, size=k, replace=False)
-    else:
-        pivots = np.unique(np.asarray(list(sources), dtype=np.int64))
-        if pivots.size == 0:
-            raise ValidationError("sources must be non-empty")
-        if pivots.min() < 0 or pivots.max() >= n:
-            raise ValidationError("source vertex out of range")
-        k = int(pivots.size)
-    centrality = np.zeros(n, dtype=np.float64)
-    for source in pivots:
-        centrality += _single_source_dependencies(graph, int(source))
-    # Scale the sample to the full source population, then halve for the
-    # undirected double counting (as in the exact algorithm).
-    centrality *= (n / k) / 2.0
-    if normalized:
-        scale = 2.0 / ((n - 1) * (n - 2)) if n > 2 else 1.0
         centrality *= scale
     return centrality

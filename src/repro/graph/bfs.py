@@ -44,10 +44,3 @@ def bfs_tree(graph: Graph, source: int) -> Tuple[np.ndarray, np.ndarray]:
                 pred[v] = u
                 frontier.append(v)
     return dist, pred
-
-
-def bfs_frontier_levels(graph: Graph, source: int) -> list[np.ndarray]:
-    """The BFS level sets (frontiers) from ``source``, level 0 first."""
-    dist = bfs_distances(graph, source)
-    max_level = int(dist.max()) if np.any(dist >= 0) else 0
-    return [np.flatnonzero(dist == level) for level in range(max_level + 1)]

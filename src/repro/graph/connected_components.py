@@ -13,8 +13,6 @@ the s-line graphs (s=1 clique expansion versus s=8), and Table I includes an
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 from scipy.sparse import csgraph
 
@@ -68,17 +66,3 @@ def component_sizes(labels: np.ndarray) -> np.ndarray:
 def num_components(labels: np.ndarray) -> int:
     """Number of components given a label array (labels are ``0..k-1``)."""
     return int(labels.max()) + 1 if labels.size else 0
-
-
-def components_as_lists(labels: np.ndarray) -> List[np.ndarray]:
-    """Vertex IDs per component, ordered by component label."""
-    return [np.flatnonzero(labels == c) for c in range(num_components(labels))]
-
-
-def largest_component(graph: Graph) -> np.ndarray:
-    """Vertex IDs of the largest connected component (ties broken by label)."""
-    labels = connected_components(graph)
-    if labels.size == 0:
-        return np.empty(0, dtype=np.int64)
-    sizes = component_sizes(labels)
-    return np.flatnonzero(labels == int(np.argmax(sizes)))

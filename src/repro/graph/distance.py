@@ -1,4 +1,4 @@
-"""Distance-based measures: eccentricity, diameter, closeness, harmonic centrality.
+"""Distance-based measures: eccentricity, diameter, closeness centrality.
 
 These back the paper's s-distance, s-eccentricity and s-closeness measures:
 the s-distance between hyperedges is the hop distance between the
@@ -11,15 +11,6 @@ import numpy as np
 
 from repro.graph.bfs import UNREACHABLE, bfs_distances
 from repro.graph.graph import Graph
-
-
-def all_pairs_shortest_path_lengths(graph: Graph) -> np.ndarray:
-    """Dense hop-distance matrix (−1 for unreachable pairs).  O(V·E) via BFS."""
-    n = graph.num_vertices
-    out = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    for source in range(n):
-        out[source] = bfs_distances(graph, source)
-    return out
 
 
 def eccentricity(graph: Graph, within_component: bool = True) -> np.ndarray:
@@ -68,21 +59,3 @@ def closeness_centrality(graph: Graph, wf_improved: bool = True) -> np.ndarray:
                 score *= count / (n - 1)
             out[source] = score
     return out
-
-
-def harmonic_centrality(graph: Graph) -> np.ndarray:
-    """Harmonic centrality: sum of reciprocal distances to all other vertices."""
-    n = graph.num_vertices
-    out = np.zeros(n, dtype=np.float64)
-    for source in range(n):
-        dist = bfs_distances(graph, source)
-        mask = dist > 0
-        if np.any(mask):
-            out[source] = float((1.0 / dist[mask]).sum())
-    return out
-
-
-def distance_between(graph: Graph, u: int, v: int) -> int:
-    """Hop distance between two vertices (−1 when disconnected)."""
-    dist = bfs_distances(graph, u)
-    return int(dist[v])

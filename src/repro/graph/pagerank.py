@@ -79,12 +79,6 @@ def pagerank(
     raise RuntimeError(f"PageRank did not converge within {max_iter} iterations")
 
 
-def rank_order(scores: np.ndarray, descending: bool = True) -> np.ndarray:
-    """Vertex IDs sorted by score (stable; ties broken by vertex ID)."""
-    order = np.argsort(scores, kind="stable")
-    return order[::-1] if descending else order
-
-
 def score_percentiles(scores: np.ndarray) -> np.ndarray:
     """Percentile (0–100) of each vertex's score among all scores.
 

@@ -29,24 +29,8 @@ from repro.hypergraph.preprocessing import (
     SqueezeResult,
 )
 from repro.hypergraph.incidence import incidence_matrix, from_incidence
-from repro.hypergraph.degree import (
-    DegreeDistribution,
-    edge_size_distribution,
-    vertex_degree_distribution,
-    degree_histogram,
-    complementary_cdf,
-    gini_coefficient,
-    power_law_alpha,
-)
 
 __all__ = [
-    "DegreeDistribution",
-    "edge_size_distribution",
-    "vertex_degree_distribution",
-    "degree_histogram",
-    "complementary_cdf",
-    "gini_coefficient",
-    "power_law_alpha",
     "CSRMatrix",
     "Hypergraph",
     "hypergraph_from_edge_dict",

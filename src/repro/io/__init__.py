@@ -7,7 +7,6 @@ Three interchange formats are supported:
 * hyperedge-list text files (one hyperedge per line, members separated by
   whitespace), the format used by Hygra/practical-parallel-hypergraph
   releases;
-* MatrixMarket coordinate files holding the incidence matrix;
 * a compact ``.npz`` binary round-trip of the CSR structures.
 """
 
@@ -17,35 +16,18 @@ from repro.io.edgelist import (
     read_hyperedge_list,
     write_hyperedge_list,
 )
-from repro.io.matrixmarket import read_incidence_matrixmarket, write_incidence_matrixmarket
 from repro.io.serialization import (
     load_hypergraph_npz,
     load_slinegraph_npz,
     save_hypergraph_npz,
     save_slinegraph_npz,
 )
-from repro.io.jsonio import (
-    save_hypergraph_json,
-    load_hypergraph_json,
-    save_slinegraph_json,
-    load_slinegraph_json,
-    hypergraph_to_setsystem,
-    hypergraph_from_setsystem,
-)
 
 __all__ = [
-    "save_hypergraph_json",
-    "load_hypergraph_json",
-    "save_slinegraph_json",
-    "load_slinegraph_json",
-    "hypergraph_to_setsystem",
-    "hypergraph_from_setsystem",
     "read_bipartite_edgelist",
     "write_bipartite_edgelist",
     "read_hyperedge_list",
     "write_hyperedge_list",
-    "read_incidence_matrixmarket",
-    "write_incidence_matrixmarket",
     "save_hypergraph_npz",
     "load_hypergraph_npz",
     "save_slinegraph_npz",

@@ -11,9 +11,8 @@ This subpackage provides the same abstractions for Python:
 * :mod:`repro.parallel.partition` — blocked and cyclic index partitions with
   grain-size control;
 * :mod:`repro.parallel.executor`  — serial, thread-pool and process-pool
-  execution of a kernel over partitions with per-worker result merging;
-* :mod:`repro.parallel.tls`       — per-worker ("thread-local") accumulators,
-  both dynamically allocated and pre-allocated variants;
+  execution of a kernel over partitions; each partition returns its own
+  partial result (the per-thread container), merged by the caller;
 * :mod:`repro.parallel.workload`  — per-worker work counters used to
   reproduce the paper's workload-characterisation figure.
 """
@@ -25,7 +24,6 @@ from repro.parallel.partition import (
     PartitionStrategy,
 )
 from repro.parallel.executor import ParallelConfig, run_partitioned, available_backends
-from repro.parallel.tls import WorkerLocalStorage, PreallocatedCounter, DynamicCounter
 from repro.parallel.workload import WorkloadStats, WorkerCounters
 from repro.parallel.scheduler import (
     ScheduleResult,
@@ -46,9 +44,6 @@ __all__ = [
     "ParallelConfig",
     "run_partitioned",
     "available_backends",
-    "WorkerLocalStorage",
-    "PreallocatedCounter",
-    "DynamicCounter",
     "WorkloadStats",
     "WorkerCounters",
 ]

@@ -43,7 +43,6 @@ from repro.service.replica import ReadReplica
 from repro.service.service import QueryService
 from repro.service.sync import RWLock
 from repro.service.transport import (
-    RemoteEngine,
     ServiceClient,
     SocketServer,
     TransportError,
@@ -57,7 +56,6 @@ __all__ = [
     "QueryService",
     "RWLock",
     "ReadReplica",
-    "RemoteEngine",
     "RemoteReadReplica",
     "ServiceClient",
     "SocketServer",

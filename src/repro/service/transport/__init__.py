@@ -14,13 +14,11 @@ package puts a socket in front of it so the clients can live anywhere:
   service's worker threads, explicit ``busy`` backpressure past the
   connection limit, graceful drain-then-close shutdown;
 * :class:`ServiceClient` — a blocking client with connect/retry, batched
-  query submission and durability-ack-aware update calls;
-* :class:`RemoteEngine` — adapts a client to the ``engine=`` parameter of
-  the s-measure functions, so smetrics endpoints serve from a remote
-  store unchanged.
+  query submission and durability-ack-aware update calls; its ``metric``
+  returns the same ``{edge_id: value}`` dict the s-measure functions do.
 """
 
-from repro.service.transport.client import RemoteEngine, ServiceClient
+from repro.service.transport.client import ServiceClient
 from repro.service.transport.framing import (
     DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -45,7 +43,6 @@ __all__ = [
     "FrameError",
     "FrameTooLargeError",
     "ProtocolVersionError",
-    "RemoteEngine",
     "RemoteServiceError",
     "ServerStats",
     "ServiceBusyError",

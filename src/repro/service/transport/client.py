@@ -27,12 +27,6 @@ sending an update and reading its response, the update's fate is unknown
 (it may or may not have committed) and the client raises
 :class:`~framing.TransportError` rather than guessing; callers decide
 whether to re-send, exactly like any at-least-once ingestion path.
-
-:class:`RemoteEngine` adapts a client to the tiny engine surface the
-s-measure functions consume (``fingerprint()`` +
-``metric_by_hyperedge(s, metric)``), so
-``s_pagerank(h, s, engine=RemoteEngine(client))`` serves from a remote
-store with the exact guard rails of the local engine path.
 """
 
 from __future__ import annotations
@@ -569,34 +563,3 @@ class ServiceClient:
                 "raw": True,
             }
         )
-
-
-class RemoteEngine:
-    """Adapt a :class:`ServiceClient` to the s-measure ``engine=`` surface.
-
-    The smetrics functions need exactly two methods —
-    :meth:`fingerprint` (guard rail: same hypergraph?) and
-    :meth:`metric_by_hyperedge` — so any of them can be served over the
-    wire without changing their call sites::
-
-        client = ServiceClient(host, port).connect()
-        scores = s_pagerank(h, s=2, engine=RemoteEngine(client))
-
-    The fingerprint is fetched per call (one ``stats`` round trip), so the
-    guard tracks the *served* state across remote updates and compactions
-    rather than a snapshot taken at construction.
-    """
-
-    def __init__(self, client: ServiceClient) -> None:
-        self.client = client
-
-    def fingerprint(self) -> str:
-        """The served store's hypergraph fingerprint (one stats round trip)."""
-        return self.client.fingerprint()
-
-    def metric_by_hyperedge(self, s: int, metric: str) -> Dict[int, float]:
-        """Serve ``metric`` at threshold ``s`` as ``{edge_id: value}``."""
-        return self.client.metric(s, metric)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RemoteEngine({self.client!r})"

@@ -16,7 +16,6 @@ from repro.smetrics.connected import (
 from repro.smetrics.centrality import (
     s_betweenness_centrality,
     s_closeness_centrality,
-    s_harmonic_centrality,
     s_eccentricity,
     s_pagerank,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "num_s_connected_components",
     "s_betweenness_centrality",
     "s_closeness_centrality",
-    "s_harmonic_centrality",
     "s_eccentricity",
     "s_pagerank",
     "s_distance",

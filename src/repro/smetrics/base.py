@@ -8,7 +8,7 @@ hyperedge IDs.  :func:`line_graph_and_mapping` factors out the common part.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.dispatch import s_line_graph
 from repro.core.slinegraph import SLineGraph
@@ -16,7 +16,6 @@ from repro.graph.graph import Graph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.preprocessing import SqueezeResult
 from repro.parallel.executor import ParallelConfig
-from repro.utils.validation import ValidationError
 
 
 def line_graph_and_mapping(
@@ -49,35 +48,3 @@ def line_graph_and_mapping(
     squeezed, mapping = line_graph.squeeze(include_isolated=include_isolated)
     graph = squeezed.to_graph(squeezed=False)
     return graph, mapping, line_graph
-
-
-def metric_via_engine(
-    engine,
-    h: Optional[Hypergraph],
-    s: int,
-    metric: str,
-    non_default: bool = False,
-) -> Dict[int, float]:
-    """Serve an s-measure from a :class:`~repro.engine.QueryEngine`.
-
-    The engine path replaces "build the line graph, squeeze, run the
-    metric" with a cached lookup — repeated calls cost a dictionary probe
-    instead of a rebuild.  Two guard rails keep it equivalent to the direct
-    path: the engine must describe the *same* hypergraph (fingerprints are
-    compared when ``h`` is supplied), and the caller must not have asked
-    for non-default measure parameters (``non_default=True``), because the
-    engine caches every metric under its :data:`METRIC_FUNCTIONS` defaults.
-    """
-    if non_default:
-        raise ValidationError(
-            f"engine-served {metric} supports only the default measure "
-            "parameters (the engine caches results computed with them); "
-            "drop engine= to use non-default parameters"
-        )
-    if h is not None and engine.fingerprint() != h.fingerprint():
-        raise ValidationError(
-            f"engine serves a different hypergraph than the one supplied "
-            f"(fingerprints {engine.fingerprint()[:12]}… vs "
-            f"{h.fingerprint()[:12]}…)"
-        )
-    return engine.metric_by_hyperedge(s, metric)

@@ -13,7 +13,7 @@ from repro.core.slinegraph import SLineGraph
 from repro.graph.connected_components import connected_components
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.parallel.executor import ParallelConfig
-from repro.smetrics.base import line_graph_and_mapping, metric_via_engine
+from repro.smetrics.base import line_graph_and_mapping
 
 
 def s_component_labels(
@@ -23,29 +23,18 @@ def s_component_labels(
     config: Optional[ParallelConfig] = None,
     line_graph: Optional[SLineGraph] = None,
     include_isolated: bool = False,
-    engine=None,
 ) -> Dict[int, int]:
     """Component label of each hyperedge participating in the s-line graph.
 
     Hyperedges with ``|e| < s`` (not in ``E_s``) are never included;
     hyperedges in ``E_s`` with no s-incident partner appear only when
     ``include_isolated=True`` (each as its own singleton component).
-
-    With ``engine=`` the labels come from the engine's cached
-    ``connected_components`` metric (see
-    :func:`repro.smetrics.base.metric_via_engine`).
     """
-    if engine is not None:
-        labels = metric_via_engine(
-            engine, h, s, "connected_components",
-            non_default=line_graph is not None or include_isolated,
-        )
-    else:
-        graph, mapping, _ = line_graph_and_mapping(
-            h, s, algorithm=algorithm, config=config, line_graph=line_graph,
-            include_isolated=include_isolated,
-        )
-        labels = mapping.by_hyperedge(connected_components(graph))
+    graph, mapping, _ = line_graph_and_mapping(
+        h, s, algorithm=algorithm, config=config, line_graph=line_graph,
+        include_isolated=include_isolated,
+    )
+    labels = mapping.by_hyperedge(connected_components(graph))
     return {edge_id: int(label) for edge_id, label in labels.items()}
 
 
@@ -57,7 +46,6 @@ def s_connected_components(
     line_graph: Optional[SLineGraph] = None,
     include_isolated: bool = False,
     min_size: int = 1,
-    engine=None,
 ) -> List[List[int]]:
     """The s-connected components as lists of original hyperedge IDs.
 
@@ -68,7 +56,7 @@ def s_connected_components(
     """
     labels = s_component_labels(
         h, s, algorithm=algorithm, config=config, line_graph=line_graph,
-        include_isolated=include_isolated, engine=engine,
+        include_isolated=include_isolated,
     )
     groups: Dict[int, List[int]] = {}
     for edge_id, component in labels.items():
@@ -84,7 +72,6 @@ def num_s_connected_components(
     algorithm: str = "hashmap",
     config: Optional[ParallelConfig] = None,
     include_isolated: bool = False,
-    engine=None,
 ) -> int:
     """Number of s-connected components (singleton components excluded by default)."""
     return len(
@@ -92,6 +79,5 @@ def num_s_connected_components(
             h, s, algorithm=algorithm, config=config,
             include_isolated=include_isolated,
             min_size=1 if include_isolated else 2,
-            engine=engine,
         )
     )

@@ -1,7 +1,14 @@
 """Unit and integration tests for the five-stage SLinePipeline."""
+import numpy as np
 import pytest
 
-from repro.core.pipeline import METRIC_FUNCTIONS, SLinePipeline
+from repro.core.pipeline import (
+    COMPONENT_METRICS,
+    METRIC_FUNCTIONS,
+    SLinePipeline,
+    component_count,
+)
+from repro.engine.engine import QueryEngine
 from repro.hypergraph.builders import hypergraph_from_edge_lists
 from repro.utils.validation import ValidationError
 
@@ -102,3 +109,28 @@ class TestComponentCounts:
         a = SLinePipeline(metrics=("connected_components",)).run(community_hypergraph, 2)
         b = SLinePipeline(metrics=("lpcc",)).run(community_hypergraph, 2)
         assert a.num_components() == b.num_components()
+
+    def test_component_metrics_are_stage5_metrics(self):
+        assert COMPONENT_METRICS == ("connected_components", "lpcc")
+        assert set(COMPONENT_METRICS) <= set(METRIC_FUNCTIONS)
+
+    def test_component_count_ignores_other_metrics(self):
+        assert component_count({}) is None
+        assert component_count({"pagerank": np.array([0.5, 0.5])}) is None
+
+    @pytest.mark.parametrize("name", ["connected_components", "lpcc"])
+    def test_component_count_from_either_label_metric(self, name):
+        assert component_count({name: np.array([0, 0, 1, 2, 1])}) == 3
+        assert component_count({name: np.array([], dtype=np.int64)}) == 0
+
+    def test_component_count_reads_connected_components_first(self):
+        labels = {"lpcc": np.array([0, 1, 2]), "connected_components": np.array([0, 0, 0])}
+        assert component_count(labels) == 1
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["connected_components", "lpcc"])
+    def test_pipeline_and_sweep_count_alike(self, paper_example_unlabelled, s, name):
+        result = SLinePipeline(metrics=(name,)).run(paper_example_unlabelled, s)
+        sweep = QueryEngine(paper_example_unlabelled).sweep([s], metrics=(name,))
+        assert result.num_components() == sweep.num_components(s)
+        assert result.num_components() == (1 if s < 4 else 0)

@@ -5,7 +5,6 @@ import pytest
 from repro.core.algorithms.registry import (
     ALL_VARIANTS,
     parse_variant,
-    run_all_variants,
     run_variant,
 )
 from repro.utils.validation import ValidationError
@@ -28,12 +27,10 @@ class TestParseVariant:
         assert spec.algorithm == 2
         assert spec.partitioning == "blocked"
         assert spec.relabel == "ascending"
-        assert spec.uses_hashmap
         spec = parse_variant("1CN")
         assert spec.algorithm == 1
         assert spec.partitioning == "cyclic"
         assert spec.relabel == "none"
-        assert not spec.uses_hashmap
 
     def test_lowercase_accepted(self):
         assert parse_variant("2cd").notation == "2CD"
@@ -66,8 +63,3 @@ class TestRunVariant:
         result = run_variant(community_hypergraph, 2, "2CN", num_workers=4)
         assert result.workload.num_workers == 4
         assert result.workload.total_wedges() > 0
-
-    def test_run_all_variants_subset(self, paper_example):
-        out = run_all_variants(paper_example, 2, variants=["1BN", "2BN"])
-        assert set(out) == {"1BN", "2BN"}
-        assert out["1BN"].graph.edge_set() == out["2BN"].graph.edge_set()

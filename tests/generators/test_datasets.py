@@ -10,7 +10,6 @@ from repro.generators.datasets import (
     available_datasets,
     compboard_surrogate,
     condmat_surrogate,
-    dataset_stats_table,
     disgenet_surrogate,
     imdb_surrogate,
     lesmis_surrogate,
@@ -56,10 +55,6 @@ class TestTableIVSurrogates:
     def test_invalid_scale(self):
         with pytest.raises(ValidationError):
             load_dataset("web", scale=0.0)
-
-    def test_stats_table_contains_all_rows(self):
-        table = dataset_stats_table(["email-euall", "friendster"], scale=0.1)
-        assert "email-euall" in table and "friendster" in table
 
 
 class TestDisgenetSurrogate:

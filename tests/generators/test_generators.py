@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.generators.bipartite import configuration_bipartite_hypergraph
 from repro.generators.community import (
     add_overlap_core,
     planted_community_hypergraph,
@@ -91,23 +90,6 @@ class TestChungLu:
             chung_lu_hypergraph([1.0, -1.0], [2])
         with pytest.raises(ValidationError):
             chung_lu_hypergraph([1.0, 1.0], [0])
-
-
-class TestConfigurationBipartite:
-    def test_shape(self):
-        h = configuration_bipartite_hypergraph([2] * 30, [3] * 20, seed=0)
-        assert h.num_vertices == 30
-        assert h.num_edges == 20
-
-    def test_approximates_requested_sizes(self):
-        h = configuration_bipartite_hypergraph([3] * 100, [6] * 50, seed=1)
-        assert abs(h.edge_sizes().mean() - 6) < 1.5
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            configuration_bipartite_hypergraph([], [1])
-        with pytest.raises(ValidationError):
-            configuration_bipartite_hypergraph([-1], [1])
 
 
 class TestCommunityGenerators:

@@ -1,13 +1,19 @@
-"""Unit tests for betweenness centrality and PageRank against networkx oracles."""
+"""Unit tests for the Stage-5 graph kernels against networkx oracles."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.graph.betweenness import betweenness_centrality
+from repro.graph.bfs import bfs_distances
+from repro.graph.connected_components import (
+    connected_components,
+    label_propagation_components,
+)
 from repro.graph.conversion import from_networkx
+from repro.graph.distance import closeness_centrality, diameter, eccentricity
 from repro.graph.graph import Graph
-from repro.graph.pagerank import pagerank, rank_order, score_percentiles
+from repro.graph.pagerank import pagerank, score_percentiles
 from repro.utils.validation import ValidationError
 
 
@@ -105,12 +111,66 @@ class TestPageRank:
             pagerank(g, personalization=np.array([1.0]))
 
 
-class TestRankingHelpers:
-    def test_rank_order(self):
-        scores = np.array([0.1, 0.5, 0.3])
-        assert rank_order(scores).tolist() == [1, 2, 0]
-        assert rank_order(scores, descending=False).tolist() == [0, 2, 1]
+def partition(labels):
+    groups = {}
+    for v, label in enumerate(labels.tolist()):
+        groups.setdefault(label, set()).add(v)
+    return {frozenset(members) for members in groups.values()}
 
+
+class TestTraversalOracles:
+    """The other Stage-5 kernels on the same graphs, against networkx."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_closeness_matches_networkx(self, name):
+        nx_graph = nx.convert_node_labels_to_integers(ORACLE_GRAPHS[name])
+        ours = closeness_centrality(nx_to_graph(nx_graph))
+        theirs = nx.closeness_centrality(nx_graph)
+        for v, expected in theirs.items():
+            assert ours[v] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_eccentricity_matches_networkx_per_component(self, name):
+        nx_graph = nx.convert_node_labels_to_integers(ORACLE_GRAPHS[name])
+        ours = eccentricity(nx_to_graph(nx_graph))
+        for component in nx.connected_components(nx_graph):
+            theirs = nx.eccentricity(nx_graph.subgraph(component))
+            for v, expected in theirs.items():
+                assert ours[v] == expected
+        assert diameter(nx_to_graph(nx_graph)) == max(
+            max(nx.eccentricity(nx_graph.subgraph(c)).values())
+            for c in nx.connected_components(nx_graph)
+        )
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_components_match_networkx(self, name):
+        nx_graph = nx.convert_node_labels_to_integers(ORACLE_GRAPHS[name])
+        labels = connected_components(nx_to_graph(nx_graph))
+        assert partition(labels) == {
+            frozenset(c) for c in nx.connected_components(nx_graph)
+        }
+        # Labels are numbered in order of each component's smallest vertex.
+        firsts = [labels.tolist().index(k) for k in range(labels.max() + 1)]
+        assert firsts == sorted(firsts)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_label_propagation_matches_components(self, name):
+        graph = nx_to_graph(ORACLE_GRAPHS[name])
+        assert partition(label_propagation_components(graph)) == partition(
+            connected_components(graph)
+        )
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_bfs_distances_match_networkx(self, name):
+        nx_graph = nx.convert_node_labels_to_integers(ORACLE_GRAPHS[name])
+        graph = nx_to_graph(nx_graph)
+        for source in (0, graph.num_vertices - 1):
+            theirs = nx.single_source_shortest_path_length(nx_graph, source)
+            expected = [theirs.get(v, -1) for v in range(graph.num_vertices)]
+            assert bfs_distances(graph, source).tolist() == expected
+
+
+class TestRankingHelpers:
     def test_score_percentiles_top_is_100(self):
         pct = score_percentiles(np.array([0.1, 0.9, 0.5, 0.9]))
         assert pct[1] == pytest.approx(100.0)

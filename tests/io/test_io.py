@@ -10,7 +10,6 @@ from repro.io.edgelist import (
     write_bipartite_edgelist,
     write_hyperedge_list,
 )
-from repro.io.matrixmarket import read_incidence_matrixmarket, write_incidence_matrixmarket
 from repro.io.serialization import (
     load_hypergraph_npz,
     load_slinegraph_npz,
@@ -69,14 +68,6 @@ class TestHyperedgeList:
         path.write_text("# only a comment\n")
         with pytest.raises(ValidationError):
             read_hyperedge_list(path)
-
-
-class TestMatrixMarket:
-    def test_roundtrip(self, paper_example, tmp_path):
-        path = tmp_path / "h.mtx"
-        write_incidence_matrixmarket(paper_example, path)
-        back = read_incidence_matrixmarket(path)
-        assert back == paper_example
 
 
 class TestNpzSerialization:

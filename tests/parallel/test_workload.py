@@ -1,47 +1,7 @@
-"""Unit tests for per-worker storage policies and workload statistics."""
+"""Unit tests for the per-worker workload statistics."""
 import pytest
 
-from repro.parallel.tls import DynamicCounter, PreallocatedCounter, WorkerLocalStorage
 from repro.parallel.workload import WorkerCounters, WorkloadStats
-
-
-class TestWorkerLocalStorage:
-    def test_per_worker_values(self):
-        storage = WorkerLocalStorage(factory=list)
-        a = storage.get(0)
-        b = storage.get(1)
-        a.append("x")
-        assert storage.get(0) is a
-        assert storage.get(1) is b and b == []
-        assert len(storage) == 2
-        assert sorted(len(v) for v in storage.values()) == [0, 1]
-
-
-class TestCounterPolicies:
-    def test_dynamic_counter_gives_fresh_dicts(self):
-        policy = DynamicCounter()
-        first = policy.fresh()
-        first["a"] = 1
-        second = policy.fresh()
-        assert second == {}
-        policy.reset(first)  # no-op
-
-    def test_preallocated_counter_reset_clears_only_touched(self):
-        counter = PreallocatedCounter(num_edges=10)
-        counter.increment(3)
-        counter.increment(3)
-        counter.increment(7)
-        assert dict(counter.items()) == {3: 2, 7: 1}
-        assert len(counter) == 2
-        counter.reset()
-        assert len(counter) == 0
-        assert dict(counter.items()) == {}
-        counter.increment(1)
-        assert dict(counter.items()) == {1: 1}
-
-    def test_preallocated_fresh_returns_self(self):
-        counter = PreallocatedCounter(num_edges=4)
-        assert counter.fresh() is counter
 
 
 class TestWorkloadStats:

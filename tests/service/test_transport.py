@@ -10,7 +10,8 @@ import threading
 
 import pytest
 
-from repro.service import QueryService, RemoteEngine, ServiceClient, SocketServer
+from repro.hypergraph.builders import hypergraph_from_edge_lists
+from repro.service import QueryService, ServiceClient, SocketServer
 from repro.service.transport import (
     PROTOCOL_VERSION,
     FrameError,
@@ -252,26 +253,20 @@ class TestGracefulShutdown:
         assert writer.num_components(1) >= 0  # service not closed by server
 
 
-class TestRemoteEngineShim:
-    def test_smetrics_served_through_the_wire(
-        self, community_hypergraph, writer, client
-    ):
-        engine = RemoteEngine(client)
-        remote = s_pagerank(community_hypergraph, 2, engine=engine)
-        local = s_pagerank(community_hypergraph, 2)
-        assert remote == pytest.approx(local)
+class TestSmetricsOverTheWire:
+    """``ServiceClient.metric`` is the remote s-measure: the same dict."""
 
-    def test_fingerprint_guard_rejects_a_different_hypergraph(
-        self, small_random_hypergraph, client
-    ):
-        from repro.utils.validation import ValidationError
+    def test_client_metric_equals_the_smetrics_function(self, community_hypergraph, client):
+        assert client.metric(2, "pagerank") == pytest.approx(
+            s_pagerank(community_hypergraph, 2)
+        )
 
-        with pytest.raises(ValidationError, match="different hypergraph"):
-            s_pagerank(small_random_hypergraph, 2, engine=RemoteEngine(client))
-
-    def test_fingerprint_tracks_remote_updates(self, writer, client):
-        engine = RemoteEngine(client)
-        before = engine.fingerprint()
-        client.add([0, 1, 2, 3, 4])
-        assert engine.fingerprint() != before
-        assert engine.fingerprint() == writer.engine.fingerprint()
+    def test_client_metric_follows_a_remote_add(self, community_hypergraph, writer, client):
+        model = [members.tolist() for _, members in community_hypergraph.iter_edges()]
+        before = client.fingerprint()
+        assert client.add([0, 1, 2, 3, 4]) == len(model)
+        model.append([0, 1, 2, 3, 4])
+        h = hypergraph_from_edge_lists(model, num_vertices=community_hypergraph.num_vertices)
+        assert client.fingerprint() != before
+        assert client.fingerprint() == writer.engine.fingerprint() == h.fingerprint()
+        assert client.metric(2, "pagerank") == pytest.approx(s_pagerank(h, 2))

@@ -8,7 +8,6 @@ from repro.smetrics.centrality import (
     s_betweenness_centrality,
     s_closeness_centrality,
     s_eccentricity,
-    s_harmonic_centrality,
     s_pagerank,
 )
 
@@ -56,10 +55,6 @@ class TestOtherCentralities:
         for edge_id, expected in theirs.items():
             assert ours[edge_id] == pytest.approx(expected, abs=1e-9)
 
-    def test_harmonic_positive_on_connected_pairs(self, paper_example):
-        scores = s_harmonic_centrality(paper_example, 2)
-        assert all(v > 0 for v in scores.values())
-
     def test_eccentricity_values(self, paper_example):
         ecc = s_eccentricity(paper_example, 1)
         # Line graph at s=1: triangle {0,1,2} plus pendant 3 attached to 2.
@@ -69,6 +64,36 @@ class TestOtherCentralities:
     def test_pagerank_sums_to_one(self, community_hypergraph):
         scores = s_pagerank(community_hypergraph, 2)
         assert sum(scores.values()) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_closeness_matches_networkx_on_random_hypergraph(self, small_random_hypergraph, s):
+        ours = s_closeness_centrality(small_random_hypergraph, s)
+        theirs = nx.closeness_centrality(networkx_line_graph(small_random_hypergraph, s))
+        assert set(ours) == set(theirs)
+        for edge_id, expected in theirs.items():
+            assert ours[edge_id] == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_eccentricity_matches_networkx_on_random_hypergraph(
+        self, small_random_hypergraph, s
+    ):
+        ours = s_eccentricity(small_random_hypergraph, s)
+        oracle = networkx_line_graph(small_random_hypergraph, s)
+        assert set(ours) == set(oracle)
+        for component in nx.connected_components(oracle):
+            for edge_id, expected in nx.eccentricity(oracle.subgraph(component)).items():
+                assert ours[edge_id] == expected
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_pagerank_matches_networkx_on_random_hypergraph(self, small_random_hypergraph, s):
+        ours = s_pagerank(small_random_hypergraph, s)
+        theirs = nx.pagerank(
+            networkx_line_graph(small_random_hypergraph, s),
+            alpha=0.85, tol=1e-12, max_iter=1000, weight=None,
+        )
+        assert set(ours) == set(theirs)
+        for edge_id, expected in theirs.items():
+            assert ours[edge_id] == pytest.approx(expected, abs=1e-6)
 
     def test_pagerank_reuses_line_graph(self, paper_example):
         lg = s_line_graph(paper_example, 1)

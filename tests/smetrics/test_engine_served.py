@@ -1,8 +1,15 @@
-"""Engine-served s-measure endpoints (``engine=`` delegation)."""
+"""The engine serves the s-measure API's answers.
+
+``QueryEngine.metric_by_hyperedge(s, name)`` returns, from its cached
+overlap index, the same ``{hyperedge ID: value}`` dict the s-measure
+functions compute from scratch — on a fresh engine, on repeat queries and
+after incremental updates.
+"""
 
 import pytest
 
 from repro.engine.engine import QueryEngine
+from repro.hypergraph.builders import hypergraph_from_edge_lists
 from repro.smetrics.centrality import (
     s_betweenness_centrality,
     s_closeness_centrality,
@@ -16,73 +23,157 @@ from repro.smetrics.connected import (
 )
 from repro.utils.validation import ValidationError
 
-MEASURES = [
-    s_betweenness_centrality,
-    s_closeness_centrality,
-    s_eccentricity,
-    s_pagerank,
-]
+#: s-measure function → the engine metric that serves the same dict.
+MEASURES = {
+    s_betweenness_centrality: "betweenness",
+    s_closeness_centrality: "closeness",
+    s_eccentricity: "eccentricity",
+    s_pagerank: "pagerank",
+}
+
+
+def edge_lists(h):
+    return [members.tolist() for _, members in h.iter_edges()]
+
+
+def served_components(engine, s):
+    """The engine's component labels grouped the way the s-measure API
+    groups them: sorted members, larger components first, no singletons."""
+    groups = {}
+    for edge_id, label in engine.metric_by_hyperedge(s, "connected_components").items():
+        groups.setdefault(label, []).append(edge_id)
+    components = [sorted(members) for members in groups.values() if len(members) >= 2]
+    return sorted(components, key=lambda c: (-len(c), c[0]))
 
 
 class TestDelegation:
-    @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.__name__)
+    @pytest.mark.parametrize("measure", list(MEASURES), ids=lambda m: m.__name__)
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_engine_path_matches_direct_path(self, small_random_hypergraph, measure, s):
         engine = QueryEngine(small_random_hypergraph)
-        assert measure(small_random_hypergraph, s, engine=engine) == pytest.approx(
+        assert engine.metric_by_hyperedge(s, MEASURES[measure]) == pytest.approx(
             measure(small_random_hypergraph, s)
         )
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_component_functions_match(self, small_random_hypergraph, s):
         engine = QueryEngine(small_random_hypergraph)
-        assert s_component_labels(
-            small_random_hypergraph, s, engine=engine
-        ) == s_component_labels(
+        labels = engine.metric_by_hyperedge(s, "connected_components")
+        assert labels == s_component_labels(small_random_hypergraph, s)
+        assert served_components(engine, s) == s_connected_components(
+            small_random_hypergraph, s, min_size=2
+        )
+        assert len(served_components(engine, s)) == num_s_connected_components(
             small_random_hypergraph, s
         )
-        assert s_connected_components(
-            small_random_hypergraph, s, engine=engine
-        ) == s_connected_components(small_random_hypergraph, s)
-        assert num_s_connected_components(
-            small_random_hypergraph, s, engine=engine
-        ) == num_s_connected_components(small_random_hypergraph, s)
 
     def test_repeat_calls_hit_the_cache(self, small_random_hypergraph):
         engine = QueryEngine(small_random_hypergraph)
-        s_pagerank(small_random_hypergraph, 2, engine=engine)
+        first = engine.metric_by_hyperedge(2, "pagerank")
         hits_before = engine.stats().cache_hits
-        s_pagerank(small_random_hypergraph, 2, engine=engine)
+        assert engine.metric_by_hyperedge(2, "pagerank") == first
         assert engine.stats().cache_hits > hits_before
+        assert engine.stats().index_builds == 1
 
-    def test_hypergraph_can_be_omitted(self, small_random_hypergraph):
-        engine = QueryEngine(small_random_hypergraph)
-        assert s_pagerank(None, 2, engine=engine) == pytest.approx(
-            s_pagerank(small_random_hypergraph, 2)
+
+class TestAcrossHypergraphs:
+    """Every served measure at every s of the paper example (whose s = 4
+    line graph is empty) and of the planted-community hypergraph."""
+
+    @pytest.mark.parametrize("measure", list(MEASURES), ids=lambda m: m.__name__)
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_paper_example(self, paper_example_unlabelled, measure, s):
+        engine = QueryEngine(paper_example_unlabelled)
+        expected = measure(paper_example_unlabelled, s)
+        assert engine.metric_by_hyperedge(s, MEASURES[measure]) == pytest.approx(expected)
+        assert (s == 4) == (expected == {})
+
+    @pytest.mark.parametrize("measure", list(MEASURES), ids=lambda m: m.__name__)
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_community_hypergraph(self, community_hypergraph, measure, s):
+        engine = QueryEngine(community_hypergraph)
+        assert engine.metric_by_hyperedge(s, MEASURES[measure]) == pytest.approx(
+            measure(community_hypergraph, s)
+        )
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_component_labels(self, community_hypergraph, s):
+        engine = QueryEngine(community_hypergraph)
+        assert engine.metric_by_hyperedge(s, "connected_components") == (
+            s_component_labels(community_hypergraph, s)
         )
 
 
-class TestGuardRails:
-    def test_mismatched_hypergraph_raises(self, small_random_hypergraph, paper_example):
-        engine = QueryEngine(paper_example)
-        with pytest.raises(ValidationError, match="different hypergraph"):
-            s_pagerank(small_random_hypergraph, 2, engine=engine)
+class TestAfterUpdates:
+    """An engine that was updated in place serves the s-measures of the
+    hypergraph built from scratch with the same hyperedges."""
 
-    def test_non_default_parameters_raise(self, small_random_hypergraph):
-        engine = QueryEngine(small_random_hypergraph)
-        with pytest.raises(ValidationError, match="default"):
-            s_betweenness_centrality(
-                small_random_hypergraph, 2, normalized=False, engine=engine
-            )
-        with pytest.raises(ValidationError, match="default"):
-            s_pagerank(small_random_hypergraph, 2, damping=0.5, engine=engine)
-        with pytest.raises(ValidationError, match="default"):
-            s_pagerank(small_random_hypergraph, 2, weighted=True, engine=engine)
-        with pytest.raises(ValidationError, match="default"):
-            s_closeness_centrality(
-                small_random_hypergraph, 2, include_isolated=True, engine=engine
-            )
-        with pytest.raises(ValidationError, match="default"):
-            s_component_labels(
-                small_random_hypergraph, 2, include_isolated=True, engine=engine
-            )
+    @pytest.mark.parametrize("measure", list(MEASURES), ids=lambda m: m.__name__)
+    def test_after_add(self, community_hypergraph, measure):
+        engine = QueryEngine(community_hypergraph)
+        name = MEASURES[measure]
+        engine.metric_by_hyperedge(2, name)  # warm the entry the add must update
+        model = edge_lists(community_hypergraph)
+        model.append([0, 1, 2, 3, 4, 5])
+        assert engine.add_hyperedge(model[-1]) == len(model) - 1
+        rebuilt = hypergraph_from_edge_lists(
+            model, num_vertices=community_hypergraph.num_vertices
+        )
+        assert engine.fingerprint() == rebuilt.fingerprint()
+        assert engine.metric_by_hyperedge(2, name) == pytest.approx(measure(rebuilt, 2))
+
+    @pytest.mark.parametrize("measure", list(MEASURES), ids=lambda m: m.__name__)
+    def test_after_remove(self, community_hypergraph, measure):
+        engine = QueryEngine(community_hypergraph)
+        name = MEASURES[measure]
+        assert 5 in engine.metric_by_hyperedge(2, name)
+        model = edge_lists(community_hypergraph)
+        engine.remove_hyperedge(5)
+        model[5] = []
+        rebuilt = hypergraph_from_edge_lists(
+            model, num_vertices=community_hypergraph.num_vertices
+        )
+        assert engine.fingerprint() == rebuilt.fingerprint()
+        served = engine.metric_by_hyperedge(2, name)
+        assert 5 not in served
+        assert served == pytest.approx(measure(rebuilt, 2))
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_component_labels_across_add_and_remove(self, community_hypergraph, s):
+        engine = QueryEngine(community_hypergraph)
+        assert 5 in engine.metric_by_hyperedge(s, "connected_components")
+        model = edge_lists(community_hypergraph)
+        model.append([0, 10, 20, 30, 40, 50, 60, 70])
+        engine.add_hyperedge(model[-1])
+        engine.remove_hyperedge(5)
+        model[5] = []
+        rebuilt = hypergraph_from_edge_lists(
+            model, num_vertices=community_hypergraph.num_vertices
+        )
+        assert engine.metric_by_hyperedge(s, "connected_components") == (
+            s_component_labels(rebuilt, s)
+        )
+        assert served_components(engine, s) == s_connected_components(
+            rebuilt, s, min_size=2
+        )
+
+
+class TestServedErrors:
+    def test_unknown_metric_names_the_available_ones(self, paper_example_unlabelled):
+        engine = QueryEngine(paper_example_unlabelled)
+        with pytest.raises(ValidationError, match="pagerank"):
+            engine.metric_by_hyperedge(2, "harmonic")
+
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_non_positive_s_rejected(self, paper_example_unlabelled, s):
+        engine = QueryEngine(paper_example_unlabelled)
+        with pytest.raises(ValidationError):
+            engine.metric_by_hyperedge(s, "pagerank")
+        with pytest.raises(ValidationError):
+            s_pagerank(paper_example_unlabelled, s)
+
+    def test_s_beyond_every_hyperedge_serves_nothing(self, paper_example_unlabelled):
+        engine = QueryEngine(paper_example_unlabelled)
+        for name in (*MEASURES.values(), "connected_components"):
+            assert engine.metric_by_hyperedge(6, name) == {}
+        assert s_pagerank(paper_example_unlabelled, 6) == {}

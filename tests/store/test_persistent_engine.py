@@ -180,45 +180,33 @@ class TestIndexInjection:
 class TestPipelineOverStoreEngine:
     def test_persist_then_reuse(self, community_hypergraph, tmp_path):
         path = str(tmp_path / "pipe-idx")
-        baseline = SLinePipeline(metrics=("connected_components",)).run(
-            community_hypergraph, 2
-        )
+        oracle = SLinePipeline(metrics=("connected_components",))
+        baseline = oracle.run(community_hypergraph, 2)
         first = QueryEngine.from_store(
             path, hypergraph=community_hypergraph, create=True, on_mismatch="rebuild"
         )
         try:
-            r1 = SLinePipeline(metrics=("connected_components",), engine=first).run(
-                community_hypergraph, 2
+            assert first.line_graph(2) == baseline.line_graph
+            assert np.array_equal(
+                first.metric(2, "connected_components"),
+                baseline.metrics["connected_components"],
             )
         finally:
             first.close()
-        assert r1.line_graph == baseline.line_graph
-        assert np.array_equal(
-            r1.metrics["connected_components"],
-            baseline.metrics["connected_components"],
-        )
         # A second engine (fresh process) opens the snapshot: no rebuild.
         second = QueryEngine.from_store(
             path, hypergraph=community_hypergraph, create=True, on_mismatch="rebuild"
         )
         try:
-            r2 = SLinePipeline(metrics=("connected_components",), engine=second).run(
-                community_hypergraph, 3
-            )
+            assert second.line_graph(3) == oracle.run(community_hypergraph, 3).line_graph
             assert second.stats().index_builds == 0
         finally:
             second.close()
-        baseline3 = SLinePipeline(metrics=("connected_components",)).run(
-            community_hypergraph, 3
-        )
-        assert r2.line_graph == baseline3.line_graph
 
-    def test_engine_excludes_toplexes_and_store_path_is_gone(
-        self, community_hypergraph, tmp_path
-    ):
+    def test_engine_and_store_path_are_gone(self, community_hypergraph, tmp_path):
         engine = QueryEngine(community_hypergraph)
-        with pytest.raises(ValidationError, match="compute_toplexes"):
-            SLinePipeline(compute_toplexes=True, engine=engine)
+        with pytest.raises(TypeError, match="engine"):
+            SLinePipeline(engine=engine)
         with pytest.raises(TypeError, match="store_path"):
             SLinePipeline(store_path=str(tmp_path / "x"))
 

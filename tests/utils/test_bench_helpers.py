@@ -1,20 +1,7 @@
 """Unit tests for the shared benchmark harness helpers (repro.benchmarks)."""
 
-import pytest
-
-from repro.benchmarks.harness import (
-    scaling_series,
-    speedup_table,
-    stage_breakdown,
-    time_callable,
-)
-from repro.benchmarks.reporting import (
-    format_series,
-    format_speedups,
-    format_table,
-    print_experiment_header,
-)
-from repro.utils.timing import StageTimes
+from repro.benchmarks.harness import time_callable
+from repro.benchmarks.reporting import format_series, format_speedups, format_table
 
 
 class TestHarness:
@@ -22,23 +9,6 @@ class TestHarness:
         seconds, result = time_callable(lambda: sum(range(1000)), repeats=3)
         assert result == sum(range(1000))
         assert seconds >= 0.0
-
-    def test_stage_breakdown(self):
-        times = StageTimes({"preprocessing": 0.1, "s_overlap": 0.6, "squeeze": 0.05})
-        out = stage_breakdown(times, ["preprocessing", "s_overlap", "missing"])
-        assert out["preprocessing"] == pytest.approx(0.1)
-        assert out["missing"] == 0.0
-        assert out["total"] == pytest.approx(0.75)
-
-    def test_speedup_table(self):
-        speedups = speedup_table({"1CN": 2.0, "2BA": 0.5, "zero": 0.0}, baseline="1CN")
-        assert speedups["1CN"] == pytest.approx(1.0)
-        assert speedups["2BA"] == pytest.approx(4.0)
-        assert speedups["zero"] == float("inf")
-
-    def test_scaling_series(self):
-        series = scaling_series([1, 2, 4], run=lambda p: 1.0 / p)
-        assert series == [(1, 1.0), (2, 0.5), (4, 0.25)]
 
 
 class TestReporting:
@@ -62,8 +32,3 @@ class TestReporting:
         rows = table.splitlines()[2:]
         assert rows[0].startswith("fast")
         assert rows[-1].startswith("slow")
-
-    def test_print_experiment_header(self, capsys):
-        print_experiment_header("Table I", "per-stage runtime")
-        out = capsys.readouterr().out
-        assert "Table I" in out and "per-stage runtime" in out
