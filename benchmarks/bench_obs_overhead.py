@@ -30,7 +30,7 @@ each request wrapped in the same ``start_request`` root the socket
 server opens.  The rate-1.0 ratio gates at **>= 0.80**.
 
 The instrumented path also carries the chaos failpoint predicate now:
-``QueryService.execute`` calls ``fire("service.execute")`` on every
+``QueryService.execute`` calls ``SERVICE_EXECUTE.fire()`` on every
 request, which with no point armed is one module-global boolean read.
 That disabled-failpoint cost rides inside the same 0.95 metrics floor —
 no separate gate, and the floor is unchanged — so a regression that

@@ -1,9 +1,9 @@
 """Chaos engineering for the serving stack: failpoints, harness, scenarios.
 
 ``repro.chaos.failpoints``
-    Dependency-free named failpoints compiled into the WAL, compaction,
-    shard fault-in, admission, transport, and replication paths —
-    activated in-process or via ``REPRO_FAILPOINTS`` (inherited by
+    Dependency-free failpoint handles, declared once and imported by the
+    WAL, compaction, shard fault-in, admission, transport, and replication
+    paths — activated in-process or via ``REPRO_FAILPOINTS`` (inherited by
     spawn-based subprocesses), controllable on live servers through the
     gated ``chaos`` wire op.
 
@@ -26,7 +26,6 @@ from repro.chaos.failpoints import (
     FailpointError,
     activate,
     deactivate,
-    fire,
     install_from_env,
     is_active,
     remote_control_enabled,
@@ -38,7 +37,6 @@ __all__ = [
     "FailpointError",
     "activate",
     "deactivate",
-    "fire",
     "install_from_env",
     "is_active",
     "remote_control_enabled",

@@ -1,9 +1,10 @@
 """Named failpoints: deterministic fault injection for the serving stack.
 
-A *failpoint* is a named hook compiled into a hot path (``fire("wal.append")``)
-that normally does nothing.  When a test — or the chaos harness driving live
-subprocesses — *activates* the point, the next pass through the hook performs
-one of four actions:
+A *failpoint* is a declared :class:`Failpoint` handle whose hook is
+compiled into a hot path (``WAL_APPEND.fire()``) and normally does
+nothing.  When a test — or the chaos harness driving live subprocesses —
+*activates* the point by name, the next pass through the hook performs one
+of four actions:
 
 ``error``
     Raise :class:`FailpointError`, an ``OSError`` subclass, so existing
@@ -34,10 +35,11 @@ e.g. ``wal.append=error:28*1;transport.send=delay:50`` — fail the next
 WAL append with ENOSPC once, and delay every response frame by 50 ms.
 
 The disabled path mirrors the ``NullRegistry`` / no-op-span idiom: with
-no point active anywhere, :func:`fire` is one module-global boolean read
-and a return — cheap enough to ride inside the ``obs_overhead`` CI floor
-(see ``benchmarks/bench_obs_overhead.py``).  Hits are counted on the
-per-process metrics registry as ``chaos_failpoint_hits_total{point}``.
+no point active anywhere, :meth:`Failpoint.fire` is one module-global
+boolean read and a return — cheap enough to ride inside the
+``obs_overhead`` CI floor (see ``benchmarks/bench_obs_overhead.py``).
+Hits are counted on the per-process metrics registry as
+``chaos_failpoint_hits_total{point}``.
 """
 
 from __future__ import annotations
@@ -53,13 +55,13 @@ from repro.obs import get_registry
 __all__ = [
     "ACTIONS",
     "CATALOGUE",
+    "Failpoint",
     "FailpointDropConnection",
     "FailpointError",
     "activate",
     "active",
     "deactivate",
     "env_spec",
-    "fire",
     "hits",
     "install_from_env",
     "is_active",
@@ -78,22 +80,59 @@ CONTROL_ENV_VAR = "REPRO_CHAOS"
 
 ACTIONS = ("error", "crash", "delay", "drop")
 
-#: The failpoints compiled into the stack, for docs / CLI listing /
-#: typo protection at activation time.
-CATALOGUE = {
-    "wal.append": "WAL record append, before the write hits the file",
-    "wal.fsync": "WAL batch fsync — the group-commit durability point",
-    "store.compact.fold": "compaction, after reading live records, before the new snapshot",
-    "store.compact.install": "compaction, before the manifest atomically swaps generations",
-    "store.shard_load": "shard fault-in (lazy load of a non-resident shard)",
-    "admission.commit": "admission group commit, inside the durability scope",
-    "transport.recv": "server side, after a request frame is read",
-    "transport.send": "server side, before a response frame is written",
-    "repl.manifest": "replication manifest build (the repl_manifest op)",
-    "repl.wal": "replication WAL-tail build (the repl_wal op)",
-    "repl.fetch": "replication chunk fetch (the repl_fetch op)",
-    "service.execute": "QueryService dispatch entry — every request, any op",
-}
+#: Every declared failpoint, ``name -> doc``, for docs / CLI listing /
+#: typo protection at activation time.  Filled by :class:`Failpoint`, so
+#: it lists exactly the handles below and cannot drift from them.
+CATALOGUE: Dict[str, str] = {}
+
+
+class Failpoint:
+    """A declared failpoint: the handle a call site imports and fires.
+
+    A call site names its point by importing the handle, so a misspelt
+    point is an ``ImportError`` when the module loads, never a hook that
+    silently injects nothing.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str, doc: str) -> None:
+        if name in CATALOGUE:
+            raise ValueError(f"failpoint '{name}' declared twice")
+        self.name = name
+        CATALOGUE[name] = doc
+
+    def fire(self) -> None:
+        """Hot-path hook: no-op unless this point has been activated."""
+        if not _armed:
+            return
+        armed = _points.get(self.name)
+        if armed is not None:
+            armed.trigger()
+
+
+WAL_APPEND = Failpoint("wal.append", "WAL record append, before the write hits the file")
+WAL_FSYNC = Failpoint("wal.fsync", "WAL batch fsync — the group-commit durability point")
+STORE_COMPACT_FOLD = Failpoint(
+    "store.compact.fold", "compaction, after reading live records, before the new snapshot"
+)
+STORE_COMPACT_INSTALL = Failpoint(
+    "store.compact.install", "compaction, before the manifest atomically swaps generations"
+)
+STORE_SHARD_LOAD = Failpoint(
+    "store.shard_load", "shard fault-in (lazy load of a non-resident shard)"
+)
+ADMISSION_COMMIT = Failpoint(
+    "admission.commit", "admission group commit, inside the durability scope"
+)
+TRANSPORT_RECV = Failpoint("transport.recv", "server side, after a request frame is read")
+TRANSPORT_SEND = Failpoint("transport.send", "server side, before a response frame is written")
+REPL_MANIFEST = Failpoint("repl.manifest", "replication manifest build (the repl_manifest op)")
+REPL_WAL = Failpoint("repl.wal", "replication WAL-tail build (the repl_wal op)")
+REPL_FETCH = Failpoint("repl.fetch", "replication chunk fetch (the repl_fetch op)")
+SERVICE_EXECUTE = Failpoint(
+    "service.execute", "QueryService dispatch entry — every request, any op"
+)
 
 
 class FailpointError(OSError):
@@ -112,7 +151,7 @@ class FailpointDropConnection(ConnectionError):
         self.point = point
 
 
-class _Failpoint:
+class _Armed:
     """One active point: action + optional value + optional remaining count."""
 
     __slots__ = ("name", "action", "value", "remaining", "hits", "_lock", "_counter")
@@ -168,22 +207,14 @@ class _Failpoint:
             }
 
 
-# Copy-on-write registry: `fire` reads `_points` with no lock (dict reads
-# are atomic); mutations swap in a fresh dict under `_mutate_lock`.  The
-# `_armed` boolean is the entire cost of the disabled path.
+# Copy-on-write registry: `Failpoint.fire` reads `_points` with no lock
+# (dict reads are atomic); mutations swap in a fresh dict under
+# `_mutate_lock`.  The `_armed` boolean is the entire cost of the disabled
+# path.
 _armed: bool = False
-_points: Dict[str, _Failpoint] = {}
+_points: Dict[str, _Armed] = {}
 _hits_retired: Dict[str, int] = {}
 _mutate_lock = threading.Lock()
-
-
-def fire(point: str) -> None:
-    """Hot-path hook: no-op unless ``point`` has been activated."""
-    if not _armed:
-        return
-    fp = _points.get(point)
-    if fp is not None:
-        fp.trigger()
 
 
 def activate(
@@ -209,7 +240,7 @@ def activate(
         raise ValueError(f"failpoint count must be positive, got {count}")
     with _mutate_lock:
         replaced = dict(_points)
-        replaced[point] = _Failpoint(
+        replaced[point] = _Armed(
             point, action, value, None if count is None else int(count)
         )
         _swap(replaced)
@@ -244,7 +275,7 @@ def reset() -> None:
         _swap({})
 
 
-def _swap(replaced: Dict[str, _Failpoint]) -> None:
+def _swap(replaced: Dict[str, _Armed]) -> None:
     global _points, _armed
     _points = replaced
     _armed = bool(replaced)
@@ -321,7 +352,7 @@ def install_from_env(environ=os.environ) -> int:
 
     Runs once at import, which is what makes env-var propagation work:
     any child process that imports this module (every process serving
-    the stack does, via the ``fire`` hooks) arms its inherited points
+    the stack does, via the imported handles) arms its inherited points
     before serving its first request.
     """
     text = environ.get(ENV_VAR, "")

@@ -44,6 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.chaos.failpoints import REPL_MANIFEST, STORE_COMPACT_INSTALL, WAL_APPEND
 from repro.chaos.harness import (
     ChaosHarness,
     LagSampler,
@@ -124,7 +125,7 @@ def scenario_kill_writer_mid_compaction(
     # Arm the crash, then race an updater thread against the compaction
     # that detonates it: the updater's in-flight add at the instant of
     # death is the scenario's indeterminate op.
-    h.chaos(client, "activate", point="store.compact.install", action="crash")
+    h.chaos(client, "activate", point=STORE_COMPACT_INSTALL.name, action="crash")
     # The count is effectively "until the connection dies": submit_updates
     # stops at the first transport failure, recording the in-flight op as
     # the indeterminate one.
@@ -211,7 +212,7 @@ def scenario_partition_replica(h: ChaosHarness, quick: bool) -> ScenarioResult:
     # so the replica still *learns* how far behind it is (lag gauges
     # rise) but cannot close the gap.
     partition_at = time.monotonic()
-    h.chaos(w_client, "activate", point="repl.manifest", action="error")
+    h.chaos(w_client, "activate", point=REPL_MANIFEST.name, action="error")
     h.submit_updates(w_client, updates)
     # compact() resets the writer's token to (generation + 1, 0 WAL bytes),
     # so the wal-lag gauge can only read > 0 between the first acked update
@@ -238,7 +239,7 @@ def scenario_partition_replica(h: ChaosHarness, quick: bool) -> ScenarioResult:
 
     # Heal, reconverge, and require full observability recovery.
     heal_at = time.monotonic()
-    h.chaos(w_client, "deactivate", point="repl.manifest")
+    h.chaos(w_client, "deactivate", point=REPL_MANIFEST.name)
     time_to_ready = h.await_ready(r_url)
     h.await_converged(w_client, r_client)
     queries.stop()
@@ -273,7 +274,7 @@ def scenario_partition_replica(h: ChaosHarness, quick: bool) -> ScenarioResult:
     # The injected faults must be observable on the writer's /metrics.
     scraped = scrape_metrics(w_url + "/metrics")
     fired = metric_value(
-        scraped, "chaos_failpoint_hits_total", {"point": "repl.manifest"}
+        scraped, "chaos_failpoint_hits_total", {"point": REPL_MANIFEST.name}
     )
     h.check(
         fired is not None and fired >= 1.0,
@@ -323,7 +324,7 @@ def scenario_wal_enospc(h: ChaosHarness, quick: bool) -> ScenarioResult:
     # One WAL append fails with ENOSPC (errno 28): the group commit
     # breaks, the op is REFUSED with a typed error (so the client knows
     # it was not acked), and the queue poisons until restart.
-    h.chaos(client, "activate", point="wal.append", action="error", value=28, count=1)
+    h.chaos(client, "activate", point=WAL_APPEND.name, action="error", value=28, count=1)
     acked_more = h.submit_updates(client, 4)
     h.check(
         h.ledger.known_failed >= 1,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, List, Optional
+from typing import Any, Hashable, List
 
 from repro.obs import get_registry
 from repro.utils.validation import ValidationError
@@ -49,13 +49,14 @@ _MISSING = object()
 class LRUCache:
     """Least-recently-used mapping with hit/miss/eviction counters.
 
-    ``metrics_label`` (optional) additionally reports hits/misses/
-    evictions to the process metrics registry under
+    ``metrics_label`` names the cache in the process metrics registry:
+    hits/misses/evictions are reported under
     ``repro_cache_*_total{cache=<label>}`` — bound once at construction
-    so the per-lookup cost is a single striped counter increment.
+    so the per-lookup cost is a single striped counter increment (a
+    shared no-op under a ``NullRegistry``).
     """
 
-    def __init__(self, maxsize: int = 256, metrics_label: Optional[str] = None) -> None:
+    def __init__(self, maxsize: int = 256, *, metrics_label: str) -> None:
         if maxsize < 1:
             raise ValidationError("cache maxsize must be >= 1")
         self.maxsize = int(maxsize)
@@ -64,21 +65,18 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        if metrics_label is None:
-            self._m_hits = self._m_misses = self._m_evictions = None
-        else:
-            registry = get_registry()
-            self._m_hits = registry.counter(
-                "repro_cache_hits_total", "Cache lookups served from cache.", ("cache",)
-            ).labels(cache=metrics_label)
-            self._m_misses = registry.counter(
-                "repro_cache_misses_total", "Cache lookups that missed.", ("cache",)
-            ).labels(cache=metrics_label)
-            self._m_evictions = registry.counter(
-                "repro_cache_evictions_total",
-                "Entries evicted by the LRU policy.",
-                ("cache",),
-            ).labels(cache=metrics_label)
+        registry = get_registry()
+        self._m_hits = registry.counter(
+            "repro_cache_hits_total", "Cache lookups served from cache.", ("cache",)
+        ).labels(cache=metrics_label)
+        self._m_misses = registry.counter(
+            "repro_cache_misses_total", "Cache lookups that missed.", ("cache",)
+        ).labels(cache=metrics_label)
+        self._m_evictions = registry.counter(
+            "repro_cache_evictions_total",
+            "Entries evicted by the LRU policy.",
+            ("cache",),
+        ).labels(cache=metrics_label)
 
     def __len__(self) -> int:
         with self._lock:
@@ -95,13 +93,11 @@ class LRUCache:
             value = self._data.get(key, _MISSING)
             if value is _MISSING:
                 self.misses += 1
-                if self._m_misses is not None:
-                    self._m_misses.inc()
+                self._m_misses.inc()
                 return default
             self._data.move_to_end(key)
             self.hits += 1
-            if self._m_hits is not None:
-                self._m_hits.inc()
+            self._m_hits.inc()
             return value
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
@@ -127,8 +123,7 @@ class LRUCache:
             if len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
                 self.evictions += 1
-                if self._m_evictions is not None:
-                    self._m_evictions.inc()
+                self._m_evictions.inc()
 
     def pop(self, key: Hashable, default: Any = None) -> Any:
         """Remove and return ``key`` (no counter updates)."""

@@ -38,7 +38,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
-from repro.chaos.failpoints import fire as _failpoint
+from repro.chaos.failpoints import ADMISSION_COMMIT
 from repro.engine.engine import QueryEngine
 from repro.obs import get_registry, get_tracer
 from repro.service.sync import RWLock
@@ -316,7 +316,7 @@ class AdmissionQueue:
                         # Chaos: a fault here fails the whole group commit
                         # (batch futures error, queue poisons) — the acked
                         # prefix on disk must still survive a restart.
-                        _failpoint("admission.commit")
+                        ADMISSION_COMMIT.fire()
                         for op in batch:
                             try:
                                 outcomes.append((op, self._apply(op), None))

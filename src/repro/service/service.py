@@ -28,6 +28,7 @@ from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tup
 import numpy as np
 
 from repro.chaos import failpoints as _failpoints
+from repro.chaos.failpoints import SERVICE_EXECUTE
 from repro.engine.engine import QueryEngine, SweepResult
 from repro.engine.index import BUILD_ALGORITHM
 from repro.graph.connected_components import num_components
@@ -422,7 +423,7 @@ class QueryService:
         try:
             # Disabled-failpoint cost on every request rides inside the
             # `obs_overhead` benchmark floor (one module-global bool read).
-            _failpoints.fire("service.execute")
+            SERVICE_EXECUTE.fire()
             handler = self._handlers.get(op)
             if handler is None:
                 raise ValidationError(

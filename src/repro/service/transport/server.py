@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.chaos.failpoints import fire as _failpoint
+from repro.chaos.failpoints import TRANSPORT_RECV, TRANSPORT_SEND
 from repro.obs import get_registry, get_tracer
 from repro.service.contract import (
     E_BAD_FRAME,
@@ -558,7 +558,7 @@ class SocketServer:
         if request is not None:
             # Chaos: a fault here models a receive-side failure after the
             # frame arrived — `drop` abandons the client like a real reset.
-            _failpoint("transport.recv")
+            TRANSPORT_RECV.fire()
         return request
 
     def _reject_frame(self, conn: socket.socket, message: str) -> None:
@@ -602,7 +602,7 @@ class SocketServer:
         # Chaos: fired before the frame hits the wire, so a `drop` models a
         # response lost in transit — the request WAS executed (an acked
         # update is durable even though the client never saw the ack).
-        _failpoint("transport.send")
+        TRANSPORT_SEND.fire()
         if proto >= PROTOCOL_VERSION_BINARY and payload_has_sections(payload):
             frame = encode_binary_frame(payload, self.max_frame_bytes, codec=codec)
         else:

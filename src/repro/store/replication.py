@@ -55,7 +55,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence
 
-from repro.chaos.failpoints import fire as _failpoint
+from repro.chaos.failpoints import REPL_FETCH, REPL_MANIFEST, REPL_WAL
 from repro.obs import get_registry, get_tracer
 from repro.store.format import (
     HYPERGRAPH_NAME,
@@ -157,7 +157,7 @@ def manifest_payload(
     # Chaos: fired before the retry loop, so an injected error reaches the
     # peer directly — the harness partitions the *replication plane* with
     # this point while the stats/query plane keeps serving.
-    _failpoint("repl.manifest")
+    REPL_MANIFEST.fire()
     last_error: Optional[Exception] = None
     for _ in range(_PAYLOAD_RETRIES):
         try:
@@ -213,7 +213,7 @@ def wal_payload(
     it.
     """
     path = str(store_path)
-    _failpoint("repl.wal")
+    REPL_WAL.fire()
     generation = int(generation)
     after_seq = int(after_seq)
     manifest = read_manifest(path)
@@ -261,7 +261,7 @@ def wal_suffix_payload(
     recovering open would treat the log.
     """
     path = str(store_path)
-    _failpoint("repl.wal")
+    REPL_WAL.fire()
     generation = int(generation)
     after_bytes = int(after_bytes)
     next_seq = int(next_seq)
@@ -321,7 +321,7 @@ def fetch_payload(
     otherwise base64 text, JSON-safe under the frame cap.
     """
     path = str(store_path)
-    _failpoint("repl.fetch")
+    REPL_FETCH.fire()
     generation = int(generation)
     offset = int(offset)
     length = min(int(length), MAX_FETCH_CHUNK_BYTES)

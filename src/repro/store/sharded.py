@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.chaos.failpoints import fire as _failpoint
+from repro.chaos.failpoints import STORE_SHARD_LOAD
 from repro.core.slinegraph import SLineGraph
 from repro.engine.cache import LRUCache
 from repro.obs import get_tracer
@@ -160,7 +160,7 @@ class ShardedIndex:
             # Two threads may both miss and load the same shard; the mmaps
             # are identical views, the second insert replaces the first.
             with self._tracer.start_span("store.shard_load", {"shard_id": shard_id}):
-                _failpoint("store.shard_load")
+                STORE_SHARD_LOAD.fire()
                 arrays = load_shard(self._path, self._manifest.shards[shard_id])
             self._resident.put(shard_id, arrays)
         return arrays

@@ -28,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.chaos.failpoints import fire as _failpoint
+from repro.chaos.failpoints import STORE_COMPACT_FOLD, STORE_COMPACT_INSTALL
 from repro.engine.index import BUILD_ALGORITHM, OverlapIndex
 from repro.hypergraph.csr import CSRMatrix
 from repro.hypergraph.hypergraph import Hypergraph
@@ -496,7 +496,7 @@ class IndexStore:
         )
         # Chaos: a fault here models a crash during the fold, before any
         # on-disk state of the new generation exists.
-        _failpoint("store.compact.fold")
+        STORE_COMPACT_FOLD.fire()
         fingerprint = self.current_fingerprint() or old_manifest.fingerprint
         hypergraph = None
         if os.path.isfile(os.path.join(self.path, HYPERGRAPH_NAME)):
@@ -512,7 +512,7 @@ class IndexStore:
         # Chaos: a fault here models a crash during the install — new shard
         # files may be partially laid down, the manifest swap has not
         # happened, so the old generation + WAL must stay authoritative.
-        _failpoint("store.compact.install")
+        STORE_COMPACT_INSTALL.fire()
         manifest = write_folded_snapshot(
             old_manifest,
             overlay,

@@ -31,7 +31,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.chaos.failpoints import fire as _failpoint
+from repro.chaos.failpoints import WAL_APPEND, WAL_FSYNC
 from repro.obs import get_registry, get_tracer
 from repro.store.format import PathLike, StoreError, StoreFormatError
 
@@ -279,7 +279,7 @@ class WriteAheadLog:
                 )
             try:
                 # Group commit: the enclosing batch() owns the flush + fsync.
-                _failpoint("wal.append")
+                WAL_APPEND.fire()
                 self._batch_handle.write(frame)
             except OSError:
                 # The frame may be partially buffered/written; refuse any
@@ -291,7 +291,7 @@ class WriteAheadLog:
             with open(self.path, "ab") as handle:
                 start = handle.tell()
                 try:
-                    _failpoint("wal.append")
+                    WAL_APPEND.fire()
                     handle.write(frame)
                     handle.flush()
                     os.fsync(handle.fileno())
@@ -353,7 +353,7 @@ class WriteAheadLog:
             try:
                 try:
                     with self._tracer.start_span("wal.fsync"):
-                        _failpoint("wal.fsync")
+                        WAL_FSYNC.fire()
                         handle.flush()
                         os.fsync(handle.fileno())
                 except OSError:

@@ -11,6 +11,9 @@ import pytest
 
 from repro.chaos import failpoints as fp
 from repro.obs import MetricsRegistry, render_prometheus, use_registry
+from repro.service import QueryService
+from repro.service.transport import ServiceClient, SocketServer
+from repro.store.replication import StoreMirror
 
 
 @pytest.fixture(autouse=True)
@@ -24,7 +27,7 @@ class TestActivation:
     def test_error_action_raises_a_typed_oserror(self):
         fp.activate("wal.append", "error")
         with pytest.raises(fp.FailpointError) as err:
-            fp.fire("wal.append")
+            fp.WAL_APPEND.fire()
         assert err.value.errno == errno.EIO
         assert err.value.point == "wal.append"
         assert isinstance(err.value, OSError)
@@ -32,25 +35,25 @@ class TestActivation:
     def test_error_value_carries_a_custom_errno(self):
         fp.activate("wal.append", "error", value=28)
         with pytest.raises(fp.FailpointError) as err:
-            fp.fire("wal.append")
+            fp.WAL_APPEND.fire()
         assert err.value.errno == errno.ENOSPC
 
     def test_drop_action_is_a_connection_error(self):
         fp.activate("transport.send", "drop")
         with pytest.raises(fp.FailpointDropConnection):
-            fp.fire("transport.send")
+            fp.TRANSPORT_SEND.fire()
         assert issubclass(fp.FailpointDropConnection, ConnectionError)
 
     def test_delay_action_sleeps_for_the_value_in_ms(self):
         fp.activate("service.execute", "delay", value=50)
         start = time.perf_counter()
-        fp.fire("service.execute")
+        fp.SERVICE_EXECUTE.fire()
         assert time.perf_counter() - start >= 0.045
 
     def test_unarmed_points_are_inert(self):
-        fp.fire("wal.append")  # nothing armed: must not raise
+        fp.WAL_APPEND.fire()  # nothing armed: must not raise
         fp.activate("wal.fsync", "error")
-        fp.fire("wal.append")  # a DIFFERENT point is armed: still inert
+        fp.WAL_APPEND.fire()  # a DIFFERENT point is armed: still inert
 
     def test_unknown_point_name_is_rejected(self):
         with pytest.raises(ValueError, match="unknown failpoint"):
@@ -73,7 +76,7 @@ class TestActivation:
         fp.activate("wal.fsync", "error")
         fp.reset()
         assert fp.active() == []
-        fp.fire("wal.fsync")  # inert again
+        fp.WAL_FSYNC.fire()  # inert again
 
 
 class TestCounts:
@@ -81,23 +84,23 @@ class TestCounts:
         fp.activate("wal.append", "error", count=2)
         for _ in range(2):
             with pytest.raises(fp.FailpointError):
-                fp.fire("wal.append")
+                fp.WAL_APPEND.fire()
         assert not fp.is_active("wal.append")
-        fp.fire("wal.append")  # third pass: disarmed, no raise
+        fp.WAL_APPEND.fire()  # third pass: disarmed, no raise
 
     def test_hits_survive_disarm(self):
         fp.activate("wal.append", "error", count=1)
         with pytest.raises(fp.FailpointError):
-            fp.fire("wal.append")
+            fp.WAL_APPEND.fire()
         fp.activate("transport.send", "delay", value=0)
-        fp.fire("transport.send")
+        fp.TRANSPORT_SEND.fire()
         assert fp.hits() == {"wal.append": 1, "transport.send": 1}
 
     def test_hit_counter_lands_on_the_metrics_registry(self):
         with use_registry(MetricsRegistry()) as registry:
             fp.activate("admission.commit", "error", count=1)
             with pytest.raises(fp.FailpointError):
-                fp.fire("admission.commit")
+                fp.ADMISSION_COMMIT.fire()
             text = render_prometheus(registry)
         assert 'chaos_failpoint_hits_total{point="admission.commit"} 1' in text
 
@@ -187,7 +190,7 @@ class TestSpawnPropagation:
                 "-c",
                 "from repro.chaos import failpoints as f\n"
                 "try:\n"
-                "    f.fire('wal.append')\n"
+                "    f.WAL_APPEND.fire()\n"
                 "    print('no-error')\n"
                 "except f.FailpointError as exc:\n"
                 "    print('errno', exc.errno)\n",
@@ -199,3 +202,26 @@ class TestSpawnPropagation:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "errno 28"
+
+
+class TestReachability:
+    """Every declared point has a fire site the serving stack reaches."""
+
+    def test_every_catalogued_point_fires(self, paper_example, tmp_path):
+        for point in fp.CATALOGUE:
+            fp.activate(point, "delay", value=0)
+        store = str(tmp_path / "idx")
+        with QueryService(
+            store, hypergraph=paper_example, create=True, num_shards=2
+        ) as service:
+            with SocketServer(service) as server:
+                with ServiceClient(*server.address) as client:
+                    mirror = StoreMirror(client, str(tmp_path / "mirror"))
+                    mirror.sync()  # full sync: repl.manifest, repl.fetch
+                    client.add([0, 3, 4])  # admission.commit, wal.append, wal.fsync
+                    mirror.sync()  # delta sync: repl.wal
+                    client.compact()  # store.compact.fold, store.compact.install
+                    client.metric(2)  # the new generation's shards fault in
+        hits = fp.hits()
+        unreached = [point for point in fp.CATALOGUE if hits.get(point, 0) < 1]
+        assert unreached == []

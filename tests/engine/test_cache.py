@@ -8,19 +8,19 @@ from repro.utils.validation import ValidationError
 
 class TestLRUCache:
     def test_put_get_roundtrip(self):
-        cache = LRUCache(maxsize=4)
+        cache = LRUCache(maxsize=4, metrics_label="test")
         cache.put("a", 1)
         assert cache.get("a") == 1
         assert cache.hits == 1 and cache.misses == 0
 
     def test_miss_returns_default(self):
-        cache = LRUCache(maxsize=4)
+        cache = LRUCache(maxsize=4, metrics_label="test")
         assert cache.get("nope") is None
         assert cache.get("nope", 42) == 42
         assert cache.misses == 2
 
     def test_eviction_is_least_recently_used(self):
-        cache = LRUCache(maxsize=2)
+        cache = LRUCache(maxsize=2, metrics_label="test")
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")  # refresh "a" → "b" is now LRU
@@ -30,7 +30,7 @@ class TestLRUCache:
         assert cache.evictions == 1
 
     def test_put_refreshes_existing_key(self):
-        cache = LRUCache(maxsize=2)
+        cache = LRUCache(maxsize=2, metrics_label="test")
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 10)  # refresh, no growth
@@ -39,7 +39,7 @@ class TestLRUCache:
         assert "b" not in cache
 
     def test_contains_does_not_touch_recency(self):
-        cache = LRUCache(maxsize=2)
+        cache = LRUCache(maxsize=2, metrics_label="test")
         cache.put("a", 1)
         cache.put("b", 2)
         assert "a" in cache  # membership probe must not refresh "a"
@@ -48,7 +48,7 @@ class TestLRUCache:
         assert cache.hits == 0 and cache.misses == 0
 
     def test_peek_returns_value_without_side_effects(self):
-        cache = LRUCache(maxsize=2)
+        cache = LRUCache(maxsize=2, metrics_label="test")
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.peek("a") == 1
@@ -58,13 +58,13 @@ class TestLRUCache:
         assert "a" not in cache and "b" in cache
 
     def test_peek_missing_returns_default_without_counting(self):
-        cache = LRUCache(maxsize=2)
+        cache = LRUCache(maxsize=2, metrics_label="test")
         assert cache.peek("nope") is None
         assert cache.peek("nope", 42) == 42
         assert cache.misses == 0
 
     def test_rekey_moves_value(self):
-        cache = LRUCache(maxsize=4)
+        cache = LRUCache(maxsize=4, metrics_label="test")
         cache.put("old", 7)
         assert cache.rekey("old", "new") is True
         assert "old" not in cache
@@ -72,7 +72,7 @@ class TestLRUCache:
         assert cache.rekey("gone", "anywhere") is False
 
     def test_pop_and_clear(self):
-        cache = LRUCache(maxsize=4)
+        cache = LRUCache(maxsize=4, metrics_label="test")
         cache.put("a", 1)
         assert cache.pop("a") == 1
         assert cache.pop("a", "fallback") == "fallback"
@@ -82,7 +82,7 @@ class TestLRUCache:
 
     def test_rejects_nonpositive_maxsize(self):
         with pytest.raises(ValidationError):
-            LRUCache(maxsize=0)
+            LRUCache(maxsize=0, metrics_label="test")
 
 
 class TestThreadSafety:
@@ -91,7 +91,7 @@ class TestThreadSafety:
         size bound holds, and the counters add up."""
         import threading
 
-        cache = LRUCache(maxsize=32)
+        cache = LRUCache(maxsize=32, metrics_label="test")
         errors = []
 
         def worker(worker_id):
@@ -128,7 +128,7 @@ class TestThreadSafety:
     def test_eviction_bound_under_concurrent_puts(self):
         import threading
 
-        cache = LRUCache(maxsize=8)
+        cache = LRUCache(maxsize=8, metrics_label="test")
 
         def filler(base):
             for i in range(300):

@@ -12,6 +12,7 @@ bytes are written.
 import os
 import shutil
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -369,7 +370,11 @@ class TestCompactionFailpoints:
             assert on_disk == before, point  # no shard, size or manifest byte yet
             seen.append((point, archive != archive_before))
 
-        monkeypatch.setattr(store_module, "_failpoint", spy)
+        for handle in ("STORE_COMPACT_FOLD", "STORE_COMPACT_INSTALL"):
+            point = getattr(store_module, handle).name
+            monkeypatch.setattr(
+                store_module, handle, SimpleNamespace(fire=lambda point=point: spy(point))
+            )
         logged_store.compact()
         assert [point for point, _ in seen] == [
             "store.compact.fold",

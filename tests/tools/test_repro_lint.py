@@ -23,8 +23,8 @@ from repro_lint.model import load_source, parse_waivers  # noqa: E402
 FIXTURES = REPO_ROOT / "tools" / "repro_lint" / "fixtures"
 
 
-def run_lint(src_root, rules, docs_root=None):
-    return cli.lint(Path(src_root), docs_root and Path(docs_root), rules)
+def run_lint(src_root, rules):
+    return cli.lint(Path(src_root), rules)
 
 
 # --------------------------------------------------------------------- #
@@ -33,49 +33,30 @@ def run_lint(src_root, rules, docs_root=None):
 SEEDED = [
     pytest.param(
         "lock_cycle",
-        None,
         ["lock-order-cycle"],
         [("transfer.py", None)],
         id="lock-order-cycle",
     ),
     pytest.param(
         "blocking_under_lock",
-        None,
         ["blocking-under-lock"],
         [("flusher.py", 19), ("flusher.py", 23)],
         id="blocking-under-lock",
     ),
     pytest.param(
-        "failpoint_contract/src",
-        None,
-        ["failpoint-contract"],
-        [("chaos/failpoints.py", None), ("store/wal.py", 8)],
-        id="failpoint-contract",
-    ),
-    pytest.param(
-        "metrics_doc/src",
-        "metrics_doc/docs",
-        ["metrics-doc-contract"],
-        [("docs/OPERATIONS.md", 11), ("obs/meters.py", 8)],
-        id="metrics-doc-contract",
-    ),
-    pytest.param(
         "wall_clock",
-        None,
         ["wall-clock-arith"],
         [("lag.py", 8), ("lag.py", 12)],
         id="wall-clock-arith",
     ),
     pytest.param(
         "swallowed",
-        None,
         ["swallowed-exception"],
         [("service/transport/conn.py", 7)],
         id="swallowed-exception",
     ),
     pytest.param(
         "ack_order",
-        None,
         ["ack-before-fsync"],
         [("service/admission.py", 13)],
         id="ack-before-fsync",
@@ -83,11 +64,9 @@ SEEDED = [
 ]
 
 
-@pytest.mark.parametrize("tree, docs, rules, expected", SEEDED)
-def test_seeded_fixture_fires(tree, docs, rules, expected):
-    findings = run_lint(
-        FIXTURES / tree, rules, docs_root=docs and FIXTURES / docs
-    )
+@pytest.mark.parametrize("tree, rules, expected", SEEDED)
+def test_seeded_fixture_fires(tree, rules, expected):
+    findings = run_lint(FIXTURES / tree, rules)
     got = sorted((f.path, f.line) for f in findings)
     want = sorted(expected, key=lambda e: (e[0], -1 if e[1] is None else e[1]))
     assert len(got) == len(want), findings
@@ -98,13 +77,9 @@ def test_seeded_fixture_fires(tree, docs, rules, expected):
     assert {f.rule for f in findings} == set(rules)
 
 
-@pytest.mark.parametrize("tree, docs, rules, expected", SEEDED)
-def test_seeded_fixture_cli_exit_code(tree, docs, rules, expected):
+@pytest.mark.parametrize("tree, rules, expected", SEEDED)
+def test_seeded_fixture_cli_exit_code(tree, rules, expected):
     argv = ["--src-root", str(FIXTURES / tree), "--rules", ",".join(rules)]
-    if docs:
-        argv += ["--docs-root", str(FIXTURES / docs)]
-    else:
-        argv += ["--no-docs"]
     assert cli.main(argv) == 1
 
 
@@ -126,7 +101,7 @@ def test_clean_fixture_has_no_findings():
 
 
 def test_whole_src_tree_is_clean():
-    """The gate CI enforces: all rules over src/ against docs/, exit 0."""
+    """The gate CI enforces: all rules over src/, exit 0."""
     assert cli.main([]) == 0
 
 
@@ -172,22 +147,29 @@ def test_syntax_error_file_is_skipped(tmp_path):
 # CLI surface
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize(
-    "rule", ["no-such-rule", "op-contract", "error-code-contract"]
+    "rule",
+    [
+        "no-such-rule",
+        "op-contract",
+        "error-code-contract",
+        "failpoint-contract",
+        "metrics-doc-contract",
+    ],
 )
 def test_cli_rejects_unknown_rule(rule):
-    """The two retired contract rules are gone, not silently accepted."""
-    assert cli.main(["--rules", rule, "--no-docs"]) == 2
+    """The four retired contract rules are gone, not silently accepted."""
+    assert cli.main(["--rules", rule]) == 2
 
 
 def test_cli_rejects_missing_src_root(tmp_path):
-    assert cli.main(["--src-root", str(tmp_path / "nope"), "--no-docs"]) == 2
+    assert cli.main(["--src-root", str(tmp_path / "nope")]) == 2
 
 
 def test_cli_list_rules(capsys):
     assert cli.main(["--list-rules"]) == 0
     out = capsys.readouterr().out.split()
     assert set(NON_CONTRACT_RULES) <= set(out)
-    assert len(out) == 7
+    assert len(out) == 5
 
 
 # --------------------------------------------------------------------- #

@@ -18,9 +18,8 @@ silently rot away from the code:
 4. **Contract tables mirror the code.**  ``docs/PROTOCOL.md``'s op table
    (§3) and error-code table (§5) are compared with the rows *imported*
    from ``repro.service.contract``, and ``docs/OPERATIONS.md``'s metrics
-   catalogue with the names actually registered in ``src/`` — the latter
-   via the same extraction code ``tools/repro-lint`` uses (imported from
-   ``repro_lint.contracts``, shared, not duplicated).
+   catalogue (§3) with the live registry of one of each component that
+   registers metrics — name, type and label names, row for row.
 
 Exit status is non-zero when any check fails; failures are reported
 with ``file:line`` so they are clickable in CI logs.
@@ -42,15 +41,14 @@ import traceback
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "tools"))
-
-from repro_lint import contracts  # noqa: E402
 
 FENCE_RE = re.compile(r"^(`{3,})(.*)$")
 # [text](target) — good enough for our own docs; skips images' ! on purpose
 # (image targets are checked the same way).
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 EXTERNAL_SCHEMES = ("http://", "https://", "mailto:")
+#: Split markdown table cells on unescaped pipes only.
+CELL_SPLIT_RE = re.compile(r"(?<!\\)\|")
 
 
 def default_documents():
@@ -133,6 +131,31 @@ def check_python_blocks(doc, text):
     return errors
 
 
+def table_rows(lines, header_cells):
+    """``[(lineno, key, value)]`` of the first table whose header starts
+    with ``header_cells``: the key is a row's first cell, the value its
+    next ``len(header_cells) - 1`` cells joined by `` / `` (backticks
+    stripped)."""
+    rows = []
+    in_table = False
+    width = len(header_cells)
+    wanted = [h.lower() for h in header_cells]
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line.startswith("|"):
+            if in_table:
+                break
+            continue
+        cells = [c.strip().strip("`") for c in CELL_SPLIT_RE.split(line.strip("|"))]
+        if not in_table:
+            in_table = [c.lower() for c in cells[:width]] == wanted
+            continue
+        if set("".join(cells)) <= {"-", " ", ":"}:
+            continue  # separator row
+        rows.append((lineno, cells[0], " / ".join(cells[1:width])))
+    return rows
+
+
 def _compare_table(doc, what, rows, expected):
     """Error strings for a docs table that is not exactly ``expected``.
 
@@ -167,13 +190,6 @@ def check_protocol_tables(doc):
     from repro.service import contract
 
     lines = doc.read_text(encoding="utf-8").splitlines()
-
-    def documented(header, width):
-        return [
-            (lineno, cells[0], " / ".join(cells[1:width]))
-            for lineno, cells in contracts.table_rows(lines, header)
-        ]
-
     yes_no = {True: "yes", False: "no"}
     ops = {
         op.name: f"{yes_no[op.idempotent]} / {yes_no[op.fanout_read]}"
@@ -182,11 +198,52 @@ def check_protocol_tables(doc):
     codes = {
         value: name for name, value in vars(contract).items() if name.startswith("E_")
     }
-    return _compare_table(
-        doc, "op", documented(["Op", "Auto-retried after a reconnect"], 3), ops
-    ) + _compare_table(
-        doc, "error code", documented(["Code", "Constant"], 2), codes
+    op_header = ["Op", "Auto-retried after a reconnect", "Fan-out read"]
+    return _compare_table(doc, "op", table_rows(lines, op_header), ops) + _compare_table(
+        doc, "error code", table_rows(lines, ["Code", "Constant"]), codes
     )
+
+
+def registered_metrics():
+    """``{name: "type / labels"}`` as the stack registers them.
+
+    Builds one of each component that registers metrics — a writer
+    ``QueryService`` with background compaction, a ``SocketServer``, a
+    ``StoreMirror``, a ``MetricsHTTPServer``, the process gauges and one
+    armed failpoint — against a fresh registry in a temp dir, and reads
+    back what they registered.
+    """
+    from repro import CompactionPolicy, QueryService, hypergraph_from_edge_lists
+    from repro.chaos import failpoints
+    from repro.obs import (
+        MetricsHTTPServer,
+        MetricsRegistry,
+        register_process_metrics,
+        use_registry,
+    )
+    from repro.service.transport import SocketServer
+    from repro.store.replication import LocalReplicationSource, StoreMirror
+
+    registry = MetricsRegistry()
+    with tempfile.TemporaryDirectory(prefix="repro-metrics-") as scratch, use_registry(registry):
+        store = os.path.join(scratch, "idx")
+        with QueryService(
+            store,
+            hypergraph=hypergraph_from_edge_lists([[0, 1], [1, 2]]),
+            create=True,
+            compaction=CompactionPolicy(),
+        ) as service:
+            SocketServer(service).close()
+            StoreMirror(LocalReplicationSource(store), os.path.join(scratch, "mirror"))
+        MetricsHTTPServer().close()
+        register_process_metrics()
+        point = next(iter(failpoints.CATALOGUE))
+        failpoints.activate(point, "delay", 0)
+        failpoints.deactivate(point)
+    return {
+        metric.name: f"{metric.kind} / {', '.join(metric.labelnames) or '—'}"
+        for metric in registry.collect()
+    }
 
 
 def check_contract_tables(doc):
@@ -198,11 +255,9 @@ def check_contract_tables(doc):
     if doc.name == "PROTOCOL.md":
         return check_protocol_tables(doc)
     if doc.name == "OPERATIONS.md":
-        src_root = REPO_ROOT / "src" / "repro"
-        return [
-            finding.render()
-            for finding in contracts.check_metrics_catalogue(src_root, doc)
-        ]
+        lines = doc.read_text(encoding="utf-8").splitlines()
+        rows = table_rows(lines, ["Metric", "Type", "Labels"])
+        return _compare_table(doc, "metric", rows, registered_metrics())
     return []
 
 

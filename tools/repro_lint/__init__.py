@@ -3,13 +3,14 @@
 Two halves:
 
 * **Static** (``repro-lint`` CLI / ``cli.py``): stdlib-``ast`` passes over
-  ``src/`` that machine-check the concurrency and wire-contract invariants
+  ``src/`` that machine-check the concurrency and durability invariants
   documented in ``docs/INVARIANTS.md`` — lock-order discipline, blocking
-  calls under hot-path locks, the ``E_*`` error-code registry vs its
-  consumers, the op/idempotency vocabulary, failpoint and metric
-  registries vs their docs, wall-clock-free lag math, no swallowed
+  calls under hot-path locks, wall-clock-free lag math, no swallowed
   exceptions in durability hot paths, and fsync-before-ack ordering in
-  the admission commit path.
+  the admission commit path.  The contracts (ops, error codes,
+  failpoints, metrics) need no rule: each is declared once in code, and
+  ``tools/check_docs.py`` compares the docs tables with the live
+  declarations.
 
 * **Runtime** (``lockcheck.py``): an instrumented-lock shim (activated by
   ``REPRO_LOCKCHECK=1``, zero-cost when off) that records the global

@@ -2,10 +2,10 @@
 
 Usage::
 
-    python tools/repro-lint                    # lint src/repro against docs/
-    python tools/repro-lint --rules failpoint-contract,ack-before-fsync
+    python tools/repro-lint                    # lint src/repro
+    python tools/repro-lint --rules lock-order-cycle,ack-before-fsync
     python tools/repro-lint --src-root tools/repro_lint/fixtures/lock_cycle \
-        --no-docs --rules lock-order-cycle     # fixture self-test form
+        --rules lock-order-cycle               # fixture self-test form
 
 Rules anchor findings at ``path:line`` and honour ``# repro-lint:
 allow[rule-id]`` pragmas on the anchored line (see ``model.py``).
@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro_lint import contracts, invariants, lockgraph
-from repro_lint.model import Finding, SourceFile, drop_waived, load_tree
+from repro_lint import invariants, lockgraph
+from repro_lint.model import Finding, drop_waived, load_tree
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -30,14 +30,11 @@ LOCK_SCOPE = ("service/", "store/", "obs/", "engine/", "chaos/")
 RULES = (
     lockgraph.RULE_CYCLE,
     lockgraph.RULE_BLOCKING,
-    contracts.RULE_FAILPOINTS,
-    contracts.RULE_METRICS_DOC,
     invariants.RULE_WALLCLOCK,
     invariants.RULE_SWALLOW,
     invariants.RULE_ACK,
 )
 
-_CONTRACT_RULES = {contracts.RULE_FAILPOINTS, contracts.RULE_METRICS_DOC}
 _LOCK_RULES = {lockgraph.RULE_CYCLE, lockgraph.RULE_BLOCKING}
 _INVARIANT_RULES = {
     invariants.RULE_WALLCLOCK,
@@ -46,11 +43,7 @@ _INVARIANT_RULES = {
 }
 
 
-def lint(
-    src_root: Path,
-    docs_root: Optional[Path],
-    rules: Sequence[str],
-) -> List[Finding]:
+def lint(src_root: Path, rules: Sequence[str]) -> List[Finding]:
     """Run ``rules`` over ``src_root``; returns surviving findings."""
     selected = set(rules)
     sources = load_tree(src_root)
@@ -63,8 +56,6 @@ def lint(
             if source.relpath.replace("\\", "/").startswith(LOCK_SCOPE)
         ] or sources
         findings.extend(lockgraph.analyze(scoped))
-    if selected & _CONTRACT_RULES:
-        findings.extend(contracts.run_all(src_root, docs_root, sources))
     if selected & _INVARIANT_RULES:
         findings.extend(invariants.run_all(sources))
 
@@ -76,24 +67,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry; returns the process exit code."""
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="repo-specific concurrency & wire-contract lint",
+        description="repo-specific concurrency & durability lint",
     )
     parser.add_argument(
         "--src-root",
         type=Path,
         default=REPO_ROOT / "src" / "repro",
         help="tree to analyze (default: src/repro)",
-    )
-    parser.add_argument(
-        "--docs-root",
-        type=Path,
-        default=REPO_ROOT / "docs",
-        help="directory holding OPERATIONS.md (default: docs/)",
-    )
-    parser.add_argument(
-        "--no-docs",
-        action="store_true",
-        help="skip the doc-backed contract checks (fixture trees)",
     )
     parser.add_argument(
         "--rules",
@@ -119,8 +99,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"no such source root: {args.src_root}", file=sys.stderr)
         return 2
 
-    docs_root = None if args.no_docs else args.docs_root
-    findings = lint(args.src_root, docs_root, rules)
+    findings = lint(args.src_root, rules)
     for finding in sorted(findings, key=lambda f: (f.path, f.line, f.rule)):
         print(finding.render())
     if findings:
