@@ -13,7 +13,7 @@
     injects scripted faults, and asserts data invariants (acked updates
     survive, mirrors converge byte-identical, served metrics equal the
     ``SLinePipeline`` oracle) and observability invariants (lag gauges,
-    ``/readyz`` flips, slow-query → trace linkage).
+    ``/readyz`` flips, slow requests keep their traces).
 
 ``repro.chaos.scenarios``
     The named scenarios behind ``repro chaos --scenario NAME``, each

@@ -12,7 +12,7 @@ axes the CI gate consumes (:mod:`benchmarks.check_axes`):
 **correctness** — served metric values must equal the
 :class:`repro.core.pipeline.SLinePipeline` oracle byte-for-byte (JSON
 text), and the observability invariants must hold (lag gauges move,
-``/readyz`` flips, slow-query entries link to buffered traces);
+``/readyz`` flips, slow requests keep a trace that resolves by its id);
 
 **durability** — every *acknowledged* update survives every crash.  The
 single in-flight update at a kill is *indeterminate* (the ack never
@@ -429,9 +429,8 @@ class ChaosHarness:
             "--metrics-port", "0",
             "--max-batch", str(max_batch),
             "--chaos",
-            # Every request lands in the slow-query ring with a kept trace
-            # so the slow-query -> trace linkage is assertable.
-            "--slow-query-ms", "0",
+            # Every request is slow at 0 ms, so every one keeps its trace
+            # and slow-trace retention is assertable.
             "--trace-slow-ms", "0",
             *extra_args,
         ]
@@ -620,21 +619,18 @@ class ChaosHarness:
 
         return wait_until(caught_up, timeout=timeout, description="replica convergence")
 
-    def check_slow_query_trace_linkage(self, client, label: str) -> bool:
-        """A slow-query ring entry's trace_id must resolve to a buffered trace."""
-        entries = [
-            e
-            for e in (client.stats().get("slow_queries") or [])
-            if e.get("trace_id")
-        ]
-        if not entries:
-            return self.check(False, f"observability[{label}]: slow-query ring empty")
-        trace_id = str(entries[-1]["trace_id"])
-        traces = client.traces(trace_id=trace_id, limit=1)
+    def check_slow_traces_kept(self, client, label: str) -> bool:
+        """Slow-only tracing kept requests, and the newest kept trace
+        resolves by its own ``trace_id``."""
+        if int(client.stats()["tracing"].get("kept_slow") or 0) < 1:
+            return self.check(False, f"observability[{label}]: no slow trace kept")
+        newest = client.traces(limit=1)
+        trace_id = str(newest[-1]["trace_id"]) if newest else ""
+        traces = client.traces(trace_id=trace_id, limit=1) if trace_id else []
         return self.check(
             bool(traces) and traces[0].get("trace_id") == trace_id,
-            f"observability[{label}]: slow-query trace_id {trace_id} has no "
-            "buffered trace",
+            f"observability[{label}]: newest trace {trace_id or '(none)'} does "
+            "not resolve by its trace_id",
         )
 
 

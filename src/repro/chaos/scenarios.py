@@ -163,7 +163,7 @@ def scenario_kill_writer_mid_compaction(
     h.submit_updates(client, 4)
     client.compact()
     divergences += h.check_oracle(client, "post-recovery-compaction")
-    h.check_slow_query_trace_linkage(client, "post-restart")
+    h.check_slow_traces_kept(client, "post-restart")
     client.close()
 
     result.failures.extend(h.failures)
@@ -281,7 +281,7 @@ def scenario_partition_replica(h: ChaosHarness, quick: bool) -> ScenarioResult:
         "observability[partition]: chaos_failpoint_hits_total{point=repl.manifest} "
         f"= {fired}, expected >= 1",
     )
-    h.check_slow_query_trace_linkage(w_client, "partition")
+    h.check_slow_traces_kept(w_client, "partition")
 
     # Mirror must be byte-identical once converged and traffic stopped.
     problems = diff_stores(h.store_path, h.mirror_path)

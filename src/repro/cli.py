@@ -4,33 +4,35 @@ Sub-commands mirror the stages of the paper's framework so the library can
 be driven from the shell on hyperedge-list / bipartite-edge-list files or on
 the built-in surrogate datasets:
 
-``stats``        print Table IV-style characteristics of a hypergraph;
+``stats``        print Table IV-style characteristics of a hypergraph, or
+                 — with ``--address`` — a serving peer's ``stats`` payload;
 ``slinegraph``   compute an s-line graph and write its edge list;
 ``components``   report the s-connected components;
-``centrality``   report the top hyperedges by an s-centrality measure;
 ``datasets``     list the built-in surrogate datasets;
 ``variants``     run the Table III variants and print their speedups;
-``query``        serve one s/metric query from the overlap-index engine;
+``query``        rank hyperedges by one Stage-5 s-measure from the
+                 overlap-index engine — over a dataset, a file, or a
+                 persistent store (``--path``, warm-served from its
+                 mmap'd snapshot);
 ``sweep``        batched multi-s sweep from one overlap-index build;
 ``index``        manage persistent overlap-index stores:
-                 ``index build`` / ``index info`` / ``index compact`` /
-                 ``index query`` (warm-serve from an mmap'd snapshot);
-``serve``        long-running request server over a store — the
-                 concurrent-service driver: one ``serve`` process is the
-                 single writer (async batched admission, background
+                 ``index build`` / ``index info`` / ``index compact``;
+``serve``        long-running request server over a store, listening on
+                 TCP (length-prefixed frames — see
+                 :mod:`repro.service.transport`): one ``serve`` process
+                 is the single writer (async batched admission, background
                  compaction), any number of ``serve --read-only``
-                 processes are hot-reloading read replicas.  By default
-                 requests arrive as JSONL on stdin; with ``--listen
-                 HOST:PORT`` they arrive over TCP (length-prefixed JSON
-                 frames — see :mod:`repro.service.transport`);
-``connect``      drive ad-hoc queries against a ``serve --listen``
-                 server: one-shot metric queries with ``--s``, or a JSONL
-                 request loop proxied over the socket;
+                 processes are hot-reloading read replicas;
+``connect``      drive ad-hoc queries against a ``serve`` server: one-shot
+                 metric queries with ``--s``, or a JSONL request loop
+                 proxied over the socket;
 ``replicate``    mirror a remote store over the socket protocol alone (no
                  shared filesystem): bootstrap/refresh a local store
                  directory from any serving peer, and with ``--serve``
                  keep it current while serving it as a read replica —
-                 one command stands up a remote read server.
+                 one command stands up a remote read server;
+``trace``        render the request traces a serving peer kept;
+``chaos``        run the fault-injection scenario suite.
 
 Examples
 --------
@@ -44,12 +46,11 @@ Examples
     python -m repro query --dataset email-euall --s 3 --metric pagerank --top 5
     python -m repro sweep --dataset email-euall --s-max 8 --metrics connected_components
     python -m repro index build --dataset email-euall --path idx/ --shards 8
-    python -m repro index query --path idx/ --s 3 --metric pagerank
+    python -m repro query --path idx/ --s 3 --metric pagerank
     python -m repro index compact --path idx/
-    echo '{"op": "metric", "s": 3, "metric": "pagerank"}' \
-        | python -m repro serve --path idx/ --read-only
     python -m repro serve --path idx/ --listen 127.0.0.1:7474
     python -m repro connect --address 127.0.0.1:7474 --s 3 --metric pagerank
+    python -m repro connect --address 127.0.0.1:7474 --requests requests.jsonl
     python -m repro replicate --from 127.0.0.1:7474 --store mirror/ \
         --serve 127.0.0.1:7475
 """
@@ -57,6 +58,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -76,21 +78,15 @@ from repro.graph.connected_components import num_components
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.properties import compute_stats
 from repro.io.edgelist import read_bipartite_edgelist, read_hyperedge_list
-from repro.smetrics.centrality import (
-    s_betweenness_centrality,
-    s_closeness_centrality,
-    s_pagerank,
-)
 from repro.smetrics.connected import s_connected_components
 
-CENTRALITY_FUNCTIONS = {
-    "betweenness": s_betweenness_centrality,
-    "closeness": s_closeness_centrality,
-    "pagerank": s_pagerank,
-}
+#: Requests per ``batch`` frame when ``connect`` proxies a request file:
+#: bounds frame size and memory on large files.
+_BATCH_CHUNK = 256
 
 
-def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_input_arguments(parser: argparse.ArgumentParser):
+    """The ``--dataset`` / ``--input`` flags; returns their argument group."""
     group = parser.add_argument_group("input")
     group.add_argument("--input", help="path to a hypergraph file")
     group.add_argument(
@@ -106,6 +102,7 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument("--scale", type=float, default=0.3, help="surrogate dataset scale")
     group.add_argument("--seed", type=int, default=0, help="surrogate dataset seed")
+    return group
 
 
 def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
@@ -128,15 +125,15 @@ def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_listener_arguments(parser: argparse.ArgumentParser, flag: str) -> None:
-    """Flags of a process that fronts a store with a socket (``serve`` with
-    ``--listen``, ``replicate`` with ``--serve``); ``flag`` names that switch."""
+def _add_listener_arguments(parser: argparse.ArgumentParser) -> None:
+    """Flags of a process that fronts a store with a socket (``serve``,
+    ``replicate --serve``)."""
     parser.add_argument(
         "--max-connections",
         type=int,
         default=32,
-        help=f"with {flag}: concurrent connections before new ones get "
-        "a 'busy' error (backpressure)",
+        help="concurrent connections before new ones get a 'busy' error "
+        "(backpressure)",
     )
     parser.add_argument(
         "--workers",
@@ -161,8 +158,8 @@ def _add_listener_arguments(parser: argparse.ArgumentParser, flag: str) -> None:
     )
 
 
-def _add_peer_arguments(parser: argparse.ArgumentParser) -> None:
-    """Flags of a process that dials a serving peer (``connect``, ``replicate``)."""
+def _add_dial_arguments(parser: argparse.ArgumentParser) -> None:
+    """Flags of every command that dials a serving peer (see :func:`_peer`)."""
     parser.add_argument(
         "--timeout", type=float, default=30.0, help="per-operation socket timeout"
     )
@@ -172,6 +169,11 @@ def _add_peer_arguments(parser: argparse.ArgumentParser) -> None:
         default=40,
         help="connection attempts before giving up (busy/refused peers)",
     )
+
+
+def _add_peer_arguments(parser: argparse.ArgumentParser) -> None:
+    """Dial flags plus the codec switch (``connect``, ``replicate``)."""
+    _add_dial_arguments(parser)
     parser.add_argument(
         "--no-compression",
         action="store_true",
@@ -189,6 +191,46 @@ def _load_hypergraph(args: argparse.Namespace) -> Hypergraph:
             return read_bipartite_edgelist(args.input)
         return read_hyperedge_list(args.input)
     raise SystemExit("an input is required: pass --dataset <name> or --input <file>")
+
+
+def _parse_address(text: str) -> tuple:
+    """Split ``HOST:PORT`` (the only address syntax the CLI accepts)."""
+    host, sep, port = str(text).rpartition(":")
+    if not sep or not host:
+        raise SystemExit(f"expected HOST:PORT, got {text!r}")
+    try:
+        return host, int(port)
+    except ValueError:
+        raise SystemExit(f"port in {text!r} is not an integer") from None
+
+
+@contextlib.contextmanager
+def _peer(address: str, args: argparse.Namespace, **options):
+    """A connected :class:`ServiceClient` for ``HOST:PORT``, closed on exit.
+
+    Dials with the shared ``--timeout`` / ``--connect-retries`` flags
+    (``options`` go to the client as they are) and turns a transport
+    failure — at connect or mid-command — into a one-line exit.
+    """
+    from repro.service.transport import ServiceClient, TransportError
+
+    host, port = _parse_address(address)
+    try:
+        client = ServiceClient(
+            host,
+            port,
+            timeout=args.timeout,
+            connect_retries=args.connect_retries,
+            **options,
+        ).connect()
+    except TransportError as exc:
+        raise SystemExit(f"connect failed: {exc}") from None
+    try:
+        yield client
+    except TransportError as exc:
+        raise SystemExit(f"transport error: {exc}") from None
+    finally:
+        client.close()
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
@@ -214,83 +256,38 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _remote_stats(args: argparse.Namespace) -> int:
-    """One-shot ``stats``/``metrics`` round trip against a serving peer."""
-    from repro.service.transport import ServiceClient, TransportError
+def _flatten(key: str, value):
+    """``(dotted key, rendered leaf)`` rows of a JSON-shaped value."""
+    if isinstance(value, dict) and value:
+        for sub, item in value.items():
+            yield from _flatten(f"{key}.{sub}", item)
+    else:
+        yield key, value if isinstance(value, str) else json.dumps(value)
 
-    host, port = _parse_address(args.address)
-    try:
-        client = ServiceClient(
-            host, port, timeout=args.timeout, connect_retries=args.connect_retries
-        ).connect()
-    except TransportError as exc:
-        raise SystemExit(f"connect failed: {exc}") from None
-    try:
+
+def _remote_stats(args: argparse.Namespace) -> int:
+    """Print a serving peer's ``stats`` payload, one dotted row per leaf.
+
+    Rows follow the payload's own order, so every key the server sends —
+    ``engine.*``, ``admission.*``, ``tracing.*``, ``transport.*`` — is
+    shown without a list kept here.  The ``metrics`` registry snapshot is
+    summarised as a count; ``--raw`` prints it as Prometheus text.
+    """
+    with _peer(args.address, args) as client:
         if args.raw:
             sys.stdout.write(client.metrics_text())
             return 0
         stats = client.stats()
-        rows = [
-            ("mode", "replica" if stats.get("read_only") else "writer"),
-            ("generation", stats.get("generation")),
-            ("fingerprint", stats.get("fingerprint")),
-        ]
-        token = stats.get("state_token")
-        if token is not None:
-            rows.append(("state_token", f"gen {token[0]}, {token[1]} WAL bytes"))
-        engine = stats.get("engine") or {}
-        for key in (
-            "cache_hits",
-            "cache_misses",
-            "cache_evictions",
-            "cache_entries",
-            "incremental_adds",
-            "incremental_removes",
-            "retained_entries",
-            "invalidated_entries",
-            "patched_entries",
-            "delta_fallbacks",
-        ):
-            if key in engine:
-                rows.append((f"engine.{key}", engine[key]))
-        admission = stats.get("admission") or {}
-        for key in sorted(admission):
-            rows.append((f"admission.{key}", admission[key]))
-        for key in ("replica_reloads", "compactions", "slow_query_ms"):
-            if key in stats:
-                rows.append((key, stats[key]))
-        slow = stats.get("slow_queries")
-        if slow is not None:
-            rows.append(("slow_queries", len(slow)))
-        tracing = stats.get("tracing") or {}
-        if tracing.get("enabled"):
-            for key in ("sample_rate", "slow_ms", "requests", "sampled", "kept",
-                        "kept_slow", "buffered"):
-                if tracing.get(key) is not None:
-                    rows.append((f"tracing.{key}", tracing[key]))
-        metrics = stats.get("metrics") or {}
-        rows.append(("metrics registered", len(metrics)))
-        width = max(len(str(k)) for k, _ in rows)
-        for key, value in rows:
-            print(f"{key:<{width}}  {value}")
-        if slow:
-            print("\nslowest recent queries:")
-            for entry in sorted(
-                slow, key=lambda e: -float(e.get("duration_ms", 0))
-            )[:5]:
-                op = entry.get("op", "?")
-                detail = "".join(
-                    f" {k}={entry[k]}"
-                    for k in ("s", "metric", "generation", "trace_id")
-                    # trace_id is "" for unsampled requests — omit it.
-                    if entry.get(k) not in (None, "")
-                )
-                print(f"  {entry.get('duration_ms', 0):>9.3f} ms  {op}{detail}")
-        return 0
-    except TransportError as exc:
-        raise SystemExit(f"transport error: {exc}") from None
-    finally:
-        client.close()
+    rows = []
+    for key, value in stats.items():
+        if key == "metrics":
+            rows.append((key, f"{len(value)} registered"))
+        else:
+            rows.extend(_flatten(key, value))
+    width = max(len(key) for key, _ in rows)
+    for key, value in rows:
+        print(f"{key:<{width}}  {value}")
+    return 0
 
 
 def _cmd_slinegraph(args: argparse.Namespace) -> int:
@@ -329,13 +326,6 @@ def _print_top(scores, top: int, title: str, name_of) -> None:
         print(f"  {name_of(edge_id)}\t{score:.6f}")
 
 
-def _cmd_centrality(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args)
-    scores = CENTRALITY_FUNCTIONS[args.measure](h, args.s)
-    _print_top(scores, args.top, f"s-{args.measure} (s={args.s})", h.edge_name)
-    return 0
-
-
 def _cmd_variants(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args)
     runtimes = {}
@@ -353,8 +343,14 @@ def _cmd_variants(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args)
-    engine = QueryEngine(h, algorithm=args.algorithm)
+    if args.path is None:
+        engine = QueryEngine(_load_hypergraph(args), algorithm=args.algorithm)
+    elif args.dataset or args.input:
+        raise SystemExit("specify one of --dataset, --input or --path")
+    else:
+        from repro.store import PersistentQueryEngine
+
+        engine = PersistentQueryEngine.open(args.path)
     graph = engine.line_graph(args.s)
     print(
         f"L_{args.s}: {graph.num_edges} edges over {graph.num_active_vertices} "
@@ -362,7 +358,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"max s = {engine.max_s()})"
     )
     scores = engine.metric_by_hyperedge(args.s, args.metric)
-    _print_top(scores, args.top, f"{args.metric} (s={args.s})", h.edge_name)
+    _print_top(
+        scores, args.top, f"{args.metric} (s={args.s})", engine.hypergraph.edge_name
+    )
     return 0
 
 
@@ -442,53 +440,41 @@ def _cmd_index_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_index_query(args: argparse.Namespace) -> int:
-    from repro.store import PersistentQueryEngine
-
-    start = time.perf_counter()
-    engine = PersistentQueryEngine.open(args.path)
-    opened = time.perf_counter() - start
-    graph = engine.line_graph(args.s)
-    print(
-        f"L_{args.s}: {graph.num_edges} edges over {graph.num_active_vertices} "
-        f"active hyperedges (store opened in {opened:.4f}s, "
-        f"{engine.index.num_pairs} pairs, max s = {engine.max_s()})"
-    )
-    scores = engine.metric_by_hyperedge(args.s, args.metric)
-    _print_top(
-        scores, args.top, f"{args.metric} (s={args.s})", engine.hypergraph.edge_name
-    )
-    return 0
-
-
-def _run_jsonl_loop(stream, interactive, execute_one, execute_batch, batch_chunk=None):
-    """The JSONL request-loop shared by ``serve`` and ``connect``.
+def _proxy_jsonl(client, stream, interactive: bool) -> None:
+    """``connect``'s JSONL loop over one socket connection.
 
     One request object per input line, one response object per output
     line, order preserved.  Runs of consecutive query requests (the
-    contract's ``fanout_read`` ops, which only read) are buffered and
-    handed to ``execute_batch`` (optionally capped at ``batch_chunk`` per
-    call); anything else — mutations, bad lines — drains the buffer first
-    so sequential semantics hold.  In ``interactive`` mode every line is
-    answered immediately.  A ``{"op": "stop"}`` line (or EOF) ends the
-    loop; returns the number of requests served.
+    contract's ``fanout_read`` ops, which only read) travel as ``batch``
+    frames of at most :data:`_BATCH_CHUNK`; anything else — mutations,
+    bad lines — drains the run first so sequential semantics hold.  In
+    ``interactive`` mode every line is answered immediately.  A
+    ``{"op": "stop"}`` line (or EOF) ends the loop.
     """
     from repro.service.contract import is_fanout_read, op_name
+    from repro.service.transport import RemoteServiceError
 
-    served = 0
     pending: list = []
 
     def emit(response) -> None:
         print(json.dumps(response), flush=True)
 
     def drain() -> None:
-        nonlocal served
         while pending:
-            chunk = list(pending if batch_chunk is None else pending[:batch_chunk])
+            chunk = pending[:_BATCH_CHUNK]
             del pending[: len(chunk)]
-            for response in execute_batch(chunk):
+            if len(chunk) == 1:
+                responses = [client.call(chunk[0])]
+            else:
+                try:
+                    responses = client.batch(chunk)
+                except RemoteServiceError:
+                    # An envelope failure (e.g. a batch response over the
+                    # frame cap) degrades to per-request round trips
+                    # instead of aborting the run.
+                    responses = [client.call(request) for request in chunk]
+            for response in responses:
                 emit(response)
-            served += len(chunk)
 
     for line in stream:
         line = line.strip()
@@ -509,25 +495,12 @@ def _run_jsonl_loop(stream, interactive, execute_one, execute_batch, batch_chunk
             break
         if is_fanout_read(op):
             pending.append(request)
-            if interactive or (batch_chunk is not None and len(pending) >= batch_chunk):
+            if interactive or len(pending) >= _BATCH_CHUNK:
                 drain()
             continue
         drain()
-        emit(execute_one(request))
-        served += 1
+        emit(client.call(request))
     drain()
-    return served
-
-
-def _parse_address(text: str) -> tuple:
-    """Split ``HOST:PORT`` (the only address syntax the CLI accepts)."""
-    host, sep, port = str(text).rpartition(":")
-    if not sep or not host:
-        raise SystemExit(f"expected HOST:PORT, got {text!r}")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise SystemExit(f"port in {text!r} is not an integer") from None
 
 
 def _serve_socket(service, args: argparse.Namespace) -> int:
@@ -600,19 +573,13 @@ def _serve_socket(service, args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Long-running request server over one store.
 
-    Default mode is a JSONL loop: one request object per input line, one
-    response object per output line (see :meth:`QueryService.serve`).
-    Runs of consecutive query requests are served as one batch across
-    ``--workers`` threads; mutating requests (and anything else) act as
-    batch boundaries so sequential semantics are preserved.  A
-    ``{"op": "stop"}`` line (or EOF) ends the loop.
-
-    With ``--listen HOST:PORT`` the same service is fronted by a socket
-    server speaking the wire protocol of ``docs/PROTOCOL.md`` instead
-    (JSON v1 plus the negotiated binary v2 data plane; ``--protocol 1``
-    pins it to JSON-only during mixed-version rollouts); remote clients
-    (``repro connect`` or :class:`ServiceClient`) drive it until
-    SIGINT/SIGTERM.  Either way the writer process holds the store's
+    The service is fronted by a socket server on ``--listen HOST:PORT``
+    speaking the wire protocol of ``docs/PROTOCOL.md`` (JSON v1 plus the
+    negotiated binary v2 data plane; ``--protocol 1`` pins it to
+    JSON-only during mixed-version rollouts); remote clients (``repro
+    connect`` or :class:`ServiceClient`) drive it until SIGINT/SIGTERM.
+    Runs of consecutive query requests in a ``batch`` frame are served
+    across ``--workers`` threads.  The writer process holds the store's
     single-writer lock; start any number of ``--read-only`` processes
     alongside it for concurrent serving.
     """
@@ -622,11 +589,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(
             "--compact-after/--max-batch configure the writer; they have no "
             "effect with --read-only"
-        )
-    if args.listen and args.requests:
-        raise SystemExit(
-            "--requests drives the JSONL loop; with --listen, requests "
-            "arrive from socket clients instead"
         )
     policy = None
     if args.compact_after is not None:
@@ -639,35 +601,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         num_workers=args.workers,
         max_batch=args.max_batch if args.max_batch is not None else 64,
         compaction=policy,
-        slow_query_ms=args.slow_query_ms,
     )
     metrics_server = _start_metrics_server(args, readiness=service.readiness)
     try:
-        if args.listen:
-            return _serve_socket(service, args)
-        stream = (  # noqa: SIM115 - sys.stdin branch forbids `with`; closed below
-            open(args.requests, "r", encoding="utf-8") if args.requests else sys.stdin
-        )
-        try:
-            print(
-                json.dumps(
-                    {"ok": True, "op": "ready", "read_only": args.read_only,
-                     "generation": service.generation}
-                ),
-                flush=True,
-            )
-            served = _run_jsonl_loop(
-                stream,
-                interactive=args.requests is None,
-                execute_one=service.execute,
-                execute_batch=service.serve,
-            )
-        finally:
-            service.close()
-            if args.requests:
-                stream.close()
-        print(json.dumps({"ok": True, "op": "stopped", "served": served}), flush=True)
-        return 0
+        return _serve_socket(service, args)
     finally:
         if metrics_server is not None:
             metrics_server.close()
@@ -730,86 +667,46 @@ def _start_metrics_server(args: argparse.Namespace, readiness=None):
 
 
 def _cmd_connect(args: argparse.Namespace) -> int:
-    """Drive ad-hoc queries against a ``serve --listen`` server.
+    """Drive ad-hoc queries against a ``serve`` server.
 
-    With ``--s`` this is a one-shot remote metric query (mirroring
-    ``index query``, served over the wire).  Without it, request objects
-    are read as JSONL (stdin or ``--requests``) and proxied over the
-    socket one response line per request — runs of consecutive query
-    requests travel as a single ``batch`` frame, so a prepared request
-    file costs one round trip per run instead of one per line.
+    With ``--s`` this is a one-shot remote metric query (``query``,
+    served over the wire).  Without it, request objects are read as JSONL
+    (stdin or ``--requests``) and proxied over the socket one response
+    line per request — runs of consecutive query requests travel as a
+    single ``batch`` frame, so a prepared request file costs one round
+    trip per run instead of one per line.
 
     The connection negotiates the highest common protocol version
     (``--protocol 1`` pins JSON-only v1).  Proxied JSONL requests stay
     plain JSON in both directions regardless: the proxy never asks for
     ``columns``/``raw`` responses, whose numpy/bytes payloads have no
     JSONL rendering — replication payloads such as ``repl_fetch`` arrive
-    base64-encoded exactly as on a v1 connection.  The negotiated version
-    is visible in ``stats()["transport"]`` on the server side.
+    base64-encoded exactly as on a v1 connection.  ``repro stats
+    --address`` shows what a live connection negotiated
+    (``transport.negotiated``).
     """
-    from repro.service.transport import (
-        RemoteServiceError,
-        ServiceClient,
-        TransportError,
-    )
-
-    host, port = _parse_address(args.address)
-    try:
-        client = ServiceClient(
-            host,
-            port,
-            timeout=args.timeout,
-            connect_retries=args.connect_retries,
-            protocol_max=args.protocol,
-            compression=not args.no_compression,
-        ).connect()
-    except TransportError as exc:
-        raise SystemExit(f"connect failed: {exc}") from None
-    try:
+    with _peer(
+        args.address,
+        args,
+        protocol_max=args.protocol,
+        compression=not args.no_compression,
+    ) as client:
         if args.s is not None:
             values = client.metric(args.s, args.metric)
             info = client.server_info
             print(
                 f"{len(values)} hyperedges in E_{args.s} served by "
-                f"{host}:{port} ({'replica' if info.get('read_only') else 'writer'}, "
+                f"{args.address} ({'replica' if info.get('read_only') else 'writer'}, "
                 f"generation {client.generation()})"
             )
             _print_top(values, args.top, f"{args.metric} (s={args.s})", str)
             return 0
-
-        stream = (  # noqa: SIM115 - sys.stdin branch forbids `with`; closed below
-            open(args.requests, "r", encoding="utf-8") if args.requests else sys.stdin
-        )
-
-        def execute_batch(chunk):
-            """One batch frame per chunk; envelope failures (e.g. a batch
-            response over the frame cap) fall back to per-request round
-            trips, so one bad batch degrades instead of aborting the run —
-            the same behavior a 1-request chunk already has."""
-            if len(chunk) == 1:
-                return [client.call(chunk[0])]
-            try:
-                return client.batch(chunk)
-            except RemoteServiceError:
-                return [client.call(request) for request in chunk]
-
-        try:
-            _run_jsonl_loop(
-                stream,
-                interactive=args.requests is None,
-                execute_one=client.call,
-                execute_batch=execute_batch,
-                # Bounds frame size and memory on large request files.
-                batch_chunk=256,
-            )
-        finally:
-            if args.requests:
-                stream.close()
+        if args.requests is None:
+            _proxy_jsonl(client, sys.stdin, interactive=True)
+        else:
+            with open(args.requests, "r", encoding="utf-8") as stream:
+                _proxy_jsonl(client, stream, interactive=False)
         return 0
-    except TransportError as exc:
-        raise SystemExit(f"transport error: {exc}") from None
-    finally:
-        client.close()
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -817,45 +714,34 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     One idempotent ``trace`` round trip; each trace renders as a span
     tree with per-span start offsets and durations (see
-    :func:`repro.obs.render_trace`).  ``--trace-id`` narrows to one trace
-    — e.g. an id copied from the slow-query log ``repro stats --address``
-    prints.  Exit code 1 when the buffer holds no matching trace.
+    :func:`repro.obs.render_trace`).  A server started with
+    ``--trace-slow-ms`` keeps every request over that threshold, marked
+    ``[slow]``; ``--trace-id`` narrows to one trace.  Exit code 1 when
+    the buffer holds no matching trace.
     """
     from repro.obs import render_trace
-    from repro.service.transport import ServiceClient, TransportError
 
-    host, port = _parse_address(args.address)
-    try:
-        client = ServiceClient(
-            host, port, timeout=args.timeout, connect_retries=args.connect_retries
-        ).connect()
-    except TransportError as exc:
-        raise SystemExit(f"connect failed: {exc}") from None
-    try:
+    with _peer(args.address, args) as client:
         traces = client.traces(trace_id=args.trace_id, limit=args.limit)
-        if not traces:
-            suffix = f" with id {args.trace_id}" if args.trace_id else ""
-            print(
-                f"no finished traces{suffix} on {host}:{port} "
-                "(is tracing enabled? see serve --trace-sample-rate)"
-            )
-            return 1
-        for index, trace in enumerate(traces):
-            if index:
-                print()
-            print(render_trace(trace))
-        return 0
-    except TransportError as exc:
-        raise SystemExit(f"transport error: {exc}") from None
-    finally:
-        client.close()
+    if not traces:
+        suffix = f" with id {args.trace_id}" if args.trace_id else ""
+        print(
+            f"no finished traces{suffix} on {args.address} "
+            "(is tracing enabled? see serve --trace-sample-rate)"
+        )
+        return 1
+    for index, trace in enumerate(traces):
+        if index:
+            print()
+        print(render_trace(trace))
+    return 0
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
     """Mirror a remote store over the socket protocol (no shared filesystem).
 
-    Connects to any serving peer (``serve --listen`` writer or replica),
-    pulls the snapshot + WAL into ``--store`` (full fetch the first time,
+    Connects to any serving peer (``serve`` writer or replica), pulls the
+    snapshot + WAL into ``--store`` (full fetch the first time,
     checksum-driven delta afterwards), and either exits after the sync
     (bootstrap/backup mode) or — with ``--serve HOST:PORT`` — serves the
     mirror as a hot-reloading remote-fed read replica: queries re-check
@@ -872,12 +758,11 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     import threading
 
     from repro.service import QueryService, StoreLock
-    from repro.service.transport import ServiceClient, TransportError
+    from repro.service.transport import TransportError
     from repro.store import StoreMirror
     from repro.store.format import StoreError
 
     _apply_chaos_flag(args)
-    host, port = _parse_address(args.source)
 
     def print_synced(store: str, report) -> None:
         print(
@@ -898,31 +783,22 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         )
 
     if not args.serve:
-        try:
-            client = ServiceClient(
-                host,
-                port,
-                timeout=args.timeout,
-                connect_retries=args.connect_retries,
-                compression=not args.no_compression,
-            ).connect()
-        except TransportError as exc:
-            raise SystemExit(f"connect failed: {exc}") from None
-        try:
-            mirror = StoreMirror(client, args.store)
-            lock = StoreLock(args.store, owner="repro-replicate").acquire(blocking=False)
-        except (StoreError, OSError) as exc:
-            # OSError: --store points at a file / an unwritable directory.
-            client.close()
-            raise SystemExit(str(exc)) from None
-        try:
-            print_synced(mirror.path, mirror.sync())
-            return 0
-        except (TransportError, StoreError) as exc:
-            raise SystemExit(f"sync failed: {exc}") from None
-        finally:
-            lock.release()
-            client.close()
+        with _peer(args.source, args, compression=not args.no_compression) as client:
+            try:
+                mirror = StoreMirror(client, args.store)
+                lock = StoreLock(args.store, owner="repro-replicate").acquire(
+                    blocking=False
+                )
+            except (StoreError, OSError) as exc:
+                # OSError: --store points at a file / an unwritable directory.
+                raise SystemExit(str(exc)) from None
+            try:
+                print_synced(mirror.path, mirror.sync())
+            except (TransportError, StoreError) as exc:
+                raise SystemExit(f"sync failed: {exc}") from None
+            finally:
+                lock.release()
+        return 0
 
     # Serving mode: one remote-fed service (QueryService over a
     # RemoteReadReplica) owns the peer connection, the mirror and the
@@ -933,7 +809,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         service = QueryService(
             args.store,
             read_only=True,
-            remote_source=(host, port),
+            remote_source=_parse_address(args.source),
             num_workers=args.workers,
             replica_poll_interval=args.poll_interval,
             remote_compression=not args.no_compression,
@@ -1029,31 +905,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "stats",
         help="print Table IV-style hypergraph characteristics, or — with "
-        "--address — a remote server's serving stats and metrics",
+        "--address — a remote server's stats payload",
     )
     _add_input_arguments(p)
     p.add_argument(
         "--address",
         metavar="HOST:PORT",
         default=None,
-        help="print a 'serve --listen' server's stats instead of dataset "
+        help="print a 'serve' server's stats instead of dataset "
         "characteristics",
     )
     p.add_argument(
         "--raw",
         action="store_true",
         help="with --address: print the raw Prometheus text exposition "
-        "instead of the summary table",
+        "instead of the stats rows",
     )
-    p.add_argument(
-        "--timeout", type=float, default=30.0, help="per-operation socket timeout"
-    )
-    p.add_argument(
-        "--connect-retries",
-        type=int,
-        default=40,
-        help="connection attempts before giving up (busy/refused servers)",
-    )
+    _add_dial_arguments(p)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("slinegraph", help="compute an s-line graph edge list")
@@ -1070,26 +938,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=20, help="print at most this many components")
     p.set_defaults(func=_cmd_components)
 
-    p = sub.add_parser("centrality", help="report top hyperedges by an s-centrality measure")
-    _add_input_arguments(p)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--measure", choices=sorted(CENTRALITY_FUNCTIONS), default="betweenness")
-    p.add_argument("--top", type=int, default=10)
-    p.set_defaults(func=_cmd_centrality)
-
     p = sub.add_parser("variants", help="run the Table III algorithm variants")
     _add_input_arguments(p)
     p.add_argument("--s", type=int, default=8)
     p.add_argument("--workers", type=int, default=4)
     p.set_defaults(func=_cmd_variants)
 
-    p = sub.add_parser("query", help="serve one s/metric query from the overlap-index engine")
-    _add_input_arguments(p)
+    p = sub.add_parser(
+        "query",
+        help="rank hyperedges by one s-measure from the overlap-index "
+        "engine (dataset, file or store)",
+    )
+    _add_input_arguments(p).add_argument(
+        "--path",
+        help="warm-serve from this store directory (see 'index build') "
+        "instead of --dataset/--input",
+    )
     p.add_argument("--s", type=int, required=True, help="overlap threshold")
     p.add_argument(
         "--metric", choices=sorted(METRIC_FUNCTIONS), default="connected_components"
     )
-    p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default=BUILD_ALGORITHM)
+    p.add_argument(
+        "--algorithm",
+        choices=sorted(ALGORITHMS),
+        default=BUILD_ALGORITHM,
+        help="index build kernel (a store keeps the index it was built with)",
+    )
     p.add_argument("--top", type=int, default=10)
     p.set_defaults(func=_cmd_query)
 
@@ -1124,20 +998,10 @@ def build_parser() -> argparse.ArgumentParser:
     ip.add_argument("--shards", type=int, default=None, help="reshard during compaction")
     ip.set_defaults(func=_cmd_index_compact)
 
-    ip = isub.add_parser("query", help="warm-serve one s/metric query from a store")
-    ip.add_argument("--path", required=True, help="store directory")
-    ip.add_argument("--s", type=int, required=True, help="overlap threshold")
-    ip.add_argument(
-        "--metric", choices=sorted(METRIC_FUNCTIONS), default="connected_components"
-    )
-    ip.add_argument("--top", type=int, default=10)
-    ip.set_defaults(func=_cmd_index_query)
-
     p = sub.add_parser(
         "serve",
-        help="long-running query/update server over a store — JSONL on "
-        "stdin, or TCP with --listen (single writer + any number of "
-        "--read-only replicas)",
+        help="long-running query/update server over a store on a TCP "
+        "address (single writer + any number of --read-only replicas)",
     )
     p.add_argument("--path", required=True, help="store directory")
     p.add_argument(
@@ -1146,15 +1010,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve as a hot-reloading read replica (no writer lock taken)",
     )
     p.add_argument(
-        "--requests", help="JSONL request file (default: read stdin)"
-    )
-    p.add_argument(
         "--listen",
+        required=True,
         metavar="HOST:PORT",
-        help="serve the length-prefixed JSON protocol on this TCP address "
+        help="serve the length-prefixed frame protocol on this TCP address "
         "(port 0 picks an ephemeral port, printed on the 'listening' line)",
     )
-    _add_listener_arguments(p, "--listen")
+    _add_listener_arguments(p)
     p.add_argument(
         "--max-batch",
         type=int,
@@ -1168,28 +1030,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="background-compact once the WAL holds this many records",
     )
     p.add_argument(
-        "--slow-query-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="record queries slower than this many ms in the stats "
-        "payload's slow-query log",
-    )
-    p.add_argument(
         "--protocol",
         type=int,
         default=None,
         metavar="N",
-        help="with --listen: highest protocol version to negotiate "
-        "(1 pins the JSON-only v1 data plane; default: all supported — "
-        "see docs/PROTOCOL.md)",
+        help="highest protocol version to negotiate (1 pins the JSON-only "
+        "v1 data plane; default: all supported — see docs/PROTOCOL.md)",
     )
     _add_trace_arguments(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
         "connect",
-        help="drive ad-hoc queries against a 'serve --listen' server",
+        help="drive ad-hoc queries against a 'serve' server",
     )
     p.add_argument(
         "--address", required=True, metavar="HOST:PORT", help="server address"
@@ -1246,7 +1099,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.5,
         help="seconds between change-token polls of the peer (with --serve)",
     )
-    _add_listener_arguments(p, "--serve")
+    _add_listener_arguments(p)
     _add_peer_arguments(p)
     p.add_argument(
         "--ready-max-lag",
@@ -1289,8 +1142,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace",
-        help="fetch and render request traces from a 'serve --listen' "
-        "server (enable with serve/replicate --trace-sample-rate)",
+        help="fetch and render request traces from a 'serve' server "
+        "(enable with serve/replicate --trace-sample-rate or --trace-slow-ms)",
     )
     p.add_argument(
         "--address", required=True, metavar="HOST:PORT", help="server address"
@@ -1298,20 +1151,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace-id",
         default=None,
-        help="render only this trace (e.g. from the stats slow-query log)",
+        help="render only this trace (ids head each rendered trace)",
     )
     p.add_argument(
         "--limit", type=int, default=5, help="newest traces to fetch (default 5)"
     )
-    p.add_argument(
-        "--timeout", type=float, default=30.0, help="per-operation socket timeout"
-    )
-    p.add_argument(
-        "--connect-retries",
-        type=int,
-        default=40,
-        help="connection attempts before giving up (busy/refused servers)",
-    )
+    _add_dial_arguments(p)
     p.set_defaults(func=_cmd_trace)
 
     return parser

@@ -80,7 +80,7 @@ def s_line_graph_spgemm_upper(h: Hypergraph, s: int) -> AlgorithmResult:
     """
     s = check_s_value(s)
     H = h.incidence_matrix().astype(np.int64)
-    product = spgemm_upper_triangle(H.T, H, strict=True)
+    product = spgemm_upper_triangle(H.T, H)
     pairs = _pairs_from_upper(product, s)
     counters = WorkerCounters(
         worker_id=0,

@@ -19,8 +19,8 @@ Two knobs, combinable:
 ``slow_ms``
     Always-on-slow: when set, every request is recorded *speculatively*
     and kept only if the root span's duration reaches the threshold (or
-    the coin also came up sampled).  This is what links the slow-query
-    ring to a full breakdown: the slowest requests always have a trace.
+    the coin also came up sampled).  So the slowest requests always
+    have a full breakdown, whatever the sample rate.
 
 A tracer with ``sample_rate == 0`` and ``slow_ms is None`` is *disabled*
 and every entry point degrades to a shared no-op context manager — the
@@ -388,11 +388,6 @@ class Tracer:
         """The thread's active *recording* span, or ``None``."""
         span = getattr(self._local, "span", None)
         return span if isinstance(span, Span) else None
-
-    def current_trace_id(self) -> str:
-        """Trace id of the active recording span, or ``""``."""
-        span = self.current_span()
-        return span.trace_id if span is not None else ""
 
     # -- span creation --------------------------------------------------- #
     def start_request(

@@ -20,10 +20,8 @@ the Stage-3 algorithms use.
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
 from concurrent.futures import Future
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,12 +70,6 @@ class QueryService:
     compaction:
         A :class:`CompactionPolicy` to enable background compaction
         (``None`` — the default — leaves compaction manual).
-    slow_query_ms:
-        When set, queries slower than this many milliseconds are recorded
-        in a bounded in-memory ring exposed as ``stats()["slow_queries"]``
-        (``None`` — the default — disables the log).  Entries carry the
-        request's ``trace_id`` when it was traced, linking the ring to
-        ``repro trace --trace-id``.
     remote_source:
         ``(host, port)`` of a serving peer.  With ``read_only=True`` the
         service serves from a :class:`~repro.service.RemoteReadReplica`
@@ -108,8 +100,6 @@ class QueryService:
         compaction_poll_interval: float = 0.1,
         replica_poll_interval: float = 0.0,
         config: Optional[ParallelConfig] = None,
-        slow_query_ms: Optional[float] = None,
-        slow_query_capacity: int = 128,
         remote_source: Optional[Tuple[str, int]] = None,
         remote_compression: bool = True,
     ) -> None:
@@ -126,13 +116,6 @@ class QueryService:
         # layers below bound at construction time.
         self._registry = get_registry()
         self._tracer = get_tracer()
-        if slow_query_ms is not None and slow_query_ms < 0:
-            raise ValidationError("slow_query_ms must be >= 0")
-        self._slow_query_ms = None if slow_query_ms is None else float(slow_query_ms)
-        self._slow_queries: Deque[Dict[str, object]] = deque(
-            maxlen=max(1, int(slow_query_capacity))
-        )
-        self._slow_lock = threading.Lock()
         self._rw = RWLock()
         self._closed = False
         self._close_lock = threading.Lock()
@@ -259,17 +242,9 @@ class QueryService:
             out["replica_reloads"] = self._replica.reloads
         if self._compactor is not None:
             out["compactions"] = self._compactor.compactions
-        if self._slow_query_ms is not None:
-            out["slow_query_ms"] = self._slow_query_ms
-            out["slow_queries"] = self.slow_queries()
         out["metrics"] = self._registry.snapshot()
         out["tracing"] = self._tracer.stats()
         return out
-
-    def slow_queries(self) -> List[Dict[str, object]]:
-        """Snapshot of the slow-query ring, oldest first (empty when off)."""
-        with self._slow_lock:
-            return [dict(entry) for entry in self._slow_queries]
 
     def admission_stats(self) -> Optional[AdmissionStats]:
         return self._admission.stats() if self._admission is not None else None
@@ -281,43 +256,10 @@ class QueryService:
         """One dispatch rule for every read: the replica serves directly
         (its engine swap is atomic), the writer's engine is read-locked
         so no query overlaps an update batch or compaction."""
-        start = time.perf_counter()
-        try:
-            if self._replica is not None:
-                return getattr(self._replica, method)(*args, **kwargs)
-            with self._rw.read():
-                return getattr(self._engine, method)(*args, **kwargs)
-        finally:
-            if self._slow_query_ms is not None:
-                duration_ms = (time.perf_counter() - start) * 1000.0
-                if duration_ms >= self._slow_query_ms:
-                    self._record_slow(method, args, kwargs, duration_ms)
-
-    def _record_slow(self, method: str, args, kwargs, duration_ms: float) -> None:
-        entry: Dict[str, object] = {
-            "op": method,
-            "duration_ms": round(duration_ms, 3),
-            "timestamp": time.time(),
-            # Links the ring to `repro trace --trace-id` ("" when the
-            # request was not sampled; pair --slow-query-ms with
-            # --trace-slow-ms to guarantee slow queries have traces).
-            "trace_id": self._tracer.current_trace_id(),
-        }
-        if args:
-            first = args[0]
-            if isinstance(first, (int, np.integer)):
-                entry["s"] = int(first)
-        if len(args) > 1 and isinstance(args[1], str):
-            entry["metric"] = args[1]
-        metrics = kwargs.get("metrics")
-        if metrics:
-            entry["metric"] = ",".join(str(m) for m in metrics)
-        try:
-            entry["generation"] = self.generation
-        except (StoreError, OSError):  # pragma: no cover - racing compaction
-            pass
-        with self._slow_lock:
-            self._slow_queries.append(entry)
+        if self._replica is not None:
+            return getattr(self._replica, method)(*args, **kwargs)
+        with self._rw.read():
+            return getattr(self._engine, method)(*args, **kwargs)
 
     def metric(self, s: int, name: str) -> np.ndarray:
         return self._query("metric", s, name)

@@ -461,8 +461,8 @@ class ServiceClient:
     ) -> List[Dict[str, object]]:
         """Finished traces from the server's ring, oldest first.
 
-        ``trace_id`` filters to one trace (e.g. from a slow-query ring
-        entry); ``limit`` keeps the newest N after filtering.
+        ``trace_id`` filters to one trace; ``limit`` keeps the newest N
+        after filtering.
         """
         request: Dict[str, object] = {"op": "trace", "limit": int(limit)}
         if trace_id is not None:

@@ -25,33 +25,40 @@ class TestParser:
         extra_args = {
             "slinegraph": ["--s", "2"],
             "components": ["--s", "2"],
-            "centrality": ["--s", "2"],
             "query": ["--s", "2"],
             "sweep": ["--s-max", "4"],
         }
         for command in (
             "datasets", "stats", "slinegraph", "components",
-            "centrality", "variants", "query", "sweep",
+            "variants", "query", "sweep",
         ):
             args = parser.parse_args([command] + extra_args.get(command, []))
             assert args.command == command
 
     def test_shared_flag_groups_keep_one_default_per_flag(self):
-        """serve/replicate share the listener flags, connect/replicate the
-        peer flags; the selectors of the deleted paths are gone."""
+        """serve/replicate share the listener flags, every command that
+        dials a peer the dial flags; the selectors of the deleted paths
+        are gone."""
         parser = build_parser()
-        serve = parser.parse_args(["serve", "--path", "idx"])
+        serve = parser.parse_args(["serve", "--path", "idx", "--listen", "h:0"])
         connect = parser.parse_args(["connect", "--address", "h:1"])
         replicate = parser.parse_args(["replicate", "--from", "h:1", "--store", "m"])
+        stats = parser.parse_args(["stats", "--address", "h:1"])
+        trace = parser.parse_args(["trace", "--address", "h:1"])
         for args in (serve, replicate):
             assert (args.max_connections, args.workers) == (32, 4)
             assert args.metrics_port is None and args.chaos is False
-        for args in (connect, replicate):
+        for args in (connect, replicate, stats, trace):
             assert (args.timeout, args.connect_retries) == (30.0, 40)
+        for args in (connect, replicate):
             assert args.no_compression is False
         for argv in (
-            ["serve", "--path", "idx", "--materialize"],
-            ["index", "query", "--path", "idx", "--s", "2", "--sharded"],
+            ["serve", "--path", "idx"],
+            ["serve", "--path", "idx", "--listen", "h:0", "--materialize"],
+            ["serve", "--path", "idx", "--listen", "h:0", "--requests", "r"],
+            ["serve", "--path", "idx", "--listen", "h:0", "--slow-query-ms", "5"],
+            ["index", "query", "--path", "idx", "--s", "2"],
+            ["centrality", "--s", "2"],
             ["replicate", "--from", "h:1", "--store", "m", "--protocol", "1"],
         ):
             with pytest.raises(SystemExit):
@@ -101,26 +108,6 @@ class TestCommands:
         assert "s-connected components" in out
         assert "size=3" in out
 
-    def test_centrality(self, hyperedge_file, capsys):
-        assert main(
-            [
-                "centrality",
-                "--input",
-                hyperedge_file,
-                "--s",
-                "1",
-                "--measure",
-                "betweenness",
-                "--top",
-                "2",
-            ]
-        ) == 0
-        assert capsys.readouterr().out == (
-            "top 2 hyperedges by s-betweenness (s=1)\n"
-            "  2\t0.666667\n"
-            "  0\t0.000000\n"
-        )
-
     def test_variants_on_small_dataset(self, capsys):
         assert main(
             [
@@ -159,6 +146,38 @@ class TestCommands:
             "  0\t0.333333\n"
             "  1\t0.333333\n"
         )
+
+    def test_query_ranks_by_betweenness(self, hyperedge_file, capsys):
+        """The ranking the deleted ``centrality`` command printed for
+        ``--measure betweenness --s 1 --top 2``, now from ``query``."""
+        assert main(
+            [
+                "query",
+                "--input",
+                hyperedge_file,
+                "--s",
+                "1",
+                "--metric",
+                "betweenness",
+                "--top",
+                "2",
+            ]
+        ) == 0
+        ranking = capsys.readouterr().out.split("\n", 1)[1]
+        assert ranking == (
+            "top 2 hyperedges by betweenness (s=1)\n"
+            "  2\t0.666667\n"
+            "  0\t0.000000\n"
+        )
+
+    def test_query_takes_one_input(self, hyperedge_file, tmp_path):
+        with pytest.raises(SystemExit, match="one of --dataset, --input or --path"):
+            main(
+                [
+                    "query", "--input", hyperedge_file,
+                    "--path", str(tmp_path), "--s", "2",
+                ]
+            )
 
     def test_query_reports_index_stats(self, hyperedge_file, capsys):
         assert main(["query", "--input", hyperedge_file, "--s", "1"]) == 0
@@ -222,11 +241,13 @@ class TestIndexCommands:
 
     def test_query_warm_serves(self, store_dir, capsys):
         assert main(
-            ["index", "query", "--path", store_dir, "--s", "2", "--metric", "pagerank"]
+            ["query", "--path", store_dir, "--s", "2", "--metric", "pagerank"]
         ) == 0
         banner, ranking = capsys.readouterr().out.split("\n", 1)
-        assert banner.startswith("L_2: 3 edges over 4 active hyperedges (store opened in ")
-        assert banner.endswith("s, 4 pairs, max s = 3)")
+        assert banner == (
+            "L_2: 3 edges over 4 active hyperedges "
+            "(index: 4 weighted pairs, max s = 3)"
+        )
         assert ranking == (
             "top 3 hyperedges by pagerank (s=2)\n"
             "  0\t0.333333\n"
@@ -241,9 +262,9 @@ class TestIndexCommands:
 
 
 class TestIndexErrorPaths:
-    """Failure modes of the ``index`` subcommands (only happy paths were
-    covered before): missing store directory, fingerprint mismatch,
-    corrupt manifest."""
+    """Failure modes of the store-backed subcommands (``index``, ``query
+    --path``): missing store directory, fingerprint mismatch, corrupt
+    manifest."""
 
     @pytest.fixture
     def store_dir(self, hyperedge_file, tmp_path, capsys):
@@ -262,7 +283,7 @@ class TestIndexErrorPaths:
         from repro.store import StoreFormatError
 
         with pytest.raises(StoreFormatError, match="no snapshot manifest"):
-            main(["index", "query", "--path", str(tmp_path / "nowhere"), "--s", "2"])
+            main(["query", "--path", str(tmp_path / "nowhere"), "--s", "2"])
 
     def test_compact_on_missing_store_dir(self, tmp_path):
         from repro.store import StoreFormatError
@@ -283,7 +304,7 @@ class TestIndexErrorPaths:
         other = hypergraph_from_edge_lists([[0, 1], [1, 2, 3]], num_vertices=4)
         save_hypergraph_npz(other, os.path.join(store_dir, HYPERGRAPH_NAME))
         with pytest.raises(StoreError, match="inconsistent"):
-            main(["index", "query", "--path", store_dir, "--s", "2"])
+            main(["query", "--path", store_dir, "--s", "2"])
 
     def test_corrupt_manifest_is_reported(self, store_dir, capsys):
         import os
@@ -313,7 +334,9 @@ class TestIndexErrorPaths:
             main(["index", "info", "--path", store_dir])
 
 
-class TestServeCommand:
+class TestConnectCommand:
+    """``connect`` against an in-process writer / read-only ``SocketServer``."""
+
     @pytest.fixture
     def store_dir(self, hyperedge_file, tmp_path, capsys):
         path = str(tmp_path / "idx")
@@ -321,7 +344,22 @@ class TestServeCommand:
         capsys.readouterr()
         return path
 
-    def test_serve_processes_a_request_file(self, store_dir, tmp_path, capsys):
+    @staticmethod
+    def serving(store_dir, read_only=False):
+        from repro.service import QueryService, SocketServer
+
+        service = QueryService(store_dir, read_only=read_only)
+        return service, SocketServer(service, port=0).start()
+
+    def connect(self, store_dir, argv, read_only=False):
+        service, server = self.serving(store_dir, read_only=read_only)
+        try:
+            return main(["connect", "--address", f"{server.host}:{server.port}", *argv])
+        finally:
+            server.close()
+            service.close()
+
+    def test_connect_proxies_a_request_file(self, store_dir, tmp_path, capsys):
         import json
 
         requests = tmp_path / "requests.jsonl"
@@ -339,24 +377,45 @@ class TestServeCommand:
             )
             + "\n"
         )
-        assert main(["serve", "--path", store_dir, "--requests", str(requests)]) == 0
+        assert self.connect(store_dir, ["--requests", str(requests)]) == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-        assert lines[0]["op"] == "ready" and not lines[0]["read_only"]
-        assert lines[1]["values"]  # metric response
-        assert lines[2]["edge_id"] == 4
-        assert lines[3]["flushed"]
-        assert lines[4]["count"] >= 1
-        assert not lines[5]["ok"] and "bad JSON" in lines[5]["error"]
-        assert lines[-1] == {"ok": True, "op": "stopped", "served": 4}
+        assert len(lines) == 5
+        assert lines[0]["values"]  # metric response
+        assert lines[1]["edge_id"] == 4
+        assert lines[2]["flushed"]
+        assert lines[3]["count"] >= 1
+        assert not lines[4]["ok"] and "bad JSON" in lines[4]["error"]
 
-    def test_serve_read_only_rejects_updates(self, store_dir, tmp_path, capsys):
+    def test_connect_read_only_server_rejects_updates(
+        self, store_dir, tmp_path, capsys
+    ):
         import json
 
         requests = tmp_path / "requests.jsonl"
         requests.write_text(json.dumps({"op": "add", "members": [0, 1]}) + "\n")
-        assert main(
-            ["serve", "--path", store_dir, "--read-only", "--requests", str(requests)]
+        assert self.connect(
+            store_dir, ["--requests", str(requests)], read_only=True
         ) == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-        assert lines[0]["read_only"]
-        assert not lines[1]["ok"] and "read-only" in lines[1]["error"]
+        assert len(lines) == 1
+        assert not lines[0]["ok"] and "read-only" in lines[0]["error"]
+
+    def test_connect_one_shot_metric(self, store_dir, capsys):
+        service, server = self.serving(store_dir)
+        address = f"{server.host}:{server.port}"
+        try:
+            assert main(
+                [
+                    "connect", "--address", address,
+                    "--s", "2", "--metric", "pagerank", "--top", "2",
+                ]
+            ) == 0
+        finally:
+            server.close()
+            service.close()
+        assert capsys.readouterr().out == (
+            f"3 hyperedges in E_2 served by {address} (writer, generation 0)\n"
+            "top 2 hyperedges by pagerank (s=2)\n"
+            "  0\t0.333333\n"
+            "  1\t0.333333\n"
+        )

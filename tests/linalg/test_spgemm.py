@@ -46,17 +46,27 @@ class TestSpGEMM:
 
 
 class TestUpperTriangle:
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_matches_full_product_upper_part(self, paper_example, strict):
+    def test_matches_full_product_upper_part(self, paper_example):
         H = paper_example.incidence_matrix().astype(np.int64)
         full = (H.T @ H).toarray()
-        ours = spgemm_upper_triangle(H.T, H, strict=strict).toarray()
-        k = 1 if strict else 0
-        expected = np.triu(full, k=k)
-        assert np.array_equal(ours, expected)
+        ours = spgemm_upper_triangle(H.T, H).toarray()
+        assert np.array_equal(ours, np.triu(full, k=1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_is_the_full_kernel_above_the_diagonal(self, seed):
+        """Both kernels run one row loop: the upper arm's CSR arrays are the
+        full arm's with every entry on or below the diagonal dropped."""
+        H = random_sparse(10, 9, 0.35, seed)
+        full = spgemm_gustavson(H.T, H)
+        upper = spgemm_upper_triangle(H.T, H)
+        expected = sparse.triu(full, k=1, format="csr").sorted_indices()
+        assert np.array_equal(upper.indptr, expected.indptr)
+        assert np.array_equal(upper.indices, expected.indices)
+        assert np.array_equal(upper.data, expected.data)
+        assert upper.data.dtype == full.data.dtype == np.int64
 
     def test_halves_the_stored_entries(self, community_hypergraph):
         H = community_hypergraph.incidence_matrix().astype(np.int64)
         full = spgemm_gustavson(H.T, H)
-        upper = spgemm_upper_triangle(H.T, H, strict=True)
+        upper = spgemm_upper_triangle(H.T, H)
         assert upper.nnz < full.nnz

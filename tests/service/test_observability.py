@@ -1,5 +1,5 @@
-"""Observability across the serving stack: stats superset, slow-query log,
-the ``metrics`` op, and replica-lag tracking."""
+"""Observability across the serving stack: stats superset, the ``repro
+stats --address`` rows, the ``metrics`` op, and replica-lag tracking."""
 
 import time
 
@@ -78,6 +78,11 @@ class TestStatsPayload:
         for key in ("retained", "invalidated", "patched"):
             assert f"engine.{key}_entries" in out
         assert "engine.delta_fallbacks" in out
+        # The payload is printed as received: the socket front end's
+        # transport section included.
+        rows = dict(line.split(None, 1) for line in out.splitlines())
+        assert rows["transport.negotiated"] == "2"
+        assert "transport.connections.by_protocol.2" in rows
 
     def test_engine_cache_counters_feed_the_registry(self, store_path, registry):
         with QueryService(store_path) as svc:
@@ -85,57 +90,6 @@ class TestStatsPayload:
             svc.metric(2, "connected_components")
         hits = registry.get("repro_cache_hits_total")
         assert hits.labels(cache="engine").value >= 1
-
-
-class TestSlowQueryLog:
-    def test_disabled_by_default(self, store_path, registry):
-        with QueryService(store_path) as svc:
-            svc.metric(2, "connected_components")
-            stats = svc.stats()
-        assert "slow_queries" not in stats
-
-    def test_slow_queries_are_recorded_with_context(self, store_path, registry):
-        with QueryService(store_path, slow_query_ms=0.0) as svc:
-            svc.metric(3, "pagerank")
-            stats = svc.stats()
-        assert stats["slow_query_ms"] == 0.0
-        entries = stats["slow_queries"]
-        assert entries
-        entry = entries[-1]
-        assert entry["s"] == 3
-        assert entry["metric"] == "pagerank"
-        assert entry["duration_ms"] >= 0
-        assert entry["generation"] == 0
-        assert "timestamp" in entry
-
-    @pytest.mark.parametrize("columns", [False, True])
-    def test_wire_metric_requests_keep_their_metric_name(
-        self, store_path, registry, columns
-    ):
-        request = {"op": "metric", "s": 3, "metric": "pagerank", "columns": columns}
-        with QueryService(store_path, slow_query_ms=0.0) as svc:
-            assert svc.execute(request)["ok"]
-            entry = svc.stats()["slow_queries"][-1]
-        assert entry["op"] == "metric_columns"
-        assert entry["s"] == 3
-        assert entry["metric"] == "pagerank"
-        assert entry["generation"] == 0
-
-    def test_fast_queries_stay_out(self, store_path, registry):
-        with QueryService(store_path, slow_query_ms=60_000.0) as svc:
-            svc.metric(2, "connected_components")
-            assert svc.stats()["slow_queries"] == []
-
-    def test_ring_is_bounded(self, store_path, registry):
-        with QueryService(
-            store_path, slow_query_ms=0.0, slow_query_capacity=4
-        ) as svc:
-            for s in range(1, 9):
-                svc.num_components(s)
-            entries = svc.stats()["slow_queries"]
-        assert len(entries) == 4
-        # Oldest entries fell off: the survivors are the most recent.
-        assert [e["s"] for e in entries] == [5, 6, 7, 8]
 
 
 class TestMetricsOp:

@@ -4,9 +4,8 @@ Covers the per-tier spans (server, admission wait, WAL fsync, engine,
 replica sync check), wire-context propagation — including both
 backward-compatibility directions: a pre-tracing client frame against a
 tracing server, and a tracing client against a handler that strips the
-field — the ``trace`` op / ``repro trace`` CLI, the slow-query ring's
-``trace_id`` link, and the end-to-end chained-replica trace the feature
-exists for.
+field — the ``trace`` op / ``repro trace`` CLI, slow-only retention, and
+the end-to-end chained-replica trace the feature exists for.
 """
 
 import json
@@ -232,23 +231,121 @@ class TestChainedReplicaTrace:
         assert poll["parent_id"] == spans_by_name(trace)["client.stats"]["span_id"]
 
 
-class TestSlowQueryLink:
-    def test_slow_entries_carry_the_trace_id(self, store_path, registry, tracer):
-        with QueryService(store_path, slow_query_ms=0.0) as svc:
+class TestSlowOnlyTracing:
+    def test_slow_requests_keep_a_trace_with_their_context(
+        self, store_path, registry
+    ):
+        """``--trace-slow-ms`` alone (no sampling) keeps every request over
+        the threshold with its op, the engine span's s / metric, and a
+        trace id that resolves to it."""
+        with use_tracer(Tracer(slow_ms=0.0)):
+            with QueryService(store_path) as svc:
+                with SocketServer(svc) as server:
+                    with ServiceClient(*server.address) as client:
+                        client.call({"op": "metric", "s": 3, "metric": "pagerank"})
+                        trace = next(
+                            t
+                            for t in client.traces(limit=50)
+                            if t["root"] == "server.metric"
+                        )
+                        linked = client.traces(trace_id=trace["trace_id"])
+                        tracing = client.stats()["tracing"]
+        assert trace["slow"] and not trace["sampled"]
+        assert tracing["kept_slow"] >= 1 and tracing["sample_rate"] == 0.0
+        assert [t["trace_id"] for t in linked] == [trace["trace_id"]]
+        names = spans_by_name(trace)
+        assert names["server.metric"]["attributes"]["op"] == "metric"
+        engine = names["engine.metric"]["attributes"]
+        assert (engine["s"], engine["metric"]) == (3, "pagerank")
+
+    def test_disabled_by_default(self, store_path, registry):
+        with QueryService(store_path) as svc:
             with SocketServer(svc) as server:
                 with ServiceClient(*server.address) as client:
                     client.metric(2, "connected_components")
                     stats = client.stats()
-                    entry = stats["slow_queries"][-1]
-                    linked = client.traces(trace_id=entry["trace_id"])
-        assert entry["trace_id"]
-        assert linked and linked[0]["root"] == "server.metric"
+                    traces = client.traces()
+        assert traces == []
+        assert stats["tracing"]["enabled"] is False
+        assert stats["tracing"]["kept"] == stats["tracing"]["kept_slow"] == 0
+        assert "slow_queries" not in stats
 
-    def test_unsampled_requests_leave_the_id_empty(self, store_path, registry):
-        with QueryService(store_path, slow_query_ms=0.0) as svc:
-            svc.metric(2, "connected_components")
-            entry = svc.stats()["slow_queries"][-1]
-        assert entry["trace_id"] == ""
+    def test_fast_requests_stay_out(self, store_path, registry):
+        tracer = Tracer(slow_ms=60_000.0)
+        with use_tracer(tracer):
+            with QueryService(store_path) as svc:
+                with SocketServer(svc) as server:
+                    with ServiceClient(*server.address) as client:
+                        client.metric(2, "connected_components")
+        stats = tracer.stats()
+        assert tracer.finished_traces(limit=None) == []
+        assert stats["kept_slow"] == stats["kept"] == 0
+        assert stats["discarded"] >= 1
+
+    @pytest.mark.parametrize("columns", [False, True])
+    def test_wire_metric_requests_keep_their_metric_name(
+        self, store_path, registry, columns
+    ):
+        tracer = Tracer(slow_ms=0.0)
+        request = {"op": "metric", "s": 3, "metric": "pagerank", "columns": columns}
+        with use_tracer(tracer):
+            with QueryService(store_path) as svc:
+                with SocketServer(svc) as server:
+                    with ServiceClient(*server.address) as client:
+                        assert client.call(request)["ok"]
+        trace = next(
+            t
+            for t in tracer.finished_traces(limit=None)
+            if t["root"] == "server.metric"
+        )
+        assert trace["slow"]
+        engine = spans_by_name(trace)["engine.metric"]["attributes"]
+        assert (engine["s"], engine["metric"]) == (3, "pagerank")
+
+    def test_slow_keeps_are_bounded_newest_first_out(self, store_path, registry):
+        tracer = Tracer(slow_ms=0.0, buffer_capacity=4)
+        with use_tracer(tracer):
+            with QueryService(store_path) as svc:
+                with SocketServer(svc) as server:
+                    with ServiceClient(*server.address) as client:
+                        for s in range(1, 9):
+                            client.call(
+                                {"op": "metric", "s": s, "metric": "pagerank"}
+                            )
+        kept = tracer.finished_traces(limit=None)
+        assert len(kept) == 4
+        # Oldest keeps fell off: the survivors are the most recent.
+        assert [
+            spans_by_name(t)["engine.metric"]["attributes"]["s"] for t in kept
+        ] == [5, 6, 7, 8]
+        assert tracer.stats()["kept_slow"] >= 8
+
+    def test_sampled_requests_are_kept_without_being_slow(
+        self, store_path, registry
+    ):
+        tracer = Tracer(sample_rate=1.0, slow_ms=60_000.0)
+        with use_tracer(tracer):
+            with QueryService(store_path) as svc:
+                with SocketServer(svc) as server:
+                    with ServiceClient(*server.address) as client:
+                        client.metric(2, "connected_components")
+        trace = next(
+            t
+            for t in tracer.finished_traces(limit=None)
+            if t["root"] == "server.metric"
+        )
+        assert trace["sampled"] and not trace["slow"]
+        assert tracer.stats()["kept_slow"] == 0
+
+    def test_in_process_calls_leave_no_trace(self, store_path, registry):
+        """The server span is the sampling point: a direct ``QueryService``
+        call under a slow-only tracer records nothing."""
+        tracer = Tracer(slow_ms=0.0)
+        with use_tracer(tracer):
+            with QueryService(store_path) as svc:
+                svc.metric(2, "connected_components")
+        assert tracer.finished_traces(limit=None) == []
+        assert tracer.stats()["requests"] == tracer.stats()["spans"] == 0
 
 
 class TestTraceCLI:
@@ -283,20 +380,21 @@ class TestTraceCLI:
                 ) == 1
         assert "no finished traces" in capsys.readouterr().out
 
-    def test_stats_command_prints_tracing_rows_and_slow_link(
+    def test_stats_command_prints_tracing_rows(
         self, store_path, registry, tracer, capsys
     ):
-        with QueryService(store_path, slow_query_ms=0.0) as svc:
+        with QueryService(store_path) as svc:
             with SocketServer(svc) as server:
                 with ServiceClient(*server.address) as client:
                     client.metric(2, "connected_components")
-                    trace_id = client.stats()["slow_queries"][-1]["trace_id"]
                 assert main(
                     ["stats", "--address", f"{server.host}:{server.port}"]
                 ) == 0
-        out = capsys.readouterr().out
-        assert "tracing.sample_rate" in out
-        assert f"trace_id={trace_id}" in out
+        rows = dict(
+            line.split(None, 1) for line in capsys.readouterr().out.splitlines()
+        )
+        assert rows["tracing.sample_rate"] == "1.0"
+        assert int(rows["tracing.kept"]) >= 1
 
 
 class TestStructuredLogs:

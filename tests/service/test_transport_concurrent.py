@@ -3,20 +3,27 @@
 A writer :class:`SocketServer` (in-process, so the test can consult the
 writer's hypergraph for the oracle) plus a ``python -m repro serve
 --read-only --listen`` replica server subprocess share one store; remote
-reader clients in separate OS processes drive centrality and component
-queries over TCP.  Every served value must be byte-identical (JSON text)
-to the :class:`repro.core.pipeline.SLinePipeline` oracle on the writer's
-current hypergraph — across batched updates and a compaction-triggered
-hot reload.
+reader clients in separate OS processes drive centrality, component and
+sweep queries over TCP.  Every served value must be byte-identical (JSON
+text) to the :class:`repro.core.pipeline.SLinePipeline` oracle on the
+writer's current hypergraph — across batched updates and a
+compaction-triggered hot reload — and every sweep must equal the
+writer's own.
 """
 
 import json
 import multiprocessing as mp
+import subprocess
 import sys
 
 import pytest
 
-from repro.chaos.harness import ManagedProcess, oracle_values_json, wait_until
+from repro.chaos.harness import (
+    ManagedProcess,
+    harness_env,
+    oracle_values_json,
+    wait_until,
+)
 from repro.core.pipeline import SLinePipeline
 from repro.service import (
     QueryService,
@@ -67,6 +74,7 @@ def reader_process(address, phases, results):
                     response["values"], sort_keys=True
                 )
             answers["components/2"] = client.components(2)
+            answers["sweep/1..3"] = client.sweep(s_min=1, s_max=3)["edge_counts"]
             results.put((phase, answers, client.generation()))
 
 
@@ -102,6 +110,7 @@ class TestRemoteServingAcceptance:
                 "components/2": SLinePipeline(
                     metrics=("connected_components",)
                 ).run(h, 2).num_components(),
+                "sweep/1..3": writer.sweep(range(1, 4)).edge_counts,
             }
             for queue in phases:
                 queue.put(name)
@@ -149,7 +158,8 @@ class TestRemoteServingAcceptance:
                     proc.terminate()
 
     def test_writer_cli_server_locks_out_a_second_writer(self, store_path):
-        """A serve --listen writer subprocess holds the single-writer lock."""
+        """A serve --listen writer subprocess holds the single-writer lock:
+        neither an in-process writer nor a second serve subprocess gets it."""
         proc = ManagedProcess(
             [
                 sys.executable, "-m", "repro", "serve", "--path", store_path,
@@ -162,6 +172,18 @@ class TestRemoteServingAcceptance:
             assert not listening["read_only"]
             with pytest.raises(StoreLockHeldError):
                 QueryService(store_path)
+            second = subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "serve", "--path", store_path,
+                    "--listen", "127.0.0.1:0",
+                ],
+                env=harness_env(),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert second.returncode != 0
+            assert "StoreLockHeldError" in second.stderr
             # And the socket actually serves.
             with ServiceClient("127.0.0.1", listening["port"]) as client:
                 assert client.components(1) >= 0
