@@ -65,7 +65,6 @@ from repro.smetrics import (
     s_diameter,
     s_pagerank,
     s_normalized_algebraic_connectivity,
-    connectivity_profile,
 )
 from repro.generators import load_dataset, available_datasets
 
@@ -111,7 +110,6 @@ __all__ = [
     "s_diameter",
     "s_pagerank",
     "s_normalized_algebraic_connectivity",
-    "connectivity_profile",
     "load_dataset",
     "available_datasets",
     "__version__",

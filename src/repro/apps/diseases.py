@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+from repro.core.pipeline import METRIC_FUNCTIONS
 from repro.generators.datasets import disgenet_surrogate
-from repro.graph.pagerank import pagerank, score_percentiles
+from repro.graph.pagerank import score_percentiles
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.smetrics.base import line_graph_and_mapping
 
@@ -61,7 +62,6 @@ def rank_diseases(
     hypergraph: Optional[Hypergraph] = None,
     s_values: Sequence[int] = (1, 10, 100),
     top_k: int = 5,
-    damping: float = 0.85,
     seed: int = 0,
 ) -> DiseaseRankingResult:
     """Run the Table II analysis on a disease–gene hypergraph.
@@ -75,8 +75,6 @@ def rank_diseases(
         Clique-expansion thresholds (the paper uses 1, 10, 100).
     top_k:
         How many top diseases to tabulate per threshold.
-    damping:
-        PageRank damping factor.
     seed:
         Seed for the surrogate dataset when ``hypergraph`` is omitted.
     """
@@ -84,13 +82,13 @@ def rank_diseases(
     dual = h.dual()  # hyperedges of the dual = diseases
     result = DiseaseRankingResult(s_values=sorted(set(int(s) for s in s_values)))
     for s in result.s_values:
-        graph, mapping, line_graph = line_graph_and_mapping(dual, s, algorithm="hashmap")
+        graph, mapping, line_graph = line_graph_and_mapping(dual, s)
         result.edge_counts[s] = line_graph.num_edges
         if graph.num_vertices == 0:
             result.top_ranked[s] = []
             result.full_rankings[s] = {}
             continue
-        scores = pagerank(graph, damping=damping)
+        scores = METRIC_FUNCTIONS["pagerank"](graph)
         percentiles = score_percentiles(scores)
         order = np.argsort(-scores, kind="stable")
         names_in_order = [

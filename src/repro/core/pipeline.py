@@ -103,13 +103,11 @@ class PipelineResult:
         return component_count(self.metrics)
 
     def metric_by_hyperedge(self, metric: str) -> Dict[int, float]:
-        """Map a squeezed-graph metric back to original hyperedge IDs."""
+        """Map a squeezed-graph metric back to original hyperedge IDs (a
+        computed metric implies ``squeeze=True``, so the mapping exists)."""
         if metric not in self.metrics:
             raise KeyError(f"metric {metric!r} was not computed")
-        values = self.metrics[metric]
-        if self.squeeze_mapping is None:
-            return {int(i): float(v) for i, v in enumerate(values)}
-        return self.squeeze_mapping.by_hyperedge(values)
+        return self.squeeze_mapping.by_hyperedge(self.metrics[metric])
 
 
 class SLinePipeline:

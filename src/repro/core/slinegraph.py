@@ -235,16 +235,11 @@ class SLineGraph:
     # ------------------------------------------------------------------ #
     # Stage-4 squeezing and graph conversion
     # ------------------------------------------------------------------ #
-    def squeeze(self, include_isolated: bool = False) -> Tuple["SLineGraph", SqueezeResult]:
+    def squeeze(self) -> Tuple["SLineGraph", SqueezeResult]:
         """Remap the vertex IDs to a contiguous range (Stage 4 of the framework).
 
-        Parameters
-        ----------
-        include_isolated:
-            When True, hyperedges in ``active_vertices`` that have no
-            incident edges are retained as isolated vertices of the squeezed
-            graph; otherwise only edge endpoints are kept (the paper's
-            default, since hypersparse rows are dropped).
+        Only edge endpoints are kept: hyperedges with no incident edges are
+        dropped, as the paper drops hypersparse rows.
 
         Returns
         -------
@@ -256,8 +251,6 @@ class SLineGraph:
         # its set positions are ``new_to_old`` and its prefix sum relabels.
         present = np.zeros(self.num_hyperedges, dtype=bool)
         present[self.edges] = True
-        if include_isolated and self.active_vertices is not None:
-            present[self.active_vertices] = True
         mapping = SqueezeResult(new_to_old=np.flatnonzero(present))
         old_to_new = np.cumsum(present, dtype=np.int64) - 1
         # A strictly increasing relabel keeps unique, pair-sorted ``i < j``

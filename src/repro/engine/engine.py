@@ -447,9 +447,6 @@ class QueryEngine:
                 lambda graph: (graph.edges, graph.weights, graph.active_vertices),
             )
 
-    #: ``extract(s)`` is the service-facing name for a threshold view.
-    extract = line_graph
-
     def squeezed_graph(self, s: int) -> Tuple[Graph, SqueezeResult]:
         """Stage-4 view of ``L_s``: the squeezed CSR graph plus ID mapping.
 

@@ -15,20 +15,12 @@ import numpy as np
 from repro.graph.graph import Graph
 
 
-def betweenness_centrality(
-    graph: Graph, normalized: bool = True, endpoints: bool = False
-) -> np.ndarray:
-    """Betweenness centrality of every vertex (Brandes' algorithm).
+def betweenness_centrality(graph: Graph) -> np.ndarray:
+    """Normalized betweenness centrality of every vertex (Brandes' algorithm).
 
-    Parameters
-    ----------
-    graph:
-        Undirected CSR graph (edge weights are ignored; hops count as 1).
-    normalized:
-        Divide by the number of vertex pairs ``(n−1)(n−2)/2`` (undirected),
-        matching :func:`networkx.betweenness_centrality`.
-    endpoints:
-        Include path endpoints in the count (networkx-compatible option).
+    Edge weights are ignored (hops count as 1) and the scores are divided by
+    the number of vertex pairs ``(n−1)(n−2)/2``, matching
+    :func:`networkx.betweenness_centrality`.
     """
     n = graph.num_vertices
     centrality = np.zeros(n, dtype=np.float64)
@@ -60,16 +52,7 @@ def betweenness_centrality(
                 delta[u] += (sigma[u] / sigma[v]) * (1.0 + delta[v])
             if v != source:
                 centrality[v] += delta[v]
-        if endpoints:
-            reached = np.count_nonzero(dist >= 0) - 1
-            centrality[source] += reached
-            centrality[dist >= 1] += 1.0
     # Each undirected pair was counted from both endpoints.
     centrality /= 2.0
-    if normalized:
-        if endpoints:
-            scale = 2.0 / (n * (n - 1)) if n > 1 else 1.0
-        else:
-            scale = 2.0 / ((n - 1) * (n - 2)) if n > 2 else 1.0
-        centrality *= scale
+    centrality *= 2.0 / ((n - 1) * (n - 2)) if n > 2 else 1.0
     return centrality

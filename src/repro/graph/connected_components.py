@@ -25,22 +25,20 @@ def connected_components(graph: Graph) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def label_propagation_components(graph: Graph, max_rounds: int = 0) -> np.ndarray:
+def label_propagation_components(graph: Graph) -> np.ndarray:
     """Connected components by iterative minimum-label propagation (LPCC).
 
     Every vertex starts with its own ID as label; in each round every vertex
     adopts the minimum label in its closed neighbourhood; iteration stops
     when no label changes.  Labels are then compacted to 0-based component
-    IDs.  ``max_rounds=0`` means "until convergence".
+    IDs.
     """
     labels = np.arange(graph.num_vertices, dtype=np.int64)
     if graph.num_vertices == 0:
         return labels
-    rounds = 0
     changed = True
-    while changed and (max_rounds == 0 or rounds < max_rounds):
+    while changed:
         changed = False
-        rounds += 1
         # Gather the minimum neighbour label per vertex (vectorised gather/scatter).
         new_labels = labels.copy()
         for u in range(graph.num_vertices):

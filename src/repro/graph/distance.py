@@ -9,27 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.bfs import UNREACHABLE, bfs_distances
+from repro.graph.bfs import bfs_distances
 from repro.graph.graph import Graph
 
 
-def eccentricity(graph: Graph, within_component: bool = True) -> np.ndarray:
-    """Eccentricity of every vertex.
+def eccentricity(graph: Graph) -> np.ndarray:
+    """Eccentricity of every vertex within its connected component.
 
-    With ``within_component=True`` (default) unreachable pairs are ignored,
-    so the eccentricity of a vertex is taken within its connected component
-    (the convention the paper uses when reporting per-component s-measures).
-    Isolated vertices get eccentricity 0.
+    Unreachable pairs are ignored (the convention the paper uses when
+    reporting per-component s-measures); isolated vertices get 0.
     """
     n = graph.num_vertices
     out = np.zeros(n, dtype=np.int64)
     for source in range(n):
-        dist = bfs_distances(graph, source)
-        reachable = dist[dist >= 0]
-        if not within_component and np.any(dist == UNREACHABLE):
-            out[source] = np.iinfo(np.int64).max
-        else:
-            out[source] = int(reachable.max()) if reachable.size else 0
+        # Unreachable vertices sit at −1, below the source's own 0.
+        out[source] = int(bfs_distances(graph, source).max())
     return out
 
 
@@ -40,11 +34,11 @@ def diameter(graph: Graph) -> int:
     return int(eccentricity(graph).max())
 
 
-def closeness_centrality(graph: Graph, wf_improved: bool = True) -> np.ndarray:
+def closeness_centrality(graph: Graph) -> np.ndarray:
     """Closeness centrality of every vertex (networkx-compatible).
 
-    ``wf_improved`` applies the Wasserman–Faust correction for disconnected
-    graphs: the score is scaled by the fraction of vertices reachable.
+    The Wasserman–Faust correction for disconnected graphs applies: the
+    score is scaled by the fraction of vertices reachable.
     """
     n = graph.num_vertices
     out = np.zeros(n, dtype=np.float64)
@@ -53,9 +47,6 @@ def closeness_centrality(graph: Graph, wf_improved: bool = True) -> np.ndarray:
         reachable = dist > 0
         total = float(dist[reachable].sum())
         count = int(np.count_nonzero(reachable))
-        if total > 0:
-            score = count / total
-            if wf_improved and n > 1:
-                score *= count / (n - 1)
-            out[source] = score
+        if total > 0:  # so some other vertex is reachable and n > 1
+            out[source] = (count / total) * (count / (n - 1))
     return out

@@ -8,45 +8,29 @@ the (much sparser) high-order expansions.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.utils.validation import ValidationError
+
+#: Teleportation damping factor (the paper's and networkx's default).
+DAMPING = 0.85
+#: L1 convergence tolerance between successive power iterations.
+TOLERANCE = 1e-10
+#: Iteration cap; a :class:`RuntimeError` is raised when not converged.
+MAX_ITERATIONS = 200
 
 
-def pagerank(
-    graph: Graph,
-    damping: float = 0.85,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    weighted: bool = False,
-    personalization: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def pagerank(graph: Graph) -> np.ndarray:
     """PageRank scores of every vertex (sums to 1).
 
-    Parameters
-    ----------
-    graph:
-        Undirected CSR graph; each undirected edge acts as two directed edges.
-    damping:
-        Teleportation damping factor in ``(0, 1)``.
-    tol:
-        L1 convergence tolerance between successive iterations.
-    max_iter:
-        Iteration cap; a :class:`RuntimeError` is raised when not converged.
-    weighted:
-        When True transition probabilities are proportional to edge weights.
-    personalization:
-        Optional restart distribution (normalised internally).
+    Each undirected edge of ``graph`` acts as two directed edges, edge
+    weights are ignored, the restart distribution is uniform and the
+    damping factor is :data:`DAMPING`.
     """
-    if not 0.0 < damping < 1.0:
-        raise ValidationError("damping must be in (0, 1)")
     n = graph.num_vertices
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    adjacency = graph.adjacency_matrix(weighted=weighted)
+    adjacency = graph.adjacency_matrix(weighted=False)
     out_weight = np.asarray(adjacency.sum(axis=1)).ravel()
     dangling = out_weight == 0
     inv_out = np.zeros(n, dtype=np.float64)
@@ -54,29 +38,19 @@ def pagerank(
     # Row-stochastic transition matrix (transposed application below).
     transition = adjacency.multiply(inv_out[:, None]).tocsr()
 
-    if personalization is None:
-        restart = np.full(n, 1.0 / n, dtype=np.float64)
-    else:
-        restart = np.asarray(personalization, dtype=np.float64)
-        if restart.size != n:
-            raise ValidationError("personalization must have one entry per vertex")
-        total = restart.sum()
-        if total <= 0:
-            raise ValidationError("personalization must have positive mass")
-        restart = restart / total
-
-    rank = np.full(n, 1.0 / n, dtype=np.float64)
-    for _ in range(max_iter):
+    restart = np.full(n, 1.0 / n, dtype=np.float64)
+    rank = restart.copy()
+    for _ in range(MAX_ITERATIONS):
         dangling_mass = rank[dangling].sum()
         new_rank = (
-            damping * (transition.T @ rank + dangling_mass * restart)
-            + (1.0 - damping) * restart
+            DAMPING * (transition.T @ rank + dangling_mass * restart)
+            + (1.0 - DAMPING) * restart
         )
         err = np.abs(new_rank - rank).sum()
         rank = new_rank
-        if err < tol:
+        if err < TOLERANCE:
             return rank / rank.sum()
-    raise RuntimeError(f"PageRank did not converge within {max_iter} iterations")
+    raise RuntimeError(f"PageRank did not converge within {MAX_ITERATIONS} iterations")
 
 
 def score_percentiles(scores: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from repro.linalg.spgemm import spgemm_gustavson, spgemm_upper_triangle, spgemm_
 from repro.linalg.laplacian import (
     laplacian_matrix,
     normalized_laplacian,
-    algebraic_connectivity,
     normalized_algebraic_connectivity,
 )
 from repro.linalg.spectral import smallest_eigenvalues, fiedler_value
@@ -24,7 +23,6 @@ __all__ = [
     "spgemm_scipy",
     "laplacian_matrix",
     "normalized_laplacian",
-    "algebraic_connectivity",
     "normalized_algebraic_connectivity",
     "smallest_eigenvalues",
     "fiedler_value",

@@ -49,15 +49,6 @@ def normalized_laplacian(adjacency: sparse.spmatrix) -> sparse.csr_matrix:
     return (sparse.identity(n, format="csr") - d_inv_sqrt @ adj @ d_inv_sqrt).tocsr()
 
 
-def algebraic_connectivity(adjacency: sparse.spmatrix) -> float:
-    """Second-smallest eigenvalue of the combinatorial Laplacian (Fiedler value)."""
-    lap = laplacian_matrix(adjacency)
-    if lap.shape[0] < 2:
-        return 0.0
-    eigs = smallest_eigenvalues(lap, k=2)
-    return float(eigs[1])
-
-
 def normalized_algebraic_connectivity(adjacency: sparse.spmatrix) -> float:
     """Second-smallest eigenvalue of the normalized Laplacian.
 

@@ -220,9 +220,6 @@ class ReadReplica:
     def line_graph(self, s: int):
         return self._serve("line_graph", s)
 
-    #: ``extract(s)`` is the service-facing name for a threshold view.
-    extract = line_graph
-
     def metric(self, s: int, name: str) -> np.ndarray:
         return self._serve("metric", s, name)
 
@@ -231,9 +228,6 @@ class ReadReplica:
 
     def metric_by_hyperedge(self, s: int, name: str) -> Dict[int, float]:
         return self._serve("metric_by_hyperedge", s, name)
-
-    def metrics(self, s: int, names: Sequence[str]) -> Dict[str, np.ndarray]:
-        return self._serve("metrics", s, names)
 
     def sweep(self, s_values: Iterable[int], metrics: Sequence[str] = ()) -> SweepResult:
         # Materialised (a retry re-reads it), but only up to the engine's bound.

@@ -273,9 +273,6 @@ class QueryService:
     def line_graph(self, s: int):
         return self._query("line_graph", s)
 
-    #: ``extract(s)`` is the service-facing name for a threshold view.
-    extract = line_graph
-
     def sweep(self, s_values: Iterable[int], metrics: Sequence[str] = ()) -> SweepResult:
         return self._query("sweep", s_values, metrics=metrics)
 

@@ -4,8 +4,9 @@ Aksoy et al. define hypergraph analogues of classical graph measures in
 terms of s-walks; all of them reduce to ordinary graph measures on the
 s-line graph (Section II-B of the paper).  This subpackage provides the
 user-facing functions that take a hypergraph and an ``s`` value, build the
-s-line graph internally and report the measure keyed by the original
-hyperedge IDs.
+s-line graph internally (or reuse the one passed as ``line_graph``, which is
+how a caller picks the Stage-3 kernel) and report the measure keyed by the
+original hyperedge IDs.
 """
 
 from repro.smetrics.connected import (
@@ -20,11 +21,7 @@ from repro.smetrics.centrality import (
     s_pagerank,
 )
 from repro.smetrics.distance import s_distance, s_diameter
-from repro.smetrics.spectral import (
-    s_normalized_algebraic_connectivity,
-    s_algebraic_connectivity,
-    connectivity_profile,
-)
+from repro.smetrics.spectral import s_normalized_algebraic_connectivity
 from repro.smetrics.walks import (
     is_s_walk,
     is_s_path,
@@ -47,6 +44,4 @@ __all__ = [
     "s_distance",
     "s_diameter",
     "s_normalized_algebraic_connectivity",
-    "s_algebraic_connectivity",
-    "connectivity_profile",
 ]

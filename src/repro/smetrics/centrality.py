@@ -8,10 +8,10 @@ and s-PageRank.
 
 All functions return ``{original hyperedge ID: score}`` restricted to the
 hyperedges that participate in the s-line graph, and compute it from
-scratch on every call.  The same dict, at default parameters, is served
-from a cached overlap index by ``QueryEngine.metric_by_hyperedge(s, name)``
-or, over the wire, by ``ServiceClient.metric(s, name)`` (``name`` a key of
-:data:`~repro.core.pipeline.METRIC_FUNCTIONS`).
+scratch on every call with the kernel of
+:data:`~repro.core.pipeline.METRIC_FUNCTIONS` that
+``QueryEngine.metric_by_hyperedge(s, name)`` and
+``ServiceClient.metric(s, name)`` serve from a cached overlap index.
 """
 
 from __future__ import annotations
@@ -19,24 +19,14 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.slinegraph import SLineGraph
-from repro.graph.betweenness import betweenness_centrality
-from repro.graph.distance import closeness_centrality, eccentricity
-from repro.graph.pagerank import pagerank
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.parallel.executor import ParallelConfig
-from repro.smetrics.base import line_graph_and_mapping
+from repro.smetrics.base import metric_by_hyperedge
 
 
 def s_betweenness_centrality(
-    h: Hypergraph,
-    s: int,
-    normalized: bool = True,
-    algorithm: str = "hashmap",
-    config: Optional[ParallelConfig] = None,
-    line_graph: Optional[SLineGraph] = None,
-    include_isolated: bool = False,
+    h: Hypergraph, s: int, line_graph: Optional[SLineGraph] = None
 ) -> Dict[int, float]:
-    """s-betweenness centrality of every participating hyperedge.
+    """Normalized s-betweenness centrality of every participating hyperedge.
 
     Examples
     --------
@@ -46,63 +36,30 @@ def s_betweenness_centrality(
     >>> max(scores, key=scores.get)   # hyperedge 2 bridges {0,1} and {3}
     2
     """
-    graph, mapping, _ = line_graph_and_mapping(
-        h, s, algorithm=algorithm, config=config, line_graph=line_graph,
-        include_isolated=include_isolated,
-    )
-    return mapping.by_hyperedge(betweenness_centrality(graph, normalized=normalized))
+    return metric_by_hyperedge(h, s, "betweenness", line_graph)
 
 
 def s_closeness_centrality(
-    h: Hypergraph,
-    s: int,
-    algorithm: str = "hashmap",
-    config: Optional[ParallelConfig] = None,
-    line_graph: Optional[SLineGraph] = None,
-    include_isolated: bool = False,
+    h: Hypergraph, s: int, line_graph: Optional[SLineGraph] = None
 ) -> Dict[int, float]:
     """s-closeness centrality (Wasserman–Faust corrected) per participating
     hyperedge."""
-    graph, mapping, _ = line_graph_and_mapping(
-        h, s, algorithm=algorithm, config=config, line_graph=line_graph,
-        include_isolated=include_isolated,
-    )
-    return mapping.by_hyperedge(closeness_centrality(graph))
+    return metric_by_hyperedge(h, s, "closeness", line_graph)
 
 
 def s_eccentricity(
-    h: Hypergraph,
-    s: int,
-    algorithm: str = "hashmap",
-    config: Optional[ParallelConfig] = None,
-    line_graph: Optional[SLineGraph] = None,
-    include_isolated: bool = False,
+    h: Hypergraph, s: int, line_graph: Optional[SLineGraph] = None
 ) -> Dict[int, float]:
     """s-eccentricity of every participating hyperedge (within its component)."""
-    graph, mapping, _ = line_graph_and_mapping(
-        h, s, algorithm=algorithm, config=config, line_graph=line_graph,
-        include_isolated=include_isolated,
-    )
-    return mapping.by_hyperedge(eccentricity(graph))
+    return metric_by_hyperedge(h, s, "eccentricity", line_graph)
 
 
 def s_pagerank(
-    h: Hypergraph,
-    s: int,
-    damping: float = 0.85,
-    weighted: bool = False,
-    algorithm: str = "hashmap",
-    config: Optional[ParallelConfig] = None,
-    line_graph: Optional[SLineGraph] = None,
-    include_isolated: bool = False,
+    h: Hypergraph, s: int, line_graph: Optional[SLineGraph] = None
 ) -> Dict[int, float]:
-    """s-PageRank of every participating hyperedge.
+    """s-PageRank (damping 0.85) of every participating hyperedge.
 
     Used on the *dual* hypergraph this gives the s-clique-graph PageRank of
     the original vertices — the paper's Table II disease-ranking experiment.
     """
-    graph, mapping, _ = line_graph_and_mapping(
-        h, s, algorithm=algorithm, config=config, line_graph=line_graph,
-        include_isolated=include_isolated,
-    )
-    return mapping.by_hyperedge(pagerank(graph, damping=damping, weighted=weighted))
+    return metric_by_hyperedge(h, s, "pagerank", line_graph)

@@ -10,41 +10,27 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.slinegraph import SLineGraph
-from repro.graph.connected_components import connected_components
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.parallel.executor import ParallelConfig
-from repro.smetrics.base import line_graph_and_mapping
+from repro.smetrics.base import metric_by_hyperedge
 
 
 def s_component_labels(
-    h: Hypergraph,
-    s: int,
-    algorithm: str = "hashmap",
-    config: Optional[ParallelConfig] = None,
-    line_graph: Optional[SLineGraph] = None,
-    include_isolated: bool = False,
+    h: Hypergraph, s: int, line_graph: Optional[SLineGraph] = None
 ) -> Dict[int, int]:
     """Component label of each hyperedge participating in the s-line graph.
 
-    Hyperedges with ``|e| < s`` (not in ``E_s``) are never included;
-    hyperedges in ``E_s`` with no s-incident partner appear only when
-    ``include_isolated=True`` (each as its own singleton component).
+    Hyperedges with ``|e| < s`` (not in ``E_s``) and hyperedges of ``E_s``
+    with no s-incident partner are never included.  Labels are ints; the
+    served dict carries the same values as floats.
     """
-    graph, mapping, _ = line_graph_and_mapping(
-        h, s, algorithm=algorithm, config=config, line_graph=line_graph,
-        include_isolated=include_isolated,
-    )
-    labels = mapping.by_hyperedge(connected_components(graph))
+    labels = metric_by_hyperedge(h, s, "connected_components", line_graph)
     return {edge_id: int(label) for edge_id, label in labels.items()}
 
 
 def s_connected_components(
     h: Hypergraph,
     s: int,
-    algorithm: str = "hashmap",
-    config: Optional[ParallelConfig] = None,
     line_graph: Optional[SLineGraph] = None,
-    include_isolated: bool = False,
     min_size: int = 1,
 ) -> List[List[int]]:
     """The s-connected components as lists of original hyperedge IDs.
@@ -54,30 +40,15 @@ def s_connected_components(
     case study, for example, reports only non-singleton 100-connected
     components.
     """
-    labels = s_component_labels(
-        h, s, algorithm=algorithm, config=config, line_graph=line_graph,
-        include_isolated=include_isolated,
-    )
     groups: Dict[int, List[int]] = {}
-    for edge_id, component in labels.items():
+    for edge_id, component in s_component_labels(h, s, line_graph).items():
         groups.setdefault(component, []).append(edge_id)
     components = [sorted(members) for members in groups.values() if len(members) >= min_size]
     components.sort(key=lambda c: (-len(c), c[0] if c else 0))
     return components
 
 
-def num_s_connected_components(
-    h: Hypergraph,
-    s: int,
-    algorithm: str = "hashmap",
-    config: Optional[ParallelConfig] = None,
-    include_isolated: bool = False,
-) -> int:
-    """Number of s-connected components (singleton components excluded by default)."""
-    return len(
-        s_connected_components(
-            h, s, algorithm=algorithm, config=config,
-            include_isolated=include_isolated,
-            min_size=1 if include_isolated else 2,
-        )
-    )
+def num_s_connected_components(h: Hypergraph, s: int) -> int:
+    """Number of s-connected components (hyperedges with no s-incident
+    partner are not counted)."""
+    return len(s_connected_components(h, s))

@@ -13,7 +13,6 @@ from repro.core.slinegraph import SLineGraph
 from repro.graph.bfs import bfs_distances
 from repro.graph.distance import diameter as graph_diameter
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.parallel.executor import ParallelConfig
 from repro.smetrics.base import line_graph_and_mapping
 from repro.utils.validation import ValidationError
 
@@ -26,8 +25,6 @@ def s_distance(
     e: int,
     f: int,
     s: int,
-    algorithm: str = "hashmap",
-    config: Optional[ParallelConfig] = None,
     line_graph: Optional[SLineGraph] = None,
 ) -> int:
     """Shortest s-walk length between hyperedges ``e`` and ``f`` (−1 if none).
@@ -41,30 +38,19 @@ def s_distance(
         )
     if e == f:
         return 0
-    graph, mapping, _ = line_graph_and_mapping(
-        h, s, algorithm=algorithm, config=config, line_graph=line_graph,
-        include_isolated=True,
-    )
+    graph, mapping, _ = line_graph_and_mapping(h, s, line_graph)
     try:
         src = mapping.to_squeezed(e)
         dst = mapping.to_squeezed(f)
-    except KeyError:
+    except KeyError:  # e or f has no s-incident partner
         return INF_DISTANCE
     dist = bfs_distances(graph, src)
     return int(dist[dst])
 
 
-def s_diameter(
-    h: Hypergraph,
-    s: int,
-    algorithm: str = "hashmap",
-    config: Optional[ParallelConfig] = None,
-    line_graph: Optional[SLineGraph] = None,
-) -> int:
+def s_diameter(h: Hypergraph, s: int, line_graph: Optional[SLineGraph] = None) -> int:
     """Largest finite s-distance over all hyperedge pairs (0 for an empty graph)."""
-    graph, _, _ = line_graph_and_mapping(
-        h, s, algorithm=algorithm, config=config, line_graph=line_graph
-    )
+    graph, _, _ = line_graph_and_mapping(h, s, line_graph)
     if graph.num_vertices == 0:
         return 0
     return graph_diameter(graph)

@@ -1,99 +1,41 @@
-"""Spectral s-measures: (normalized) algebraic connectivity of s-line graphs.
+"""Spectral s-measure: normalized algebraic connectivity of s-line graphs.
 
 The paper's Figure 6 plots the normalized algebraic connectivity — the
 second-smallest eigenvalue of the normalized Laplacian — of the s-line
 graphs of the condMat author–paper network for ``s = 1..16``, computed on
 the largest connected component of each s-line graph.  A dip followed by a
 sharp rise reveals that authors sharing many papers form densely connected
-cores.
+cores.  :func:`repro.apps.authors.coauthorship_connectivity` sweeps it over
+a range of ``s``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.core.dispatch import s_line_graph_ensemble
 from repro.core.slinegraph import SLineGraph
 from repro.graph.connected_components import connected_components, component_sizes
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.linalg.laplacian import (
-    algebraic_connectivity,
-    normalized_algebraic_connectivity,
-)
-from repro.parallel.executor import ParallelConfig
+from repro.linalg.laplacian import normalized_algebraic_connectivity
 from repro.smetrics.base import line_graph_and_mapping
 
 
-def _largest_component_adjacency(graph):
-    """Adjacency matrix of the largest connected component of a CSR graph."""
-    if graph.num_vertices == 0:
-        return None
-    labels = connected_components(graph)
-    sizes = component_sizes(labels)
-    biggest = int(np.argmax(sizes))
-    members = np.flatnonzero(labels == biggest)
-    if members.size < 2:
-        return None
-    sub, _ = graph.subgraph(members)
-    return sub.adjacency_matrix(weighted=False)
-
-
 def s_normalized_algebraic_connectivity(
-    h: Hypergraph,
-    s: int,
-    algorithm: str = "hashmap",
-    config: Optional[ParallelConfig] = None,
-    line_graph: Optional[SLineGraph] = None,
+    h: Hypergraph, s: int, line_graph: Optional[SLineGraph] = None
 ) -> float:
     """Normalized algebraic connectivity of the largest s-connected component.
 
     Returns 0.0 when the s-line graph has no component with at least two
     vertices (e.g. ``s`` larger than every pairwise overlap).
     """
-    graph, _, _ = line_graph_and_mapping(
-        h, s, algorithm=algorithm, config=config, line_graph=line_graph
-    )
-    adjacency = _largest_component_adjacency(graph)
-    if adjacency is None:
+    graph, _, _ = line_graph_and_mapping(h, s, line_graph)
+    if graph.num_vertices == 0:
         return 0.0
-    return normalized_algebraic_connectivity(adjacency)
-
-
-def s_algebraic_connectivity(
-    h: Hypergraph,
-    s: int,
-    algorithm: str = "hashmap",
-    config: Optional[ParallelConfig] = None,
-    line_graph: Optional[SLineGraph] = None,
-) -> float:
-    """Combinatorial algebraic connectivity of the largest s-connected component."""
-    graph, _, _ = line_graph_and_mapping(
-        h, s, algorithm=algorithm, config=config, line_graph=line_graph
-    )
-    adjacency = _largest_component_adjacency(graph)
-    if adjacency is None:
+    labels = connected_components(graph)
+    members = np.flatnonzero(labels == int(np.argmax(component_sizes(labels))))
+    if members.size < 2:
         return 0.0
-    return algebraic_connectivity(adjacency)
-
-
-def connectivity_profile(
-    h: Hypergraph,
-    s_values: Sequence[int],
-    normalized: bool = True,
-    config: Optional[ParallelConfig] = None,
-) -> Dict[int, float]:
-    """Algebraic connectivity of the s-line graphs for every ``s`` (Figure 6).
-
-    The s-line graphs are built with one ensemble pass (Algorithm 3) and the
-    connectivity of the largest component is computed per ``s``.
-    """
-    ensemble = s_line_graph_ensemble(h, s_values, config=config)
-    out: Dict[int, float] = {}
-    for s, line_graph in ensemble.items():
-        if normalized:
-            out[s] = s_normalized_algebraic_connectivity(h, s, line_graph=line_graph)
-        else:
-            out[s] = s_algebraic_connectivity(h, s, line_graph=line_graph)
-    return out
+    sub, _ = graph.subgraph(members)
+    return normalized_algebraic_connectivity(sub.adjacency_matrix(weighted=False))

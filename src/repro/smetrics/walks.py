@@ -17,7 +17,6 @@ import numpy as np
 from repro.core.slinegraph import SLineGraph
 from repro.graph.bfs import bfs_tree
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.parallel.executor import ParallelConfig
 from repro.smetrics.base import line_graph_and_mapping
 from repro.utils.validation import ValidationError, check_s_value
 
@@ -53,7 +52,6 @@ def shortest_s_path(
     target: int,
     s: int,
     line_graph: Optional[SLineGraph] = None,
-    config: Optional[ParallelConfig] = None,
 ) -> Optional[List[int]]:
     """A shortest s-path between two hyperedges, as a list of hyperedge IDs.
 
@@ -68,13 +66,11 @@ def shortest_s_path(
         )
     if source == target:
         return [int(source)]
-    graph, mapping, _ = line_graph_and_mapping(
-        h, s, line_graph=line_graph, config=config, include_isolated=True
-    )
+    graph, mapping, _ = line_graph_and_mapping(h, s, line_graph)
     try:
         src = mapping.to_squeezed(int(source))
         dst = mapping.to_squeezed(int(target))
-    except KeyError:
+    except KeyError:  # an endpoint has no s-incident partner
         return None
     dist, pred = bfs_tree(graph, src)
     if dist[dst] < 0:
@@ -91,7 +87,6 @@ def s_reachable_set(
     source: int,
     s: int,
     line_graph: Optional[SLineGraph] = None,
-    config: Optional[ParallelConfig] = None,
 ) -> List[int]:
     """All hyperedges reachable from ``source`` by an s-walk (including itself).
 
@@ -100,12 +95,10 @@ def s_reachable_set(
     s = check_s_value(s)
     if h.edge_size(source) < s:
         raise ValidationError(f"hyperedge {source} has fewer than s={s} vertices")
-    graph, mapping, _ = line_graph_and_mapping(
-        h, s, line_graph=line_graph, config=config, include_isolated=True
-    )
+    graph, mapping, _ = line_graph_and_mapping(h, s, line_graph)
     try:
         src = mapping.to_squeezed(int(source))
-    except KeyError:
+    except KeyError:  # no s-incident partner
         return [int(source)]
     dist, _ = bfs_tree(graph, src)
     reachable = np.flatnonzero(dist >= 0)

@@ -9,7 +9,7 @@ kept, LRU), and every query streams per-shard weight slices.  Because each
 shard keeps the ascending-weight invariant, ``weight >= s`` is one binary
 search per shard, and shards whose recorded ``max_weight`` is below ``s``
 are skipped without touching disk — so a hypergraph whose full overlap
-structure exceeds RAM still serves ``extract(s)`` / ``sweep()``.
+structure exceeds RAM still serves ``line_graph(s)`` / ``sweep()``.
 
 Incremental updates are held as an in-memory overlay (appended pairs,
 tombstoned hyperedges, refreshed sizes) merged into every query — the
@@ -250,9 +250,6 @@ class ShardedIndex:
                 f"store {self._path!r} generation {self._manifest.generation} "
                 f"holds invalid pair rows: {exc}"
             ) from exc
-
-    #: ``extract(s)`` is the service-facing name for a threshold view.
-    extract = line_graph
 
     def sweep(self, s_values: Iterable[int]) -> Dict[int, SLineGraph]:
         """``s -> L_s`` for a batch of thresholds from *one* shard pass.

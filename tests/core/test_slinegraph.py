@@ -62,8 +62,7 @@ class TestConstruction:
         g = SLineGraph(
             s=1, edges=[], weights=[], num_hyperedges=5, active_vertices=[4, 0]
         )
-        _, mapping = g.squeeze(include_isolated=True)
-        assert mapping.new_to_old.tolist() == [0, 4]
+        assert g.active_vertices.tolist() == [0, 4]
 
     def test_invalid_s(self):
         with pytest.raises(ValidationError):
@@ -83,13 +82,13 @@ class TestSqueeze:
         assert squeezed.edge_set() == {(0, 1), (1, 2)}
         assert squeezed.weights.tolist() == [3, 4]
 
-    def test_squeeze_include_isolated(self):
+    def test_squeeze_drops_edgeless_active_vertices(self):
         g = make_graph(
             edges=((2, 7, 3),), num_hyperedges=10, s=2, active=np.array([2, 5, 7])
         )
-        squeezed, mapping = g.squeeze(include_isolated=True)
-        assert mapping.new_to_old.tolist() == [2, 5, 7]
-        assert squeezed.num_active_vertices == 3
+        squeezed, mapping = g.squeeze()
+        assert mapping.new_to_old.tolist() == [2, 7]
+        assert squeezed.num_active_vertices == 2
 
     def test_squeeze_empty(self):
         g = SLineGraph.from_weighted_pairs(s=2, pairs=[], num_hyperedges=5)

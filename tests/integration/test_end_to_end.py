@@ -65,7 +65,7 @@ class TestPipelineOnDatasets:
 
     def test_smetrics_consistent_with_pipeline(self, livejournal_small):
         result = SLinePipeline(metrics=("connected_components",)).run(livejournal_small, 8)
-        comps = repro.s_connected_components(livejournal_small, 8, include_isolated=False)
+        comps = repro.s_connected_components(livejournal_small, 8)
         flattened = sorted(e for comp in comps for e in comp if len(comp) >= 2)
         labels = result.metrics["connected_components"]
         # Hyperedges participating in non-singleton components must agree.

@@ -8,7 +8,6 @@ import pytest
 from scipy import sparse
 
 from repro.linalg.laplacian import (
-    algebraic_connectivity,
     laplacian_matrix,
     normalized_algebraic_connectivity,
     normalized_laplacian,
@@ -51,9 +50,9 @@ class TestLaplacians:
 
 
 class TestAlgebraicConnectivity:
-    def test_matches_networkx_on_connected_graphs(self):
+    def test_fiedler_value_matches_networkx_on_connected_graphs(self):
         for g in (nx.path_graph(10), nx.cycle_graph(9), nx.karate_club_graph()):
-            ours = algebraic_connectivity(adjacency_of(g))
+            ours = fiedler_value(laplacian_matrix(adjacency_of(g)))
             theirs = nx.algebraic_connectivity(g, method="lanczos")
             assert ours == pytest.approx(theirs, rel=1e-5, abs=1e-8)
 
@@ -65,7 +64,7 @@ class TestAlgebraicConnectivity:
 
     def test_disconnected_graph_has_zero_connectivity(self):
         g = nx.disjoint_union(nx.path_graph(3), nx.path_graph(3))
-        assert algebraic_connectivity(adjacency_of(g)) == pytest.approx(0.0, abs=1e-8)
+        assert fiedler_value(laplacian_matrix(adjacency_of(g))) == pytest.approx(0.0, abs=1e-8)
 
     def test_complete_graph_normalized_value(self):
         # Normalized Laplacian of K_n has eigenvalues {0, n/(n-1) × (n-1 times)}.
@@ -74,7 +73,7 @@ class TestAlgebraicConnectivity:
         assert value == pytest.approx(n / (n - 1))
 
     def test_tiny_graphs(self):
-        assert algebraic_connectivity(sparse.csr_matrix((1, 1))) == 0.0
+        assert normalized_algebraic_connectivity(sparse.csr_matrix((1, 1))) == 0.0
         assert normalized_algebraic_connectivity(sparse.csr_matrix((0, 0))) == 0.0
 
 

@@ -103,11 +103,8 @@ def test_squeezed_line_graph_builds_the_edge_list_graph(case, s, data):
     n, pairs, _ = case
     overlaps = np.arange(len(pairs), dtype=np.int64) % 4 + s
     active = None
-    include_isolated = False
-    if data is not None and n:
-        include_isolated = data.draw(st.booleans())
-        if data.draw(st.booleans()):
-            active = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    if data is not None and n and data.draw(st.booleans()):
+        active = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
     line_graph = SLineGraph(
         s=s,
         edges=np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
@@ -115,7 +112,7 @@ def test_squeezed_line_graph_builds_the_edge_list_graph(case, s, data):
         num_hyperedges=n,
         active_vertices=active,
     )
-    squeezed, _ = line_graph.squeeze(include_isolated=include_isolated)
+    squeezed, _ = line_graph.squeeze()
     built = squeezed.to_graph(squeezed=False)
     reference = Graph.from_edge_list(
         squeezed.num_hyperedges, squeezed.edges, squeezed.weights

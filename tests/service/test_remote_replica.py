@@ -186,11 +186,9 @@ QUERY_SURFACE = [
     ("fingerprint", ()),
     ("max_s", ()),
     ("line_graph", (2,)),
-    ("extract", (2,)),
     ("metric", (2, "pagerank")),
     ("metric_columns", (1, "connected_components")),
     ("metric_by_hyperedge", (1, "connected_components")),
-    ("metrics", (2, ("pagerank", "connected_components"))),
     ("sweep", ((1, 2, 3), ("connected_components",))),
     ("num_components", (1,)),
 ]

@@ -42,9 +42,10 @@ class TestSBetweenness:
         scores = s_betweenness_centrality(paper_example, 3)
         assert set(scores) == {0, 1, 2}
 
-    def test_include_isolated(self, paper_example):
-        scores = s_betweenness_centrality(paper_example, 2, include_isolated=True)
-        assert scores[3] == 0.0
+    def test_partnerless_member_of_E_s_is_not_scored(self, paper_example):
+        # Hyperedge 3 ({e, f}) has size 2 >= s but no 2-incident partner.
+        scores = s_betweenness_centrality(paper_example, 2)
+        assert set(scores) == {0, 1, 2}
 
 
 class TestOtherCentralities:

@@ -18,12 +18,7 @@ class TestSComponentLabels:
     def test_paper_example_s2_excludes_edge4(self, paper_example):
         labels = s_component_labels(paper_example, 2)
         assert set(labels) == {0, 1, 2}
-
-    def test_include_isolated_adds_singletons(self, paper_example):
-        labels = s_component_labels(paper_example, 2, include_isolated=True)
-        # Edge 3 ({e, f}) has size 2 >= s, no s-incident partner: isolated singleton.
-        assert set(labels) == {0, 1, 2, 3}
-        assert len(set(labels.values())) == 2
+        assert [type(label) for label in labels.values()] == [int] * 3
 
     def test_reuse_precomputed_line_graph(self, paper_example):
         line_graph = s_line_graph(paper_example, 2)
@@ -38,11 +33,11 @@ class TestSConnectedComponents:
         assert sizes == sorted(sizes, reverse=True)
 
     def test_min_size_filter(self, paper_example):
-        comps = s_connected_components(paper_example, 2, include_isolated=True, min_size=2)
-        assert comps == [[0, 1, 2]]
+        assert s_connected_components(paper_example, 2, min_size=3) == [[0, 1, 2]]
+        assert s_connected_components(paper_example, 2, min_size=4) == []
 
     def test_components_partition_hyperedges(self, community_hypergraph):
-        comps = s_connected_components(community_hypergraph, 2, include_isolated=True)
+        comps = s_connected_components(community_hypergraph, 2)
         flattened = [e for comp in comps for e in comp]
         assert len(flattened) == len(set(flattened))
 
@@ -58,6 +53,3 @@ class TestCount:
         assert num_s_connected_components(paper_example, 1) == 1
         assert num_s_connected_components(paper_example, 2) == 1
         assert num_s_connected_components(paper_example, 5) == 0
-
-    def test_count_with_isolated(self, paper_example):
-        assert num_s_connected_components(paper_example, 2, include_isolated=True) == 2

@@ -2,14 +2,17 @@
 
 ``QueryEngine.metric_by_hyperedge(s, name)`` returns, from its cached
 overlap index, the same ``{hyperedge ID: value}`` dict the s-measure
-functions compute from scratch — on a fresh engine, on repeat queries and
-after incremental updates.
+functions compute from scratch — on a fresh engine, on repeat queries,
+after incremental updates, and whichever Stage-3 kernel built the
+``line_graph`` handed to the s-measure.
 """
 
 import pytest
 
+from repro.core.dispatch import s_line_graph
 from repro.engine.engine import QueryEngine
 from repro.hypergraph.builders import hypergraph_from_edge_lists
+from repro.parallel.executor import ParallelConfig
 from repro.smetrics.centrality import (
     s_betweenness_centrality,
     s_closeness_centrality,
@@ -29,6 +32,18 @@ MEASURES = {
     s_closeness_centrality: "closeness",
     s_eccentricity: "eccentricity",
     s_pagerank: "pagerank",
+}
+
+
+#: Every s-measure that is one served metric: the four above plus labels.
+SERVED = {**MEASURES, s_component_labels: "connected_components"}
+
+#: The one way to pick a Stage-3 kernel: build ``line_graph`` yourself.
+LINE_GRAPH_BUILDS = {
+    "spgemm": lambda h, s: s_line_graph(h, s, algorithm="spgemm"),
+    "thread_config": lambda h, s: s_line_graph(
+        h, s, config=ParallelConfig(num_workers=2, strategy="cyclic", backend="thread")
+    ),
 }
 
 
@@ -74,6 +89,23 @@ class TestDelegation:
         assert engine.metric_by_hyperedge(2, "pagerank") == first
         assert engine.stats().cache_hits > hits_before
         assert engine.stats().index_builds == 1
+
+
+class TestKernelChoice:
+    """A ``line_graph`` from another Stage-3 kernel or a parallel config is
+    the same graph, so every s-measure is the same dict — the default
+    call's and the engine's."""
+
+    @pytest.mark.parametrize("build", sorted(LINE_GRAPH_BUILDS))
+    @pytest.mark.parametrize("measure", list(SERVED), ids=lambda m: m.__name__)
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_chosen_line_graph_serves_the_same_dict(
+        self, small_random_hypergraph, build, measure, s
+    ):
+        h = small_random_hypergraph
+        chosen = measure(h, s, line_graph=LINE_GRAPH_BUILDS[build](h, s))
+        assert chosen == measure(h, s)
+        assert chosen == QueryEngine(h).metric_by_hyperedge(s, SERVED[measure])
 
 
 class TestAcrossHypergraphs:

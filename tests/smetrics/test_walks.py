@@ -47,6 +47,11 @@ class TestShortestSPath:
         with pytest.raises(ValidationError):
             shortest_s_path(paper_example, 0, 3, 3)
 
+    def test_partnerless_member_of_E_s_is_unreachable(self, paper_example):
+        # Hyperedge 3 ({e, f}) is in E_2 but shares 2 vertices with nothing.
+        assert shortest_s_path(paper_example, 0, 3, 2) is None
+        assert shortest_s_path(paper_example, 3, 0, 2) is None
+
     def test_every_hop_is_s_incident(self, community_hypergraph):
         # Pick two hyperedges in the same 2-connected component.
         from repro.smetrics.connected import s_connected_components
@@ -69,10 +74,13 @@ class TestReachableSet:
     def test_matches_component(self, community_hypergraph):
         from repro.smetrics.connected import s_connected_components
 
-        comps = s_connected_components(community_hypergraph, 2, include_isolated=True)
+        comps = s_connected_components(community_hypergraph, 2)
         for comp in comps[:3]:
             assert s_reachable_set(community_hypergraph, comp[0], 2) == comp
 
     def test_requires_membership_in_Es(self, paper_example):
         with pytest.raises(ValidationError):
             s_reachable_set(paper_example, 3, 4)
+
+    def test_partnerless_member_of_E_s_reaches_only_itself(self, paper_example):
+        assert s_reachable_set(paper_example, 3, 2) == [3]

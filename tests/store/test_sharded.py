@@ -38,9 +38,10 @@ class TestThresholdViews:
             assert sharded.edge_count(s) == oracle.edge_count(s), s
             assert np.array_equal(sharded.active_vertices(s), oracle.active_vertices(s))
 
-    def test_extract_is_the_service_alias(self, store_path, oracle):
+    def test_warm_line_graph_matches_cold(self, store_path, oracle):
         sharded = ShardedIndex(store_path)
-        assert sharded.extract(2) == oracle.line_graph(2)
+        cold = sharded.line_graph(2)
+        assert sharded.line_graph(2) == cold == oracle.line_graph(2)
 
     def test_sweep_matches_oracle(self, store_path, oracle):
         sharded = ShardedIndex(store_path)
