@@ -171,16 +171,6 @@ def _add_dial_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_peer_arguments(parser: argparse.ArgumentParser) -> None:
-    """Dial flags plus the codec switch (``connect``, ``replicate``)."""
-    _add_dial_arguments(parser)
-    parser.add_argument(
-        "--no-compression",
-        action="store_true",
-        help="do not offer payload compression during the handshake",
-    )
-
-
 def _load_hypergraph(args: argparse.Namespace) -> Hypergraph:
     if args.dataset and args.input:
         raise SystemExit("specify either --dataset or --input, not both")
@@ -551,8 +541,7 @@ def _serve_socket(service, args: argparse.Namespace) -> int:
         flush=True,
     )
     try:
-        while not stop.wait(0.2):
-            pass
+        stop.wait()
     finally:
         server.close()
         service.close()
@@ -685,12 +674,7 @@ def _cmd_connect(args: argparse.Namespace) -> int:
     --address`` shows what a live connection negotiated
     (``transport.negotiated``).
     """
-    with _peer(
-        args.address,
-        args,
-        protocol_max=args.protocol,
-        compression=not args.no_compression,
-    ) as client:
+    with _peer(args.address, args, protocol_max=args.protocol) as client:
         if args.s is not None:
             values = client.metric(args.s, args.metric)
             info = client.server_info
@@ -751,9 +735,8 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     (or second ``replicate``) cannot corrupt it.
 
     The peer must negotiate protocol 2 — delta syncs use the byte-offset
-    WAL cursor and raw binary file chunks (``--no-compression`` keeps v2
-    framing but skips the codec); against a v1-only peer the sync fails
-    with a typed "replication needs protocol 2" error.
+    WAL cursor and raw binary file chunks; against a v1-only peer the sync
+    fails with a typed "replication needs protocol 2" error.
     """
     import threading
 
@@ -783,7 +766,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         )
 
     if not args.serve:
-        with _peer(args.source, args, compression=not args.no_compression) as client:
+        with _peer(args.source, args) as client:
             try:
                 mirror = StoreMirror(client, args.store)
                 lock = StoreLock(args.store, owner="repro-replicate").acquire(
@@ -812,7 +795,6 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
             remote_source=_parse_address(args.source),
             num_workers=args.workers,
             replica_poll_interval=args.poll_interval,
-            remote_compression=not args.no_compression,
         )
     except (TransportError, StoreError, OSError) as exc:
         raise SystemExit(f"replica start failed: {exc}") from None
@@ -1058,7 +1040,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--requests",
         help="JSONL request file to proxy over the socket (default: stdin)",
     )
-    _add_peer_arguments(p)
+    _add_dial_arguments(p)
     p.add_argument(
         "--protocol",
         type=int,
@@ -1100,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between change-token polls of the peer (with --serve)",
     )
     _add_listener_arguments(p)
-    _add_peer_arguments(p)
+    _add_dial_arguments(p)
     p.add_argument(
         "--ready-max-lag",
         type=int,

@@ -80,7 +80,6 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.preprocessing import SqueezeResult
 from repro.obs import get_registry
 from repro.obs.trace import get_tracer
-from repro.parallel.executor import ParallelConfig
 from repro.utils.validation import ValidationError, check_s_value
 
 
@@ -174,8 +173,6 @@ class QueryEngine:
         The hypergraph to serve queries for.
     algorithm:
         Stage-3 algorithm used for the one-off index build (and rebuilds).
-    config:
-        Parallel configuration forwarded to the index build.
     cache_size:
         Maximum number of cached results (line graphs, squeezed graphs and
         per-metric arrays each count as one entry).
@@ -195,7 +192,6 @@ class QueryEngine:
         self,
         h: Hypergraph,
         algorithm: str = BUILD_ALGORITHM,
-        config: Optional[ParallelConfig] = None,
         cache_size: int = 256,
         index: Optional[OverlapIndex] = None,
     ) -> None:
@@ -203,7 +199,6 @@ class QueryEngine:
             raise ValidationError("QueryEngine requires a Hypergraph")
         self._h = h
         self.algorithm = algorithm
-        self.config = config or ParallelConfig()
         if index is not None and (
             index.num_hyperedges != h.num_edges
             or not np.array_equal(index.edge_sizes, h.edge_sizes())
@@ -246,11 +241,6 @@ class QueryEngine:
         path,
         hypergraph: Optional[Hypergraph] = None,
         create: bool = False,
-        on_mismatch: str = "raise",
-        algorithm: str = BUILD_ALGORITHM,
-        num_shards: int = 4,
-        config: Optional[ParallelConfig] = None,
-        **kwargs,
     ) -> "QueryEngine":
         """Open (or build) a persistent store and serve queries from it.
 
@@ -260,59 +250,25 @@ class QueryEngine:
             Store directory (see :class:`repro.store.IndexStore`).
         hypergraph:
             The hypergraph the engine should serve.  Optional when the
-            store saved its own copy; required to ``create`` or rebuild.
+            store saved its own copy; required to ``create``.  A store
+            that describes a *different* hypergraph raises
+            :class:`repro.store.FingerprintMismatchError`.
         create:
             Build the store when ``path`` holds no snapshot yet.
-        on_mismatch:
-            What to do when the store describes a *different* hypergraph
-            than the one supplied: ``"raise"`` (default) raises
-            :class:`repro.store.FingerprintMismatchError`; ``"rebuild"``
-            replaces the snapshot with one for ``hypergraph``.
 
         Returns a :class:`repro.store.PersistentQueryEngine` — it serves
         out-of-core from mmap'd shards, and updates are WAL-logged and
         survive the process.
         """
-        from repro.store import (
-            FingerprintMismatchError,
-            IndexStore,
-            PersistentQueryEngine,
-        )
+        from repro.store import IndexStore, PersistentQueryEngine
 
-        if on_mismatch not in ("raise", "rebuild"):
-            raise ValidationError(
-                f"on_mismatch must be 'raise' or 'rebuild', got {on_mismatch!r}"
-            )
-        if not IndexStore.exists(path):
-            if not create:
-                raise ValidationError(
-                    f"no snapshot at {path}; pass create=True to build one"
-                )
-            if hypergraph is None:
-                raise ValidationError("building a store requires a hypergraph")
-            return PersistentQueryEngine.build(
-                hypergraph,
-                path,
-                algorithm=algorithm,
-                num_shards=num_shards,
-                config=config,
-                **kwargs,
-            )
-        try:
-            return PersistentQueryEngine.open(
-                path, hypergraph=hypergraph, config=config, **kwargs
-            )
-        except FingerprintMismatchError:
-            if on_mismatch != "rebuild" or hypergraph is None:
-                raise
-            return PersistentQueryEngine.build(
-                hypergraph,
-                path,
-                algorithm=algorithm,
-                num_shards=num_shards,
-                config=config,
-                **kwargs,
-            )
+        if IndexStore.exists(path):
+            return PersistentQueryEngine.open(path, hypergraph=hypergraph)
+        if not create:
+            raise ValidationError(f"no snapshot at {path}; pass create=True to build one")
+        if hypergraph is None:
+            raise ValidationError("building a store requires a hypergraph")
+        return PersistentQueryEngine.build(hypergraph, path)
 
     # ------------------------------------------------------------------ #
     # State
@@ -326,9 +282,7 @@ class QueryEngine:
     def index(self) -> OverlapIndex:
         """The overlap index, built lazily on first access."""
         if self._index is None:
-            self._index = OverlapIndex.build(
-                self._h, algorithm=self.algorithm, config=self.config
-            )
+            self._index = OverlapIndex.build(self._h, algorithm=self.algorithm)
             self._index_builds += 1
         return self._index
 

@@ -5,9 +5,8 @@ of one weighted structure: ``L_s[i, j] = 1  iff  (H^T H)[i, j] >= s``.
 Every s-line graph of a hypergraph is therefore a *threshold view* of the
 same set of weighted overlap pairs.  :class:`OverlapIndex` materialises that
 observation: it enumerates all pairwise overlaps once — reusing the
-registered Stage-3 algorithms at ``s = 1``, in parallel via the existing
-:class:`~repro.parallel.executor.ParallelConfig` backends — and stores them
-in CSR-style flat arrays sorted ascending by weight.  ``L_s`` for *any* s is
+registered Stage-3 algorithms at ``s = 1`` — and stores them in CSR-style
+flat arrays sorted ascending by weight.  ``L_s`` for *any* s is
 then a binary-search slice of the weight array plus a vectorised
 :func:`~repro.core.filtration.filter_weighted_arrays` — no recomputation.
 
@@ -25,7 +24,6 @@ import numpy as np
 from repro.core.filtration import filter_weighted_arrays
 from repro.core.slinegraph import SLineGraph, pair_order
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.parallel.executor import ParallelConfig
 from repro.parallel.workload import WorkloadStats
 from repro.utils.validation import ValidationError, check_s_value
 
@@ -140,7 +138,6 @@ class OverlapIndex:
         cls,
         h: Hypergraph,
         algorithm: str = BUILD_ALGORITHM,
-        config: Optional[ParallelConfig] = None,
     ) -> "OverlapIndex":
         """Enumerate every weighted overlap pair of ``h`` once.
 
@@ -150,9 +147,7 @@ class OverlapIndex:
         """
         from repro.core.dispatch import s_line_graph
 
-        graph, workload = s_line_graph(
-            h, 1, algorithm=algorithm, config=config, return_workload=True
-        )
+        graph, workload = s_line_graph(h, 1, algorithm=algorithm, return_workload=True)
         return cls(
             edges=graph.edges,
             weights=graph.weights,

@@ -16,7 +16,7 @@ update survives a crash, exactly as with per-update appends; only the
 acknowledgement latency is batched, never the safety.  A rejected update
 (e.g. removing an out-of-range hyperedge) fails *before* its WAL append:
 its future carries the exception, and the rest of the batch is unaffected.
-The queue is bounded (``max_pending``); when full, ``submit_*`` blocks —
+The queue is bounded (:data:`_QUEUE_BOUND`); when full, ``submit_*`` blocks —
 backpressure, so a runaway producer cannot grow memory without bound.
 
 If the group commit *itself* fails (an fsync error), every future of the
@@ -48,6 +48,9 @@ from repro.utils.validation import ValidationError
 _OP_ADD = "add"
 _OP_REMOVE = "remove"
 _OP_BARRIER = "barrier"
+
+#: Queue bound: ``submit_*`` blocks while this many mutations are waiting.
+_QUEUE_BOUND = 1024
 
 
 def _fail_future(future: Future, exc: BaseException) -> None:
@@ -105,9 +108,6 @@ class AdmissionQueue:
         The service's :class:`~repro.service.sync.RWLock`; the writer
         thread takes its exclusive side per batch so queries never observe
         a half-applied update.  A private lock is created when omitted.
-    max_pending:
-        Queue bound; ``submit_*`` blocks when this many mutations are
-        waiting (backpressure).
     max_batch:
         Most mutations coalesced into one exclusive-lock/fsync cycle.
     """
@@ -116,16 +116,13 @@ class AdmissionQueue:
         self,
         engine: QueryEngine,
         write_lock: Optional[RWLock] = None,
-        max_pending: int = 1024,
         max_batch: int = 64,
     ) -> None:
-        if max_pending < 1:
-            raise ValidationError("max_pending must be >= 1")
         if max_batch < 1:
             raise ValidationError("max_batch must be >= 1")
         self._engine = engine
         self._write_lock = write_lock if write_lock is not None else RWLock()
-        self._queue: "queue.Queue[Optional[_Op]]" = queue.Queue(maxsize=max_pending)
+        self._queue: "queue.Queue[Optional[_Op]]" = queue.Queue(maxsize=_QUEUE_BOUND)
         self._max_batch = int(max_batch)
         self._closed = False
         self._drained = False

@@ -74,12 +74,6 @@ class RemoteReadReplica(ReadReplica):
     client:
         An already-connected :class:`ServiceClient` to reuse (the replica
         then does not close it); by default one is created and owned.
-        ``compression`` only applies to the owned client.
-    max_resident_shards / cache_size:
-        As for :class:`ReadReplica`.
-    compression:
-        Handshake pin for the owned client: ``False`` negotiates the
-        replication codec off (see ``docs/PROTOCOL.md``).
     """
 
     def __init__(
@@ -89,9 +83,6 @@ class RemoteReadReplica(ReadReplica):
         store_path: PathLike = None,
         poll_interval: float = 0.0,
         client: Optional[ServiceClient] = None,
-        max_resident_shards: Optional[int] = None,
-        cache_size: int = 256,
-        compression: bool = True,
     ) -> None:
         if store_path is None:
             raise StoreError("RemoteReadReplica needs a local store_path to mirror into")
@@ -99,7 +90,7 @@ class RemoteReadReplica(ReadReplica):
         if client is None:
             if host is None or port is None:
                 raise StoreError("RemoteReadReplica needs host/port or a client")
-            client = ServiceClient(str(host), int(port), compression=compression).connect()
+            client = ServiceClient(str(host), int(port)).connect()
         #: The peer connection (borrowed when passed in, else owned).
         self.client = client
         self._peer_poll_interval = float(poll_interval)
@@ -116,12 +107,8 @@ class RemoteReadReplica(ReadReplica):
             self._remote_token = client.poll_state_token()
             #: What the constructor's bootstrap sync did.
             self.first_sync: SyncReport = self.mirror.sync()
-            super().__init__(
-                store_path,
-                poll_interval=0.0,  # the local token is checked after syncs
-                max_resident_shards=max_resident_shards,
-                cache_size=cache_size,
-            )
+            # poll_interval=0: the local token is checked after syncs.
+            super().__init__(store_path, poll_interval=0.0)
         except BaseException:
             if self._lock is not None:
                 self._lock.release()

@@ -28,7 +28,6 @@ import numpy as np
 from repro.chaos import failpoints as _failpoints
 from repro.chaos.failpoints import SERVICE_EXECUTE
 from repro.engine.engine import QueryEngine, SweepResult
-from repro.engine.index import BUILD_ALGORITHM
 from repro.graph.connected_components import num_components
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs import get_registry, get_tracer, render_prometheus
@@ -65,8 +64,8 @@ class QueryService:
         :class:`~repro.store.ReadOnlyStoreError`.
     num_workers:
         Default thread fan-out for :meth:`serve` request batches.
-    max_pending / max_batch:
-        Admission-queue bound and coalescing limit (writer mode).
+    max_batch:
+        Admission-queue coalescing limit (writer mode).
     compaction:
         A :class:`CompactionPolicy` to enable background compaction
         (``None`` — the default — leaves compaction manual).
@@ -78,10 +77,6 @@ class QueryService:
         the writer shares the filesystem.  This is how a chained replica
         process serves: its socket server front, this service, and the
         wire-fed mirror underneath.
-    remote_compression:
-        Forwarded to the replica's :class:`ServiceClient` handshake:
-        ``False`` negotiates the replication codec off (see
-        ``docs/PROTOCOL.md``).  Ignored without ``remote_source``.
     """
 
     def __init__(
@@ -91,17 +86,11 @@ class QueryService:
         create: bool = False,
         read_only: bool = False,
         num_workers: int = 4,
-        algorithm: str = BUILD_ALGORITHM,
-        num_shards: int = 4,
-        cache_size: int = 256,
-        max_pending: int = 1024,
         max_batch: int = 64,
         compaction: Optional[CompactionPolicy] = None,
         compaction_poll_interval: float = 0.1,
         replica_poll_interval: float = 0.0,
-        config: Optional[ParallelConfig] = None,
         remote_source: Optional[Tuple[str, int]] = None,
-        remote_compression: bool = True,
     ) -> None:
         self.path = str(path)
         self.read_only = bool(read_only)
@@ -141,33 +130,16 @@ class QueryService:
                     int(port),
                     store_path=path,
                     poll_interval=replica_poll_interval,
-                    cache_size=cache_size,
-                    compression=remote_compression,
                 )
             else:
-                self._replica = ReadReplica(
-                    path,
-                    poll_interval=replica_poll_interval,
-                    cache_size=cache_size,
-                )
+                self._replica = ReadReplica(path, poll_interval=replica_poll_interval)
             return
 
         self._lock = StoreLock(path, owner="QueryService").acquire(blocking=False)
         try:
-            self._engine = QueryEngine.from_store(
-                path,
-                hypergraph=hypergraph,
-                create=create,
-                algorithm=algorithm,
-                num_shards=num_shards,
-                cache_size=cache_size,
-                config=config,
-            )
+            self._engine = QueryEngine.from_store(path, hypergraph=hypergraph, create=create)
             self._admission = AdmissionQueue(
-                self._engine,
-                write_lock=self._rw,
-                max_pending=max_pending,
-                max_batch=max_batch,
+                self._engine, write_lock=self._rw, max_batch=max_batch
             )
             if compaction is not None:
                 self._compactor = BackgroundCompactor(

@@ -112,11 +112,9 @@ class ServiceClient:
         ``protocol_max=1`` pins the client to the JSON-only v1 data plane
         (it then sends the exact hello a pre-v2 client sends); the default
         offers everything this build implements and lets the server pick
-        ``max(common)``.
-    compression:
-        Offer compression codecs (``zstd``/``zlib``, whichever are
-        importable) for binary replication payloads.  ``False`` sends an
-        empty codec list, so the connection negotiates compression off.
+        ``max(common)``.  A binary (v2) connection offers every
+        compression codec this build can decode (``zstd``/``zlib``) for
+        replication payloads.
     """
 
     def __init__(
@@ -129,7 +127,6 @@ class ServiceClient:
         reconnect: bool = True,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         protocol_max: Optional[int] = None,
-        compression: bool = True,
     ) -> None:
         self.host = str(host)
         self.port = int(port)
@@ -147,7 +144,6 @@ class ServiceClient:
         self._protocols = tuple(
             version for version in SUPPORTED_PROTOCOLS if version <= int(protocol_max)
         )
-        self._offer_compression = bool(compression)
         self._protocol = PROTOCOL_VERSION
         self._codec: Optional[str] = None
         self._sock: Optional[socket.socket] = None
@@ -198,9 +194,7 @@ class ServiceClient:
                     # sends the exact hello a pre-v2 build sends, and v1
                     # servers ignore unknown keys (docs/PROTOCOL.md).
                     hello["protocols"] = list(self._protocols)
-                    hello["compression"] = (
-                        list(available_codecs()) if self._offer_compression else []
-                    )
+                    hello["compression"] = list(available_codecs())
                 send_frame(sock, hello, self.max_frame_bytes)
                 response = recv_frame(sock, self.max_frame_bytes)
                 if response is None:

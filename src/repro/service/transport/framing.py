@@ -426,12 +426,14 @@ def recv_exact(
     and no bytes of the frame were read yet; raises
     :class:`TruncatedFrameError` if the stream ends anywhere else.
 
-    ``on_timeout`` makes a socket-timeout loop interruptible (the server's
-    stop flag): called with ``partial`` (were any bytes of this read
-    received yet?) after every timeout; return ``False`` to keep waiting,
-    ``True`` to give up — which is a clean ``None`` at an idle frame
-    boundary and a :class:`TruncatedFrameError` mid-frame.  Without it a
-    timeout is treated like a lost connection.
+    A socket timeout is treated like a lost connection.  ``on_timeout``
+    makes a timeout loop interruptible instead: called with ``partial``
+    (were any bytes of this read received yet?) after every timeout;
+    return ``False`` to keep waiting, ``True`` to give up — which is a
+    clean ``None`` at an idle frame boundary and a
+    :class:`TruncatedFrameError` mid-frame.  No caller in this package
+    passes it; ``benchmarks/e2e/traced_serve.py`` wraps this function with
+    its four-argument signature.
     """
     buffer = bytearray()
     while len(buffer) < num_bytes:
@@ -471,16 +473,14 @@ def send_frame(
 def recv_frame(
     sock: socket.socket,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    on_timeout=None,
 ) -> Optional[Dict[str, object]]:
     """Receive one frame (JSON or binary); ``None`` on clean end-of-stream.
 
     The high bit of the length prefix selects the decoder, so a reader
     needs no out-of-band state — but a peer must only *send* binary frames
-    after protocol 2 was negotiated (docs/PROTOCOL.md §3).  ``on_timeout``
-    is forwarded to :func:`recv_exact` (interruptible reads).
+    after protocol 2 was negotiated (docs/PROTOCOL.md §3).
     """
-    header = recv_exact(sock, LENGTH_PREFIX.size, at_boundary=True, on_timeout=on_timeout)
+    header = recv_exact(sock, LENGTH_PREFIX.size, at_boundary=True)
     if header is None:
         return None
     (length,) = LENGTH_PREFIX.unpack(header)
@@ -492,7 +492,7 @@ def recv_frame(
             f"at {max_frame_bytes} bytes"
         )
     if length:
-        body = recv_exact(sock, length, at_boundary=False, on_timeout=on_timeout)
+        body = recv_exact(sock, length, at_boundary=False)
     else:
         body = b""
     if binary:

@@ -19,11 +19,20 @@ frame and closed instead of being queued invisibly — clients retry with
 backoff (:class:`~repro.service.transport.client.ServiceClient` does so
 automatically).
 
-Shutdown is graceful: :meth:`close` stops the accept loop, lets in-flight
-requests finish (handlers notice the stop flag between frames; a frame
-already half-read gets a short grace period), and joins every handler
-before returning, so a CLI ``serve --listen`` process releases its store
-lock deterministically on SIGTERM.
+Shutdown is graceful and waits on no clock: every socket blocks without a
+timeout, and :meth:`close` wakes the threads blocked on them.  It shuts
+the listener down, which ends the accept loop, then shuts down the read
+side of every live connection, which wakes its handler.  A request already
+executing is answered; frames the peer had already pipelined are answered
+``unavailable``; a frame only partly received is dropped with its
+connection.  ``close`` joins every handler before returning, so a CLI
+``serve --listen`` process releases its store lock deterministically on
+SIGTERM.
+
+The wake-ups rely on Linux socket semantics: ``shutdown(SHUT_RDWR)`` on a
+listening socket makes a blocked ``accept()`` fail with ``EINVAL``, and
+``shutdown(SHUT_RD)`` on a connection makes a blocked ``recv()`` return
+end-of-stream while bytes that already arrived stay readable.
 """
 
 from __future__ import annotations
@@ -66,19 +75,15 @@ from repro.service.transport.framing import (
 #: Listen-queue depth: connections the kernel holds between ``accept`` calls.
 _BACKLOG = 32
 
-#: Seconds a handler blocked in ``recv`` waits before re-checking the stop
-#: flag (bounds shutdown latency; no effect on throughput).
-_POLL_INTERVAL = 0.2
-
-#: Seconds a closing handler keeps waiting for the rest of a frame whose
-#: first bytes already arrived, before abandoning the connection.
+#: Seconds a closing handler spends answering frames the peer keeps
+#: sending after :meth:`SocketServer.close`, before it drops the connection.
 _SHUTDOWN_GRACE = 1.0
 
-#: Per-response send deadline.  The socket's 0.2s poll timeout is right
-#: for receives (bounds shutdown latency) but would abort any ``sendall``
-#: whose frame outlives the kernel send buffer — a large metric map, or a
-#: pipelining client that has not started reading yet — so sends get their
-#: own, much larger budget before the connection is declared dead.
+#: Per-response send deadline.  Connections otherwise block without a
+#: timeout, but a peer that stops reading must not pin its handler in
+#: ``sendall`` forever — a large metric map, or a pipelining client that has
+#: not started reading yet, gets this long before the connection is
+#: declared dead.
 _SEND_TIMEOUT = 60.0
 
 #: Ops handled by the transport itself rather than the service.
@@ -94,6 +99,14 @@ class ServerStats:
     requests_served: int = 0
     frames_rejected: int = 0
     active_connections: int = 0
+
+
+def _shutdown_quietly(sock: socket.socket, how: int) -> None:
+    """``sock.shutdown(how)``, ignoring a socket no longer connected."""
+    try:
+        sock.shutdown(how)
+    except OSError:
+        pass
 
 
 def _request_needs_v2(request: Dict[str, object]) -> bool:
@@ -167,7 +180,9 @@ class SocketServer:
         self._stats_lock = threading.Lock()
         self.stats = ServerStats()
         self._handlers_lock = threading.Lock()
-        self._handlers: Dict[int, threading.Thread] = {}
+        #: conn_id -> (handler thread, its socket) for live connections;
+        #: :meth:`close` needs the sockets to wake the threads.
+        self._handlers: Dict[int, Tuple[threading.Thread, socket.socket]] = {}
         self._conn_counter = 0
         self._tracer = get_tracer()
         registry = get_registry()
@@ -193,7 +208,6 @@ class SocketServer:
         )
         self._accept_thread: Optional[threading.Thread] = None
         self._listener = socket.create_server((host, int(port)), backlog=_BACKLOG)
-        self._listener.settimeout(_POLL_INTERVAL)
         self.host, self.port = self._listener.getsockname()[:2]
 
     # ------------------------------------------------------------------ #
@@ -219,20 +233,27 @@ class SocketServer:
         return self
 
     def close(self, timeout: float = 10.0) -> None:
-        """Stop accepting, drain in-flight requests, join every handler."""
-        if self._stop.is_set():
-            return
-        self._stop.set()
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
+        """Stop accepting, drain in-flight requests, join every handler.
+
+        Shutting the sockets down wakes the threads blocked on them (see
+        the module docstring), so an idle server closes at once.
+        """
+        with self._handlers_lock:
+            if self._stop.is_set():
+                return
+            self._stop.set()
+        _shutdown_quietly(self._listener, socket.SHUT_RDWR)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=timeout)
+        self._listener.close()
         deadline = time.monotonic() + timeout
         with self._handlers_lock:
             handlers = list(self._handlers.values())
-        for thread in handlers:
+            # Under the lock: a handler deregisters before it closes its
+            # socket, so this never shuts down a descriptor already reused.
+            for _, conn in handlers:
+                _shutdown_quietly(conn, socket.SHUT_RD)
+        for thread, _ in handlers:
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "SocketServer":
@@ -249,17 +270,15 @@ class SocketServer:
     # Accept loop
     # ------------------------------------------------------------------ #
     def _accept_loop(self) -> None:
-        while not self._stop.is_set():
+        while True:
             try:
                 conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                break  # listener closed by close()
-            if self._stop.is_set():
-                conn.close()
-                break
+                return  # listener shut down by close()
             with self._handlers_lock:
+                if self._stop.is_set():
+                    conn.close()
+                    return
                 active = len(self._handlers)
                 if active >= self.max_connections:
                     handler = None
@@ -272,7 +291,7 @@ class SocketServer:
                         name=f"repro-conn-{conn_id}",
                         daemon=True,
                     )
-                    self._handlers[conn_id] = handler
+                    self._handlers[conn_id] = (handler, conn)
             if handler is None:
                 self._reject_busy(conn, active)
                 continue
@@ -303,7 +322,6 @@ class SocketServer:
     # ------------------------------------------------------------------ #
     def _handle_connection(self, conn: socket.socket, conn_id: int) -> None:
         try:
-            conn.settimeout(_POLL_INTERVAL)
             negotiated = self._handshake(conn)
             if negotiated is not None:
                 proto, codec = negotiated
@@ -313,13 +331,13 @@ class SocketServer:
         except (FrameError, ConnectionError, OSError):
             pass  # connection-level failure: drop this client only
         finally:
+            with self._handlers_lock:
+                self._handlers.pop(conn_id, None)
+                self._conn_protocols.pop(conn_id, None)
             try:
                 conn.close()
             except OSError:  # pragma: no cover - close is best-effort
                 pass
-            with self._handlers_lock:
-                self._handlers.pop(conn_id, None)
-                self._conn_protocols.pop(conn_id, None)
             with self._stats_lock:
                 self.stats.active_connections -= 1
 
@@ -532,29 +550,16 @@ class SocketServer:
         return {"ok": True, "op": "batch", "results": self.service.serve(requests)}
 
     # ------------------------------------------------------------------ #
-    # Frame I/O (stop-flag aware)
+    # Frame I/O
     # ------------------------------------------------------------------ #
     def _read_frame(self, conn: socket.socket) -> Optional[Dict[str, object]]:
-        """:func:`framing.recv_frame` with the stop flag wired in.
+        """:func:`framing.recv_frame`: ``None`` on end-of-stream.
 
-        Returns ``None`` on clean EOF or when shutdown arrives between
-        frames; mid-frame shutdown grants :data:`_SHUTDOWN_GRACE` seconds
-        for the rest of the frame before giving up on the connection.
+        :meth:`close` ends a blocked read by shutting the read side down:
+        at a frame boundary that reads as end-of-stream, mid-frame as a
+        :class:`TruncatedFrameError`.
         """
-        grace_deadline: Optional[float] = None
-
-        def on_timeout(mid_frame: bool) -> bool:
-            """Decide, per poll tick, whether the read should give up."""
-            nonlocal grace_deadline
-            if not self._stop.is_set():
-                return False  # plain poll tick: keep waiting
-            if not mid_frame:
-                return True  # idle at a frame boundary: stop cleanly
-            if grace_deadline is None:
-                grace_deadline = time.monotonic() + _SHUTDOWN_GRACE
-            return time.monotonic() > grace_deadline
-
-        request = recv_frame(conn, self.max_frame_bytes, on_timeout=on_timeout)
+        request = recv_frame(conn, self.max_frame_bytes)
         if request is not None:
             # Chaos: a fault here models a receive-side failure after the
             # frame arrived — `drop` abandons the client like a real reset.
@@ -611,7 +616,7 @@ class SocketServer:
         try:
             conn.sendall(frame)
         finally:
-            conn.settimeout(_POLL_INTERVAL)
+            conn.settimeout(None)
 
     def _send_best_effort(self, conn: socket.socket, payload: Dict[str, object]) -> None:
         try:

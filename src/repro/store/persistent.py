@@ -20,7 +20,6 @@ from typing import Optional
 from repro.engine.engine import QueryEngine
 from repro.engine.index import BUILD_ALGORITHM
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.parallel.executor import ParallelConfig
 from repro.store.format import FingerprintMismatchError, PathLike
 from repro.store.store import IndexStore
 from repro.utils.validation import ValidationError
@@ -38,7 +37,6 @@ class PersistentQueryEngine(QueryEngine):
         store: IndexStore,
         hypergraph: Optional[Hypergraph] = None,
         max_resident_shards: Optional[int] = None,
-        config: Optional[ParallelConfig] = None,
         cache_size: int = 256,
     ) -> None:
         h = hypergraph if hypergraph is not None else store.load_hypergraph()
@@ -52,7 +50,6 @@ class PersistentQueryEngine(QueryEngine):
         super().__init__(
             h,
             algorithm=index.algorithm or BUILD_ALGORITHM,
-            config=config,
             cache_size=cache_size,
             index=index,
         )
@@ -88,22 +85,11 @@ class PersistentQueryEngine(QueryEngine):
         cls,
         h: Hypergraph,
         path: PathLike,
-        algorithm: str = BUILD_ALGORITHM,
         num_shards: int = 4,
-        config: Optional[ParallelConfig] = None,
-        save_hypergraph: bool = True,
-        **kwargs,
     ):
         """Build a fresh store for ``h`` at ``path`` and serve from it."""
-        store = IndexStore.build(
-            h,
-            path,
-            algorithm=algorithm,
-            num_shards=num_shards,
-            config=config,
-            save_hypergraph=save_hypergraph,
-        )
-        return cls(store, hypergraph=h, config=config, **kwargs)
+        store = IndexStore.build(h, path, num_shards=num_shards)
+        return cls(store, hypergraph=h)
 
     # ------------------------------------------------------------------ #
     # Updates (guarded up front so read-only handles never mutate the

@@ -33,7 +33,6 @@ from repro.engine.index import BUILD_ALGORITHM, OverlapIndex
 from repro.hypergraph.csr import CSRMatrix
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.io.serialization import load_hypergraph_npz, save_hypergraph_npz
-from repro.parallel.executor import ParallelConfig
 from repro.store.format import (
     FingerprintMismatchError,
     HYPERGRAPH_NAME,
@@ -215,12 +214,11 @@ class IndexStore:
         path: PathLike,
         algorithm: str = BUILD_ALGORITHM,
         num_shards: int = 4,
-        config: Optional[ParallelConfig] = None,
         save_hypergraph: bool = True,
         provenance: Optional[Dict[str, object]] = None,
     ) -> "IndexStore":
         """Compute the overlap index of ``h`` and persist it under ``path``."""
-        index = OverlapIndex.build(h, algorithm=algorithm, config=config)
+        index = OverlapIndex.build(h, algorithm=algorithm)
         return cls.from_index(
             index,
             h.fingerprint(),

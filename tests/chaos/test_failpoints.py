@@ -14,6 +14,7 @@ from repro.obs import MetricsRegistry, render_prometheus, use_registry
 from repro.service import QueryService
 from repro.service.transport import ServiceClient, SocketServer
 from repro.store.replication import StoreMirror
+from repro.store.store import IndexStore
 
 
 @pytest.fixture(autouse=True)
@@ -211,9 +212,8 @@ class TestReachability:
         for point in fp.CATALOGUE:
             fp.activate(point, "delay", value=0)
         store = str(tmp_path / "idx")
-        with QueryService(
-            store, hypergraph=paper_example, create=True, num_shards=2
-        ) as service:
+        IndexStore.build(paper_example, store, num_shards=2)
+        with QueryService(store) as service:
             with SocketServer(service) as server:
                 with ServiceClient(*server.address) as client:
                     mirror = StoreMirror(client, str(tmp_path / "mirror"))

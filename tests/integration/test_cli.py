@@ -50,8 +50,6 @@ class TestParser:
             assert args.metrics_port is None and args.chaos is False
         for args in (connect, replicate, stats, trace):
             assert (args.timeout, args.connect_retries) == (30.0, 40)
-        for args in (connect, replicate):
-            assert args.no_compression is False
         for argv in (
             ["serve", "--path", "idx"],
             ["serve", "--path", "idx", "--listen", "h:0", "--materialize"],

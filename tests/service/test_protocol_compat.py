@@ -118,17 +118,25 @@ class TestCompatMatrix:
                 )
 
     def test_compression_negotiated_off(self, v2_server):
-        """compression=False keeps binary framing but no codec either way."""
-        with ServiceClient(
-            *v2_server.address, connect_retries=5, compression=False
-        ) as client:
-            assert client.protocol == PROTOCOL_VERSION_BINARY
-            assert client.compression is None
+        """An empty codec list keeps binary framing but no codec either way."""
+        sock = socket.create_connection(v2_server.address, timeout=5)
+        try:
+            send_frame(
+                sock,
+                {"op": "hello", "protocol": 1, "protocols": [1, 2], "compression": []},
+            )
+            hello = recv_frame(sock)
+            assert hello["negotiated"] == PROTOCOL_VERSION_BINARY
+            assert hello["compression"] is None
             # The binary plane still works uncompressed.
-            assert client.metric(2, "connected_components")
-            stats = client.stats()
-            assert stats["transport"]["negotiated"] == PROTOCOL_VERSION_BINARY
-            assert stats["transport"]["compression"] is None
+            send_frame(sock, {"op": "metric", "s": 2, "columns": True})
+            assert len(recv_frame(sock)["edge_ids"])
+            send_frame(sock, {"op": "stats"})
+            transport = recv_frame(sock)["stats"]["transport"]
+            assert transport["negotiated"] == PROTOCOL_VERSION_BINARY
+            assert transport["compression"] is None
+        finally:
+            sock.close()
 
     def test_stats_reports_negotiated_protocols(self, v2_server):
         with ServiceClient(*v2_server.address, connect_retries=5) as v2_client:

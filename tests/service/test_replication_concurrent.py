@@ -13,23 +13,16 @@ compaction (changed-shards-only delta sync with a hot generation swap).
 """
 
 import json
-import multiprocessing as mp
 import subprocess
 import sys
 
 import pytest
 
-from repro.chaos.harness import (
-    ManagedProcess,
-    diff_stores,
-    harness_env,
-    oracle_values_json,
-    wait_until,
-)
-from repro.core.pipeline import SLinePipeline
+from repro.chaos.harness import ManagedProcess, diff_stores, harness_env, wait_until
 from repro.service import QueryService, ServiceClient, SocketServer
 from repro.store.store import IndexStore
 from repro.utils.rng import make_rng
+from tests.service.acceptance import await_convergence, reader_fleet
 
 
 @pytest.fixture
@@ -38,38 +31,12 @@ def store_path(community_hypergraph, tmp_path):
     return str(tmp_path / "idx")
 
 
-def reader_process(address, phases, results):
-    """Remote client: each phase, serve queries and report the raw JSON."""
-    host, port = address
-    with ServiceClient(host, port) as client:
-        while True:
-            phase = phases.get()
-            if phase is None:
-                return
-            answers = {}
-            for s, metric in [(2, "pagerank"), (1, "connected_components")]:
-                response = client.request({"op": "metric", "s": s, "metric": metric})
-                answers[f"{metric}/{s}"] = json.dumps(response["values"], sort_keys=True)
-            answers["components/2"] = client.components(2)
-            results.put((phase, answers, client.generation()))
-
-
-def await_convergence(monitor, fingerprint):
-    wait_until(
-        lambda: monitor.fingerprint() == fingerprint,
-        description="the remote mirror to catch up",
-    )
-
-
 def await_generation(monitor, generation):
     """Compaction does not change the fingerprint — wait on the generation."""
     wait_until(
         lambda: monitor.generation() == generation,
         description="the remote mirror to pull the compaction",
     )
-
-
-NUM_READERS = 2
 
 
 class TestRemoteMirrorAcceptance:
@@ -99,44 +66,12 @@ class TestRemoteMirrorAcceptance:
                     # peer connection.
                     assert writer_server.stats.connections_accepted == 1
 
-                    ctx = mp.get_context("spawn")
-                    phases = [ctx.Queue() for _ in range(NUM_READERS)]
-                    results = ctx.Queue()
-                    readers = [
-                        ctx.Process(
-                            target=reader_process,
-                            args=(replica_address, phases[i], results),
-                        )
-                        for i in range(NUM_READERS)
-                    ]
-                    for reader in readers:
-                        reader.start()
-
-                    def run_phase(name):
-                        h = writer.engine.hypergraph
-                        expected = {
-                            "pagerank/2": oracle_values_json(h, 2, "pagerank"),
-                            "connected_components/1": oracle_values_json(
-                                h, 1, "connected_components"
-                            ),
-                            "components/2": SLinePipeline(
-                                metrics=("connected_components",)
-                            ).run(h, 2).num_components(),
-                        }
-                        for queue in phases:
-                            queue.put(name)
-                        for _ in readers:
-                            phase, answers, generation = results.get(timeout=120)
-                            assert phase == name
-                            assert answers == expected, f"diverged in phase {name}"
-                        return generation
-
-                    try:
+                    with reader_fleet(replica_address) as run_phase:
                         with ServiceClient(*replica_address) as monitor, ServiceClient(
                             *writer_server.address
                         ) as updater:
                             # Phase 1: the bootstrapped snapshot.
-                            assert run_phase("snapshot") == 0
+                            assert run_phase("snapshot", writer) == 0
 
                             # Phase 2: durable updates; the mirror pulls
                             # them as a WAL-tail delta over the socket.
@@ -149,20 +84,13 @@ class TestRemoteMirrorAcceptance:
                                 updater.add(members, wait=True)
                             updater.remove(1, wait=True)
                             await_convergence(monitor, writer.engine.fingerprint())
-                            run_phase("updated")
+                            run_phase("updated", writer)
 
                             # Phase 3: compaction; the mirror delta-syncs
                             # the new generation and hot-swaps it.
                             assert updater.compact() == 1
                             await_generation(monitor, 1)
-                            assert run_phase("compacted") == 1
-                    finally:
-                        for queue in phases:
-                            queue.put(None)
-                        for reader in readers:
-                            reader.join(timeout=30)
-                            if reader.is_alive():  # pragma: no cover - cleanup
-                                reader.terminate()
+                            assert run_phase("compacted", writer) == 1
                 finally:
                     proc.close(timeout=30)
 

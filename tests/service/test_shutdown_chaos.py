@@ -17,6 +17,8 @@ from repro.chaos import failpoints as fp
 from repro.service import QueryService, SocketServer
 from repro.service.contract import E_UNAVAILABLE
 from repro.service.transport.framing import (
+    DEFAULT_MAX_FRAME_BYTES,
+    encode_frame,
     hello_request,
     recv_frame,
     send_frame,
@@ -131,5 +133,40 @@ class TestShutdownDrain:
         try:
             server.close()
             assert recv_frame(sock) is None
+        finally:
+            sock.close()
+
+
+class TestCloseWakesBlockedThreads:
+    """close() wakes the threads blocked on its sockets: no poll tick."""
+
+    def test_close_with_an_idle_connection_returns_at_once(self, writer):
+        for _ in range(5):
+            server = SocketServer(writer, port=0).start()
+            sock = _handshake(server.address)
+            try:
+                start = time.perf_counter()
+                server.close()
+                assert time.perf_counter() - start < 0.1
+                assert not [
+                    t for t in threading.enumerate()
+                    if t.name.startswith(("repro-serve-", "repro-conn-"))
+                ]
+            finally:
+                sock.close()
+
+    def test_half_sent_frame_is_dropped_at_close(self, writer):
+        server = SocketServer(writer, port=0).start()
+        sock = _handshake(server.address)
+        try:
+            frame = encode_frame({"op": "stats"}, DEFAULT_MAX_FRAME_BYTES)
+            sock.sendall(frame[: len(frame) // 2])
+            start = time.perf_counter()
+            server.close()
+            try:
+                assert sock.recv(1) == b""
+            except ConnectionResetError:
+                pass
+            assert time.perf_counter() - start < 0.5
         finally:
             sock.close()

@@ -11,20 +11,12 @@ compaction-triggered hot reload — and every sweep must equal the
 writer's own.
 """
 
-import json
-import multiprocessing as mp
 import subprocess
 import sys
 
 import pytest
 
-from repro.chaos.harness import (
-    ManagedProcess,
-    harness_env,
-    oracle_values_json,
-    wait_until,
-)
-from repro.core.pipeline import SLinePipeline
+from repro.chaos.harness import ManagedProcess, harness_env
 from repro.service import (
     QueryService,
     ServiceClient,
@@ -33,6 +25,7 @@ from repro.service import (
 )
 from repro.store.store import IndexStore
 from repro.utils.rng import make_rng
+from tests.service.acceptance import await_convergence, reader_fleet
 
 
 @pytest.fixture
@@ -59,68 +52,11 @@ def replica_server(store_path):
         proc.close(timeout=30)
 
 
-def reader_process(address, phases, results):
-    """Remote client: each phase, serve queries and report the raw JSON."""
-    host, port = address
-    with ServiceClient(host, port) as client:
-        while True:
-            phase = phases.get()
-            if phase is None:
-                return
-            answers = {}
-            for s, metric in [(2, "pagerank"), (1, "connected_components")]:
-                response = client.request({"op": "metric", "s": s, "metric": metric})
-                answers[f"{metric}/{s}"] = json.dumps(
-                    response["values"], sort_keys=True
-                )
-            answers["components/2"] = client.components(2)
-            answers["sweep/1..3"] = client.sweep(s_min=1, s_max=3)["edge_counts"]
-            results.put((phase, answers, client.generation()))
-
-
-def await_convergence(monitor, fingerprint):
-    wait_until(
-        lambda: monitor.fingerprint() == fingerprint,
-        description="the replica to catch up",
-    )
-
-
-NUM_READERS = 2
-
-
 class TestRemoteServingAcceptance:
     def test_remote_readers_serve_oracle_values_across_updates_and_compaction(
         self, store_path, replica_server
     ):
-        ctx = mp.get_context("spawn")
-        phases = [ctx.Queue() for _ in range(NUM_READERS)]
-        results = ctx.Queue()
-        readers = [
-            ctx.Process(target=reader_process, args=(replica_server, phases[i], results))
-            for i in range(NUM_READERS)
-        ]
-        for proc in readers:
-            proc.start()
-
-        def run_phase(name, writer):
-            h = writer.engine.hypergraph
-            expected = {
-                "pagerank/2": oracle_values_json(h, 2, "pagerank"),
-                "connected_components/1": oracle_values_json(h, 1, "connected_components"),
-                "components/2": SLinePipeline(
-                    metrics=("connected_components",)
-                ).run(h, 2).num_components(),
-                "sweep/1..3": writer.sweep(range(1, 4)).edge_counts,
-            }
-            for queue in phases:
-                queue.put(name)
-            for _ in readers:
-                phase, answers, generation = results.get(timeout=120)
-                assert phase == name
-                assert answers == expected, f"reader diverged in phase {name}"
-            return generation
-
-        try:
+        with reader_fleet(replica_server) as run_phase:
             with QueryService(store_path, max_batch=16) as writer:
                 with SocketServer(writer, port=0) as writer_server:
                     with ServiceClient(*replica_server) as monitor, ServiceClient(
@@ -149,13 +85,6 @@ class TestRemoteServingAcceptance:
                         await_convergence(monitor, writer.engine.fingerprint())
                         generation = run_phase("compacted", writer)
                         assert generation == 1
-        finally:
-            for queue in phases:
-                queue.put(None)
-            for proc in readers:
-                proc.join(timeout=30)
-                if proc.is_alive():  # pragma: no cover - cleanup on failure
-                    proc.terminate()
 
     def test_writer_cli_server_locks_out_a_second_writer(self, store_path):
         """A serve --listen writer subprocess holds the single-writer lock:

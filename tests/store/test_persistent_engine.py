@@ -54,7 +54,7 @@ class TestOpenAndServe:
         engines = {}
         for algorithm in ("hashmap", "vectorized"):
             path = tmp_path / algorithm
-            PersistentQueryEngine.build(community_hypergraph, path, algorithm=algorithm)
+            IndexStore.build(community_hypergraph, path, algorithm=algorithm)
             engines[algorithm] = engine = PersistentQueryEngine.open(path)
             assert engine.algorithm == engine.index.manifest.algorithm == algorithm
             engine.add_hyperedge([0, 1, 2, 50])
@@ -144,21 +144,6 @@ class TestFromStore:
         with pytest.raises(FingerprintMismatchError):
             QueryEngine.from_store(store_path, hypergraph=paper_example)
 
-    def test_mismatch_rebuilds_when_allowed(self, store_path, paper_example):
-        engine = QueryEngine.from_store(
-            store_path, hypergraph=paper_example, on_mismatch="rebuild"
-        )
-        assert engine.line_graph(2) == QueryEngine(paper_example).line_graph(2)
-        # The snapshot now describes the new hypergraph.
-        reopened = IndexStore.open(store_path)
-        assert reopened.manifest.fingerprint == paper_example.fingerprint()
-
-    def test_invalid_on_mismatch_rejected(self, store_path, community_hypergraph):
-        with pytest.raises(ValidationError, match="on_mismatch"):
-            QueryEngine.from_store(
-                store_path, hypergraph=community_hypergraph, on_mismatch="ignore"
-            )
-
 
 class TestIndexInjection:
     def test_injected_index_must_match(self, community_hypergraph, paper_example):
@@ -182,9 +167,7 @@ class TestPipelineOverStoreEngine:
         path = str(tmp_path / "pipe-idx")
         oracle = SLinePipeline(metrics=("connected_components",))
         baseline = oracle.run(community_hypergraph, 2)
-        first = QueryEngine.from_store(
-            path, hypergraph=community_hypergraph, create=True, on_mismatch="rebuild"
-        )
+        first = QueryEngine.from_store(path, hypergraph=community_hypergraph, create=True)
         try:
             assert first.line_graph(2) == baseline.line_graph
             assert np.array_equal(
@@ -194,9 +177,7 @@ class TestPipelineOverStoreEngine:
         finally:
             first.close()
         # A second engine (fresh process) opens the snapshot: no rebuild.
-        second = QueryEngine.from_store(
-            path, hypergraph=community_hypergraph, create=True, on_mismatch="rebuild"
-        )
+        second = QueryEngine.from_store(path, hypergraph=community_hypergraph, create=True)
         try:
             assert second.line_graph(3) == oracle.run(community_hypergraph, 3).line_graph
             assert second.stats().index_builds == 0
