@@ -29,7 +29,7 @@ from repro.benchmarks import quick_mode
 from repro.benchmarks.reporting import format_table
 from repro.engine.engine import QueryEngine
 from repro.engine.index import OverlapIndex
-from repro.store import IndexStore
+from repro.store import IndexStore, PersistentQueryEngine
 from repro.utils.rng import make_rng
 
 S_RANGE = range(1, 9)
@@ -100,7 +100,7 @@ def test_store_reuse_speedup(bench_hypergraph, store_dir, report):
         warm_seconds = min(warm_seconds, time.perf_counter() - start)
 
     # WAL replay path: log 20 incremental updates, then recover + sweep.
-    engine = QueryEngine.from_store(store_dir, hypergraph=bench_hypergraph)
+    engine = PersistentQueryEngine.open(store_dir)
     rng = make_rng(5)
     h = engine.hypergraph
     for _ in range(15):

@@ -340,7 +340,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         from repro.store import PersistentQueryEngine
 
-        engine = PersistentQueryEngine.open(args.path)
+        engine = PersistentQueryEngine.open(args.path, read_only=True)
     graph = engine.line_graph(args.s)
     print(
         f"L_{args.s}: {graph.num_edges} edges over {graph.num_active_vertices} "
@@ -382,19 +382,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _writer_lock(path: str, owner: str):
+    """The store's single-writer lock, taken without waiting: a live writer
+    (``serve``, ``replicate``, another ``index`` command) exits non-zero
+    with the lease naming it, before anything in the store is touched."""
+    from repro.service import StoreLock, StoreLockHeldError
+
+    try:
+        return StoreLock(path, owner=owner).acquire(blocking=False)
+    except StoreLockHeldError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def _cmd_index_build(args: argparse.Namespace) -> int:
     from repro.store import IndexStore
 
     h = _load_hypergraph(args)
     source = args.dataset or args.input or "hypergraph"
     start = time.perf_counter()
-    store = IndexStore.build(
-        h,
-        args.path,
-        algorithm=args.algorithm,
-        num_shards=args.shards,
-        provenance={"source": str(source)},
-    )
+    with _writer_lock(args.path, "repro-index-build"):
+        store = IndexStore.build(
+            h,
+            args.path,
+            algorithm=args.algorithm,
+            num_shards=args.shards,
+            provenance={"source": str(source)},
+        )
     elapsed = time.perf_counter() - start
     m = store.manifest
     print(
@@ -408,7 +421,7 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
 def _cmd_index_info(args: argparse.Namespace) -> int:
     from repro.store import IndexStore
 
-    info = IndexStore.open(args.path).info()
+    info = IndexStore.open(args.path, read_only=True).info()
     width = max(len(k) for k in info)
     for key, value in info.items():
         print(f"{key:<{width}}  {value}")
@@ -416,12 +429,14 @@ def _cmd_index_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_index_compact(args: argparse.Namespace) -> int:
-    from repro.store import IndexStore
+    from repro.store import IndexStore, read_manifest
 
-    store = IndexStore.open(args.path)
-    folded = store.num_wal_records()
-    start = time.perf_counter()
-    manifest = store.compact(num_shards=args.shards)
+    read_manifest(args.path)  # a missing store is reported, never created
+    with _writer_lock(args.path, "repro-index-compact"):
+        store = IndexStore.open(args.path)
+        folded = store.num_wal_records()
+        start = time.perf_counter()
+        manifest = store.compact(num_shards=args.shards)
     print(
         f"compacted {folded} WAL records into generation "
         f"{manifest.generation} ({manifest.num_pairs} pairs, "
@@ -740,7 +755,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     """
     import threading
 
-    from repro.service import QueryService, StoreLock
+    from repro.service import QueryService
     from repro.service.transport import TransportError
     from repro.store import StoreMirror
     from repro.store.format import StoreError
@@ -769,9 +784,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         with _peer(args.source, args) as client:
             try:
                 mirror = StoreMirror(client, args.store)
-                lock = StoreLock(args.store, owner="repro-replicate").acquire(
-                    blocking=False
-                )
+                lock = _writer_lock(args.store, "repro-replicate")
             except (StoreError, OSError) as exc:
                 # OSError: --store points at a file / an unwritable directory.
                 raise SystemExit(str(exc)) from None

@@ -233,44 +233,6 @@ class QueryEngine:
         self._fallbacks = 0
 
     # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_store(
-        cls,
-        path,
-        hypergraph: Optional[Hypergraph] = None,
-        create: bool = False,
-    ) -> "QueryEngine":
-        """Open (or build) a persistent store and serve queries from it.
-
-        Parameters
-        ----------
-        path:
-            Store directory (see :class:`repro.store.IndexStore`).
-        hypergraph:
-            The hypergraph the engine should serve.  Optional when the
-            store saved its own copy; required to ``create``.  A store
-            that describes a *different* hypergraph raises
-            :class:`repro.store.FingerprintMismatchError`.
-        create:
-            Build the store when ``path`` holds no snapshot yet.
-
-        Returns a :class:`repro.store.PersistentQueryEngine` — it serves
-        out-of-core from mmap'd shards, and updates are WAL-logged and
-        survive the process.
-        """
-        from repro.store import IndexStore, PersistentQueryEngine
-
-        if IndexStore.exists(path):
-            return PersistentQueryEngine.open(path, hypergraph=hypergraph)
-        if not create:
-            raise ValidationError(f"no snapshot at {path}; pass create=True to build one")
-        if hypergraph is None:
-            raise ValidationError("building a store requires a hypergraph")
-        return PersistentQueryEngine.build(hypergraph, path)
-
-    # ------------------------------------------------------------------ #
     # State
     # ------------------------------------------------------------------ #
     @property

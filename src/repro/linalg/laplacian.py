@@ -26,13 +26,6 @@ def _check_square_symmetric(adjacency: sparse.spmatrix) -> sparse.csr_matrix:
     return adj
 
 
-def laplacian_matrix(adjacency: sparse.spmatrix) -> sparse.csr_matrix:
-    """Combinatorial Laplacian ``L = D − A`` of an undirected weighted graph."""
-    adj = _check_square_symmetric(adjacency)
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
-    return (sparse.diags(degrees) - adj).tocsr()
-
-
 def normalized_laplacian(adjacency: sparse.spmatrix) -> sparse.csr_matrix:
     """Normalized Laplacian ``I − D^{−1/2} A D^{−1/2}``.
 

@@ -58,28 +58,3 @@ def smallest_eigenvalues(matrix: sparse.spmatrix, k: int = 2) -> np.ndarray:
     except (splinalg.ArpackNoConvergence, splinalg.ArpackError, RuntimeError):
         eigs = np.linalg.eigvalsh(mat.toarray())
         return np.sort(eigs)[:k]
-
-
-def fiedler_value(laplacian: sparse.spmatrix) -> float:
-    """Second-smallest eigenvalue of a Laplacian matrix."""
-    if laplacian.shape[0] < 2:
-        return 0.0
-    return float(smallest_eigenvalues(laplacian, k=2)[1])
-
-
-def largest_eigenvalue(matrix: sparse.spmatrix) -> float:
-    """Largest eigenvalue of a symmetric matrix (dense fallback for small n)."""
-    mat = sparse.csr_matrix(matrix, dtype=np.float64)
-    n = mat.shape[0]
-    if n == 0:
-        return 0.0
-    if n <= DENSE_THRESHOLD:
-        return float(np.linalg.eigvalsh(mat.toarray())[-1])
-    try:
-        return float(
-            splinalg.eigsh(
-                mat, k=1, which="LA", return_eigenvectors=False, v0=_start_vector(n)
-            )[0]
-        )
-    except (splinalg.ArpackNoConvergence, splinalg.ArpackError, RuntimeError):
-        return float(np.linalg.eigvalsh(mat.toarray())[-1])

@@ -21,12 +21,8 @@ the same status line and headers with no body):
     (wired by the CLI to ``QueryService.readiness()``): ``200`` with a
     small JSON body when the node should receive traffic, ``503`` with
     the reason otherwise.  Without a callback the endpoint degrades to
-    liveness.  The ``reason`` strings are part of the probe contract
-    (see README "Probes & readiness reasons"): writers answer ``service
-    closed``, ``store unreadable: ...``, ``store writer lock not held``
-    or ``admission queue poisoned (a group commit failed)``; remote
-    replicas answer ``closed``, ``last sync failed``, ``peer
-    unreachable`` or ``generation lag above threshold``.
+    liveness.  The ``reason`` strings are part of the probe contract;
+    the readiness table of ``docs/OPERATIONS.md`` §2 lists them per role.
 
 Every probe is timed into a ``repro_probe_seconds{probe}`` histogram on
 the listener's registry, so dashboards can tell a slow readiness check

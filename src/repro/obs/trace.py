@@ -68,6 +68,13 @@ __all__ = [
 #: Attribute values are coerced to these JSON-safe scalar types.
 _SCALARS = (str, int, float, bool)
 
+#: How many finished traces a tracer's ring retains.
+TRACE_BUFFER_CAPACITY = 256
+
+#: Per-trace span cap; spans past it are counted as dropped, not stored
+#: (a runaway sweep must not hold the process's memory).
+MAX_SPANS_PER_TRACE = 512
+
 
 def _new_trace_id() -> str:
     return os.urandom(16).hex()
@@ -249,7 +256,7 @@ class _TraceRecord:
 class TraceBuffer:
     """Thread-safe bounded ring of finished traces (newest evicts oldest)."""
 
-    def __init__(self, capacity: int = 256) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"trace buffer capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
@@ -279,10 +286,6 @@ class TraceBuffer:
     def __len__(self) -> int:
         with self._lock:
             return len(self._traces)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._traces.clear()
 
 
 class _SpanContext:
@@ -346,20 +349,12 @@ class Tracer:
         When set, record every request speculatively and keep any whose
         root span lasted at least this many milliseconds (on top of the
         probabilistic keeps).
-    buffer_capacity:
-        How many finished traces the ring retains.
-    max_spans_per_trace:
-        Per-trace span cap; spans past it are counted as dropped, not
-        stored (a runaway sweep must not hold the process's memory).
+
+    The ring holds :data:`TRACE_BUFFER_CAPACITY` finished traces, each of
+    at most :data:`MAX_SPANS_PER_TRACE` spans.
     """
 
-    def __init__(
-        self,
-        sample_rate: float = 0.0,
-        slow_ms: Optional[float] = None,
-        buffer_capacity: int = 256,
-        max_spans_per_trace: int = 512,
-    ) -> None:
+    def __init__(self, sample_rate: float = 0.0, slow_ms: Optional[float] = None) -> None:
         rate = float(sample_rate)
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1], got {sample_rate}")
@@ -367,8 +362,7 @@ class Tracer:
             raise ValueError(f"slow_ms must be >= 0, got {slow_ms}")
         self.sample_rate = rate
         self.slow_ms = None if slow_ms is None else float(slow_ms)
-        self.max_spans_per_trace = int(max_spans_per_trace)
-        self.buffer = TraceBuffer(buffer_capacity)
+        self.buffer = TraceBuffer(TRACE_BUFFER_CAPACITY)
         self._local = threading.local()
         self._stats_lock = threading.Lock()
         self._started = 0
@@ -422,7 +416,7 @@ class Tracer:
                 self._started += 1
             return _NOOP_CONTEXT
         record = _TraceRecord(
-            trace_id or _new_trace_id(), sampled, self.max_spans_per_trace
+            trace_id or _new_trace_id(), sampled, MAX_SPANS_PER_TRACE
         )
         span = Span(name, record, parent_id=parent_id, attributes=attributes)
         with self._stats_lock:

@@ -84,9 +84,8 @@ class ReadReplica:
         for _ in range(_OPEN_RETRIES):
             try:
                 token = IndexStore.state_token(self._path)
-                engine = PersistentQueryEngine.open(
-                    self._path,
-                    read_only=True,
+                engine = PersistentQueryEngine(
+                    IndexStore.open(self._path, read_only=True),
                     max_resident_shards=self._max_resident_shards,
                     cache_size=self._cache_size,
                 )

@@ -2,7 +2,8 @@
 
 :class:`QueryService` ties the serving subsystem together.  In **writer**
 mode it takes the cross-process :class:`~repro.service.StoreLock`, opens
-(or builds) a :class:`~repro.store.PersistentQueryEngine`, and starts the
+a :class:`~repro.store.PersistentQueryEngine` over an existing store (build
+one first with :meth:`~repro.store.IndexStore.build`), and starts the
 :class:`~repro.service.AdmissionQueue` writer thread plus — when a
 :class:`~repro.service.CompactionPolicy` is given — the background
 compactor.  In **read-only** mode it serves from a hot-reloading
@@ -29,7 +30,6 @@ from repro.chaos import failpoints as _failpoints
 from repro.chaos.failpoints import SERVICE_EXECUTE
 from repro.engine.engine import QueryEngine, SweepResult
 from repro.graph.connected_components import num_components
-from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs import get_registry, get_tracer, render_prometheus
 from repro.parallel.executor import ParallelConfig, run_partitioned
 from repro.service import contract
@@ -39,6 +39,7 @@ from repro.service.lock import StoreLock
 from repro.service.replica import ReadReplica
 from repro.service.sync import RWLock
 from repro.store.format import PathLike, ReadOnlyStoreError, StoreError
+from repro.store.persistent import PersistentQueryEngine
 from repro.store.replication import LocalReplicationSource
 from repro.store.store import IndexStore
 from repro.utils.validation import ValidationError
@@ -55,9 +56,6 @@ class QueryService:
     ----------
     path:
         Store directory.
-    hypergraph / create:
-        Forwarded to :meth:`QueryEngine.from_store` (writer mode): supply a
-        hypergraph and ``create=True`` to build a store that does not exist.
     read_only:
         Serve as a read replica: no writer lock, no admission queue;
         ``submit_add`` / ``submit_remove`` / ``compact`` raise
@@ -82,8 +80,6 @@ class QueryService:
     def __init__(
         self,
         path: PathLike,
-        hypergraph: Optional[Hypergraph] = None,
-        create: bool = False,
         read_only: bool = False,
         num_workers: int = 4,
         max_batch: int = 64,
@@ -137,7 +133,7 @@ class QueryService:
 
         self._lock = StoreLock(path, owner="QueryService").acquire(blocking=False)
         try:
-            self._engine = QueryEngine.from_store(path, hypergraph=hypergraph, create=create)
+            self._engine = PersistentQueryEngine.open(path)
             self._admission = AdmissionQueue(
                 self._engine, write_lock=self._rw, max_batch=max_batch
             )

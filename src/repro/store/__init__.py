@@ -26,7 +26,6 @@ the system's storage layer:
 
 from repro.store.format import (
     FORMAT_VERSION,
-    FingerprintMismatchError,
     Manifest,
     ReadOnlyStoreError,
     ShardInfo,
@@ -49,7 +48,6 @@ from repro.store.wal import WalRecord, WriteAheadLog
 
 __all__ = [
     "FORMAT_VERSION",
-    "FingerprintMismatchError",
     "IndexStore",
     "LocalReplicationSource",
     "Manifest",

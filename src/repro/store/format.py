@@ -7,7 +7,7 @@ A store is a directory:
     <store>/
         manifest.json        versioned description of the snapshot (below)
         edge_sizes.npy       per-hyperedge sizes |e_i| (int64)
-        hypergraph.npz       optional source hypergraph (io.serialization)
+        hypergraph.npz       source hypergraph (io.serialization)
         wal.log              write-ahead log of incremental updates
         shards/
             g<G>-shard-00000.edges.npy    (k_b, 2) int64, weight-ascending
@@ -62,10 +62,6 @@ class StoreError(ValidationError):
 
 class StoreFormatError(StoreError):
     """The on-disk layout cannot be interpreted by this reader."""
-
-
-class FingerprintMismatchError(StoreError):
-    """The store describes a different hypergraph than the one supplied."""
 
 
 class ReadOnlyStoreError(StoreError):

@@ -20,7 +20,7 @@ from typing import Optional
 from repro.engine.engine import QueryEngine
 from repro.engine.index import BUILD_ALGORITHM
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.store.format import FingerprintMismatchError, PathLike
+from repro.store.format import PathLike
 from repro.store.store import IndexStore
 from repro.utils.validation import ValidationError
 
@@ -29,23 +29,18 @@ class PersistentQueryEngine(QueryEngine):
     """Store-backed query engine (see the module docstring).
 
     Construct via :meth:`open` or :meth:`build`; the plain constructor
-    expects an already-opened :class:`IndexStore`.
+    expects an already-opened :class:`IndexStore`.  The served hypergraph is
+    always the store's own copy (:meth:`IndexStore.load_hypergraph`, which
+    refuses a copy inconsistent with the snapshot and log).
     """
 
     def __init__(
         self,
         store: IndexStore,
-        hypergraph: Optional[Hypergraph] = None,
         max_resident_shards: Optional[int] = None,
         cache_size: int = 256,
     ) -> None:
-        h = hypergraph if hypergraph is not None else store.load_hypergraph()
-        current = store.current_fingerprint()
-        if current is not None and current != h.fingerprint():
-            raise FingerprintMismatchError(
-                f"store at {store.path} describes hypergraph {current[:12]}…, "
-                f"not {h.fingerprint()[:12]}…"
-            )
+        h = store.load_hypergraph()
         index = store.sharded_index(max_resident_shards=max_resident_shards)
         super().__init__(
             h,
@@ -60,13 +55,7 @@ class PersistentQueryEngine(QueryEngine):
     # Constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def open(
-        cls,
-        path: PathLike,
-        hypergraph: Optional[Hypergraph] = None,
-        read_only: bool = False,
-        **kwargs,
-    ):
+    def open(cls, path: PathLike, read_only: bool = False):
         """Open an existing store (recovering its WAL) and serve from it.
 
         ``read_only=True`` opens a non-truncating, never-writing handle
@@ -74,11 +63,7 @@ class PersistentQueryEngine(QueryEngine):
         :class:`repro.store.ReadOnlyStoreError` before any in-memory state
         is touched.
         """
-        return cls(
-            IndexStore.open(path, read_only=read_only),
-            hypergraph=hypergraph,
-            **kwargs,
-        )
+        return cls(IndexStore.open(path, read_only=read_only))
 
     @classmethod
     def build(
@@ -88,8 +73,7 @@ class PersistentQueryEngine(QueryEngine):
         num_shards: int = 4,
     ):
         """Build a fresh store for ``h`` at ``path`` and serve from it."""
-        store = IndexStore.build(h, path, num_shards=num_shards)
-        return cls(store, hypergraph=h)
+        return cls(IndexStore.build(h, path, num_shards=num_shards))
 
     # ------------------------------------------------------------------ #
     # Updates (guarded up front so read-only handles never mutate the

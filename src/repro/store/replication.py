@@ -110,15 +110,14 @@ def file_crc32(path: PathLike, chunk_bytes: int = 1 << 20) -> int:
     return crc & 0xFFFFFFFF
 
 
-def _snapshot_file_names(store_path: str, manifest: Manifest) -> List[str]:
+def _snapshot_file_names(manifest: Manifest) -> List[str]:
     """Relative (posix-style) names of every file the snapshot references."""
     names: List[str] = []
     for info in manifest.shards:
         names.append(f"{SHARD_DIR}/{info.edges_file}")
         names.append(f"{SHARD_DIR}/{info.weights_file}")
     names.append(manifest.edge_sizes_file)
-    if os.path.isfile(os.path.join(store_path, HYPERGRAPH_NAME)):
-        names.append(HYPERGRAPH_NAME)
+    names.append(HYPERGRAPH_NAME)
     return names
 
 
@@ -165,7 +164,7 @@ def manifest_payload(
                 text = handle.read()
             manifest = Manifest.from_json(text)
             files = []
-            for name in _snapshot_file_names(path, manifest):
+            for name in _snapshot_file_names(manifest):
                 full = _local_path(path, name)
                 st = os.stat(full)
                 key = (name, st.st_size, st.st_mtime_ns)
@@ -333,7 +332,7 @@ def fetch_payload(
             f"snapshot at {path} is at generation {manifest.generation}, "
             f"not the pinned {generation}"
         )
-    allowed = set(_snapshot_file_names(path, manifest))
+    allowed = set(_snapshot_file_names(manifest))
     if str(name) not in allowed:
         raise ValidationError(
             f"{name!r} is not a snapshot file of generation {generation}"

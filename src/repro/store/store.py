@@ -4,11 +4,10 @@
 
 * :meth:`IndexStore.build` computes the overlap structure once (via the
   Stage-3 algorithms) and lays down a sharded snapshot, the per-hyperedge
-  sizes, and — by default — the source hypergraph itself, so the store is a
-  self-contained artefact any later process can open;
-* :meth:`IndexStore.open` validates the manifest (format version and,
-  optionally, a caller-supplied hypergraph fingerprint) and recovers the
-  write-ahead log, truncating any torn tail left by a crash;
+  sizes and the source hypergraph itself, so every store is a
+  self-contained artefact any later process opens from its path alone;
+* :meth:`IndexStore.open` validates the manifest's format version and
+  recovers the write-ahead log, truncating any torn tail left by a crash;
 * :meth:`append_add` / :meth:`append_remove` make incremental updates
   durable before they are acknowledged;
 * :meth:`sharded_index` / :meth:`load_hypergraph` reconstruct the
@@ -34,7 +33,6 @@ from repro.hypergraph.csr import CSRMatrix
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.io.serialization import load_hypergraph_npz, save_hypergraph_npz
 from repro.store.format import (
-    FingerprintMismatchError,
     HYPERGRAPH_NAME,
     Manifest,
     PathLike,
@@ -214,7 +212,6 @@ class IndexStore:
         path: PathLike,
         algorithm: str = BUILD_ALGORITHM,
         num_shards: int = 4,
-        save_hypergraph: bool = True,
         provenance: Optional[Dict[str, object]] = None,
     ) -> "IndexStore":
         """Compute the overlap index of ``h`` and persist it under ``path``."""
@@ -224,7 +221,7 @@ class IndexStore:
             h.fingerprint(),
             path,
             num_shards=num_shards,
-            hypergraph=h if save_hypergraph else None,
+            hypergraph=h,
             provenance=provenance,
         )
 
@@ -235,10 +232,11 @@ class IndexStore:
         fingerprint: str,
         path: PathLike,
         num_shards: int = 4,
-        hypergraph: Optional[Hypergraph] = None,
+        *,
+        hypergraph: Hypergraph,
         provenance: Optional[Dict[str, object]] = None,
     ) -> "IndexStore":
-        """Persist an already-built index (and optionally its hypergraph).
+        """Persist an already-built index of ``hypergraph`` with a copy of it.
 
         Rebuilding over an existing store continues its generation sequence
         (so stale WAL records are recognisable) and sweeps the superseded
@@ -246,10 +244,7 @@ class IndexStore:
         """
         os.makedirs(str(path), exist_ok=True)
         generation = _next_generation(path)
-        if hypergraph is not None:
-            _save_hypergraph_atomic(
-                hypergraph, os.path.join(str(path), HYPERGRAPH_NAME)
-            )
+        _save_hypergraph_atomic(hypergraph, os.path.join(str(path), HYPERGRAPH_NAME))
         manifest = write_snapshot(
             index,
             path,
@@ -265,16 +260,8 @@ class IndexStore:
         return store
 
     @classmethod
-    def open(
-        cls,
-        path: PathLike,
-        fingerprint: Optional[str] = None,
-        read_only: bool = False,
-    ) -> "IndexStore":
+    def open(cls, path: PathLike, read_only: bool = False) -> "IndexStore":
         """Open an existing store, recovering the WAL.
-
-        When ``fingerprint`` is given it must match the store's *current*
-        state (snapshot fingerprint advanced by any logged updates).
 
         With ``read_only=True`` the handle never rewrites anything — WAL
         recovery replays the valid prefix without truncating torn tails,
@@ -283,15 +270,7 @@ class IndexStore:
         the append path.  Any number of read-only handles may share a
         store with one writer (see :class:`repro.service.StoreLock`).
         """
-        store = cls(path, read_only=read_only)
-        if fingerprint is not None:
-            current = store.current_fingerprint()
-            if current is not None and current != fingerprint:
-                raise FingerprintMismatchError(
-                    f"store at {store.path} describes hypergraph "
-                    f"{current[:12]}…, not {fingerprint[:12]}…"
-                )
-        return store
+        return cls(path, read_only=read_only)
 
     # ------------------------------------------------------------------ #
     # State
@@ -355,9 +334,6 @@ class IndexStore:
             "algorithm": m.algorithm,
             "num_shards": len(m.shards),
             "wal_records": self.num_wal_records(),
-            "has_hypergraph": os.path.isfile(
-                os.path.join(self.path, HYPERGRAPH_NAME)
-            ),
             "provenance": dict(m.provenance),
         }
 
@@ -385,8 +361,8 @@ class IndexStore:
         path = os.path.join(self.path, HYPERGRAPH_NAME)
         if not os.path.isfile(path):
             raise StoreFormatError(
-                f"store at {self.path} was built without its hypergraph "
-                "(save_hypergraph=False); supply one when opening"
+                f"store at {self.path} has no {HYPERGRAPH_NAME}; rebuild the "
+                "store from its source hypergraph"
             )
         h = load_hypergraph_npz(path)
         target = self.current_fingerprint()
@@ -495,18 +471,11 @@ class IndexStore:
         # Chaos: a fault here models a crash during the fold, before any
         # on-disk state of the new generation exists.
         STORE_COMPACT_FOLD.fire()
-        fingerprint = self.current_fingerprint() or old_manifest.fingerprint
-        hypergraph = None
-        if os.path.isfile(os.path.join(self.path, HYPERGRAPH_NAME)):
-            hypergraph = self.load_hypergraph()
-            fingerprint = hypergraph.fingerprint()
+        hypergraph = self.load_hypergraph()
         provenance = dict(old_manifest.provenance)
         provenance["compacted_from_generation"] = old_manifest.generation
         provenance["compacted_wal_records"] = self.num_wal_records()
-        if hypergraph is not None:
-            _save_hypergraph_atomic(
-                hypergraph, os.path.join(self.path, HYPERGRAPH_NAME)
-            )
+        _save_hypergraph_atomic(hypergraph, os.path.join(self.path, HYPERGRAPH_NAME))
         # Chaos: a fault here models a crash during the install — new shard
         # files may be partially laid down, the manifest swap has not
         # happened, so the old generation + WAL must stay authoritative.
@@ -515,7 +484,7 @@ class IndexStore:
             old_manifest,
             overlay,
             self.path,
-            fingerprint=fingerprint,
+            fingerprint=hypergraph.fingerprint(),
             num_shards=num_shards,
             generation=old_manifest.generation + 1,
             provenance=provenance,

@@ -235,7 +235,6 @@ class TestIndexCommands:
         assert fields["num_pairs"] == "4"
         assert fields["num_shards"] == "2"
         assert fields["wal_records"] == "0"
-        assert fields["has_hypergraph"] == "True"
 
     def test_query_warm_serves(self, store_dir, capsys):
         assert main(
@@ -330,6 +329,52 @@ class TestIndexErrorPaths:
             json.dump(manifest, handle)
         with pytest.raises(StoreFormatError, match="format version 99"):
             main(["index", "info", "--path", store_dir])
+
+
+class TestSingleWriterProtocol:
+    """The store commands share a store with a live ``QueryService``
+    writer: readers open read-only, writers take the lock first."""
+
+    @pytest.fixture
+    def store_dir(self, hyperedge_file, tmp_path, capsys):
+        path = str(tmp_path / "idx")
+        assert main(["index", "build", "--input", hyperedge_file, "--path", path]) == 0
+        capsys.readouterr()
+        return path
+
+    @pytest.mark.parametrize(
+        "argv", [["index", "info"], ["query", "--s", "1"]], ids=["info", "query"]
+    )
+    def test_readers_leave_a_live_writers_torn_tail(self, store_dir, argv):
+        import os
+
+        from repro.service import QueryService
+        from repro.store.format import WAL_NAME
+        from repro.store.wal import _frame
+
+        wal_path = os.path.join(store_dir, WAL_NAME)
+        with QueryService(store_dir) as writer:
+            writer.submit_add([0, 5]).result()
+            frame = _frame(2, {"op": "remove", "edge_id": 0})
+            with open(wal_path, "ab") as handle:  # the writer's in-flight append
+                handle.write(frame[: len(frame) // 2])
+            size = os.path.getsize(wal_path)
+            assert main([*argv, "--path", store_dir]) == 0
+            assert os.path.getsize(wal_path) == size
+
+    @pytest.mark.parametrize("command", ["build", "compact"])
+    def test_writers_refuse_a_held_lock(self, store_dir, hyperedge_file, command):
+        from repro.service import QueryService
+        from repro.store import read_manifest
+
+        argv = ["index", command, "--path", store_dir]
+        if command == "build":
+            argv += ["--input", hyperedge_file]
+        with QueryService(store_dir):
+            with pytest.raises(SystemExit) as refused:
+                main(argv)
+        assert "is held by QueryService" in str(refused.value.code)
+        assert read_manifest(store_dir).generation == 0
 
 
 class TestConnectCommand:

@@ -1,4 +1,8 @@
-"""Unit tests for Laplacians, algebraic connectivity and eigenvalue helpers."""
+"""Unit tests for Laplacians, algebraic connectivity and eigenvalue helpers.
+
+The combinatorial Laplacian oracles are networkx's ``laplacian_matrix``,
+fed straight to :func:`smallest_eigenvalues`.
+"""
 
 import math
 
@@ -7,12 +11,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.linalg.laplacian import (
-    laplacian_matrix,
-    normalized_algebraic_connectivity,
-    normalized_laplacian,
-)
-from repro.linalg.spectral import fiedler_value, largest_eigenvalue, smallest_eigenvalues
+from repro.linalg.laplacian import normalized_algebraic_connectivity, normalized_laplacian
+from repro.linalg.spectral import smallest_eigenvalues
 from repro.utils.validation import ValidationError
 
 
@@ -20,13 +20,12 @@ def adjacency_of(nx_graph):
     return nx.to_scipy_sparse_array(nx_graph, format="csr").astype(float)
 
 
-class TestLaplacians:
-    def test_combinatorial_laplacian_matches_networkx(self):
-        g = nx.karate_club_graph()
-        ours = laplacian_matrix(adjacency_of(g)).toarray()
-        theirs = nx.laplacian_matrix(g).toarray()
-        assert np.allclose(ours, theirs)
+def second_smallest(nx_graph):
+    """The Fiedler value of ``nx_graph``'s combinatorial Laplacian."""
+    return smallest_eigenvalues(nx.laplacian_matrix(nx_graph), k=2)[1]
 
+
+class TestLaplacians:
     def test_normalized_laplacian_matches_networkx(self):
         g = nx.karate_club_graph()
         ours = normalized_laplacian(adjacency_of(g)).toarray()
@@ -41,7 +40,7 @@ class TestLaplacians:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError):
-            laplacian_matrix(sparse.csr_matrix((2, 3)))
+            normalized_laplacian(sparse.csr_matrix((2, 3)))
 
     def test_asymmetric_rejected(self):
         adj = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -52,7 +51,7 @@ class TestLaplacians:
 class TestAlgebraicConnectivity:
     def test_fiedler_value_matches_networkx_on_connected_graphs(self):
         for g in (nx.path_graph(10), nx.cycle_graph(9), nx.karate_club_graph()):
-            ours = fiedler_value(laplacian_matrix(adjacency_of(g)))
+            ours = second_smallest(g)
             theirs = nx.algebraic_connectivity(g, method="lanczos")
             assert ours == pytest.approx(theirs, rel=1e-5, abs=1e-8)
 
@@ -64,7 +63,7 @@ class TestAlgebraicConnectivity:
 
     def test_disconnected_graph_has_zero_connectivity(self):
         g = nx.disjoint_union(nx.path_graph(3), nx.path_graph(3))
-        assert fiedler_value(laplacian_matrix(adjacency_of(g))) == pytest.approx(0.0, abs=1e-8)
+        assert second_smallest(g) == pytest.approx(0.0, abs=1e-8)
 
     def test_complete_graph_normalized_value(self):
         # Normalized Laplacian of K_n has eigenvalues {0, n/(n-1) × (n-1 times)}.
@@ -79,25 +78,22 @@ class TestAlgebraicConnectivity:
 
 class TestEigenvalueHelpers:
     def test_smallest_eigenvalues_sorted(self):
-        g = nx.path_graph(30)
-        lap = laplacian_matrix(adjacency_of(g))
+        lap = nx.laplacian_matrix(nx.path_graph(30))
         eigs = smallest_eigenvalues(lap, k=3)
         assert eigs.tolist() == sorted(eigs.tolist())
         assert eigs[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_k_larger_than_n_is_clamped(self):
-        lap = laplacian_matrix(adjacency_of(nx.path_graph(3)))
+        lap = nx.laplacian_matrix(nx.path_graph(3))
         assert smallest_eigenvalues(lap, k=10).size == 3
 
     def test_invalid_k(self):
-        lap = laplacian_matrix(adjacency_of(nx.path_graph(3)))
+        lap = nx.laplacian_matrix(nx.path_graph(3))
         with pytest.raises(ValidationError):
             smallest_eigenvalues(lap, k=0)
 
     def test_large_sparse_path_uses_arpack(self):
-        g = nx.path_graph(200)
-        lap = laplacian_matrix(adjacency_of(g))
-        ours = smallest_eigenvalues(lap, k=2)[1]
+        ours = second_smallest(nx.path_graph(200))
         # The path graph's algebraic connectivity has a closed form, so the
         # oracle is exact — no second iterative eigensolver whose own
         # convergence jitter (which varies with BLAS thread load) can fail
@@ -107,10 +103,4 @@ class TestEigenvalueHelpers:
         assert ours == pytest.approx(analytic, rel=1e-3, abs=1e-6)
 
     def test_fiedler_value(self):
-        lap = laplacian_matrix(adjacency_of(nx.complete_graph(5)))
-        assert fiedler_value(lap) == pytest.approx(5.0)
-
-    def test_largest_eigenvalue(self):
-        adj = adjacency_of(nx.complete_graph(5))
-        assert largest_eigenvalue(adj) == pytest.approx(4.0)
-        assert largest_eigenvalue(sparse.csr_matrix((0, 0))) == 0.0
+        assert second_smallest(nx.complete_graph(5)) == pytest.approx(5.0)

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.obs import NOOP_SPAN, Span, TraceBuffer, Tracer, render_trace
+from repro.obs import trace as trace_module
 from repro.obs.trace import _valid_wire_context
 
 
@@ -157,8 +158,9 @@ class TestSpanTree:
         tracer = Tracer(sample_rate=1.0)
         assert tracer.record_span("x", None, 0.0, 1.0) is None
 
-    def test_span_cap_counts_dropped_spans(self):
-        tracer = Tracer(sample_rate=1.0, max_spans_per_trace=3)
+    def test_span_cap_counts_dropped_spans(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "MAX_SPANS_PER_TRACE", 3)
+        tracer = Tracer(sample_rate=1.0)
         with tracer.start_request("root"):
             for _ in range(5):
                 with tracer.start_span("child"):
@@ -241,14 +243,9 @@ class TestTraceBuffer:
         assert [t["n"] for t in buffer.traces(trace_id="t0")] == [0, 2, 4]
         assert [t["n"] for t in buffer.traces(limit=2)] == [4, 5]
 
-    def test_clear(self):
-        buffer = TraceBuffer(capacity=2)
-        buffer.append({"trace_id": "t"})
-        buffer.clear()
-        assert len(buffer) == 0
-
-    def test_tracer_buffer_is_bounded(self):
-        tracer = Tracer(sample_rate=1.0, buffer_capacity=3)
+    def test_tracer_buffer_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "TRACE_BUFFER_CAPACITY", 3)
+        tracer = Tracer(sample_rate=1.0)
         for i in range(6):
             with tracer.start_request(f"req{i}"):
                 pass

@@ -17,7 +17,7 @@ from repro.utils.validation import ValidationError
 @pytest.fixture
 def persistent_engine(community_hypergraph, tmp_path):
     store = IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
-    return PersistentQueryEngine(store, hypergraph=community_hypergraph)
+    return PersistentQueryEngine(store)
 
 
 def random_members(h, rng, size=5):

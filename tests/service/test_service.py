@@ -25,12 +25,13 @@ def random_members(h, rng, size=5):
 
 
 class TestLifecycle:
-    def test_create_builds_a_store(self, community_hypergraph, tmp_path):
+    def test_writer_serves_a_freshly_built_store(self, community_hypergraph, tmp_path):
         path = str(tmp_path / "fresh")
-        with QueryService(path, hypergraph=community_hypergraph, create=True) as svc:
+        IndexStore.build(community_hypergraph, path)
+        with QueryService(path) as svc:
             assert svc.generation == 0
             assert svc.num_components(1) >= 1
-        assert IndexStore.exists(path)
+            assert svc.engine.hypergraph == community_hypergraph
 
     def test_single_writer_lock_is_enforced(self, store_path):
         with QueryService(store_path):

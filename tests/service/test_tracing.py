@@ -14,6 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
+from repro.obs import trace as trace_module
 from repro.service import QueryService
 from repro.service.transport import ServiceClient, SocketServer
 from repro.store.store import IndexStore
@@ -302,8 +303,11 @@ class TestSlowOnlyTracing:
         engine = spans_by_name(trace)["engine.metric"]["attributes"]
         assert (engine["s"], engine["metric"]) == (3, "pagerank")
 
-    def test_slow_keeps_are_bounded_newest_first_out(self, store_path, registry):
-        tracer = Tracer(slow_ms=0.0, buffer_capacity=4)
+    def test_slow_keeps_are_bounded_newest_first_out(
+        self, store_path, registry, monkeypatch
+    ):
+        monkeypatch.setattr(trace_module, "TRACE_BUFFER_CAPACITY", 4)
+        tracer = Tracer(slow_ms=0.0)
         with use_tracer(tracer):
             with QueryService(store_path) as svc:
                 with SocketServer(svc) as server:

@@ -1,11 +1,11 @@
-"""PersistentQueryEngine and the QueryEngine.from_store wiring."""
+"""PersistentQueryEngine: warm opens, builds, durable updates, compaction."""
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import SLinePipeline
 from repro.engine.engine import QueryEngine
-from repro.store.format import FingerprintMismatchError
+from repro.store.format import HYPERGRAPH_NAME, StoreError
 from repro.store.persistent import PersistentQueryEngine
 from repro.store.sharded import ShardedIndex
 from repro.store.store import IndexStore
@@ -31,13 +31,16 @@ class TestOpenAndServe:
         # Warm open: the wedge-enumeration pass never ran.
         assert engine.stats().index_builds == 0
 
-    def test_open_with_explicit_hypergraph(self, store_path, community_hypergraph):
-        engine = PersistentQueryEngine.open(store_path, hypergraph=community_hypergraph)
-        assert engine.hypergraph is community_hypergraph
+    def test_open_rejects_a_hypergraph_copy_of_another_graph(
+        self, store_path, paper_example
+    ):
+        """The served hypergraph is the store's own copy; one that does not
+        hash to the snapshot's fingerprint is refused, never served."""
+        from repro.io.serialization import save_hypergraph_npz
 
-    def test_open_rejects_wrong_hypergraph(self, store_path, paper_example):
-        with pytest.raises(FingerprintMismatchError):
-            PersistentQueryEngine.open(store_path, hypergraph=paper_example)
+        save_hypergraph_npz(paper_example, store_path / HYPERGRAPH_NAME)
+        with pytest.raises(StoreError, match="inconsistent"):
+            PersistentQueryEngine.open(store_path)
 
     def test_build_classmethod(self, community_hypergraph, tmp_path):
         engine = PersistentQueryEngine.build(
@@ -66,14 +69,11 @@ class TestOpenAndServe:
     def test_every_store_backed_engine_serves_a_sharded_index(
         self, store_path, community_hypergraph, tmp_path
     ):
-        """One index path: however the engine reaches its store, the pair
-        store stays on disk behind a ShardedIndex."""
+        """One index path: opened or built, the pair store stays on disk
+        behind a ShardedIndex."""
         opened = PersistentQueryEngine.open(store_path)
         built = PersistentQueryEngine.build(community_hypergraph, tmp_path / "built")
-        created = QueryEngine.from_store(
-            tmp_path / "created", hypergraph=community_hypergraph, create=True
-        )
-        for engine in (opened, built, created):
+        for engine in (opened, built):
             assert isinstance(engine.index, ShardedIndex)
         opened.add_hyperedge([0, 1, 2])
         opened.compact()
@@ -124,27 +124,6 @@ class TestDurability:
         assert engine.index.manifest.generation == superseded.manifest.generation + 1
 
 
-class TestFromStore:
-    def test_creates_when_asked(self, community_hypergraph, tmp_path):
-        path = tmp_path / "auto"
-        with pytest.raises(ValidationError, match="create=True"):
-            QueryEngine.from_store(path, hypergraph=community_hypergraph)
-        engine = QueryEngine.from_store(
-            path, hypergraph=community_hypergraph, create=True
-        )
-        assert isinstance(engine, PersistentQueryEngine)
-        assert IndexStore.exists(path)
-
-    def test_reuses_existing_snapshot(self, store_path, community_hypergraph):
-        engine = QueryEngine.from_store(store_path, hypergraph=community_hypergraph)
-        assert engine.stats().index_builds == 0
-        assert engine.line_graph(3) == QueryEngine(community_hypergraph).line_graph(3)
-
-    def test_mismatch_raises_by_default(self, store_path, paper_example):
-        with pytest.raises(FingerprintMismatchError):
-            QueryEngine.from_store(store_path, hypergraph=paper_example)
-
-
 class TestIndexInjection:
     def test_injected_index_must_match(self, community_hypergraph, paper_example):
         from repro.engine.index import OverlapIndex
@@ -167,7 +146,7 @@ class TestPipelineOverStoreEngine:
         path = str(tmp_path / "pipe-idx")
         oracle = SLinePipeline(metrics=("connected_components",))
         baseline = oracle.run(community_hypergraph, 2)
-        first = QueryEngine.from_store(path, hypergraph=community_hypergraph, create=True)
+        first = PersistentQueryEngine.build(community_hypergraph, path)
         try:
             assert first.line_graph(2) == baseline.line_graph
             assert np.array_equal(
@@ -177,7 +156,7 @@ class TestPipelineOverStoreEngine:
         finally:
             first.close()
         # A second engine (fresh process) opens the snapshot: no rebuild.
-        second = QueryEngine.from_store(path, hypergraph=community_hypergraph, create=True)
+        second = PersistentQueryEngine.open(path)
         try:
             assert second.line_graph(3) == oracle.run(community_hypergraph, 3).line_graph
             assert second.stats().index_builds == 0

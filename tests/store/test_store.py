@@ -10,11 +10,10 @@ import pytest
 
 from repro.engine.engine import QueryEngine
 from repro.engine.index import OverlapIndex
-from repro.store.format import (
-    FingerprintMismatchError,
-    StoreFormatError,
-    WAL_NAME,
-)
+from repro.service import QueryService
+from repro.store.format import HYPERGRAPH_NAME, StoreError, StoreFormatError, WAL_NAME
+from repro.store.persistent import PersistentQueryEngine
+from repro.store.replication import LocalReplicationSource, StoreMirror
 from repro.store.store import IndexStore
 from repro.utils.rng import make_rng
 
@@ -30,8 +29,6 @@ def random_members(h, rng, size=5):
 
 def updated_engine(store, n_adds=3, n_removes=2, seed=3):
     """Apply a deterministic update mix through a persistent engine."""
-    from repro.store.persistent import PersistentQueryEngine
-
     engine = PersistentQueryEngine(store)
     rng = make_rng(seed)
     for _ in range(n_adds):
@@ -51,21 +48,73 @@ class TestBuildOpen:
             assert loaded.line_graph(s) == oracle.line_graph(s), s
         assert reopened.load_hypergraph() == community_hypergraph
 
-    def test_open_validates_fingerprint(self, store, paper_example):
-        with pytest.raises(FingerprintMismatchError):
-            IndexStore.open(store.path, fingerprint=paper_example.fingerprint())
-
     def test_open_missing_store(self, tmp_path):
         with pytest.raises(StoreFormatError):
             IndexStore.open(tmp_path / "nowhere")
 
-    def test_build_without_hypergraph_copy(self, paper_example, tmp_path):
-        store = IndexStore.build(
-            paper_example, tmp_path / "idx", save_hypergraph=False
-        )
-        with pytest.raises(StoreFormatError, match="without its hypergraph"):
-            store.load_hypergraph()
-        assert not store.info()["has_hypergraph"]
+
+def _built(h, root):
+    return IndexStore.build(h, root / "idx", num_shards=2).path, h
+
+
+def _from_index(h, root):
+    index = OverlapIndex.build(h)
+    store = IndexStore.from_index(index, h.fingerprint(), root / "idx", hypergraph=h)
+    return store.path, h
+
+
+def _compacted(h, root):
+    engine = updated_engine(IndexStore.build(h, root / "idx", num_shards=2))
+    engine.compact()
+    return engine.store.path, engine.hypergraph
+
+
+def _mirrored(h, root, delta=False):
+    source = IndexStore.build(h, root / "source", num_shards=2)
+    mirror = StoreMirror(LocalReplicationSource(source.path), root / "mirror")
+    assert mirror.sync().full_sync
+    if delta:
+        h = updated_engine(source).hypergraph
+        assert not mirror.sync().full_sync
+    return mirror.path, h
+
+
+class TestOneStoreShape:
+    """Every store carries its source hypergraph, and opens from it alone."""
+
+    @pytest.mark.parametrize(
+        "produce",
+        [
+            _built,
+            _from_index,
+            _compacted,
+            _mirrored,
+            lambda h, root: _mirrored(h, root, delta=True),
+        ],
+        ids=["build", "from_index", "compact", "full_sync", "delta_sync"],
+    )
+    def test_every_writer_leaves_the_hypergraph_copy(
+        self, produce, community_hypergraph, tmp_path
+    ):
+        path, expected = produce(community_hypergraph, tmp_path)
+        assert os.path.isfile(os.path.join(path, HYPERGRAPH_NAME))
+        engine = PersistentQueryEngine.open(path, read_only=True)
+        assert engine.hypergraph == expected
+        engine.close()
+
+    @pytest.mark.parametrize(
+        "open_store",
+        [
+            PersistentQueryEngine.open,
+            lambda path: QueryService(path, read_only=True),
+            lambda path: LocalReplicationSource(path).repl_manifest(),
+        ],
+        ids=["engine_open", "read_only_service", "repl_manifest"],
+    )
+    def test_a_missing_copy_is_a_typed_error(self, open_store, store):
+        os.remove(os.path.join(store.path, HYPERGRAPH_NAME))
+        with pytest.raises(StoreError, match=HYPERGRAPH_NAME):
+            open_store(store.path)
 
 
 class TestDurableUpdates:
@@ -138,7 +187,8 @@ class TestCompaction:
         assert store.num_wal_records() == 0
         assert manifest.fingerprint == fp
         assert manifest.provenance["compacted_wal_records"] == 5
-        reopened = IndexStore.open(store.path, fingerprint=fp)
+        reopened = IndexStore.open(store.path)
+        assert reopened.current_fingerprint() == fp
         loaded = reopened.sharded_index()
         for s in range(1, max(loaded.max_weight, 1) + 1):
             assert loaded.line_graph(s) == oracle.line_graph(s), s
@@ -158,8 +208,6 @@ class TestCompaction:
 
     def test_interleaved_update_compact_cycles(self, store, community_hypergraph):
         """Updates and compactions interleaved stay faithful to the oracle."""
-        from repro.store.persistent import PersistentQueryEngine
-
         rng = make_rng(17)
         engine = PersistentQueryEngine(store)
         for cycle in range(3):
@@ -238,8 +286,6 @@ class TestCompactionCrashWindows:
     def test_sharded_engine_survives_its_own_compaction(self, store):
         """Compaction sweeps the old generation's files; a sharded engine
         must re-open against the new generation, not the unlinked mmaps."""
-        from repro.store.persistent import PersistentQueryEngine
-
         engine = PersistentQueryEngine(store, max_resident_shards=1)
         engine.add_hyperedge([0, 1, 2, 3])
         before = {s: engine.line_graph(s) for s in (1, 2, 3)}

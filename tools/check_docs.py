@@ -214,6 +214,7 @@ def registered_metrics():
     back what they registered.
     """
     from repro import CompactionPolicy, QueryService, hypergraph_from_edge_lists
+    from repro.store import IndexStore
     from repro.chaos import failpoints
     from repro.obs import (
         MetricsHTTPServer,
@@ -227,12 +228,8 @@ def registered_metrics():
     registry = MetricsRegistry()
     with tempfile.TemporaryDirectory(prefix="repro-metrics-") as scratch, use_registry(registry):
         store = os.path.join(scratch, "idx")
-        with QueryService(
-            store,
-            hypergraph=hypergraph_from_edge_lists([[0, 1], [1, 2]]),
-            create=True,
-            compaction=CompactionPolicy(),
-        ) as service:
+        IndexStore.build(hypergraph_from_edge_lists([[0, 1], [1, 2]]), store)
+        with QueryService(store, compaction=CompactionPolicy()) as service:
             SocketServer(service).close()
             StoreMirror(LocalReplicationSource(store), os.path.join(scratch, "mirror"))
         MetricsHTTPServer().close()
