@@ -420,16 +420,12 @@ class QueryEngine:
                 def carry(values, pending):
                     return delta.unchanged(values, pending, s)
 
-            def compute():
-                try:
-                    return METRIC_FUNCTIONS[name](graph)
-                finally:
-                    # As large as the graph itself: shared by the sources
-                    # of this metric, not held in the cache for the next.
-                    graph.release_structure()
-
             return self._fill(
-                key, carry, compute, lambda values: (values,), whole_journal=True
+                key,
+                carry,
+                lambda: METRIC_FUNCTIONS[name](graph),
+                lambda values: (values,),
+                whole_journal=True,
             )
 
     def metric_columns(self, s: int, name: str) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,57 +1,57 @@
-"""Brandes betweenness centrality (unweighted).
+"""Brandes betweenness centrality (unweighted), a block of sources at a time.
 
 s-betweenness centrality of a hyperedge (Section II-B of the paper) is the
 ordinary betweenness centrality of the corresponding vertex in the s-line
-graph, so the standard Brandes algorithm applies: one BFS plus a dependency
-back-propagation per source, O(V·E) total for unweighted graphs.
+graph, so Brandes' algorithm applies.  Both of its passes run one BFS level
+at a time over a block of sources, each level one sparse × dense product
+with the adjacency (the SpGEMM form of the paper's Fig 11): forward, path
+counts ``σ`` reach the next level; backward, level ``l − 1`` gathers
+dependencies ``(1 + δ) / σ`` from level ``l``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
+from repro.graph.bfs import UNREACHABLE, source_blocks
 from repro.graph.graph import Graph
 
 
 def betweenness_centrality(graph: Graph) -> np.ndarray:
-    """Normalized betweenness centrality of every vertex (Brandes' algorithm).
+    """Normalized betweenness centrality of every vertex.
 
     Edge weights are ignored (hops count as 1) and the scores are divided by
     the number of vertex pairs ``(n−1)(n−2)/2``, matching
     :func:`networkx.betweenness_centrality`.
     """
     n = graph.num_vertices
+    adjacency = graph.adjacency_matrix(weighted=False)
     centrality = np.zeros(n, dtype=np.float64)
-    for source in range(n):
-        # Single-source shortest paths (BFS) with path counting.
-        sigma = np.zeros(n, dtype=np.float64)
-        sigma[source] = 1.0
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[source] = 0
-        predecessors: list[list[int]] = [[] for _ in range(n)]
-        order: list[int] = []
-        frontier = deque([source])
-        while frontier:
-            u = frontier.popleft()
-            order.append(u)
-            du = dist[u]
-            for v in graph.neighbors(u):
-                v = int(v)
-                if dist[v] == -1:
-                    dist[v] = du + 1
-                    frontier.append(v)
-                if dist[v] == du + 1:
-                    sigma[v] += sigma[u]
-                    predecessors[v].append(u)
-        # Dependency accumulation in reverse BFS order.
-        delta = np.zeros(n, dtype=np.float64)
-        for v in reversed(order):
-            for u in predecessors[v]:
-                delta[u] += (sigma[u] / sigma[v]) * (1.0 + delta[v])
-            if v != source:
-                centrality[v] += delta[v]
+    for sources in source_blocks(n):
+        # Column j of every (n, block) array belongs to source sources[j].
+        at_source = (sources, np.arange(sources.size))
+        dist = np.full((n, sources.size), UNREACHABLE, dtype=np.int32)
+        dist[at_source] = 0
+        sigma = np.zeros(dist.shape, dtype=np.float64)
+        sigma[at_source] = 1.0
+        frontier, depth = sigma.copy(), 0
+        while True:
+            reached = adjacency @ frontier
+            new = (reached > 0) & (dist == UNREACHABLE)
+            if not new.any():
+                break
+            depth += 1
+            dist[new] = depth
+            frontier = np.where(new, reached, 0.0)
+            sigma += frontier
+        delta = np.zeros(dist.shape, dtype=np.float64)
+        for level in range(depth, 0, -1):
+            pull = np.divide(
+                1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist == level
+            )
+            delta += np.where(dist == level - 1, sigma * (adjacency @ pull), 0.0)
+        delta[at_source] = 0.0
+        centrality += delta.sum(axis=1)
     # Each undirected pair was counted from both endpoints.
     centrality /= 2.0
     centrality *= 2.0 / ((n - 1) * (n - 2)) if n > 2 else 1.0

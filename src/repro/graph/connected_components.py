@@ -2,13 +2,14 @@
 
 The paper's Table V times a Label-Propagation Connected Components run on
 the s-line graphs (s=1 clique expansion versus s=8), and Table I includes an
-"s-connected components" stage.  Both flavours are provided:
+"s-connected components" stage.  Both flavours are provided, both in arrays:
 
 * :func:`connected_components` — one linear-time, deterministic sweep
-  (``scipy.sparse.csgraph`` over the graph's CSR);
+  (``scipy.sparse.csgraph`` over the graph's unweighted adjacency);
 * :func:`label_propagation_components` — iterative min-label propagation
-  (the classic data-parallel LPCC formulation used by Hygra/MESH), which
-  converges to the same partition but whose cost is rounds × edges.
+  (the classic data-parallel LPCC formulation used by Hygra/MESH), one
+  vectorised gather-and-reduce over every edge per round, which converges
+  to the same labels but whose cost is rounds × edges.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from repro.graph.graph import Graph
 
 def connected_components(graph: Graph) -> np.ndarray:
     """Component label of every vertex (labels are 0-based, in discovery order)."""
-    _, labels = csgraph.connected_components(graph.structure(), directed=False)
+    _, labels = csgraph.connected_components(
+        graph.adjacency_matrix(weighted=False), directed=False
+    )
     return labels.astype(np.int64)
 
 
@@ -29,27 +32,20 @@ def label_propagation_components(graph: Graph) -> np.ndarray:
     """Connected components by iterative minimum-label propagation (LPCC).
 
     Every vertex starts with its own ID as label; in each round every vertex
-    adopts the minimum label in its closed neighbourhood; iteration stops
+    adopts the minimum label in its closed neighbourhood (one
+    ``np.minimum.reduceat`` over the CSR's non-empty rows); iteration stops
     when no label changes.  Labels are then compacted to 0-based component
-    IDs.
+    IDs in order of each component's smallest vertex, which is
+    :func:`connected_components`' discovery order.
     """
     labels = np.arange(graph.num_vertices, dtype=np.int64)
-    if graph.num_vertices == 0:
-        return labels
-    changed = True
-    while changed:
-        changed = False
-        # Gather the minimum neighbour label per vertex (vectorised gather/scatter).
-        new_labels = labels.copy()
-        for u in range(graph.num_vertices):
-            nbrs = graph.neighbors(u)
-            if nbrs.size:
-                candidate = min(int(labels[nbrs].min()), int(labels[u]))
-                if candidate < new_labels[u]:
-                    new_labels[u] = candidate
-                    changed = True
-        labels = new_labels
-    # Compact labels to 0..k-1 (deterministic order by representative ID).
+    rows = np.flatnonzero(np.diff(graph.indptr))
+    while rows.size:
+        lowest = np.minimum.reduceat(labels[graph.indices], graph.indptr[rows])
+        lower = lowest < labels[rows]
+        if not lower.any():
+            break
+        labels[rows[lower]] = lowest[lower]
     _, compact = np.unique(labels, return_inverse=True)
     return compact.astype(np.int64)
 

@@ -2,15 +2,26 @@
 
 These back the paper's s-distance, s-eccentricity and s-closeness measures:
 the s-distance between hyperedges is the hop distance between the
-corresponding vertices of the s-line graph.
+corresponding vertices of the s-line graph.  Each measure is a row
+reduction of the hop distances from one block of sources at a time; the
+dense ``n × n`` distance matrix is never built.
 """
 
 from __future__ import annotations
 
+from typing import Iterator, Tuple
+
 import numpy as np
 
-from repro.graph.bfs import bfs_distances
+from repro.graph.bfs import hops, source_blocks
 from repro.graph.graph import Graph
+
+
+def _distance_blocks(graph: Graph) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """``(sources, hop distances from each source)`` per source block."""
+    adjacency = graph.adjacency_matrix(weighted=False)
+    for sources in source_blocks(graph.num_vertices):
+        yield sources, hops(adjacency, sources)
 
 
 def eccentricity(graph: Graph) -> np.ndarray:
@@ -19,19 +30,16 @@ def eccentricity(graph: Graph) -> np.ndarray:
     Unreachable pairs are ignored (the convention the paper uses when
     reporting per-component s-measures); isolated vertices get 0.
     """
-    n = graph.num_vertices
-    out = np.zeros(n, dtype=np.int64)
-    for source in range(n):
+    out = np.zeros(graph.num_vertices, dtype=np.int64)
+    for sources, dist in _distance_blocks(graph):
         # Unreachable vertices sit at −1, below the source's own 0.
-        out[source] = int(bfs_distances(graph, source).max())
+        out[sources] = dist.max(axis=1)
     return out
 
 
 def diameter(graph: Graph) -> int:
     """Largest eccentricity across vertices (per-component convention)."""
-    if graph.num_vertices == 0:
-        return 0
-    return int(eccentricity(graph).max())
+    return int(eccentricity(graph).max(initial=0))
 
 
 def closeness_centrality(graph: Graph) -> np.ndarray:
@@ -42,11 +50,9 @@ def closeness_centrality(graph: Graph) -> np.ndarray:
     """
     n = graph.num_vertices
     out = np.zeros(n, dtype=np.float64)
-    for source in range(n):
-        dist = bfs_distances(graph, source)
-        reachable = dist > 0
-        total = float(dist[reachable].sum())
-        count = int(np.count_nonzero(reachable))
-        if total > 0:  # so some other vertex is reachable and n > 1
-            out[source] = (count / total) * (count / (n - 1))
+    for sources, dist in _distance_blocks(graph):
+        count = np.count_nonzero(dist > 0, axis=1)
+        total = np.maximum(dist, 0).sum(axis=1)
+        some = total > 0  # so some other vertex is reachable and n > 1
+        out[sources[some]] = (count[some] / total[some]) * (count[some] / (n - 1))
     return out

@@ -29,7 +29,7 @@ class Graph:
         Optional per-stored-entry weights aligned with ``indices``.
     """
 
-    __slots__ = ("num_vertices", "indptr", "indices", "weights", "metadata", "_structure")
+    __slots__ = ("num_vertices", "indptr", "indices", "weights", "metadata")
 
     def __init__(
         self,
@@ -58,7 +58,6 @@ class Graph:
             if self.weights.shape != self.indices.shape:
                 raise ValidationError("weights must align with indices")
         self.metadata: Dict[str, object] = {}
-        self._structure: Optional[sparse.csr_matrix] = None
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -131,35 +130,19 @@ class Graph:
         """Number of undirected edges."""
         return int(self.indices.size // 2)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Neighbour IDs of vertex ``v``."""
-        if v < 0 or v >= self.num_vertices:
-            raise IndexError(f"vertex {v} out of range")
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def neighbor_weights(self, v: int) -> np.ndarray:
-        """Weights aligned with :meth:`neighbors`."""
-        return self.weights[self.indptr[v] : self.indptr[v + 1]]
-
-    def degree(self, v: int) -> int:
-        """Number of neighbours of ``v``."""
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def degrees(self) -> np.ndarray:
         """Degree of every vertex."""
         return np.diff(self.indptr)
 
     def edges(self) -> Iterator[Tuple[int, int, float]]:
         """Yield each undirected edge once as ``(u, v, weight)`` with ``u < v``."""
-        for u in range(self.num_vertices):
-            for idx in range(self.indptr[u], self.indptr[u + 1]):
-                v = int(self.indices[idx])
-                if u < v:
-                    yield u, v, float(self.weights[idx])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether edge ``{u, v}`` is present."""
-        return bool(np.isin(v, self.neighbors(u)).item())
+        rows = np.repeat(np.arange(self.num_vertices), self.degrees())
+        upper = rows < self.indices
+        yield from zip(
+            rows[upper].tolist(),
+            self.indices[upper].tolist(),
+            self.weights[upper].tolist(),
+        )
 
     # ------------------------------------------------------------------ #
     # Conversions
@@ -171,19 +154,6 @@ class Graph:
             (data, self.indices.copy(), self.indptr.copy()),
             shape=(self.num_vertices, self.num_vertices),
         )
-
-    def structure(self) -> sparse.csr_matrix:
-        """The unweighted adjacency the ``scipy.sparse.csgraph`` traversals
-        read: built once per graph (an all-sources metric asks once per
-        vertex) and shared, so callers must not write to it."""
-        if self._structure is None:
-            self._structure = self.adjacency_matrix(weighted=False)
-        return self._structure
-
-    def release_structure(self) -> None:
-        """Forget the cached :meth:`structure` (the next call rebuilds it):
-        for an owner that keeps the graph long after its traversals ran."""
-        self._structure = None
 
     def subgraph(self, vertex_ids: Sequence[int] | np.ndarray) -> Tuple["Graph", np.ndarray]:
         """Induced subgraph; returns ``(graph, kept_vertex_ids)`` with compact IDs."""

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-import numpy as np
+from scipy.sparse import csgraph
 
 from repro.core.slinegraph import SLineGraph
-from repro.graph.bfs import bfs_tree
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.smetrics.base import line_graph_and_mapping
 from repro.utils.validation import ValidationError, check_s_value
@@ -72,8 +71,10 @@ def shortest_s_path(
         dst = mapping.to_squeezed(int(target))
     except KeyError:  # an endpoint has no s-incident partner
         return None
-    dist, pred = bfs_tree(graph, src)
-    if dist[dst] < 0:
+    _, pred = csgraph.breadth_first_order(
+        graph.adjacency_matrix(weighted=False), src, return_predecessors=True
+    )
+    if pred[dst] < 0:  # scipy marks unreached vertices (and the source) -9999
         return None
     path = [dst]
     while path[-1] != src:
@@ -100,6 +101,7 @@ def s_reachable_set(
         src = mapping.to_squeezed(int(source))
     except KeyError:  # no s-incident partner
         return [int(source)]
-    dist, _ = bfs_tree(graph, src)
-    reachable = np.flatnonzero(dist >= 0)
-    return sorted(int(mapping.new_to_old[v]) for v in reachable)
+    reachable = csgraph.breadth_first_order(
+        graph.adjacency_matrix(weighted=False), src, return_predecessors=False
+    )
+    return sorted(mapping.new_to_old[reachable].tolist())

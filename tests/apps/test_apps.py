@@ -27,6 +27,11 @@ def small_virology():
 
 
 @pytest.fixture(scope="module")
+def default_virology_genes():
+    return identify_important_genes(virology_surrogate(seed=0), s_values=(1, 3, 5))
+
+
+@pytest.fixture(scope="module")
 def small_condmat():
     return condmat_surrogate(num_papers=400, seed=0)
 
@@ -67,6 +72,18 @@ class TestGeneImportance:
         members = {g for comp in result.components[5] for g in comp}
         assert set(IMPORTANT_GENES) <= members
 
+    # The ranking is by s-betweenness score, so a change in floating-point
+    # summation order could reorder near-equal genes: the order is pinned.
+    @pytest.mark.parametrize(
+        "s, expected",
+        [
+            (3, ["IFIT1", "ATF3", "USP18", "ISG15", "IL6", "RSAD2"]),
+            (5, ["IFIT1", "USP18", "ATF3", "ISG15", "IL6", "RSAD2"]),
+        ],
+    )
+    def test_default_surrogate_top_gene_order(self, default_virology_genes, s, expected):
+        assert default_virology_genes.top_gene_names(s, 6) == expected
+
 
 class TestCoauthorship:
     def test_connectivity_dips_then_rises(self, small_condmat):
@@ -96,6 +113,11 @@ class TestActorCollaborations:
         # The star partners have zero betweenness, so only Adoor (and possibly
         # the centres of other groups) appears among the non-zero scores.
         assert "Bahadur" not in result.central_actors
+
+    def test_default_surrogate_central_actor_order(self):
+        central = find_collaborations(seed=0).central_actors
+        assert list(central) == ["Adoor Bhasi"]
+        assert central["Adoor Bhasi"] == pytest.approx(2 / 15, rel=1e-12)
 
     def test_timing_recorded(self, small_imdb):
         result = find_collaborations(small_imdb, s=100)

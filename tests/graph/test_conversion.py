@@ -25,7 +25,7 @@ class TestConversion:
     def test_from_networkx_default_weight(self):
         nxg = nx.path_graph(3)
         g = from_networkx(nxg)
-        assert g.neighbor_weights(0).tolist() == [1.0]
+        assert g.weights[g.indptr[0] : g.indptr[1]].tolist() == [1.0]
 
     def test_from_networkx_requires_contiguous_ints(self):
         nxg = nx.Graph()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.bfs import bfs_distances, bfs_tree
+from repro.graph.bfs import BLOCK, bfs_distances, hops, source_blocks
 from repro.graph.connected_components import (
     component_sizes,
     connected_components,
@@ -38,11 +38,18 @@ class TestBFS:
         with pytest.raises(IndexError):
             bfs_distances(path_graph(3), 7)
 
-    def test_tree_predecessors(self):
-        g = path_graph(4)
-        dist, pred = bfs_tree(g, 0)
-        assert pred.tolist() == [-1, 0, 1, 2]
-        assert dist.tolist() == [0, 1, 2, 3]
+    def test_a_block_of_sources_is_one_row_each(self):
+        g = two_components()
+        block = hops(g.adjacency_matrix(weighted=False), [0, 4, 5])
+        assert block.dtype == np.int64
+        assert block.tolist() == [bfs_distances(g, v).tolist() for v in (0, 4, 5)]
+
+
+    def test_source_blocks_cover_every_vertex_in_order(self):
+        assert list(source_blocks(0)) == []
+        blocks = list(source_blocks(2 * BLOCK + 3))
+        assert [b.size for b in blocks] == [BLOCK, BLOCK, 3]
+        assert np.concatenate(blocks).tolist() == list(range(2 * BLOCK + 3))
 
 
 class TestConnectedComponents:

@@ -1,23 +1,25 @@
-"""Properties licensing the library-backed Stage 4→5 kernels.
+"""Properties licensing the array-built Stage 4→5 kernels.
 
-``Graph``'s CSR is built by one ``scipy.sparse`` conversion and
-``connected_components`` / ``bfs_distances`` are ``scipy.sparse.csgraph``
-calls.  The references here share no code with them: a dense matrix filled
-one edge at a time, and the hand-written traversals the package keeps
-(``label_propagation_components``, ``union_find_components``, ``bfs_tree``).
+``Graph``'s CSR is built by one ``scipy.sparse`` conversion; components and
+BFS distances are ``scipy.sparse.csgraph`` calls; eccentricity, closeness
+and betweenness run over blocks of sources; LPCC is a vectorised min-label
+propagation.  The references here share no code with them: a dense matrix
+filled one edge at a time, and networkx.
 """
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.slinegraph import SLineGraph
-from repro.graph.bfs import bfs_distances, bfs_tree
+from repro.graph.betweenness import betweenness_centrality
+from repro.graph.bfs import BLOCK, bfs_distances
 from repro.graph.connected_components import (
     connected_components,
     label_propagation_components,
 )
+from repro.graph.distance import closeness_centrality, diameter, eccentricity
 from repro.graph.graph import Graph
-from repro.graph.union_find import union_find_components
 
 
 @st.composite
@@ -64,8 +66,9 @@ def _assert_is_csr_of(graph, present, weight):
     assert graph.indptr.tolist() == [0, *np.cumsum(present.sum(axis=1)).tolist()]
     for u in range(n):
         expected = np.flatnonzero(present[u])
-        assert graph.neighbors(u).tolist() == expected.tolist()
-        assert graph.neighbor_weights(u).tolist() == weight[u, expected].tolist()
+        row = slice(graph.indptr[u], graph.indptr[u + 1])
+        assert graph.indices[row].tolist() == expected.tolist()
+        assert graph.weights[row].tolist() == weight[u, expected].tolist()
 
 
 def _graph(case):
@@ -73,6 +76,14 @@ def _graph(case):
     return Graph.from_edge_list(
         n, np.asarray(pairs, dtype=np.int64).reshape(-1, 2), np.asarray(weights)
     )
+
+
+def _nx_graph(case):
+    n, pairs, _ = case
+    reference = nx.Graph()
+    reference.add_nodes_from(range(n))
+    reference.add_edges_from(pairs)
+    return reference
 
 
 @settings(max_examples=200, deadline=None)
@@ -126,31 +137,92 @@ def test_squeezed_line_graph_builds_the_edge_list_graph(case, s, data):
 @given(case=edge_lists())
 @example(case=(0, [], []))
 @example(case=(5, [(4, 3), (1, 0)], [1.0, 1.0]))
-def test_components_match_the_hand_written_kernels_in_discovery_order(case):
+def test_components_match_networkx_in_discovery_order(case):
     graph = _graph(case)
     labels = connected_components(graph)
     assert labels.dtype == np.int64 and labels.shape == (graph.num_vertices,)
-    same = labels[:, None] == labels[None, :]
-    for reference in (label_propagation_components, union_find_components):
-        other = reference(graph)
-        assert np.array_equal(same, other[:, None] == other[None, :])
+    partition = {}
+    for v, label in enumerate(labels.tolist()):
+        partition.setdefault(label, set()).add(v)
+    assert sorted(map(sorted, partition.values())) == sorted(
+        map(sorted, nx.connected_components(_nx_graph(case)))
+    )
     # Label k is the component with the k-th smallest minimum vertex: each
     # label first appears, scanning vertices upwards, right after k - 1.
     _, first_seen = np.unique(labels, return_index=True)
     assert labels[np.sort(first_seen)].tolist() == list(range(first_seen.size))
+    assert label_propagation_components(graph).tolist() == labels.tolist()
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=edge_lists())
 @example(case=(1, [], []))
-def test_bfs_distances_equal_the_kept_python_traversal(case):
-    graph = _graph(case)
+def test_bfs_distances_equal_networkx(case):
+    graph, reference = _graph(case), _nx_graph(case)
     for source in range(graph.num_vertices):
         dist = bfs_distances(graph, source)
         assert dist.dtype == np.int64
-        assert np.array_equal(dist, bfs_tree(graph, source)[0])
-        reachable = connected_components(graph) == connected_components(graph)[source]
-        assert np.array_equal(dist == -1, ~reachable)
+        hops = nx.single_source_shortest_path_length(reference, source)
+        assert dist.tolist() == [hops.get(v, -1) for v in range(graph.num_vertices)]
     for source in (-1, graph.num_vertices):
         with pytest.raises(IndexError):
             bfs_distances(graph, source)
+
+
+def _assert_betweenness_equals_networkx(graph, reference):
+    """Within the relative 1e-12 contract; exact zeros stay exact."""
+    between = nx.betweenness_centrality(reference, normalized=True)
+    np.testing.assert_allclose(
+        betweenness_centrality(graph),
+        [between[v] for v in range(graph.num_vertices)],
+        rtol=1e-12,
+        atol=0,
+    )
+
+
+def _assert_eccentricity_equals_networkx(graph, reference):
+    """Exact, within each component; the diameter is the largest."""
+    expected = [
+        max(nx.single_source_shortest_path_length(reference, v).values())
+        for v in range(graph.num_vertices)
+    ]
+    assert eccentricity(graph).tolist() == expected
+    assert diameter(graph) == max(expected, default=0)
+
+
+def _assert_closeness_equals_networkx(graph, reference):
+    """Bit for bit: the same integer counts and sums, the same divisions."""
+    closeness = nx.closeness_centrality(reference)
+    expected = [closeness[v] for v in range(graph.num_vertices)]
+    assert closeness_centrality(graph).tolist() == expected
+
+
+BLOCK_KERNEL_CHECKS = {
+    "betweenness": _assert_betweenness_equals_networkx,
+    "eccentricity": _assert_eccentricity_equals_networkx,
+    "closeness": _assert_closeness_equals_networkx,
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(BLOCK_KERNEL_CHECKS))
+@settings(max_examples=150, deadline=None)
+@given(case=edge_lists())
+@example(case=(0, [], []))
+@example(case=(2, [(0, 1)], [1.0]))
+@example(case=(5, [(0, 1), (1, 2), (2, 0), (3, 4)], [1.0] * 4))
+def test_block_kernels_equal_networkx(kernel, case):
+    BLOCK_KERNEL_CHECKS[kernel](_graph(case), _nx_graph(case))
+
+
+@pytest.mark.parametrize("kernel", sorted(BLOCK_KERNEL_CHECKS))
+def test_block_kernels_equal_networkx_across_several_blocks(kernel):
+    # Two full source blocks and a partial third; a few components and
+    # isolated vertices, so blocks see unreachable columns too.
+    rng = np.random.default_rng(7)
+    n = 2 * BLOCK + 188
+    pairs = rng.integers(0, n - 20, size=(3 * n, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    case = (n, pairs.tolist(), [1.0] * len(pairs))
+    graph, reference = _graph(case), _nx_graph(case)
+    assert graph.num_vertices == 700 and nx.number_connected_components(reference) > 20
+    BLOCK_KERNEL_CHECKS[kernel](graph, reference)

@@ -34,6 +34,29 @@ class TestShortestSPath:
         assert path[0] == 0 and path[-1] == 3 and len(path) == 3
         assert is_s_path(paper_example, path, 1)
 
+    def test_paper_example_paths_are_pinned(self, paper_example):
+        expected = {
+            (0, 3, 1): [0, 2, 3],
+            (3, 0, 1): [3, 2, 0],
+            (1, 3, 1): [1, 2, 3],
+            (3, 1, 1): [3, 2, 1],
+            (1, 0, 1): [1, 0],
+            (0, 2, 2): [0, 2],
+            (2, 1, 2): [2, 1],
+            (0, 3, 2): None,
+        }
+        for (source, target, s), path in expected.items():
+            assert shortest_s_path(paper_example, source, target, s) == path
+
+    def test_tied_paths_go_through_the_lowest_first_reached_predecessor(self):
+        # A 4-cycle of hyperedges: every opposite pair has two shortest
+        # 1-paths, and the one through the lower hyperedge ID is returned.
+        h = hypergraph_from_edge_lists([[0, 1], [1, 2], [0, 3], [2, 3]])
+        assert shortest_s_path(h, 0, 3, 1) == [0, 1, 3]
+        assert shortest_s_path(h, 3, 0, 1) == [3, 1, 0]
+        assert shortest_s_path(h, 1, 2, 1) == [1, 0, 2]
+        assert shortest_s_path(h, 2, 1, 1) == [2, 0, 1]
+
     def test_same_endpoints(self, paper_example):
         assert shortest_s_path(paper_example, 2, 2, 1) == [2]
 
