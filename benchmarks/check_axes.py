@@ -15,8 +15,10 @@ can report per-axis verdicts instead of one mushed-together boolean:
 * ``correctness`` — served values diverged from the pipeline oracle
   zero times, and every observability invariant held (lag gauges moved,
   probes flipped, slow queries linked to traces);
-* ``durability``  — zero acknowledged updates lost across crash,
-  poison and restart scenarios;
+* ``durability``  — zero acknowledged updates lost across the
+  ``restart_everything`` SIGKILL cycles (crash recovery at every store,
+  engine and mirror failpoint is the tier-1 state machine in
+  ``tests/chaos/test_crash_model.py``, which writes no artefact);
 * ``freshness``   — time-to-ready and p95 generation lag within SLO;
 * ``throughput``  — every required ``BENCH_*`` ratio at or above floor
   (delegates to ``check_perf_floors.py``).

@@ -41,7 +41,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from urllib.error import HTTPError, URLError
 from urllib.request import Request as _HttpRequest
 from urllib.request import urlopen
@@ -363,14 +363,11 @@ class UpdateLedger:
     ``acked`` holds member lists whose durability ack arrived.  At most
     one op is ``indeterminate``: the single in-flight update when its
     connection died (the updater is one thread issuing strictly
-    sequential waited adds, so there can never be two).  Known-failed
-    ops (the server answered with a typed error) belong to neither —
-    they consumed no hyperedge ID.
+    sequential waited adds, so there can never be two).
     """
 
     acked: List[List[int]] = field(default_factory=list)
     indeterminate: Optional[List[int]] = None
-    known_failed: int = 0
 
     def resolve(self, survived: bool) -> None:
         """Fold the indeterminate op into the ledger after a crash."""
@@ -385,12 +382,10 @@ class ChaosHarness:
     def __init__(
         self,
         root: str,
-        quick: bool = False,
         num_vertices: int = 48,
         num_seed_edges: int = 36,
     ) -> None:
         self.root = str(root)
-        self.quick = quick
         self.num_vertices = num_vertices
         self.store_path = os.path.join(self.root, "store")
         self.failures: List[str] = []
@@ -414,62 +409,43 @@ class ChaosHarness:
         IndexStore.build(h, self.store_path, num_shards=4)
 
     # -- processes ------------------------------------------------------ #
-    def start_writer(
-        self,
-        port: int = 0,
-        max_batch: int = 16,
-        extra_args: Iterable[str] = (),
-    ) -> Tuple[ManagedProcess, Tuple[str, int], str]:
-        """Launch ``repro serve`` (chaos-controllable); returns
-        ``(process, socket address, metrics base URL)``."""
-        argv = [
-            sys.executable, "-m", "repro", "serve",
-            "--path", self.store_path,
-            "--listen", f"127.0.0.1:{port}",
-            "--metrics-port", "0",
-            "--max-batch", str(max_batch),
-            "--chaos",
+    def start_writer(self, port: int = 0) -> Tuple[ManagedProcess, Tuple[str, int], str]:
+        """Launch ``repro serve`` on the store (``port`` 0: any free one)."""
+        return self._launch("writer", [
+            "serve", "--path", self.store_path, "--listen", f"127.0.0.1:{port}",
+            "--max-batch", "16",
             # Every request is slow at 0 ms, so every one keeps its trace
             # and slow-trace retention is assertable.
             "--trace-slow-ms", "0",
-            *extra_args,
-        ]
-        process = ManagedProcess(argv, name="writer")
-        self.processes.append(process)
-        metrics = process.expect("metrics-listening")
-        listening = process.expect("listening")
-        address = (str(listening["host"]), int(listening["port"]))
-        base_url = f"http://{metrics['host']}:{metrics['port']}"
-        return process, address, base_url
+        ])
 
     def start_replica(
-        self,
-        source: Tuple[str, int],
-        mirror_name: str = "mirror",
-        poll_interval: float = 0.05,
-        ready_max_lag: int = 1,
+        self, source: Tuple[str, int]
     ) -> Tuple[ManagedProcess, Tuple[str, int], str]:
         """Launch ``repro replicate --serve`` chained off ``source``."""
-        mirror_path = os.path.join(self.root, mirror_name)
-        argv = [
-            sys.executable, "-m", "repro", "replicate",
-            "--from", f"{source[0]}:{source[1]}",
-            "--store", mirror_path,
-            "--serve", "127.0.0.1:0",
-            "--poll-interval", str(poll_interval),
-            "--metrics-port", "0",
-            "--ready-max-lag", str(ready_max_lag),
-            "--chaos",
-        ]
-        process = ManagedProcess(argv, name="replica")
+        self.mirror_path = os.path.join(self.root, "mirror")
+        return self._launch("replica", [
+            "replicate", "--from", f"{source[0]}:{source[1]}",
+            "--store", self.mirror_path, "--serve", "127.0.0.1:0",
+            "--poll-interval", "0.05", "--ready-max-lag", "1",
+        ])
+
+    def _launch(
+        self, name: str, argv: List[str]
+    ) -> Tuple[ManagedProcess, Tuple[str, int], str]:
+        """Run ``repro <argv>`` chaos-controllable with a metrics listener;
+        returns ``(process, socket address, metrics base URL)`` once it
+        announces both sockets (a replica announces them after its first
+        sync)."""
+        process = ManagedProcess(
+            [sys.executable, "-m", "repro", *argv, "--metrics-port", "0", "--chaos"],
+            name=name,
+        )
         self.processes.append(process)
-        process.expect("synced")
         metrics = process.expect("metrics-listening")
         listening = process.expect("listening")
         address = (str(listening["host"]), int(listening["port"]))
-        base_url = f"http://{metrics['host']}:{metrics['port']}"
-        self.mirror_path = mirror_path
-        return process, address, base_url
+        return process, address, f"http://{metrics['host']}:{metrics['port']}"
 
     def client(self, address: Tuple[str, int], **kwargs):
         from repro.service.transport import ServiceClient
@@ -503,9 +479,9 @@ class ChaosHarness:
     def submit_updates(self, client, count: int) -> int:
         """Issue ``count`` waited adds; returns how many were acked.
 
-        A typed server error records a known failure (the op consumed no
-        edge ID); a transport failure records THE indeterminate op and
-        stops — the caller decides how to resolve it after recovery.
+        A typed refusal is a ``durability:`` failure (no scenario injects
+        one) and stops; a transport failure records THE indeterminate op
+        and stops — the caller decides how to resolve it after recovery.
         """
         from repro.service.transport import RemoteServiceError, TransportError
 
@@ -514,9 +490,9 @@ class ChaosHarness:
             members = self.next_edge()
             try:
                 client.add(members)
-            except RemoteServiceError:
-                self.ledger.known_failed += 1
-                continue
+            except RemoteServiceError as exc:
+                self.failures.append(f"durability: add {members} refused: {exc}")
+                return done
             except (TransportError, ConnectionError, OSError):
                 self.ledger.indeterminate = members
                 return done

@@ -4,11 +4,6 @@ Each scenario stands up a real serving topology (subprocesses over the
 socket protocol — see :mod:`repro.chaos.harness`), injects faults via the
 failpoint subsystem, and scores the orthogonal correctness axes:
 
-``kill_writer_mid_compaction``
-    A ``crash`` failpoint at ``store.compact.install`` kills the writer
-    process mid-compaction while an updater is streaming acked adds.
-    After restart the served state must contain every acked update, with
-    the single in-flight add resolved against the served fingerprint.
 ``partition_replica``
     An ``error`` failpoint at ``repl.manifest`` on the writer severs the
     replication plane while the stats/query plane stays up: the
@@ -16,17 +11,15 @@ failpoint subsystem, and scores the orthogonal correctness axes:
     (``last sync failed``) while stale reads keep serving, and after the
     heal the gauges must return to zero, the probe to 200, and the
     mirror directory to byte-identical.
-``wal_enospc``
-    An ``error:28`` (ENOSPC) failpoint at ``wal.append`` fails one group
-    commit: the updater gets a *typed* error (no ack), the admission
-    queue poisons, ``/readyz`` answers 503 (``poisoned``) while reads
-    continue, and a restart recovers exactly the acknowledged prefix —
-    the failed op must be absent.
 ``restart_everything``
     SIGKILL/restart the writer in a loop under a long-lived replica:
     every cycle must reconverge, and the surviving replica must not leak
     (open fds and RSS bounded across cycles — the process runtime
     gauges are the measurement).
+
+Both need real processes.  Crash recovery at each store, engine and
+mirror failpoint is checked in-process by the state machine in
+``tests/chaos/test_crash_model.py``.
 
 Results aggregate into per-axis artifacts (``AXES_correctness.json``,
 ``AXES_durability.json``, ``AXES_freshness.json``) whose schema
@@ -39,12 +32,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.chaos.failpoints import REPL_MANIFEST, STORE_COMPACT_INSTALL, WAL_APPEND
+from repro.chaos.failpoints import REPL_MANIFEST
 from repro.chaos.harness import (
     ChaosHarness,
     LagSampler,
@@ -57,7 +49,9 @@ from repro.chaos.harness import (
     wait_until,
 )
 
-__all__ = ["SCENARIOS", "ScenarioResult", "run_scenarios", "write_axes"]
+__all__ = [
+    "SCENARIOS", "ScenarioResult", "UnknownScenarioError", "run_scenarios", "write_axes",
+]
 
 #: Freshness SLO: seconds a node may take to answer ``/readyz`` 200 after
 #: a restart or heal (generous for shared CI runners; a regression that
@@ -68,6 +62,10 @@ P95_GENERATION_LAG_SLO = 2.0
 #: Leak bounds for the long-lived replica in ``restart_everything``.
 FD_GROWTH_LIMIT = 20.0
 RSS_GROWTH_LIMIT_BYTES = 96 * 1024 * 1024
+
+
+class UnknownScenarioError(ValueError):
+    """A requested scenario name is not in :data:`SCENARIOS`."""
 
 
 @dataclass
@@ -111,86 +109,6 @@ def _axis_pass(result: ScenarioResult, axis: str, data: Dict[str, object]) -> bo
 # --------------------------------------------------------------------- #
 # Scenario bodies
 # --------------------------------------------------------------------- #
-def scenario_kill_writer_mid_compaction(
-    h: ChaosHarness, quick: bool
-) -> ScenarioResult:
-    result = ScenarioResult(name="kill_writer_mid_compaction")
-    updates = 8 if quick else 24
-    writer, address, base_url = h.start_writer()
-    port = address[1]
-    client = h.client(address)
-    h.submit_updates(client, updates)
-    h.check_oracle(client, "pre-crash")
-
-    # Arm the crash, then race an updater thread against the compaction
-    # that detonates it: the updater's in-flight add at the instant of
-    # death is the scenario's indeterminate op.
-    h.chaos(client, "activate", point=STORE_COMPACT_INSTALL.name, action="crash")
-    # The count is effectively "until the connection dies": submit_updates
-    # stops at the first transport failure, recording the in-flight op as
-    # the indeterminate one.
-    updater = threading.Thread(
-        target=lambda: h.submit_updates(h.client(address), 100_000),
-        daemon=True,
-    )
-    updater.start()
-    time.sleep(0.1)
-    from repro.service.transport import TransportError
-
-    try:
-        client.compact()
-        result.failures.append(
-            "correctness: compact returned although the crash failpoint was armed"
-        )
-    except (TransportError, ConnectionError, OSError):
-        pass
-    rc = writer.wait_exit()
-    h.check(rc == 17, f"correctness: crash exit code {rc}, expected 17")
-    updater.join(timeout=30.0)
-    h.check(not updater.is_alive(), "correctness: updater thread hung after crash")
-
-    restart_at = time.monotonic()
-    writer, address, base_url = h.start_writer(port=port)
-    time_to_ready = time.monotonic() - restart_at + h.await_ready(base_url)
-    client = h.client(address)
-
-    had_indeterminate = h.ledger.indeterminate is not None
-    h.resolve_indeterminate(client)
-    divergences = h.check_oracle(client, "post-restart")
-
-    # The stack must keep working after recovery: more acked traffic, a
-    # *successful* compaction this time, and the oracle again.
-    h.submit_updates(client, 4)
-    client.compact()
-    divergences += h.check_oracle(client, "post-recovery-compaction")
-    h.check_slow_traces_kept(client, "post-restart")
-    client.close()
-
-    result.failures.extend(h.failures)
-    result.correctness = {
-        "oracle_queries": 3 * 3,
-        "divergences": divergences,
-        "pass": _axis_pass(result, "correctness", {}),
-    }
-    result.durability = {
-        "acked_updates": len(h.ledger.acked),
-        "indeterminate_ops": 1 if had_indeterminate else 0,
-        "acked_lost": 0 if _axis_pass(result, "durability", {}) else 1,
-        "pass": _axis_pass(result, "durability", {}),
-    }
-    if time_to_ready > TIME_TO_READY_SLO_S:
-        result.failures.append(
-            f"freshness: writer took {time_to_ready:.1f}s to become ready "
-            f"(SLO {TIME_TO_READY_SLO_S:.0f}s)"
-        )
-    result.freshness = {
-        "time_to_ready_s": round(time_to_ready, 3),
-        "slo_s": TIME_TO_READY_SLO_S,
-        "pass": _axis_pass(result, "freshness", {}),
-    }
-    return result
-
-
 def scenario_partition_replica(h: ChaosHarness, quick: bool) -> ScenarioResult:
     result = ScenarioResult(name="partition_replica")
     updates = 6 if quick else 18
@@ -312,79 +230,6 @@ def scenario_partition_replica(h: ChaosHarness, quick: bool) -> ScenarioResult:
     return result
 
 
-def scenario_wal_enospc(h: ChaosHarness, quick: bool) -> ScenarioResult:
-    result = ScenarioResult(name="wal_enospc")
-    updates = 6 if quick else 18
-    writer, address, base_url = h.start_writer()
-    port = address[1]
-    client = h.client(address)
-    h.submit_updates(client, updates)
-    h.check_oracle(client, "pre-fault")
-
-    # One WAL append fails with ENOSPC (errno 28): the group commit
-    # breaks, the op is REFUSED with a typed error (so the client knows
-    # it was not acked), and the queue poisons until restart.
-    h.chaos(client, "activate", point=WAL_APPEND.name, action="error", value=28, count=1)
-    acked_more = h.submit_updates(client, 4)
-    h.check(
-        h.ledger.known_failed >= 1,
-        "durability: the ENOSPC add was not refused with a typed error",
-    )
-    h.await_unready(base_url)
-    status, payload = probe(base_url, "/readyz")
-    h.check(
-        status == 503 and "poisoned" in str(payload.get("reason", "")),
-        f"observability[enospc]: /readyz ({status}, {payload.get('reason')!r}) "
-        "!= (503, admission-poisoned)",
-    )
-    # Reads bypass admission and must keep serving while poisoned.  (The
-    # served state may legitimately be AHEAD of the log here, so the
-    # byte-exact oracle check waits for the restart.)
-    h.check(
-        bool(client.metric(1, "connected_components")),
-        "correctness[enospc]: reads stopped while poisoned",
-    )
-
-    # A poisoned writer's contract is "restart me": do, and require
-    # exactly the acknowledged prefix back — the refused op must be gone.
-    writer.terminate()
-    writer.wait_exit()
-    restart_at = time.monotonic()
-    writer, address, base_url = h.start_writer(port=port)
-    time_to_ready = time.monotonic() - restart_at + h.await_ready(base_url)
-    client = h.client(address)
-    h.resolve_indeterminate(client)
-    divergences = h.check_oracle(client, "post-restart")
-    h.submit_updates(client, 2)
-    divergences += h.check_oracle(client, "post-recovery-writes")
-    client.close()
-
-    result.failures.extend(h.failures)
-    result.correctness = {
-        "oracle_queries": 3 * 3,
-        "divergences": divergences,
-        "pass": _axis_pass(result, "correctness", {}),
-    }
-    result.durability = {
-        "acked_updates": len(h.ledger.acked),
-        "typed_refusals": h.ledger.known_failed,
-        "acked_after_fault": acked_more,
-        "acked_lost": 0 if _axis_pass(result, "durability", {}) else 1,
-        "pass": _axis_pass(result, "durability", {}),
-    }
-    if time_to_ready > TIME_TO_READY_SLO_S:
-        result.failures.append(
-            f"freshness: writer took {time_to_ready:.1f}s to become ready "
-            f"(SLO {TIME_TO_READY_SLO_S:.0f}s)"
-        )
-    result.freshness = {
-        "time_to_ready_s": round(time_to_ready, 3),
-        "slo_s": TIME_TO_READY_SLO_S,
-        "pass": _axis_pass(result, "freshness", {}),
-    }
-    return result
-
-
 def scenario_restart_everything(h: ChaosHarness, quick: bool) -> ScenarioResult:
     result = ScenarioResult(name="restart_everything")
     cycles = 2 if quick else 3
@@ -480,9 +325,7 @@ def scenario_restart_everything(h: ChaosHarness, quick: bool) -> ScenarioResult:
 
 
 SCENARIOS: Dict[str, Callable[[ChaosHarness, bool], ScenarioResult]] = {
-    "kill_writer_mid_compaction": scenario_kill_writer_mid_compaction,
     "partition_replica": scenario_partition_replica,
-    "wal_enospc": scenario_wal_enospc,
     "restart_everything": scenario_restart_everything,
 }
 
@@ -499,13 +342,14 @@ def run_scenarios(
     ),
 ) -> List[ScenarioResult]:
     """Run ``names`` in order, each in a fresh world; write axis artifacts."""
+    unknown = [name for name in names if name not in SCENARIOS]
+    if unknown:
+        known = ", ".join(SCENARIOS)
+        raise UnknownScenarioError(f"unknown scenario(s) {unknown} (known: {known})")
     results: List[ScenarioResult] = []
     for name in names:
-        if name not in SCENARIOS:
-            known = ", ".join(sorted(SCENARIOS))
-            raise ValueError(f"unknown scenario '{name}' (known: {known})")
         with tempfile.TemporaryDirectory(prefix=f"chaos-{name}-") as root:
-            harness = ChaosHarness(root, quick=quick)
+            harness = ChaosHarness(root)
             started = time.monotonic()
             try:
                 result = SCENARIOS[name](harness, quick)
@@ -528,6 +372,8 @@ def write_axes(results: List[ScenarioResult], results_dir: str) -> List[str]:
 
     Artifacts merge per scenario: running one scenario updates only its
     own entry, so axes can be assembled across several invocations.
+    Entries of names no longer in :data:`SCENARIOS` are dropped, so a
+    reused directory never reports a deleted scenario.
     """
     os.makedirs(results_dir, exist_ok=True)
     written: List[str] = []
@@ -540,6 +386,7 @@ def write_axes(results: List[ScenarioResult], results_dir: str) -> List[str]:
                     entries = dict(json.load(handle).get("scenarios", {}))
             except (OSError, json.JSONDecodeError, AttributeError):
                 entries = {}
+            entries = {n: e for n, e in entries.items() if n in SCENARIOS}
         for result in results:
             data = getattr(result, axis)
             if axis == "correctness":

@@ -858,19 +858,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     are written/merged there.  One JSON line per scenario on stdout, a
     summary line last; exit status 1 if any scenario failed.
     """
-    from repro.chaos.scenarios import SCENARIOS, run_scenarios
+    from repro.chaos.scenarios import SCENARIOS, UnknownScenarioError, run_scenarios
 
     if args.list:
         for name in SCENARIOS:
             print(json.dumps({"op": "scenario", "name": name}))
         return 0
     names = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
-    unknown = [n for n in names if n not in SCENARIOS]
-    if unknown:
-        raise SystemExit(
-            f"unknown scenario(s) {unknown}; known: {', '.join(SCENARIOS)}"
-        )
-    results = run_scenarios(names, quick=args.quick, results_dir=args.results_dir)
+    try:
+        results = run_scenarios(names, quick=args.quick, results_dir=args.results_dir)
+    except UnknownScenarioError as exc:  # refused before anything ran
+        raise SystemExit(str(exc)) from None
     failed = [r.name for r in results if not r.passed]
     print(
         json.dumps(

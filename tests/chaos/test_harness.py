@@ -16,6 +16,7 @@ from repro.chaos.harness import (
     wait_until,
 )
 from repro.obs import MetricsHTTPServer, MetricsRegistry
+from repro.service.transport import RemoteServiceError
 
 
 class TestWaitUntil:
@@ -118,20 +119,42 @@ class TestUpdateLedger:
         assert ledger.indeterminate is None
 
 
+class _RefusingClient:
+    """Acks ``acks`` adds, then answers the next with a typed error."""
+
+    def __init__(self, acks):
+        self.acks = acks
+
+    def add(self, members):
+        if self.acks == 0:
+            raise RemoteServiceError("refused", code="E_INTERNAL")
+        self.acks -= 1
+
+
+class TestSubmitUpdates:
+    def test_a_typed_refusal_is_a_durability_failure_and_stops(self, tmp_path):
+        harness = ChaosHarness(str(tmp_path), num_seed_edges=12)
+        assert harness.submit_updates(_RefusingClient(acks=2), 5) == 2
+        assert len(harness.ledger.acked) == 2
+        assert harness.ledger.indeterminate is None
+        assert len(harness.failures) == 1
+        assert harness.failures[0].startswith("durability: add ")
+
+
 class TestHarnessWorld:
     def test_seed_store_and_deterministic_edges(self, tmp_path):
-        harness = ChaosHarness(str(tmp_path), quick=True, num_seed_edges=12)
+        harness = ChaosHarness(str(tmp_path), num_seed_edges=12)
         first = [harness.next_edge() for _ in range(10)]
         assert all(len(e) >= 2 for e in first)
         assert all(
             0 <= v < harness.num_vertices for edge in first for v in edge
         )
-        other = ChaosHarness(str(tmp_path / "other"), quick=True, num_seed_edges=12)
+        other = ChaosHarness(str(tmp_path / "other"), num_seed_edges=12)
         assert [other.next_edge() for _ in range(10)] == first
         assert harness.expected_edges() == harness.seed_edges
 
     def test_oracle_json_matches_wire_serialisation(self, tmp_path):
-        harness = ChaosHarness(str(tmp_path), quick=True, num_seed_edges=12)
+        harness = ChaosHarness(str(tmp_path), num_seed_edges=12)
         h = harness.oracle_hypergraph()
         text = oracle_values_json(h, 1, "connected_components")
         values = json.loads(text)

@@ -1,4 +1,9 @@
-"""Chaos scenarios end-to-end (quick mode) and the axis artefacts."""
+"""The chaos scenario registry and its axis artefacts.
+
+The scenarios themselves run real subprocesses and are exercised by the
+tier-2 ``repro chaos --quick`` job; crash recovery at every failpoint is
+the in-process state machine in ``test_crash_model.py``.
+"""
 
 import json
 
@@ -7,6 +12,7 @@ import pytest
 from repro.chaos.scenarios import (
     SCENARIOS,
     ScenarioResult,
+    UnknownScenarioError,
     run_scenarios,
     write_axes,
 )
@@ -14,16 +20,13 @@ from repro.chaos.scenarios import (
 
 class TestRegistry:
     def test_the_advertised_scenarios_exist(self):
-        assert set(SCENARIOS) == {
-            "kill_writer_mid_compaction",
-            "partition_replica",
-            "wal_enospc",
-            "restart_everything",
-        }
+        assert set(SCENARIOS) == {"partition_replica", "restart_everything"}
 
-    def test_unknown_scenario_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown scenario"):
-            run_scenarios(["typo"], quick=True)
+    def test_unknown_scenario_is_rejected(self):
+        ran = []
+        with pytest.raises(UnknownScenarioError, match="typo.*partition_replica"):
+            run_scenarios(["restart_everything", "typo"], quick=True, emit=ran.append)
+        assert ran == []
 
 
 class TestAxisArtifacts:
@@ -37,57 +40,42 @@ class TestAxisArtifacts:
         return result
 
     def test_artifacts_merge_across_runs(self, tmp_path):
-        write_axes([self._result("one")], str(tmp_path))
-        write_axes([self._result("two")], str(tmp_path))
+        write_axes([self._result("partition_replica")], str(tmp_path))
+        write_axes([self._result("restart_everything")], str(tmp_path))
         data = json.loads((tmp_path / "AXES_durability.json").read_text())
-        assert set(data["scenarios"]) == {"one", "two"}
+        assert set(data["scenarios"]) == {"partition_replica", "restart_everything"}
         assert data["axis"] == "durability"
         assert data["pass"] is True
 
     def test_rerunning_a_scenario_replaces_its_entry(self, tmp_path):
-        write_axes([self._result("one", ok=False)], str(tmp_path))
+        write_axes([self._result("partition_replica", ok=False)], str(tmp_path))
         data = json.loads((tmp_path / "AXES_durability.json").read_text())
         assert data["pass"] is False
-        write_axes([self._result("one", ok=True)], str(tmp_path))
+        write_axes([self._result("partition_replica", ok=True)], str(tmp_path))
         data = json.loads((tmp_path / "AXES_durability.json").read_text())
         assert data["pass"] is True
 
     def test_correctness_entries_carry_their_failures(self, tmp_path):
-        result = self._result("one")
+        result = self._result("partition_replica")
         result.failures.append("observability[x]: gauge never rose")
         result.correctness = {"divergences": 0, "pass": False}
         write_axes([result], str(tmp_path))
         data = json.loads((tmp_path / "AXES_correctness.json").read_text())
-        entry = data["scenarios"]["one"]
+        entry = data["scenarios"]["partition_replica"]
         assert entry["failures"] == ["observability[x]: gauge never rose"]
         assert data["pass"] is False
 
 
-class TestScenariosEndToEnd:
-    """Real subprocess scenarios, quick mode — the CI tier-2 setting.
-
-    Only the two fastest scenarios run here (a couple of seconds each);
-    the full suite is exercised by the dedicated CI chaos job via
-    ``repro chaos --quick``.
-    """
-
-    def test_wal_enospc_quick(self, tmp_path):
-        (result,) = run_scenarios(
-            ["wal_enospc"], quick=True, results_dir=str(tmp_path),
-            emit=lambda payload: None,
-        )
-        assert result.failures == []
-        assert result.durability["typed_refusals"] >= 1
-        assert result.durability["acked_lost"] == 0
-        for axis in ("correctness", "durability", "freshness"):
-            data = json.loads((tmp_path / f"AXES_{axis}.json").read_text())
-            assert data["scenarios"]["wal_enospc"]["pass"] is True
-
-    def test_kill_writer_mid_compaction_quick(self, tmp_path):
-        (result,) = run_scenarios(
-            ["kill_writer_mid_compaction"], quick=True,
-            results_dir=str(tmp_path), emit=lambda payload: None,
-        )
-        assert result.failures == []
-        assert result.correctness["divergences"] == 0
-        assert result.durability["acked_lost"] == 0
+    def test_entries_of_deleted_scenarios_are_dropped(self, tmp_path):
+        """A reused results directory must not keep reporting a scenario
+        that no longer exists (here: a failing one, so the axis would
+        fail forever)."""
+        (tmp_path / "AXES_durability.json").write_text(json.dumps({
+            "axis": "durability",
+            "pass": False,
+            "scenarios": {"retired_scenario": {"acked_lost": 1, "pass": False}},
+        }))
+        write_axes([self._result("restart_everything")], str(tmp_path))
+        data = json.loads((tmp_path / "AXES_durability.json").read_text())
+        assert set(data["scenarios"]) == {"restart_everything"}
+        assert data["pass"] is True

@@ -1,11 +1,15 @@
 """AdmissionQueue: batching, durability acknowledgements, failure isolation."""
 
+import errno
 import threading
 
 import numpy as np
 import pytest
 
+from repro.chaos import failpoints as fp
+from repro.chaos.failpoints import WAL_APPEND, FailpointError
 from repro.engine.engine import QueryEngine
+from repro.service import QueryService
 from repro.service.admission import AdmissionQueue
 from repro.service.sync import RWLock
 from repro.store.store import IndexStore
@@ -231,6 +235,39 @@ class TestFailureIsolation:
         queue.close()
         for future in futures:
             assert isinstance(future.result(timeout=5), int)
+
+
+class TestEnospcAtTheService:
+    """A real ENOSPC at ``wal.append`` under a live writer service: the op
+    is refused with a typed error, the writer poisons and reports unready
+    while reads go on, and a restart serves exactly the acked updates."""
+
+    @pytest.fixture(autouse=True)
+    def clean_failpoints(self):
+        fp.reset()
+        yield
+        fp.reset()
+
+    def test_refusal_poisons_and_restart_serves_the_acked_prefix(
+        self, community_hypergraph, tmp_path
+    ):
+        path = tmp_path / "idx"
+        IndexStore.build(community_hypergraph, path, num_shards=4)
+        with QueryService(path) as service:
+            for members in ([0, 1, 2], [3, 4, 5]):
+                service.submit_add(members).result(timeout=5)
+            acked = service.engine.fingerprint()
+            fp.activate(WAL_APPEND.name, "error", value=errno.ENOSPC, count=1)
+            with pytest.raises(FailpointError) as refused:
+                service.submit_add([6, 7, 8]).result(timeout=5)
+            assert refused.value.errno == errno.ENOSPC
+            with pytest.raises(ValidationError, match="poisoned"):
+                service.submit_add([9, 10]).result(timeout=5)
+            ready, detail = service.readiness()
+            assert not ready and "poisoned" in str(detail["reason"])
+            assert service.metric_by_hyperedge(1, "connected_components")
+        with QueryService(path) as restarted:
+            assert restarted.engine.fingerprint() == acked
 
 
 class TestConcurrentSubmitters:
