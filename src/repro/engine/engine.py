@@ -438,8 +438,9 @@ class QueryEngine:
 
     def metric_by_hyperedge(self, s: int, name: str) -> Dict[int, float]:
         """A metric keyed by *original* hyperedge IDs."""
-        ids, values = self.metric_columns(s, name)
-        return dict(zip(ids.tolist(), values.tolist()))
+        values = self.metric(s, name)
+        _, mapping = self.squeezed_graph(s)
+        return mapping.by_hyperedge(values)
 
     def metrics(self, s: int, names: Sequence[str]) -> Dict[str, np.ndarray]:
         """Several metrics of the same s, sharing one squeeze."""

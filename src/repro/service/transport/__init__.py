@@ -15,10 +15,11 @@ package puts a socket in front of it so the clients can live anywhere:
   connection limit, graceful drain-then-close shutdown;
 * :class:`ServiceClient` — a blocking client with connect/retry, batched
   query submission and durability-ack-aware update calls; its ``metric``
-  returns the same ``{edge_id: value}`` dict the s-measure functions do.
+  returns :class:`HyperedgeValues`, a read-only ``{edge_id: value}``
+  mapping over the response's two columns.
 """
 
-from repro.service.transport.client import ServiceClient
+from repro.service.transport.client import HyperedgeValues, ServiceClient
 from repro.service.transport.framing import (
     DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -42,6 +43,7 @@ __all__ = [
     "SUPPORTED_PROTOCOLS",
     "FrameError",
     "FrameTooLargeError",
+    "HyperedgeValues",
     "ProtocolVersionError",
     "RemoteServiceError",
     "ServerStats",

@@ -10,9 +10,10 @@ compression codec) — and retries with a fixed interval while the server
 is still coming up or is at its connection limit (``E_BUSY``
 backpressure), so fleets of readers can start before — or survive
 restarts of — their server.  The negotiated version is transparent to the
-typed helpers: :meth:`~ServiceClient.metric` returns the same ``{edge_id:
-value}`` mapping whether the wire carried a JSON object or int64/float64
-columns.
+typed helpers: :meth:`~ServiceClient.metric` returns one
+:class:`HyperedgeValues` — a read-only ``{edge_id: value}`` mapping over
+an int64 ID column and a float64 value column — whether the wire carried
+a JSON object or the two columns themselves.
 
 Failure semantics
 -----------------
@@ -31,9 +32,13 @@ whether to re-send, exactly like any at-least-once ingestion path.
 
 from __future__ import annotations
 
+import operator
 import socket
 import time
+from collections.abc import Iterator, Mapping
 from typing import Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.service.contract import E_STALE, is_idempotent, op_name
 from repro.service.transport.framing import (
@@ -89,6 +94,81 @@ def _is_idempotent(request: Dict[str, object]) -> bool:
             isinstance(r, dict) and is_idempotent(op_name(r)) for r in requests
         )
     return is_idempotent(op)
+
+
+def _describe(column: object) -> str:
+    if isinstance(column, np.ndarray):
+        return f"{column.dtype}{list(column.shape)}"
+    return type(column).__name__
+
+
+class HyperedgeValues(Mapping):
+    """A metric's ``{hyperedge ID: value}`` answer, kept as its two columns.
+
+    ``edge_ids`` (int64, strictly ascending) and ``metric_values``
+    (float64) are read-only views of the response's columns; no Python
+    dict is built.  Lookup is a binary search returning a Python
+    ``float``, iteration yields Python ``int`` IDs in ascending order, and
+    keys that are not integers are absent.  Equality against another
+    ``HyperedgeValues`` compares the columns exactly (``np.array_equal``,
+    so NaN is unequal, as it is between dicts); against any other mapping
+    it is :class:`~collections.abc.Mapping`'s item-by-item comparison, so
+    ``== dict`` and ``pytest.approx`` assertions hold.  A caller that
+    needs a real ``dict`` (for ``json.dumps``, say) calls ``dict(values)``.
+
+    Columns that break docs/PROTOCOL.md §3.1 — not 1-D ndarrays of equal
+    length, IDs not int64 or not strictly ascending, values not float64 —
+    raise :class:`FrameError`.
+    """
+
+    __slots__ = ("edge_ids", "metric_values")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, edge_ids: np.ndarray, metric_values: np.ndarray) -> None:
+        if not (
+            isinstance(edge_ids, np.ndarray)
+            and isinstance(metric_values, np.ndarray)
+            and edge_ids.ndim == 1
+            and edge_ids.shape == metric_values.shape
+            and edge_ids.dtype == np.int64
+            and metric_values.dtype == np.float64
+            and bool(np.all(edge_ids[1:] > edge_ids[:-1]))
+        ):
+            raise FrameError(
+                f"malformed metric columns (edge_ids {_describe(edge_ids)}, values "
+                f"{_describe(metric_values)}): need equal-length 1-D float64 values "
+                "over strictly ascending int64 IDs"
+            )
+        self.edge_ids = edge_ids.view()
+        self.edge_ids.flags.writeable = False
+        self.metric_values = metric_values.view()
+        self.metric_values.flags.writeable = False
+
+    def __getitem__(self, key: object) -> float:
+        try:
+            edge_id = operator.index(key)  # type: ignore[arg-type]
+        except TypeError:
+            raise KeyError(key) from None
+        at = int(self.edge_ids.searchsorted(edge_id))
+        if at < len(self.edge_ids) and self.edge_ids[at] == edge_id:
+            return float(self.metric_values[at])
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.edge_ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.edge_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, HyperedgeValues):
+            return np.array_equal(self.edge_ids, other.edge_ids) and np.array_equal(
+                self.metric_values, other.metric_values
+            )
+        return Mapping.__eq__(self, other)
+
+    def __repr__(self) -> str:
+        return f"HyperedgeValues({dict(self)!r})"
 
 
 class ServiceClient:
@@ -346,23 +426,30 @@ class ServiceClient:
             self.connect()
         return self._protocol >= PROTOCOL_VERSION_BINARY
 
-    def metric(self, s: int, metric: str = "connected_components") -> Dict[int, float]:
-        """Metric values keyed by original hyperedge ID.
+    def metric(self, s: int, metric: str = "connected_components") -> HyperedgeValues:
+        """Metric values keyed by original hyperedge ID, as :class:`HyperedgeValues`.
 
         On a protocol v2 connection the response crosses the wire as
-        parallel ``edge_ids``/``values`` numpy columns in a binary frame
-        and is rebuilt into the same mapping here, so callers never see
-        the difference.
+        parallel ``edge_ids``/``values`` numpy columns in a binary frame,
+        and the mapping keeps them as they arrived.  On v1 the JSON
+        ``values`` object is turned into the same two columns, so both
+        planes return the same type and compare equal.
         """
         request: Dict[str, object] = {"op": "metric", "s": int(s), "metric": str(metric)}
         if self._use_columns():
             request["columns"] = True
         response = self.request(request)
         if response.get("columns"):
-            ids = response["edge_ids"]
-            vals = response["values"]
-            return dict(zip(ids.tolist(), vals.tolist()))
-        return {int(k): float(v) for k, v in response["values"].items()}
+            return HyperedgeValues(response.get("edge_ids"), response.get("values"))
+        values = response.get("values")
+        try:
+            count = len(values)
+            edge_ids = np.fromiter(map(int, values.keys()), dtype=np.int64, count=count)
+            column = np.fromiter(map(float, values.values()), dtype=np.float64, count=count)
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise FrameError(f"malformed metric values object: {exc}") from exc
+        order = np.argsort(edge_ids, kind="stable")
+        return HyperedgeValues(edge_ids[order], column[order])
 
     def components(self, s: int) -> int:
         """Number of s-connected components."""
@@ -377,9 +464,10 @@ class ServiceClient:
     ) -> Dict[str, Dict[int, int]]:
         """Batched multi-s sweep; counts keyed by integer s.
 
-        Like :meth:`metric`, a v2 connection carries the counts as int64
-        columns (``s_values``/``edge_counts``/``active_counts``) and the
-        mapping shape is rebuilt here.
+        A v2 connection carries the counts as int64 columns
+        (``s_values``/``edge_counts``/``active_counts``); unlike
+        :meth:`metric`'s, they hold one entry per ``s`` and are rebuilt
+        into dicts here.
         """
         request: Dict[str, object] = {"op": "sweep", "metrics": list(metrics)}
         if s_values is not None:

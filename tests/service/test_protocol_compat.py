@@ -22,6 +22,7 @@ from repro.service import (
     StoreLock,
 )
 from repro.service.transport import (
+    HyperedgeValues,
     PROTOCOL_VERSION,
     PROTOCOL_VERSION_BINARY,
     ProtocolVersionError,
@@ -98,7 +99,12 @@ class TestCompatMatrix:
                 assert v2_client.protocol == PROTOCOL_VERSION_BINARY
                 assert v1_client.protocol == PROTOCOL_VERSION
                 for s in (1, 2, 3):
-                    assert v2_client.metric(s) == v1_client.metric(s)
+                    v2_values, v1_values = v2_client.metric(s), v1_client.metric(s)
+                    assert v2_values == v1_values
+                    for values in (v2_values, v1_values):
+                        assert type(values) is HyperedgeValues
+                        assert values.edge_ids.flags.writeable is False
+                        assert values.metric_values.flags.writeable is False
                 assert v2_client.sweep(range(1, 6)) == v1_client.sweep(range(1, 6))
 
     def test_columns_rejected_on_a_v1_connection(self, v2_server):

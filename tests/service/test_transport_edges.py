@@ -11,6 +11,7 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.engine.engine import MAX_SWEEP_THRESHOLDS
@@ -20,10 +21,17 @@ from repro.service import (
     ServiceClient,
     SocketServer,
 )
-from repro.service.transport import ProtocolVersionError, TransportError
+from repro.service.transport import (
+    FrameError,
+    PROTOCOL_VERSION_BINARY,
+    ProtocolVersionError,
+    TransportError,
+)
 from repro.service.transport.framing import (
+    DEFAULT_MAX_FRAME_BYTES,
     LENGTH_PREFIX,
     PROTOCOL_VERSION,
+    encode_binary_frame,
     recv_frame,
     send_frame,
 )
@@ -140,6 +148,91 @@ class TestMalformedPeers:
                 assert small["ok"] is True
         finally:
             server.close()
+
+
+def scripted_peer(reply, protocol):
+    """A one-connection server that negotiates ``protocol`` and answers
+    every query with ``reply`` (a binary frame on v2, JSON on v1).
+
+    Returns ``(address, thread)``; the thread ends when the client says
+    goodbye or hangs up.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+
+    def serve():
+        with listener, listener.accept()[0] as conn:
+            recv_frame(conn)
+            hello = {"ok": True, "op": "hello", "protocol": PROTOCOL_VERSION}
+            send_frame(conn, {**hello, "negotiated": protocol, "compression": None})
+            while (request := recv_frame(conn)) is not None:
+                if request.get("op") == "goodbye":
+                    send_frame(conn, {"ok": True, "op": "goodbye"})
+                    return
+                if protocol == PROTOCOL_VERSION_BINARY:
+                    conn.sendall(encode_binary_frame(reply, DEFAULT_MAX_FRAME_BYTES))
+                else:
+                    send_frame(conn, reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname(), thread
+
+
+def served_metric(reply, protocol=PROTOCOL_VERSION_BINARY):
+    """``ServiceClient.metric`` against a peer that answers with ``reply``."""
+    address, peer = scripted_peer(reply, protocol)
+    try:
+        with ServiceClient(*address, connect_retries=1) as client:
+            assert client.protocol == protocol
+            return client.metric(1)
+    finally:
+        peer.join(timeout=10)
+        assert not peer.is_alive()
+
+
+def columns(edge_ids, values):
+    return {"ok": True, "columns": True, "edge_ids": edge_ids, "values": values}
+
+
+class TestMalformedMetricReplies:
+    """A metric reply that breaks PROTOCOL.md §3.1 ends in the typed
+    ``FrameError`` instead of a silently truncated or collapsed mapping."""
+
+    IDS = np.array([1, 2, 3], dtype=np.int64)
+    VALUES = np.array([0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "reply, protocol",
+        [
+            (columns(np.array([1, 3, 2], dtype=np.int64), VALUES), PROTOCOL_VERSION_BINARY),
+            (columns(np.array([1, 2, 2], dtype=np.int64), VALUES), PROTOCOL_VERSION_BINARY),
+            (columns(IDS, VALUES[:2]), PROTOCOL_VERSION_BINARY),
+            (columns(IDS.astype(np.float64), VALUES), PROTOCOL_VERSION_BINARY),
+            (columns(IDS.reshape(1, 3), VALUES.reshape(1, 3)), PROTOCOL_VERSION_BINARY),
+            ({"ok": True, "values": {"1": 0.0, "01": 1.0}}, PROTOCOL_VERSION),
+            ({"ok": True, "values": {"one": 0.0}}, PROTOCOL_VERSION),
+            ({"ok": True, "values": [0.0, 1.0]}, PROTOCOL_VERSION),
+        ],
+        ids=[
+            "unsorted",
+            "duplicate",
+            "unequal-lengths",
+            "float-ids",
+            "2-d",
+            "v1-duplicate",
+            "v1-non-integer-id",
+            "v1-not-an-object",
+        ],
+    )
+    def test_malformed_reply_raises_frame_error(self, reply, protocol):
+        with pytest.raises(FrameError, match="malformed metric"):
+            served_metric(reply, protocol)
+
+    def test_well_formed_columns_are_served_as_they_arrived(self):
+        values = served_metric(columns(self.IDS, self.VALUES))
+        assert values.edge_ids.tobytes() == self.IDS.tobytes()
+        assert values == {1: 0.0, 2: 1.0, 3: 2.0}
 
 
 class TestUnboundedSweep:
