@@ -86,7 +86,7 @@ def main() -> None:
         proc.start()
 
     # 3. The writer: async admission + background compaction.
-    policy = CompactionPolicy(max_wal_records=25, max_wal_bytes=None)
+    policy = CompactionPolicy(max_wal_records=25)
     rng = make_rng(1)
     with QueryService(
         store_path, compaction=policy, compaction_poll_interval=0.05, max_batch=32

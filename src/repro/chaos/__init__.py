@@ -1,4 +1,4 @@
-"""Chaos engineering for the serving stack: failpoints, harness, scenarios.
+"""Chaos engineering for the serving stack: failpoints and the harness.
 
 ``repro.chaos.failpoints``
     Dependency-free failpoint handles, declared once and imported by the
@@ -8,37 +8,9 @@
     gated ``chaos`` wire op.
 
 ``repro.chaos.harness``
-    Scenario runner: stands up a writer ``SocketServer`` plus chained
-    ``RemoteReadReplica`` subprocesses under mixed query/update traffic,
-    injects scripted faults, and asserts data invariants (acked updates
-    survive, mirrors converge byte-identical, served metrics equal the
-    ``SLinePipeline`` oracle) and observability invariants (lag gauges,
-    ``/readyz`` flips, slow requests keep their traces).
-
-``repro.chaos.scenarios``
-    The named scenarios behind ``repro chaos --scenario NAME``, each
-    emitting per-axis ``AXES_*.json`` artefacts gated independently by
-    ``benchmarks/check_axes.py``.
+    Drives ``repro`` CLI subprocesses and checks what a store serves: the
+    ``SLinePipeline`` oracle and the ``acked ⊆ served ⊆ acked ∪
+    in-flight`` durability check.  The crash model
+    (``tests/chaos/test_crash_model.py``) and the subprocess drills
+    (``tests/chaos/drills.py``) share them.
 """
-
-from repro.chaos.failpoints import (
-    FailpointDropConnection,
-    FailpointError,
-    activate,
-    deactivate,
-    install_from_env,
-    is_active,
-    remote_control_enabled,
-    reset,
-)
-
-__all__ = [
-    "FailpointDropConnection",
-    "FailpointError",
-    "activate",
-    "deactivate",
-    "install_from_env",
-    "is_active",
-    "remote_control_enabled",
-    "reset",
-]

@@ -31,8 +31,7 @@ the built-in surrogate datasets:
                  directory from any serving peer, and with ``--serve``
                  keep it current while serving it as a read replica —
                  one command stands up a remote read server;
-``trace``        render the request traces a serving peer kept;
-``chaos``        run the fault-injection scenario suite.
+``trace``        render the request traces a serving peer kept.
 
 Examples
 --------
@@ -596,7 +595,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     policy = None
     if args.compact_after is not None:
-        policy = CompactionPolicy(max_wal_records=args.compact_after, max_wal_bytes=None)
+        policy = CompactionPolicy(max_wal_records=args.compact_after)
     _apply_trace_flags(args)
     _apply_chaos_flag(args)
     service = QueryService(
@@ -848,42 +847,6 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
             metrics_server.close()
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Run the chaos/fault-injection scenario suite.
-
-    Each scenario launches real ``serve``/``replicate`` subprocesses,
-    injects faults through the failpoint subsystem and scores the
-    orthogonal correctness axes; with ``--results-dir`` the per-axis
-    ``AXES_*.json`` artifacts (consumed by ``benchmarks/check_axes.py``)
-    are written/merged there.  One JSON line per scenario on stdout, a
-    summary line last; exit status 1 if any scenario failed.
-    """
-    from repro.chaos.scenarios import SCENARIOS, UnknownScenarioError, run_scenarios
-
-    if args.list:
-        for name in SCENARIOS:
-            print(json.dumps({"op": "scenario", "name": name}))
-        return 0
-    names = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
-    try:
-        results = run_scenarios(names, quick=args.quick, results_dir=args.results_dir)
-    except UnknownScenarioError as exc:  # refused before anything ran
-        raise SystemExit(str(exc)) from None
-    failed = [r.name for r in results if not r.passed]
-    print(
-        json.dumps(
-            {
-                "ok": not failed,
-                "op": "chaos",
-                "scenarios": [r.name for r in results],
-                "failed": failed,
-            }
-        ),
-        flush=True,
-    )
-    return 1 if failed else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -1104,34 +1067,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_trace_arguments(p)
     p.set_defaults(func=_cmd_replicate)
-
-    p = sub.add_parser(
-        "chaos",
-        help="run the chaos/fault-injection scenario suite against live "
-        "serve/replicate subprocesses and score the correctness axes",
-    )
-    p.add_argument(
-        "--scenario",
-        default="all",
-        metavar="NAME",
-        help="scenario to run (see --list), or 'all' (default)",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller workloads and fewer cycles (the CI tier-2 setting)",
-    )
-    p.add_argument(
-        "--results-dir",
-        default=None,
-        metavar="DIR",
-        help="write/merge per-axis AXES_*.json artifacts here "
-        "(gated by benchmarks/check_axes.py)",
-    )
-    p.add_argument(
-        "--list", action="store_true", help="list scenario names and exit"
-    )
-    p.set_defaults(func=_cmd_chaos)
 
     p = sub.add_parser(
         "trace",

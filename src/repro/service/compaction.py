@@ -3,7 +3,7 @@
 Between compactions the write-ahead log grows with every admitted batch and
 every reader reload replays it in full, so recovery and replica-refresh
 costs climb linearly.  :class:`CompactionPolicy` says *when* folding is
-worth it (WAL record/byte thresholds, rate-limited); the
+worth it (a WAL record threshold); the
 :class:`BackgroundCompactor` thread evaluates the policy off the query
 path and runs :meth:`~repro.store.PersistentQueryEngine.compact` under the
 service's exclusive lock, cooperating with the admission writer.  Readers
@@ -24,38 +24,26 @@ from repro.obs import get_registry
 from repro.service.sync import RWLock
 from repro.store.persistent import PersistentQueryEngine
 from repro.utils.log import get_logger
-from repro.utils.validation import ValidationError
+from repro.utils.validation import check_positive_int
 
 _log = get_logger("service.compaction")
 
 
 @dataclass(frozen=True)
 class CompactionPolicy:
-    """Thresholds that trigger folding the WAL into a fresh snapshot.
+    """The threshold that triggers folding the WAL into a fresh snapshot.
 
-    Compaction runs when the log holds at least ``max_wal_records`` records
-    *or* at least ``max_wal_bytes`` bytes (``None`` disables a threshold),
-    but never more often than every ``min_interval_seconds``.  An empty
-    log never triggers.
+    Compaction runs when the log holds at least ``max_wal_records``
+    records.  An empty log never triggers.
     """
 
-    max_wal_records: Optional[int] = 1024
-    max_wal_bytes: Optional[int] = 8 * 1024 * 1024
-    min_interval_seconds: float = 0.0
+    max_wal_records: int
 
     def __post_init__(self) -> None:
-        if self.max_wal_records is None and self.max_wal_bytes is None:
-            raise ValidationError(
-                "CompactionPolicy needs at least one threshold "
-                "(max_wal_records or max_wal_bytes)"
-            )
+        check_positive_int(self.max_wal_records, "max_wal_records")
 
-    def should_compact(self, wal_records: int, wal_bytes: int) -> bool:
-        if wal_records <= 0:
-            return False
-        if self.max_wal_records is not None and wal_records >= self.max_wal_records:
-            return True
-        return self.max_wal_bytes is not None and wal_bytes >= self.max_wal_bytes
+    def should_compact(self, wal_records: int) -> bool:
+        return wal_records > 0 and wal_records >= self.max_wal_records
 
 
 class BackgroundCompactor:
@@ -77,15 +65,14 @@ class BackgroundCompactor:
         self,
         engine: PersistentQueryEngine,
         write_lock: RWLock,
-        policy: Optional[CompactionPolicy] = None,
+        policy: CompactionPolicy,
         poll_interval: float = 0.1,
     ) -> None:
         self._engine = engine
         self._write_lock = write_lock
-        self.policy = policy if policy is not None else CompactionPolicy()
+        self.policy = policy
         self._poll_interval = float(poll_interval)
         self._stop = threading.Event()
-        self._last_compacted = float("-inf")
         #: Completed compactions (observability / tests).
         self.compactions = 0
         registry = get_registry()
@@ -131,13 +118,10 @@ class BackgroundCompactor:
 
     def maybe_compact(self, force: bool = False) -> bool:
         """Compact now if the policy (or ``force``) says so; True when run."""
-        if not force:
-            if time.monotonic() - self._last_compacted < self.policy.min_interval_seconds:
-                return False
-            if not self.policy.should_compact(
-                self._engine.store.num_wal_records(), self._wal_bytes()
-            ):
-                return False
+        if not force and not self.policy.should_compact(
+            self._engine.store.num_wal_records()
+        ):
+            return False
         folded_records = self._engine.store.num_wal_records()
         folded_bytes = self._wal_bytes()
         start = time.perf_counter()
@@ -147,7 +131,6 @@ class BackgroundCompactor:
         self._m_compactions.inc()
         self._m_folded_records.inc(folded_records)
         self._m_folded_bytes.inc(folded_bytes)
-        self._last_compacted = time.monotonic()
         self.compactions += 1
         return True
 

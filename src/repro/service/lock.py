@@ -8,14 +8,12 @@ operators — and error messages — can name the current writer.
 
 The kernel releases an ``flock`` when its holder dies, so a crashed writer
 never wedges the store: the next ``acquire`` succeeds and overwrites the
-stale lease.  On platforms without ``fcntl`` the lock degrades to an
-exclusive-create sentinel with pid-liveness takeover — weaker (a kill -9
-between create and write can require manual cleanup on non-POSIX systems)
-but preserving the single-writer invariant for cooperating processes.
+stale lease.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import socket
@@ -23,11 +21,6 @@ import time
 from typing import Optional
 
 from repro.store.format import LOCK_NAME, PathLike, StoreError
-
-try:  # POSIX advisory locks (Linux/macOS); absent on Windows.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
 
 
 class StoreLockHeldError(StoreError):
@@ -98,10 +91,7 @@ class StoreLock:
         if self._fd is not None:
             raise StoreError(f"writer lock {self.path} is already held by this handle")
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        if fcntl is not None:
-            self._acquire_flock(blocking, timeout)
-        else:  # pragma: no cover - non-POSIX fallback
-            self._acquire_sentinel(blocking, timeout)
+        self._acquire_flock(blocking, timeout)
         self._write_lease()
         return self
 
@@ -141,30 +131,6 @@ class StoreLock:
             raise
         self._fd = fd
 
-    def _acquire_sentinel(  # pragma: no cover - non-POSIX fallback
-        self, blocking: bool, timeout: Optional[float]
-    ) -> None:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            try:
-                self._fd = os.open(
-                    self.path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o644
-                )
-                return
-            except FileExistsError:
-                lease = self.holder()
-                if lease and not _pid_alive(int(lease.get("pid", -1))):
-                    try:  # stale lease from a dead holder: take over
-                        os.remove(self.path)
-                        continue
-                    except OSError:
-                        pass
-                if not blocking or (
-                    deadline is not None and time.monotonic() >= deadline
-                ):
-                    raise self._locked_error() from None
-                time.sleep(0.02)
-
     def _write_lease(self) -> None:
         assert self._fd is not None
         body = json.dumps(_lease_payload(self.owner), sort_keys=True)
@@ -178,15 +144,9 @@ class StoreLock:
         if fd is None:
             return
         try:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_UN)
+            fcntl.flock(fd, fcntl.LOCK_UN)
         finally:
             os.close(fd)
-        if fcntl is None:  # pragma: no cover - non-POSIX fallback
-            try:
-                os.remove(self.path)
-            except OSError:
-                pass
 
     # ------------------------------------------------------------------ #
     # Context manager / dunders
@@ -203,16 +163,3 @@ class StoreLock:
         state = "held" if self.held else "free"
         return f"StoreLock(path={self.path!r}, {state})"
 
-
-def _pid_alive(pid: int) -> bool:  # pragma: no cover - non-POSIX fallback
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    except OSError:
-        return False
-    return True

@@ -1,22 +1,33 @@
-"""Chaos-harness building blocks (no subprocesses: the fast pieces)."""
+"""Chaos building blocks (no subprocesses: the fast pieces)."""
 
 import json
 
 import pytest
 
 from repro.chaos.harness import (
-    ChaosHarness,
     ScenarioError,
-    UpdateLedger,
     diff_stores,
-    metric_value,
+    fingerprint,
+    oracle_divergences,
     oracle_values_json,
-    percentile,
-    scrape_metrics,
+    outcomes,
+    served_one_of,
     wait_until,
 )
+from repro.hypergraph.builders import hypergraph_from_edge_lists
 from repro.obs import MetricsHTTPServer, MetricsRegistry
-from repro.service.transport import RemoteServiceError
+from repro.service.transport import RemoteServiceError, TransportError
+from repro.store import IndexStore
+from tests.chaos.drills import (
+    NUM_VERTICES,
+    SEED_EDGES,
+    Drill,
+    LagSampler,
+    metric_value,
+    percentile,
+    probe,
+    scrape_metrics,
+)
 
 
 class TestWaitUntil:
@@ -69,6 +80,38 @@ class TestScrape:
         assert metric_value(scraped, "absent") is None
 
 
+class TestProbe:
+    def test_a_503_is_an_answer_not_an_error(self):
+        with MetricsHTTPServer(
+            registry=MetricsRegistry(),
+            readiness=lambda: (False, {"reason": "last sync failed"}),
+        ) as server:
+            base = server.url.rsplit("/metrics", 1)[0]
+            status, payload = probe(base, "/readyz")
+        assert status == 503
+        assert payload == {"status": "unavailable", "reason": "last sync failed"}
+
+
+class TestLagSampler:
+    def test_samples_the_lag_gauges_into_windows(self):
+        registry = MetricsRegistry()
+        registry.gauge("repro_replica_generation_lag", "gen lag").set(3)
+        registry.gauge("repro_replica_wal_lag_bytes", "wal lag").set(10)
+        with MetricsHTTPServer(registry=registry) as server:
+            sampler = LagSampler(server.url, interval=0.01)
+            sampler.start()
+            try:
+                wait_until(lambda: len(sampler.samples) >= 2, timeout=10.0)
+            finally:
+                sampler.stop()
+        assert not sampler.is_alive()
+        assert all(row[1:] == (3.0, 10.0) for row in sampler.samples)
+        first, last = sampler.samples[0][0], sampler.samples[-1][0]
+        assert sampler.window(first) == sampler.samples
+        assert sampler.window(last + 1.0) == []
+        assert sampler.window(first, first) == sampler.samples[:1]
+
+
 class TestDiffStores:
     def _fill(self, root, files):
         for name, content in files.items():
@@ -105,59 +148,123 @@ class TestDiffStores:
         assert "bytes differ: manifest.json" in problems
 
 
-class TestUpdateLedger:
-    def test_resolve_survived_folds_into_acked(self):
-        ledger = UpdateLedger(acked=[[0, 1]], indeterminate=[2, 3])
-        ledger.resolve(survived=True)
-        assert ledger.acked == [[0, 1], [2, 3]]
-        assert ledger.indeterminate is None
+class TestDurabilityCheck:
+    ACKED = [[0, 1], [1, 2]]
 
-    def test_resolve_dead_drops_the_op(self):
-        ledger = UpdateLedger(acked=[[0, 1]], indeterminate=[2, 3])
-        ledger.resolve(survived=False)
-        assert ledger.acked == [[0, 1]]
-        assert ledger.indeterminate is None
+    def test_the_served_candidate_is_returned(self):
+        candidates = outcomes(self.ACKED, ("add", [2, 3]))
+        assert candidates == [self.ACKED, self.ACKED + [[2, 3]]]
+        for state in candidates:
+            assert served_one_of(fingerprint(state, 4), candidates, 4) == state
+
+    def test_a_lost_ack_matches_no_candidate(self):
+        candidates = outcomes(self.ACKED, ("add", [2, 3]))
+        with pytest.raises(ScenarioError, match="acknowledged update was lost"):
+            served_one_of(fingerprint(self.ACKED[:1], 4), candidates, 4)
+
+    def test_remove_and_batch_outcomes(self):
+        assert outcomes(self.ACKED, ("remove", 0)) == [self.ACKED, [[], [1, 2]]]
+        assert outcomes(self.ACKED, ("batch", [[2, 3], [0, 3]])) == [
+            self.ACKED,
+            self.ACKED + [[2, 3]],
+            self.ACKED + [[2, 3], [0, 3]],
+        ]
+        assert outcomes(self.ACKED, ("compact", None)) == [self.ACKED]
 
 
-class _RefusingClient:
-    """Acks ``acks`` adds, then answers the next with a typed error."""
+class _FakeClient:
+    """Acks ``acks`` adds, then raises ``error``; serves ``served``'s fingerprint."""
 
-    def __init__(self, acks):
+    def __init__(self, acks=0, error=None, served=None):
         self.acks = acks
+        self.error = error
+        self.served = served
 
     def add(self, members):
         if self.acks == 0:
-            raise RemoteServiceError("refused", code="E_INTERNAL")
+            raise self.error
         self.acks -= 1
+
+    def fingerprint(self):
+        return fingerprint(self.served, NUM_VERTICES)
 
 
 class TestSubmitUpdates:
     def test_a_typed_refusal_is_a_durability_failure_and_stops(self, tmp_path):
-        harness = ChaosHarness(str(tmp_path), num_seed_edges=12)
-        assert harness.submit_updates(_RefusingClient(acks=2), 5) == 2
-        assert len(harness.ledger.acked) == 2
-        assert harness.ledger.indeterminate is None
-        assert len(harness.failures) == 1
-        assert harness.failures[0].startswith("durability: add ")
+        drill = Drill(str(tmp_path))
+        refusal = RemoteServiceError("refused", code="E_INTERNAL")
+        drill.submit_updates(_FakeClient(acks=2, error=refusal), 5)
+        assert len(drill.edges) == len(SEED_EDGES) + 2
+        assert drill.in_flight is None
+        assert len(drill.failures) == 1
+        assert drill.failures[0].startswith("durability: add ")
+
+    def test_a_transport_failure_leaves_the_add_in_flight(self, tmp_path):
+        drill = Drill(str(tmp_path))
+        lost = TransportError("connection reset")
+        drill.submit_updates(_FakeClient(acks=1, error=lost), 5)
+        assert len(drill.edges) == len(SEED_EDGES) + 1
+        assert drill.in_flight is not None
+        assert drill.in_flight not in drill.edges[len(SEED_EDGES):]
+        assert drill.failures == []
+
+
+class TestResolveInFlight:
+    def _interrupted(self, tmp_path):
+        drill = Drill(str(tmp_path))
+        drill.submit_updates(_FakeClient(acks=1, error=TransportError("reset")), 5)
+        return drill, [list(e) for e in drill.edges], drill.in_flight
+
+    def test_an_in_flight_add_that_survived_is_folded_into_the_acked(self, tmp_path):
+        drill, acked, in_flight = self._interrupted(tmp_path)
+        drill.resolve_in_flight(_FakeClient(served=acked + [in_flight]))
+        assert drill.edges == acked + [in_flight]
+        assert drill.in_flight is None
+        assert drill.failures == []
+
+    def test_an_in_flight_add_that_died_is_dropped(self, tmp_path):
+        drill, acked, _ = self._interrupted(tmp_path)
+        drill.resolve_in_flight(_FakeClient(served=acked))
+        assert drill.edges == acked
+        assert drill.in_flight is None
+        assert drill.failures == []
+
+    def test_a_lost_ack_is_a_durability_failure(self, tmp_path):
+        drill, acked, _ = self._interrupted(tmp_path)
+        drill.resolve_in_flight(_FakeClient(served=acked[:-1]))
+        assert drill.edges == acked
+        assert len(drill.failures) == 1
+        assert drill.failures[0].startswith("durability: ")
 
 
 class TestHarnessWorld:
     def test_seed_store_and_deterministic_edges(self, tmp_path):
-        harness = ChaosHarness(str(tmp_path), num_seed_edges=12)
-        first = [harness.next_edge() for _ in range(10)]
+        drill = Drill(str(tmp_path))
+        first = [drill.next_edge() for _ in range(10)]
         assert all(len(e) >= 2 for e in first)
-        assert all(
-            0 <= v < harness.num_vertices for edge in first for v in edge
-        )
-        other = ChaosHarness(str(tmp_path / "other"), num_seed_edges=12)
+        assert all(0 <= v < NUM_VERTICES for edge in first for v in edge)
+        other = Drill(str(tmp_path / "other"))
         assert [other.next_edge() for _ in range(10)] == first
-        assert harness.expected_edges() == harness.seed_edges
+        assert drill.edges == SEED_EDGES
+        served = IndexStore.open(drill.store_path, read_only=True).load_hypergraph()
+        assert served.fingerprint() == fingerprint(SEED_EDGES, NUM_VERTICES)
 
-    def test_oracle_json_matches_wire_serialisation(self, tmp_path):
-        harness = ChaosHarness(str(tmp_path), num_seed_edges=12)
-        h = harness.oracle_hypergraph()
+    def test_oracle_json_matches_wire_serialisation(self):
+        h = hypergraph_from_edge_lists([[0, 1, 2], [1, 2, 3], [3, 4]], num_vertices=5)
         text = oracle_values_json(h, 1, "connected_components")
         values = json.loads(text)
         assert values  # one value per non-empty hyperedge
         assert all(isinstance(k, str) for k in values)
         assert text == json.dumps(values, sort_keys=True)
+
+    def test_divergences_name_the_query(self):
+        edges = [[0, 1, 2], [1, 2, 3], [3, 4]]
+        h = hypergraph_from_edge_lists(edges, num_vertices=5)
+
+        def served(s, metric):
+            values = json.loads(oracle_values_json(h, s, metric))
+            if (s, metric) == (2, "pagerank"):
+                values["0"] += 1.0
+            return values
+
+        assert oracle_divergences(served, edges, 5) == ["pagerank/s=2"]

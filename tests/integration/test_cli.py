@@ -462,23 +462,3 @@ class TestConnectCommand:
             "  0\t0.333333\n"
             "  1\t0.333333\n"
         )
-
-
-class TestChaosCommand:
-    def test_list_names_exactly_the_process_scenarios(self, capsys):
-        import json
-
-        assert main(["chaos", "--list"]) == 0
-        lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-        assert [line["name"] for line in lines] == [
-            "partition_replica",
-            "restart_everything",
-        ]
-
-    def test_unknown_scenario_exits_naming_the_known_ones(self, tmp_path):
-        with pytest.raises(SystemExit) as exited:
-            main(["chaos", "--scenario", "typo", "--results-dir", str(tmp_path)])
-        message = str(exited.value.code)
-        assert "typo" in message
-        assert "partition_replica" in message and "restart_everything" in message
-        assert list(tmp_path.iterdir()) == []  # refused before anything ran

@@ -3,26 +3,9 @@ stats --address`` rows, the ``metrics`` op, and replica-lag tracking."""
 
 import time
 
-import pytest
-
-from repro.obs import MetricsRegistry, use_registry
 from repro.service import QueryService
 from repro.service.remote import RemoteReadReplica
 from repro.service.transport import ServiceClient, SocketServer
-from repro.store.store import IndexStore
-
-
-@pytest.fixture
-def store_path(community_hypergraph, tmp_path):
-    IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
-    return str(tmp_path / "idx")
-
-
-@pytest.fixture
-def registry():
-    """Isolate every instrument the test's components bind."""
-    with use_registry(MetricsRegistry()) as reg:
-        yield reg
 
 
 class TestStatsPayload:

@@ -15,7 +15,6 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.service import (
-    QueryService,
     RemoteReadReplica,
     ServiceClient,
     SocketServer,
@@ -37,18 +36,6 @@ from repro.service.transport.framing import (
 from repro.store.format import WAL_NAME
 from repro.store.replication import StoreMirror
 from repro.store.store import IndexStore
-
-
-@pytest.fixture
-def store_path(community_hypergraph, tmp_path):
-    IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
-    return str(tmp_path / "idx")
-
-
-@pytest.fixture
-def writer(store_path):
-    with QueryService(store_path, max_batch=16) as service:
-        yield service
 
 
 @pytest.fixture

@@ -9,24 +9,8 @@ within the threshold.
 
 import time
 
-import pytest
-
-from repro.obs import MetricsRegistry, use_registry
 from repro.service import QueryService, RemoteReadReplica
 from repro.service.transport import SocketServer
-from repro.store.store import IndexStore
-
-
-@pytest.fixture
-def store_path(community_hypergraph, tmp_path):
-    IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
-    return str(tmp_path / "idx")
-
-
-@pytest.fixture
-def registry():
-    with use_registry(MetricsRegistry()) as reg:
-        yield reg
 
 
 class TestWriterReadiness:

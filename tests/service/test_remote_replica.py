@@ -20,20 +20,7 @@ from repro.service import (
 )
 from repro.service.lock import StoreLock
 from repro.store.format import StoreError
-from repro.store.store import IndexStore
 from repro.utils.rng import make_rng
-
-
-@pytest.fixture
-def store_path(community_hypergraph, tmp_path):
-    IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
-    return str(tmp_path / "idx")
-
-
-@pytest.fixture
-def writer(store_path):
-    with QueryService(store_path, max_batch=16) as service:
-        yield service
 
 
 @pytest.fixture

@@ -12,12 +12,6 @@ from repro.utils.rng import make_rng
 
 
 @pytest.fixture
-def store_path(community_hypergraph, tmp_path):
-    IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
-    return str(tmp_path / "idx")
-
-
-@pytest.fixture
 def writer(store_path):
     return PersistentQueryEngine.open(store_path)
 

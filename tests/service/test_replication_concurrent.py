@@ -16,19 +16,10 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from repro.chaos.harness import ManagedProcess, diff_stores, harness_env, wait_until
 from repro.service import QueryService, ServiceClient, SocketServer
-from repro.store.store import IndexStore
 from repro.utils.rng import make_rng
 from tests.service.acceptance import await_convergence, reader_fleet
-
-
-@pytest.fixture
-def store_path(community_hypergraph, tmp_path):
-    IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
-    return str(tmp_path / "idx")
 
 
 def await_generation(monitor, generation):

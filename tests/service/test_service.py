@@ -14,12 +14,6 @@ from repro.utils.rng import make_rng
 from repro.utils.validation import ValidationError
 
 
-@pytest.fixture
-def store_path(community_hypergraph, tmp_path):
-    IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
-    return str(tmp_path / "idx")
-
-
 def random_members(h, rng, size=5):
     return np.unique(rng.choice(h.num_vertices, size=size, replace=False)).tolist()
 
@@ -209,7 +203,7 @@ class TestCompaction:
             assert svc.line_graph(2) == oracle.line_graph(2)
 
     def test_background_compaction_triggers_on_wal_growth(self, store_path):
-        policy = CompactionPolicy(max_wal_records=8, max_wal_bytes=None)
+        policy = CompactionPolicy(max_wal_records=8)
         with QueryService(
             store_path, compaction=policy, compaction_poll_interval=0.02
         ) as svc:
@@ -226,12 +220,16 @@ class TestCompaction:
                 assert svc.line_graph(s) == oracle.line_graph(s), s
 
     def test_policy_validation(self):
-        with pytest.raises(ValidationError):
-            CompactionPolicy(max_wal_records=None, max_wal_bytes=None)
-        policy = CompactionPolicy(max_wal_records=4, max_wal_bytes=None)
-        assert not policy.should_compact(0, 0)  # empty log never triggers
-        assert not policy.should_compact(3, 10**9)  # bytes threshold disabled
-        assert policy.should_compact(4, 0)
+        for bad in (None, 0, -1, True, 2.5):
+            with pytest.raises(ValidationError):
+                CompactionPolicy(max_wal_records=bad)
+
+    def test_policy_counts_records(self):
+        policy = CompactionPolicy(max_wal_records=4)
+        assert not policy.should_compact(0)  # empty log never triggers
+        assert not policy.should_compact(3)
+        assert policy.should_compact(4)
+        assert CompactionPolicy(max_wal_records=1).should_compact(1)
 
     def test_background_failure_is_logged_and_the_loop_survives(self, caplog):
         """Regression: the compactor retry loop used to swallow failures
@@ -255,7 +253,8 @@ class TestCompaction:
 
         with caplog.at_level(logging.WARNING, logger="repro.service.compaction"):
             compactor = BackgroundCompactor(
-                _DyingEngine(), RWLock(), poll_interval=0.01
+                _DyingEngine(), RWLock(), CompactionPolicy(max_wal_records=1),
+                poll_interval=0.01,
             )
             try:
                 deadline = time.monotonic() + 5

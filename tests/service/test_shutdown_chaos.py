@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.chaos import failpoints as fp
-from repro.service import QueryService, SocketServer
+from repro.service import SocketServer
 from repro.service.contract import E_UNAVAILABLE
 from repro.service.transport.framing import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -23,7 +23,6 @@ from repro.service.transport.framing import (
     recv_frame,
     send_frame,
 )
-from repro.store.store import IndexStore
 
 
 @pytest.fixture(autouse=True)
@@ -31,18 +30,6 @@ def clean_failpoints():
     fp.reset()
     yield
     fp.reset()
-
-
-@pytest.fixture
-def store_path(community_hypergraph, tmp_path):
-    IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
-    return str(tmp_path / "idx")
-
-
-@pytest.fixture
-def writer(store_path):
-    with QueryService(store_path, max_batch=16) as service:
-        yield service
 
 
 def _handshake(address):

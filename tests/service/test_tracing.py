@@ -13,23 +13,10 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
+from repro.obs import Tracer, use_tracer
 from repro.obs import trace as trace_module
 from repro.service import QueryService
 from repro.service.transport import ServiceClient, SocketServer
-from repro.store.store import IndexStore
-
-
-@pytest.fixture
-def store_path(community_hypergraph, tmp_path):
-    IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
-    return str(tmp_path / "idx")
-
-
-@pytest.fixture
-def registry():
-    with use_registry(MetricsRegistry()) as reg:
-        yield reg
 
 
 @pytest.fixture

@@ -29,19 +29,6 @@ from repro.service.transport.framing import (
     send_frame,
 )
 from repro.smetrics.centrality import s_pagerank
-from repro.store.store import IndexStore
-
-
-@pytest.fixture
-def store_path(community_hypergraph, tmp_path):
-    IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
-    return str(tmp_path / "idx")
-
-
-@pytest.fixture
-def writer(store_path):
-    with QueryService(store_path, max_batch=16) as service:
-        yield service
 
 
 @pytest.fixture

@@ -23,15 +23,8 @@ from repro.service import (
     SocketServer,
     StoreLockHeldError,
 )
-from repro.store.store import IndexStore
 from repro.utils.rng import make_rng
 from tests.service.acceptance import await_convergence, reader_fleet
-
-
-@pytest.fixture
-def store_path(community_hypergraph, tmp_path):
-    IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
-    return str(tmp_path / "idx")
 
 
 @pytest.fixture

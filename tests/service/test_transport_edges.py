@@ -35,20 +35,7 @@ from repro.service.transport.framing import (
     recv_frame,
     send_frame,
 )
-from repro.store.store import IndexStore
 from repro.utils.rng import make_rng
-
-
-@pytest.fixture
-def store_path(community_hypergraph, tmp_path):
-    IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
-    return str(tmp_path / "idx")
-
-
-@pytest.fixture
-def writer(store_path):
-    with QueryService(store_path, max_batch=16) as service:
-        yield service
 
 
 @pytest.fixture
@@ -386,7 +373,7 @@ class TestReplicaUnderCompaction:
         """N clients query one replica server while the writer batches
         updates and compacts; every response is served, none is wrong for
         the generation it came from, and all converge to the oracle."""
-        policy = CompactionPolicy(max_wal_records=8, max_wal_bytes=None)
+        policy = CompactionPolicy(max_wal_records=8)
         writer = QueryService(
             store_path, max_batch=8, compaction=policy, compaction_poll_interval=0.02
         )

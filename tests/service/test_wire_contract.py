@@ -28,7 +28,6 @@ from repro.service.transport.framing import (
 )
 from repro.store.format import ReadOnlyStoreError, StoreError
 from repro.store.replication import ReplicationStaleError
-from repro.store.store import IndexStore
 from repro.utils.validation import ValidationError
 
 
@@ -37,12 +36,6 @@ def clean_failpoints():
     fp.reset()
     yield
     fp.reset()
-
-
-@pytest.fixture
-def store_path(community_hypergraph, tmp_path):
-    IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
-    return str(tmp_path / "idx")
 
 
 class TestEveryContractRow:

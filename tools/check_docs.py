@@ -229,7 +229,7 @@ def registered_metrics():
     with tempfile.TemporaryDirectory(prefix="repro-metrics-") as scratch, use_registry(registry):
         store = os.path.join(scratch, "idx")
         IndexStore.build(hypergraph_from_edge_lists([[0, 1], [1, 2]]), store)
-        with QueryService(store, compaction=CompactionPolicy()) as service:
+        with QueryService(store, compaction=CompactionPolicy(max_wal_records=1024)) as service:
             SocketServer(service).close()
             StoreMirror(LocalReplicationSource(store), os.path.join(scratch, "mirror"))
         MetricsHTTPServer().close()
