@@ -19,9 +19,10 @@ the journal and :mod:`repro.engine.delta` brings it forward — and
 **recompute** — a cold-cache engine over the same hypergraph and index:
 slice, canonical order, squeeze, coo→csr, ``csgraph``; what every such miss
 cost before.  Asserted at every step: each carried kind is byte-equal
-(values, dtype, shape) to the recomputed one.  Printed, not gated: the
-seconds, the new-row sizes, how often the squeeze shifted and how often
-connected components were re-run — and, for ``_MAX_PENDING``, what a metric
+(values, dtype, shape) to the recomputed one, and connected components are
+re-run only when the squeeze shifted — never for a remove or an add that
+left it in place.  Printed, not gated: the seconds, the new-row sizes and
+how often the squeeze shifted — and, for ``_MAX_PENDING``, what a metric
 miss costs k = 1..6 adds behind.
 """
 
@@ -136,7 +137,6 @@ def test_delta_miss_equals_recompute_on_the_churn_stream(served, report):
     times = defaultdict(lambda: {"delta": [], "recompute": []})
     row_sizes = defaultdict(list)
     shifted = defaultdict(int)
-    reran_cc = defaultdict(int)
     for step in range(UPDATES):
         op = "remove" if step % 4 == 3 else "add"
         update = served.update(remove=op == "remove")
@@ -158,9 +158,9 @@ def test_delta_miss_equals_recompute_on_the_churn_stream(served, report):
                 times[kind, op, s]["delta"].append(carried[2])
                 times[kind, op, s]["recompute"].append(recomputed[2])
                 if kind == "metric" and fell_back:
-                    # Only a shifted squeeze makes both the CSR and the labels fall back.
-                    shifted[op, s] += fell_back == 2
-                    reran_cc[op, s] += 1
+                    # The labels are re-run only behind a rebuilt squeeze.
+                    assert fell_back == 2, (step, op, s, "CC re-run, squeeze in place")
+                    shifted[op, s] += 1
 
     rows = []
     for (kind, op, s), samples in sorted(times.items()):
@@ -178,7 +178,6 @@ def test_delta_miss_equals_recompute_on_the_churn_stream(served, report):
                 f"{delta_ms / recompute_ms:.2f}",
                 f"{statistics.median(sizes):.0f} / {max(sizes)}",
                 shifted[op, s] if kind == "metric" else "",
-                reran_cc[op, s] if kind == "metric" else "",
             ]
         )
     report(
@@ -196,7 +195,6 @@ def test_delta_miss_equals_recompute_on_the_churn_stream(served, report):
                 "delta/recompute",
                 "row median / max",
                 "squeeze shifted",
-                "CC re-run",
             ],
             rows,
         ),

@@ -53,7 +53,8 @@ def test_engine_sweep_matches_pipeline(bench_hypergraph):
     sweep = engine.sweep(S_RANGE, metrics=METRICS)
     baseline = _run_pipeline_baseline(bench_hypergraph)
     for s in S_RANGE:
-        assert sweep.line_graphs[s] == baseline[s].line_graph
+        assert engine.line_graph(s) == baseline[s].line_graph
+        assert sweep.edge_counts[s] == baseline[s].line_graph.num_edges
         assert sweep.num_components(s) == baseline[s].num_components()
 
 

@@ -88,10 +88,9 @@ def coauthorship_connectivity(
         )
     h = engine.hypergraph
     s_list = sorted(set(int(s) for s in s_values))
-    sweep = engine.sweep(s_list)
     result = CoauthorshipResult(s_values=s_list)
     for s in s_list:
-        line_graph = sweep.line_graphs[s]
+        line_graph = engine.line_graph(s)
         result.line_graph_sizes[s] = line_graph.num_edges
         result.connectivity[s] = s_normalized_algebraic_connectivity(
             h, s, line_graph=line_graph

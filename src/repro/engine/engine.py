@@ -27,21 +27,24 @@ of the index — avoiding the wedge-enumeration pass that dominates a rebuild
   Stages 4-5 are served from the squeezed entry, and holding two
   generations of both forms is what would move the process's peak RSS.
 * **Patched at read time.**  A miss at the current fingerprint that finds
-  an ancestor entry within the journal walks it forward one update at a
-  time with the array kernels of :mod:`repro.engine.delta` — ``L_s`` takes
-  the row's pairs (or loses them), the squeezed CSR gains (or loses) one
-  vertex, connected-component labels merge under an add — caching each
-  step's result and only then dropping the entry it came from.  Every
-  other metric is carried across updates whose row is empty at its ``s``.
+  an ancestor entry within the journal carries it across every update
+  since (its *window*) in one pass, with the array kernels of
+  :mod:`repro.engine.delta` — ``L_s`` loses the removed hyperedges' pairs
+  and takes the added ones', the squeezed CSR loses and gains vertices in
+  one splice, connected-component labels split under a remove (a lockstep
+  search from the removed vertex's neighbours) and merge under an add —
+  caching the result and only then dropping the entry it came from.  Every
+  other metric is carried across a window whose rows are empty at its
+  ``s``.
 * **Fallbacks.**  The from-scratch path is the cold miss, and what a
   kernel defers to when a delta is not cheap: an add that gives a
   previously isolated hyperedge its first neighbour, or a remove that
-  takes a neighbour's last one, shifts the squeeze, so Stage 4 is rebuilt
-  from the patched ``L_s``; a remove whose row is not empty re-runs
-  connected components on the patched CSR; any other metric is recomputed
-  once a pending row reaches its ``s``.  An entry more than
-  :data:`_MAX_PENDING` updates behind, or updated before the index (and so
-  an overlap row) existed, is dropped and recomputed on demand.
+  takes a surviving neighbour's last one, shifts the squeeze, so Stage 4
+  is rebuilt from ``L_s`` and connected components are re-run on it; any
+  other metric is recomputed once a pending row reaches its ``s``.
+  An entry more than :data:`_MAX_PENDING` updates behind, or updated
+  before the index (and so an overlap row) existed, is dropped and
+  recomputed on demand.
 
 The contract is byte equality: a carried value has the ``tobytes()``,
 dtype, shape and C order of the recomputed one, and is read-only
@@ -73,7 +76,12 @@ from repro.core.slinegraph import SLineGraph
 from repro.engine import delta
 from repro.engine.cache import LRUCache
 from repro.engine.delta import Update, shifted_indptr
-from repro.engine.index import BUILD_ALGORITHM, OverlapIndex, overlap_counts_for_members
+from repro.engine.index import (
+    BUILD_ALGORITHM,
+    OverlapIndex,
+    at_least,
+    overlap_counts_for_members,
+)
 from repro.graph.graph import Graph
 from repro.hypergraph.csr import CSRMatrix
 from repro.hypergraph.hypergraph import Hypergraph
@@ -111,19 +119,21 @@ class QueryStats:
         return self.cache_hits / total if total else 0.0
 
 
-#: Most distinct thresholds one sweep may name.  Every value costs a line
-#: graph and a cache entry, so an unbounded request (``s_max = 10**9`` fits
-#: a 40-byte frame) would exhaust memory; the paper's sweeps stop at 1024.
+#: Most distinct thresholds one sweep may name.  Every value costs an index
+#: count, plus a cache entry per named metric, so an unbounded request
+#: (``s_max = 10**9`` fits a 40-byte frame) would exhaust time and memory;
+#: the paper's sweeps stop at 1024.
 MAX_SWEEP_THRESHOLDS = 4096
 
 #: Most updates a cached entry may trail the hypergraph by and still be
 #: brought forward; an entry further behind is dropped and its next query
 #: recomputes.  Measured on the served fixture (livejournal x2, 215k pairs
 #: at s = 1; ``benchmarks/bench_delta_miss.py``): an s = 1 ``metric`` miss
-#: k adds behind costs 2.2 / 3.7 / 6.0 / 8.2 ms at k = 1..4 against a
-#: 24-30 ms recompute (a remove in the walk adds a ~8 ms CC re-run), so
-#: four steps are still a third of a recompute; the bound is kept this
-#: short because every entry left behind is memory held for a query that
+#: k adds behind costs 2.6 / 2.4 / 2.8 / 3.3 ms at k = 1..4 against a
+#: 26-30 ms recompute, and one remove behind 3.5 ms (its labels are
+#: carried, not re-run).  A window is carried in one pass, so the cost
+#: barely grows with k and does not argue for a shorter bound; it is not
+#: longer because every entry left behind is memory held for a query that
 #: may never come.
 _MAX_PENDING = 4
 
@@ -149,8 +159,6 @@ class SweepResult:
     """Outcome of one batched multi-s sweep."""
 
     s_values: List[int]
-    #: ``s -> L_s`` (the same objects held by the engine cache).
-    line_graphs: Dict[int, SLineGraph] = field(default_factory=dict)
     #: ``s -> number of line-graph edges`` (the Figure 4 quantity).
     edge_counts: Dict[int, int] = field(default_factory=dict)
     #: ``s -> |E_s|`` (active hyperedges).
@@ -231,6 +239,11 @@ class QueryEngine:
         self._carry_lock = threading.Lock()
         self._patched = 0
         self._fallbacks = 0
+        #: The last sweep's counts, under its fingerprint and thresholds.  A
+        #: client polling the profile between updates asks for the same
+        #: counts again, and one comparison beats a search of every shard;
+        #: replaced whole, so a reader sees one consistent triple.
+        self._swept: Tuple[object, Dict[int, int], Dict[int, int]] = (None, {}, {})
 
     # ------------------------------------------------------------------ #
     # State
@@ -300,42 +313,33 @@ class QueryEngine:
         carry: Callable,
         compute: Callable,
         arrays: Callable,
-        whole_journal: bool = False,
     ):
         """Cache and return the value of ``key`` after a miss.
 
         A cached ancestor within the journal is brought forward by
-        ``carry(value, updates)``; with no ancestor, or when ``carry``
-        declines (returns ``None``), ``compute()`` builds the value from
-        scratch.  ``arrays(value)`` names the arrays to freeze.
+        ``carry(value, window)`` across every update since it, in one call;
+        with no ancestor, or when ``carry`` declines (returns ``None``),
+        ``compute()`` builds the value from scratch.  ``arrays(value)``
+        names the arrays to freeze.
 
-        The walk is one update at a time — each step caches its result
-        under that update's fingerprint and only then drops the entry it
-        came from — so two generations of a large value are alive at once,
-        never three, and a concurrent reader of the same key finds an
-        ancestor at every moment (or recomputes the same bytes).
-        ``whole_journal`` hands ``carry`` all pending updates in one call
-        instead, for a kernel that has to judge them together.
+        The result is cached before the ancestor is dropped, so two
+        generations of a large value are alive at once, never three, and a
+        concurrent reader of the same key finds one of them at every moment
+        (or recomputes the same bytes).
         """
 
         def publish(at, value):
             _freeze(*arrays(value))
             self._cache.put(at, value)
 
-        behind, value, pending = self._ancestor(key)
+        behind, value, window = self._ancestor(key)
         if behind is not None:
-            # zip(pending): one 1-tuple per update.
-            for updates in [pending] if whole_journal else zip(pending):
-                value = carry(value, updates)
-                if value is None:
-                    # No reader can do better with it: release it ahead of
-                    # the rebuild's temporaries, not after them.
-                    self._cache.pop(behind)
-                    break
-                ahead = (updates[-1].after,) + key[1:]
-                publish(ahead, value)
-                self._cache.pop(behind)
-                behind = ahead
+            value = carry(value, window)
+            if value is not None:
+                publish(key, value)
+            # Cached first, dropped second; a declined ancestor is no use to
+            # any reader, so it goes before the rebuild's temporaries exist.
+            self._cache.pop(behind)
             with self._carry_lock:
                 if value is None:
                     self._fallbacks += 1
@@ -358,7 +362,7 @@ class QueryEngine:
             span.set_attribute("cache_hit", False)
             return self._fill(
                 key,
-                lambda graph, updates: delta.line_graph(graph, *updates),
+                delta.line_graph,
                 lambda: self.index.line_graph(s),
                 lambda graph: (graph.edges, graph.weights, graph.active_vertices),
             )
@@ -380,8 +384,8 @@ class QueryEngine:
 
         return self._fill(
             key,
-            # None when the update shifts the squeeze: rebuild Stage 4.
-            lambda value, updates: delta.squeezed(*value, *updates, s),
+            # None when the window shifts the squeeze: rebuild Stage 4.
+            lambda value, window: delta.squeezed(*value, window, s),
             compute,
             lambda value: (
                 value[0].indptr,
@@ -410,22 +414,19 @@ class QueryEngine:
             graph, mapping = self.squeezed_graph(s)
             if name == "connected_components":
 
-                def carry(labels, pending):
-                    return delta.component_labels(
-                        labels, mapping.new_to_old, pending, s
-                    )
+                def carry(labels, window):
+                    return delta.component_labels(labels, graph, mapping, window, s)
 
             else:
 
-                def carry(values, pending):
-                    return delta.unchanged(values, pending, s)
+                def carry(values, window):
+                    return delta.unchanged(values, window, s)
 
             return self._fill(
                 key,
                 carry,
                 lambda: METRIC_FUNCTIONS[name](graph),
                 lambda values: (values,),
-                whole_journal=True,
             )
 
     def metric_columns(self, s: int, name: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -451,11 +452,13 @@ class QueryEngine:
         s_values: Iterable[int],
         metrics: Sequence[str] = (),
     ) -> SweepResult:
-        """Batched multi-s query: line graphs (and metrics) for every s.
+        """Batched multi-s query: edge and vertex counts (and metrics) for every s.
 
-        The index is built at most once; each s is a binary-search slice.
-        Squeezing work is shared per s across the requested metrics, and all
-        intermediate results land in the cache for later point queries.
+        The counts come from the index — a binary search and a size count
+        per s — so no line graph is built for them, and the last sweep's
+        are kept until the hypergraph changes.  Named metrics are computed
+        (or carried) and cached per s, sharing one squeeze across the
+        metrics of an s, for later point queries.
         """
         s_list = sweep_thresholds(s_values)
         check_metric_names(metrics)
@@ -464,12 +467,18 @@ class QueryEngine:
         with self._tracer.start_span(
             "engine.sweep", {"s_count": len(s_list), "metric_count": len(metrics)}
         ):
-            for s in s_list:
-                graph = self.line_graph(s)
-                result.line_graphs[s] = graph
-                result.edge_counts[s] = graph.num_edges
-                result.active_counts[s] = graph.num_active_vertices
-                if metrics:
+            swept = (self.fingerprint(), tuple(s_list))
+            last, edge_counts, active_counts = self._swept
+            if last != swept:
+                index = self.index
+                edge_counts = dict(zip(s_list, index.edge_counts(s_list).tolist()))
+                active = at_least(np.bincount(index.edge_sizes), s_list)
+                active_counts = dict(zip(s_list, active.tolist()))
+                self._swept = (swept, edge_counts, active_counts)
+            result.edge_counts = dict(edge_counts)
+            result.active_counts = dict(active_counts)
+            if metrics:
+                for s in s_list:
                     result.metrics[s] = self.metrics(s, metrics)
         result.elapsed_seconds = time.perf_counter() - start
         return result
@@ -586,7 +595,7 @@ class QueryEngine:
             if fp == old_fp and s > size:
                 if kind == "line_graph" and added:
                     # The canonical arrays are shared, not copied.
-                    graph = delta.line_graph(self._cache.pop(key), update)
+                    graph = delta.line_graph(self._cache.pop(key), (update,))
                     self._cache.put((new_fp, s, kind), graph)
                 else:
                     self._cache.rekey(key, (new_fp, s, kind))

@@ -17,7 +17,7 @@ pairs — both O(affected rows), never a full recount.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +59,14 @@ def overlap_counts_for_members(
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     edge_ids, counts = np.unique(hits, return_counts=True)
     return edge_ids.astype(np.int64), counts.astype(np.int64)
+
+
+def at_least(counts: np.ndarray, thresholds: Sequence[int]) -> np.ndarray:
+    """``counts[t:].sum()`` for each threshold ``t``: of the values a
+    ``np.bincount`` counted, how many are ``>= t``.  One suffix sum however
+    many thresholds there are, and no sort."""
+    above = np.append(np.cumsum(counts[::-1])[::-1], 0)
+    return above[np.minimum(thresholds, counts.size)]
 
 
 def weight_pair_order(edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -200,8 +208,13 @@ class OverlapIndex:
 
     def edge_count(self, s: int) -> int:
         """Number of edges of ``L_s`` without materialising the graph."""
-        s = check_s_value(s)
-        return self.num_pairs - int(np.searchsorted(self._weights, s, side="left"))
+        return int(self.edge_counts([check_s_value(s)])[0])
+
+    def edge_counts(self, s_values: Sequence[int]) -> np.ndarray:
+        """:meth:`edge_count` of every threshold in ``s_values`` (each
+        ``>= 1``): one binary search each, nothing materialised."""
+        s_values = np.asarray(s_values, dtype=np.int64)
+        return self.num_pairs - np.searchsorted(self._weights, s_values, side="left")
 
     def active_vertices(self, s: int) -> np.ndarray:
         """The vertex set ``E_s``: hyperedges with ``|e| >= s``."""
@@ -230,7 +243,8 @@ class OverlapIndex:
 
     def s_profile(self) -> Dict[int, int]:
         """``s -> |edges of L_s|`` for every s in ``1..max_weight`` (Figure 4)."""
-        return {s: self.edge_count(s) for s in range(1, self.max_weight + 1)}
+        s_values = range(1, self.max_weight + 1)
+        return dict(zip(s_values, self.edge_counts(s_values).tolist()))
 
     # ------------------------------------------------------------------ #
     # Incremental maintenance

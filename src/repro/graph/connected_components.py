@@ -21,11 +21,33 @@ from repro.graph.graph import Graph
 
 
 def connected_components(graph: Graph) -> np.ndarray:
-    """Component label of every vertex (labels are 0-based, in discovery order)."""
+    """Component label of every vertex, numbered by each component's
+    smallest vertex (0-based).
+
+    On the symmetric adjacency of an undirected graph the strong components
+    are the components, and the directed mode skips the transpose scipy's
+    undirected mode builds first.
+    """
     _, labels = csgraph.connected_components(
-        graph.adjacency_matrix(weighted=False), directed=False
+        graph.adjacency_matrix(weighted=False), directed=True, connection="strong"
     )
-    return labels.astype(np.int64)
+    return by_smallest_vertex(labels)
+
+
+def by_smallest_vertex(labels: np.ndarray) -> np.ndarray:
+    """Labels renumbered ``0, 1, ...`` in order of each component's smallest
+    vertex: the order a sweep over the vertices discovers components in.
+
+    Any labelling works as input, gaps included; O(n), no sort.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
+        return labels
+    positions = np.arange(labels.size)
+    first = np.full(int(labels.max()) + 1, labels.size, dtype=np.int64)
+    np.minimum.at(first, labels, positions)
+    smallest = first[labels]  # each vertex's component, named by its smallest vertex
+    return (np.cumsum(smallest == positions) - 1)[smallest]
 
 
 def label_propagation_components(graph: Graph) -> np.ndarray:
@@ -36,7 +58,7 @@ def label_propagation_components(graph: Graph) -> np.ndarray:
     ``np.minimum.reduceat`` over the CSR's non-empty rows); iteration stops
     when no label changes.  Labels are then compacted to 0-based component
     IDs in order of each component's smallest vertex, which is
-    :func:`connected_components`' discovery order.
+    :func:`connected_components`' order.
     """
     labels = np.arange(graph.num_vertices, dtype=np.int64)
     rows = np.flatnonzero(np.diff(graph.indptr))

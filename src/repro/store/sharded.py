@@ -18,13 +18,14 @@ replayed image of a write-ahead log on top of an immutable base snapshot.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.chaos.failpoints import STORE_SHARD_LOAD
 from repro.core.slinegraph import SLineGraph
 from repro.engine.cache import LRUCache
+from repro.engine.index import at_least
 from repro.obs import get_tracer
 from repro.parallel.workload import WorkloadStats
 from repro.store.format import Manifest, PathLike, StoreFormatError, read_manifest
@@ -74,6 +75,7 @@ class ShardedIndex:
         self._removed = np.empty(0, dtype=np.int64)  # sorted base-edge IDs
         self._removed_base_pairs = 0
         self._max_weight_cache: Optional[int] = None
+        self._hidden_cache: Optional[np.ndarray] = None
         self.workload = WorkloadStats()
         self.algorithm = self._manifest.algorithm
 
@@ -207,25 +209,50 @@ class ShardedIndex:
         return edges, weights
 
     def edge_count(self, s: int) -> int:
-        """``|edges of L_s|`` without materialising the graph.
+        """``|edges of L_s|`` without materialising the graph."""
+        return int(self.edge_counts([check_s_value(s)])[0])
 
-        With no tombstones this is one binary search per shard on the
-        (mmap) weight arrays; shards with ``max_weight < s`` cost nothing.
+    def edge_counts(self, s_values: Sequence[int]) -> np.ndarray:
+        """:meth:`edge_count` of every threshold in ``s_values`` (each ``>= 1``).
+
+        One binary search per shard and threshold on the (mmap) weight
+        arrays — a shard whose ``max_weight`` is below every threshold costs
+        nothing — less the base pairs of weight ``>= s`` that tombstones
+        hide, plus the overlay's.
         """
-        s = check_s_value(s)
-        if self._removed.size == 0:
-            total = 0
+        s_values = np.asarray(s_values, dtype=np.int64)
+        totals = np.zeros(s_values.size, dtype=np.int64)
+        lowest = int(s_values.min()) if s_values.size else 0
+        for info in self._manifest.shards:
+            if info.num_pairs == 0 or info.max_weight < lowest:
+                continue
+            _, weights = self._shard_arrays(info.shard_id)
+            totals += weights.shape[0] - np.searchsorted(weights, s_values, side="left")
+        if self._removed.size:
+            totals -= at_least(self._hidden_by_weight(), s_values)
+        if self._extra_weights.size:
+            totals += at_least(np.bincount(self._extra_weights), s_values)
+        return totals
+
+    def _hidden_by_weight(self) -> np.ndarray:
+        """How many base pairs of each weight the tombstones hide (index =
+        weight), from one pass over the shards per set of tombstones.
+
+        Counted when first asked for, not as each tombstone lands: reading
+        the hidden pairs' weights pages the weight files in, and a writer
+        that never counts (a follower's source) should not hold them.
+        """
+        if self._hidden_cache is None:
+            hidden = [np.empty(0, dtype=np.int64)]
             for info in self._manifest.shards:
-                if info.num_pairs == 0 or info.max_weight < s:
-                    continue
-                _, weights = self._shard_arrays(info.shard_id)
-                total += weights.shape[0] - int(
-                    np.searchsorted(weights, s, side="left")
-                )
-            if self._extra_weights.size:
-                total += int(np.count_nonzero(self._extra_weights >= s))
-            return total
-        return sum(int(w.size) for _, w in self._iter_filtered(s))
+                if info.num_pairs:
+                    edges, weights = self._shard_arrays(info.shard_id)
+                    hit = np.isin(edges[:, 0], self._removed) | np.isin(
+                        edges[:, 1], self._removed
+                    )
+                    hidden.append(np.asarray(weights[hit], dtype=np.int64))
+            self._hidden_cache = np.bincount(np.concatenate(hidden))
+        return self._hidden_cache
 
     def active_vertices(self, s: int) -> np.ndarray:
         """The vertex set ``E_s``: hyperedges with ``|e| >= s``."""
@@ -279,7 +306,8 @@ class ShardedIndex:
 
     def s_profile(self) -> Dict[int, int]:
         """``s -> |edges of L_s|`` for every s in ``1..max_weight``."""
-        return {s: self.edge_count(s) for s in range(1, self.max_weight + 1)}
+        s_values = range(1, self.max_weight + 1)
+        return dict(zip(s_values, self.edge_counts(s_values).tolist()))
 
     # ------------------------------------------------------------------ #
     # Incremental maintenance (WAL overlay)
@@ -330,6 +358,7 @@ class ShardedIndex:
             removed += base_hits
             self._removed_base_pairs += base_hits
             self._removed = np.sort(np.append(self._removed, np.int64(edge_id)))
+            self._hidden_cache = None
         self._edge_sizes[edge_id] = 0
         self._max_weight_cache = None
         return removed
@@ -348,6 +377,7 @@ class ShardedIndex:
         self._removed = overlay.removed
         self._edge_sizes = overlay.edge_sizes
         self._max_weight_cache = None
+        self._hidden_cache = None
         hidden = 0
         if overlay.removed.size:
             for info in self._manifest.shards:

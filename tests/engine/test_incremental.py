@@ -27,7 +27,8 @@ def assert_matches_full_rebuild(engine, s_range=range(1, 7)):
 @pytest.fixture
 def engine(paper_example_unlabelled):
     engine = QueryEngine(paper_example_unlabelled)
-    engine.sweep(range(1, 6))  # warm the index and cache
+    for s in range(1, 6):  # warm the index and cache
+        engine.line_graph(s)
     return engine
 
 

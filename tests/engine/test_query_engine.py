@@ -128,8 +128,9 @@ class TestSweep:
         sweep = engine.sweep(range(1, 6), metrics=("connected_components",))
         assert sweep.s_values == [1, 2, 3, 4, 5]
         for s in sweep.s_values:
-            assert sweep.line_graphs[s] == QueryEngine(random_h).line_graph(s)
-            assert sweep.edge_counts[s] == sweep.line_graphs[s].num_edges
+            assert engine.line_graph(s) == QueryEngine(random_h).line_graph(s)
+            assert sweep.edge_counts[s] == engine.line_graph(s).num_edges
+            assert sweep.active_counts[s] == engine.line_graph(s).num_active_vertices
             assert np.array_equal(
                 sweep.metrics[s]["connected_components"],
                 engine.metric(s, "connected_components"),

@@ -83,16 +83,21 @@ def query_everything(engine, metrics=(CC,)):
             engine.metric(s, name)
 
 
-def warmed(edge_lists, num_vertices=None, metrics=(CC,)):
-    engine = QueryEngine(hypergraph_from_edge_lists(edge_lists, num_vertices=num_vertices))
+def warmed_from(h, metrics=(CC,)):
+    engine = QueryEngine(h)
     query_everything(engine, metrics)
     return engine
+
+
+def warmed(edge_lists, num_vertices=None, metrics=(CC,)):
+    return warmed_from(hypergraph_from_edge_lists(edge_lists, num_vertices=num_vertices), metrics)
 
 
 def warmed_line_graphs(edge_lists, num_vertices=None):
     """An engine that holds line graphs only — nothing derived from them."""
     engine = QueryEngine(hypergraph_from_edge_lists(edge_lists, num_vertices=num_vertices))
-    engine.sweep(S_RANGE)
+    for s in S_RANGE:
+        engine.line_graph(s)
     return engine
 
 
@@ -158,6 +163,69 @@ def test_delta_applied_state_equals_from_scratch_state(h, steps, warm):
             engine.sweep(range(argument, 6), metrics=(CC,))
         assert_cache_matches_fresh(engine)
     settle_and_check(engine, (CC, "pagerank"))
+
+
+@st.composite
+def pair_hypergraphs(draw):
+    """Hyperedges of two vertices: ``L_1`` is the line graph of a graph,
+    sparse enough that removing one hyperedge often splits a component."""
+    num_vertices = draw(st.integers(min_value=3, max_value=9))
+    vertex = st.integers(min_value=0, max_value=num_vertices - 1)
+    pairs = st.tuples(vertex, vertex).filter(lambda pair: pair[0] != pair[1])
+    edge_lists = draw(st.lists(pairs.map(list), min_size=2, max_size=10))
+    return hypergraph_from_edge_lists(edge_lists, num_vertices=num_vertices)
+
+
+def apply_update(engine, op, argument):
+    if op == "add":
+        engine.add_hyperedge(argument)
+    else:
+        engine.remove_hyperedge(argument % engine.hypergraph.num_edges)
+
+
+updates = st.one_of(
+    st.tuples(st.just("add"), st.lists(st.integers(0, 9), max_size=4)),
+    st.tuples(st.just("remove"), st.integers(0, 1000)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    h=st.one_of(hypergraphs(), pair_hypergraphs()),
+    window=st.lists(updates, min_size=1, max_size=engine_module._MAX_PENDING),
+)
+def test_a_whole_window_is_carried_in_one_pass(h, window):
+    """Up to ``_MAX_PENDING`` mixed updates between two queries: each entry
+    is brought across all of them at once, or declines and recomputes."""
+    engine = warmed_from(h, (CC, "pagerank"))
+    for op, argument in window:
+        apply_update(engine, op, argument)
+    stats = settle_and_check(engine, (CC, "pagerank"))
+    assert stats.index_builds == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.one_of(hypergraphs(), pair_hypergraphs()),
+    steps=st.lists(
+        st.one_of(updates, st.tuples(st.just("sweep"), s_values)), min_size=1, max_size=10
+    ),
+)
+def test_sweeps_interleaved_with_updates_answer_like_a_fresh_engine(h, steps):
+    engine = QueryEngine(h)
+    engine.sweep(S_RANGE, metrics=(CC,))
+    for op, argument in steps:
+        if op != "sweep":
+            apply_update(engine, op, argument)
+            continue
+        served = engine.sweep(range(argument, 6), metrics=(CC,))
+        fresh = QueryEngine(engine.hypergraph).sweep(range(argument, 6), metrics=(CC,))
+        assert served.edge_counts == fresh.edge_counts
+        assert served.active_counts == fresh.active_counts
+        for s in served.s_values:
+            assert_same_bytes(served.metrics[s][CC], fresh.metrics[s][CC], s)
+        assert_cache_matches_fresh(engine)
+    settle_and_check(engine)
 
 
 # --------------------------------------------------------------------- #
@@ -250,7 +318,112 @@ def test_remove_of_a_components_smallest_vertex_reranks_the_labels():
     engine.remove_hyperedge(0)  # hyperedge 1 keeps hyperedge 2: nobody is isolated
     assert engine.metric(1, CC).tolist() == [0, 0, 1, 1]
     stats = settle_and_check(engine)
-    assert stats.patched_entries > 0 and stats.delta_fallbacks > 0  # CC re-run
+    assert stats.patched_entries > 0 and stats.delta_fallbacks == 0  # labels carried
+
+
+#: A path in L_1: hyperedge i overlaps i - 1 and i + 1.
+PATH = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6]]
+#: Hyperedge 2 is a hub whose removal leaves three chains (3-4, 5-6, 7-8);
+#: hyperedges 0-1 are a component of their own, with the smallest IDs.
+STAR = [[40, 41], [41, 42], [0, 1, 2], [0, 10], [10, 11], [1, 20], [20, 21], [2, 30], [30, 31]]
+
+
+def test_remove_that_splits_a_component_in_two_carries_the_labels():
+    engine = warmed(PATH, num_vertices=7)
+    assert engine.metric(1, CC).tolist() == [0] * 6
+    engine.remove_hyperedge(2)  # both neighbours keep a neighbour: no shift
+    assert engine.metric(1, CC).tolist() == [0, 0, 1, 1, 1]
+    stats = settle_and_check(engine)
+    assert stats.delta_fallbacks == 0 and stats.patched_entries > 0
+
+
+def test_remove_that_splits_a_component_in_three_carries_the_labels():
+    engine = warmed(STAR, num_vertices=43)
+    assert engine.metric(1, CC).tolist() == [0, 0, 1, 1, 1, 1, 1, 1, 1]
+    engine.remove_hyperedge(2)
+    assert engine.metric(1, CC).tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert settle_and_check(engine).delta_fallbacks == 0
+
+
+@pytest.mark.parametrize(
+    "members, expected",
+    [
+        ([11, 41], [0, 0, 0, 0, 1, 1, 2, 2, 0]),  # a piece joins the other component
+        ([21, 31], [0, 0, 1, 1, 2, 2, 2, 2, 2]),  # two pieces join again
+        ([11, 21, 31], [0, 0, 1, 1, 1, 1, 1, 1, 1]),  # all three join again
+    ],
+)
+def test_adds_in_the_window_of_a_split_join_the_pieces(members, expected):
+    engine = warmed(STAR, num_vertices=43)
+    engine.remove_hyperedge(2)
+    engine.add_hyperedge(members)
+    assert engine.metric(1, CC).tolist() == expected
+    assert settle_and_check(engine).delta_fallbacks == 0
+
+
+def test_adds_before_the_split_are_searched_through():
+    engine = warmed(STAR, num_vertices=43)
+    engine.add_hyperedge([11, 21])  # the chains 3-4 and 5-6 meet here too
+    engine.remove_hyperedge(2)
+    assert engine.metric(1, CC).tolist() == [0, 0, 1, 1, 1, 1, 2, 2, 1]
+    assert settle_and_check(engine).delta_fallbacks == 0
+
+
+#: Hyperedge i overlaps i - 1 and i + 1 around a cycle of eight.
+CYCLE = [[i, (i + 1) % 8] for i in range(8)]
+
+
+@pytest.mark.parametrize(
+    "victims, expected",
+    [
+        ((0, 4), [0, 0, 0, 1, 1, 1]),  # two cuts: two paths
+        ((0, 1), [0] * 6),  # the second victim was the first's neighbour
+    ],
+)
+def test_a_window_of_two_removes_is_carried(victims, expected):
+    engine = warmed(CYCLE, num_vertices=8)
+    for victim in victims:
+        engine.remove_hyperedge(victim)
+    assert engine.metric(1, CC).tolist() == expected
+    assert settle_and_check(engine).delta_fallbacks == 0
+
+
+def test_an_edge_added_and_removed_in_one_window_leaves_no_trace():
+    engine = warmed(STAR, num_vertices=43)
+    squeezed = engine.squeezed_graph(1)
+    engine.add_hyperedge([11, 41])
+    engine.remove_hyperedge(9)
+    assert engine.squeezed_graph(1)[0] is squeezed[0]  # nothing left to patch
+    assert settle_and_check(engine).delta_fallbacks == 0
+
+
+def test_a_neighbour_isolated_then_removed_in_one_window_is_carried():
+    engine = warmed(PATH, num_vertices=7)
+    engine.remove_hyperedge(1)  # hyperedge 0 loses its only neighbour ...
+    engine.remove_hyperedge(0)  # ... and then goes too: nothing shifted
+    assert engine.metric(1, CC).tolist() == [0, 0, 0, 0]
+    assert settle_and_check(engine).delta_fallbacks == 0
+
+
+def test_an_isolated_edge_linked_then_removed_in_one_window_is_carried():
+    engine = warmed(STAR + [[50]], num_vertices=61)  # hyperedge 9 has no neighbour
+    engine.add_hyperedge([50, 60])  # its only neighbour is hyperedge 9 ...
+    engine.remove_hyperedge(9)  # ... which leaves before anyone looked
+    assert settle_and_check(engine).delta_fallbacks == 0
+
+
+def test_a_shift_out_beside_a_shift_in_declines_and_recomputes():
+    engine = warmed(STAR + [[50]], num_vertices=51)
+    engine.remove_hyperedge(3)  # hyperedge 4 loses its only neighbour
+    engine.add_hyperedge([40, 50])  # hyperedge 9 gets its first one
+    assert settle_and_check(engine).delta_fallbacks == 2  # Stage 4 and CC, at s = 1
+
+
+def test_a_split_beside_a_shifted_squeeze_declines_and_recomputes():
+    engine = warmed(STAR + [[50]], num_vertices=51)  # hyperedge 9 has no neighbour
+    engine.remove_hyperedge(2)
+    engine.add_hyperedge([11, 50])  # hyperedge 9 gets its first neighbour
+    assert settle_and_check(engine).delta_fallbacks == 2  # Stage 4 and CC, at s = 1
 
 
 def test_remove_that_isolates_a_neighbour_shifts_the_squeeze():

@@ -80,7 +80,8 @@ def test_engine_matches_pipeline_and_filtration_oracle(h):
 @given(h=hypergraphs(), steps=update_steps)
 def test_interleaved_updates_match_full_rebuild(h, steps):
     engine = QueryEngine(h)
-    engine.sweep(S_RANGE)  # warm the cache so migration paths are exercised
+    for s in S_RANGE:  # warm the cache so migration paths are exercised
+        engine.line_graph(s)
     for step in steps:
         if isinstance(step, list):
             engine.add_hyperedge(step)
@@ -102,11 +103,13 @@ def test_interleaved_updates_match_full_rebuild(h, steps):
 @settings(max_examples=30, deadline=None)
 @given(h=hypergraphs(), s_values=st.lists(st.integers(1, 6), min_size=1, max_size=4))
 def test_sweep_matches_point_queries(h, s_values):
-    sweep = QueryEngine(h).sweep(s_values)
+    engine = QueryEngine(h)
+    sweep = engine.sweep(s_values)
     fresh = QueryEngine(h)
     for s in set(s_values):
-        assert sweep.line_graphs[s] == fresh.line_graph(s)
+        assert engine.line_graph(s) == fresh.line_graph(s)
         assert sweep.edge_counts[s] == fresh.line_graph(s).num_edges
+        assert sweep.active_counts[s] == fresh.line_graph(s).num_active_vertices
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,7 +158,8 @@ def test_every_update_keeps_dual_csr_and_answers_of_a_fresh_engine(h, steps):
     maintain the vertex→edge CSR incrementally; after *every* step it equals
     the transpose and the engine answers like one built from scratch."""
     engine = QueryEngine(h)
-    engine.sweep(S_RANGE)
+    for s in S_RANGE:
+        engine.line_graph(s)
     for step in steps:
         if isinstance(step, list):
             engine.add_hyperedge(step)

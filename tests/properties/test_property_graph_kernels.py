@@ -10,11 +10,13 @@ import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.sparse import csgraph
 
 from repro.core.slinegraph import SLineGraph
 from repro.graph.betweenness import betweenness_centrality
 from repro.graph.bfs import BLOCK, bfs_distances
 from repro.graph.connected_components import (
+    by_smallest_vertex,
     connected_components,
     label_propagation_components,
 )
@@ -152,6 +154,32 @@ def test_components_match_networkx_in_discovery_order(case):
     _, first_seen = np.unique(labels, return_index=True)
     assert labels[np.sort(first_seen)].tolist() == list(range(first_seen.size))
     assert label_propagation_components(graph).tolist() == labels.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=edge_lists())
+@example(case=(0, [], []))
+@example(case=(4, [], []))
+@example(case=(6, [(5, 4), (3, 0), (4, 3)], [1.0] * 3))
+def test_components_equal_csgraph_undirected_mode_byte_for_byte(case):
+    """Strong components of the symmetric adjacency, renumbered, are the
+    undirected mode's labels: same values, same dtype, same bytes."""
+    graph = _graph(case)
+    _, expected = csgraph.connected_components(
+        graph.adjacency_matrix(weighted=False), directed=False
+    )
+    labels = connected_components(graph)
+    assert labels.dtype == np.int64
+    assert labels.tobytes() == expected.astype(np.int64).tobytes()
+
+
+@given(labels=st.lists(st.integers(min_value=0, max_value=30), max_size=40))
+def test_by_smallest_vertex_numbers_labels_by_first_appearance(labels):
+    first_appearance = {}
+    expected = [first_appearance.setdefault(label, len(first_appearance)) for label in labels]
+    renumbered = by_smallest_vertex(np.array(labels, dtype=np.int64))
+    assert renumbered.dtype == np.int64
+    assert renumbered.tolist() == expected
 
 
 @settings(max_examples=150, deadline=None)

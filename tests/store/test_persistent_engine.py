@@ -26,7 +26,8 @@ class TestOpenAndServe:
         sweep = engine.sweep(range(1, 9), metrics=("connected_components",))
         expected = fresh.sweep(range(1, 9), metrics=("connected_components",))
         for s in range(1, 9):
-            assert sweep.line_graphs[s] == expected.line_graphs[s]
+            assert engine.line_graph(s) == fresh.line_graph(s)
+            assert sweep.edge_counts[s] == expected.edge_counts[s]
             assert sweep.num_components(s) == expected.num_components(s)
         # Warm open: the wedge-enumeration pass never ran.
         assert engine.stats().index_builds == 0
@@ -218,7 +219,8 @@ class TestChurnStreamAgainstTheOracle:
                 sweep = engine.sweep(range(1, 9), metrics=(cc,))
                 for s in range(1, 9):
                     result = oracle.run(h, s)
-                    assert sweep.line_graphs[s] == result.line_graph, (i, s)
+                    assert engine.line_graph(s) == result.line_graph, (i, s)
+                    assert sweep.edge_counts[s] == result.line_graph.num_edges, (i, s)
                     assert sweep.active_counts[s] == result.line_graph.num_active_vertices
                     assert np.array_equal(sweep.metrics[s][cc], result.metrics[cc]), (i, s)
         stats = engine.stats()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.engine.index import OverlapIndex, overlap_counts_for_members
 from repro.obs import MetricsRegistry, use_registry
+from repro.store import PersistentQueryEngine
 from repro.store.sharded import ShardedIndex
 from repro.store.snapshot import write_snapshot
 from repro.utils.validation import ValidationError
@@ -178,3 +179,30 @@ class TestOverlay:
         sharded = ShardedIndex(store_path)
         with pytest.raises(ValidationError, match="out of range"):
             sharded.remove_hyperedge(sharded.num_hyperedges)
+
+    def test_edge_count_under_tombstones_counts_the_surviving_pairs(
+        self, community_hypergraph, tmp_path
+    ):
+        """Base removes hide pairs of many weights.  Counted by weight once
+        per set of tombstones, they keep ``edge_count`` a binary search:
+        live, after further removes, and after a reopen (which replays the
+        tombstones from the log)."""
+        path = tmp_path / "idx"
+        engine = PersistentQueryEngine.build(community_hypergraph, path, num_shards=4)
+
+        def assert_counts_match(index):
+            assert index.num_pairs == index.pairs_at_least(1)[1].size
+            for s in range(1, index.max_weight + 2):
+                assert index.edge_count(s) == index.pairs_at_least(s)[1].size, s
+
+        for edge_id in (3, 7):
+            engine.remove_hyperedge(edge_id)
+        assert_counts_match(engine.index)
+        for edge_id in (8, 20):
+            engine.remove_hyperedge(edge_id)
+        engine.add_hyperedge([0, 1, 2, 3])
+        assert_counts_match(engine.index)
+        engine.close()
+        reopened = PersistentQueryEngine.open(path)
+        assert_counts_match(reopened.index)
+        reopened.close()
