@@ -20,6 +20,6 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.11",
     install_requires=["numpy", "scipy"],
-    extras_require={"graphs": ["networkx"], "compression": ["zstandard"]},
+    extras_require={"graphs": ["networkx"]},
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

@@ -27,7 +27,13 @@ PathLike = Union[str, os.PathLike]
 
 
 def save_hypergraph_npz(h: Hypergraph, path: PathLike) -> None:
-    """Save a hypergraph (CSR arrays, optional labels, fingerprint) to ``path``."""
+    """Save a hypergraph (CSR arrays, optional labels, fingerprint) to ``path``.
+
+    The archive is written uncompressed: a store rewrites this copy on
+    every compaction and ships it to every mirror, and deflating it cost
+    more time than its bytes saved.  :func:`load_hypergraph_npz` reads
+    stored and deflated archives alike.
+    """
     payload = {
         "indptr": h.edges_csr.indptr,
         "indices": h.edges_csr.indices,
@@ -38,7 +44,7 @@ def save_hypergraph_npz(h: Hypergraph, path: PathLike) -> None:
         payload["edge_names"] = np.asarray([json.dumps(list(map(str, h.edge_names)))])
     if h.vertex_names is not None:
         payload["vertex_names"] = np.asarray([json.dumps(list(map(str, h.vertex_names)))])
-    np.savez_compressed(str(path), **payload)
+    np.savez(str(path), **payload)
 
 
 def load_hypergraph_npz(path: PathLike, verify_fingerprint: bool = True) -> Hypergraph:

@@ -5,9 +5,9 @@ package puts a socket in front of it so the clients can live anywhere:
 
 * :mod:`repro.service.transport.framing` — the wire codec of
   ``docs/PROTOCOL.md``: length-prefixed JSON frames (v1), binary frames
-  carrying numpy columns / raw replication bytes with optional
-  compression (v2), request/response envelopes with machine-readable
-  error codes, and the version-negotiating handshake;
+  carrying numpy columns / raw replication bytes (v2), request/response
+  envelopes with machine-readable error codes, and the version-negotiating
+  handshake;
 * :class:`SocketServer` — a threaded server fronting one
   :class:`~repro.service.QueryService` (writer or read replica): version
   handshake, per-connection pipelining, ``batch`` fan-out over the
@@ -32,7 +32,6 @@ from repro.service.transport.framing import (
     ServiceBusyError,
     TransportError,
     TruncatedFrameError,
-    available_codecs,
 )
 from repro.service.transport.server import ServerStats, SocketServer
 
@@ -52,5 +51,4 @@ __all__ = [
     "SocketServer",
     "TransportError",
     "TruncatedFrameError",
-    "available_codecs",
 ]

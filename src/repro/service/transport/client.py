@@ -5,15 +5,15 @@
 :class:`~repro.service.transport.SocketServer`.  It owns one connection,
 performs the version handshake on connect — negotiating the highest data
 plane both ends support (JSON v1, or the binary v2 frames that carry
-numpy column buffers and raw replication bytes, with an optional
-compression codec) — and retries with a fixed interval while the server
-is still coming up or is at its connection limit (``E_BUSY``
-backpressure), so fleets of readers can start before — or survive
-restarts of — their server.  The negotiated version is transparent to the
-typed helpers: :meth:`~ServiceClient.metric` returns one
-:class:`HyperedgeValues` — a read-only ``{edge_id: value}`` mapping over
-an int64 ID column and a float64 value column — whether the wire carried
-a JSON object or the two columns themselves.
+numpy column buffers and raw replication bytes) — and retries with a
+fixed interval while the server is still coming up or is at its
+connection limit (``E_BUSY`` backpressure), so fleets of readers can
+start before — or survive restarts of — their server.  The negotiated
+version is transparent to the typed helpers:
+:meth:`~ServiceClient.metric` returns one :class:`HyperedgeValues` — a
+read-only ``{edge_id: value}`` mapping over an int64 ID column and a
+float64 value column — whether the wire carried a JSON object or the two
+columns themselves.
 
 Failure semantics
 -----------------
@@ -52,7 +52,6 @@ from repro.service.transport.framing import (
     ServiceBusyError,
     TransportError,
     TruncatedFrameError,
-    available_codecs,
     check_hello_response,
     hello_request,
     recv_frame,
@@ -192,9 +191,7 @@ class ServiceClient:
         ``protocol_max=1`` pins the client to the JSON-only v1 data plane
         (it then sends the exact hello a pre-v2 client sends); the default
         offers everything this build implements and lets the server pick
-        ``max(common)``.  A binary (v2) connection offers every
-        compression codec this build can decode (``zstd``/``zlib``) for
-        replication payloads.
+        ``max(common)``.
     """
 
     def __init__(
@@ -225,7 +222,6 @@ class ServiceClient:
             version for version in SUPPORTED_PROTOCOLS if version <= int(protocol_max)
         )
         self._protocol = PROTOCOL_VERSION
-        self._codec: Optional[str] = None
         self._sock: Optional[socket.socket] = None
         self._tracer = get_tracer()
         #: The server's handshake payload (mode, generation, protocol).
@@ -249,11 +245,6 @@ class ServiceClient:
         """
         return self._protocol
 
-    @property
-    def compression(self) -> Optional[str]:
-        """Codec negotiated for binary replication payloads (or ``None``)."""
-        return self._codec
-
     def connect(self) -> "ServiceClient":
         """Connect and handshake, retrying refused/busy attempts."""
         if self._sock is not None:
@@ -274,7 +265,6 @@ class ServiceClient:
                     # sends the exact hello a pre-v2 build sends, and v1
                     # servers ignore unknown keys (docs/PROTOCOL.md).
                     hello["protocols"] = list(self._protocols)
-                    hello["compression"] = list(available_codecs())
                 send_frame(sock, hello, self.max_frame_bytes)
                 response = recv_frame(sock, self.max_frame_bytes)
                 if response is None:
@@ -288,12 +278,6 @@ class ServiceClient:
                 # server claims.
                 self._protocol = max(
                     PROTOCOL_VERSION, min(negotiated, max(self._protocols))
-                )
-                codec = response.get("compression")
-                self._codec = (
-                    str(codec)
-                    if codec and self._protocol >= PROTOCOL_VERSION_BINARY
-                    else None
                 )
                 self._sock = sock
                 return self
@@ -312,7 +296,6 @@ class ServiceClient:
         """Say goodbye (best-effort) and drop the connection."""
         sock, self._sock = self._sock, None
         self._protocol = PROTOCOL_VERSION
-        self._codec = None
         if sock is None:
             return
         try:
@@ -326,7 +309,6 @@ class ServiceClient:
     def _drop_connection(self) -> None:
         sock, self._sock = self._sock, None
         self._protocol = PROTOCOL_VERSION
-        self._codec = None
         _close_quietly(sock)
 
     def __enter__(self) -> "ServiceClient":
@@ -629,8 +611,7 @@ class ServiceClient:
     ) -> Dict[str, object]:
         """One chunk of one snapshot file; ``response["data"]`` is ``bytes``.
 
-        The chunk rides a binary frame raw (optionally compressed per the
-        negotiated codec, decompressed by the framing layer).  Raises
+        The chunk rides a binary frame raw.  Raises
         :class:`ProtocolVersionError` on a connection that negotiated a
         protocol below 2.
         """

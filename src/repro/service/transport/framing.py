@@ -26,23 +26,23 @@ concatenated raw payload sections the header describes::
 
 The header is the response payload with every bulk value (``bytes`` or a
 ``numpy`` array) replaced by a ``{"__sec__": i}`` placeholder, plus a
-``sections`` table carrying each section's dtype/shape/length and optional
-compression codec.  Decoding splices the sections back in place, so both
-frame kinds decode to the same request/response mappings of
-:meth:`repro.service.QueryService.serve`.
+``sections`` table carrying each section's dtype/shape/length.  Sections
+travel raw, never compressed.  Decoding splices the sections back in
+place, so both frame kinds decode to the same request/response mappings
+of :meth:`repro.service.QueryService.serve`.
 
 Transport-level ops (see ``docs/PROTOCOL.md`` for payload shapes):
 
 ``hello``
     The mandatory first frame of every connection (both directions).  The
     baseline field is ``{"op": "hello", "protocol": 1}``; peers that speak
-    more advertise it with ``"protocols": [1, 2]`` plus the compression
-    codecs they accept, and both sides settle on ``max(common versions)``
-    (see :func:`negotiate_protocol`).  A v1-only peer ignores the extra
-    keys and is answered in plain v1 — compatibility holds in both
-    directions.  A version bump is required for any change an older peer
-    cannot ignore; new *optional* hello/response fields do not bump it
-    (mirroring the store's format-version policy).
+    more advertise it with ``"protocols": [1, 2]``, and both sides settle
+    on ``max(common versions)`` (see :func:`negotiate_protocol`).  A
+    v1-only peer ignores the extra keys and is answered in plain v1 —
+    compatibility holds in both directions.  A version bump is required
+    for any change an older peer cannot ignore; new *optional*
+    hello/response fields do not bump it (mirroring the store's
+    format-version policy).
 ``batch``
     ``{"op": "batch", "requests": [...]}`` — the server serves the whole
     list through one :meth:`QueryService.serve` call (worker-thread
@@ -70,17 +70,11 @@ from __future__ import annotations
 import json
 import socket
 import struct
-import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.service.contract import E_BUSY, E_INTERNAL, E_PROTOCOL
-
-try:  # pragma: no cover - exercised only where zstandard is installed
-    import zstandard as _zstd
-except ImportError:  # the container/CI baseline: stdlib zlib only
-    _zstd = None
 
 #: The baseline protocol every peer must speak; also the value of the
 #: mandatory ``protocol`` hello field (kept at 1 forever so pre-negotiation
@@ -88,7 +82,7 @@ except ImportError:  # the container/CI baseline: stdlib zlib only
 PROTOCOL_VERSION = 1
 
 #: Protocol 2: the binary data plane (binary frames, columnar responses,
-#: raw replication payloads, per-connection compression).
+#: raw replication payloads).
 PROTOCOL_VERSION_BINARY = 2
 
 #: Every protocol version this build can speak, ascending.
@@ -104,10 +98,6 @@ BINARY_FLAG = 0x80000000
 #: full metric map over hundreds of thousands of hyperedges, small enough
 #: to bound what a misbehaving peer can make us buffer.
 DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-#: Bytes below which a compressible section is sent uncompressed (the
-#: codec round trip would cost more than the bytes saved).
-MIN_COMPRESS_BYTES = 512
 
 
 class TransportError(Exception):
@@ -155,59 +145,6 @@ class RemoteServiceError(TransportError):
         super().__init__(message)
         self.code = code
         self.response = dict(response or {})
-
-
-# --------------------------------------------------------------------- #
-# Compression codecs (negotiated per connection; replication payloads)
-# --------------------------------------------------------------------- #
-def available_codecs() -> Tuple[str, ...]:
-    """Compression codecs this build can decode, in preference order.
-
-    ``zstd`` is offered only when the ``zstandard`` package is importable;
-    the stdlib ``zlib`` fallback is always available, so two peers of this
-    build always share at least one codec.
-    """
-    return ("zstd", "zlib") if _zstd is not None else ("zlib",)
-
-
-def negotiate_codec(peer_codecs: Optional[Sequence[object]]) -> Optional[str]:
-    """Pick the preferred codec both sides support (``None``: no overlap).
-
-    ``peer_codecs`` is the ``compression`` list from the peer's hello
-    (absent/empty means the peer wants no compression).
-    """
-    if not peer_codecs:
-        return None
-    offered = {str(c) for c in peer_codecs}
-    for codec in available_codecs():
-        if codec in offered:
-            return codec
-    return None
-
-
-def compress_bytes(codec: str, data: bytes) -> bytes:
-    """Compress one section body with a negotiated codec."""
-    if codec == "zstd" and _zstd is not None:  # pragma: no cover - env-gated
-        return _zstd.ZstdCompressor().compress(data)
-    if codec == "zlib":
-        return zlib.compress(data, 1)
-    raise FrameError(f"unknown compression codec {codec!r}")
-
-
-def decompress_bytes(codec: str, data: bytes, expected_len: int) -> bytes:
-    """Reverse :func:`compress_bytes`, validating the declared raw length."""
-    if codec == "zstd" and _zstd is not None:  # pragma: no cover - env-gated
-        out = _zstd.ZstdDecompressor().decompress(data, max_output_size=expected_len)
-    elif codec == "zlib":
-        out = zlib.decompress(data)
-    else:
-        raise FrameError(f"unknown compression codec {codec!r}")
-    if len(out) != expected_len:
-        raise FrameError(
-            f"section decompressed to {len(out)} bytes, header declared "
-            f"{expected_len}"
-        )
-    return out
 
 
 # --------------------------------------------------------------------- #
@@ -283,20 +220,14 @@ def _splice_sections(value: object, sections: List[object]) -> object:
     return value
 
 
-def encode_binary_frame(
-    payload: Dict[str, object],
-    max_frame_bytes: int,
-    codec: Optional[str] = None,
-) -> bytes:
+def encode_binary_frame(payload: Dict[str, object], max_frame_bytes: int) -> bytes:
     """Serialise one payload to a binary (protocol 2) frame.
 
     Bulk values — ``bytes``-likes and ``numpy`` arrays, found anywhere in
     the payload — travel as raw sections after the JSON header instead of
     being JSON/base64-encoded.  Arrays are shipped as their native little-
-    endian buffers (dtype and shape in the header); ``bytes`` sections
-    larger than :data:`MIN_COMPRESS_BYTES` are compressed with ``codec``
-    when that actually shrinks them (arrays are left raw — the zero-copy
-    point of the binary plane).  See docs/PROTOCOL.md §4.
+    endian buffers (dtype and shape in the header), ``bytes`` as they are.
+    No section is compressed.  See docs/PROTOCOL.md §4.
     """
     raw_sections: List[object] = []
     header_payload = _extract_sections(dict(payload), raw_sections)
@@ -318,16 +249,6 @@ def encode_binary_frame(
         else:
             body = bytes(value)
             meta["dtype"] = "bytes"
-        meta["ulen"] = len(body)
-        if (
-            codec is not None
-            and meta["dtype"] == "bytes"
-            and len(body) >= MIN_COMPRESS_BYTES
-        ):
-            packed = compress_bytes(codec, body)
-            if len(packed) < len(body):
-                body = packed
-                meta["codec"] = codec
         meta["len"] = len(body)
         sections.append(meta)
         bodies.append(body)
@@ -349,7 +270,16 @@ def encode_binary_frame(
 
 
 def decode_binary_frame(body: bytes, max_frame_bytes: int) -> Dict[str, object]:
-    """Parse a binary frame body (everything after the length prefix)."""
+    """Parse a binary frame body (everything after the length prefix).
+
+    Each section is a slice of ``body`` and no section is inflated, so
+    decoding allocates at most one more frame's worth of bytes.
+    """
+    if len(body) > max_frame_bytes:
+        raise FrameTooLargeError(
+            f"binary frame of {len(body)} bytes exceeds the "
+            f"{max_frame_bytes}-byte cap"
+        )
     if len(body) < LENGTH_PREFIX.size:
         raise FrameError("binary frame too short for its header length")
     (header_len,) = LENGTH_PREFIX.unpack_from(body)
@@ -369,31 +299,29 @@ def decode_binary_frame(body: bytes, max_frame_bytes: int) -> Dict[str, object]:
     for meta in sections_meta:
         if not isinstance(meta, dict):
             raise FrameError("binary frame section metadata must be objects")
+        if "codec" in meta:
+            raise FrameError(
+                f"binary section declares codec {meta['codec']!r}; sections "
+                "travel raw"
+            )
         try:
             length = int(meta["len"])
+            # Builds that could compress also sent `ulen`, the raw length;
+            # on a raw section it equals `len`.
             ulen = int(meta.get("ulen", length))
             dtype = str(meta.get("dtype", "bytes"))
         except (KeyError, TypeError, ValueError) as exc:
             raise FrameError(f"malformed binary section metadata: {exc}") from exc
+        if ulen != length:
+            raise FrameError(
+                f"binary section carries {length} bytes, header declared {ulen}"
+            )
         if length < 0 or offset + length > len(body):
             raise FrameError(
                 f"binary section of {length} bytes overruns the frame body"
             )
-        if ulen < 0 or ulen > max_frame_bytes:
-            raise FrameError(
-                f"binary section declares {ulen} raw bytes, above the "
-                f"{max_frame_bytes}-byte cap"
-            )
         chunk = body[offset : offset + length]
         offset += length
-        codec = meta.get("codec")
-        if codec is not None:
-            chunk = decompress_bytes(str(codec), chunk, ulen)
-        elif len(chunk) != ulen:
-            raise FrameError(
-                f"uncompressed section carries {len(chunk)} bytes, header "
-                f"declared {ulen}"
-            )
         if dtype == "bytes":
             sections.append(chunk)
         else:
@@ -507,8 +435,8 @@ def hello_request() -> Dict[str, object]:
     """The client's mandatory first frame (baseline shape, see module doc).
 
     Callers that can speak more than the baseline add the optional
-    ``protocols`` / ``compression`` keys on top (the client does; a
-    pre-negotiation server simply ignores them).
+    ``protocols`` key on top (the client does; a pre-negotiation server
+    simply ignores it).
     """
     return {"op": "hello", "protocol": PROTOCOL_VERSION}
 
@@ -543,7 +471,7 @@ def check_hello_response(response: Dict[str, object]) -> Dict[str, object]:
     """Validate the server's handshake reply; raise on rejection.
 
     Accepts both a pre-negotiation reply (bare ``protocol``) and a
-    negotiated one (``negotiated`` + ``compression``); the caller reads
+    negotiated one (``negotiated``); the caller reads
     ``response.get("negotiated", 1)`` for the settled version.
     """
     if response.get("ok") and response.get("op") == "hello":

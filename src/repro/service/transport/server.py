@@ -7,11 +7,11 @@ so clients on other machines reach the same batched, read-locked serving
 path local callers use.  One thread accepts connections; each connection
 gets a handler thread that performs the version handshake — negotiating a
 per-connection data plane (JSON v1, or the binary v2 frames of
-``docs/PROTOCOL.md`` with an optional compression codec) — and then serves
-frames in order, so a client may *pipeline* (send several requests before
-reading the first response) and still match responses to requests by
-position.  ``batch`` frames additionally fan out over the service's worker
-threads, turning one round trip into a parallel serve.
+``docs/PROTOCOL.md``) — and then serves frames in order, so a client may
+*pipeline* (send several requests before reading the first response) and
+still match responses to requests by position.  ``batch`` frames
+additionally fan out over the service's worker threads, turning one round
+trip into a parallel serve.
 
 Backpressure is explicit: past ``max_connections`` concurrently served
 connections, new ones are answered with an :data:`~framing.E_BUSY` error
@@ -66,7 +66,6 @@ from repro.service.transport.framing import (
     TruncatedFrameError,
     encode_binary_frame,
     encode_frame,
-    negotiate_codec,
     negotiate_protocol,
     payload_has_sections,
     recv_frame,
@@ -173,9 +172,9 @@ class SocketServer:
         self._protocols: Tuple[int, ...] = tuple(
             version for version in SUPPORTED_PROTOCOLS if version <= int(protocol_max)
         )
-        #: conn_id -> (negotiated protocol, negotiated codec) for live
-        #: connections; feeds the ``stats()["transport"]`` enrichment.
-        self._conn_protocols: Dict[int, Tuple[int, Optional[str]]] = {}
+        #: conn_id -> negotiated protocol for live connections; feeds the
+        #: ``stats()["transport"]`` enrichment.
+        self._conn_protocols: Dict[int, int] = {}
         self._stop = threading.Event()
         self._stats_lock = threading.Lock()
         self.stats = ServerStats()
@@ -322,12 +321,11 @@ class SocketServer:
     # ------------------------------------------------------------------ #
     def _handle_connection(self, conn: socket.socket, conn_id: int) -> None:
         try:
-            negotiated = self._handshake(conn)
-            if negotiated is not None:
-                proto, codec = negotiated
+            proto = self._handshake(conn)
+            if proto is not None:
                 with self._handlers_lock:
-                    self._conn_protocols[conn_id] = (proto, codec)
-                self._serve_frames(conn, proto, codec)
+                    self._conn_protocols[conn_id] = proto
+                self._serve_frames(conn, proto)
         except (FrameError, ConnectionError, OSError):
             pass  # connection-level failure: drop this client only
         finally:
@@ -341,15 +339,16 @@ class SocketServer:
             with self._stats_lock:
                 self.stats.active_connections -= 1
 
-    def _handshake(self, conn: socket.socket) -> Optional[Tuple[int, Optional[str]]]:
+    def _handshake(self, conn: socket.socket) -> Optional[int]:
         """Require a matching ``hello`` as the first frame; ack or reject.
 
-        Returns the negotiated ``(protocol, codec)`` for the connection, or
-        ``None`` when the hello was rejected.  The baseline ``protocol``
-        field must equal :data:`PROTOCOL_VERSION` exactly (v1 semantics,
-        frozen forever); newer data planes are offered through the
-        *additive* ``protocols``/``compression`` lists, which v1 peers
-        never send and never read — see ``docs/PROTOCOL.md``.
+        Returns the negotiated protocol for the connection, or ``None``
+        when the hello was rejected.  The baseline ``protocol`` field must
+        equal :data:`PROTOCOL_VERSION` exactly (v1 semantics, frozen
+        forever); newer data planes are offered through the *additive*
+        ``protocols`` list, which v1 peers never send and never read — see
+        ``docs/PROTOCOL.md``.  A ``compression`` list, which older clients
+        send, is ignored: sections always travel raw.
         """
         try:
             request = self._read_frame(conn)
@@ -391,11 +390,6 @@ class SocketServer:
         if not isinstance(offered, (list, tuple)):
             offered = None
         proto = negotiate_protocol(offered, self._protocols)
-        codec: Optional[str] = None
-        if proto >= PROTOCOL_VERSION_BINARY:
-            peer_codecs = request.get("compression")
-            if isinstance(peer_codecs, (list, tuple)):
-                codec = negotiate_codec(peer_codecs)
         self._send(
             conn,
             {
@@ -404,17 +398,14 @@ class SocketServer:
                 "protocol": PROTOCOL_VERSION,
                 "protocols": list(self._protocols),
                 "negotiated": proto,
-                "compression": codec,
                 "server": "repro",
                 "read_only": self.service.read_only,
                 "generation": self.service.generation,
             },
         )
-        return proto, codec
+        return proto
 
-    def _serve_frames(
-        self, conn: socket.socket, proto: int = PROTOCOL_VERSION, codec: Optional[str] = None
-    ) -> None:
+    def _serve_frames(self, conn: socket.socket, proto: int = PROTOCOL_VERSION) -> None:
         """Answer frames in order until EOF, ``goodbye`` or shutdown."""
         while not self._stop.is_set():
             try:
@@ -459,9 +450,7 @@ class SocketServer:
                         if op == "stats" and response.get("ok"):
                             stats_obj = response.get("stats")
                             if isinstance(stats_obj, dict):
-                                stats_obj["transport"] = self._transport_stats(
-                                    proto, codec
-                                )
+                                stats_obj["transport"] = self._transport_stats(proto)
                     if not response.get("ok"):
                         span.set_status(
                             "error", str(response.get("code", E_INTERNAL))
@@ -477,7 +466,7 @@ class SocketServer:
             with self._stats_lock:
                 self.stats.requests_served += 1
             try:
-                self._send(conn, response, proto=proto, codec=codec)
+                self._send(conn, response, proto=proto)
             except FrameTooLargeError as exc:
                 # The *response* blew the frame cap (e.g. a metric map over
                 # a huge store).  Answer with a small error frame instead of
@@ -573,24 +562,21 @@ class SocketServer:
             conn, {"ok": False, "code": E_BAD_FRAME, "error": message}
         )
 
-    def _transport_stats(
-        self, proto: int, codec: Optional[str]
-    ) -> Dict[str, object]:
+    def _transport_stats(self, proto: int) -> Dict[str, object]:
         """Per-connection protocol mix for ``stats()["transport"]``.
 
-        ``negotiated``/``compression`` describe the asking connection;
+        ``negotiated`` describes the asking connection;
         ``by_protocol`` counts every live connection so operators can see
         which peers are still on the v1 JSON data plane.
         """
         by_protocol: Dict[str, int] = {}
         with self._handlers_lock:
-            for conn_proto, _ in self._conn_protocols.values():
+            for conn_proto in self._conn_protocols.values():
                 key = str(conn_proto)
                 by_protocol[key] = by_protocol.get(key, 0) + 1
         return {
             "supported": list(self._protocols),
             "negotiated": proto,
-            "compression": codec,
             "connections": {
                 "active": sum(by_protocol.values()),
                 "by_protocol": by_protocol,
@@ -602,14 +588,13 @@ class SocketServer:
         conn: socket.socket,
         payload: Dict[str, object],
         proto: int = PROTOCOL_VERSION,
-        codec: Optional[str] = None,
     ) -> None:
         # Chaos: fired before the frame hits the wire, so a `drop` models a
         # response lost in transit — the request WAS executed (an acked
         # update is durable even though the client never saw the ack).
         TRANSPORT_SEND.fire()
         if proto >= PROTOCOL_VERSION_BINARY and payload_has_sections(payload):
-            frame = encode_binary_frame(payload, self.max_frame_bytes, codec=codec)
+            frame = encode_binary_frame(payload, self.max_frame_bytes)
         else:
             frame = encode_frame(payload, self.max_frame_bytes)
         conn.settimeout(_SEND_TIMEOUT)

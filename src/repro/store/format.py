@@ -7,7 +7,7 @@ A store is a directory:
     <store>/
         manifest.json        versioned description of the snapshot (below)
         edge_sizes.npy       per-hyperedge sizes |e_i| (int64)
-        hypergraph.npz       source hypergraph (io.serialization)
+        hypergraph.npz       source hypergraph (io.serialization; uncompressed)
         wal.log              write-ahead log of incremental updates
         shards/
             g<G>-shard-00000.edges.npy    (k_b, 2) int64, weight-ascending

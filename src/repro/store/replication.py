@@ -13,8 +13,7 @@ serving peer answers:
 ``repl_fetch``
     One chunk of one snapshot file (shard arrays, the generation-named
     edge-size array, ``hypergraph.npz``) at a pinned generation, sized
-    under the frame cap, riding a protocol v2 binary frame as raw
-    (optionally compressed) bytes.
+    under the frame cap, riding a protocol v2 binary frame as raw bytes.
 ``repl_wal``
     The write-ahead-log tail: the mirror asks with a ``(generation,
     byte_offset, next_seq)`` cursor and receives the raw validated on-disk

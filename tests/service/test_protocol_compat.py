@@ -8,8 +8,10 @@ data plane and serve identical answers to a native v2 pairing.
 """
 
 import base64
+import json
 import os
 import socket
+import threading
 
 import pytest
 
@@ -29,7 +31,10 @@ from repro.service.transport import (
 )
 from repro.service.transport.framing import (
     BINARY_FLAG,
+    DEFAULT_MAX_FRAME_BYTES,
     LENGTH_PREFIX,
+    decode_binary_frame,
+    recv_exact,
     recv_frame,
     send_frame,
 )
@@ -51,6 +56,16 @@ def v1_server(writer):
         yield srv
 
 
+def _sections_and_payload(sock):
+    """Read one binary frame; return its section table and decoded payload."""
+    (length,) = LENGTH_PREFIX.unpack(recv_exact(sock, LENGTH_PREFIX.size, True))
+    assert length & BINARY_FLAG
+    body = recv_exact(sock, length & ~BINARY_FLAG, False)
+    (header_len,) = LENGTH_PREFIX.unpack_from(body)
+    header = json.loads(body[LENGTH_PREFIX.size : LENGTH_PREFIX.size + header_len])
+    return header["sections"], decode_binary_frame(body, DEFAULT_MAX_FRAME_BYTES)
+
+
 def _oracle(service, s):
     return {
         int(k): float(v)
@@ -65,7 +80,7 @@ class TestCompatMatrix:
         """A modern client downgrades to v1 and serves identical answers."""
         with ServiceClient(*v1_server.address, connect_retries=5) as client:
             assert client.protocol == PROTOCOL_VERSION
-            assert client.compression is None
+            assert "compression" not in client.server_info
             assert client.metric(2, "connected_components") == _oracle(writer, 2)
             sweep = client.sweep(range(1, 5))
             assert set(sweep) == {"edge_counts", "active_counts"}
@@ -110,26 +125,97 @@ class TestCompatMatrix:
                     }
                 )
 
-    def test_compression_negotiated_off(self, v2_server):
-        """An empty codec list keeps binary framing but no codec either way."""
+    def test_offered_codecs_are_ignored(self, v2_server, writer, store_path):
+        """A client built when sections could be compressed offers its
+        codecs; it still settles on v2, and every section comes back raw:
+        byte-exact ``repl_fetch`` and ``repl_wal`` data, no ``codec`` key."""
+        writer.submit_add([0, 1, 2]).result()
         sock = socket.create_connection(v2_server.address, timeout=5)
         try:
             send_frame(
                 sock,
-                {"op": "hello", "protocol": 1, "protocols": [1, 2], "compression": []},
+                {
+                    "op": "hello",
+                    "protocol": 1,
+                    "protocols": [1, 2],
+                    "compression": ["zstd", "zlib"],
+                },
             )
             hello = recv_frame(sock)
             assert hello["negotiated"] == PROTOCOL_VERSION_BINARY
-            assert hello["compression"] is None
-            # The binary plane still works uncompressed.
+            assert "compression" not in hello
             send_frame(sock, {"op": "metric", "s": 2, "columns": True})
             assert len(recv_frame(sock)["edge_ids"])
+            send_frame(sock, {"op": "repl_manifest"})
+            manifest = recv_frame(sock)
+            for entry in manifest["files"]:
+                send_frame(
+                    sock,
+                    {
+                        "op": "repl_fetch",
+                        "file": entry["name"],
+                        "generation": manifest["generation"],
+                        "offset": 0,
+                        "length": entry["size"],
+                        "raw": True,
+                    },
+                )
+                meta, chunk = _sections_and_payload(sock)
+                assert meta == [{"dtype": "bytes", "len": entry["size"]}]
+                path = os.path.join(store_path, *entry["name"].split("/"))
+                with open(path, "rb") as f:
+                    assert chunk["data"] == f.read()
+            send_frame(
+                sock,
+                {
+                    "op": "repl_wal",
+                    "generation": manifest["generation"],
+                    "after_bytes": 0,
+                    "next_seq": 1,
+                    "raw": True,
+                },
+            )
+            meta, suffix = _sections_and_payload(sock)
+            with open(os.path.join(store_path, WAL_NAME), "rb") as f:
+                wal = f.read()
+            assert meta == [{"dtype": "bytes", "len": len(wal)}]
+            assert suffix["data"] == wal
             send_frame(sock, {"op": "stats"})
             transport = recv_frame(sock)["stats"]["transport"]
             assert transport["negotiated"] == PROTOCOL_VERSION_BINARY
-            assert transport["compression"] is None
+            assert "compression" not in transport
         finally:
             sock.close()
+
+    def test_client_hello_offers_no_codec(self):
+        """A server built when sections could be compressed compresses only
+        for a client that offers a codec, so this client gets raw sections
+        from it too."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        hellos = []
+
+        def old_server():
+            with listener, listener.accept()[0] as conn:
+                hellos.append(recv_frame(conn))
+                send_frame(
+                    conn,
+                    {
+                        "ok": True,
+                        "op": "hello",
+                        "protocol": PROTOCOL_VERSION,
+                        "negotiated": PROTOCOL_VERSION_BINARY,
+                        "compression": None,
+                    },
+                )
+                recv_frame(conn)
+                send_frame(conn, {"ok": True, "op": "goodbye"})
+
+        peer = threading.Thread(target=old_server, daemon=True)
+        peer.start()
+        with ServiceClient(*listener.getsockname(), connect_retries=1) as client:
+            assert client.protocol == PROTOCOL_VERSION_BINARY
+        peer.join(timeout=10)
+        assert hellos == [{"op": "hello", "protocol": 1, "protocols": [1, 2]}]
 
     def test_stats_reports_negotiated_protocols(self, v2_server):
         with ServiceClient(*v2_server.address, connect_retries=5) as v2_client:

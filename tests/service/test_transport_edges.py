@@ -7,9 +7,12 @@ and a read-replica server must keep answering correctly while a writer
 compacts the store underneath it.
 """
 
+import json
 import socket
 import threading
 import time
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -23,14 +26,17 @@ from repro.service import (
 )
 from repro.service.transport import (
     FrameError,
+    FrameTooLargeError,
     PROTOCOL_VERSION_BINARY,
     ProtocolVersionError,
     TransportError,
 )
 from repro.service.transport.framing import (
+    BINARY_FLAG,
     DEFAULT_MAX_FRAME_BYTES,
     LENGTH_PREFIX,
     PROTOCOL_VERSION,
+    decode_binary_frame,
     encode_binary_frame,
     recv_frame,
     send_frame,
@@ -135,6 +141,93 @@ class TestMalformedPeers:
                 assert small["ok"] is True
         finally:
             server.close()
+
+
+def binary_body(section_meta, data):
+    """A binary frame body (after the length prefix) of one bytes section."""
+    header = json.dumps(
+        {"payload": {"ok": True, "data": {"__sec__": 0}}, "sections": [section_meta]}
+    ).encode("utf-8")
+    return LENGTH_PREFIX.pack(len(header)) + header + data
+
+
+@pytest.fixture(scope="module")
+def zlib_bomb():
+    """~200 KB of deflated zeros (200 MiB inflated) in a section that
+    declares ``"codec": "zlib"`` and a 16-byte raw length: a frame well
+    under a 1 MiB cap that a decoder inflating before it checks would
+    expand a thousandfold."""
+    deflater = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    packed = b"".join([deflater.compress(zeros) for _ in range(200)] + [deflater.flush()])
+    meta = {"dtype": "bytes", "len": len(packed), "ulen": 16, "codec": "zlib"}
+    return binary_body(meta, packed)
+
+
+class TestHostileSections:
+    """Sections travel raw: a decoder never inflates what a peer sends, so
+    its allocation stays bounded by the frame it already read."""
+
+    CAP = 1 << 20
+
+    def test_codec_section_raises_without_inflating(self, zlib_bomb):
+        assert 150_000 < len(zlib_bomb) < self.CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(FrameError, match="codec 'zlib'"):
+                decode_binary_frame(zlib_bomb, self.CAP)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(zlib_bomb)
+
+    def test_server_answers_the_bomb_with_bad_frame(self, server, zlib_bomb):
+        sock = handshake(server.address)
+        sock.sendall(LENGTH_PREFIX.pack(BINARY_FLAG | len(zlib_bomb)) + zlib_bomb)
+        response = recv_frame(sock)
+        assert response["ok"] is False
+        assert response["code"] == "bad_frame"
+        assert "codec" in response["error"]
+        assert recv_frame(sock) is None
+        sock.close()
+        with ServiceClient(*server.address) as client:
+            assert client.components(1) >= 0
+
+    @pytest.mark.parametrize("ulen", [16, 64])
+    def test_raw_length_must_match_section_length(self, ulen):
+        body = binary_body({"dtype": "bytes", "len": 32, "ulen": ulen}, bytes(32))
+        with pytest.raises(FrameError, match=f"carries 32 bytes, header declared {ulen}"):
+            decode_binary_frame(body, self.CAP)
+
+    def test_a_body_over_the_cap_is_refused_before_parsing(self):
+        body = binary_body({"dtype": "bytes", "len": 32}, bytes(32))
+        with pytest.raises(FrameTooLargeError):
+            decode_binary_frame(body, len(body) - 1)
+
+    def test_matching_raw_length_still_decodes(self):
+        """A peer that also sends ``ulen`` (equal to ``len``) is served."""
+        body = binary_body({"dtype": "bytes", "len": 32, "ulen": 32}, bytes(range(32)))
+        assert decode_binary_frame(body, self.CAP)["data"] == bytes(range(32))
+
+
+class TestManySections:
+    def test_a_batch_of_600_columnar_metrics_is_answered(self, writer):
+        """Every columnar sub-response adds two sections to the one batch
+        frame, so 600 of them make a frame of 1,200 sections, more than a
+        single ``sendmsg`` may carry (1,024 iovecs on Linux)."""
+        request = {"op": "metric", "s": 1, "metric": "pagerank", "columns": True}
+        with SocketServer(writer, port=0) as server:
+            with ServiceClient(*server.address) as client:
+                assert client.protocol == PROTOCOL_VERSION_BINARY
+                expected = client.call(dict(request))
+                assert expected["ok"] is True
+                response = client.call({"op": "batch", "requests": [request] * 600})
+                assert response["ok"] is True
+                assert len(response["results"]) == 600
+                for result in response["results"]:
+                    assert np.array_equal(result["edge_ids"], expected["edge_ids"])
+                    assert np.array_equal(result["values"], expected["values"])
+                assert client.components(1) >= 0  # same connection
 
 
 def scripted_peer(reply, protocol):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -306,3 +307,72 @@ class TestCompactionCrashWindows:
         # The rebuilt store serves the new hypergraph.
         oracle = QueryEngine(paper_example)
         assert rebuilt.sharded_index().line_graph(2) == oracle.line_graph(2)
+
+
+def _member_compression(path):
+    with zipfile.ZipFile(path) as archive:
+        return {info.compress_type for info in archive.infolist()}
+
+
+class TestDeflatedHypergraphCopy:
+    """Stores whose ``hypergraph.npz`` members are deflated (the layout
+    before the copy was written stored) open and serve unchanged at the
+    same format version; their next compaction rewrites the copy stored,
+    and a mirror of them stays byte-identical throughout."""
+
+    def test_deflated_copy_opens_compacts_and_mirrors(
+        self, community_hypergraph, tmp_path
+    ):
+        from repro.chaos.harness import diff_stores
+        from repro.core.pipeline import SLinePipeline
+        from repro.hypergraph.builders import hypergraph_from_edge_lists
+        from repro.store.format import FORMAT_VERSION
+
+        assert FORMAT_VERSION == 1
+        store = IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
+        copy = os.path.join(store.path, HYPERGRAPH_NAME)
+        assert _member_compression(copy) == {zipfile.ZIP_STORED}
+        with np.load(copy) as data:
+            members = {name: data[name] for name in data.files}
+        np.savez_compressed(copy, **members)
+        assert _member_compression(copy) == {zipfile.ZIP_DEFLATED}
+
+        cc = "connected_components"
+        oracle = SLinePipeline(
+            metrics=(cc,), drop_empty_edges=False, drop_isolated_vertices=False
+        )
+        num_vertices = community_hypergraph.num_vertices
+        model = [m.tolist() for _, m in community_hypergraph.iter_edges()]
+
+        def assert_serves_the_model(engine):
+            h = hypergraph_from_edge_lists(model, num_vertices=num_vertices)
+            assert engine.fingerprint() == h.fingerprint()
+            for s in (1, 2, 3):
+                expected = oracle.run(h, s).metric_by_hyperedge(cc)
+                assert engine.metric_by_hyperedge(s, cc) == expected, s
+
+        engine = PersistentQueryEngine.open(store.path)
+        assert_serves_the_model(engine)
+        mirror = StoreMirror(LocalReplicationSource(store.path), tmp_path / "mirror")
+        assert mirror.sync().full_sync
+        assert diff_stores(store.path, mirror.path) == []
+
+        rng = make_rng(11)
+        for _ in range(3):
+            added = random_members(engine.hypergraph, rng)
+            assert engine.add_hyperedge(added) == len(model)
+            model.append(added)
+        engine.remove_hyperedge(0)
+        model[0] = []
+        engine.compact()
+        assert _member_compression(copy) == {zipfile.ZIP_STORED}
+        assert IndexStore.open(store.path).manifest.format_version == FORMAT_VERSION
+        assert_serves_the_model(engine)
+        engine.close()
+
+        mirror.sync()
+        assert diff_stores(store.path, mirror.path) == []
+        for path in (store.path, mirror.path):
+            reader = PersistentQueryEngine.open(path, read_only=True)
+            assert_serves_the_model(reader)
+            reader.close()
