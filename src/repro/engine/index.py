@@ -17,14 +17,13 @@ pairs — both O(affected rows), never a full recount.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.filtration import filter_weighted_arrays
 from repro.core.slinegraph import SLineGraph, pair_order
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.parallel.workload import WorkloadStats
 from repro.utils.validation import ValidationError, check_s_value
 
 #: The Stage-3 kernel every index build runs unless a caller names another:
@@ -111,8 +110,6 @@ class OverlapIndex:
         Length-``k`` int64 array of exact overlap counts, ascending.
     edge_sizes:
         Per-hyperedge sizes ``|e_i|`` (drives the vertex set ``E_s``).
-    workload:
-        Worker counters of the one-off counting pass.
     algorithm:
         Name of the Stage-3 algorithm that enumerated the pairs.
     """
@@ -122,7 +119,6 @@ class OverlapIndex:
         edges: np.ndarray,
         weights: np.ndarray,
         edge_sizes: np.ndarray,
-        workload: Optional[WorkloadStats] = None,
         algorithm: str = "",
     ) -> None:
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -135,7 +131,6 @@ class OverlapIndex:
         self._edges = edges.take(order, axis=0)
         self._weights = weights.take(order)
         self._edge_sizes = np.asarray(edge_sizes, dtype=np.int64).copy()
-        self.workload = workload if workload is not None else WorkloadStats()
         self.algorithm = algorithm
 
     # ------------------------------------------------------------------ #
@@ -155,12 +150,11 @@ class OverlapIndex:
         """
         from repro.core.dispatch import s_line_graph
 
-        graph, workload = s_line_graph(h, 1, algorithm=algorithm, return_workload=True)
+        graph = s_line_graph(h, 1, algorithm=algorithm)
         return cls(
             edges=graph.edges,
             weights=graph.weights,
             edge_sizes=h.edge_sizes(),
-            workload=workload,
             algorithm=algorithm,
         )
 
@@ -251,7 +245,7 @@ class OverlapIndex:
     # ------------------------------------------------------------------ #
     def add_hyperedge(
         self, new_id: int, size: int, pair_ids: np.ndarray, pair_weights: np.ndarray
-    ) -> int:
+    ) -> None:
         """Register a new hyperedge and merge its overlap row into the index.
 
         ``pair_ids``/``pair_weights`` are the overlaps of the new edge with
@@ -282,26 +276,23 @@ class OverlapIndex:
                 self._edges, self._weights, new_pairs, pair_weights
             )
         self._edge_sizes = np.append(self._edge_sizes, np.int64(max(int(size), 0)))
-        return int(pair_ids.size)
 
-    def remove_hyperedge(self, edge_id: int) -> int:
+    def remove_hyperedge(self, edge_id: int) -> None:
         """Drop every pair incident to ``edge_id`` and zero its size.
 
         The ID slot is kept (tombstoned at size 0) so all other hyperedge
         IDs — and every cached result that does not involve ``edge_id`` —
-        remain valid.  Returns the number of pairs removed.
+        remain valid.
         """
         if edge_id < 0 or edge_id >= self.num_hyperedges:
             raise ValidationError(
                 f"hyperedge ID {edge_id} out of range [0, {self.num_hyperedges})"
             )
         keep = (self._edges[:, 0] != edge_id) & (self._edges[:, 1] != edge_id)
-        removed = int(keep.size - int(keep.sum()))
-        if removed:
+        if not keep.all():
             self._edges = self._edges[keep]
             self._weights = self._weights[keep]
         self._edge_sizes[edge_id] = 0
-        return removed
 
     # ------------------------------------------------------------------ #
     # Dunders

@@ -42,7 +42,7 @@ from repro.store.replication import (
     SyncReport,
 )
 from repro.store.sharded import ShardedIndex
-from repro.store.snapshot import materialize_index, write_snapshot
+from repro.store.snapshot import write_snapshot
 from repro.store.store import IndexStore
 from repro.store.wal import WalRecord, WriteAheadLog
 
@@ -63,7 +63,6 @@ __all__ = [
     "SyncReport",
     "WalRecord",
     "WriteAheadLog",
-    "materialize_index",
     "read_manifest",
     "write_snapshot",
 ]

@@ -253,10 +253,8 @@ def wal_suffix_payload(
     re-read from byte 0.
 
     Raises :class:`ReplicationStaleError` when the live snapshot moved off
-    the pinned ``generation``.  A suffix whose first record is stamped
-    with a different generation — the crash window between a compaction's
-    manifest swap and its WAL truncate — is reported empty, exactly as a
-    recovering open would treat the log.
+    the pinned ``generation``; a log still stamped with another generation
+    reads empty (see :meth:`WriteAheadLog.read_suffix`).
     """
     path = str(store_path)
     REPL_WAL.fire()
@@ -270,7 +268,7 @@ def wal_suffix_payload(
             f"not the pinned {generation}"
         )
     suffix = WriteAheadLog(os.path.join(path, WAL_NAME)).read_suffix(
-        after_bytes, next_seq
+        after_bytes, next_seq, generation
     )
     base: Dict[str, object] = {
         "generation": generation,
@@ -281,15 +279,6 @@ def wal_suffix_payload(
         base["rebase"] = True
         return base
     data, count, end_offset = suffix
-    if count:
-        try:
-            first = json.loads(data[: data.find(b"\n")].split(b"\t", 2)[2])
-            stamped = first.get("gen")
-        except (ValueError, UnicodeDecodeError):
-            base["rebase"] = True
-            return base
-        if stamped is not None and int(stamped) != generation:
-            data, count, end_offset = b"", 0, after_bytes
     base.update(
         rebase=False,
         count=count,

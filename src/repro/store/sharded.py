@@ -14,6 +14,8 @@ structure exceeds RAM still serves ``line_graph(s)`` / ``sweep()``.
 Incremental updates are held as an in-memory overlay (appended pairs,
 tombstoned hyperedges, refreshed sizes) merged into every query — the
 replayed image of a write-ahead log on top of an immutable base snapshot.
+The overlay is all it keeps: pair count and largest weight are read off
+:meth:`ShardedIndex.edge_counts` and one histogram of tombstoned pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from repro.core.slinegraph import SLineGraph
 from repro.engine.cache import LRUCache
 from repro.engine.index import at_least
 from repro.obs import get_tracer
-from repro.parallel.workload import WorkloadStats
 from repro.store.format import Manifest, PathLike, StoreFormatError, read_manifest
 from repro.store.overlay import WalOverlay
 from repro.store.snapshot import load_edge_sizes, load_shard
@@ -69,14 +70,11 @@ class ShardedIndex:
         )
         self._edge_sizes = load_edge_sizes(self._path, self._manifest)
         self._tracer = get_tracer()
-        # WAL overlay: appended pairs, tombstoned IDs, removed-base count.
+        # WAL overlay: appended pairs and tombstoned IDs.
         self._extra_edges = np.empty((0, 2), dtype=np.int64)
         self._extra_weights = np.empty(0, dtype=np.int64)
         self._removed = np.empty(0, dtype=np.int64)  # sorted base-edge IDs
-        self._removed_base_pairs = 0
-        self._max_weight_cache: Optional[int] = None
         self._hidden_cache: Optional[np.ndarray] = None
-        self.workload = WorkloadStats()
         self.algorithm = self._manifest.algorithm
 
     # ------------------------------------------------------------------ #
@@ -102,11 +100,9 @@ class ShardedIndex:
 
     @property
     def num_pairs(self) -> int:
-        return (
-            self._manifest.num_pairs
-            - self._removed_base_pairs
-            + int(self._extra_weights.size)
-        )
+        """Manifest + overlay pairs, less those tombstones hide (no shard read if none)."""
+        hidden = int(self._hidden_by_weight().sum()) if self._removed.size else 0
+        return self._manifest.num_pairs + int(self._extra_weights.size) - hidden
 
     @property
     def num_hyperedges(self) -> int:
@@ -118,40 +114,11 @@ class ShardedIndex:
 
     @property
     def max_weight(self) -> int:
-        if self._max_weight_cache is None:
-            self._max_weight_cache = self._compute_max_weight()
-        return self._max_weight_cache
-
-    def _compute_max_weight(self) -> int:
-        best = int(self._extra_weights.max()) if self._extra_weights.size else 0
-        if not self._manifest.num_pairs:
-            return best
-        if self._removed.size == 0:
-            return max(best, self._manifest.max_weight)
-        # Tombstones may have hidden the heaviest pairs.  Visit shards in
-        # descending recorded max_weight and stop as soon as no remaining
-        # shard can beat the best surviving weight found — usually after
-        # one shard, never the full-store scan an out-of-core index must
-        # avoid.
-        removed = self._removed
-        by_weight = sorted(
-            (i for i in self._manifest.shards if i.num_pairs),
-            key=lambda i: i.max_weight,
-            reverse=True,
-        )
-        for info in by_weight:
-            if info.max_weight <= best:
-                break
-            edges, weights = self._shard_arrays(info.shard_id)
-            keep = ~(np.isin(edges[:, 0], removed) | np.isin(edges[:, 1], removed))
-            if np.any(keep):
-                best = max(best, int(weights[keep].max()))
-        return best
-
-    def nbytes(self) -> int:
-        """Approximate on-disk footprint of the base pair store in bytes."""
-        # (i, j) int64 pair + int64 weight = 24 bytes per pair.
-        return int(self._manifest.num_pairs) * 24 + int(self._edge_sizes.nbytes)
+        """The largest s with a non-empty ``L_s``: the thresholds still counting a pair."""
+        top = self._manifest.max_weight
+        if self._extra_weights.size:
+            top = max(top, int(self._extra_weights.max()))
+        return int(np.count_nonzero(self.edge_counts(range(1, top + 1))))
 
     # ------------------------------------------------------------------ #
     # Shard residency
@@ -314,7 +281,7 @@ class ShardedIndex:
     # ------------------------------------------------------------------ #
     def add_hyperedge(
         self, new_id: int, size: int, pair_ids: np.ndarray, pair_weights: np.ndarray
-    ) -> int:
+    ) -> None:
         """Merge a new hyperedge's overlap row into the in-memory overlay."""
         if new_id != self.num_hyperedges:
             raise ValidationError(
@@ -333,80 +300,39 @@ class ShardedIndex:
             self._extra_edges = np.concatenate([self._extra_edges, new_pairs], axis=0)
             self._extra_weights = np.concatenate([self._extra_weights, pair_weights])
         self._edge_sizes = np.append(self._edge_sizes, np.int64(max(int(size), 0)))
-        self._max_weight_cache = None
-        return int(pair_ids.size)
 
-    def remove_hyperedge(self, edge_id: int) -> int:
+    def remove_hyperedge(self, edge_id: int) -> None:
         """Tombstone ``edge_id``: drop its overlay pairs, mask its base pairs."""
         if edge_id < 0 or edge_id >= self.num_hyperedges:
             raise ValidationError(
                 f"hyperedge ID {edge_id} out of range [0, {self.num_hyperedges})"
             )
-        removed = 0
         if self._extra_weights.size:
             keep = (self._extra_edges[:, 0] != edge_id) & (
                 self._extra_edges[:, 1] != edge_id
             )
-            removed += int(keep.size - int(keep.sum()))
-            if removed:
+            if not keep.all():
                 self._extra_edges = self._extra_edges[keep]
                 self._extra_weights = self._extra_weights[keep]
         if edge_id < self._manifest.num_hyperedges and not np.any(
             self._removed == edge_id
         ):
-            base_hits = self._count_base_pairs(edge_id)
-            removed += base_hits
-            self._removed_base_pairs += base_hits
             self._removed = np.sort(np.append(self._removed, np.int64(edge_id)))
             self._hidden_cache = None
         self._edge_sizes[edge_id] = 0
-        self._max_weight_cache = None
-        return removed
 
     def apply_overlay(self, overlay: WalOverlay) -> None:
         """Install a folded write-ahead log as the overlay of a fresh index.
 
         The batched equivalent of replaying the log through
         :meth:`add_hyperedge` / :meth:`remove_hyperedge`: the appended
-        pairs, tombstones and size array are adopted as folded, and the
-        base pairs the tombstones hide are counted in one pass over the
-        shards instead of one pass per removed hyperedge.
+        pairs, tombstones and size array are adopted as folded.
         """
         self._extra_edges = overlay.edges
         self._extra_weights = overlay.weights
         self._removed = overlay.removed
         self._edge_sizes = overlay.edge_sizes
-        self._max_weight_cache = None
         self._hidden_cache = None
-        hidden = 0
-        if overlay.removed.size:
-            for info in self._manifest.shards:
-                if info.num_pairs:
-                    edges, _ = self._shard_arrays(info.shard_id)
-                    hidden += int(
-                        np.count_nonzero(
-                            np.isin(edges[:, 0], overlay.removed)
-                            | np.isin(edges[:, 1], overlay.removed)
-                        )
-                    )
-        self._removed_base_pairs = hidden
-
-    def _count_base_pairs(self, edge_id: int) -> int:
-        """Live base pairs incident to ``edge_id`` (scans candidate shards)."""
-        total = 0
-        removed = self._removed
-        for info in self._manifest.shards:
-            if info.num_pairs == 0:
-                continue
-            edges, _ = self._shard_arrays(info.shard_id)
-            hit = (edges[:, 0] == edge_id) | (edges[:, 1] == edge_id)
-            if removed.size and np.any(hit):
-                # Pairs already masked by earlier tombstones were counted then.
-                hit &= ~(
-                    np.isin(edges[:, 0], removed) | np.isin(edges[:, 1], removed)
-                )
-            total += int(np.count_nonzero(hit))
-        return total
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -2,9 +2,9 @@
 
 A snapshot is the CSR-style weight-sorted pair arrays of an
 :class:`~repro.engine.index.OverlapIndex`, partitioned into row-block shards
-(see :mod:`repro.store.format`).  Shards are plain ``.npy`` files so a
-reader can either materialise them into memory or map them with
-``np.load(mmap_mode="r")`` and let the OS page slices in on demand.
+(see :mod:`repro.store.format`).  Shards are plain ``.npy`` files, so the
+one reader, :class:`~repro.store.sharded.ShardedIndex`, maps them with
+``np.load(mmap_mode="r")`` and lets the OS page slices in on demand.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.store.format import (
     StoreFormatError,
     edge_sizes_file_name,
     fsync_path,
-    read_manifest,
     shard_file_names,
     write_manifest,
 )
@@ -256,7 +255,13 @@ def load_edge_sizes(store_path: PathLike, manifest: Manifest) -> np.ndarray:
         raise StoreFormatError(
             f"snapshot is missing {manifest.edge_sizes_file} at {path}"
         )
-    return np.array(np.load(path), dtype=np.int64)
+    sizes = np.array(np.load(path), dtype=np.int64)
+    if sizes.size != manifest.num_hyperedges:
+        raise StoreFormatError(
+            f"{manifest.edge_sizes_file} has {sizes.size} entries but the "
+            f"manifest records {manifest.num_hyperedges} hyperedges"
+        )
+    return sizes
 
 
 def load_shard(
@@ -281,44 +286,3 @@ def load_shard(
             f"manifest records {info.num_pairs}"
         )
     return edges, weights
-
-
-def materialize_index(
-    store_path: PathLike, manifest: Optional[Manifest] = None
-) -> OverlapIndex:
-    """Rebuild the in-memory :class:`OverlapIndex` from a snapshot.
-
-    Loads every shard eagerly (no mmap) and re-canonicalises through the
-    ``OverlapIndex`` constructor; use :class:`repro.store.ShardedIndex` when
-    the full pair store should stay on disk.
-    """
-    manifest = manifest if manifest is not None else read_manifest(store_path)
-    parts_e: List[np.ndarray] = []
-    parts_w: List[np.ndarray] = []
-    for info in manifest.shards:
-        edges, weights = load_shard(store_path, info, mmap=False)
-        parts_e.append(edges)
-        parts_w.append(weights)
-    if parts_e:
-        all_edges = np.concatenate(parts_e, axis=0)
-        all_weights = np.concatenate(parts_w)
-    else:
-        all_edges = np.empty((0, 2), dtype=np.int64)
-        all_weights = np.empty(0, dtype=np.int64)
-    if all_weights.size != manifest.num_pairs:
-        raise StoreFormatError(
-            f"snapshot holds {all_weights.size} pairs but the manifest "
-            f"records {manifest.num_pairs}"
-        )
-    edge_sizes = load_edge_sizes(store_path, manifest)
-    if edge_sizes.size != manifest.num_hyperedges:
-        raise StoreFormatError(
-            f"edge_sizes has {edge_sizes.size} entries but the manifest "
-            f"records {manifest.num_hyperedges} hyperedges"
-        )
-    return OverlapIndex(
-        edges=all_edges,
-        weights=all_weights,
-        edge_sizes=edge_sizes,
-        algorithm=manifest.algorithm,
-    )

@@ -158,7 +158,7 @@ class WriteAheadLog:
         return WalRecord(seq=expected_seq, op=str(payload["op"]), payload=payload)
 
     def read_suffix(
-        self, offset: int, next_seq: int
+        self, offset: int, next_seq: int, generation: int
     ) -> Optional[Tuple[bytes, int, int]]:
         """Raw framed bytes of the valid log suffix at a byte/seq cursor.
 
@@ -178,8 +178,13 @@ class WriteAheadLog:
         (an append in flight) is simply not included.  Returns ``None``
         when the cursor does not line up with the on-disk log — the file is
         shorter than ``offset``, or a *complete* line at/after the cursor
-        fails validation — in which case the caller must rebase (re-read
-        from byte 0).
+        fails validation, or the first one's body does not decode — in
+        which case the caller must rebase (re-read from byte 0).
+
+        A suffix whose first record is stamped with a generation other
+        than the pinned ``generation`` answers empty at the cursor: that
+        is the crash window between a compaction's manifest swap and its
+        log truncate, and a recovering open discards such a log too.
         """
         offset = int(offset)
         expected = int(next_seq)
@@ -212,6 +217,12 @@ class WriteAheadLog:
             end = pos
             count += 1
             expected += 1
+        if count:
+            first = self._decode(data[: data.find(b"\n")], int(next_seq))
+            if first is None:
+                return None
+            if first.generation is not None and first.generation != int(generation):
+                return b"", 0, offset
         return bytes(data[:end]), count, offset + end
 
     def commit_recovery(

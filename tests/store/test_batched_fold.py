@@ -21,13 +21,14 @@ import repro.store.store as store_module
 from repro.chaos import failpoints
 from repro.chaos.failpoints import FailpointError
 from repro.engine.engine import with_appended_edge, with_emptied_edge
+from repro.engine.index import OverlapIndex
 from repro.generators.community import planted_community_hypergraph
 from repro.hypergraph.builders import hypergraph_from_edge_dict
 from repro.io.serialization import load_hypergraph_npz
 from repro.store.format import HYPERGRAPH_NAME, SHARD_DIR
 from repro.store.persistent import PersistentQueryEngine
 from repro.store.sharded import ShardedIndex
-from repro.store.snapshot import materialize_index, write_snapshot
+from repro.store.snapshot import write_snapshot
 from repro.store.store import IndexStore
 from repro.store.wal import OP_ADD
 from repro.utils.rng import make_rng
@@ -52,9 +53,11 @@ def replay_per_record(index, records):
 
 
 def reference_index(store):
-    return replay_per_record(
-        materialize_index(store.path, store.manifest), store.wal_records
+    snapshot = ShardedIndex(store.path, manifest=store.manifest)
+    base = OverlapIndex(
+        *snapshot.pairs_at_least(1), snapshot.edge_sizes, algorithm=snapshot.algorithm
     )
+    return replay_per_record(base, store.wal_records)
 
 
 def reference_sharded(store):

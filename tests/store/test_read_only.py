@@ -4,9 +4,9 @@ import os
 
 import pytest
 
+from repro.engine.index import OverlapIndex
 from repro.store.format import ReadOnlyStoreError, WAL_NAME
 from repro.store.persistent import PersistentQueryEngine
-from repro.store.snapshot import materialize_index
 from repro.store.store import IndexStore
 
 
@@ -36,7 +36,8 @@ class TestReadOnlyOpen:
         assert handle.load_hypergraph() == community_hypergraph
         index = handle.sharded_index()
         assert index.num_pairs == store.manifest.num_pairs
-        assert index.line_graph(2) == materialize_index(store.path).line_graph(2)
+        oracle = OverlapIndex.build(community_hypergraph)
+        assert index.line_graph(2) == oracle.line_graph(2)
 
     def test_replays_wal_without_truncating_torn_tail(self, store):
         """A live writer may still be appending the torn record: a reader

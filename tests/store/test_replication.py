@@ -7,6 +7,7 @@ store reader serves identical answers from either directory.
 """
 
 import os
+import zlib
 from pathlib import Path
 
 import pytest
@@ -423,6 +424,41 @@ class TestByteOffsetCursor:
         assert wal_suffix_payload(source_path, 0, 0, 7)["rebase"]
         # Mid-line offset: the bytes there do not parse as a record start.
         assert wal_suffix_payload(source_path, 0, 3, 1)["rebase"]
+
+    def test_log_stamped_with_the_previous_generation_reads_empty(
+        self, source_path, writer
+    ):
+        """The crash window between a compaction's manifest swap and its
+        log truncate: the manifest is at g, the log still stamped g - 1.
+        Both read modes answer as a recovering open would: no records."""
+        from repro.store.replication import wal_suffix_payload
+
+        writer.add_hyperedge([0, 1, 2])
+        writer.add_hyperedge([1, 2, 3])
+        wal_file = Path(source_path, WAL_NAME)
+        stale_log = wal_file.read_bytes()
+        writer.compact()
+        wal_file.write_bytes(stale_log)
+        first_line_end = stale_log.index(b"\n") + 1
+        for after_bytes, next_seq in ((0, 1), (first_line_end, 2)):
+            suffix = wal_suffix_payload(source_path, 1, after_bytes, next_seq, raw=True)
+            assert not suffix["rebase"]
+            assert suffix["count"] == 0 and suffix["data"] == b""
+            assert suffix["end_offset"] == after_bytes
+            assert suffix["next_seq"] == next_seq
+        assert wal_payload(source_path, 1, 0)["records"] == []
+
+    def test_suffix_payload_rebases_on_an_undecodable_first_body(
+        self, source_path, writer
+    ):
+        """A frame whose CRC holds but whose body is not a record cannot be
+        told apart from a diverged log: the mirror rebases."""
+        from repro.store.replication import wal_suffix_payload
+
+        body = b"[not, a record"
+        line = b"1\t%08x\t" % (zlib.crc32(body) & 0xFFFFFFFF) + body + b"\n"
+        Path(source_path, WAL_NAME).write_bytes(line)
+        assert wal_suffix_payload(source_path, 0, 0, 1)["rebase"]
 
     def test_suffix_payload_rejects_stale_generation(self, source_path, writer):
         from repro.store.replication import wal_suffix_payload

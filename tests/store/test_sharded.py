@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine.index import OverlapIndex, overlap_counts_for_members
 from repro.obs import MetricsRegistry, use_registry
-from repro.store import PersistentQueryEngine
+from repro.store import IndexStore, PersistentQueryEngine
 from repro.store.sharded import ShardedIndex
 from repro.store.snapshot import write_snapshot
 from repro.utils.validation import ValidationError
@@ -55,8 +55,9 @@ class TestThresholdViews:
 
 
 class TestLaziness:
-    def test_no_shard_loaded_before_first_query(self, store_path):
+    def test_no_shard_loaded_before_first_query(self, store_path, oracle):
         sharded = ShardedIndex(store_path)
+        assert sharded.num_pairs == oracle.num_pairs  # no tombstones: manifest
         assert sharded.shard_loads == 0
         sharded.line_graph(1)
         assert sharded.shard_loads > 0
@@ -116,36 +117,66 @@ def _shard_cache_counters(registry):
     }
 
 
+def assert_same_counts(index, oracle):
+    assert index.num_pairs == oracle.num_pairs
+    assert index.max_weight == oracle.max_weight
+    assert index.s_profile() == oracle.s_profile()
+    assert np.array_equal(index.edge_sizes, oracle.edge_sizes)
+
+
 class TestOverlay:
     """WAL-overlay updates must track OverlapIndex update semantics exactly."""
 
-    def _apply_script(self, h, index):
-        """Add two hyperedges and remove two, mirroring on any index type."""
+    @staticmethod
+    def _script(h):
+        """Two adds, then removes of two snapshot edges and of the first add."""
         rng = np.random.default_rng(11)
         ops = []
-        for _ in range(2):
+        for new_id in (h.num_edges, h.num_edges + 1):
             members = np.unique(
                 rng.choice(h.num_vertices, size=6, replace=False)
             ).astype(np.int64)
-            pair_ids, pair_weights = overlap_counts_for_members(h, members)
-            new_id = index.num_hyperedges
-            index.add_hyperedge(new_id, members.size, pair_ids, pair_weights)
-            ops.append(("add", members, pair_ids, pair_weights))
-        for edge_id in (3, 7):
-            index.remove_hyperedge(edge_id)
-            ops.append(("remove", edge_id))
-        return ops
+            ops.append(("add", new_id, members, *overlap_counts_for_members(h, members)))
+        return ops + [("remove", edge_id) for edge_id in (3, 7, h.num_edges)]
+
+    @staticmethod
+    def _apply(ops, index, store=None):
+        """Run ``ops`` on ``index``, logging each one to ``store`` if given."""
+        for op in ops:
+            if op[0] == "add":
+                _, new_id, members, pair_ids, pair_weights = op
+                index.add_hyperedge(new_id, members.size, pair_ids, pair_weights)
+                if store is not None:
+                    store.append_add(new_id, members, pair_ids, pair_weights)
+            else:
+                index.remove_hyperedge(op[1])
+                if store is not None:
+                    store.append_remove(op[1])
 
     def test_updates_match_oracle(self, store_path, oracle, community_hypergraph):
+        ops = self._script(community_hypergraph)
         sharded = ShardedIndex(store_path)
-        ops_a = self._apply_script(community_hypergraph, sharded)
-        ops_b = self._apply_script(community_hypergraph, oracle)
-        assert [op[0] for op in ops_a] == [op[0] for op in ops_b]
-        assert sharded.num_pairs == oracle.num_pairs
-        assert sharded.max_weight == oracle.max_weight
+        self._apply(ops, sharded)
+        self._apply(ops, oracle)
+        assert_same_counts(sharded, oracle)
         for s in range(1, oracle.max_weight + 2):
             assert sharded.line_graph(s) == oracle.line_graph(s), s
             assert sharded.edge_count(s) == oracle.edge_count(s), s
+
+    def test_updates_match_oracle_after_reopen(
+        self, oracle, community_hypergraph, tmp_path
+    ):
+        """The same script logged to a store: the live index and the one a
+        reopen folds from the log both count what the oracle holds."""
+        store = IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=6)
+        ops = self._script(community_hypergraph)
+        live = store.sharded_index()
+        self._apply(ops, live, store)
+        self._apply(ops, oracle)
+        assert_same_counts(live, oracle)
+        reopened = IndexStore.open(store.path, read_only=True).sharded_index()
+        assert_same_counts(reopened, oracle)
+        assert reopened.line_graph(1) == oracle.line_graph(1)
 
     def test_max_weight_with_tombstones_is_cached(self, store_path, oracle):
         sharded = ShardedIndex(store_path)
@@ -153,15 +184,32 @@ class TestOverlay:
         oracle.remove_hyperedge(2)
         assert sharded.max_weight == oracle.max_weight
         loads = sharded.shard_loads
-        assert sharded.max_weight == oracle.max_weight  # cached: no re-scan
+        assert sharded.max_weight == oracle.max_weight  # histogram kept: no re-scan
         assert sharded.shard_loads == loads
 
-    def test_remove_returns_pair_count(self, store_path, oracle):
+    def test_remove_of_a_snapshot_edge_loads_no_shard(self, store_path, oracle):
+        """A tombstone is recorded, not counted: the hidden pairs are
+        counted when a count is first asked for."""
         sharded = ShardedIndex(store_path)
-        edge_id = 5
-        assert sharded.remove_hyperedge(edge_id) == oracle.remove_hyperedge(edge_id)
+        sharded.remove_hyperedge(5)
+        oracle.remove_hyperedge(5)
+        assert sharded.shard_loads == 0
+        assert sharded.num_pairs == oracle.num_pairs
         # Removing again is a no-op on pairs (the slot is tombstoned).
-        assert sharded.remove_hyperedge(edge_id) == 0
+        sharded.remove_hyperedge(5)
+        assert sharded.num_pairs == oracle.num_pairs
+
+    def test_open_with_logged_removes_loads_no_shard(
+        self, community_hypergraph, tmp_path
+    ):
+        path = tmp_path / "idx"
+        engine = PersistentQueryEngine.build(community_hypergraph, path, num_shards=4)
+        for edge_id in (3, 7):
+            engine.remove_hyperedge(edge_id)
+        engine.close()
+        index = IndexStore.open(path, read_only=True).sharded_index()
+        assert index.shard_loads == 0
+        assert index.num_pairs == index.pairs_at_least(1)[1].size
 
     def test_add_validates_ids(self, store_path):
         sharded = ShardedIndex(store_path)

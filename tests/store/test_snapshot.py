@@ -13,11 +13,8 @@ from repro.store.format import (
     StoreFormatError,
     read_manifest,
 )
-from repro.store.snapshot import (
-    load_shard,
-    materialize_index,
-    write_snapshot,
-)
+from repro.store.sharded import ShardedIndex
+from repro.store.snapshot import load_shard, write_snapshot
 
 
 @pytest.fixture
@@ -30,22 +27,23 @@ def fingerprint(community_hypergraph):
     return community_hypergraph.fingerprint()
 
 
-def assert_same_index(a: OverlapIndex, b: OverlapIndex) -> None:
-    ea, wa = a.pairs_at_least(1)
-    eb, wb = b.pairs_at_least(1)
-    assert np.array_equal(ea, eb)
-    assert np.array_equal(wa, wb)
-    assert np.array_equal(a.edge_sizes, b.edge_sizes)
+def assert_reads_back(path, written: OverlapIndex) -> None:
+    """The snapshot at ``path``, read through :class:`ShardedIndex`, holds
+    exactly the index that was written."""
+    back = ShardedIndex(path)
+    assert back.num_pairs == written.num_pairs
+    assert back.max_weight == written.max_weight
+    assert back.num_hyperedges == written.num_hyperedges
+    assert np.array_equal(back.edge_sizes, written.edge_sizes)
+    for s in range(1, written.max_weight + 2):
+        assert back.line_graph(s) == written.line_graph(s), s
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("num_shards", [1, 3, 8])
-    def test_materialized_equals_oracle(self, index, fingerprint, tmp_path, num_shards):
+    def test_read_back_equals_oracle(self, index, fingerprint, tmp_path, num_shards):
         write_snapshot(index, tmp_path, fingerprint, num_shards=num_shards)
-        back = materialize_index(tmp_path)
-        assert_same_index(back, index)
-        for s in range(1, index.max_weight + 1):
-            assert back.line_graph(s) == index.line_graph(s)
+        assert_reads_back(tmp_path, index)
 
     @pytest.mark.parametrize("num_shards", [1, 10])
     def test_tiny_hypergraph(self, paper_example, tmp_path, num_shards):
@@ -53,14 +51,13 @@ class TestRoundTrip:
         # blocks and the snapshot must cope with empty shards.
         index = OverlapIndex.build(paper_example)
         write_snapshot(index, tmp_path, paper_example.fingerprint(), num_shards=num_shards)
-        assert_same_index(materialize_index(tmp_path), index)
+        assert_reads_back(tmp_path, index)
 
     def test_empty_index(self, empty_hypergraph, tmp_path):
         index = OverlapIndex.build(empty_hypergraph)
         write_snapshot(index, tmp_path, empty_hypergraph.fingerprint(), num_shards=2)
-        back = materialize_index(tmp_path)
-        assert back.num_pairs == 0
-        assert back.num_hyperedges == empty_hypergraph.num_edges
+        assert_reads_back(tmp_path, index)
+        assert ShardedIndex(tmp_path).num_hyperedges == empty_hypergraph.num_edges
 
 
 class TestShardBoundaries:
@@ -140,7 +137,7 @@ class TestManifestSafety:
         populated = [i for i in manifest.shards if i.num_pairs][0]
         os.remove(tmp_path / "shards" / populated.edges_file)
         with pytest.raises(StoreFormatError, match="shard file missing"):
-            materialize_index(tmp_path)
+            ShardedIndex(tmp_path).line_graph(1)
 
     def test_pair_count_mismatch_rejected(self, index, fingerprint, tmp_path):
         write_snapshot(index, tmp_path, fingerprint, num_shards=1)
@@ -149,7 +146,15 @@ class TestManifestSafety:
         raw["num_pairs"] += 1
         (tmp_path / "manifest.json").write_text(json.dumps(raw))
         with pytest.raises(StoreFormatError, match="manifest records"):
-            materialize_index(tmp_path)
+            ShardedIndex(tmp_path).line_graph(1)
+
+    def test_edge_size_count_mismatch_rejected(self, index, fingerprint, tmp_path):
+        write_snapshot(index, tmp_path, fingerprint, num_shards=2)
+        raw = json.loads((tmp_path / "manifest.json").read_text())
+        raw["num_hyperedges"] += 1
+        (tmp_path / "manifest.json").write_text(json.dumps(raw))
+        with pytest.raises(StoreFormatError, match="manifest records"):
+            ShardedIndex(tmp_path)
 
     def test_unknown_manifest_fields_tolerated(self, index, fingerprint, tmp_path):
         """Same-version writers may add fields with defaults; readers skip them."""
@@ -159,8 +164,7 @@ class TestManifestSafety:
         for shard in raw["shards"]:
             shard["checksum"] = "abc123"
         (tmp_path / "manifest.json").write_text(json.dumps(raw))
-        back = materialize_index(tmp_path)
-        assert back.num_pairs == index.num_pairs
+        assert_reads_back(tmp_path, index)
 
 
 class TestGenerationIsolation:
