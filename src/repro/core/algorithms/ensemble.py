@@ -16,15 +16,15 @@ allocation that would not fit.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.algorithms.base import active_hyperedges
+from repro.core.algorithms.base import active_hyperedges, run_reference_kernel
+from repro.core.algorithms.hashmap import overlap_row
 from repro.core.slinegraph import SLineGraph, SLineGraphEnsemble
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.parallel.executor import ParallelConfig, run_partitioned
+from repro.parallel.executor import ParallelConfig
 from repro.parallel.workload import WorkerCounters, WorkloadStats
 from repro.utils.validation import check_s_values
 
@@ -45,47 +45,34 @@ def estimate_overlap_memory(h: Hypergraph, s_min: int = 1) -> int:
     contributes at most one stored pair): ``sum over pruned hyperedges of
     sum over member vertices of deg(v)``, times a per-entry constant.
     """
-    edge_sizes = h.edge_sizes()
-    vertex_degrees = h.vertex_degrees()
-    total_wedges = 0
-    for i in range(h.num_edges):
-        if edge_sizes[i] < s_min:
-            continue
-        members = h.edge_members(i)
-        if members.size:
-            total_wedges += int(vertex_degrees[members].sum())
-    return total_wedges * BYTES_PER_OVERLAP_ENTRY
+    sizes = h.edge_sizes()
+    members = h.edges_csr.indices[np.repeat(sizes >= s_min, sizes)]
+    return int(h.vertex_degrees()[members].sum()) * BYTES_PER_OVERLAP_ENTRY
 
 
 def _counting_kernel(
-    edge_indptr: np.ndarray,
-    edge_indices: np.ndarray,
-    vertex_indptr: np.ndarray,
-    vertex_indices: np.ndarray,
-    edge_sizes: np.ndarray,
+    edge_indptr: List[int],
+    edge_indices: List[int],
+    vertex_indptr: List[int],
+    vertex_indices: List[int],
+    edge_sizes: List[int],
     s_min: int,
     edge_ids: np.ndarray,
     worker_id: int,
 ) -> Tuple[Dict[int, Dict[int, int]], WorkerCounters]:
-    """Counting pass of Algorithm 3 over one partition of hyperedges."""
+    """Counting pass of Algorithm 3 over one partition of hyperedges: the
+    wedge walk of Algorithm 2, with every overlap row kept."""
     overlap: Dict[int, Dict[int, int]] = {}
-    counters = WorkerCounters(worker_id=worker_id)
-    for i in edge_ids:
-        i = int(i)
+    processed = wedges = 0
+    for i in edge_ids.tolist():
         if edge_sizes[i] < s_min:
             continue  # degree pruning by the smallest requested s
-        counters.edges_processed += 1
-        row: Dict[int, int] = {}
-        for v in edge_indices[edge_indptr[i] : edge_indptr[i + 1]]:
-            start, stop = vertex_indptr[v], vertex_indptr[v + 1]
-            for j in vertex_indices[start:stop]:
-                j = int(j)
-                counters.wedges_visited += 1
-                if j > i:
-                    row[j] = row.get(j, 0) + 1
+        processed += 1
+        row, walked = overlap_row(edge_indptr, edge_indices, vertex_indptr, vertex_indices, i)
+        wedges += walked
         if row:
             overlap[i] = row
-    return overlap, counters
+    return overlap, WorkerCounters(worker_id, processed, wedges)
 
 
 def s_line_graph_ensemble_hashmap(
@@ -128,16 +115,7 @@ def s_line_graph_ensemble_hashmap(
                 f"budget of {memory_budget_bytes} bytes; use "
                 "s_line_graph_hashmap per s value instead"
             )
-    kernel = partial(
-        _counting_kernel,
-        h.edges_csr.indptr,
-        h.edges_csr.indices,
-        h.vertices_csr.indptr,
-        h.vertices_csr.indices,
-        h.edge_sizes(),
-        s_min,
-    )
-    results = run_partitioned(kernel, np.arange(h.num_edges, dtype=np.int64), config)
+    results = run_reference_kernel(_counting_kernel, h, s_min, config=config)
     overlap: Dict[int, Dict[int, int]] = {}
     counters: List[WorkerCounters] = []
     for partial_overlap, partial_counters in results:

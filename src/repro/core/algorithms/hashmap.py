@@ -14,95 +14,115 @@ thread-local-storage discussion (Section III-F):
 * ``dynamic`` (default) — a fresh ``dict`` per outer iteration;
 * ``preallocated`` — a per-worker dense counter array reset between
   iterations, preferable for dense-overlap inputs (e.g. the Web dataset).
+
+Both are reference kernels in pure Python: they walk the CSR as plain lists
+(:func:`~repro.core.algorithms.base.csr_lists`, converted once per call),
+never as NumPy arrays, whose every element read boxes a scalar, and count
+wedges per vertex row rather than per wedge.  Vertex rows need not be
+sorted (a relabelled hypergraph's are not), so the ``j > i`` test stays in
+the inner loop.  :func:`overlap_row` is the per-hyperedge count the
+``dynamic`` policy and Algorithm 3's counting pass share.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import List, Literal, Tuple
+from typing import Dict, List, Literal, Tuple
 
 import numpy as np
 
-from repro.core.algorithms.base import AlgorithmResult, build_result
+from repro.core.algorithms.base import (
+    AlgorithmResult,
+    merge_results,
+    run_reference_kernel,
+)
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.parallel.executor import ParallelConfig, run_partitioned
+from repro.parallel.executor import ParallelConfig
 from repro.parallel.workload import WorkerCounters
 from repro.utils.validation import ValidationError, check_s_value
 
 CounterPolicy = Literal["dynamic", "preallocated"]
 
 
+def overlap_row(
+    edge_indptr: List[int],
+    edge_indices: List[int],
+    vertex_indptr: List[int],
+    vertex_indices: List[int],
+    i: int,
+) -> Tuple[Dict[int, int], int]:
+    """The wedge walk of one hyperedge ``e_i``: ``{j: |e_i ∩ e_j|}`` for every
+    ``j > i`` a wedge reaches, in first-reached order, and the number of
+    wedges walked (``j <= i`` included).  Vertex rows need not be sorted."""
+    row: Dict[int, int] = {}
+    get = row.get
+    wedges = 0
+    for v in edge_indices[edge_indptr[i] : edge_indptr[i + 1]]:
+        start, stop = vertex_indptr[v], vertex_indptr[v + 1]
+        wedges += stop - start
+        for j in vertex_indices[start:stop]:
+            if j > i:
+                row[j] = get(j, 0) + 1
+    return row, wedges
+
+
 def _hashmap_kernel_dynamic(
-    edge_indptr: np.ndarray,
-    edge_indices: np.ndarray,
-    vertex_indptr: np.ndarray,
-    vertex_indices: np.ndarray,
-    edge_sizes: np.ndarray,
+    edge_indptr: List[int],
+    edge_indices: List[int],
+    vertex_indptr: List[int],
+    vertex_indices: List[int],
+    edge_sizes: List[int],
     s: int,
     edge_ids: np.ndarray,
     worker_id: int,
 ) -> Tuple[List[Tuple[int, int, int]], WorkerCounters]:
     """Algorithm 2 with a dynamically allocated per-iteration hashmap."""
     pairs: List[Tuple[int, int, int]] = []
-    counters = WorkerCounters(worker_id=worker_id)
-    for i in edge_ids:
-        i = int(i)
+    processed = wedges = 0
+    for i in edge_ids.tolist():
         if edge_sizes[i] < s:
             continue  # degree-based pruning: e_i cannot be in E_s
-        counters.edges_processed += 1
-        overlap_count: dict[int, int] = {}
-        for v in edge_indices[edge_indptr[i] : edge_indptr[i + 1]]:
-            start, stop = vertex_indptr[v], vertex_indptr[v + 1]
-            for j in vertex_indices[start:stop]:
-                j = int(j)
-                counters.wedges_visited += 1
-                if j > i:
-                    overlap_count[j] = overlap_count.get(j, 0) + 1
-        for j, n in overlap_count.items():
-            if n >= s:
-                pairs.append((i, j, n))
-                counters.line_edges_emitted += 1
-    return pairs, counters
+        processed += 1
+        row, walked = overlap_row(edge_indptr, edge_indices, vertex_indptr, vertex_indices, i)
+        wedges += walked
+        pairs += [(i, j, n) for j, n in row.items() if n >= s]
+    return pairs, WorkerCounters(worker_id, processed, wedges, len(pairs))
 
 
 def _hashmap_kernel_preallocated(
-    edge_indptr: np.ndarray,
-    edge_indices: np.ndarray,
-    vertex_indptr: np.ndarray,
-    vertex_indices: np.ndarray,
-    edge_sizes: np.ndarray,
+    edge_indptr: List[int],
+    edge_indices: List[int],
+    vertex_indptr: List[int],
+    vertex_indices: List[int],
+    edge_sizes: List[int],
     s: int,
     edge_ids: np.ndarray,
     worker_id: int,
 ) -> Tuple[List[Tuple[int, int, int]], WorkerCounters]:
     """Algorithm 2 with a pre-allocated per-worker counter array (reset per iteration)."""
-    num_edges = edge_sizes.size
-    counts = np.zeros(num_edges, dtype=np.int64)
+    counts = [0] * len(edge_sizes)
     touched: List[int] = []
     pairs: List[Tuple[int, int, int]] = []
-    counters = WorkerCounters(worker_id=worker_id)
-    for i in edge_ids:
-        i = int(i)
+    processed = wedges = 0
+    for i in edge_ids.tolist():
         if edge_sizes[i] < s:
             continue
-        counters.edges_processed += 1
+        processed += 1
         for v in edge_indices[edge_indptr[i] : edge_indptr[i + 1]]:
             start, stop = vertex_indptr[v], vertex_indptr[v + 1]
+            wedges += stop - start
             for j in vertex_indices[start:stop]:
-                j = int(j)
-                counters.wedges_visited += 1
                 if j > i:
-                    if counts[j] == 0:
+                    n = counts[j]
+                    if n == 0:
                         touched.append(j)
-                    counts[j] += 1
+                    counts[j] = n + 1
         for j in touched:
-            n = int(counts[j])
+            n = counts[j]
             if n >= s:
                 pairs.append((i, j, n))
-                counters.line_edges_emitted += 1
             counts[j] = 0
         touched.clear()
-    return pairs, counters
+    return pairs, WorkerCounters(worker_id, processed, wedges, len(pairs))
 
 
 def s_line_graph_hashmap(
@@ -134,19 +154,5 @@ def s_line_graph_hashmap(
         kernel_fn = _hashmap_kernel_preallocated
     else:
         raise ValidationError(f"unknown counter policy: {counter_policy!r}")
-    kernel = partial(
-        kernel_fn,
-        h.edges_csr.indptr,
-        h.edges_csr.indices,
-        h.vertices_csr.indptr,
-        h.vertices_csr.indices,
-        h.edge_sizes(),
-        s,
-    )
-    results = run_partitioned(kernel, np.arange(h.num_edges, dtype=np.int64), config)
-    pairs: List[Tuple[int, int, int]] = []
-    counters: List[WorkerCounters] = []
-    for partial_pairs, partial_counters in results:
-        pairs.extend(partial_pairs)
-        counters.append(partial_counters)
-    return build_result(h, s, pairs, counters, algorithm="hashmap")
+    results = run_reference_kernel(kernel_fn, h, s, config=config)
+    return merge_results(h, s, results, algorithm="hashmap")

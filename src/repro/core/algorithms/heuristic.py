@@ -17,26 +17,35 @@ heuristics of the original algorithm are reproduced:
 
 The number of set intersections performed is reported in the workload
 counters (the paper's Table I reports 8.66×10⁹ of them for LiveJournal).
+
+Like Algorithm 2's kernels, this one walks the CSR as plain Python lists
+(:func:`~repro.core.algorithms.base.csr_lists`), so the comparison between
+set intersection and wedge counting stays on one substrate.  The merge reads
+hyperedge member rows in ascending order, as the builders in
+:mod:`repro.hypergraph.builders` store them.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.algorithms.base import AlgorithmResult, build_result
+from repro.core.algorithms.base import (
+    AlgorithmResult,
+    merge_results,
+    run_reference_kernel,
+)
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.parallel.executor import ParallelConfig, run_partitioned
+from repro.parallel.executor import ParallelConfig
 from repro.parallel.workload import WorkerCounters
 from repro.utils.validation import check_s_value
 
 
 def _sorted_intersection_count(
-    a: np.ndarray, b: np.ndarray, s: int, short_circuit: bool
+    a: Sequence[int], b: Sequence[int], s: int, short_circuit: bool
 ) -> int:
-    """Merge-count of common elements of two sorted arrays.
+    """Merge-count of common elements of two sorted sequences.
 
     Always abandons the merge when the remaining elements cannot reach ``s``
     (a pure pruning optimisation that never changes the outcome).  When
@@ -46,7 +55,7 @@ def _sorted_intersection_count(
     """
     i = j = 0
     count = 0
-    na, nb = a.size, b.size
+    na, nb = len(a), len(b)
     while i < na and j < nb:
         # Failure short-circuit: not enough elements left to reach s.
         if count + min(na - i, nb - j) < s:
@@ -66,11 +75,11 @@ def _sorted_intersection_count(
 
 
 def _heuristic_kernel(
-    edge_indptr: np.ndarray,
-    edge_indices: np.ndarray,
-    vertex_indptr: np.ndarray,
-    vertex_indices: np.ndarray,
-    edge_sizes: np.ndarray,
+    edge_indptr: List[int],
+    edge_indices: List[int],
+    vertex_indptr: List[int],
+    vertex_indices: List[int],
+    edge_sizes: List[int],
     s: int,
     short_circuit: bool,
     edge_ids: np.ndarray,
@@ -78,31 +87,28 @@ def _heuristic_kernel(
 ) -> Tuple[List[Tuple[int, int, int]], WorkerCounters]:
     """Per-partition body of Algorithm 1 (module-level so it pickles for processes)."""
     pairs: List[Tuple[int, int, int]] = []
-    counters = WorkerCounters(worker_id=worker_id)
-    for i in edge_ids:
-        i = int(i)
+    processed = wedges = intersections = 0
+    for i in edge_ids.tolist():
         if edge_sizes[i] < s:
             continue
-        counters.edges_processed += 1
+        processed += 1
         members_i = edge_indices[edge_indptr[i] : edge_indptr[i + 1]]
         visited: set[int] = set()
         for v in members_i:
             start, stop = vertex_indptr[v], vertex_indptr[v + 1]
+            wedges += stop - start
             for j in vertex_indices[start:stop]:
-                j = int(j)
-                counters.wedges_visited += 1
                 if j <= i or j in visited:
                     continue
                 visited.add(j)
                 if edge_sizes[j] < s:
                     continue
                 members_j = edge_indices[edge_indptr[j] : edge_indptr[j + 1]]
-                counters.set_intersections += 1
+                intersections += 1
                 count = _sorted_intersection_count(members_i, members_j, s, short_circuit)
                 if count >= s:
                     pairs.append((i, j, count))
-                    counters.line_edges_emitted += 1
-    return pairs, counters
+    return pairs, WorkerCounters(worker_id, processed, wedges, len(pairs), intersections)
 
 
 def s_line_graph_heuristic(
@@ -128,20 +134,5 @@ def s_line_graph_heuristic(
         ``s``; leave False when exact overlap counts are needed.
     """
     s = check_s_value(s)
-    kernel = partial(
-        _heuristic_kernel,
-        h.edges_csr.indptr,
-        h.edges_csr.indices,
-        h.vertices_csr.indptr,
-        h.vertices_csr.indices,
-        h.edge_sizes(),
-        s,
-        short_circuit,
-    )
-    results = run_partitioned(kernel, np.arange(h.num_edges, dtype=np.int64), config)
-    pairs: List[Tuple[int, int, int]] = []
-    counters: List[WorkerCounters] = []
-    for partial_pairs, partial_counters in results:
-        pairs.extend(partial_pairs)
-        counters.append(partial_counters)
-    return build_result(h, s, pairs, counters, algorithm="heuristic")
+    results = run_reference_kernel(_heuristic_kernel, h, s, short_circuit, config=config)
+    return merge_results(h, s, results, algorithm="heuristic")

@@ -38,7 +38,8 @@ def _gustavson(
     For each row ``i`` of ``A``: for each stored ``A[i, k]``, scatter
     ``A[i, k] * B[k, :]`` into a dense accumulator, skipping columns below
     ``i + 1`` when ``upper``; gather the touched columns at the end of the
-    row.
+    row.  The loop walks both operands as Python lists and accumulates in
+    Python numbers; the output arrays are built once, in ``dtype``.
     """
     A = sparse.csr_matrix(a).astype(dtype)
     B = sparse.csr_matrix(b).astype(dtype)
@@ -47,31 +48,38 @@ def _gustavson(
             f"inner dimensions do not match: {A.shape} @ {B.shape}"
         )
     n_rows, n_cols = A.shape[0], B.shape[1]
-    accumulator = np.zeros(n_cols, dtype=dtype)
-    out_indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    out_indices: list[np.ndarray] = []
-    out_data: list[np.ndarray] = []
+    a_indptr, a_indices, a_data = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    b_indptr, b_indices, b_data = B.indptr.tolist(), B.indices.tolist(), B.data.tolist()
+    accumulator = [0] * n_cols
+    out_indptr = [0]
+    out_indices: list = []
+    out_data: list = []
     for i in range(n_rows):
         touched: list[int] = []
         lower_bound = i + 1 if upper else 0
-        for ak in range(A.indptr[i], A.indptr[i + 1]):
-            k = A.indices[ak]
-            aik = A.data[ak]
-            for bk in range(B.indptr[k], B.indptr[k + 1]):
-                j = B.indices[bk]
+        a_start, a_stop = a_indptr[i], a_indptr[i + 1]
+        for k, aik in zip(a_indices[a_start:a_stop], a_data[a_start:a_stop]):
+            b_start, b_stop = b_indptr[k], b_indptr[k + 1]
+            for j, bkj in zip(b_indices[b_start:b_stop], b_data[b_start:b_stop]):
                 if j < lower_bound:
                     continue
                 if accumulator[j] == 0:
                     touched.append(j)
-                accumulator[j] += aik * B.data[bk]
-        touched_arr = np.array(sorted(touched), dtype=np.int64)
-        out_indices.append(touched_arr)
-        out_data.append(accumulator[touched_arr].copy())
-        accumulator[touched_arr] = 0
-        out_indptr[i + 1] = out_indptr[i] + touched_arr.size
-    indices = np.concatenate(out_indices) if out_indices else np.empty(0, dtype=np.int64)
-    data = np.concatenate(out_data) if out_data else np.empty(0, dtype=dtype)
-    return sparse.csr_matrix((data, indices, out_indptr), shape=(n_rows, n_cols))
+                accumulator[j] += aik * bkj
+        touched.sort()
+        out_indices.extend(touched)
+        out_data.extend([accumulator[j] for j in touched])
+        for j in touched:
+            accumulator[j] = 0
+        out_indptr.append(len(out_indices))
+    return sparse.csr_matrix(
+        (
+            np.array(out_data, dtype=dtype),
+            np.array(out_indices, dtype=np.int64),
+            np.array(out_indptr, dtype=np.int64),
+        ),
+        shape=(n_rows, n_cols),
+    )
 
 
 def spgemm_gustavson(

@@ -57,9 +57,9 @@ class WalRecord:
 
     @property
     def generation(self) -> Optional[int]:
-        """Snapshot generation the record applies on top of (None if unknown)."""
-        gen = self.payload.get("gen")
-        return None if gen is None else int(gen)
+        """Snapshot generation the record applies on top of (None if unknown;
+        an integer whenever the record was decoded or appended by this log)."""
+        return self.payload.get("gen")
 
 
 def _frame(seq: int, payload: dict) -> bytes:
@@ -141,8 +141,12 @@ class WriteAheadLog:
             expected_seq += 1
         return records, offset, offset < len(data)
 
-    @staticmethod
-    def _decode(line: bytes, expected_seq: int) -> Optional[WalRecord]:
+    def _decode(self, line: bytes, expected_seq: int) -> Optional[WalRecord]:
+        """The record one frame line holds, or ``None`` if the line is torn.
+
+        A CRC-valid record whose ``gen`` stamp is not an integer is not a
+        torn append but a corrupt log: it raises :class:`StoreFormatError`.
+        """
         body = _checked_body(line, expected_seq)
         if body is None:
             return None
@@ -155,6 +159,12 @@ class WriteAheadLog:
             OP_REMOVE,
         ):
             return None
+        gen = payload.get("gen")
+        if gen is not None and type(gen) is not int:
+            raise StoreFormatError(
+                f"write-ahead log {self.path} record {expected_seq} carries a "
+                f"non-integer generation {gen!r}"
+            )
         return WalRecord(seq=expected_seq, op=str(payload["op"]), payload=payload)
 
     def read_suffix(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.algorithms.ensemble import (
+    BYTES_PER_OVERLAP_ENTRY,
     MemoryBudgetError,
     estimate_overlap_memory,
     s_line_graph_ensemble_hashmap,
@@ -67,6 +68,14 @@ class TestMemoryBudget:
         assert estimate_overlap_memory(paper_example, 5) <= estimate_overlap_memory(
             paper_example, 1
         )
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 5])
+    def test_estimate_is_hashmap_wedges_times_entry_cost(
+        self, paper_example, community_hypergraph, s
+    ):
+        for h in (paper_example, community_hypergraph):
+            wedges = s_line_graph_hashmap(h, s).workload.total_wedges()
+            assert estimate_overlap_memory(h, s) == wedges * BYTES_PER_OVERLAP_ENTRY
 
     def test_budget_exceeded_raises(self, community_hypergraph):
         with pytest.raises(MemoryBudgetError):

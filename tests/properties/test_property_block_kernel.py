@@ -1,4 +1,4 @@
-"""The block kernel (``vectorized``) equals the per-hyperedge ``hashmap`` kernel.
+"""The block kernel (``vectorized``) equals the per-hyperedge reference kernels.
 
 ``repro.core.algorithms.vectorized`` counts the wedges of a whole block of
 hyperedges with one sort instead of one Python ``dict`` per hyperedge.  The
@@ -6,6 +6,11 @@ hyperedges with one sort instead of one Python ``dict`` per hyperedge.  The
 and the same three work counters per worker, for every threshold, every
 partitioning of the outer loop and every wedge budget — including budgets
 so small that every hyperedge is its own block or exceeds the budget.
+
+Every other list-walking reference kernel — both ``hashmap`` counter
+policies, the Algorithm 3 ensemble, Algorithm 1 and the Gustavson SpGEMM
+arms — returns the block kernel's pairs and weights, on the drawn
+hypergraph and on a vertex-relabelled copy whose vertex rows descend.
 """
 
 import tracemalloc
@@ -16,10 +21,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.algorithms import vectorized
+from repro.core.algorithms.ensemble import s_line_graph_ensemble_hashmap
 from repro.core.algorithms.hashmap import s_line_graph_hashmap
+from repro.core.algorithms.heuristic import s_line_graph_heuristic
+from repro.core.algorithms.spgemm import s_line_graph_spgemm, s_line_graph_spgemm_upper
 from repro.core.algorithms.vectorized import s_line_graph_vectorized
 from repro.generators.datasets import load_dataset
 from repro.hypergraph.builders import hypergraph_from_edge_lists
+from repro.hypergraph.csr import CSRMatrix
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.parallel.executor import ParallelConfig
 from repro.utils.validation import ValidationError
@@ -50,6 +59,30 @@ def hypergraphs(draw):
     return hypergraph_from_edge_lists(edge_lists, num_vertices=num_vertices + unused)
 
 
+def relabelled_copy(h, permutation):
+    """``h`` with vertex ``v`` renamed ``permutation[v]``: member rows stay
+    ascending (Algorithm 1's merge reads them sorted), every vertex row is
+    stored descending."""
+    edges = h.edges_csr
+    owners = np.repeat(np.arange(h.num_edges, dtype=np.int64), h.edge_sizes())
+    members = permutation[edges.indices]
+    members = members[np.lexsort((members, owners))]
+    edges = CSRMatrix(indptr=edges.indptr, indices=members, num_cols=edges.num_cols)
+    vertices = edges.transpose_fast()
+    owners = np.repeat(np.arange(vertices.num_rows, dtype=np.int64), vertices.row_degrees())
+    descending = vertices.indices[np.lexsort((-vertices.indices, owners))]
+    vertices = CSRMatrix(
+        indptr=vertices.indptr, indices=descending, num_cols=vertices.num_cols
+    )
+    return Hypergraph(edges=edges, vertices=vertices)
+
+
+def assert_same_graph(graph, reference):
+    assert graph.edges.tobytes() == reference.edges.tobytes()
+    assert graph.weights.tobytes() == reference.weights.tobytes()
+    assert graph.active_vertices.tobytes() == reference.active_vertices.tobytes()
+
+
 def assert_same_result(block, reference):
     for name in ("edges", "weights", "active_vertices"):
         got, want = getattr(block.graph, name), getattr(reference.graph, name)
@@ -74,6 +107,39 @@ def test_block_kernel_equals_hashmap_kernel(budget, h):
                     s_line_graph_vectorized(h, s, config),
                     s_line_graph_hashmap(h, s, config),
                 )
+
+
+@settings(max_examples=15, deadline=None)
+@given(h=hypergraphs(), data=st.data())
+def test_reference_kernels_equal_block_kernel(h, data):
+    permutation = np.array(
+        data.draw(st.permutations(range(h.num_vertices))), dtype=np.int64
+    )
+    for g in (h, relabelled_copy(h, permutation)):
+        max_overlap = int(s_line_graph_vectorized(g, 1).graph.weights.max(initial=0))
+        s_values = range(1, max_overlap + 2)
+        for s in s_values:
+            block = s_line_graph_vectorized(g, s).graph
+            assert_same_graph(s_line_graph_spgemm(g, s, kernel="gustavson").graph, block)
+            assert_same_graph(s_line_graph_spgemm_upper(g, s).graph, block)
+        for config in CONFIGS:
+            ensemble, _ = s_line_graph_ensemble_hashmap(g, s_values, config)
+            for s in s_values:
+                block = s_line_graph_vectorized(g, s, config)
+                for policy in ("dynamic", "preallocated"):
+                    assert_same_result(
+                        block, s_line_graph_hashmap(g, s, config, counter_policy=policy)
+                    )
+                assert_same_graph(s_line_graph_heuristic(g, s, config).graph, block.graph)
+                assert_same_graph(ensemble.graphs[s], block.graph)
+
+
+def test_relabelled_copy_stores_vertex_rows_descending(paper_example):
+    permutation = np.arange(paper_example.num_vertices, dtype=np.int64)[::-1].copy()
+    g = relabelled_copy(paper_example, permutation)
+    rows = [g.vertices_csr.row(v).tolist() for v in range(g.num_vertices)]
+    assert any(len(row) > 1 for row in rows)
+    assert all(row == sorted(row, reverse=True) for row in rows)
 
 
 def test_blocks_cover_every_position_once_whatever_the_budget():

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.store.format import StoreError, StoreFormatError
-from repro.store.wal import OP_ADD, OP_REMOVE, WriteAheadLog
+from repro.store import IndexStore
+from repro.store.format import WAL_NAME, StoreError, StoreFormatError
+from repro.store.replication import wal_payload, wal_suffix_payload
+from repro.store.wal import OP_ADD, OP_REMOVE, WriteAheadLog, _frame
 
 
 @pytest.fixture
@@ -225,3 +227,20 @@ class TestFailedAppendRecovery:
         assert not torn  # exit trimmed the half-written frame
         assert [r.seq for r in records] == [1]
         assert wal.append_remove(5).seq == 2
+
+
+@pytest.mark.parametrize("gen", ["x", True, 1.5, [0]])
+def test_non_integer_generation_is_a_typed_format_error(paper_example, tmp_path, gen):
+    """A CRC-valid record whose ``gen`` is not an integer (a JSON bool
+    included, though ``int(True)`` is 1) is a corrupt log at every reader."""
+    path = str(tmp_path / "store")
+    IndexStore.build(paper_example, path)
+    with open(os.path.join(path, WAL_NAME), "wb") as handle:
+        handle.write(_frame(1, {"op": OP_REMOVE, "edge_id": 0, "gen": gen}))
+    match = rf"write-ahead log .*{WAL_NAME} record 1 .*non-integer generation"
+    with pytest.raises(StoreFormatError, match=match):
+        IndexStore.open(path, read_only=True)
+    with pytest.raises(StoreFormatError, match=match):
+        wal_payload(path, 0, 0)
+    with pytest.raises(StoreFormatError, match=match):
+        wal_suffix_payload(path, 0, 0, 1)
