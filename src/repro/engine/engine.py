@@ -55,11 +55,15 @@ results are identical, the second ``put`` wins, and the ancestor is popped
 after the ``put``, so the later reader finds one of the two or, at worst,
 recomputes the same bytes.
 
-The immutable :class:`Hypergraph` is refreshed incrementally too: both of
-its CSRs are extended (or cut) in place of a transpose, and its fingerprint
-hashes the already-sorted rows without re-sorting them — what remains per
-update is array copies and one SHA-256 over the incidences, no sort and no
-rebuild.
+The hypergraph is an :class:`~repro.hypergraph.overlay.OverlayHypergraph`:
+a frozen :class:`Hypergraph` plus the rows appended, the rows removed and
+the vertex rows those updates touched.  An update appends to or tombstones
+in the overlay and carries the fingerprint — a multiset digest, see
+:meth:`Hypergraph.fingerprint` — by the lanes of the one row it changes, so
+it costs the edge's members, never a copy of the CSRs or a hash of every
+incidence.  The whole CSR is built only for a reader that needs it
+(:attr:`QueryEngine.hypergraph`: the oracle, a Stage 3 rebuild) and when a
+store compacts, which folds the overlay into a new frozen base.
 """
 
 from __future__ import annotations
@@ -85,6 +89,7 @@ from repro.engine.index import (
 from repro.graph.graph import Graph
 from repro.hypergraph.csr import CSRMatrix
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.overlay import OverlayHypergraph
 from repro.hypergraph.preprocessing import SqueezeResult
 from repro.obs import get_registry
 from repro.obs.trace import get_tracer
@@ -205,7 +210,7 @@ class QueryEngine:
     ) -> None:
         if not isinstance(h, Hypergraph):
             raise ValidationError("QueryEngine requires a Hypergraph")
-        self._h = h
+        self._graph = OverlayHypergraph(h)
         self.algorithm = algorithm
         if index is not None and (
             index.num_hyperedges != h.num_edges
@@ -250,20 +255,30 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
     @property
     def hypergraph(self) -> Hypergraph:
-        """The current (possibly incrementally updated) hypergraph."""
-        return self._h
+        """The current (possibly incrementally updated) hypergraph.
+
+        Materialised from the overlay once per state, O(nnz): for readers
+        that need the whole CSR, never for an update.
+        """
+        return self._graph.materialise()
 
     @property
     def index(self) -> OverlapIndex:
         """The overlap index, built lazily on first access."""
         if self._index is None:
-            self._index = OverlapIndex.build(self._h, algorithm=self.algorithm)
+            self._index = OverlapIndex.build(self.hypergraph, algorithm=self.algorithm)
             self._index_builds += 1
         return self._index
 
     def fingerprint(self) -> str:
-        """Content fingerprint of the current hypergraph (the cache-key prefix)."""
-        return self._h.fingerprint()
+        """Content fingerprint of the current hypergraph (the cache-key
+        prefix): carried through every update, a stored string."""
+        return self._graph.fingerprint()
+
+    def _fold_overlay(self) -> None:
+        """Rebase the hypergraph overlay on its materialised state, so its
+        memory stays bounded (O(nnz); a store folds it when it compacts)."""
+        self._graph = OverlayHypergraph(self._graph.materialise())
 
     def stats(self) -> QueryStats:
         """Snapshot of cache and maintenance counters."""
@@ -290,7 +305,7 @@ class QueryEngine:
     # Queries
     # ------------------------------------------------------------------ #
     def _key(self, s: int, kind: str) -> Tuple[str, int, str]:
-        return (self._h.fingerprint(), int(s), kind)
+        return (self._graph.fingerprint(), int(s), kind)
 
     def _ancestor(self, key: Tuple[str, int, str]):
         """The nearest cached ancestor of ``key`` the journal still reaches:
@@ -502,17 +517,18 @@ class QueryEngine:
         if member_arr.size and int(member_arr.min()) < 0:
             raise ValidationError("vertex IDs must be non-negative")
         start = time.perf_counter()
-        old_fp = self._h.fingerprint()
-        new_id = self._h.num_edges
+        graph = self._graph
+        old_fp = graph.fingerprint()
+        new_id = graph.num_edges
         pair_ids = pair_weights = row = None
         if self._index is not None:
             pair_ids, pair_weights = row = overlap_counts_for_members(
-                self._h, member_arr
+                graph, member_arr
             )
             self._index.add_hyperedge(
                 new_id, member_arr.size, pair_ids, pair_weights
             )
-        self._h = with_appended_edge(self._h, member_arr, name)
+        graph.append(member_arr, name)
         self._incremental_adds += 1
         self._journal_update(old_fp, True, new_id, int(member_arr.size), row)
         self._m_add_seconds.observe(time.perf_counter() - start)
@@ -526,26 +542,27 @@ class QueryEngine:
         ``s > |removed edge|`` — which the edge could never appear in — stay
         valid and are retained in the cache.
         """
-        if edge_id < 0 or edge_id >= self._h.num_edges:
+        graph = self._graph
+        if edge_id < 0 or edge_id >= graph.num_edges:
             raise ValidationError(
-                f"hyperedge ID {edge_id} out of range [0, {self._h.num_edges})"
+                f"hyperedge ID {edge_id} out of range [0, {graph.num_edges})"
             )
-        old_size = self._h.edge_size(edge_id)
+        old_size = graph.edge_size(edge_id)
         if old_size == 0:
             return  # already empty: removing it changes nothing
         start = time.perf_counter()
-        old_fp = self._h.fingerprint()
+        old_fp = graph.fingerprint()
         row = None
         if self._index is not None:
             # The row being removed: the same wedge walk an add makes,
             # minus the edge's overlap with itself.
             ids, weights = overlap_counts_for_members(
-                self._h, self._h.edge_members(edge_id)
+                graph, graph.edge_members(edge_id)
             )
             others = ids != edge_id
             row = ids[others], weights[others]
             self._index.remove_hyperedge(edge_id)
-        self._h = with_emptied_edge(self._h, edge_id)
+        graph.empty(edge_id)
         self._incremental_removes += 1
         self._journal_update(old_fp, False, edge_id, int(old_size), row)
         self._m_remove_seconds.observe(time.perf_counter() - start)
@@ -580,7 +597,7 @@ class QueryEngine:
         ``row=None`` (the index was never built, so nothing was ever
         cached) empties the journal.
         """
-        new_fp = self._h.fingerprint()
+        new_fp = self._graph.fingerprint()
         journalled = row is not None
         if not journalled:
             row = (np.empty(0, dtype=np.int64),) * 2
@@ -621,6 +638,8 @@ def with_appended_edge(
 ) -> Hypergraph:
     """A new hypergraph equal to ``h`` plus one trailing hyperedge.
 
+    The per-record reference for one logged add (the engine's own updates
+    go through its :class:`~repro.hypergraph.overlay.OverlayHypergraph`).
     Both CSRs are extended in place of a rebuild: the new edge has the
     largest ID, so in the vertex→edge CSR it lands at the *end* of each
     member's row — one ``np.insert`` plus an ``indptr`` shift, no transpose.

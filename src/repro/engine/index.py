@@ -17,13 +17,14 @@ pairs — both O(affected rows), never a full recount.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.filtration import filter_weighted_arrays
 from repro.core.slinegraph import SLineGraph, pair_order
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.overlay import OverlayHypergraph
 from repro.utils.validation import ValidationError, check_s_value
 
 #: The Stage-3 kernel every index build runs unless a caller names another:
@@ -34,13 +35,15 @@ BUILD_ALGORITHM = "vectorized"
 
 
 def overlap_counts_for_members(
-    h: Hypergraph, members: np.ndarray
+    h: Union[Hypergraph, OverlayHypergraph], members: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Overlap counts between a (new) vertex set and every existing hyperedge.
 
     Walks only the wedges incident to ``members`` — the incremental
     counterpart of one outer iteration of Algorithm 2.  Vertices outside
     ``h``'s current vertex range contribute nothing (they are brand new).
+    ``h`` is a hypergraph or the engine's overlay of one: the walk reads
+    only ``num_vertices`` and the ``vertex_memberships`` of ``members``.
 
     Returns
     -------

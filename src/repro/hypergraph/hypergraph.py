@@ -27,19 +27,72 @@ from repro.hypergraph.csr import CSRMatrix
 from repro.utils.validation import ValidationError
 
 
-def _rows_ascend(csr: CSRMatrix) -> bool:
-    """True when every row of ``csr`` lists its columns in ascending order.
+#: MurmurHash3's 64-bit finaliser constants.
+_FMIX = (np.uint64(0xFF51AFD7ED558CCD), np.uint64(0xC4CEB9FE1A85EC53))
+_SHIFT = np.uint64(33)
+#: One seed per digest lane; four 64-bit lanes give a 256-bit sum.
+_LANE_SEEDS = np.array(
+    [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0xD6E8FEB86659FD93],
+    dtype=np.uint64,
+)
+#: Incidences hashed per pass: the pass's two lane-major buffers (256 kB
+#: each) stay in cache, and the temporaries stay that small however large
+#: the hypergraph is.
+_DIGEST_CHUNK = 1 << 13
 
-    One vectorised pass: a step ``indices[k] -> indices[k + 1]`` may only
-    descend where ``k + 1`` starts a new row.
+
+def _fmix(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """MurmurHash3's 64-bit finaliser, in place (``scratch`` is a buffer of
+    ``x``'s shape): a bijection of ``uint64`` that carries every input bit
+    into every output bit."""
+    for multiplier in _FMIX:
+        np.right_shift(x, _SHIFT, out=scratch)
+        x ^= scratch
+        x *= multiplier
+    np.right_shift(x, _SHIFT, out=scratch)
+    x ^= scratch
+    return x
+
+
+def incidence_lanes(
+    edge_ids: np.ndarray, degrees: np.ndarray, members: np.ndarray
+) -> np.ndarray:
+    """The digest lanes of some hyperedges' incidences: per lane, the sum
+    mod 2**64 of an element hash of every ``(edge id, vertex id)`` pair.
+
+    ``members`` lists the vertices of ``edge_ids[0]`` (``degrees[0]`` of
+    them), then of ``edge_ids[1]``, and so on — a CSR row range.  The
+    element hash of lane ``k`` is ``fmix(fmix(edge ^ seed_k) + vertex)``:
+    one mix per edge, one per incidence, vectorised lane-major in
+    cache-sized passes.  Sums commute, so the lanes of a hypergraph are the
+    sums of its rows' lanes in any order, and an update adds (or
+    subtracts) the lanes of the one row it changes.
     """
-    indices = csr.indices
-    if indices.size < 2:
-        return True
-    ascends = indices[1:] >= indices[:-1]
-    starts = csr.indptr[1:-1]
-    ascends[starts[(starts > 0) & (starts < indices.size)] - 1] = True
-    return bool(ascends.all())
+    lanes = np.zeros(_LANE_SEEDS.size, dtype=np.uint64)
+    edge_ids = np.asarray(edge_ids, dtype=np.int64).view(np.uint64)
+    members = np.asarray(members, dtype=np.int64).view(np.uint64)
+    if members.size == 0:
+        return lanes
+    per_edge = _LANE_SEEDS[:, None] ^ edge_ids
+    _fmix(per_edge, np.empty_like(per_edge))
+    owner = np.repeat(np.arange(edge_ids.size), degrees)
+    width = min(members.size, _DIGEST_CHUNK)
+    buffer = np.empty((lanes.size, width), dtype=np.uint64)
+    scratch = np.empty_like(buffer)
+    for start in range(0, members.size, width):
+        stop = min(start + width, members.size)
+        mixed, spare = buffer[:, : stop - start], scratch[:, : stop - start]
+        np.take(per_edge, owner[start:stop], axis=1, out=mixed)
+        mixed += members[start:stop]
+        lanes += _fmix(mixed, spare).sum(axis=1, dtype=np.uint64)
+    return lanes
+
+
+def fingerprint_of(num_edges: int, num_vertices: int, lanes: np.ndarray) -> str:
+    """The hex fingerprint of a shape and its incidence lanes (SHA-256 of
+    both, so it stays a 64-character digest whatever the lanes hold)."""
+    shape = np.array([num_edges, num_vertices], dtype="<i8")
+    return hashlib.sha256(shape.tobytes() + lanes.astype("<u8").tobytes()).hexdigest()
 
 
 def _as_label_list(names: Optional[Sequence[Hashable]]) -> Optional[list]:
@@ -68,9 +121,20 @@ class Hypergraph:
         labels (author names, gene symbols, …).  A ``list`` is adopted as
         given — derived hypergraphs share their parent's labels instead of
         copying them — any other sequence is copied into one.
+    digest:
+        The :meth:`digest_lanes` of ``edges`` when the caller already
+        carries them (an overlay materialising its state); adopted
+        unchecked, so the fingerprint is not recomputed from scratch.
     """
 
-    __slots__ = ("_edges", "_vertices", "_edge_names", "_vertex_names", "_fingerprint")
+    __slots__ = (
+        "_edges",
+        "_vertices",
+        "_edge_names",
+        "_vertex_names",
+        "_lanes",
+        "_fingerprint",
+    )
 
     def __init__(
         self,
@@ -78,6 +142,8 @@ class Hypergraph:
         vertices: Optional[CSRMatrix] = None,
         edge_names: Optional[Sequence[Hashable]] = None,
         vertex_names: Optional[Sequence[Hashable]] = None,
+        *,
+        digest: Optional[np.ndarray] = None,
     ) -> None:
         if not isinstance(edges, CSRMatrix):
             raise ValidationError("edges must be a CSRMatrix")
@@ -101,6 +167,10 @@ class Hypergraph:
             raise ValidationError("vertex_names length must equal the number of vertices")
         self._edge_names = _as_label_list(edge_names)
         self._vertex_names = _as_label_list(vertex_names)
+        self._lanes: Optional[np.ndarray] = None
+        if digest is not None:
+            self._lanes = np.array(digest, dtype=np.uint64)
+            self._lanes.setflags(write=False)
         self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------ #
@@ -234,36 +304,46 @@ class Hypergraph:
     # ------------------------------------------------------------------ #
     # Identity
     # ------------------------------------------------------------------ #
+    def digest_lanes(self) -> np.ndarray:
+        """The multiset digest behind :meth:`fingerprint`: four ``uint64``
+        lanes, each the sum mod 2**64 of an element hash over every
+        incidence (see :func:`incidence_lanes`).  Computed once, from
+        scratch and vectorised, then memoised read-only."""
+        if self._lanes is None:
+            edges = self._edges
+            lanes = incidence_lanes(
+                np.arange(edges.num_rows), edges.row_degrees(), edges.indices
+            )
+            lanes.setflags(write=False)
+            self._lanes = lanes
+        return self._lanes
+
     def fingerprint(self) -> str:
-        """Content hash of the incidence structure (hex SHA-256 digest).
+        """Content hash of the incidence structure (64 hex characters).
 
-        The hash covers the shape and the edge→vertex CSR with columns
-        sorted within each row, so two hypergraphs with the same incidence
-        pattern produce the same fingerprint regardless of how they were
-        built or in what order rows listed their members.  Labels are
-        ignored: the fingerprint identifies the *structure*, which is what
-        every s-line-graph computation depends on.  Used as the cache key of
-        :class:`repro.engine.QueryEngine`.  The digest is computed once and
-        memoised (instances are immutable by convention).
+        A multiset digest in the randomize-then-combine style of AdHash /
+        MuHash (Bellare & Micciancio, 1997): every ``(edge id, vertex id)``
+        incidence is mapped to four pseudo-random 64-bit lanes, the lanes
+        are summed mod 2**64 over all incidences, and SHA-256 finalises the
+        shape ``(num_edges, num_vertices)`` plus the four sums.  A sum does
+        not depend on the order of its terms, so two hypergraphs with the
+        same incidence pattern share a fingerprint however they were built
+        or in whatever order their rows list members; and an update changes
+        it by the lanes of the one row it touches, which is how
+        :class:`repro.engine.QueryEngine` carries it in O(|e|) instead of
+        rehashing the hypergraph.  Labels are ignored: the fingerprint
+        identifies the *structure*, which is what every s-line-graph
+        computation depends on.  It detects accidental divergence; it is not
+        a security boundary.
 
-        Rows whose members already ascend — every hypergraph the builders
-        and the engine's incremental updates produce — are hashed as stored;
-        only an input with an out-of-order row pays the per-row sort.
+        The value is part of the store format (manifests, WAL records and
+        ``hypergraph.npz`` carry it): this definition is the one of
+        :data:`repro.store.format.FORMAT_VERSION` 2.
         """
         if self._fingerprint is None:
-            edges = self._edges
-            indices = edges.indices
-            if not _rows_ascend(edges):
-                row_ids = np.repeat(
-                    np.arange(edges.num_rows, dtype=np.int64), edges.row_degrees()
-                )
-                indices = indices[np.lexsort((indices, row_ids))]
-            hasher = hashlib.sha256()
-            hasher.update(np.int64(edges.num_rows).tobytes())
-            hasher.update(np.int64(edges.num_cols).tobytes())
-            hasher.update(np.ascontiguousarray(edges.indptr, dtype=np.int64).tobytes())
-            hasher.update(np.ascontiguousarray(indices, dtype=np.int64).tobytes())
-            self._fingerprint = hasher.hexdigest()
+            self._fingerprint = fingerprint_of(
+                self.num_edges, self.num_vertices, self.digest_lanes()
+            )
         return self._fingerprint
 
     # ------------------------------------------------------------------ #

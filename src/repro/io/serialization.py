@@ -52,7 +52,8 @@ def load_hypergraph_npz(path: PathLike, verify_fingerprint: bool = True) -> Hype
 
     When the archive carries a fingerprint (all archives written since the
     store subsystem do) the rebuilt hypergraph is re-hashed and compared;
-    a mismatch raises :class:`ValidationError`.  Pass
+    a mismatch raises :class:`ValidationError` — also for an archive whose
+    digest predates the fingerprint definition of store format version 2.  Pass
     ``verify_fingerprint=False`` to skip the check (e.g. when salvaging a
     damaged file).
     """
@@ -73,8 +74,10 @@ def load_hypergraph_npz(path: PathLike, verify_fingerprint: bool = True) -> Hype
     if verify_fingerprint and saved_fp is not None and h.fingerprint() != saved_fp:
         raise ValidationError(
             f"hypergraph loaded from {path} hashes to {h.fingerprint()[:12]}… "
-            f"but the archive recorded {saved_fp[:12]}… (file corrupted or "
-            "tampered with)"
+            f"but the archive recorded {saved_fp[:12]}…: either it was saved "
+            "before the fingerprint became a multiset digest (store format "
+            "version 2; load it with verify_fingerprint=False and rebuild any "
+            "store holding it with `repro index build`) or the file is corrupted"
         )
     return h
 

@@ -23,11 +23,20 @@ Shard files are plain ``.npy`` so they can be opened with
 
 Format version policy
 ---------------------
-``FORMAT_VERSION`` is bumped on any layout change that an older reader
-cannot interpret (new manifest fields with defaults do *not* bump it).
-Readers refuse manifests whose major version differs, with an error naming
-both versions; ``compact()`` always rewrites snapshots at the current
-version, so upgrading a store is "open with matching code, then compact".
+``FORMAT_VERSION`` is bumped on any change that an older reader cannot
+interpret (new manifest fields with defaults do *not* bump it) — a layout
+change, or a change of what a stored value means.  Readers refuse
+manifests whose version differs, with a :class:`StoreFormatError` naming
+both versions and the way forward: rebuild the store from its source
+hypergraph with ``repro index build``.  Compaction cannot upgrade across
+versions: it carries the old snapshot's values forward.
+
+* Version 1: the fingerprint was one SHA-256 over the sorted CSR.
+* Version 2: the fingerprint is a multiset digest of the incidences
+  (:meth:`repro.hypergraph.Hypergraph.fingerprint`), carried through every
+  update in O(|e|).  The manifest, every WAL record and ``hypergraph.npz``
+  hold fingerprints, so a version-1 store's values no longer verify.
+
 The ``generation`` counter names the shard files of the live snapshot —
 compaction writes generation ``G+1`` files before atomically replacing the
 manifest, so a crash mid-compaction leaves the old snapshot intact.
@@ -44,8 +53,8 @@ from repro.utils.validation import ValidationError
 
 PathLike = Union[str, os.PathLike]
 
-#: Bumped on incompatible layout changes (see the module docstring).
-FORMAT_VERSION = 1
+#: Bumped on any change an older reader cannot interpret (see the module docstring).
+FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 EDGE_SIZES_NAME = "edge_sizes.npy"
@@ -119,9 +128,10 @@ class Manifest:
         version = raw["format_version"]
         if version != FORMAT_VERSION:
             raise StoreFormatError(
-                f"snapshot format version {version} is not supported by this "
-                f"reader (expected {FORMAT_VERSION}); recompact the store "
-                "with matching code"
+                f"snapshot format version {version!r} is not supported by this "
+                f"reader (expected {FORMAT_VERSION}; version 2 changed the "
+                "hypergraph fingerprint); rebuild the store from its source "
+                "hypergraph with `repro index build`"
             )
         try:
             # Ignore unknown shard keys: the format policy allows writers at

@@ -131,9 +131,12 @@ class PersistentQueryEngine(QueryEngine):
         compaction sweeps the old generation's shard files, so the
         mmap-streaming index must not keep referencing them.  Cached
         query results stay valid: compaction changes the representation,
-        never the logical state (the fingerprint is unchanged).
+        never the logical state (the fingerprint is unchanged).  The
+        hypergraph overlay is folded into a new frozen base at the same
+        time, so neither overlay outgrows one compaction interval.
         """
         self.store.check_writable()
         self.store.compact(num_shards=num_shards)
+        self._fold_overlay()
         self.close()  # the superseded index maps files compaction just swept
         self._index = self.store.sharded_index(max_resident_shards=self._max_resident_shards)

@@ -29,8 +29,8 @@ import numpy as np
 
 from repro.chaos.failpoints import STORE_COMPACT_FOLD, STORE_COMPACT_INSTALL
 from repro.engine.index import BUILD_ALGORITHM, OverlapIndex
-from repro.hypergraph.csr import CSRMatrix
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.overlay import replay_rows
 from repro.io.serialization import load_hypergraph_npz, save_hypergraph_npz
 from repro.store.format import (
     HYPERGRAPH_NAME,
@@ -91,54 +91,15 @@ def _save_hypergraph_atomic(h: Hypergraph, path: str) -> None:
 
 
 def _replay_hypergraph(h: Hypergraph, records: List[WalRecord]) -> Hypergraph:
-    """``h`` after every logged add and remove, built in one step.
-
-    All logged member lists are appended with one concatenation and every
-    removed hyperedge's row is cut with one mask, so the result pays for a
-    single :class:`Hypergraph` construction (one transpose) however long
-    the log is.
-    """
-    if not records:
-        return h
-    edges = h.edges_csr
+    """``h`` after every logged add and remove, built in one step by
+    :func:`~repro.hypergraph.overlay.replay_rows` (the replay an engine's
+    overlay materialises with)."""
     adds = [record for record in records if record.op == OP_ADD]
-    removed = [record.edge_id for record in records if record.op != OP_ADD]
-    members = [
-        np.asarray(record.payload["members"], dtype=np.int64) for record in adds
-    ]
-    indices = np.concatenate([edges.indices, *members])
-    degrees = np.concatenate(
-        [edges.row_degrees(), np.asarray([m.size for m in members], dtype=np.int64)]
-    )
-    num_vertices = edges.num_cols
-    if indices.size:
-        num_vertices = max(num_vertices, int(indices.max()) + 1)
-    if removed:
-        starts = np.concatenate([[0], np.cumsum(degrees)])
-        keep = np.ones(indices.size, dtype=bool)
-        for edge_id in removed:
-            keep[starts[edge_id] : starts[edge_id + 1]] = False
-        indices = indices[keep]
-        degrees[removed] = 0
-    edge_names = h.edge_names
-    if edge_names is not None:
-        edge_names = edge_names + [
-            record.edge_id
-            if record.payload.get("name") is None
-            else record.payload["name"]
-            for record in adds
-        ]
-    vertex_names = h.vertex_names
-    if vertex_names is not None:
-        vertex_names = vertex_names + list(range(h.num_vertices, num_vertices))
-    return Hypergraph(
-        edges=CSRMatrix(
-            indptr=np.concatenate([[0], np.cumsum(degrees)]),
-            indices=indices,
-            num_cols=num_vertices,
-        ),
-        edge_names=edge_names,
-        vertex_names=vertex_names,
+    return replay_rows(
+        h,
+        [np.asarray(record.payload["members"], dtype=np.int64) for record in adds],
+        [record.payload.get("name") for record in adds],
+        [record.edge_id for record in records if record.op != OP_ADD],
     )
 
 

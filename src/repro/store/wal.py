@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -37,6 +38,8 @@ from repro.store.format import PathLike, StoreError, StoreFormatError
 
 OP_ADD = "add"
 OP_REMOVE = "remove"
+#: A record's ``fingerprint``: :meth:`Hypergraph.fingerprint`'s hex digest.
+_DIGEST = re.compile("[0-9a-f]{64}")
 
 
 @dataclass
@@ -144,7 +147,8 @@ class WriteAheadLog:
     def _decode(self, line: bytes, expected_seq: int) -> Optional[WalRecord]:
         """The record one frame line holds, or ``None`` if the line is torn.
 
-        A CRC-valid record whose ``gen`` stamp is not an integer is not a
+        A CRC-valid record whose ``gen`` stamp is not an integer, or whose
+        ``fingerprint`` is not a 64-character lowercase hex string, is not a
         torn append but a corrupt log: it raises :class:`StoreFormatError`.
         """
         body = _checked_body(line, expected_seq)
@@ -164,6 +168,15 @@ class WriteAheadLog:
             raise StoreFormatError(
                 f"write-ahead log {self.path} record {expected_seq} carries a "
                 f"non-integer generation {gen!r}"
+            )
+        fingerprint = payload.get("fingerprint")
+        if fingerprint is not None and not (
+            type(fingerprint) is str and _DIGEST.fullmatch(fingerprint)
+        ):
+            raise StoreFormatError(
+                f"write-ahead log {self.path} record {expected_seq} carries a "
+                f"fingerprint {fingerprint!r} that is not a 64-character "
+                "lowercase hex digest"
             )
         return WalRecord(seq=expected_seq, op=str(payload["op"]), payload=payload)
 

@@ -109,6 +109,18 @@ class TestRemoveHyperedge:
         assert engine.stats().incremental_removes == 1
         assert engine.fingerprint() != fp
 
+    def test_removing_an_edge_keeps_the_vertices_it_introduced(self, engine):
+        # Vertex 9 exists only in the added edge; removing it leaves the
+        # vertex (isolated), as a replay of the log does.
+        edge_id = engine.add_hyperedge([0, 9])
+        engine.remove_hyperedge(edge_id)
+        expected = hypergraph_from_edge_lists(
+            [[0, 1, 2], [1, 2, 3], [0, 1, 2, 3, 4], [4, 5], []], num_vertices=10
+        )
+        assert engine.hypergraph == expected
+        assert engine.fingerprint() == expected.fingerprint()
+        assert engine.hypergraph.fingerprint() == expected.fingerprint()
+
     def test_out_of_range_rejected(self, engine):
         with pytest.raises(ValidationError):
             engine.remove_hyperedge(4)

@@ -1,5 +1,8 @@
 """Tests for :meth:`Hypergraph.fingerprint` (the engine cache key)."""
 
+import hashlib
+import struct
+
 import numpy as np
 
 from repro.generators import load_dataset
@@ -52,24 +55,64 @@ class TestFingerprintStability:
         assert direct.fingerprint() == built.fingerprint()
 
 
+def _reference_fingerprint(h):
+    """The digest's definition, one incidence at a time in plain Python."""
+    mask = (1 << 64) - 1
+
+    def fmix(x):
+        x ^= x >> 33
+        x = (x * 0xFF51AFD7ED558CCD) & mask
+        x ^= x >> 33
+        x = (x * 0xC4CEB9FE1A85EC53) & mask
+        return x ^ (x >> 33)
+
+    seeds = (
+        0x9E3779B97F4A7C15,
+        0xBF58476D1CE4E5B9,
+        0x94D049BB133111EB,
+        0xD6E8FEB86659FD93,
+    )
+    lanes = [0] * len(seeds)
+    for edge, members in h.iter_edges():
+        for vertex in members.tolist():
+            for k, seed in enumerate(seeds):
+                lanes[k] = (lanes[k] + fmix((fmix(edge ^ seed) + vertex) & mask)) & mask
+    payload = struct.pack("<qq4Q", h.num_edges, h.num_vertices, *lanes)
+    return hashlib.sha256(payload).hexdigest()
+
+
 class TestFingerprintPinned:
     """The digest is a storage format: manifests and WAL records carry it.
 
-    These hex values were produced by the sort-every-row implementation;
-    a store written then must still open, so they may never change.
+    These hex values are frozen for ``FORMAT_VERSION`` 2, the multiset
+    digest; a store written at that version must still open, so they may
+    never change without another version bump.
     """
 
     def test_paper_example_digest(self, paper_example_unlabelled):
         assert paper_example_unlabelled.fingerprint() == (
-            "7434a26ffc73dbae3c4ee43c7fdc470277c9653a423ff491d10c8d97f42a5e43"
+            "5de5993bc96a44bfa097522dbc3a77f82d82f0e417a8e67cdca49d00f7939066"
         )
 
     def test_generated_dataset_digest(self):
         h = load_dataset("livejournal", scale=0.2, seed=7)
         assert (h.num_vertices, h.num_edges, h.num_incidences) == (640, 804, 6957)
         assert h.fingerprint() == (
-            "4c2cc7d999fcfec7d426d1d509c41509bc1b3d0ec67dcaa761afa023b8125210"
+            "5ca88d3416c28541b792bfa6b00259db8642469519e39c26da7f18da9ded795f"
         )
+
+    def test_vectorised_digest_matches_its_definition(self, paper_example_unlabelled):
+        # Spans several passes of the chunked kernel, and an empty row.
+        rng = np.random.default_rng(5)
+        edges = [
+            rng.choice(300, size=int(rng.integers(0, 40)), replace=False).tolist()
+            for _ in range(700)
+        ]
+        edges[3] = []
+        wide = hypergraph_from_edge_lists(edges, num_vertices=300)
+        assert wide.num_incidences > 8192
+        for h in (paper_example_unlabelled, wide):
+            assert h.fingerprint() == _reference_fingerprint(h)
 
     def test_sorted_rows_and_unsorted_rows_share_the_digest(self):
         # Same structure, with empty rows at both ends and in the middle:

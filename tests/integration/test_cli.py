@@ -231,7 +231,7 @@ class TestIndexCommands:
         fields = dict(
             line.split(None, 1) for line in out.splitlines() if line.strip()
         )
-        assert fields["format_version"] == "1"
+        assert fields["format_version"] == "2"
         assert fields["num_pairs"] == "4"
         assert fields["num_shards"] == "2"
         assert fields["wal_records"] == "0"

@@ -131,6 +131,27 @@ class TestNpzFingerprint:
         salvaged = load_hypergraph_npz(path, verify_fingerprint=False)
         assert salvaged.num_edges == paper_example_unlabelled.num_edges
 
+    def test_archive_of_the_old_digest_names_the_digest_change(
+        self, paper_example_unlabelled, tmp_path
+    ):
+        import numpy as np
+
+        path = tmp_path / "h.npz"
+        save_hypergraph_npz(paper_example_unlabelled, path)
+        with np.load(str(path), allow_pickle=False) as data:
+            payload = {k: data[k] for k in data.files}
+        # The paper example's fingerprint before store format version 2.
+        payload["fingerprint"] = np.asarray(
+            ["7434a26ffc73dbae3c4ee43c7fdc470277c9653a423ff491d10c8d97f42a5e43"]
+        )
+        np.savez(str(path), **payload)
+        with pytest.raises(
+            ValidationError, match=r"multiset digest \(store format version 2"
+        ):
+            load_hypergraph_npz(path)
+        salvaged = load_hypergraph_npz(path, verify_fingerprint=False)
+        assert salvaged == paper_example_unlabelled
+
     def test_archive_without_fingerprint_still_loads(
         self, paper_example_unlabelled, tmp_path
     ):

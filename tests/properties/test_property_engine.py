@@ -11,6 +11,8 @@ The central invariants:
   injective over the generated structures in practice.
 """
 
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -127,8 +129,8 @@ def test_fingerprint_invariant_under_member_permutation(h, data):
 @settings(max_examples=40, deadline=None)
 @given(h=hypergraphs(), data=st.data())
 def test_fingerprint_of_stored_row_order_matches_sorted_rows(h, data):
-    """Sorted rows are hashed as stored, permuted rows are sorted first:
-    the two paths of ``fingerprint()`` must agree on every structure."""
+    """The digest sums over incidences, so no stored row order — sorted or
+    permuted — can change it."""
     edges = h.edges_csr
     permuted = np.concatenate(
         [np.empty(0, dtype=np.int64)]
@@ -179,3 +181,44 @@ def test_every_update_keeps_dual_csr_and_answers_of_a_fresh_engine(h, steps):
                 engine.metric(s, "connected_components"),
                 fresh.metric(s, "connected_components"),
             ), s
+
+
+#: One served update: an add (members, brand-new vertex IDs included) or a
+#: remove (an index seed).
+served_steps = st.lists(
+    st.one_of(
+        st.lists(st.integers(min_value=0, max_value=14), min_size=0, max_size=5),
+        st.integers(min_value=0, max_value=1000),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(h=hypergraphs(), steps=served_steps)
+def test_served_updates_carry_the_from_scratch_fingerprint(h, steps):
+    """On the served shape (an engine over a store's sharded index), the
+    fingerprint carried through each add and remove equals the one a
+    hypergraph built from the model computes from scratch, and the
+    materialised hypergraph equals that model."""
+    from repro.store import IndexStore
+
+    model = [list(map(int, members)) for _, members in h.iter_edges()]
+    num_vertices = h.num_vertices
+    with tempfile.TemporaryDirectory() as path:
+        IndexStore.build(h, path, num_shards=2)
+        engine = QueryEngine(h, index=IndexStore.open(path).sharded_index())
+        for step in steps:
+            if isinstance(step, list):
+                assert engine.add_hyperedge(step) == len(model)
+                model.append(sorted(set(step)))
+                num_vertices = max([num_vertices, *[v + 1 for v in step]])
+            else:
+                victim = step % len(model)
+                engine.remove_hyperedge(victim)
+                model[victim] = []
+            expected = hypergraph_from_edge_lists(model, num_vertices=num_vertices)
+            assert engine.fingerprint() == expected.fingerprint()
+            assert engine.hypergraph == expected
+        engine.index.close()

@@ -226,3 +226,57 @@ class TestChurnStreamAgainstTheOracle:
         stats = engine.stats()
         assert stats.patched_entries > 0 and stats.index_builds == 0
         engine.close()
+
+
+class TestUpdateCost:
+    """A served update costs its members: it builds no CSR and hashes no
+    hypergraph from scratch; the overlay is folded only when the store
+    compacts."""
+
+    def test_fifty_served_updates_build_no_csr_and_no_scratch_digest(
+        self, store_path, monkeypatch
+    ):
+        from repro.hypergraph import hypergraph as hypergraph_module
+        from repro.hypergraph.csr import CSRMatrix
+
+        engine = PersistentQueryEngine.open(store_path)
+        engine.sweep(range(1, 5), metrics=("connected_components",))
+        counts = {"csr": 0, "digest": 0}
+        csr_init = CSRMatrix.__post_init__
+        scratch_lanes = hypergraph_module.incidence_lanes
+
+        def counting_csr(self):
+            counts["csr"] += 1
+            csr_init(self)
+
+        def counting_digest(*args):
+            counts["digest"] += 1
+            return scratch_lanes(*args)
+
+        monkeypatch.setattr(CSRMatrix, "__post_init__", counting_csr)
+        # The from-scratch digest is the one call resolved in the hypergraph
+        # module; an update's row lanes are the overlay's own import.
+        monkeypatch.setattr(hypergraph_module, "incidence_lanes", counting_digest)
+        rng = np.random.default_rng(3)
+        num_vertices = engine.hypergraph.num_vertices
+        added = []
+        for step in range(50):
+            if step % 5 == 4:
+                engine.remove_hyperedge(added.pop(0))
+            else:
+                members = rng.choice(num_vertices, size=3, replace=False)
+                added.append(engine.add_hyperedge(members.tolist()))
+            engine.fingerprint()
+        assert counts == {"csr": 0, "digest": 0}
+        carried = engine.fingerprint()
+        monkeypatch.undo()
+
+        assert engine.store.current_fingerprint() == carried
+        engine.compact()
+        assert engine.fingerprint() == carried
+        assert engine.hypergraph.fingerprint() == carried
+        reopened = PersistentQueryEngine.open(store_path)
+        assert reopened.fingerprint() == carried
+        assert reopened.hypergraph == engine.hypergraph
+        reopened.close()
+        engine.close()

@@ -132,6 +132,19 @@ class TestManifestSafety:
         with pytest.raises(StoreFormatError, match="format version"):
             read_manifest(tmp_path)
 
+    def test_version_1_manifest_names_both_versions_and_the_rebuild(
+        self, index, fingerprint, tmp_path
+    ):
+        # Version 1 stores hold the old fingerprint definition: compaction
+        # would carry those values forward, so only a rebuild upgrades them.
+        write_snapshot(index, tmp_path, fingerprint)
+        raw = json.loads((tmp_path / "manifest.json").read_text())
+        raw["format_version"] = 1
+        (tmp_path / "manifest.json").write_text(json.dumps(raw))
+        match = r"format version 1 .*expected 2.*`repro index build`"
+        with pytest.raises(StoreFormatError, match=match):
+            read_manifest(tmp_path)
+
     def test_missing_shard_file_rejected(self, index, fingerprint, tmp_path):
         manifest = write_snapshot(index, tmp_path, fingerprint, num_shards=2)
         populated = [i for i in manifest.shards if i.num_pairs][0]

@@ -156,8 +156,8 @@ class TestDurableUpdates:
             "from repro.store import IndexStore\n"
             "from repro.store.wal import _frame\n"
             "store = IndexStore.open(sys.argv[1])\n"
-            "store.append_remove(0, fingerprint='fp-after-remove-0')\n"
-            "store.append_remove(1, fingerprint='fp-after-remove-1')\n"
+            "store.append_remove(0, fingerprint='a0' * 32)\n"
+            "store.append_remove(1, fingerprint='a1' * 32)\n"
             "frame = _frame(3, {'op': 'remove', 'edge_id': 2})\n"
             "with open(store.wal.path, 'ab') as handle:\n"
             "    handle.write(frame[: len(frame) // 2])\n"
@@ -175,7 +175,7 @@ class TestDurableUpdates:
         reopened = IndexStore.open(store.path)
         assert reopened.recovered_torn_tail
         assert [r.edge_id for r in reopened.wal_records] == [0, 1]
-        assert reopened.current_fingerprint() == "fp-after-remove-1"
+        assert reopened.current_fingerprint() == "a1" * 32
 
 
 class TestCompaction:
@@ -328,7 +328,7 @@ class TestDeflatedHypergraphCopy:
         from repro.hypergraph.builders import hypergraph_from_edge_lists
         from repro.store.format import FORMAT_VERSION
 
-        assert FORMAT_VERSION == 1
+        assert FORMAT_VERSION == 2
         store = IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
         copy = os.path.join(store.path, HYPERGRAPH_NAME)
         assert _member_compression(copy) == {zipfile.ZIP_STORED}

@@ -18,9 +18,9 @@ def wal(tmp_path):
 
 
 def append_three(wal):
-    wal.append_add(4, [0, 1, 5], [0, 1], [2, 1], fingerprint="f1", name="e4")
-    wal.append_remove(1, fingerprint="f2")
-    wal.append_add(5, [2, 3], [2], [1], fingerprint="f3")
+    wal.append_add(4, [0, 1, 5], [0, 1], [2, 1], fingerprint="f1" * 32, name="e4")
+    wal.append_remove(1, fingerprint="f2" * 32)
+    wal.append_add(5, [2, 3], [2], [1], fingerprint="f3" * 32)
 
 
 class TestAppendReplay:
@@ -37,7 +37,7 @@ class TestAppendReplay:
         assert add.payload["pair_ids"] == [0, 1]
         assert add.payload["pair_weights"] == [2, 1]
         assert add.payload["name"] == "e4"
-        assert add.fingerprint == "f1"
+        assert add.fingerprint == "f1" * 32
         assert records[1].edge_id == 1
 
     def test_missing_file_is_empty(self, wal):
@@ -244,3 +244,19 @@ def test_non_integer_generation_is_a_typed_format_error(paper_example, tmp_path,
         wal_payload(path, 0, 0)
     with pytest.raises(StoreFormatError, match=match):
         wal_suffix_payload(path, 0, 0, 1)
+
+
+@pytest.mark.parametrize("fingerprint", [1, True, "xyz", "a" * 63])
+def test_malformed_fingerprint_is_a_typed_format_error(
+    paper_example, tmp_path, fingerprint
+):
+    """A CRC-valid record whose ``fingerprint`` is not a 64-character
+    lowercase hex string cannot vouch for any state: a corrupt log."""
+    path = str(tmp_path / "store")
+    IndexStore.build(paper_example, path)
+    record = {"op": OP_REMOVE, "edge_id": 0, "gen": 0, "fingerprint": fingerprint}
+    with open(os.path.join(path, WAL_NAME), "wb") as handle:
+        handle.write(_frame(1, record))
+    match = rf"write-ahead log .*{WAL_NAME} record 1 .*fingerprint"
+    with pytest.raises(StoreFormatError, match=match):
+        IndexStore.open(path, read_only=True)
