@@ -115,7 +115,7 @@ def _metric_miss(engine, s):
     """``(arrays, scalars, ms)`` of one ``metric`` miss: squeezed CSR + labels."""
     (graph, mapping), squeezed_ms = _timed(engine.squeezed_graph, s)
     labels, labels_ms = _timed(engine.metric, s, CC)
-    arrays = (graph.indptr, graph.indices, graph.weights, mapping.new_to_old, labels)
+    arrays = (graph.indptr, graph.indices, mapping.new_to_old, labels)
     return arrays, (graph.num_vertices, graph.metadata["s"]), squeezed_ms + labels_ms
 
 

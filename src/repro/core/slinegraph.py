@@ -312,13 +312,19 @@ class SLineGraph:
         if squeezed:
             graph, _ = self.squeeze()
             return graph.adjacency_matrix(squeezed=False, weighted=weighted)
+        return self._symmetric(
+            self.weights if weighted else np.ones(self.num_edges, dtype=np.int64)
+        )
+
+    def _symmetric(self, vals: np.ndarray) -> sparse.csr_matrix:
+        """The symmetric CSR over ``num_hyperedges`` IDs holding ``vals[k]``
+        at both ``(i, j)`` and ``(j, i)`` of pair ``k``."""
         n = self.num_hyperedges
-        vals = self.weights if weighted else np.ones(self.num_edges, dtype=np.int64)
         i, j = self.edges[:, 0], self.edges[:, 1]
         # Lower triangle first: coo→csr fills each row in entry order, and on
         # canonical pairs row r then receives its columns < r ascending
         # followed by its columns > r ascending — sorted as it lands, so
-        # neither ``tocsr`` nor ``Graph.from_symmetric_csr`` has a row to sort.
+        # ``tocsr`` has no row to sort.
         mat = sparse.coo_matrix(
             (np.concatenate([vals, vals]), (np.concatenate([j, i]), np.concatenate([i, j]))),
             shape=(n, n),
@@ -326,11 +332,18 @@ class SLineGraph:
         return mat.tocsr()
 
     def to_graph(self, squeezed: bool = True):
-        """Convert to a :class:`repro.graph.Graph` (CSR graph substrate)."""
+        """Convert to a :class:`repro.graph.Graph` (CSR graph substrate).
+
+        The Stage-4 product: an *unweighted* graph with int32 column
+        indices, the form every Stage-5 kernel reads (they count hops, never
+        overlaps).  The overlap counts stay on this :class:`SLineGraph`.
+        """
         from repro.graph.graph import Graph
 
         source, mapping = self.squeeze() if squeezed else (self, None)
-        graph = Graph.from_symmetric_csr(source.adjacency_matrix(weighted=True))
+        # Only the pattern is kept, so the entries are one byte each.
+        adjacency = source._symmetric(np.ones(source.num_edges, dtype=bool))
+        graph = Graph(adjacency.shape[0], adjacency.indptr, adjacency.indices)
         graph.metadata["s"] = self.s
         if mapping is not None:
             graph.metadata["squeeze"] = mapping

@@ -10,8 +10,9 @@ kind of cached value:
 * :func:`line_graph` — canonical ``L_s`` pairs: one splice cuts the
   removed hyperedges' pairs and inserts the added ones';
 * :func:`squeezed` — the Stage-4 CSR graph and its ID mapping: one splice
-  of each array drops the removed vertices' rows and columns and closes
-  the old rows on the added vertices, whose rows are appended;
+  of the int32 column indices drops the removed vertices' rows and columns
+  and closes the old rows on the added vertices, whose rows are appended
+  (the graph is unweighted, so no weight array rides along);
 * :func:`component_labels` — connected-component labels: a remove splits
   a component only into pieces that hold its neighbours, found by a
   lockstep search; an added vertex merges its neighbours' components.
@@ -231,19 +232,20 @@ def squeezed(
     Removed vertices leave with their rows and columns; added vertices with
     a pair take the largest squeezed IDs, so each old row gains its new
     columns at its end and the new rows trail the matrix.  Both happen in
-    one splice of each array.  ``None`` whenever the window moves the
-    squeeze of an old vertex — an add gives a previously isolated hyperedge
-    its first neighbour, or a remove takes a surviving neighbour's last one
-    — because every squeezed ID above it then shifts and a rebuild from
-    ``L_s`` is the cheaper path.
+    one splice of the column indices and one shift of ``indptr``; the graph
+    is unweighted, so nothing else is copied.  ``None`` whenever the window
+    moves the squeeze of an old vertex — an add gives a previously isolated
+    hyperedge its first neighbour, or a remove takes a surviving neighbour's
+    last one — because every squeezed ID above it then shifts and a rebuild
+    from ``L_s`` is the cheaper path.
     """
     ids = mapping.new_to_old
-    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
+    indptr, indices = graph.indptr, graph.indices
     n = ids.size
     removed = _removed(window)
     at = np.searchsorted(ids, removed)
     gone = at[ids[np.minimum(at, n - 1)] == removed] if n else _NONE
-    lo, hi, row_weights = _added_pairs(window, s)
+    lo, hi, _ = _added_pairs(window, s)
     if not (gone.size or lo.size):
         return graph, mapping  # same vertices, same edges
     k = n - gone.size
@@ -278,14 +280,12 @@ def squeezed(
     order = np.lexsort((cols, rows))
     rows, cols = rows[order], cols[order]
     where = np.concatenate([lo_end, np.full(hi.size, indices.size)])[order]
-    values = np.concatenate([row_weights, row_weights])[order]
     indices = _spliced(indices, cut, where, cols, remap)
-    weights = _spliced(weights, cut, where, values)
     indptr = np.delete(indptr - np.searchsorted(cut, indptr), gone)
     indptr = shifted_indptr(np.concatenate([indptr, np.full(new.size, indptr[-1])]), rows, 1)
     if gone.size and np.any(indptr[1:] == indptr[:-1]):
         return None  # a surviving vertex lost its last neighbour
-    patched = Graph(k + new.size, indptr, indices, weights)
+    patched = Graph(k + new.size, indptr, indices)
     patched.metadata["s"] = s
     return patched, SqueezeResult(new_to_old=np.concatenate([np.delete(ids, gone), new]))
 

@@ -30,8 +30,9 @@ of the index — avoiding the wedge-enumeration pass that dominates a rebuild
   an ancestor entry within the journal carries it across every update
   since (its *window*) in one pass, with the array kernels of
   :mod:`repro.engine.delta` — ``L_s`` loses the removed hyperedges' pairs
-  and takes the added ones', the squeezed CSR loses and gains vertices in
-  one splice, connected-component labels split under a remove (a lockstep
+  and takes the added ones', the squeezed CSR (unweighted, int32 columns)
+  loses and gains vertices in one splice of its column indices,
+  connected-component labels split under a remove (a lockstep
   search from the removed vertex's neighbours) and merge under an add —
   caching the result and only then dropping the entry it came from.  Every
   other metric is carried across a window whose rows are empty at its
@@ -133,13 +134,13 @@ MAX_SWEEP_THRESHOLDS = 4096
 #: Most updates a cached entry may trail the hypergraph by and still be
 #: brought forward; an entry further behind is dropped and its next query
 #: recomputes.  Measured on the served fixture (livejournal x2, 215k pairs
-#: at s = 1; ``benchmarks/bench_delta_miss.py``): an s = 1 ``metric`` miss
-#: k adds behind costs 2.6 / 2.4 / 2.8 / 3.3 ms at k = 1..4 against a
-#: 26-30 ms recompute, and one remove behind 3.5 ms (its labels are
-#: carried, not re-run).  A window is carried in one pass, so the cost
-#: barely grows with k and does not argue for a shorter bound; it is not
-#: longer because every entry left behind is memory held for a query that
-#: may never come.
+#: at s = 1; ``benchmarks/bench_delta_miss.py``, one pinned CPU, two runs):
+#: an s = 1 ``metric`` miss k adds behind costs 1.8 / 1.8-2.1 / 1.8-1.9 /
+#: 2.1-2.2 ms at k = 1..4 against a 26-32 ms recompute, and one remove
+#: behind 4.2-4.4 ms (its labels are carried, not re-run).  A window is
+#: carried in one pass, so the cost barely grows with k and does not argue
+#: for a shorter bound; it is not longer because every entry left behind is
+#: memory held for a query that may never come.
 _MAX_PENDING = 4
 
 
@@ -385,6 +386,8 @@ class QueryEngine:
     def squeezed_graph(self, s: int) -> Tuple[Graph, SqueezeResult]:
         """Stage-4 view of ``L_s``: the squeezed CSR graph plus ID mapping.
 
+        The graph is :meth:`SLineGraph.to_graph`'s unweighted int32 CSR —
+        ``indptr.nbytes + 4 * nnz`` bytes, all a Stage-5 kernel reads.
         Cached per s so every metric of the same s shares one squeeze.
         """
         s = check_s_value(s)
@@ -402,12 +405,7 @@ class QueryEngine:
             # None when the window shifts the squeeze: rebuild Stage 4.
             lambda value, window: delta.squeezed(*value, window, s),
             compute,
-            lambda value: (
-                value[0].indptr,
-                value[0].indices,
-                value[0].weights,
-                value[1].new_to_old,
-            ),
+            lambda value: (value[0].indptr, value[0].indices, value[1].new_to_old),
         )
 
     def metric(self, s: int, name: str) -> np.ndarray:

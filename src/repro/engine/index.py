@@ -143,7 +143,8 @@ class OverlapIndex:
         """Adopt a base of ``segments`` over ``edge_sizes`` with an empty overlay."""
         self._segments = segments
         self._base_hyperedges = int(edge_sizes.size)
-        self._edge_sizes = edge_sizes
+        # The size array is a buffer an add may write past: see add_hyperedge.
+        self._sizes_buffer = self._edge_sizes = edge_sizes
         self.algorithm = algorithm
         # Overlay: appended pairs (update order), tombstoned IDs (sorted), and
         # how many base pairs of each weight the tombstones hide (lazily).
@@ -239,7 +240,8 @@ class OverlapIndex:
 
     @property
     def edge_sizes(self) -> np.ndarray:
-        """Per-hyperedge sizes (tombstones at 0)."""
+        """Per-hyperedge sizes (tombstones at 0), exactly
+        :attr:`num_hyperedges` of them."""
         return self._edge_sizes
 
     def nbytes(self) -> int:
@@ -433,7 +435,15 @@ class OverlapIndex:
             )
             self._extra_edges = np.concatenate([self._extra_edges, new_pairs], axis=0)
             self._extra_weights = np.concatenate([self._extra_weights, pair_weights])
-        self._edge_sizes = np.append(self._edge_sizes, np.int64(max(int(size), 0)))
+        # ``_edge_sizes`` views the buffer's first num_hyperedges entries; the
+        # buffer's capacity doubles when full, so an add costs amortised
+        # O(1), not a copy of every size.
+        if new_id == self._sizes_buffer.size:
+            grown = np.empty(max(2 * new_id, 16), dtype=np.int64)
+            grown[:new_id] = self._edge_sizes
+            self._sizes_buffer = grown
+        self._sizes_buffer[new_id] = max(int(size), 0)
+        self._edge_sizes = self._sizes_buffer[: new_id + 1]
 
     def remove_hyperedge(self, edge_id: int) -> None:
         """Tombstone ``edge_id``: drop its overlay pairs, hide its base pairs
@@ -476,7 +486,7 @@ class OverlapIndex:
         self._extra_edges = overlay.edges
         self._extra_weights = overlay.weights
         self._removed = overlay.removed
-        self._edge_sizes = overlay.edge_sizes
+        self._sizes_buffer = self._edge_sizes = overlay.edge_sizes
         self._hidden_cache = None
 
     # ------------------------------------------------------------------ #

@@ -8,7 +8,8 @@ measures, on a compact CSR graph type.
 
 Every kernel is built from scipy and numpy array operations, one
 implementation per traversal: CSR construction is one ``scipy.sparse``
-coo→csr conversion adopted by :meth:`Graph.from_symmetric_csr`;
+coo→csr conversion whose arrays the :class:`Graph` constructor adopts
+(int32 columns; the pattern alone unless weights are given);
 :func:`connected_components` and :func:`bfs_distances` are
 ``scipy.sparse.csgraph`` calls; eccentricity, closeness and diameter reduce
 ``csgraph`` hop distances a block of sources at a time; Brandes betweenness

@@ -45,8 +45,12 @@ def check_s_values(values: Iterable[object]) -> list[int]:
     return out
 
 
-def check_array_int(arr: Sequence[int] | np.ndarray, name: str) -> np.ndarray:
-    """Coerce ``arr`` to a 1-D int64 numpy array, raising on non-integral data."""
+def check_array_int(
+    arr: Sequence[int] | np.ndarray, name: str, dtype: object = np.int64
+) -> np.ndarray:
+    """Coerce ``arr`` to a 1-D integer numpy array of ``dtype``, raising on
+    non-integral data.  ``dtype=None`` keeps an integer array's own dtype
+    (no copy) and makes anything else int64."""
     out = np.asarray(arr)
     if out.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {out.shape}")
@@ -56,4 +60,6 @@ def check_array_int(arr: Sequence[int] | np.ndarray, name: str) -> np.ndarray:
         and not np.all(np.equal(np.mod(out, 1), 0))
     ):
         raise ValidationError(f"{name} must contain integers")
-    return out.astype(np.int64, copy=False)
+    if dtype is None:
+        dtype = out.dtype if np.issubdtype(out.dtype, np.integer) else np.int64
+    return out.astype(dtype, copy=False)

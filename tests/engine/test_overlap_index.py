@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.dispatch import s_line_graph
-from repro.engine.engine import with_appended_edge
+from repro.engine.engine import with_appended_edge, with_emptied_edge
 from repro.engine.index import OverlapIndex, overlap_counts_for_members
 from repro.utils.validation import ValidationError
 
@@ -79,6 +79,37 @@ class TestThresholdViews:
     def test_s_profile(self, index):
         assert index.s_profile() == {1: 4, 2: 3, 3: 2}
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_line_graph_keeps_the_overlap_weights(self, index, s):
+        expected = {pair: w for pair, w in PAPER_EXAMPLE_OVERLAPS.items() if w >= s}
+        assert index.line_graph(s).weight_map() == expected
+
+    def test_cut_of_explicit_pairs(self):
+        built = OverlapIndex(
+            edges=np.array([[0, 1], [1, 2], [2, 3]]),
+            weights=np.array([5, 1, 3]),
+            edge_sizes=np.full(5, 5),
+        )
+        graph = built.line_graph(3)
+        assert graph.edge_set() == {(0, 1), (2, 3)}
+        assert graph.weight_map() == {(0, 1): 5, (2, 3): 3}
+        _, weights = built.pairs_at_least(3)
+        assert np.all(weights >= 3)
+
+    def test_cut_above_every_explicit_weight_is_empty(self):
+        built = OverlapIndex(
+            edges=np.array([[0, 1]]), weights=np.array([1]), edge_sizes=np.full(3, 2)
+        )
+        assert built.line_graph(2).num_edges == 0
+        assert built.edge_count(2) == 0
+
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_invalid_s_is_rejected(self, index, s):
+        with pytest.raises(ValidationError):
+            index.line_graph(s)
+        with pytest.raises(ValidationError):
+            index.pairs_at_least(s)
+
 
 class TestIncrementalMaintenance:
     def test_add_hyperedge_requires_next_id(self, index):
@@ -114,6 +145,35 @@ class TestIncrementalMaintenance:
     def test_remove_out_of_range(self, index):
         with pytest.raises(ValidationError):
             index.remove_hyperedge(4)
+
+    def test_mixed_updates_serve_what_a_build_serves(self, paper_example_unlabelled):
+        # Enough adds to outgrow the size buffer several times, removes in
+        # between (some of just-added edges), checked against a fresh build.
+        rng = np.random.default_rng(7)
+        h = paper_example_unlabelled
+        index = OverlapIndex.build(h)
+        handed_out = index.edge_sizes
+        handed_out_bytes = handed_out.tobytes()
+        for step in range(70):
+            if step % 3 == 2:
+                edge_id = int(rng.integers(h.num_edges))
+                index.remove_hyperedge(edge_id)
+                h = with_emptied_edge(h, edge_id)
+            else:
+                members = np.unique(rng.integers(0, 9, size=rng.integers(1, 6)))
+                index.add_hyperedge(
+                    h.num_edges, members.size, *overlap_counts_for_members(h, members)
+                )
+                h = with_appended_edge(h, members, None)
+        rebuilt = OverlapIndex.build(h)
+        assert index.edge_sizes.shape == (h.num_edges,) == (index.num_hyperedges,)
+        assert index.edge_sizes.tolist() == rebuilt.edge_sizes.tolist()
+        assert index.edge_sizes.tolist() == h.edge_sizes().tolist()
+        assert index.s_profile() == rebuilt.s_profile()
+        for s in range(1, rebuilt.max_weight + 2):
+            assert index.line_graph(s) == rebuilt.line_graph(s), s
+        # Growth never writes into an array handed out before it.
+        assert handed_out.tobytes() == handed_out_bytes
 
 
 class TestOverlapCountsForMembers:

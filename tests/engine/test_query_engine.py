@@ -99,13 +99,31 @@ class TestCaching:
             line_graph.active_vertices,
             graph.indptr,
             graph.indices,
-            graph.weights,
         ):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 99
+        assert graph.weights is None  # Stage 4 keeps no weights to write to
         assert engine.metric_by_hyperedge(2, "pagerank") == before
         assert engine.line_graph(2).edge_set() == edges_before
         assert engine.metric(2, "connected_components").tolist() == [0.0, 0.0, 0.0]
+
+    def test_cached_squeezed_entry_holds_the_pattern_only(self, random_h):
+        # Fresh and carried alike: int32 columns, no weights, so the CSR of
+        # an s = 1 entry is ``indptr.nbytes + 4 * nnz`` bytes.
+        engine = QueryEngine(random_h)
+        for update in (None, [0, 1, 2, 3], 5):
+            if isinstance(update, list):
+                engine.add_hyperedge(update)
+            elif update is not None:
+                engine.remove_hyperedge(update)
+            graph, _ = engine.squeezed_graph(1)
+            nnz = int(graph.indptr[-1])
+            assert nnz > 0
+            held = [getattr(graph, name) for name in type(graph).__slots__]
+            arrays = [value for value in held if isinstance(value, np.ndarray)]
+            assert sum(array.nbytes for array in arrays) == graph.indptr.nbytes + 4 * nnz
+            assert graph.weights is None and graph.indices.dtype == np.int32
+        assert engine.stats().patched_entries > 0
 
     def test_metric_columns_are_the_dict_view_sorted_by_hyperedge(self, engine):
         for name in ("connected_components", "pagerank"):

@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 
 from repro.graph.connected_components import connected_components
+from repro.graph.conversion import to_networkx
 from repro.graph.distance import closeness_centrality, eccentricity
 from repro.graph.graph import Graph
 from repro.utils.validation import ValidationError
@@ -107,3 +108,44 @@ class TestSubgraph:
         g = triangle_plus_isolated()
         g.metadata["s"] = 7
         assert g.metadata["s"] == 7
+
+
+class TestUnweighted:
+    def path(self):
+        return Graph.from_edge_list(4, np.array([[0, 1], [1, 2], [2, 3]]))
+
+    def test_no_weights_given_means_none_held(self):
+        g = self.path()
+        assert g.weights is None
+        assert (g.indptr.dtype, g.indices.dtype) == (np.int64, np.int32)
+
+    def test_every_edge_counts_as_one(self):
+        g = self.path()
+        assert list(g.edges()) == [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
+        weighted = g.adjacency_matrix(weighted=True)
+        assert weighted.dtype == np.float64
+        assert np.array_equal(weighted.toarray(), g.adjacency_matrix(weighted=False).toarray())
+        assert {(u, v): w for u, v, w in to_networkx(g).edges(data="weight")} == {
+            (0, 1): 1.0,
+            (1, 2): 1.0,
+            (2, 3): 1.0,
+        }
+
+    def test_subgraph_keeps_the_form(self):
+        sub, _ = self.path().subgraph([1, 2, 3])
+        assert sub.weights is None and sub.indices.dtype == np.int32
+        assert sub.num_edges == 2
+        weighted, _ = triangle_plus_isolated().subgraph([0, 2])
+        assert weighted.weights.tolist() == [3.0, 3.0]
+
+    def test_int32_columns_are_adopted_without_a_copy(self):
+        indices = np.array([1, 0], dtype=np.int32)
+        g = Graph(2, np.array([0, 1, 2]), indices)
+        assert g.indices is indices
+
+    def test_ids_beyond_int32_are_refused_not_wrapped(self):
+        with pytest.raises(ValidationError, match="out of range"):
+            Graph(2, np.array([0, 1, 1]), np.array([2**32 + 1], dtype=np.int64))
+        # Checked before ``indptr`` is looked at: nothing of that size is built.
+        with pytest.raises(ValidationError, match="at most"):
+            Graph(2**31, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int32))

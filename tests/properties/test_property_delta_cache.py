@@ -34,10 +34,10 @@ def arrays_of(value):
         }
     if isinstance(value, tuple):
         graph, mapping = value
+        assert graph.weights is None  # Stage 4 is unweighted, carried or fresh
         return {
             "indptr": graph.indptr,
             "indices": graph.indices,
-            "csr_weights": graph.weights,
             "new_to_old": mapping.new_to_old,
             "num_vertices": np.int64(graph.num_vertices),
             "metadata_s": np.int64(graph.metadata["s"]),
