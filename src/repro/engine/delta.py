@@ -133,27 +133,34 @@ def _spliced(
     cut: np.ndarray,
     where: np.ndarray,
     values: np.ndarray,
-    remap: Optional[np.ndarray] = None,
+    gone: np.ndarray = _NONE,
 ) -> np.ndarray:
     """``array`` less its entries at positions ``cut``, with ``values``
     inserted before its entries at positions ``where``, and every kept entry
-    passed through ``remap`` when one is given.
+    lowered by the number of IDs in ``gone`` below it.
 
     Both position arrays are ascending, and values bound for one position
     keep their order (``np.insert``'s rule).  One copy per run of kept
     entries: a window cuts and inserts a few rows' worth of a whole array,
     which ``np.delete`` / ``np.insert`` would each pay for in full through
-    a mask over every entry.
+    a mask over every entry.  ``gone`` (ascending, none of them kept) is
+    applied in place, one compare-and-subtract pass in ``array``'s dtype per
+    ID, before ``values`` are written: they are already in the new IDs.  A
+    gather through an int64 remap table would cost a pass and two casts.
     """
     out = np.empty(array.size - cut.size + values.size, dtype=array.dtype)
-    out[where - np.searchsorted(cut, where) + np.arange(where.size)] = values
     bounds = np.unique(np.concatenate(([0, array.size], cut, cut + 1, where)))
     starts, stops = bounds[:-1], bounds[1:]
     kept = ~np.isin(starts, cut)
     starts, stops = starts[kept], stops[kept]
     to = starts - np.searchsorted(cut, starts) + np.searchsorted(where, starts, side="right")
     for a, b, t in zip(starts.tolist(), stops.tolist(), to.tolist()):
-        out[t : t + b - a] = array[a:b] if remap is None else remap[array[a:b]]
+        out[t : t + b - a] = array[a:b]
+    # Highest first: a pass lowers only entries above its ID, which stay
+    # above every lower one, so each later pass still compares old IDs.
+    for below in gone[::-1].tolist():
+        out -= out > below
+    out[where - np.searchsorted(cut, where) + np.arange(where.size)] = values
     return out
 
 
@@ -233,7 +240,10 @@ def squeezed(
     a pair take the largest squeezed IDs, so each old row gains its new
     columns at its end and the new rows trail the matrix.  Both happen in
     one splice of the column indices and one shift of ``indptr``; the graph
-    is unweighted, so nothing else is copied.  ``None`` whenever the window
+    is unweighted, so nothing else is copied.  The splice copies the kept
+    int32 columns run by run, as for an add, then lowers them in place by
+    the number of gone squeezed IDs below each — one compare-and-subtract
+    pass per removed vertex, no int64 gather.  ``None`` whenever the window
     moves the squeeze of an old vertex — an add gives a previously isolated
     hyperedge its first neighbour, or a remove takes a surviving neighbour's
     last one — because every squeezed ID above it then shifts and a rebuild
@@ -250,7 +260,7 @@ def squeezed(
         return graph, mapping  # same vertices, same edges
     k = n - gone.size
     # Cut: each gone vertex's row, and its entry in each neighbour's row.
-    cut, remap = _NONE, None
+    cut = _NONE
     if gone.size:
         own = np.concatenate([np.arange(indptr[r], indptr[r + 1]) for r in gone])
         neighbours = indices[own]
@@ -261,8 +271,6 @@ def squeezed(
             np.repeat(gone, indptr[gone + 1] - indptr[gone]),
         )
         cut = np.unique(np.concatenate([own, mirrored]))
-        everyone = np.arange(n)
-        remap = everyone - np.searchsorted(gone, everyone)
     # Insert: each added pair once in either endpoint's row, at the row's
     # end (old rows) or the arrays' end (the new rows after them).
     old = lo < _first_added(window)
@@ -280,7 +288,7 @@ def squeezed(
     order = np.lexsort((cols, rows))
     rows, cols = rows[order], cols[order]
     where = np.concatenate([lo_end, np.full(hi.size, indices.size)])[order]
-    indices = _spliced(indices, cut, where, cols, remap)
+    indices = _spliced(indices, cut, where, cols, gone)
     indptr = np.delete(indptr - np.searchsorted(cut, indptr), gone)
     indptr = shifted_indptr(np.concatenate([indptr, np.full(new.size, indptr[-1])]), rows, 1)
     if gone.size and np.any(indptr[1:] == indptr[:-1]):

@@ -15,7 +15,11 @@ of the index — avoiding the wedge-enumeration pass that dominates a rebuild
 
 * **Retained.**  A hyperedge of size ``k`` can never appear in — nor
   contribute a pair to — any ``L_s`` with ``s > k``, so those entries are
-  re-keyed to the new fingerprint at update time.
+  re-keyed to the new fingerprint at update time (a line graph after an
+  add also has its ID-space bound refreshed).  A line graph whose squeezed
+  form is cached beside it is dropped instead, as an invalidated one is
+  (below): the squeezed entry is retained and serves Stages 4-5, so a
+  refresh would be paid on every add for a query that may never come.
 * **Journalled.**  Every update appends one :class:`~repro.engine.delta.Update`
   to a bounded journal — fingerprint before → after, add or remove, the
   edge's ID and size, and its overlap row (the one
@@ -135,9 +139,9 @@ MAX_SWEEP_THRESHOLDS = 4096
 #: brought forward; an entry further behind is dropped and its next query
 #: recomputes.  Measured on the served fixture (livejournal x2, 215k pairs
 #: at s = 1; ``benchmarks/bench_delta_miss.py``, one pinned CPU, two runs):
-#: an s = 1 ``metric`` miss k adds behind costs 1.8 / 1.8-2.1 / 1.8-1.9 /
-#: 2.1-2.2 ms at k = 1..4 against a 26-32 ms recompute, and one remove
-#: behind 4.2-4.4 ms (its labels are carried, not re-run).  A window is
+#: an s = 1 ``metric`` miss k adds behind costs 2.0-2.1 / 1.9-2.0 /
+#: 2.0-2.1 / 2.1-2.2 ms at k = 1..4 against a 30-36 ms recompute, and one
+#: remove behind 3.2-3.4 ms (its labels are carried, not re-run).  A window is
 #: carried in one pass, so the cost barely grows with k and does not argue
 #: for a shorter bound; it is not longer because every entry left behind is
 #: memory held for a query that may never come.
@@ -589,11 +593,12 @@ class QueryEngine:
         add.  The other entries are *invalidated*: left in place, one more
         update behind, for :meth:`_fill` to bring forward if a query asks
         before the journal forgets the update.  Dropped instead: entries
-        the journal no longer reaches, and a line graph whose squeezed
-        form sits beside it (the squeezed entry serves Stages 4-5; keeping
-        both behind doubles the bytes held for a query that may not come).
-        ``row=None`` (the index was never built, so nothing was ever
-        cached) empties the journal.
+        the journal no longer reaches, and — retained or not — a line graph
+        whose squeezed form is cached under the same fingerprint (the
+        squeezed entry serves Stages 4-5; keeping both doubles the bytes
+        held, and refreshing a retained one costs a splice per add, for a
+        query that may not come).  ``row=None`` (the index was never built,
+        so nothing was ever cached) empties the journal.
         """
         new_fp = self._graph.fingerprint()
         journalled = row is not None
@@ -605,9 +610,15 @@ class QueryEngine:
             (self._journal + (update,))[-_MAX_PENDING:] if journalled else ()
         )
         reachable = {pending.before for pending in self._journal}
-        for key in self._cache.keys():
+        keys = self._cache.keys()
+        squeezed_at = {(fp, s) for fp, s, kind in keys if kind == "squeezed"}
+        for key in keys:
             fp, s, kind = key
+            shadowed = kind == "line_graph" and (fp, s) in squeezed_at
             if fp == old_fp and s > size:
+                if shadowed:
+                    self._cache.pop(key)  # unchanged, but not worth a refresh
+                    continue
                 if kind == "line_graph" and added:
                     # The canonical arrays are shared, not copied.
                     graph = delta.line_graph(self._cache.pop(key), (update,))
@@ -618,9 +629,7 @@ class QueryEngine:
                 continue
             if fp == old_fp:
                 self._invalidated += 1
-            if fp not in reachable or (
-                kind == "line_graph" and (fp, s, "squeezed") in self._cache
-            ):
+            if shadowed or fp not in reachable:
                 self._cache.pop(key)
 
 

@@ -14,15 +14,22 @@ segment — a segment whose heaviest pair is below ``s`` is never read.
 
 Updates never rewrite the base.  They land in an *overlay* merged into
 every query: an add appends its overlap row, a remove tombstones its ID —
-both O(the edge's row), never a recount.  A store's write-ahead log,
-folded, installs as the same overlay (:meth:`OverlapIndex.apply_overlay`),
-and :func:`~repro.store.snapshot.write_snapshot` folds base plus overlay
-back into segments on disk.
+both O(the edge's row), never a recount and never a pass over the overlay.
+The overlay's rows live in capacity-doubling buffers, so an add writes only
+its own row; a remove finds its edge's overlay pairs through a per-edge
+position record (the row it added, and a chain through every later row
+that names it) and retires them in place at weight 0, which every
+``weight >= s`` mask already skips; and a weight histogram of the live
+overlay pairs, kept as updates land, answers the counts.  A store's
+write-ahead log, folded, installs as the same overlay
+(:meth:`OverlapIndex.apply_overlay`), and
+:func:`~repro.store.snapshot.write_snapshot` folds base plus overlay back
+into segments on disk.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -91,6 +98,24 @@ def _empty_pairs() -> Pairs:
     return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
+def _reserve(
+    buffer: np.ndarray, used: int, needed: int, fill: Optional[int] = None
+) -> np.ndarray:
+    """``buffer`` if it has room for ``needed`` rows, else a buffer of twice
+    the capacity (at least ``needed``) holding its first ``used`` rows.
+
+    The rows past them are set to ``fill`` if one is given, else left
+    unwritten, so the slack is never paged in.  Doubling keeps a run of
+    appends at amortised O(1) per row."""
+    if needed <= buffer.shape[0]:
+        return buffer
+    grown = np.empty((max(2 * buffer.shape[0], needed, 16),) + buffer.shape[1:], buffer.dtype)
+    grown[:used] = buffer[:used]
+    if fill is not None:
+        grown[used:] = fill
+    return grown
+
+
 class Segment(NamedTuple):
     """A weight-ascending run of base pairs, described without reading it.
 
@@ -146,11 +171,75 @@ class OverlapIndex:
         # The size array is a buffer an add may write past: see add_hyperedge.
         self._sizes_buffer = self._edge_sizes = edge_sizes
         self.algorithm = algorithm
-        # Overlay: appended pairs (update order), tombstoned IDs (sorted), and
-        # how many base pairs of each weight the tombstones hide (lazily).
-        self._extra_edges, self._extra_weights = _empty_pairs()
         self._removed = np.empty(0, dtype=np.int64)
         self._hidden_cache = None
+        self._start_overlay(*_empty_pairs())
+
+    def _start_overlay(self, edges: np.ndarray, weights: np.ndarray) -> None:
+        """Hold ``edges``/``weights`` — live ``(existing, new)`` pairs in
+        update order, each row of one added ID contiguous — as the overlay.
+
+        The overlay's state, all in buffers owned here:
+
+        * ``_extra_edges``/``_extra_weights`` view the first
+          ``_extra_count`` rows of the pair buffers, in update order; a
+          retired pair stays in place at weight 0;
+        * ``_rows[k]:_rows[k + 1]`` are the rows of the ID
+          ``_base_hyperedges + k``'s own overlap row;
+        * ``_heads[i]`` is the last row whose first endpoint is ``i`` and
+          ``_next[r]`` the row before ``r`` with the same one (-1: none);
+        * ``_histogram[w]`` counts the live pairs of weight ``w``.
+        """
+        count = int(weights.size)
+        self._edges_buffer = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        self._weights_buffer = np.array(weights, dtype=np.int64)
+        self._extra_count = count
+        self._view_overlay()
+        added = np.arange(self._base_hyperedges, self.num_hyperedges + 1)
+        self._rows = np.searchsorted(self._edges_buffer[:, 1], added)
+        self._heads = np.full(self.num_hyperedges, -1, dtype=np.int64)
+        self._next = np.empty(count, dtype=np.int64)
+        self._link(0, count)
+        self._histogram = np.bincount(self._weights_buffer)
+
+    def _view_overlay(self) -> None:
+        self._extra_edges = self._edges_buffer[: self._extra_count]
+        self._extra_weights = self._weights_buffer[: self._extra_count]
+
+    def _link(self, start: int, stop: int) -> None:
+        """Chain the overlay rows ``start..stop`` into ``_heads``/``_next`` by
+        first endpoint, in row order — one stable sort of the batch, none
+        for one add's row, whose IDs ascend."""
+        firsts = self._edges_buffer[start:stop, 0]
+        if (firsts[1:] > firsts[:-1]).all():
+            self._next[start:stop] = self._heads[firsts]
+            self._heads[firsts] = np.arange(start, stop)
+            return
+        positions = start + np.argsort(firsts, kind="stable")
+        firsts = self._edges_buffer[positions, 0]
+        leads = np.ones(firsts.size, dtype=bool)
+        leads[1:] = firsts[1:] != firsts[:-1]
+        previous = np.empty(firsts.size, dtype=np.int64)
+        previous[1:] = positions[:-1]
+        previous[leads] = self._heads[firsts[leads]]
+        self._next[positions] = previous
+        lasts = np.append(leads[1:], True)
+        self._heads[firsts[lasts]] = positions[lasts]
+
+    def _overlay_rows(self, edge_id: int) -> np.ndarray:
+        """Every overlay row holding a pair of ``edge_id``, live or retired:
+        its own overlap row and the later rows that name it first."""
+        rows = []
+        row = int(self._heads[edge_id])
+        while row >= 0:
+            rows.append(row)
+            row = int(self._next[row])
+        own = edge_id - self._base_hyperedges
+        if own >= 0:
+            return np.concatenate(
+                [np.arange(self._rows[own], self._rows[own + 1]), np.array(rows, dtype=np.int64)]
+            )
+        return np.array(rows, dtype=np.int64)
 
     @classmethod
     def build(
@@ -223,7 +312,11 @@ class OverlapIndex:
         base's, less those tombstones hide, plus the overlay's."""
         base = sum(segment.num_pairs for segment in self._segments)
         hidden = int(self._hidden_by_weight().sum()) if self._tombstones().size else 0
-        return base - hidden + int(self._extra_weights.size)
+        return base - hidden + self._overlay_pairs()
+
+    def _overlay_pairs(self) -> int:
+        """Number of live overlay pairs, from the histogram."""
+        return int(self._histogram.sum())
 
     @property
     def num_hyperedges(self) -> int:
@@ -234,8 +327,7 @@ class OverlapIndex:
     def max_weight(self) -> int:
         """Largest live pairwise overlap — the largest s with a non-empty ``L_s``."""
         top = max((segment.max_weight for segment in self._segments), default=0)
-        if self._extra_weights.size:
-            top = max(top, int(self._extra_weights.max()))
+        top = max(top, self._histogram.size - 1)
         return int(np.count_nonzero(self.edge_counts(range(1, top + 1))))
 
     @property
@@ -245,17 +337,18 @@ class OverlapIndex:
         return self._edge_sizes
 
     def nbytes(self) -> int:
-        """Bytes of the pair store — base and overlay pairs at 24 bytes each
-        (an int64 ``(i, j)`` and weight) — plus the size array."""
+        """Bytes of the pair store — base and live overlay pairs at 24 bytes
+        each (an int64 ``(i, j)`` and weight) — plus the size array."""
         held = sum(segment.num_pairs for segment in self._segments)
-        return 24 * (held + int(self._extra_weights.size)) + int(self._edge_sizes.nbytes)
+        return 24 * (held + self._overlay_pairs()) + int(self._edge_sizes.nbytes)
 
     # ------------------------------------------------------------------ #
     # Threshold views
     # ------------------------------------------------------------------ #
     def _slices(self, s: int) -> Iterator[Pairs]:
         """Stream the live ``weight >= s`` pairs: one binary-searched slice
-        per base segment, tombstoned pairs dropped, then the overlay's."""
+        per base segment, tombstoned pairs dropped, then the overlay's (a
+        retired overlay pair, at weight 0, is below every ``s``)."""
         tombstones = self._tombstones()
         for edges, weights in self._read(s):
             lo = int(np.searchsorted(weights, s, side="left"))
@@ -295,7 +388,7 @@ class OverlapIndex:
         One binary search per segment and threshold — a segment whose
         ``max_weight`` is below every threshold costs nothing — less the
         base pairs of weight ``>= s`` that tombstones hide, plus the
-        overlay's.
+        overlay's, read off its histogram.
         """
         s_values = np.asarray(s_values, dtype=np.int64)
         totals = np.zeros(s_values.size, dtype=np.int64)
@@ -304,8 +397,8 @@ class OverlapIndex:
             totals += weights.shape[0] - np.searchsorted(weights, s_values, side="left")
         if self._tombstones().size:
             totals -= at_least(self._hidden_by_weight(), s_values)
-        if self._extra_weights.size:
-            totals += at_least(np.bincount(self._extra_weights), s_values)
+        if self._histogram.size:
+            totals += at_least(self._histogram, s_values)
         return totals
 
     def active_vertices(self, s: int) -> np.ndarray:
@@ -394,7 +487,7 @@ class OverlapIndex:
             )
         del runs  # a block's bound is one copy of it: drop the pieces
         rows = self._extra_edges[:, 0]
-        mine = (rows >= row_start) & (rows < row_stop)
+        mine = (rows >= row_start) & (rows < row_stop) & (self._extra_weights > 0)
         return base, (self._extra_edges[mine], self._extra_weights[mine])
 
     # ------------------------------------------------------------------ #
@@ -427,43 +520,62 @@ class OverlapIndex:
                 raise ValidationError("overlap weights must be >= 1")
             if int(pair_ids.max()) >= self.num_hyperedges or int(pair_ids.min()) < 0:
                 raise ValidationError("pair IDs must reference existing hyperedges")
-            if np.isin(pair_ids, self._removed).any():
+            removed = self._removed
+            hit = np.searchsorted(removed, pair_ids).clip(max=removed.size - 1)
+            if removed.size and (removed[hit] == pair_ids).any():
                 raise ValidationError("pair IDs must reference live hyperedges")
+        # Every buffer below doubles its capacity when full, so an add costs
+        # amortised O(its row), not a copy of every size or overlay pair.
+        start = self._extra_count
+        stop = start + pair_ids.size
+        if pair_ids.size:
+            self._edges_buffer = _reserve(self._edges_buffer, start, stop)
+            self._weights_buffer = _reserve(self._weights_buffer, start, stop)
+            self._next = _reserve(self._next, start, stop)
             # The new edge has the largest ID, so pairs are (existing, new).
-            new_pairs = np.column_stack(
-                [pair_ids, np.full(pair_ids.size, new_id, dtype=np.int64)]
-            )
-            self._extra_edges = np.concatenate([self._extra_edges, new_pairs], axis=0)
-            self._extra_weights = np.concatenate([self._extra_weights, pair_weights])
-        # ``_edge_sizes`` views the buffer's first num_hyperedges entries; the
-        # buffer's capacity doubles when full, so an add costs amortised
-        # O(1), not a copy of every size.
-        if new_id == self._sizes_buffer.size:
-            grown = np.empty(max(2 * new_id, 16), dtype=np.int64)
-            grown[:new_id] = self._edge_sizes
-            self._sizes_buffer = grown
+            self._edges_buffer[start:stop, 0] = pair_ids
+            self._edges_buffer[start:stop, 1] = new_id
+            self._weights_buffer[start:stop] = pair_weights
+            self._extra_count = stop
+            self._view_overlay()
+            self._link(start, stop)
+            counts = np.bincount(pair_weights)
+            if counts.size > self._histogram.size:
+                self._histogram = np.append(
+                    self._histogram, np.zeros(counts.size - self._histogram.size, np.int64)
+                )
+            self._histogram[: counts.size] += counts
+        own = new_id - self._base_hyperedges
+        self._rows = _reserve(self._rows, own + 1, own + 2)
+        self._rows[own + 1] = stop
+        self._heads = _reserve(self._heads, new_id, new_id + 1, fill=-1)
+        # ``_edge_sizes`` views the buffer's first num_hyperedges entries.
+        self._sizes_buffer = _reserve(self._sizes_buffer, new_id, new_id + 1)
         self._sizes_buffer[new_id] = max(int(size), 0)
         self._edge_sizes = self._sizes_buffer[: new_id + 1]
 
     def remove_hyperedge(self, edge_id: int) -> None:
-        """Tombstone ``edge_id``: drop its overlay pairs, hide its base pairs
-        and zero its size.
+        """Tombstone ``edge_id``: retire its overlay pairs, hide its base
+        pairs and zero its size.
 
-        The ID slot is kept so all other hyperedge IDs — and every cached
-        result that does not involve ``edge_id`` — remain valid.  Removing
-        it again changes nothing.
+        Only the edge's own overlay rows are read (:meth:`_overlay_rows`);
+        each live one drops to weight 0 and out of the histogram.  The ID
+        slot is kept so all other hyperedge IDs — and every cached result
+        that does not involve ``edge_id`` — remain valid.  Removing it
+        again changes nothing.
         """
         if edge_id < 0 or edge_id >= self.num_hyperedges:
             raise ValidationError(
                 f"hyperedge ID {edge_id} out of range [0, {self.num_hyperedges})"
             )
-        if self._extra_weights.size:
-            keep = (self._extra_edges[:, 0] != edge_id) & (
-                self._extra_edges[:, 1] != edge_id
-            )
-            if not keep.all():
-                self._extra_edges = self._extra_edges[keep]
-                self._extra_weights = self._extra_weights[keep]
+        rows = self._overlay_rows(edge_id)
+        weights = self._weights_buffer[rows]
+        live = weights > 0
+        if live.any():
+            np.subtract.at(self._histogram, weights[live], 1)
+            self._weights_buffer[rows[live]] = 0
+        # No later add may name a removed ID: its chain is done with.
+        self._heads[edge_id] = -1
         at = int(np.searchsorted(self._removed, edge_id))
         if at == self._removed.size or self._removed[at] != edge_id:
             self._removed = np.insert(self._removed, at, np.int64(edge_id))
@@ -481,13 +593,13 @@ class OverlapIndex:
         ``overlay`` is a :class:`~repro.store.overlay.WalOverlay`: the
         batched equivalent of replaying the log through
         :meth:`add_hyperedge` / :meth:`remove_hyperedge`, whose appended
-        pairs, tombstones and size array are adopted as folded.
+        pairs, tombstones and size array are adopted as folded — copied
+        into the index's own buffers, which later updates write through.
         """
-        self._extra_edges = overlay.edges
-        self._extra_weights = overlay.weights
-        self._removed = overlay.removed
-        self._sizes_buffer = self._edge_sizes = overlay.edge_sizes
+        self._removed = np.array(overlay.removed, dtype=np.int64)
+        self._sizes_buffer = self._edge_sizes = np.array(overlay.edge_sizes, dtype=np.int64)
         self._hidden_cache = None
+        self._start_overlay(overlay.edges, overlay.weights)
 
     # ------------------------------------------------------------------ #
     # Dunders

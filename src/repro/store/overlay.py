@@ -24,9 +24,10 @@ from repro.utils.validation import ValidationError
 class WalOverlay:
     """What a log does to the snapshot it was written against.
 
-    ``edges`` / ``weights`` are in log order, as replaying the records one
-    at a time through :meth:`~repro.engine.index.OverlapIndex.add_hyperedge`
-    leaves them; the snapshot writer puts them in fold order.
+    ``edges`` / ``weights`` are in log order, the order of the live pairs
+    that replaying the records one at a time through
+    :meth:`~repro.engine.index.OverlapIndex.add_hyperedge` leaves; the
+    snapshot writer puts them in fold order.
     """
 
     #: ``(k, 2)`` surviving appended pairs ``(existing_id, new_id)``.

@@ -161,6 +161,27 @@ class TestSelectiveInvalidation:
         assert stats.cache_hits == hits
         assert stats.cache_misses == misses
 
+    def test_retained_line_graph_beside_its_squeezed_form_is_dropped(self, engine):
+        engine.squeezed_graph(3)  # L_3's Stage-4 form; L_4 has none
+        old_fp = engine.fingerprint()
+        large_s_graph = engine.line_graph(4)
+        engine.add_hyperedge([4, 5])  # size 2: L_3 and L_4 provably unchanged
+        new_fp = engine.fingerprint()
+        keys = set(engine._cache.keys())
+        # The squeezed form is retained; the line graph it shadows is dropped.
+        assert (new_fp, 3, "squeezed") in keys
+        assert (new_fp, 3, "line_graph") not in keys
+        assert (old_fp, 3, "line_graph") not in keys
+        # Without a squeezed sibling it is retained and refreshed.
+        retained = engine._cache.peek((new_fp, 4, "line_graph"))
+        assert retained.edges is large_s_graph.edges
+        assert retained.num_hyperedges == 5
+        fresh = QueryEngine(engine.hypergraph)
+        for s in (3, 4):
+            served = engine.line_graph(s)
+            assert served == fresh.line_graph(s), s
+            assert np.array_equal(served.active_vertices, fresh.line_graph(s).active_vertices)
+
     def test_large_edge_add_invalidates_affected_s(self, engine):
         engine.add_hyperedge([0, 1, 2, 3, 4, 5])  # size 6 touches every cached s
         stats = engine.stats()

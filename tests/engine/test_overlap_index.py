@@ -6,6 +6,8 @@ import pytest
 from repro.core.dispatch import s_line_graph
 from repro.engine.engine import with_appended_edge, with_emptied_edge
 from repro.engine.index import OverlapIndex, overlap_counts_for_members
+from repro.store import IndexStore
+from repro.store.overlay import WalOverlay
 from repro.utils.validation import ValidationError
 
 from tests.conftest import PAPER_EXAMPLE_OVERLAPS, PAPER_EXAMPLE_SLINE_EDGES
@@ -174,6 +176,89 @@ class TestIncrementalMaintenance:
             assert index.line_graph(s) == rebuilt.line_graph(s), s
         # Growth never writes into an array handed out before it.
         assert handed_out.tobytes() == handed_out_bytes
+
+
+def live_pairs(index):
+    """Every live pair of ``pairs_in_rows`` over the whole ID space, base
+    and overlay together, in (i, j) order as ``(i, j, weight)`` rows."""
+    (edges, weights), (new_edges, new_weights) = index.pairs_in_rows(0, index.num_hyperedges)
+    rows = np.column_stack(
+        [np.concatenate([edges, new_edges]), np.concatenate([weights, new_weights])]
+    )
+    return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+
+
+def assert_serves_a_build(index, h):
+    rebuilt = OverlapIndex.build(h)
+    assert index.edge_sizes.tolist() == rebuilt.edge_sizes.tolist()
+    assert index.num_pairs == rebuilt.num_pairs
+    assert index.s_profile() == rebuilt.s_profile()
+    for s in range(1, rebuilt.max_weight + 2):
+        assert index.line_graph(s) == rebuilt.line_graph(s), s
+    assert live_pairs(index).tolist() == live_pairs(rebuilt).tolist()
+
+
+class TestOverlayRetirement:
+    """A remove retires its edge's overlay pairs wherever they sit — in its
+    own appended row and in the rows appended after it — without touching
+    the others."""
+
+    @pytest.fixture(params=["in_memory", "sharded"])
+    def make_index(self, request, tmp_path):
+        def make(h):
+            if request.param == "in_memory":
+                return OverlapIndex.build(h)
+            IndexStore.build(h, tmp_path / "store", num_shards=2)
+            return IndexStore.open(tmp_path / "store", read_only=True).sharded_index()
+
+        return make
+
+    def test_remove_then_add_serves_what_a_build_serves(
+        self, make_index, paper_example_unlabelled
+    ):
+        h = paper_example_unlabelled
+        index = make_index(h)
+        steps = [
+            ("add", [1, 5, 6]),  # 4: overlaps 0, 1, 2 and 3
+            ("add", [5, 6, 7]),  # 5: its row holds (4, 5) at weight 2
+            ("add", [1, 6]),  # 6: its row holds (4, 6) at weight 2 and (5, 6)
+            ("remove", 4),  # pairs in its own row and in rows 5 and 6
+            ("add", [1, 5, 6]),  # 7: the same members again
+            ("remove", 2),  # a base edge with pairs in rows 6 and 7
+            ("add", [0, 1, 2, 6]),  # 8
+        ]
+        for op, argument in steps:
+            if op == "add":
+                members = np.array(argument, dtype=np.int64)
+                index.add_hyperedge(
+                    h.num_edges, members.size, *overlap_counts_for_members(h, members)
+                )
+                h = with_appended_edge(h, members, None)
+            else:
+                index.remove_hyperedge(argument)
+                h = with_emptied_edge(h, argument)
+            assert_serves_a_build(index, h)
+        index.close()
+
+    def test_adopted_overlay_arrays_are_not_written_through(self, paper_example_unlabelled):
+        h = paper_example_unlabelled
+        members = np.array([1, 5, 6], dtype=np.int64)
+        ids, weights = overlap_counts_for_members(h, members)
+        overlay = WalOverlay(
+            edges=np.column_stack([ids, np.full(ids.size, h.num_edges)]),
+            weights=weights,
+            removed=np.empty(0, dtype=np.int64),
+            edge_sizes=np.append(h.edge_sizes(), members.size),
+        )
+        adopted = [overlay.edges.copy(), overlay.weights.copy(), overlay.edge_sizes.copy()]
+        index = OverlapIndex.build(h)
+        index.apply_overlay(overlay)
+        index.remove_hyperedge(h.num_edges)  # retires every adopted pair
+        index.remove_hyperedge(0)
+        for array, before in zip((overlay.edges, overlay.weights, overlay.edge_sizes), adopted):
+            assert np.array_equal(array, before)
+        h = with_emptied_edge(with_emptied_edge(with_appended_edge(h, members, None), 4), 0)
+        assert_serves_a_build(index, h)
 
 
 class TestOverlapCountsForMembers:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.slinegraph import SLineGraph
-from repro.engine import engine as engine_module
+from repro.engine import delta, engine as engine_module
 from repro.engine.engine import QueryEngine
 from repro.hypergraph.builders import hypergraph_from_edge_lists
 
@@ -410,6 +410,41 @@ def test_an_isolated_edge_linked_then_removed_in_one_window_is_carried():
     engine.add_hyperedge([50, 60])  # its only neighbour is hyperedge 9 ...
     engine.remove_hyperedge(9)  # ... which leaves before anyone looked
     assert settle_and_check(engine).delta_fallbacks == 0
+
+
+#: Every hyperedge but 1 holds vertex 0, so L_1 is a clique on the other
+#: six and no remove of up to four of them isolates a survivor; hyperedge 1
+#: overlaps nobody, so squeezed ID k is hyperedge k + 1 from k = 1 on.
+HUB = [[0, 1], [9], [0, 2], [0, 3], [0, 4], [0, 5], [0, 6]]
+
+
+@pytest.mark.parametrize(
+    "updates, gone",
+    [
+        ([("remove", 0)], [0]),  # the first squeezed ID
+        ([("remove", 6)], [5]),  # the last, n - 1
+        ([("remove", 3), ("remove", 4)], [2, 3]),  # two adjacent IDs
+        ([("remove", 5), ("remove", 2)], [1, 4]),  # two apart, the higher first
+        ([("remove", 0), ("add", [0, 7])], [0]),  # the inserted row is not shifted
+    ],
+)
+def test_a_shifted_splice_equals_the_recompute(updates, gone):
+    engine = warmed(HUB, num_vertices=10)
+    graph, mapping = engine.squeezed_graph(1)
+    for op, argument in updates:
+        apply_update(engine, op, argument)
+    removed = [argument for op, argument in updates if op == "remove"]
+    assert np.searchsorted(mapping.new_to_old, sorted(removed)).tolist() == gone
+    carried = delta.squeezed(graph, mapping, engine._journal[-len(updates) :], 1)
+    assert carried is not None  # a shift, not a shifted squeeze
+    fresh = QueryEngine(engine.hypergraph).squeezed_graph(1)
+    assert carried[0].indices.dtype == fresh[0].indices.dtype == np.int32
+    for got, want in zip(
+        (carried[0].indptr, carried[0].indices, carried[1].new_to_old),
+        (fresh[0].indptr, fresh[0].indices, fresh[1].new_to_old),
+    ):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_a_shift_out_beside_a_shift_in_declines_and_recomputes():
