@@ -21,13 +21,7 @@ structure, so:
 """
 
 from repro.engine.cache import LRUCache
-from repro.engine.engine import (
-    QueryEngine,
-    QueryStats,
-    SweepResult,
-    with_appended_edge,
-    with_emptied_edge,
-)
+from repro.engine.engine import QueryEngine, QueryStats, SweepResult
 from repro.engine.index import OverlapIndex, overlap_counts_for_members
 
 __all__ = [
@@ -37,6 +31,4 @@ __all__ = [
     "QueryStats",
     "SweepResult",
     "overlap_counts_for_members",
-    "with_appended_edge",
-    "with_emptied_edge",
 ]

@@ -645,8 +645,10 @@ def with_appended_edge(
 ) -> Hypergraph:
     """A new hypergraph equal to ``h`` plus one trailing hyperedge.
 
-    The per-record reference for one logged add (the engine's own updates
-    go through its :class:`~repro.hypergraph.overlay.OverlayHypergraph`).
+    Nothing in the library calls it (the engine's own updates go through
+    its :class:`~repro.hypergraph.overlay.OverlayHypergraph`): its one
+    remaining caller is ``benchmarks/e2e/e2e_layers.py``, and it goes with
+    the benchmark change that moves that harness off it (ROADMAP item 3).
     Both CSRs are extended in place of a rebuild: the new edge has the
     largest ID, so in the vertex→edge CSR it lands at the *end* of each
     member's row — one ``np.insert`` plus an ``indptr`` shift, no transpose.
@@ -684,35 +686,4 @@ def with_appended_edge(
         ),
         edge_names=edge_names,
         vertex_names=vertex_names,
-    )
-
-
-def with_emptied_edge(h: Hypergraph, edge_id: int) -> Hypergraph:
-    """A new hypergraph equal to ``h`` with one hyperedge emptied in place.
-
-    The mirror image of :func:`with_appended_edge`: the edge's row is cut
-    out of the edge→vertex CSR and its ID out of each member's
-    vertex→edge row, again without a transpose.
-    """
-    edges = h.edges_csr
-    vertices = h.vertices_csr
-    start, stop = int(edges.indptr[edge_id]), int(edges.indptr[edge_id + 1])
-    members = edges.indices[start:stop]
-    edge_indptr = edges.indptr.copy()
-    edge_indptr[edge_id + 1 :] -= stop - start
-    return Hypergraph(
-        edges=CSRMatrix(
-            indptr=edge_indptr,
-            indices=np.delete(edges.indices, slice(start, stop)),
-            num_cols=edges.num_cols,
-        ),
-        vertices=CSRMatrix(
-            indptr=shifted_indptr(vertices.indptr, members, -1),
-            indices=np.delete(
-                vertices.indices, np.flatnonzero(vertices.indices == edge_id)
-            ),
-            num_cols=vertices.num_cols,
-        ),
-        edge_names=h.edge_names,
-        vertex_names=h.vertex_names,
     )

@@ -23,8 +23,9 @@ that names it) and retires them in place at weight 0, which every
 overlay pairs, kept as updates land, answers the counts.  A store's
 write-ahead log, folded, installs as the same overlay
 (:meth:`OverlapIndex.apply_overlay`), and
-:func:`~repro.store.snapshot.write_snapshot` folds base plus overlay back
-into segments on disk.
+:func:`~repro.store.snapshot.write_snapshot` writes base plus overlay back
+as segments on disk.  Pairs have one order wherever they are held in
+segments, in memory or on disk: base order (:func:`weight_pair_order`).
 """
 
 from __future__ import annotations
@@ -87,8 +88,11 @@ def at_least(counts: np.ndarray, thresholds: Sequence[int]) -> np.ndarray:
 
 def weight_pair_order(edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The permutation into base order: ascending weight, ties by (i, j) —
-    pair order, then a stable sort of the weights in that order.  Every
-    writer of a snapshot must share it for shard bytes to agree.
+    pair order, then a stable sort of the weights in that order.
+
+    The one order of pairs in a segment: a build's and every shard a
+    snapshot writes, whether from a build or a compaction, so a snapshot's
+    bytes depend only on the state it holds.
     """
     order = pair_order(edges)
     return order.take(np.argsort(weights.take(order), kind="stable"))
@@ -458,16 +462,18 @@ class OverlapIndex:
         s_values = range(1, self.max_weight + 1)
         return dict(zip(s_values, self.edge_counts(s_values).tolist()))
 
-    def pairs_in_rows(self, row_start: int, row_stop: int) -> Tuple[Pairs, Pairs]:
-        """The live pairs ``(i, j)`` with ``row_start <= i < row_stop``: the
-        base's, in segment order, and the overlay's, in update order — the
-        parts a snapshot block is written from.
+    def pairs_in_rows(self, row_start: int, row_stop: int) -> Pairs:
+        """The live pairs ``(i, j)`` with ``row_start <= i < row_stop`` as one
+        ``(edges, weights)`` run — the base's, segment by segment, then the
+        overlay's — the block a snapshot shard is written from.
 
-        Only segments whose rows overlap the range are read; pairs of one
-        segment come out as that segment's weight-ascending run.
+        Only segments whose rows overlap the range are read.  The run is a
+        copy, never a view of a segment, and is put in no order here: the
+        snapshot writer puts it in base order (:func:`weight_pair_order`).
+        Parts are concatenated only when more than one is non-empty.
         """
         tombstones = self._tombstones()
-        runs = [_empty_pairs()]
+        runs = []
         for segment in self._segments:
             overlaps = segment.row_start < row_stop and row_start < segment.row_stop
             if not (segment.num_pairs and overlaps):
@@ -478,17 +484,16 @@ class OverlapIndex:
             if tombstones.size:
                 keep &= ~self._hides(edges, tombstones)
             runs.append((edges[keep], weights[keep]))
-        if len(runs) == 2:
-            base = runs.pop()
-        else:
-            base = (
-                np.concatenate([e for e, _ in runs], axis=0),
-                np.concatenate([w for _, w in runs]),
-            )
-        del runs  # a block's bound is one copy of it: drop the pieces
         rows = self._extra_edges[:, 0]
         mine = (rows >= row_start) & (rows < row_stop) & (self._extra_weights > 0)
-        return base, (self._extra_edges[mine], self._extra_weights[mine])
+        runs.append((self._extra_edges[mine], self._extra_weights[mine]))
+        runs = [run for run in runs if run[1].size]
+        if len(runs) <= 1:
+            return runs[0] if runs else _empty_pairs()
+        return (
+            np.concatenate([e for e, _ in runs], axis=0),
+            np.concatenate([w for _, w in runs]),
+        )
 
     # ------------------------------------------------------------------ #
     # Incremental maintenance (the overlay)
@@ -502,7 +507,8 @@ class OverlapIndex:
         existing hyperedges (from :func:`overlap_counts_for_members`).  The
         row is refused — :class:`ValidationError`, nothing changed — as a
         folded log refuses it: columns of different lengths, a weight below
-        1, or an ID that does not exist or was removed.
+        1, an ID that does not exist or was removed, or IDs that do not
+        strictly ascend (a repeated ID would count its pair twice).
         """
         if new_id != self.num_hyperedges:
             raise ValidationError(
@@ -520,6 +526,8 @@ class OverlapIndex:
                 raise ValidationError("overlap weights must be >= 1")
             if int(pair_ids.max()) >= self.num_hyperedges or int(pair_ids.min()) < 0:
                 raise ValidationError("pair IDs must reference existing hyperedges")
+            if (pair_ids[1:] <= pair_ids[:-1]).any():
+                raise ValidationError("pair IDs must strictly ascend")
             removed = self._removed
             hit = np.searchsorted(removed, pair_ids).clip(max=removed.size - 1)
             if removed.size and (removed[hit] == pair_ids).any():

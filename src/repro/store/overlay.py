@@ -26,8 +26,7 @@ class WalOverlay:
 
     ``edges`` / ``weights`` are in log order, the order of the live pairs
     that replaying the records one at a time through
-    :meth:`~repro.engine.index.OverlapIndex.add_hyperedge` leaves; the
-    snapshot writer puts them in fold order.
+    :meth:`~repro.engine.index.OverlapIndex.add_hyperedge` leaves.
     """
 
     #: ``(k, 2)`` surviving appended pairs ``(existing_id, new_id)``.
@@ -47,8 +46,9 @@ def fold_records(
 
     Raises :class:`ValidationError` for a log that does not apply: an add
     whose ID is not the next free one, a remove outside the ID range of its
-    moment, or an overlap row with a weight below 1 or that references a
-    hyperedge which does not exist (yet) or was removed earlier in the log.
+    moment, or an overlap row with a weight below 1, whose IDs do not
+    strictly ascend, or that references a hyperedge which does not exist
+    (yet) or was removed earlier in the log.
     """
     base_n = int(base_edge_sizes.size)
     n = base_n
@@ -95,6 +95,8 @@ def fold_records(
         raise ValidationError("overlap weights must be >= 1")
     if np.any((lo < 0) | (lo >= hi)):
         raise ValidationError("pair IDs must reference existing hyperedges")
+    if np.any((hi[1:] == hi[:-1]) & (lo[1:] <= lo[:-1])):
+        raise ValidationError("pair IDs must strictly ascend")
     row_position = np.repeat(np.asarray(add_positions, dtype=np.int64), counts)
 
     # Log position of each hyperedge's first tombstone (``never`` if none).

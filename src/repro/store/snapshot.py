@@ -3,18 +3,22 @@
 A snapshot is an :class:`~repro.engine.index.OverlapIndex` — its base
 segments plus its overlay — written as weight-ascending pair arrays,
 partitioned into row-block shards (see :mod:`repro.store.format`).  One
-writer, :func:`write_snapshot`, serves a build and a compaction alike;
-:func:`insert_by_weight` defines the order in which an overlay folds into
-the base on disk.  Shards are plain ``.npy`` files, so the one reader,
+writer, :func:`write_snapshot`, serves a build and a compaction alike, and
+writes every shard in the one base order of pairs
+(:func:`~repro.engine.index.weight_pair_order`): a snapshot's bytes depend
+on the state it holds, not on the updates that led to it.  Shards are
+plain ``.npy`` files, so the one reader,
 :class:`~repro.store.sharded.ShardedIndex`, maps them with
-``np.load(mmap_mode="r")`` and lets the OS page slices in on demand.
+``np.load(mmap_mode="r")`` and lets the OS page slices in on demand; it
+needs only weight ascent, so a store written in another tie order still
+opens.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,27 +51,6 @@ def _in_base_order(edges: np.ndarray, weights: np.ndarray) -> bool:
     return bool(np.all(ascending))
 
 
-def insert_by_weight(
-    edges: np.ndarray,
-    weights: np.ndarray,
-    new_edges: np.ndarray,
-    new_weights: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge weight-ascending ``new`` pairs into a weight-ascending run.
-
-    Each new pair lands *in front of* the stored pairs of equal weight, new
-    pairs that tie keep their given order.  This defines the fold order on
-    disk: the order inserting each update's row into the pair arrays, one
-    update at a time, would leave behind.  One binary search plus one
-    ``np.insert`` per array.
-    """
-    positions = np.searchsorted(weights, new_weights, side="left")
-    return (
-        np.insert(edges, positions, new_edges, axis=0),
-        np.insert(weights, positions, new_weights),
-    )
-
-
 def write_snapshot(
     index: OverlapIndex,
     store_path: PathLike,
@@ -81,61 +64,18 @@ def write_snapshot(
 
     The hyperedge-ID space is split into ``num_shards`` contiguous row
     blocks; pair ``(i, j)`` (``i < j``) goes to the block owning ``i``.
-    Each block is gathered from the base segments that overlap it
-    (:meth:`~repro.engine.index.OverlapIndex.pairs_in_rows`), tombstoned
-    pairs dropped, and put in base order (:func:`weight_pair_order`) — a
-    sort that a block already in it, as every block of a fresh build is,
-    skips.  The overlay's pairs are then merged in fold order
-    (:func:`insert_by_weight`, the newest update first).  So the files are
-    those of the base-order index with each update inserted in turn, and
-    peak memory is one block plus the overlay, whatever the store's size.
-    Shard files are named by ``generation`` so a compaction can lay down a
-    fresh snapshot next to the live one before switching the manifest
-    atomically.
+    Each block — its live base and overlay pairs, tombstoned pairs dropped
+    (:meth:`~repro.engine.index.OverlapIndex.pairs_in_rows`) — is written in
+    base order (:func:`weight_pair_order`), a sort that a block already in
+    it, as every block of a build is, skips.  So the files depend only on
+    the index's state, the shard count and the generation: a compaction
+    writes the bytes a fresh build of the same hypergraph writes.  Peak
+    memory is one block, whatever the store's size.  Shard files are named
+    by ``generation`` so a compaction can lay down a fresh snapshot next to
+    the live one before switching the manifest atomically.
     """
-
-    def block_pairs(row_start: int, row_stop: int) -> Tuple[np.ndarray, np.ndarray]:
-        (edges, weights), (new_edges, new_weights) = index.pairs_in_rows(row_start, row_stop)
-        # The block holds copies: unmap the input shards a store's index
-        # read it from before sorting and writing it.
-        index.close()
-        if not _in_base_order(edges, weights):
-            order = weight_pair_order(edges, weights)
-            # The memory bound is the point of writing by block: drop each
-            # copy of the block as soon as the next one exists.
-            edges, weights = edges.take(order, axis=0), weights.take(order)
-            del order
-        if not new_weights.size:
-            return edges, weights
-        # Every overlay pair is (existing, new): newest update first is
-        # descending second endpoint, and a stable sort keeps each row's order.
-        fold = np.lexsort((-new_edges[:, 1], new_weights))
-        return insert_by_weight(edges, weights, new_edges[fold], new_weights[fold])
-
-    return _write_generation(
-        block_pairs,
-        index.edge_sizes,
-        index.algorithm,
-        store_path,
-        fingerprint,
-        num_shards,
-        generation,
-        provenance,
-    )
-
-
-def _write_generation(
-    block_pairs: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
-    edge_sizes: np.ndarray,
-    algorithm: str,
-    store_path: PathLike,
-    fingerprint: str,
-    num_shards: int,
-    generation: int,
-    provenance: Optional[Dict[str, object]],
-) -> Manifest:
-    """Lay down one snapshot generation, shard by shard, then its manifest."""
     num_shards = check_positive_int(num_shards, "num_shards")
+    edge_sizes = index.edge_sizes
     store_path = str(store_path)
     shard_dir = os.path.join(store_path, SHARD_DIR)
     os.makedirs(shard_dir, exist_ok=True)
@@ -147,9 +87,17 @@ def _write_generation(
         row_start = int(block[0]) if block.size else start
         row_stop = int(block[-1]) + 1 if block.size else row_start
         start = row_stop
-        shard_edges, shard_weights = block_pairs(row_start, row_stop)
-        shard_edges = np.ascontiguousarray(shard_edges)
-        shard_weights = np.ascontiguousarray(shard_weights)
+        shard_edges, shard_weights = index.pairs_in_rows(row_start, row_stop)
+        # The block holds copies: unmap the input shards a store's index
+        # read it from before sorting and writing it.
+        index.close()
+        if not _in_base_order(shard_edges, shard_weights):
+            order = weight_pair_order(shard_edges, shard_weights)
+            # The memory bound is the point of writing by block: drop each
+            # copy of the block as soon as the next one exists.
+            shard_edges = shard_edges.take(order, axis=0)
+            shard_weights = shard_weights.take(order)
+            del order
         edges_file, weights_file = shard_file_names(generation, shard_id)
         np.save(os.path.join(shard_dir, edges_file), shard_edges)
         np.save(os.path.join(shard_dir, weights_file), shard_weights)
@@ -189,7 +137,7 @@ def _write_generation(
         num_hyperedges=int(edge_sizes.size),
         num_pairs=sum(info.num_pairs for info in shards),
         max_weight=max((info.max_weight for info in shards), default=0),
-        algorithm=algorithm,
+        algorithm=index.algorithm,
         generation=int(generation),
         shards=shards,
         provenance=meta,

@@ -35,6 +35,7 @@ from repro.hypergraph.builders import (
     hypergraph_from_edge_dict,
     hypergraph_from_edge_lists,
 )
+from repro.hypergraph.hypergraph import Hypergraph
 
 
 #: The edge sets of the hyperedge s-line graphs of the paper example
@@ -126,3 +127,42 @@ def brute_force_s_line_edges(h, s):
             if overlap >= s:
                 out[(i, j)] = overlap
     return out
+
+
+class EdgeListModel:
+    """The model oracle of a hypergraph under updates: plain member lists.
+
+    An add appends its members (sorted, deduplicated) and a remove empties
+    its edge to ``[]``, so every hyperedge ID stays put.  Labels and the
+    vertex count are carried as an add extends them: an unnamed edge is
+    named by its ID, and each new vertex by its own.  :meth:`hypergraph`
+    builds the current state from scratch.
+    """
+
+    def __init__(self, h):
+        self.members = [sorted(map(int, row)) for _, row in h.iter_edges()]
+        self.num_vertices = h.num_vertices
+        self.edge_names = None if h.edge_names is None else list(h.edge_names)
+        self.vertex_names = None if h.vertex_names is None else list(h.vertex_names)
+
+    def add(self, members, name=None):
+        """Append a hyperedge; returns its ID."""
+        members = sorted({int(v) for v in members})
+        new_id = len(self.members)
+        self.members.append(members)
+        grown = max([self.num_vertices] + [v + 1 for v in members])
+        if self.edge_names is not None:
+            self.edge_names.append(new_id if name is None else name)
+        if self.vertex_names is not None:
+            self.vertex_names.extend(range(self.num_vertices, grown))
+        self.num_vertices = grown
+        return new_id
+
+    def remove(self, edge_id):
+        self.members[int(edge_id)] = []
+
+    def hypergraph(self):
+        built = hypergraph_from_edge_lists(self.members, num_vertices=self.num_vertices)
+        return Hypergraph(
+            built.edges_csr, edge_names=self.edge_names, vertex_names=self.vertex_names
+        )

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.dispatch import s_line_graph
-from repro.engine.engine import with_appended_edge, with_emptied_edge
 from repro.engine.index import OverlapIndex, overlap_counts_for_members
 from repro.store import IndexStore
 from repro.store.overlay import WalOverlay
 from repro.utils.validation import ValidationError
 
-from tests.conftest import PAPER_EXAMPLE_OVERLAPS, PAPER_EXAMPLE_SLINE_EDGES
+from tests.conftest import PAPER_EXAMPLE_OVERLAPS, PAPER_EXAMPLE_SLINE_EDGES, EdgeListModel
 
 
 @pytest.fixture
@@ -129,8 +128,9 @@ class TestIncrementalMaintenance:
         index.add_hyperedge(
             4, members.size, *overlap_counts_for_members(paper_example_unlabelled, members)
         )
-        grown = with_appended_edge(paper_example_unlabelled, members, None)
-        rebuilt = OverlapIndex.build(grown)
+        model = EdgeListModel(paper_example_unlabelled)
+        model.add(members)
+        rebuilt = OverlapIndex.build(model.hypergraph())
         assert index.num_pairs == rebuilt.num_pairs == 8
         assert index.num_hyperedges == 5
         assert index.s_profile() == rebuilt.s_profile()
@@ -152,21 +152,23 @@ class TestIncrementalMaintenance:
         # Enough adds to outgrow the size buffer several times, removes in
         # between (some of just-added edges), checked against a fresh build.
         rng = np.random.default_rng(7)
-        h = paper_example_unlabelled
-        index = OverlapIndex.build(h)
+        model = EdgeListModel(paper_example_unlabelled)
+        index = OverlapIndex.build(paper_example_unlabelled)
         handed_out = index.edge_sizes
         handed_out_bytes = handed_out.tobytes()
         for step in range(70):
             if step % 3 == 2:
-                edge_id = int(rng.integers(h.num_edges))
+                edge_id = int(rng.integers(len(model.members)))
                 index.remove_hyperedge(edge_id)
-                h = with_emptied_edge(h, edge_id)
+                model.remove(edge_id)
             else:
                 members = np.unique(rng.integers(0, 9, size=rng.integers(1, 6)))
+                h = model.hypergraph()
                 index.add_hyperedge(
                     h.num_edges, members.size, *overlap_counts_for_members(h, members)
                 )
-                h = with_appended_edge(h, members, None)
+                model.add(members)
+        h = model.hypergraph()
         rebuilt = OverlapIndex.build(h)
         assert index.edge_sizes.shape == (h.num_edges,) == (index.num_hyperedges,)
         assert index.edge_sizes.tolist() == rebuilt.edge_sizes.tolist()
@@ -181,10 +183,8 @@ class TestIncrementalMaintenance:
 def live_pairs(index):
     """Every live pair of ``pairs_in_rows`` over the whole ID space, base
     and overlay together, in (i, j) order as ``(i, j, weight)`` rows."""
-    (edges, weights), (new_edges, new_weights) = index.pairs_in_rows(0, index.num_hyperedges)
-    rows = np.column_stack(
-        [np.concatenate([edges, new_edges]), np.concatenate([weights, new_weights])]
-    )
+    edges, weights = index.pairs_in_rows(0, index.num_hyperedges)
+    rows = np.column_stack([edges, weights])
     return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
 
 
@@ -216,8 +216,8 @@ class TestOverlayRetirement:
     def test_remove_then_add_serves_what_a_build_serves(
         self, make_index, paper_example_unlabelled
     ):
-        h = paper_example_unlabelled
-        index = make_index(h)
+        model = EdgeListModel(paper_example_unlabelled)
+        index = make_index(paper_example_unlabelled)
         steps = [
             ("add", [1, 5, 6]),  # 4: overlaps 0, 1, 2 and 3
             ("add", [5, 6, 7]),  # 5: its row holds (4, 5) at weight 2
@@ -230,14 +230,15 @@ class TestOverlayRetirement:
         for op, argument in steps:
             if op == "add":
                 members = np.array(argument, dtype=np.int64)
+                h = model.hypergraph()
                 index.add_hyperedge(
                     h.num_edges, members.size, *overlap_counts_for_members(h, members)
                 )
-                h = with_appended_edge(h, members, None)
+                model.add(members)
             else:
                 index.remove_hyperedge(argument)
-                h = with_emptied_edge(h, argument)
-            assert_serves_a_build(index, h)
+                model.remove(argument)
+            assert_serves_a_build(index, model.hypergraph())
         index.close()
 
     def test_adopted_overlay_arrays_are_not_written_through(self, paper_example_unlabelled):
@@ -257,8 +258,11 @@ class TestOverlayRetirement:
         index.remove_hyperedge(0)
         for array, before in zip((overlay.edges, overlay.weights, overlay.edge_sizes), adopted):
             assert np.array_equal(array, before)
-        h = with_emptied_edge(with_emptied_edge(with_appended_edge(h, members, None), 4), 0)
-        assert_serves_a_build(index, h)
+        model = EdgeListModel(h)
+        model.add(members)
+        model.remove(h.num_edges)
+        model.remove(0)
+        assert_serves_a_build(index, model.hypergraph())
 
 
 class TestOverlapCountsForMembers:

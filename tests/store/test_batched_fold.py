@@ -4,14 +4,13 @@
 and applies it in one step — to the index's overlay, to the saved
 hypergraph, and, streamed shard by shard, to the next snapshot
 generation.  The references here replay the same records one at a time:
-the hypergraph through ``with_appended_edge`` / ``with_emptied_edge``,
-whose fresh ``OverlapIndex.build`` every index must count and serve as;
-and, for the bytes a compaction writes, the pair arrays themselves, each
-add inserted by weight and each remove cut out.
+through ``OverlapIndex.add_hyperedge`` / ``remove_hyperedge``, and through
+the edge-list model (``tests.conftest.EdgeListModel``), whose fresh
+``OverlapIndex.build`` every index must count and serve as, and whose
+fresh snapshot every compaction must write byte for byte.
 """
 
 import os
-import shutil
 import tracemalloc
 from types import SimpleNamespace
 
@@ -21,19 +20,20 @@ import pytest
 import repro.store.store as store_module
 from repro.chaos import failpoints
 from repro.chaos.failpoints import FailpointError
-from repro.engine.engine import with_appended_edge, with_emptied_edge
 from repro.engine.index import OverlapIndex, overlap_counts_for_members, weight_pair_order
 from repro.generators.community import planted_community_hypergraph
 from repro.hypergraph.builders import hypergraph_from_edge_dict
 from repro.io.serialization import load_hypergraph_npz
 from repro.store.format import HYPERGRAPH_NAME, SHARD_DIR
 from repro.store.persistent import PersistentQueryEngine
+from repro.store.replication import LocalReplicationSource, StoreMirror
 from repro.store.sharded import ShardedIndex
-from repro.store.snapshot import _write_generation, insert_by_weight
+from repro.store.snapshot import load_shard, write_snapshot
 from repro.store.store import IndexStore
 from repro.store.wal import OP_ADD
 from repro.utils.rng import make_rng
 from repro.utils.validation import ValidationError
+from tests.conftest import EdgeListModel
 
 
 # --------------------------------------------------------------------- #
@@ -53,45 +53,26 @@ def replay_per_record(index, records):
     return index
 
 
-def reference_arrays(store):
-    """The snapshot's pairs in base order and its sizes, with each record
-    applied to the plain arrays: an add's row inserted in front of equal
-    weights, a remove's pairs cut out — the order a compaction must write."""
-    snapshot = ShardedIndex(store.path, manifest=store.manifest)
-    edges, weights = snapshot.pairs_at_least(1)
-    order = weight_pair_order(edges, weights)
-    edges, weights = edges[order], weights[order]
-    sizes = snapshot.edge_sizes.copy()
-    for record in store.wal_records:
-        if record.op == OP_ADD:
-            ids = np.asarray(record.payload["pair_ids"], dtype=np.int64)
-            row = np.asarray(record.payload["pair_weights"], dtype=np.int64)
-            by_weight = np.argsort(row, kind="stable")
-            new = np.column_stack([ids[by_weight], np.full(ids.size, record.edge_id)])
-            edges, weights = insert_by_weight(edges, weights, new, row[by_weight])
-            sizes = np.append(sizes, max(int(record.payload["size"]), 0))
-        else:
-            gone = (edges[:, 0] == record.edge_id) | (edges[:, 1] == record.edge_id)
-            edges, weights = edges[~gone], weights[~gone]
-            sizes[record.edge_id] = 0
-    return edges, weights, sizes
-
-
 def reference_sharded(store):
     return replay_per_record(
         ShardedIndex(store.path, manifest=store.manifest), store.wal_records
     )
 
 
-def reference_hypergraph(store):
-    h = load_hypergraph_npz(os.path.join(store.path, HYPERGRAPH_NAME))
+def reference_model(store):
+    """The edge-list model of the store's snapshot hypergraph with every
+    logged record applied in turn."""
+    model = EdgeListModel(load_hypergraph_npz(os.path.join(store.path, HYPERGRAPH_NAME)))
     for record in store.wal_records:
         if record.op == OP_ADD:
-            members = np.asarray(record.payload["members"], dtype=np.int64)
-            h = with_appended_edge(h, members, record.payload.get("name"))
+            model.add(record.payload["members"], record.payload.get("name"))
         else:
-            h = with_emptied_edge(h, record.edge_id)
-    return h
+            model.remove(record.edge_id)
+    return model
+
+
+def reference_hypergraph(store):
+    return reference_model(store).hypergraph()
 
 
 def rebuilt_index(store):
@@ -195,14 +176,16 @@ class TestBatchedReplay:
 
     def test_sharded_index_keeps_taking_live_updates(self, logged_store):
         batched = logged_store.sharded_index()
-        h = reference_hypergraph(logged_store)
+        model = reference_model(logged_store)
+        h = model.hypergraph()
         members = np.array([0, 2, 5, 9, 11], dtype=np.int64)
         batched.add_hyperedge(
             h.num_edges, members.size, *overlap_counts_for_members(h, members)
         )
         batched.remove_hyperedge(5)
-        h = with_emptied_edge(with_appended_edge(h, members, None), 5)
-        assert_serves_as(batched, OverlapIndex.build(h))
+        model.add(members)
+        model.remove(5)
+        assert_serves_as(batched, OverlapIndex.build(model.hypergraph()))
 
     def test_load_hypergraph_equals_per_record_replay(self, logged_store):
         batched = logged_store.load_hypergraph()
@@ -233,44 +216,115 @@ class TestBatchedReplay:
 
 
 # --------------------------------------------------------------------- #
-# Streamed compaction == the per-record pair arrays, byte for byte
+# Streamed compaction == a fresh build of the same state, byte for byte
 # --------------------------------------------------------------------- #
+def compaction_provenance(store):
+    provenance = dict(store.manifest.provenance)
+    provenance["compacted_from_generation"] = store.manifest.generation
+    provenance["compacted_wal_records"] = store.num_wal_records()
+    return provenance
+
+
+def snapshot_files(path, manifest):
+    """The bytes of each file the manifest names, and of the manifest."""
+    names = [manifest.edge_sizes_file, "manifest.json"]
+    for info in manifest.shards:
+        names.append(os.path.join(SHARD_DIR, info.edges_file))
+        names.append(os.path.join(SHARD_DIR, info.weights_file))
+    on_disk = files_under(path)
+    return {name: on_disk[name] for name in names}
+
+
+def shard_bytes(path, manifest):
+    """Each shard's ``(edges, weights)`` file bytes, by shard ID."""
+    on_disk = files_under(os.path.join(path, SHARD_DIR))
+    return [(on_disk[info.edges_file], on_disk[info.weights_file]) for info in manifest.shards]
+
+
+class FetchLog(LocalReplicationSource):
+    """A local source that records the name of every file fetched from it."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.fetched = []
+
+    def repl_fetch(self, name, generation, offset, length, raw=True):
+        self.fetched.append(name)
+        return super().repl_fetch(name, generation, offset, length, raw=raw)
+
+
 class TestStreamedCompaction:
     @pytest.mark.parametrize("num_shards", [None, 1, 7])
     def test_generation_is_byte_identical(self, logged_store, tmp_path, num_shards):
+        """The new generation's files are those ``write_snapshot`` lays down
+        for a fresh build of the model hypergraph — a Stage-3 recount of
+        every pair — at the same shard count and generation."""
         old = logged_store.manifest
-        reference_dir = tmp_path / "reference"
-        shutil.copytree(logged_store.path, reference_dir)
-        provenance = dict(old.provenance)
-        provenance["compacted_from_generation"] = old.generation
-        provenance["compacted_wal_records"] = logged_store.num_wal_records()
-        edges, weights, sizes = reference_arrays(logged_store)
-        rows = edges[:, 0]
-
-        def block_pairs(row_start, row_stop):
-            mask = (rows >= row_start) & (rows < row_stop)
-            return edges[mask], weights[mask]
-
-        _write_generation(
-            block_pairs,
-            sizes,
-            old.algorithm,
-            reference_dir,
+        fresh = write_snapshot(
+            OverlapIndex.build(reference_hypergraph(logged_store)),
+            tmp_path / "fresh",
             logged_store.current_fingerprint(),
-            len(old.shards) if num_shards is None else num_shards,
-            old.generation + 1,
-            provenance,
+            num_shards=len(old.shards) if num_shards is None else num_shards,
+            generation=old.generation + 1,
+            provenance=compaction_provenance(logged_store),
         )
-        want = files_under(reference_dir)
-
         manifest = logged_store.compact(num_shards=num_shards)
-        got = files_under(logged_store.path)
-        new_files = {manifest.edge_sizes_file, "manifest.json"}
+        assert snapshot_files(logged_store.path, manifest) == snapshot_files(
+            tmp_path / "fresh", fresh
+        )
+
+    def test_recompaction_keeps_every_shard_byte(self, logged_store, tmp_path):
+        """A compaction with nothing logged rewrites each shard with the
+        bytes it had, so a mirror re-fetches no shard file."""
+        source = FetchLog(logged_store.path)
+        mirror = StoreMirror(source, tmp_path / "mirror")
+        first = logged_store.compact()
+        mirror.sync()
+        before = shard_bytes(logged_store.path, first)
+        second = logged_store.compact()
+        assert second.generation == first.generation + 1
+        assert shard_bytes(logged_store.path, second) == before
+        source.fetched.clear()
+        report = mirror.sync()
+        assert report.generation == second.generation
+        assert not [name for name in source.fetched if name.startswith(SHARD_DIR)]
+
+    def test_store_with_ties_out_of_pair_order_opens_and_compacts_to_base_order(
+        self, community_hypergraph, tmp_path
+    ):
+        """Readers need only weight ascent: a shard whose equal-weight runs
+        are in another pair order (as earlier writers left them) serves
+        every threshold view, and its next compaction writes base order."""
+        store = IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
+        shard_dir = os.path.join(store.path, SHARD_DIR)
+        permuted = 0
+        for info in store.manifest.shards:
+            edges, weights = load_shard(store.path, info, mmap=False)
+            order = np.lexsort((-edges[:, 1], -edges[:, 0], weights))  # ties reversed
+            permuted += int(np.any(order != np.arange(order.size)))
+            np.save(os.path.join(shard_dir, info.edges_file), edges[order])
+            np.save(os.path.join(shard_dir, info.weights_file), weights[order])
+        assert permuted == len(store.manifest.shards)
+
+        oracle = OverlapIndex.build(community_hypergraph)
+        reopened = IndexStore.open(store.path)
+        assert_serves_as(reopened.sharded_index(), oracle)
+        fresh = write_snapshot(
+            oracle,
+            tmp_path / "fresh",
+            reopened.current_fingerprint(),
+            num_shards=4,
+            generation=reopened.manifest.generation + 1,
+            provenance=compaction_provenance(reopened),
+        )
+        manifest = reopened.compact()
+        assert snapshot_files(reopened.path, manifest) == snapshot_files(
+            tmp_path / "fresh", fresh
+        )
         for info in manifest.shards:
-            new_files.add(os.path.join(SHARD_DIR, info.edges_file))
-            new_files.add(os.path.join(SHARD_DIR, info.weights_file))
-        for name in sorted(new_files):
-            assert got[name] == want[name], name
+            edges, weights = load_shard(reopened.path, info)
+            assert np.array_equal(weight_pair_order(edges, weights), np.arange(weights.size))
+        assert_serves_as(IndexStore.open(reopened.path).sharded_index(), oracle)
 
     def test_compacted_store_reopens_to_the_same_state(self, logged_store):
         oracle = rebuilt_index(logged_store)
@@ -314,10 +368,10 @@ class TestStreamedCompaction:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # At most the gathered block, its sort keys and order, and the sorted
-        # or merged copy are alive together: a fixed multiple of the largest
-        # shard.  Materialising the pair store peaks above 3x store_bytes
-        # on this store.
+        # At most the gathered block (its pieces and their concatenation),
+        # its sort keys and order, and the sorted copy are alive together: a
+        # fixed multiple of the largest shard.  Materialising the pair store
+        # peaks above 3x store_bytes on this store.
         slack = 1 << 19  # hypergraph archive, manifests, interpreter noise
         assert peak < 6 * largest_shard + overlay_bytes + slack
         assert peak < store_bytes / 2
@@ -358,6 +412,14 @@ def non_positive_weight(store, n):
     store.append_add(n, [0, 1, 2], [2, 3], [0, -3])
 
 
+def repeated_pair_id(store, n):
+    store.append_add(n, [0, 1], [2, 2], [1, 1])
+
+
+def unsorted_pair_ids(store, n):
+    store.append_add(n, [0, 1], [3, 2], [1, 1])
+
+
 MALFORMED = [
     (bad_new_id, "new hyperedge ID must be"),
     (bad_pair_id, "existing hyperedges"),
@@ -366,6 +428,8 @@ MALFORMED = [
     (pair_with_removed_edge, "live hyperedges"),
     (pair_with_removed_appended_edge, "live hyperedges"),
     (non_positive_weight, "weights must be >= 1"),
+    (repeated_pair_id, "strictly ascend"),
+    (unsorted_pair_ids, "strictly ascend"),
 ]
 
 

@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.engine.engine import with_appended_edge, with_emptied_edge
 from repro.engine.index import OverlapIndex, overlap_counts_for_members
 from repro.obs import MetricsRegistry, use_registry
 from repro.store import IndexStore, PersistentQueryEngine
 from repro.store.sharded import ShardedIndex
 from repro.store.snapshot import write_snapshot
 from repro.utils.validation import ValidationError
+from tests.conftest import EdgeListModel
+
+
+def emptied(h, edge_id):
+    """``h`` with hyperedge ``edge_id`` emptied in place."""
+    model = EdgeListModel(h)
+    model.remove(edge_id)
+    return model.hypergraph()
 
 
 @pytest.fixture
@@ -137,17 +144,19 @@ class TestOverlay:
         moment, and that hypergraph after the last op.
         """
         rng = np.random.default_rng(11)
+        model = EdgeListModel(h)
         ops = []
         for new_id in (h.num_edges, h.num_edges + 1):
+            h = model.hypergraph()
             members = np.unique(
                 rng.choice(h.num_vertices, size=6, replace=False)
             ).astype(np.int64)
             ops.append(("add", new_id, members, *overlap_counts_for_members(h, members)))
-            h = with_appended_edge(h, members, None)
+            model.add(members)
         for edge_id in (3, 7, ops[0][1]):
             ops.append(("remove", edge_id))
-            h = with_emptied_edge(h, edge_id)
-        return ops, h
+            model.remove(edge_id)
+        return ops, model.hypergraph()
 
     @staticmethod
     def _apply(ops, index, store=None):
@@ -189,7 +198,7 @@ class TestOverlay:
     def test_max_weight_with_tombstones_is_cached(self, store_path, community_hypergraph):
         sharded = ShardedIndex(store_path)
         sharded.remove_hyperedge(2)
-        oracle = OverlapIndex.build(with_emptied_edge(community_hypergraph, 2))
+        oracle = OverlapIndex.build(emptied(community_hypergraph, 2))
         assert sharded.max_weight == oracle.max_weight
         loads = sharded.shard_loads
         assert sharded.max_weight == oracle.max_weight  # histogram kept: no re-scan
@@ -200,7 +209,7 @@ class TestOverlay:
         counted when a count is first asked for."""
         sharded = ShardedIndex(store_path)
         sharded.remove_hyperedge(5)
-        oracle = OverlapIndex.build(with_emptied_edge(community_hypergraph, 5))
+        oracle = OverlapIndex.build(emptied(community_hypergraph, 5))
         assert sharded.shard_loads == 0
         assert sharded.num_pairs == oracle.num_pairs
         # Removing again is a no-op on pairs (the slot is tombstoned).
