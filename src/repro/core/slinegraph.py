@@ -320,16 +320,15 @@ class SLineGraph:
         """The symmetric CSR over ``num_hyperedges`` IDs holding ``vals[k]``
         at both ``(i, j)`` and ``(j, i)`` of pair ``k``."""
         n = self.num_hyperedges
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        # Lower triangle first: coo→csr fills each row in entry order, and on
-        # canonical pairs row r then receives its columns < r ascending
-        # followed by its columns > r ascending — sorted as it lands, so
-        # ``tocsr`` has no row to sort.
-        mat = sparse.coo_matrix(
-            (np.concatenate([vals, vals]), (np.concatenate([j, i]), np.concatenate([i, j]))),
-            shape=(n, n),
-        )
-        return mat.tocsr()
+        # Canonical pairs are the upper triangle in CSR order already: the
+        # row pointer is where each row's ``i`` starts, the columns are
+        # ``j``.  No COO is built, cast or counted; the transpose adds the
+        # lower triangle, and the sum of two sorted, disjoint patterns is
+        # sorted.  The index dtype is the one scipy's COO route picks.
+        index = np.int32 if max(n, 2 * self.num_edges) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.searchsorted(self.edges[:, 0], np.arange(n + 1)).astype(index)
+        upper = sparse.csr_matrix((vals, self.edges[:, 1].astype(index), indptr), shape=(n, n))
+        return upper + upper.T.tocsr()
 
     def to_graph(self, squeezed: bool = True):
         """Convert to a :class:`repro.graph.Graph` (CSR graph substrate).

@@ -13,26 +13,29 @@ kind of cached value:
   of the int32 column indices drops the removed vertices' rows and columns
   and closes the old rows on the added vertices, whose rows are appended
   (the graph is unweighted, so no weight array rides along);
-* :func:`component_labels` — connected-component labels: a remove splits
-  a component only into pieces that hold its neighbours, found by a
-  lockstep search; an added vertex merges its neighbours' components.
+* :func:`components` — connected-component labels, kept with an s-degree
+  per hyperedge ID (:class:`Components`), from the window's rows alone: a
+  hyperedge joins or leaves ``L_s`` as its degree leaves or reaches 0, a
+  remove splits a component only into pieces that hold its neighbours
+  (found by a lockstep search over the last squeezed CSR plus the rows
+  since), and an added row merges the components it touches.  It reads no
+  fresh CSR and never declines.
 
 Contract: a kernel's result is **byte for byte** what the from-scratch
 path (``index.line_graph`` → ``squeeze`` → ``to_graph`` → metric) returns
 on the updated hypergraph — same values, dtypes, shapes and C order — or
-the kernel returns ``None`` and the caller recomputes.  Inputs are never
-written to (they are shared, read-only cache values); arrays a window
-leaves unchanged are shared with the input, not copied.
+the kernel returns ``None`` and the caller recomputes; for components the
+served pair — squeezed IDs and labels — is what it binds.  Inputs are
+never written to (they are shared, read-only cache values); arrays a
+window leaves unchanged are shared with the input, not copied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from repro.core.slinegraph import SLineGraph
 from repro.graph.connected_components import by_smallest_vertex
@@ -75,6 +78,17 @@ def shifted_indptr(indptr: np.ndarray, rows: np.ndarray, step: int) -> np.ndarra
 _NONE = np.empty(0, dtype=np.int64)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by a sort and a neighbour compare.  NumPy 2's
+    ``np.unique`` hashes before it sorts, which costs 5-13x more on the
+    small integer arrays a carry deduplicates (40 us against 8 us at 300
+    entries)."""
+    values = np.sort(values)
+    if values.size < 2:
+        return values
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 def _removed(window: Sequence[Update]) -> np.ndarray:
     """IDs of the hyperedges the window removes, ascending."""
     return np.sort(np.array([u.edge_id for u in window if not u.added], dtype=np.int64))
@@ -115,15 +129,15 @@ def _added_pairs(
         if not update.added or update.edge_id in removed:
             continue
         neighbours, row_weights = update.row(s)
-        if removed.size:
-            alive = ~np.isin(neighbours, removed)
-            neighbours, row_weights = neighbours[alive], row_weights[alive]
         lo.append(neighbours)
         hi.append(np.full(neighbours.size, update.edge_id, dtype=np.int64))
         weights.append(row_weights)
     if not lo:
         return _NONE, _NONE, _NONE
     lo, hi, weights = np.concatenate(lo), np.concatenate(hi), np.concatenate(weights)
+    if removed.size:  # one pass for the whole window, not one per add
+        alive = ~np.isin(lo, removed)
+        lo, hi, weights = lo[alive], hi[alive], weights[alive]
     order = np.lexsort((hi, lo))
     return lo[order], hi[order], weights[order]
 
@@ -149,7 +163,7 @@ def _spliced(
     gather through an int64 remap table would cost a pass and two casts.
     """
     out = np.empty(array.size - cut.size + values.size, dtype=array.dtype)
-    bounds = np.unique(np.concatenate(([0, array.size], cut, cut + 1, where)))
+    bounds = _distinct(np.concatenate(([0, array.size], cut, cut + 1, where)))
     starts, stops = bounds[:-1], bounds[1:]
     kept = ~np.isin(starts, cut)
     starts, stops = starts[kept], stops[kept]
@@ -270,11 +284,11 @@ def squeezed(
             indptr[neighbours + 1],
             np.repeat(gone, indptr[gone + 1] - indptr[gone]),
         )
-        cut = np.unique(np.concatenate([own, mirrored]))
+        cut = _distinct(np.concatenate([own, mirrored]))
     # Insert: each added pair once in either endpoint's row, at the row's
     # end (old rows) or the arrays' end (the new rows after them).
     old = lo < _first_added(window)
-    new = np.unique(np.concatenate([hi, lo[~old]]))
+    new = _distinct(np.concatenate([hi, lo[~old]]))
     src = np.searchsorted(ids, lo[old])
     if src.size and (src[-1] == n or not np.array_equal(ids[src], lo[old])):
         return None  # an isolated hyperedge gained its first neighbour
@@ -298,62 +312,209 @@ def squeezed(
     return patched, SqueezeResult(new_to_old=np.concatenate([np.delete(ids, gone), new]))
 
 
-def component_labels(
-    labels: np.ndarray,
-    graph: Graph,
-    mapping: SqueezeResult,
+@dataclass(frozen=True, eq=False)
+class Components:
+    """The connected components of the squeezed ``L_s``, over hyperedge IDs.
+
+    ``label[e]`` is hyperedge ``e``'s component in the served numbering, or
+    -1 while ``e`` has no neighbour in ``L_s``; ``degree[e]`` counts those
+    neighbours.  An ID at or past ``label.size`` has neither: a window that
+    leaves ``L_s`` as it was hands the entry on without growing it.  What
+    ``metric(s, "connected_components")`` serves is ``labels`` over ``ids``
+    — ``flatnonzero(label >= 0)``, the squeeze's ``new_to_old`` — so the
+    IDs and the labels of one answer always come from one entry.
+    """
+
+    label: np.ndarray
+    degree: np.ndarray
+    ids: np.ndarray
+    labels: np.ndarray
+
+    @classmethod
+    def of(
+        cls, graph: Graph, mapping: SqueezeResult, labels: np.ndarray, num_hyperedges: int
+    ) -> "Components":
+        """The entry of a from-scratch run: ``labels`` over ``graph``'s
+        squeezed IDs, spread over ``num_hyperedges`` IDs in O(|E|)."""
+        ids = mapping.new_to_old
+        label = np.full(num_hyperedges, -1, dtype=np.int32)
+        label[ids] = labels
+        degree = np.zeros(num_hyperedges, dtype=np.int32)
+        degree[ids] = np.diff(graph.indptr)
+        return cls(label, degree, ids, labels)
+
+
+#: What a carry searches when a remove may have split a component: the
+#: squeezed CSR of ``L_s`` and its mapping at some point of the journal, and
+#: the updates since that point.
+SearchBase = Tuple[Graph, SqueezeResult, Sequence[Update]]
+
+
+def components(
+    entry: Components,
     window: Sequence[Update],
     s: int,
-) -> Optional[np.ndarray]:
-    """Connected-component labels of the squeezed ``L_s`` after ``window``.
+    search_base: Callable[[], SearchBase],
+) -> Components:
+    """The components of the squeezed ``L_s`` after ``window``, from its rows.
 
-    ``labels`` are over the squeezed IDs before the window; ``graph`` and
-    ``mapping`` are the squeezed ``L_s`` after it.  Only removes split
-    components, and only into pieces that each hold a surviving neighbour
-    of a removed vertex: :func:`_split_off` finds every piece but one by a
-    lockstep search from those neighbours.  Components then merge over the
-    added vertices' rows, and labels are renumbered by each component's
-    smallest vertex, which is ``csgraph``'s order.
+    Each update costs its row.  An add sets its own s-degree and raises its
+    neighbours'; a remove zeroes its own and lowers theirs.  A hyperedge
+    whose degree left 0 joins with a fresh label; one whose degree reached
+    0 leaves — so a shifted squeeze is a degree change like any other.
 
-    ``None`` when the window moved the squeeze of an old vertex — a
-    surviving neighbour of a removed vertex left the graph, or an old
-    vertex joined it — because the old labels no longer line up.
+    Only a remove splits a component, and only into pieces that each hold
+    one of its surviving neighbours: :func:`_split_off` finds every piece
+    but one by a lockstep search from those neighbours, over
+    ``search_base()`` — asked for only then.  Components then merge over
+    the *distinct* label pairs of the added rows, by union-find, and the
+    labels are renumbered by each component's smallest hyperedge, which is
+    ``csgraph``'s order.  O(|E| + rows), never O(nnz(L_s)) but for the
+    search.
     """
-    ids = mapping.new_to_old
-    first = _first_added(window)
-    old = int(np.searchsorted(ids, first))  # ids[:old] predate the window
-    # The old vertices gone from L_s — every end of a cut pair the window
-    # removes — and the neighbours they leave behind.
-    removed_ends, other_ends = _cut_pairs(window, s, first)
-    lost = np.isin(other_ends, _removed(window))
-    gone = np.unique(np.concatenate([removed_ends, other_ends[lost]]))
-    seeds = np.unique(other_ends[~lost])
-    at = np.searchsorted(ids[:old], seeds)
-    if old + gone.size != labels.size or (
-        at.size and (at[-1] == old or not np.array_equal(ids[at], seeds))
-    ):
-        return None
-    if not gone.size and old == ids.size:
-        return labels  # same vertices, none split off, none added
-    # gone and ids[:old] are disjoint and ascending: gone[j] sat j places
-    # after the old vertices below it.
-    out = np.delete(labels, np.searchsorted(ids[:old], gone) + np.arange(gone.size))
-    fresh = int(labels.max()) + 1 if labels.size else 0
-    out = np.concatenate([out, np.arange(fresh, fresh + ids.size - old, dtype=np.int64)])
-    fresh += ids.size - old
-    for piece in _split_off(graph, at):
-        out[piece] = fresh
-        fresh += 1
-    # An added vertex joins the components of its whole row.
-    start = int(graph.indptr[old])
-    if start < graph.indices.size:
-        rows = np.repeat(np.arange(old, ids.size), np.diff(graph.indptr[old:]))
-        joined = sparse.coo_matrix(
-            (np.ones(rows.size), (out[rows], out[graph.indices[start:]])),
-            shape=(fresh, fresh),
+    rows = [(update, update.row(s)[0]) for update in window]
+    if not any(row.size for _, row in rows):
+        return entry  # no update of the window reaches L_s
+    # Every ID a row names is below this (an ID past ``label.size`` that
+    # gained a neighbour did so in a row of this window).
+    size = max([entry.label.size] + [update.edge_id + 1 for update in window])
+    label = np.full(size, -1, dtype=np.int32)
+    label[: entry.label.size] = entry.label
+    degree = np.zeros(size, dtype=np.int32)
+    degree[: entry.degree.size] = entry.degree
+    was = label >= 0
+    removed = []
+    for update, row in rows:
+        if update.added:
+            degree[update.edge_id] = row.size
+            degree[row] += 1  # a row's IDs are distinct
+        else:
+            degree[update.edge_id] = 0
+            degree[row] -= 1
+            removed.append(update.edge_id)
+    now = degree > 0
+    label[was & ~now] = -1
+    joined = np.flatnonzero(now & ~was)
+    fresh = int(entry.labels.max()) + 1 if entry.labels.size else 0
+    label[joined] = np.arange(fresh, fresh + joined.size)
+    fresh += joined.size
+    # A remove of a hyperedge outside L_s before the window cuts only pairs
+    # the window added: the merges below never see them.
+    seeds = [row for update, row in rows if not update.added and was[update.edge_id]]
+    if seeds:
+        seeds = _distinct(np.concatenate(seeds))
+        seeds = seeds[was[seeds] & now[seeds]]
+        if seeds.size > 1:
+            for piece in _split_off(_neighbours(*search_base(), s, size), size, seeds):
+                label[piece] = fresh
+                fresh += 1
+    _merge(label, fresh, rows, removed)
+    ids = np.flatnonzero(label >= 0)
+    labels = label[ids].astype(np.int64)
+    if not _by_smallest_vertex_already(labels):
+        labels = by_smallest_vertex(labels)
+        label[ids] = labels
+    return Components(label, degree, ids, labels)
+
+
+def _by_smallest_vertex_already(labels: np.ndarray) -> bool:
+    """Whether ``labels`` are numbered as :func:`by_smallest_vertex` numbers
+    them: each label first appears right after every smaller one has.  An
+    add that only grows components, or a remove of no component's first
+    vertex, keeps that order, and two passes check it."""
+    if not labels.size:
+        return True
+    highest = np.maximum.accumulate(labels)
+    return labels[0] == 0 and bool(np.all(labels[1:] <= highest[:-1] + 1))
+
+
+def _merge(label: np.ndarray, fresh: int, rows, removed: List[int]) -> None:
+    """Make the components each added row joins one, in ``label``.
+
+    A pair with an end the window removes again is no pair of ``L_s``.
+    Union-find runs over the distinct label pairs only: a row of an
+    hyperedge in one big component is one pair however long it is.
+    """
+    gone = np.array(removed, dtype=np.int64)
+    ends = []
+    for update, row in rows:
+        if not update.added or update.edge_id in removed or not row.size:
+            continue
+        if gone.size:
+            row = row[~np.isin(row, gone)]
+        # One int64 key per pair: ``fresh`` squared overflows int32.
+        ends.append(_distinct(label[row]).astype(np.int64) * fresh + label[update.edge_id])
+    pairs = _distinct(np.concatenate(ends)) if ends else _NONE
+    parent = {}
+
+    def root(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for a, b in zip((pairs // fresh).tolist(), (pairs % fresh).tolist()):
+        a, b = root(a), root(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    if parent:
+        # Index 0 is label -1: a hyperedge outside L_s stays outside.
+        remap = np.arange(-1, fresh, dtype=label.dtype)
+        for x in parent:
+            remap[x + 1] = root(x)
+        label += 1
+        np.take(remap, label, out=label)
+
+
+def _neighbours(
+    graph: Graph, mapping: SqueezeResult, since: Sequence[Update], s: int, size: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The neighbour gather of ``L_s`` now, over hyperedge IDs below ``size``:
+    each ID's row of the squeezed CSR ``graph`` (mapped back through
+    ``mapping``) plus its pairs in the added rows of ``since``, the updates
+    after that CSR, less every ID ``since`` removed.  The CSR is read as it
+    is, however old: the window's rows carry the rest."""
+    ids, indptr, indices = mapping.new_to_old, graph.indptr, graph.indices
+    blocked = np.zeros(size, dtype=bool)
+    lo, hi = [_NONE], [_NONE]
+    for update in since:
+        row = update.row(s)[0]
+        if not row.size:
+            continue  # outside L_s: neither a pair nor a vertex to block
+        if update.added:
+            lo.append(row)
+            hi.append(np.full(row.size, update.edge_id, dtype=np.int64))
+        else:
+            blocked[update.edge_id] = True
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    source, target = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    order = np.argsort(source, kind="stable")
+    source, target = source[order], target[order]
+
+    def gather(frontier: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(ids, frontier)
+        at = at[ids[np.minimum(at, ids.size - 1)] == frontier] if ids.size else _NONE
+        reached = np.concatenate(
+            [
+                ids[indices[_runs(indptr[at], indptr[at + 1])]],
+                target[
+                    _runs(
+                        np.searchsorted(source, frontier, side="left"),
+                        np.searchsorted(source, frontier, side="right"),
+                    )
+                ],
+            ]
         )
-        out = csgraph.connected_components(joined, directed=False)[1][out]
-    return by_smallest_vertex(out)
+        return reached[~blocked[reached]]
+
+    return gather
+
+
+def _runs(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The positions ``starts[k]:stops[k]`` of every run, concatenated."""
+    counts = stops - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + counts, counts) + np.arange(total)
 
 
 #: Vertices one lockstep step takes off a search's queue: small enough that
@@ -362,25 +523,27 @@ def component_labels(
 _STEP = 64
 
 
-def _split_off(graph: Graph, seeds: np.ndarray) -> List[np.ndarray]:
+def _split_off(
+    neighbours: Callable[[np.ndarray], np.ndarray], size: int, seeds: np.ndarray
+) -> List[np.ndarray]:
     """The pieces components fall into when vertices leave them, but one.
 
-    ``seeds`` are the leaving vertices' surviving neighbours in ``graph``:
-    every other vertex of a component they left reaches one of them
-    without passing through a leaving one.  One breadth-first search runs
-    from each seed, in lockstep
-    (Even and Shiloach, J. ACM 28(1), 1981): each step advances the search
-    that has claimed the fewest vertices by up to :data:`_STEP` vertices of
-    its queue.  Two searches that meet merge; a search that runs dry has
-    enumerated a whole component of ``graph``.  The steps stop once at
+    ``neighbours`` gathers the rows of a frontier in the graph the vertices
+    (IDs below ``size``) left; ``seeds`` are the leaving vertices'
+    surviving neighbours in it: every other vertex of a component they left
+    reaches one of them without passing through a leaving one.  One
+    breadth-first search runs from each seed, in lockstep (Even and
+    Shiloach, J. ACM 28(1), 1981): each step advances the search that has
+    claimed the fewest vertices by up to :data:`_STEP` vertices of its
+    queue.  Two searches that meet merge; a search that runs dry has
+    enumerated a whole component of the graph.  The steps stop once at
     most one search is live, because its piece is the rest: the largest
     piece is never searched to its end.  Returns each dry search's vertices.
     """
-    indptr, indices = graph.indptr, graph.indices
-    seeds = np.unique(seeds)
+    seeds = _distinct(seeds)
     if seeds.size < 2:
         return []
-    owner = np.full(graph.num_vertices, -1, dtype=np.int64)  # -> search
+    owner = np.full(size, -1, dtype=np.int64)  # -> search
     owner[seeds] = np.arange(seeds.size)
     merged = np.arange(seeds.size)  # search -> the search it merged into
     queues = {search: seeds[search : search + 1] for search in range(seeds.size)}
@@ -389,21 +552,20 @@ def _split_off(graph: Graph, seeds: np.ndarray) -> List[np.ndarray]:
     while len(queues) > 1:
         search = min(queues, key=claimed.__getitem__)
         frontier, queue = queues[search][:_STEP], queues[search][_STEP:]
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        ends = np.cumsum(counts)
-        reached = indices[np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])]
+        reached = neighbours(frontier)
         held = owner[reached]
-        fresh = np.unique(reached[held < 0])
+        fresh = _distinct(reached[held < 0])
         owner[fresh] = search
         claimed[search] += fresh.size
         queue = [queue, fresh]
         # A dry search never meets another: it claimed every vertex next to it.
-        for other in np.unique(merged[held[held >= 0]]).tolist():
-            if other != search:
-                queue.append(queues.pop(other))
-                claimed[search] += claimed.pop(other)
-                merged[merged == other] = search
+        met = _distinct(merged[held[held >= 0]])
+        met = met[met != search]
+        for other in met.tolist():
+            queue.append(queues.pop(other))
+            claimed[search] += claimed.pop(other)
+        if met.size:
+            merged[np.isin(merged, met)] = search
         queue = np.concatenate(queue)
         if queue.size:
             queues[search] = queue

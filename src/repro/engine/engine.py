@@ -35,17 +35,23 @@ of the index — avoiding the wedge-enumeration pass that dominates a rebuild
   since (its *window*) in one pass, with the array kernels of
   :mod:`repro.engine.delta` — ``L_s`` loses the removed hyperedges' pairs
   and takes the added ones', the squeezed CSR (unweighted, int32 columns)
-  loses and gains vertices in one splice of its column indices,
-  connected-component labels split under a remove (a lockstep
-  search from the removed vertex's neighbours) and merge under an add —
-  caching the result and only then dropping the entry it came from.  Every
-  other metric is carried across a window whose rows are empty at its
-  ``s``.
+  loses and gains vertices in one splice of its column indices — caching
+  the result and only then dropping the entry it came from.  Connected
+  components are carried from the window's rows alone: the entry keeps a
+  label and an s-degree per hyperedge ID, labels split under a remove (a
+  lockstep search from its neighbours over the last squeezed CSR plus the
+  rows since) and merge under an add, and the served squeezed IDs and
+  labels both come from that one entry.  So a components miss reads no
+  squeezed CSR: one is spliced forward only when a reader asks for it
+  (:meth:`~QueryEngine.squeezed_graph`, any other metric) or once it
+  trails by :data:`_RESPLICE` updates.  Every other metric is carried
+  across a window whose rows are empty at its ``s``.
 * **Fallbacks.**  The from-scratch path is the cold miss, and what a
   kernel defers to when a delta is not cheap: an add that gives a
   previously isolated hyperedge its first neighbour, or a remove that
-  takes a surviving neighbour's last one, shifts the squeeze, so Stage 4
-  is rebuilt from ``L_s`` and connected components are re-run on it; any
+  takes a surviving neighbour's last one, shifts the squeeze, so a
+  squeezed CSR carried across it is rebuilt from ``L_s``; connected
+  components never fall back (a shift is a degree change to them); any
   other metric is recomputed once a pending row reaches its ``s``.
   An entry more than :data:`_MAX_PENDING` updates behind, or updated
   before the index (and so an overlap row) existed, is dropped and
@@ -120,7 +126,8 @@ class QueryStats:
     #: Entries a miss brought forward through the journal.
     patched_entries: int = 0
     #: Misses that found an ancestor but had to recompute (a delta kernel
-    #: declined: the squeeze shifted, a vertex left a component, ...).
+    #: declined: a squeezed CSR carried across a shifted squeeze, a metric
+    #: whose ``s`` a pending row reaches).
     delta_fallbacks: int = 0
 
     def hit_rate(self) -> float:
@@ -137,15 +144,30 @@ MAX_SWEEP_THRESHOLDS = 4096
 
 #: Most updates a cached entry may trail the hypergraph by and still be
 #: brought forward; an entry further behind is dropped and its next query
-#: recomputes.  Measured on the served fixture (livejournal x2, 215k pairs
-#: at s = 1; ``benchmarks/bench_delta_miss.py``, one pinned CPU, two runs):
-#: an s = 1 ``metric`` miss k adds behind costs 2.0-2.1 / 1.9-2.0 /
-#: 2.0-2.1 / 2.1-2.2 ms at k = 1..4 against a 30-36 ms recompute, and one
-#: remove behind 3.2-3.4 ms (its labels are carried, not re-run).  A window is
-#: carried in one pass, so the cost barely grows with k and does not argue
-#: for a shorter bound; it is not longer because every entry left behind is
-#: memory held for a query that may never come.
-_MAX_PENDING = 4
+#: recomputes.  Measured on the served fixture (livejournal x2, 4 shards;
+#: ``benchmarks/bench_delta_miss.py``, one pinned CPU): an s = 1 components
+#: miss k adds behind costs 0.4-0.7 ms at k = 1..8 and 2.6-4.1 ms at
+#: k = 16..32, where it also splices the squeezed CSR (:data:`_RESPLICE`),
+#: against a 21-28 ms recompute.  The bound sets how often a components
+#: miss every few updates pays that splice: a ``churn_query`` cycle
+#: replayed in process spent 11-19 % more in its components queries at 16
+#: than at 32, and 64 was inside the host's noise of 32 (three alternating
+#: pairs, 4.8 / 4.7 / 3.8 ms against 5.5 / 5.1 / 3.5 ms per cycle).  The
+#: longer journal holds no more memory where it counts: after an equal 800
+#: replayed cycles the process's peak RSS was 108.1-109.9 MB at 32 and
+#: 109.4-111.1 MB at 16 (three alternating runs each; 107.1-110.6 MB with
+#: the bound at 4 and the squeezed CSR spliced on every components miss).
+#: It is not longer because every entry left behind is memory held for a
+#: query that may never come.
+_MAX_PENDING = 32
+
+#: Updates a squeezed CSR may trail before a components carry splices it
+#: forward: half the journal, so a CSR read every few updates is spliced
+#: long before the journal forgets it.
+_RESPLICE = _MAX_PENDING // 2
+
+#: The metric carried from the window's rows (:func:`delta.components`).
+_CC = "connected_components"
 
 
 def sweep_thresholds(s_values: Iterable[int]) -> List[int]:
@@ -327,6 +349,16 @@ class QueryEngine:
                 return (fp, s, kind), value, journal[first:]
         return None, None, None
 
+    def _latest(self, s: int, kind: str):
+        """The newest entry of ``kind`` at ``s`` the journal reaches and the
+        updates since it — ``()`` when it is current — or ``(None, None)``."""
+        key = self._key(s, kind)
+        value = self._cache.peek(key)
+        if value is not None:
+            return value, ()
+        _, value, window = self._ancestor(key)
+        return value, window
+
     def _fill(
         self,
         key: Tuple[str, int, str],
@@ -414,6 +446,13 @@ class QueryEngine:
 
     def metric(self, s: int, name: str) -> np.ndarray:
         """A Stage-5 metric of ``L_s`` over squeezed vertex IDs (cached)."""
+        value = self._metric(s, name)
+        return value.labels if name == _CC else value
+
+    def _metric(self, s: int, name: str):
+        """The cache entry behind :meth:`metric`: the array itself, or for
+        connected components the :class:`~repro.engine.delta.Components`
+        that holds the labels and the squeezed IDs they are over."""
         if name not in METRIC_FUNCTIONS:
             raise ValidationError(
                 f"unknown metric {name!r}; available: {sorted(METRIC_FUNCTIONS)}"
@@ -428,36 +467,76 @@ class QueryEngine:
                 span.set_attribute("cache_hit", True)
                 return cached
             span.set_attribute("cache_hit", False)
-            graph, mapping = self.squeezed_graph(s)
-            if name == "connected_components":
-
-                def carry(labels, window):
-                    return delta.component_labels(labels, graph, mapping, window, s)
-
-            else:
-
-                def carry(values, window):
-                    return delta.unchanged(values, window, s)
-
+            if name == _CC:
+                return self._fill(
+                    key,
+                    self._carry_components(s),
+                    lambda: self._components(s),
+                    lambda entry: (entry.label, entry.degree, entry.ids, entry.labels),
+                )
+            graph, _ = self.squeezed_graph(s)
             return self._fill(
                 key,
-                carry,
+                lambda values, window: delta.unchanged(values, window, s),
                 lambda: METRIC_FUNCTIONS[name](graph),
                 lambda values: (values,),
             )
+
+    def _components(self, s: int) -> delta.Components:
+        """Connected components from scratch: Stage 4, then the kernel."""
+        graph, mapping = self.squeezed_graph(s)
+        labels = METRIC_FUNCTIONS[_CC](graph)
+        return delta.Components.of(graph, mapping, labels, self._graph.num_edges)
+
+    def _carry_components(self, s: int) -> Callable:
+        """The carry of a components entry at ``s`` across a window.
+
+        It reads the rows of the window alone, but for a remove's split
+        search, which runs over the newest squeezed CSR the journal reaches
+        plus the rows since — so no CSR is spliced for it.  The CSR is
+        spliced forward here once it trails by :data:`_RESPLICE` updates,
+        before the journal forgets it: a miss every few updates then pays
+        one splice per ``_RESPLICE`` updates, and a remove never finds it
+        gone.  With no CSR cached at all, a search builds one.
+        """
+
+        def carry(entry, window):
+            graph, since = self._latest(s, "squeezed")
+            if graph is not None and len(since) >= _RESPLICE:
+                graph, since = self.squeezed_graph(s), ()
+
+            def search_base():
+                if graph is None:
+                    return (*self.squeezed_graph(s), ())
+                return (*graph, since)
+
+            return delta.components(entry, window, s, search_base)
+
+        return carry
+
+    def _served(self, s: int, name: str) -> Tuple[SqueezeResult, np.ndarray]:
+        """A metric's values and the mapping of the squeezed IDs they are
+        over; for connected components both come from its one entry, the
+        one whose labels :meth:`metric` returned unless a concurrent reader
+        replaced or evicted it since."""
+        values = self.metric(s, name)
+        if name != _CC:
+            return self.squeezed_graph(s)[1], values
+        entry = self._cache.peek(self._key(s, name))
+        if entry is None or entry.labels is not values:
+            entry = self._metric(s, name)
+        return SqueezeResult(new_to_old=entry.ids), entry.labels
 
     def metric_columns(self, s: int, name: str) -> Tuple[np.ndarray, np.ndarray]:
         """A metric as parallel ``(hyperedge IDs, values)`` columns,
         ascending by *original* hyperedge ID (the cached arrays, re-keyed by
         :meth:`SqueezeResult.columns`, not copies for the caller to keep)."""
-        values = self.metric(s, name)
-        _, mapping = self.squeezed_graph(s)
+        mapping, values = self._served(s, name)
         return mapping.columns(values)
 
     def metric_by_hyperedge(self, s: int, name: str) -> Dict[int, float]:
         """A metric keyed by *original* hyperedge IDs."""
-        values = self.metric(s, name)
-        _, mapping = self.squeezed_graph(s)
+        mapping, values = self._served(s, name)
         return mapping.by_hyperedge(values)
 
     def metrics(self, s: int, names: Sequence[str]) -> Dict[str, np.ndarray]:

@@ -52,8 +52,8 @@ def fold_records(
     """
     base_n = int(base_edge_sizes.size)
     n = base_n
-    pair_ids: List[int] = []
-    pair_weights: List[int] = []
+    pair_ids: List[np.ndarray] = []
+    pair_weights: List[np.ndarray] = []
     row_counts: List[int] = []
     add_positions: List[int] = []
     added_sizes: List[int] = []
@@ -73,8 +73,8 @@ def fold_records(
                     f"add of hyperedge {edge_id} logs {len(row_ids)} pair IDs "
                     f"but {len(row_weights)} pair weights"
                 )
-            pair_ids.extend(row_ids)
-            pair_weights.extend(row_weights)
+            pair_ids.append(np.asarray(row_ids, dtype=np.int64))
+            pair_weights.append(np.asarray(row_weights, dtype=np.int64))
             row_counts.append(len(row_ids))
             add_positions.append(position)
             added_sizes.append(max(int(record.payload["size"]), 0))
@@ -87,8 +87,8 @@ def fold_records(
             removed_ids.append(edge_id)
             remove_positions.append(position)
 
-    lo = np.asarray(pair_ids, dtype=np.int64)
-    weights = np.asarray(pair_weights, dtype=np.int64)
+    lo = np.concatenate(pair_ids) if pair_ids else np.empty(0, dtype=np.int64)
+    weights = np.concatenate(pair_weights) if pair_weights else np.empty(0, dtype=np.int64)
     counts = np.asarray(row_counts, dtype=np.int64)
     hi = np.repeat(np.arange(base_n, n, dtype=np.int64), counts)
     if np.any(weights < 1):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core.slinegraph import SLineGraph, SLineGraphEnsemble
 from repro.utils.validation import ValidationError
@@ -199,3 +200,56 @@ class TestEnsemble:
         assert ens.edge_counts() == {1: 2, 2: 1}
         assert ens[2].num_edges == 1
         assert [s for s, _ in ens.items()] == [1, 2]
+
+
+class TestSymmetricCSR:
+    """Stage 4 reads the canonical pairs as the upper triangle of a CSR; the
+    matrix is byte for byte the one a COO of both triangles converts to."""
+
+    @staticmethod
+    def coo_route(graph, vals):
+        n = graph.num_hyperedges
+        i, j = graph.edges[:, 0], graph.edges[:, 1]
+        return sparse.coo_matrix(
+            (np.concatenate([vals, vals]), (np.concatenate([j, i]), np.concatenate([i, j]))),
+            shape=(n, n),
+        ).tocsr()
+
+    @staticmethod
+    def random_pairs(seed, num_hyperedges, num_pairs):
+        rng = np.random.default_rng(seed)
+        i = rng.integers(0, num_hyperedges, size=num_pairs)
+        j = rng.integers(0, num_hyperedges, size=num_pairs)
+        keep = i != j
+        weights = rng.integers(1, 9, size=num_pairs)
+        return list(zip(i[keep].tolist(), j[keep].tolist(), weights[keep].tolist()))
+
+    @pytest.mark.parametrize(
+        "pairs, num_hyperedges",
+        [
+            ([], 0),
+            ([], 4),  # no pair at all
+            ([(2, 5, 3)], 7),  # one pair between isolated IDs
+            ("random", 40),  # most IDs isolated
+            ("random", 300),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_coo_route(self, pairs, num_hyperedges, seed):
+        if pairs == "random":
+            pairs = self.random_pairs(seed, num_hyperedges, num_hyperedges // 2 + 7 * seed)
+        graph = SLineGraph.from_weighted_pairs(s=1, pairs=pairs, num_hyperedges=num_hyperedges)
+        for weighted in (False, True):
+            vals = graph.weights if weighted else np.ones(graph.num_edges, dtype=np.int64)
+            served = graph.adjacency_matrix(weighted=weighted)
+            expected = self.coo_route(graph, vals)
+            assert served.has_canonical_format
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(served, name), getattr(expected, name)
+                assert got.dtype == want.dtype, (weighted, name)
+                assert got.tobytes() == want.tobytes(), (weighted, name)
+        stage_4 = graph.to_graph(squeezed=False)
+        pattern = self.coo_route(graph, np.ones(graph.num_edges, dtype=bool))
+        assert stage_4.indptr.tobytes() == pattern.indptr.astype(np.int64).tobytes()
+        assert stage_4.indices.dtype == np.int32
+        assert stage_4.indices.tobytes() == pattern.indices.astype(np.int32).tobytes()

@@ -42,7 +42,25 @@ def arrays_of(value):
             "num_vertices": np.int64(graph.num_vertices),
             "metadata_s": np.int64(graph.metadata["s"]),
         }
+    if isinstance(value, delta.Components):
+        # What is served; the state behind it is held by assert_same_state.
+        return {"ids": value.ids, "labels": value.labels}
     return {"values": value}
+
+
+def assert_same_state(carried, fresh, where):
+    """A components entry's per-hyperedge label and s-degree equal a fresh
+    entry's, IDs past a carried entry's arrays reading as outside ``L_s``."""
+    size = fresh.label.size
+    assert carried.label.size <= size, where
+    for name, outside in (("label", -1), ("degree", 0)):
+        array = getattr(carried, name)
+        assert array.flags.writeable is False, (where, name)
+        grown = np.full(size, outside, dtype=array.dtype)
+        grown[: array.size] = array
+        reference = getattr(fresh, name)
+        assert grown.dtype == reference.dtype, (where, name)
+        assert grown.tobytes() == reference.tobytes(), (where, name)
 
 
 def assert_same_bytes(served, expected, where):
@@ -70,6 +88,9 @@ def assert_cache_matches_fresh(engine):
             expected = fresh.line_graph(s)
         elif kind == "squeezed":
             expected = fresh.squeezed_graph(s)
+        elif kind == CC:
+            expected = fresh._metric(s, kind)
+            assert_same_state(engine._cache.peek(key), expected, (s, kind))
         else:
             expected = fresh.metric(s, kind)
         assert_same_bytes(engine._cache.peek(key), expected, (s, kind))
@@ -228,6 +249,33 @@ def test_sweeps_interleaved_with_updates_answer_like_a_fresh_engine(h, steps):
     settle_and_check(engine)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    h=st.one_of(hypergraphs(), pair_hypergraphs()),
+    steps=st.lists(
+        st.one_of(updates, st.tuples(st.just("components"), s_values)),
+        min_size=1,
+        max_size=engine_module._MAX_PENDING + 4,
+    ),
+)
+def test_components_carried_alone_then_stage_4_answer_like_a_fresh_engine(h, steps):
+    """Only connected components are asked for across windows up to the
+    journal's bound, so every carry searches a squeezed CSR left behind;
+    then Stage 4 and a metric that reads it are asked for."""
+    engine = warmed_from(h, (CC, "pagerank"))
+    for op, argument in steps:
+        if op == "components":
+            engine.metric(argument, CC)
+        else:
+            apply_update(engine, op, argument)
+        assert_cache_matches_fresh(engine)
+    for s in S_RANGE:
+        engine.squeezed_graph(s)
+        assert_cache_matches_fresh(engine)
+        engine.metric(s, "pagerank")
+        assert_cache_matches_fresh(engine)
+
+
 # --------------------------------------------------------------------- #
 # One plain case per branch of the carry-forward
 # --------------------------------------------------------------------- #
@@ -263,8 +311,8 @@ def test_add_that_activates_an_isolated_hyperedge_shifts_the_squeeze():
     engine = warmed(TWO_COMPONENTS, num_vertices=12)
     engine.add_hyperedge([10, 11])  # hyperedge 4 gets its first neighbour
     stats = settle_and_check(engine)
-    assert stats.delta_fallbacks == 2  # Stage 4 rebuilt and CC re-run, at s = 1
-    assert stats.patched_entries == 2  # the row is empty at s = 2: both carried
+    assert stats.delta_fallbacks == 1  # Stage 4 rebuilt at s = 1; CC is carried
+    assert stats.patched_entries == 3  # CC at s = 1, and both entries at s = 2
 
 
 def test_add_bridging_three_components_merges_their_labels():
@@ -451,14 +499,61 @@ def test_a_shift_out_beside_a_shift_in_declines_and_recomputes():
     engine = warmed(STAR + [[50]], num_vertices=51)
     engine.remove_hyperedge(3)  # hyperedge 4 loses its only neighbour
     engine.add_hyperedge([40, 50])  # hyperedge 9 gets its first one
-    assert settle_and_check(engine).delta_fallbacks == 2  # Stage 4 and CC, at s = 1
+    assert settle_and_check(engine).delta_fallbacks == 1  # Stage 4 at s = 1; CC is carried
 
 
 def test_a_split_beside_a_shifted_squeeze_declines_and_recomputes():
     engine = warmed(STAR + [[50]], num_vertices=51)  # hyperedge 9 has no neighbour
     engine.remove_hyperedge(2)
     engine.add_hyperedge([11, 50])  # hyperedge 9 gets its first neighbour
-    assert settle_and_check(engine).delta_fallbacks == 2  # Stage 4 and CC, at s = 1
+    assert settle_and_check(engine).delta_fallbacks == 1  # Stage 4 at s = 1; CC is carried
+
+
+def test_a_shifted_squeeze_is_a_degree_change_for_components():
+    """A hyperedge that joins L_s (its first neighbour) or leaves it (its
+    last neighbour's remove) moves every squeezed ID above it; the labels
+    are still carried, and the IDs served beside them shift with them."""
+    engine = warmed(STAR + [[50]], num_vertices=61)  # hyperedge 9 has no neighbour
+    for update, argument in (("add", [50, 60]), ("remove", 3)):
+        # 9 gets its first neighbour; then 4 loses its only one, 3.
+        apply_update(engine, update, argument)
+        before = engine.stats()
+        ids, labels = engine.metric_columns(1, CC)
+        after = engine.stats()
+        assert after.patched_entries == before.patched_entries + 1, update
+        assert after.delta_fallbacks == before.delta_fallbacks == 0, update
+        fresh = QueryEngine(engine.hypergraph)
+        for got, want in zip((ids, labels), fresh.metric_columns(1, CC)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), update
+        assert_cache_matches_fresh(engine)
+    assert ids.tolist() == [0, 1, 2, 5, 6, 7, 8, 9, 10]  # 4 left, 9 and 10 joined
+
+
+def test_components_misses_splice_no_squeezed_csr_within_the_bound(monkeypatch):
+    """Components misses read the window's rows: a squeezed CSR is spliced
+    only once it trails by ``_RESPLICE`` updates, and then once."""
+    engine = warmed([[i, i + 1] for i in range(40)], num_vertices=41)  # L_1 is a path
+    spliced = []
+    splice = delta.squeezed
+
+    def counting(*args):
+        spliced.append(args[-1])
+        return splice(*args)
+
+    monkeypatch.setattr(delta, "squeezed", counting)
+    for step in range(engine_module._RESPLICE - 1):
+        if step % 4 == 3:
+            engine.remove_hyperedge(9 * step % 40)  # splits the path
+        else:
+            engine.add_hyperedge([5 * step % 41, (11 * step + 3) % 41])
+        engine.metric_columns(1, CC)
+        engine.metric(2, CC)
+    assert spliced == []
+    assert_cache_matches_fresh(engine)
+    engine.add_hyperedge([0, 4])
+    engine.metric(1, CC)
+    assert spliced == [1]  # the CSR at s = 1 trailed by _RESPLICE updates
+    settle_and_check(engine)
 
 
 def test_remove_that_isolates_a_neighbour_shifts_the_squeeze():
@@ -499,8 +594,8 @@ def test_more_updates_than_the_journal_holds_drops_the_entries():
 
 def test_entries_within_the_journal_are_carried_across_all_of_it():
     engine = warmed(TWO_COMPONENTS, num_vertices=12)
-    for members in ([0, 2], [5, 7], [1, 6], [2, 5]):
-        engine.add_hyperedge(members)
+    for step in range(engine_module._MAX_PENDING):
+        engine.add_hyperedge(([0, 2], [5, 7], [1, 6], [2, 5])[step % 4])
     assert len(engine._journal) == engine_module._MAX_PENDING
     stats = settle_and_check(engine)
     assert stats.delta_fallbacks == 0 and stats.patched_entries > 0

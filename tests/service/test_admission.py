@@ -10,6 +10,7 @@ from repro.chaos import failpoints as fp
 from repro.chaos.failpoints import WAL_APPEND, FailpointError
 from repro.engine.engine import QueryEngine
 from repro.service import QueryService
+from repro.service import admission
 from repro.service.admission import AdmissionQueue
 from repro.service.sync import RWLock
 from repro.store.store import IndexStore
@@ -105,6 +106,31 @@ class TestDurability:
             new_id = queue.submit_add([0, 1, 2]).result(timeout=5)
         assert new_id == community_hypergraph.num_edges
         assert engine.hypergraph.num_edges == community_hypergraph.num_edges + 1
+
+
+class TestHeapTrim:
+    def test_freed_heap_is_returned_every_trim_interval(
+        self, community_hypergraph, monkeypatch
+    ):
+        """The writer hands freed heap pages back to the OS once per
+        ``_TRIM_EVERY`` applied updates, after their acks; rejected updates
+        do not count."""
+        trims = []
+        monkeypatch.setattr(admission, "_TRIM_EVERY", 4)
+        monkeypatch.setattr(admission, "_release_free_heap", lambda: trims.append(1))
+        engine = QueryEngine(community_hypergraph)
+        queue = AdmissionQueue(engine, max_batch=1)
+        rng = make_rng(5)
+        for _ in range(9):
+            queue.submit_add(random_members(engine.hypergraph, rng)).result(timeout=5)
+        with pytest.raises(ValidationError):
+            queue.submit_remove(10**6).result(timeout=5)
+        queue.close()
+        assert queue.stats().applied == 9
+        assert len(trims) == 2
+
+    def test_the_real_trim_is_callable(self):
+        admission._release_free_heap()
 
 
 class TestFailFuture:

@@ -55,7 +55,9 @@ class TestStatsPayload:
                     engine = client.stats()["engine"]
                 assert main(["stats", "--address", f"{server.host}:{server.port}"]) == 0
         assert engine["invalidated_entries"] == 3  # L_1, its squeezed CSR, the labels
-        assert engine["patched_entries"] == 2  # the last two; L_1 was dropped
+        # The labels, carried from the add's row; the squeezed CSR is left
+        # behind, unread, and L_1 was dropped.
+        assert engine["patched_entries"] == 1
         assert engine["delta_fallbacks"] == 0 and engine["retained_entries"] == 0
         out = capsys.readouterr().out
         for key in ("retained", "invalidated", "patched"):

@@ -178,6 +178,31 @@ class TestDurableUpdates:
         assert reopened.current_fingerprint() == "a1" * 32
 
 
+class TestHeldRecords:
+    def test_an_add_is_held_as_arrays_whether_appended_or_recovered(self, store):
+        """A writer holds every record it logs until a compaction, so an
+        add's rows are held as int64 arrays — the same whether the record was
+        appended in this process or recovered from the log on open — and
+        the index and hypergraph folded from either are the same."""
+        engine = updated_engine(store, n_adds=4, n_removes=2)
+        reopened = IndexStore.open(store.path, read_only=True)
+        appended, recovered = store.wal_records, reopened.wal_records
+        assert [r.op for r in appended].count("add") == 4
+        assert [(r.seq, r.op) for r in appended] == [(r.seq, r.op) for r in recovered]
+        for mine, theirs in zip(appended, recovered):
+            if mine.op != "add":
+                continue
+            for key in ("members", "pair_ids", "pair_weights"):
+                for record in (mine, theirs):
+                    assert isinstance(record.payload[key], np.ndarray), key
+                    assert record.payload[key].dtype == np.int64, key
+                assert mine.payload[key].tobytes() == theirs.payload[key].tobytes(), key
+        assert reopened.load_hypergraph().fingerprint() == engine.fingerprint()
+        held, logged = store.sharded_index(), reopened.sharded_index()
+        for s in range(1, max(logged.max_weight, 1) + 1):
+            assert held.line_graph(s) == logged.line_graph(s), s
+
+
 class TestCompaction:
     def test_compact_folds_wal_and_bumps_generation(self, store):
         engine = updated_engine(store)
