@@ -5,28 +5,27 @@ measurement ``repro.engine.engine._MAX_PENDING`` cites.  On the served
 fixture of ``benchmarks/e2e`` (livejournal surrogate x2, seed 1, 4 shards)
 it drives ``churn_query``'s own update stream — adds of 3 distinct random
 members, every 4th update a remove of the oldest added hyperedge — through
-two engines and, after each update, asks each at s = 1..3 for what it holds:
-
-* a :class:`~repro.store.PersistentQueryEngine` for the **metric** miss —
-  ``metric_columns(s, "connected_components")``, the squeezed IDs and
-  their labels, which is all the wire's ``metric`` op needs; the labels
-  are carried from the update's row, and the squeezed CSR a remove's split
-  search reads is spliced only once it trails by ``_RESPLICE`` updates;
-* a :class:`QueryEngine` over a second handle on the same shards that is
-  only ever asked for line graphs, for the **line_graph** miss.
+a :class:`~repro.store.PersistentQueryEngine` and, after each update, asks
+it at s = 1..3 for the **metric** miss — ``metric_columns(s,
+"connected_components")``, the squeezed IDs and their labels, which is all
+the wire's ``metric`` op needs; the labels are carried from the update's
+row, and the squeezed CSR a remove's split search reads is spliced only
+once it trails by ``_RESPLICE`` updates.  (A line graph is not carried:
+the engine recomputes ``L_s`` from the index, so it has no miss to time
+here.)
 
 Each miss is measured twice: **delta** — the entry is one update behind
 the journal and :mod:`repro.engine.delta` brings it forward — and
 **recompute** — a cold-cache engine over the same hypergraph and index:
 slice, canonical order, squeeze, Stage 4 CSR, ``csgraph``; what every
-such miss cost before.  Asserted at every step: each carried kind is
-byte-equal (values, dtype, shape) to the recomputed one, so is every
+such miss cost before.  Asserted at every step: the carried columns are
+byte-equal (values, dtype, shape) to the recomputed ones, so is every
 squeezed CSR a components miss splices forward (indptr, indices,
 ``new_to_old``, read-only), and connected components never fall back — a
-shifted squeeze included.  Printed, not
-gated: the seconds, the new-row sizes, how often a squeezed CSR was
-spliced per update, and — for ``_MAX_PENDING`` — what a metric miss costs
-k adds behind, up to two past the bound.  Last, a replay of ``churn_query``'s
+shifted squeeze included.  Printed, not gated: the seconds, the new-row
+sizes, how often a squeezed CSR was spliced per update, and — for
+``_MAX_PENDING`` — what a metric miss costs k adds behind, up to two past
+the bound.  Last, a replay of ``churn_query``'s
 cycle through public engine calls alone (so the same file times an older
 ``src/``): the ms a cycle spends in its components queries, and its p50.
 """
@@ -45,7 +44,7 @@ from repro.benchmarks.reporting import format_table
 from repro.engine import delta, engine as engine_module
 from repro.engine.engine import QueryEngine
 from repro.generators.datasets import load_dataset
-from repro.store import IndexStore, PersistentQueryEngine
+from repro.store import PersistentQueryEngine
 
 CC = "connected_components"
 S_VALUES = (1, 2, 3)
@@ -61,40 +60,31 @@ UPDATES = 16 if BENCH_QUICK else 80
 
 
 class Served:
-    """The two serving engines, kept in step, and the update stream."""
+    """The serving engine and the update stream."""
 
     def __init__(self, path) -> None:
         h = load_dataset("livejournal", scale=BENCH_SCALE, seed=SEED)
         self.metrics = PersistentQueryEngine.build(h, path, num_shards=NUM_SHARDS)
-        self.lines = QueryEngine(
-            h, index=IndexStore.open(path, read_only=True).sharded_index()
-        )
         self._rng = np.random.default_rng([SEED, 0xE2E])
         self._added = []
 
     def warm(self) -> None:
         for s in S_VALUES:
             self.metrics.metric(s, CC)
-            self.lines.line_graph(s)
 
     def update(self, remove: bool):
-        """One update on both engines; returns its journal entry."""
+        """One update; returns its journal entry."""
         if remove and self._added:
-            victim = self._added.pop(0)
-            for engine in (self.metrics, self.lines):
-                engine.remove_hyperedge(victim)
+            self.metrics.remove_hyperedge(self._added.pop(0))
         else:
             members = self._rng.choice(
                 self.metrics.hypergraph.num_vertices, size=UPDATE_MEMBERS, replace=False
             )
-            for engine in (self.metrics, self.lines):
-                new_id = engine.add_hyperedge(sorted(members.tolist()))
-            self._added.append(new_id)
+            self._added.append(self.metrics.add_hyperedge(sorted(members.tolist())))
         return self.metrics._journal[-1]
 
     def close(self) -> None:
         self.metrics.close()
-        self.lines.index.close()
 
 
 @pytest.fixture(scope="module")
@@ -108,12 +98,6 @@ def _timed(function, *args):
     start = time.perf_counter()
     result = function(*args)
     return result, (time.perf_counter() - start) * 1000.0
-
-
-def _line_graph_miss(engine, s):
-    """``(arrays, scalars, ms)`` of one ``line_graph`` miss."""
-    graph, ms = _timed(engine.line_graph, s)
-    return (graph.edges, graph.weights, graph.active_vertices), (graph.num_hyperedges,), ms
 
 
 def _metric_miss(engine, s):
@@ -186,44 +170,39 @@ def test_delta_miss_equals_recompute_on_the_churn_stream(served, report, monkeyp
         update = served.update(remove=op == "remove")
         for s in S_VALUES:
             row_sizes[op, s].append(int(update.row(s)[0].size))
-            for kind, miss, engine in (
-                ("line_graph", _line_graph_miss, served.lines),
-                ("metric", _metric_miss, served.metrics),
-            ):
-                before = engine.stats()
-                calls, declined = splices.calls, splices.declined
-                carried = miss(engine, s)
-                after = engine.stats()
-                calls, declined = splices.calls - calls, splices.declined - declined
-                recomputed = _recomputed(miss, engine, s)
-                _assert_same_bytes(carried, recomputed, (step, op, s, kind))
-                if calls:
-                    _assert_spliced_csr_is_fresh(engine, s, (step, op, s))
-                brought_forward = after.patched_entries - before.patched_entries
-                fell_back = after.delta_fallbacks - before.delta_fallbacks
-                # The entry asked for was exactly one update behind, and is
-                # carried; a components miss may also splice the squeezed
-                # CSR its searches read, which may decline (Stage 4 rebuilt).
-                assert fell_back == declined, (step, op, s, kind, "CC fell back")
-                assert brought_forward + fell_back == 1 + calls, (step, op, s, kind)
-                times[kind, op, s]["delta"].append(carried[2])
-                times[kind, op, s]["recompute"].append(recomputed[2])
-                if kind == "metric":
-                    spliced[op, s] += calls
-                    shifted[op, s] += declined
+            engine = served.metrics
+            before = engine.stats()
+            calls, declined = splices.calls, splices.declined
+            carried = _metric_miss(engine, s)
+            after = engine.stats()
+            calls, declined = splices.calls - calls, splices.declined - declined
+            recomputed = _recomputed(_metric_miss, engine, s)
+            _assert_same_bytes(carried, recomputed, (step, op, s))
+            if calls:
+                _assert_spliced_csr_is_fresh(engine, s, (step, op, s))
+            brought_forward = after.patched_entries - before.patched_entries
+            fell_back = after.delta_fallbacks - before.delta_fallbacks
+            # The entry asked for was exactly one update behind, and is
+            # carried; a components miss may also splice the squeezed CSR
+            # its searches read, which may decline (Stage 4 rebuilt).
+            assert fell_back == declined, (step, op, s, "CC fell back")
+            assert brought_forward + fell_back == 1 + calls, (step, op, s)
+            times[op, s]["delta"].append(carried[2])
+            times[op, s]["recompute"].append(recomputed[2])
+            spliced[op, s] += calls
+            shifted[op, s] += declined
 
     # The re-splices above were each byte-checked; the stream is long enough
     # to make at least one at every s.
     checked = {s: spliced["add", s] + spliced["remove", s] for s in S_VALUES}
     assert all(checked.values()), checked
     rows = []
-    for (kind, op, s), samples in sorted(times.items()):
+    for (op, s), samples in sorted(times.items()):
         delta_ms = statistics.median(samples["delta"])
         recompute_ms = statistics.median(samples["recompute"])
         sizes = row_sizes[op, s]
         rows.append(
             [
-                kind,
                 op,
                 s,
                 len(sizes),
@@ -231,17 +210,16 @@ def test_delta_miss_equals_recompute_on_the_churn_stream(served, report, monkeyp
                 f"{delta_ms:.2f}",
                 f"{delta_ms / recompute_ms:.2f}",
                 f"{statistics.median(sizes):.0f} / {max(sizes)}",
-                f"{spliced[op, s] / len(sizes):.2f}" if kind == "metric" else "",
-                shifted[op, s] if kind == "metric" else "",
+                f"{spliced[op, s] / len(sizes):.2f}",
+                shifted[op, s],
             ]
         )
     report(
-        f"Miss one update behind (livejournal surrogate x{BENCH_SCALE}, seed {SEED}, "
+        f"Metric miss one update behind (livejournal surrogate x{BENCH_SCALE}, seed {SEED}, "
         f"{NUM_SHARDS} shards, {UPDATES} updates of {UPDATE_MEMBERS} members, "
         "every 4th a remove; medians, ms)\n"
         + format_table(
             [
-                "miss",
                 "op",
                 "s",
                 "n",

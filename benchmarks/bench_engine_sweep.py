@@ -122,6 +122,8 @@ def test_bench_engine_cached_queries(bench_hypergraph, benchmark):
     """Steady-state query traffic: every request is an LRU cache hit."""
     engine = QueryEngine(bench_hypergraph)
     engine.sweep(S_RANGE, metrics=METRICS)  # warm
+    for s in S_RANGE:
+        engine.line_graph(s)  # a sweep's squeeze caches no L_s: warm them too
     misses_after_warm = engine.stats().cache_misses
 
     def serve():

@@ -1,14 +1,13 @@
 """Array kernels that carry cached results across a window of updates.
 
 The engine journals every ``add_hyperedge`` / ``remove_hyperedge`` as an
-:class:`Update` — the edge's ID, its size and its *overlap row* (the
+:class:`Update` — the edge's ID and its *overlap row* (the
 hyperedges it shares a vertex with, and how many) — and, on a miss, brings
 a cached ancestor forward across every update since it (its *window*) in
 one pass instead of recomputing.  Each kernel here is that pass for one
-kind of cached value:
+kind of cached value derived from ``L_s`` (``L_s`` itself is never carried:
+it is a threshold view the index serves in one search per segment):
 
-* :func:`line_graph` — canonical ``L_s`` pairs: one splice cuts the
-  removed hyperedges' pairs and inserts the added ones';
 * :func:`squeezed` — the Stage-4 CSR graph and its ID mapping: one splice
   of the int32 column indices drops the removed vertices' rows and columns
   and closes the old rows on the added vertices, whose rows are appended
@@ -37,7 +36,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.slinegraph import SLineGraph
 from repro.graph.connected_components import by_smallest_vertex
 from repro.graph.graph import Graph
 from repro.hypergraph.preprocessing import SqueezeResult
@@ -54,9 +52,6 @@ class Update:
     #: True for ``add_hyperedge``, False for ``remove_hyperedge``.
     added: bool
     edge_id: int
-    #: ``|e|`` — of the new edge, or of the removed one before its removal.
-    #: The edge is a vertex of ``L_s`` for ``s <= size`` only.
-    size: int
     #: Hyperedges sharing a vertex with ``e``, ascending by ID, and the
     #: shared-vertex counts (``overlap_counts_for_members`` output).
     row_ids: np.ndarray
@@ -99,47 +94,27 @@ def _first_added(window: Sequence[Update]) -> int:
     return min((u.edge_id for u in window if u.added), default=np.iinfo(np.int64).max)
 
 
-def _cut_pairs(
-    window: Sequence[Update], s: int, first: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The pairs of ``L_s`` before the window that its removes cut, as
-    ``(removed end, other end)`` columns.  A pair is in the row of whichever
-    end went first; a pair with an end at or above ``first`` — an ID the
-    window added — was never in ``L_s`` before it."""
-    removed_ends, other_ends = [_NONE], [_NONE]
-    for update in window:
-        if not update.added and update.edge_id < first:
-            neighbours, _ = update.row(s)
-            neighbours = neighbours[neighbours < first]
-            removed_ends.append(np.full(neighbours.size, update.edge_id))
-            other_ends.append(neighbours)
-    return np.concatenate(removed_ends), np.concatenate(other_ends)
-
-
-def _added_pairs(
-    window: Sequence[Update], s: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``L_s`` pairs the window's adds leave behind as ``(lo, hi, weight)``
+def _added_pairs(window: Sequence[Update], s: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``L_s`` pairs the window's adds leave behind as ``(lo, hi)``
     columns in (lo, hi) order: each add's row cut at ``s``, less every pair
     with an endpoint the same window removes again.  ``hi`` is always the
     added hyperedge — its ID is larger than any it overlaps."""
     removed = _removed(window)
-    lo, hi, weights = [], [], []
+    lo, hi = [], []
     for update in window:
         if not update.added or update.edge_id in removed:
             continue
-        neighbours, row_weights = update.row(s)
+        neighbours, _ = update.row(s)
         lo.append(neighbours)
         hi.append(np.full(neighbours.size, update.edge_id, dtype=np.int64))
-        weights.append(row_weights)
     if not lo:
-        return _NONE, _NONE, _NONE
-    lo, hi, weights = np.concatenate(lo), np.concatenate(hi), np.concatenate(weights)
+        return _NONE, _NONE
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
     if removed.size:  # one pass for the whole window, not one per add
         alive = ~np.isin(lo, removed)
-        lo, hi, weights = lo[alive], hi[alive], weights[alive]
+        lo, hi = lo[alive], hi[alive]
     order = np.lexsort((hi, lo))
-    return lo[order], hi[order], weights[order]
+    return lo[order], hi[order]
 
 
 def _spliced(
@@ -147,7 +122,7 @@ def _spliced(
     cut: np.ndarray,
     where: np.ndarray,
     values: np.ndarray,
-    gone: np.ndarray = _NONE,
+    gone: np.ndarray,
 ) -> np.ndarray:
     """``array`` less its entries at positions ``cut``, with ``values``
     inserted before its entries at positions ``where``, and every kept entry
@@ -193,58 +168,6 @@ def _lower_bound(
         hi = np.where(open_ & ~below, mid, hi)
 
 
-def line_graph(graph: SLineGraph, window: Sequence[Update]) -> SLineGraph:
-    """``L_s`` after ``window``, from ``L_s`` before it.
-
-    An added hyperedge has a larger ID than every hyperedge it overlaps, so
-    it is the ``hi`` of each of its pairs: a pair ``(p, new)`` of an old
-    ``p`` lands at the end of ``p``'s run in the (lo, hi) order, and a pair
-    of two added hyperedges after every old pair.  The pairs of removed
-    hyperedges are cut and the new ones inserted in one splice of the
-    flattened pairs.
-    """
-    s = graph.s
-    old = graph.num_hyperedges
-    edges, weights = graph.edges, graph.weights
-    removed_ends, other_ends = _cut_pairs(window, s, old)
-    firsts = edges[:, 0]
-    cut = _NONE
-    if removed_ends.size:
-        lo_end = np.minimum(removed_ends, other_ends)
-        cut = np.sort(
-            _lower_bound(
-                edges[:, 1],
-                np.searchsorted(firsts, lo_end, side="left"),
-                np.searchsorted(firsts, lo_end, side="right"),
-                np.maximum(removed_ends, other_ends),
-            )
-        )
-    lo, hi, row_weights = _added_pairs(window, s)
-    if cut.size or lo.size:
-        at = np.searchsorted(firsts, lo, side="right")
-        edges = _spliced(
-            edges.reshape(-1),
-            (2 * cut[:, None] + [0, 1]).reshape(-1),
-            np.repeat(2 * at, 2),
-            np.column_stack([lo, hi]).reshape(-1),
-        ).reshape(-1, 2)
-        weights = _spliced(weights, cut, at, row_weights)
-    # The vertex set E_s: removed hyperedges of size >= s leave it, added
-    # ones join it at the end (their IDs are the largest).
-    removed = _removed(window)
-    active = graph.active_vertices
-    leaving = [u.edge_id for u in window if not u.added and u.size >= s and u.edge_id < old]
-    if leaving:
-        active = np.delete(active, np.searchsorted(active, leaving))
-    joining = [
-        u.edge_id for u in window if u.added and u.size >= s and u.edge_id not in removed
-    ]
-    if joining:
-        active = np.concatenate([active, np.array(joining, dtype=np.int64)])
-    num_hyperedges = max([old] + [u.edge_id + 1 for u in window if u.added])
-    return SLineGraph.from_canonical(s, edges, weights, num_hyperedges, active)
-
-
 def squeezed(
     graph: Graph, mapping: SqueezeResult, window: Sequence[Update], s: int
 ) -> Optional[Tuple[Graph, SqueezeResult]]:
@@ -269,7 +192,7 @@ def squeezed(
     removed = _removed(window)
     at = np.searchsorted(ids, removed)
     gone = at[ids[np.minimum(at, n - 1)] == removed] if n else _NONE
-    lo, hi, _ = _added_pairs(window, s)
+    lo, hi = _added_pairs(window, s)
     if not (gone.size or lo.size):
         return graph, mapping  # same vertices, same edges
     k = n - gone.size

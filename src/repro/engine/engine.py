@@ -16,25 +16,23 @@ of the index — avoiding the wedge-enumeration pass that dominates a rebuild
 * **Retained.**  A hyperedge of size ``k`` can never appear in — nor
   contribute a pair to — any ``L_s`` with ``s > k``, so those entries are
   re-keyed to the new fingerprint at update time (a line graph after an
-  add also has its ID-space bound refreshed).  A line graph whose squeezed
-  form is cached beside it is dropped instead, as an invalidated one is
-  (below): the squeezed entry is retained and serves Stages 4-5, so a
-  refresh would be paid on every add for a query that may never come.
+  add also has its ID-space bound raised; its arrays are shared).
 * **Journalled.**  Every update appends one :class:`~repro.engine.delta.Update`
   to a bounded journal — fingerprint before → after, add or remove, the
-  edge's ID and size, and its overlap row (the one
+  edge's ID and its overlap row (the one
   :func:`~repro.engine.index.overlap_counts_for_members` returns; O(row), no
   copy proportional to ``L_s``).  Entries at ``s <= k`` are left where
   they are, one more update behind; the update itself patches nothing.
-  One exception keeps memory where it was: a line graph whose squeezed
-  form is cached under the same fingerprint is dropped, not left behind —
-  Stages 4-5 are served from the squeezed entry, and holding two
-  generations of both forms is what would move the process's peak RSS.
+  A line graph is the exception: ``L_s`` is a threshold view of the
+  index, one binary search per segment, so one the update may have
+  touched is dropped, never carried.  It is cached only at the
+  fingerprint it was built at, and only for a caller of
+  :meth:`~QueryEngine.line_graph`: Stage 4 squeezes the index's view
+  without caching it.
 * **Patched at read time.**  A miss at the current fingerprint that finds
   an ancestor entry within the journal carries it across every update
   since (its *window*) in one pass, with the array kernels of
-  :mod:`repro.engine.delta` — ``L_s`` loses the removed hyperedges' pairs
-  and takes the added ones', the squeezed CSR (unweighted, int32 columns)
+  :mod:`repro.engine.delta` — the squeezed CSR (unweighted, int32 columns)
   loses and gains vertices in one splice of its column indices — caching
   the result and only then dropping the entry it came from.  Connected
   components are carried from the window's rows alone: the entry keeps a
@@ -403,21 +401,19 @@ class QueryEngine:
         return value
 
     def line_graph(self, s: int) -> SLineGraph:
-        """``L_s(H)`` in original hyperedge IDs (cached threshold view)."""
+        """``L_s(H)`` in original hyperedge IDs: the index's threshold view,
+        cached at the current fingerprint (an update drops it unless it
+        provably cannot change it)."""
         s = check_s_value(s)
         key = self._key(s, "line_graph")
         with self._tracer.start_span("engine.line_graph", {"s": s}) as span:
             cached = self._cache.get(key)
-            if cached is not None:
-                span.set_attribute("cache_hit", True)
-                return cached
-            span.set_attribute("cache_hit", False)
-            return self._fill(
-                key,
-                delta.line_graph,
-                lambda: self.index.line_graph(s),
-                lambda graph: (graph.edges, graph.weights, graph.active_vertices),
-            )
+            span.set_attribute("cache_hit", cached is not None)
+            if cached is None:
+                cached = self.index.line_graph(s)
+                _freeze(cached.edges, cached.weights, cached.active_vertices)
+                self._cache.put(key, cached)
+            return cached
 
     def squeezed_graph(self, s: int) -> Tuple[Graph, SqueezeResult]:
         """Stage-4 view of ``L_s``: the squeezed CSR graph plus ID mapping.
@@ -433,7 +429,7 @@ class QueryEngine:
             return cached
 
         def compute():
-            squeezed_line, mapping = self.line_graph(s).squeeze()
+            squeezed_line, mapping = self.index.line_graph(s).squeeze()
             return squeezed_line.to_graph(squeezed=False), mapping
 
         return self._fill(
@@ -668,39 +664,33 @@ class QueryEngine:
         Entries of the superseded hypergraph at ``s > size`` cannot have
         changed (the edge is inactive and pairless there): they are
         *retained* — re-keyed to the new fingerprint now, a line graph with
-        its ID-space bound refreshed so it equals a full rebuild after an
-        add.  The other entries are *invalidated*: left in place, one more
-        update behind, for :meth:`_fill` to bring forward if a query asks
-        before the journal forgets the update.  Dropped instead: entries
-        the journal no longer reaches, and — retained or not — a line graph
-        whose squeezed form is cached under the same fingerprint (the
-        squeezed entry serves Stages 4-5; keeping both doubles the bytes
-        held, and refreshing a retained one costs a splice per add, for a
-        query that may not come).  ``row=None`` (the index was never built,
-        so nothing was ever cached) empties the journal.
+        its ID-space bound raised after an add (its row is empty at ``s``
+        and ``E_s`` unchanged, so the arrays are shared).  The other
+        entries are *invalidated*: left in place, one more update behind,
+        for :meth:`_fill` to bring forward if a query asks before the
+        journal forgets the update.  Dropped instead: entries the journal
+        no longer reaches, and every invalidated line graph (``L_s`` is
+        recomputed from the index, never carried).  ``row=None`` (the index
+        was never built, so nothing was ever cached) empties the journal.
         """
         new_fp = self._graph.fingerprint()
         journalled = row is not None
         if not journalled:
             row = (np.empty(0, dtype=np.int64),) * 2
         _freeze(*row)
-        update = Update(old_fp, new_fp, added, edge_id, size, *row)
+        update = Update(old_fp, new_fp, added, edge_id, *row)
         self._journal = (
             (self._journal + (update,))[-_MAX_PENDING:] if journalled else ()
         )
         reachable = {pending.before for pending in self._journal}
-        keys = self._cache.keys()
-        squeezed_at = {(fp, s) for fp, s, kind in keys if kind == "squeezed"}
-        for key in keys:
+        for key in self._cache.keys():
             fp, s, kind = key
-            shadowed = kind == "line_graph" and (fp, s) in squeezed_at
             if fp == old_fp and s > size:
-                if shadowed:
-                    self._cache.pop(key)  # unchanged, but not worth a refresh
-                    continue
                 if kind == "line_graph" and added:
-                    # The canonical arrays are shared, not copied.
-                    graph = delta.line_graph(self._cache.pop(key), (update,))
+                    graph = self._cache.pop(key)
+                    graph = SLineGraph.from_canonical(
+                        s, graph.edges, graph.weights, edge_id + 1, graph.active_vertices
+                    )
                     self._cache.put((new_fp, s, kind), graph)
                 else:
                     self._cache.rekey(key, (new_fp, s, kind))
@@ -708,7 +698,7 @@ class QueryEngine:
                 continue
             if fp == old_fp:
                 self._invalidated += 1
-            if shadowed or fp not in reachable:
+            if kind == "line_graph" or fp not in reachable:
                 self._cache.pop(key)
 
 

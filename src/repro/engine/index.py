@@ -438,6 +438,10 @@ class OverlapIndex:
         one stream over the segments, one canonicalisation, every check —
         then derives each larger ``L_s`` as a weight mask over its arrays.
         Each result is equal to the corresponding :meth:`line_graph` output.
+        No served path calls it (the engine counts a sweep from
+        :meth:`edge_counts`); it stays because ``benchmarks/e2e/traced_serve.py``
+        wraps ``ShardedIndex.sweep`` by name and ``bench_store_reuse.py``
+        times it, until the layer-probe benchmark change moves both off it.
         """
         s_list = sorted({check_s_value(v) for v in s_values})
         if not s_list:

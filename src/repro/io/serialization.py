@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -80,17 +80,6 @@ def load_hypergraph_npz(path: PathLike, verify_fingerprint: bool = True) -> Hype
             "store holding it with `repro index build`) or the file is corrupted"
         )
     return h
-
-
-def peek_hypergraph_fingerprint(path: PathLike) -> Optional[str]:
-    """The fingerprint recorded in a saved archive, without rebuilding it.
-
-    Returns ``None`` for archives written before fingerprints were stored.
-    """
-    with np.load(str(path), allow_pickle=False) as data:
-        if "fingerprint" not in data:
-            return None
-        return str(data["fingerprint"][0])
 
 
 def save_slinegraph_npz(graph: SLineGraph, path: PathLike) -> None:

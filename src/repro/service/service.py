@@ -42,10 +42,18 @@ from repro.store.format import PathLike, ReadOnlyStoreError, StoreError
 from repro.store.persistent import PersistentQueryEngine
 from repro.store.replication import LocalReplicationSource
 from repro.store.store import IndexStore
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, check_positive_int, check_s_value
 
 #: A serving request: ``{"op": ..., ...}`` (see :meth:`QueryService.serve`).
 Request = Mapping[str, object]
+
+
+def _list_field(request: Request, name: str) -> list:
+    """A request field that must be a JSON array (a string is iterable too)."""
+    value = request[name]
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a list, got {value!r}")
+    return value
 
 
 @contract.bind_handlers
@@ -350,7 +358,7 @@ class QueryService:
     # ``ok``/``op`` in the response (see contract.bind_handlers).
     def _op_metric(self, request: Request) -> Dict[str, object]:
         """``s``, ``metric``, ``columns?`` -> ``values`` by hyperedge ID."""
-        s = int(request["s"])
+        s = check_s_value(request["s"])
         name = str(request.get("metric", "connected_components"))
         edge_ids, values = self.metric_columns(s, name)
         base: Dict[str, object] = {
@@ -372,19 +380,20 @@ class QueryService:
 
     def _op_components(self, request: Request) -> Dict[str, object]:
         """``s`` -> ``count`` of s-connected components."""
-        s = int(request["s"])
+        s = check_s_value(request["s"])
         return {"s": s, "count": self.num_components(s)}
 
     def _op_sweep(self, request: Request) -> Dict[str, object]:
         """``s_values`` or ``s_min``/``s_max``, ``metrics?``, ``columns?``
         -> ``edge_counts`` and ``active_counts`` per s."""
-        # Both spellings stay lazy: the engine refuses more than
-        # ``MAX_SWEEP_THRESHOLDS`` values before materialising any of them.
+        # Both spellings stay lazy: the engine checks each value and refuses
+        # more than ``MAX_SWEEP_THRESHOLDS`` before materialising any of them.
         s_values: Iterable[int]
         if "s_values" in request:
-            s_values = map(int, request["s_values"])  # type: ignore[arg-type]
+            s_values = _list_field(request, "s_values")
         else:
-            s_values = range(int(request.get("s_min", 1)), int(request["s_max"]) + 1)
+            s_min = check_s_value(request.get("s_min", 1))
+            s_values = range(s_min, check_s_value(request["s_max"]) + 1)
         metrics = [str(m) for m in request.get("metrics", ())]  # type: ignore[union-attr]
         result = self.sweep(s_values, metrics=metrics)
         if request.get("columns"):
@@ -410,7 +419,10 @@ class QueryService:
         """``members``, ``name?``, ``wait?`` -> ``queued``, or the durable
         ``edge_id`` with ``wait``."""
         future = self.submit_add(
-            [int(v) for v in request["members"]],  # type: ignore[arg-type]
+            [
+                check_positive_int(v, "member", minimum=0)
+                for v in _list_field(request, "members")
+            ],
             name=request.get("name"),
         )
         if request.get("wait"):
@@ -419,7 +431,9 @@ class QueryService:
 
     def _op_remove(self, request: Request) -> Dict[str, object]:
         """``edge_id``, ``wait?`` -> ``queued``, or ``removed`` once durable."""
-        future = self.submit_remove(int(request["edge_id"]))
+        future = self.submit_remove(
+            check_positive_int(request["edge_id"], "edge_id", minimum=0)
+        )
         if request.get("wait"):
             future.result()
             return {"removed": True}

@@ -81,9 +81,11 @@ class PersistentQueryEngine(QueryEngine):
     # ------------------------------------------------------------------ #
     def add_hyperedge(self, members, name=None) -> int:
         """:meth:`QueryEngine.add_hyperedge`, WAL-logged before it returns
-        (:class:`~repro.store.ReadOnlyStoreError` on a read-only handle, nothing changed)."""
+        (:class:`~repro.store.ReadOnlyStoreError` on a read-only handle, nothing changed).
+        ``name`` is kept as the string the log holds, so the writer serves
+        the name a recovery of the store serves."""
         self.store.check_writable()
-        return super().add_hyperedge(members, name)
+        return super().add_hyperedge(members, None if name is None else str(name))
 
     def remove_hyperedge(self, edge_id) -> None:
         """:meth:`QueryEngine.remove_hyperedge`, WAL-logged before it returns
@@ -106,7 +108,7 @@ class PersistentQueryEngine(QueryEngine):
             pair_ids,
             pair_weights,
             fingerprint=self.fingerprint(),
-            name=None if name is None else str(name),
+            name=name,
         )
 
     def _record_remove(self, edge_id) -> None:

@@ -161,26 +161,39 @@ class TestSelectiveInvalidation:
         assert stats.cache_hits == hits
         assert stats.cache_misses == misses
 
-    def test_retained_line_graph_beside_its_squeezed_form_is_dropped(self, engine):
-        engine.squeezed_graph(3)  # L_3's Stage-4 form; L_4 has none
-        old_fp = engine.fingerprint()
-        large_s_graph = engine.line_graph(4)
-        engine.add_hyperedge([4, 5])  # size 2: L_3 and L_4 provably unchanged
-        new_fp = engine.fingerprint()
-        keys = set(engine._cache.keys())
-        # The squeezed form is retained; the line graph it shadows is dropped.
-        assert (new_fp, 3, "squeezed") in keys
-        assert (new_fp, 3, "line_graph") not in keys
-        assert (old_fp, 3, "line_graph") not in keys
-        # Without a squeezed sibling it is retained and refreshed.
-        retained = engine._cache.peek((new_fp, 4, "line_graph"))
+    def test_a_line_graph_lives_only_at_the_fingerprint_it_was_built_at(
+        self, paper_example_unlabelled
+    ):
+        engine = QueryEngine(paper_example_unlabelled)
+        engine.sweep(range(1, 5), metrics=("connected_components",))
+        for s in range(1, 5):
+            engine.metric(s, "pagerank")
+            engine.squeezed_graph(s)
+        # Stage 4 squeezes the index's view: no line graph is left behind.
+        assert not [key for key in engine._cache.keys() if key[2] == "line_graph"]
+        engine.line_graph(2)
+        large_s_graph = engine.line_graph(3)
+        engine.add_hyperedge([4, 5])  # size 2: L_2 may change, L_3 cannot
+
+        def cached_line_graphs():
+            return {(fp, s) for fp, s, kind in engine._cache.keys() if kind == "line_graph"}
+
+        assert cached_line_graphs() == {(engine.fingerprint(), 3)}
+        retained = engine._cache.peek((engine.fingerprint(), 3, "line_graph"))
         assert retained.edges is large_s_graph.edges
+        assert retained.weights is large_s_graph.weights
         assert retained.num_hyperedges == 5
+        engine.line_graph(2)
+        engine.remove_hyperedge(3)  # size 2 again: L_2 dropped, L_3 re-keyed
+        assert cached_line_graphs() == {(engine.fingerprint(), 3)}
+        assert engine._cache.peek((engine.fingerprint(), 3, "line_graph")) is retained
         fresh = QueryEngine(engine.hypergraph)
-        for s in (3, 4):
-            served = engine.line_graph(s)
-            assert served == fresh.line_graph(s), s
-            assert np.array_equal(served.active_vertices, fresh.line_graph(s).active_vertices)
+        for s in (2, 3):
+            served, expected = engine.line_graph(s), fresh.line_graph(s)
+            assert served == expected, s
+            assert served.num_hyperedges == expected.num_hyperedges, s
+            assert np.array_equal(served.active_vertices, expected.active_vertices), s
+        assert engine.stats().patched_entries == 0
 
     def test_large_edge_add_invalidates_affected_s(self, engine):
         engine.add_hyperedge([0, 1, 2, 3, 4, 5])  # size 6 touches every cached s

@@ -13,7 +13,6 @@ from repro.io.edgelist import (
 from repro.io.serialization import (
     load_hypergraph_npz,
     load_slinegraph_npz,
-    peek_hypergraph_fingerprint,
     save_hypergraph_npz,
     save_slinegraph_npz,
 )
@@ -108,11 +107,6 @@ class TestNpzFingerprint:
         save_hypergraph_npz(back, path2)
         assert load_hypergraph_npz(path2).fingerprint() == paper_example.fingerprint()
 
-    def test_peek_reads_fingerprint_without_rebuilding(self, paper_example, tmp_path):
-        path = tmp_path / "h.npz"
-        save_hypergraph_npz(paper_example, path)
-        assert peek_hypergraph_fingerprint(path) == paper_example.fingerprint()
-
     def test_tampered_archive_rejected(self, paper_example_unlabelled, tmp_path):
         import numpy as np
 
@@ -162,5 +156,4 @@ class TestNpzFingerprint:
         with np.load(str(path), allow_pickle=False) as data:
             payload = {k: data[k] for k in data.files if k != "fingerprint"}
         np.savez_compressed(str(path), **payload)  # a pre-store-era archive
-        assert peek_hypergraph_fingerprint(path) is None
         assert load_hypergraph_npz(path) == paper_example_unlabelled

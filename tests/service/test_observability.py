@@ -54,9 +54,10 @@ class TestStatsPayload:
                 with ServiceClient(*server.address) as client:
                     engine = client.stats()["engine"]
                 assert main(["stats", "--address", f"{server.host}:{server.port}"]) == 0
-        assert engine["invalidated_entries"] == 3  # L_1, its squeezed CSR, the labels
+        # The squeezed CSR and the labels: Stage 4 leaves no L_1 in the cache.
+        assert engine["invalidated_entries"] == 2
         # The labels, carried from the add's row; the squeezed CSR is left
-        # behind, unread, and L_1 was dropped.
+        # behind, unread.
         assert engine["patched_entries"] == 1
         assert engine["delta_fallbacks"] == 0 and engine["retained_entries"] == 0
         out = capsys.readouterr().out

@@ -293,6 +293,39 @@ class TestRequestProtocol:
             assert set(responses[2]["edge_counts"]) == {"1", "2", "3"}
             assert responses[3]["stats"]["admission"]["applied"] == 1
 
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"op": "remove", "edge_id": 0.7, "wait": True},
+            {"op": "remove", "edge_id": True, "wait": True},
+            {"op": "remove", "edge_id": "1", "wait": True},
+            {"op": "add", "members": "345", "wait": True},
+            {"op": "add", "members": [1.5, 2.9], "wait": True},
+            {"op": "add", "members": [1, -2], "wait": True},
+            {"op": "metric", "s": 2.9},
+            {"op": "metric", "s": True},
+            {"op": "metric", "s": 2.0},
+            {"op": "components", "s": 1.5},
+            {"op": "sweep", "s_values": "123"},
+            {"op": "sweep", "s_values": [1, 2.5]},
+            {"op": "sweep", "s_min": 1, "s_max": 2.5},
+            {"op": "sweep", "s_min": 0.5, "s_max": 3},
+        ],
+        ids=lambda request: "-".join(f"{k}={v!r}" for k, v in request.items() if k != "wait"),
+    )
+    def test_a_non_integer_field_is_refused_not_truncated(
+        self, paper_example_unlabelled, tmp_path, request_
+    ):
+        path = str(tmp_path / "four")
+        IndexStore.build(paper_example_unlabelled, path, num_shards=2)
+        with QueryService(path) as svc:
+            fingerprint = svc.engine.fingerprint()
+            response = svc.execute(request_)
+            svc.flush()
+            assert response["ok"] is False and response["code"] == "bad_request", response
+            assert svc.engine.store.num_wal_records() == 0
+            assert svc.engine.fingerprint() == fingerprint
+
     def test_compact_request_reports_generation(self, store_path):
         with QueryService(store_path) as svc:
             svc.submit_add([0, 1, 2])

@@ -102,6 +102,19 @@ class TestDurability:
             assert reloaded.line_graph(s).edge_set() == expected[s], s
         assert reloaded.fingerprint() == engine.fingerprint()
 
+    def test_writer_names_equal_what_a_reopen_serves(self, paper_example, tmp_path):
+        path = tmp_path / "labelled"
+        IndexStore.build(paper_example, path, num_shards=2)
+        engine = PersistentQueryEngine.open(path)
+        engine.add_hyperedge([0, 1], name={"x": [1]})
+        engine.add_hyperedge([2, 3], name=7)
+        names = engine.hypergraph.edge_names
+        assert names[-2:] == ["{'x': [1]}", "7"]
+        assert PersistentQueryEngine.open(path, read_only=True).hypergraph.edge_names == names
+        engine.compact()
+        assert engine.hypergraph.edge_names == names
+        assert PersistentQueryEngine.open(path, read_only=True).hypergraph.edge_names == names
+
     def test_compact_keeps_serving(self, store_path):
         engine = PersistentQueryEngine.open(store_path)
         engine.add_hyperedge([3, 4, 5])
