@@ -738,10 +738,10 @@ def with_appended_edge(
         )
     edge_names = h.edge_names
     if edge_names is not None:
-        edge_names = edge_names + [name if name is not None else new_id]
+        edge_names = edge_names + [name if name is not None else str(new_id)]
     vertex_names = h.vertex_names
     if vertex_names is not None and num_vertices > h.num_vertices:
-        vertex_names = vertex_names + list(range(h.num_vertices, num_vertices))
+        vertex_names = vertex_names + [str(v) for v in range(h.num_vertices, num_vertices)]
     return Hypergraph(
         edges=CSRMatrix(
             indptr=np.append(edges.indptr, edges.indptr[-1] + members.size),

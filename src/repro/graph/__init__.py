@@ -7,17 +7,17 @@ experiments), betweenness centrality, PageRank, distances and spectral
 measures, on a compact CSR graph type.
 
 Every kernel is built from scipy and numpy array operations, one
-implementation per traversal: CSR construction is one ``scipy.sparse``
-coo→csr conversion whose arrays the :class:`Graph` constructor adopts
-(int32 columns; the pattern alone unless weights are given);
-:func:`connected_components` and :func:`bfs_distances` are
-``scipy.sparse.csgraph`` calls; eccentricity, closeness and diameter reduce
-``csgraph`` hop distances a block of sources at a time; Brandes betweenness
-runs its forward and backward passes as sparse × dense products over the
-same source blocks; :func:`label_propagation_components` (the kernel the
-paper's Table V times) is one ``np.minimum.reduceat`` per round; PageRank is
-a power iteration.  Nothing hand-written serves as a reference:
-:mod:`networkx` is the only correctness oracle, and only the tests use it as one.
+implementation per traversal.  A :class:`Graph` is the pattern of a
+symmetric CSR (int32 columns, no weights: every Stage 5 measure counts
+hops).  :func:`connected_components` is one ``scipy.sparse.csgraph`` call.
+Every BFS — :func:`bfs_distances`, eccentricity, closeness, diameter and
+Brandes betweenness's forward pass — is the one level loop
+:func:`repro.graph.bfs.levels`, a sparse × dense product per level over a
+block of sources; betweenness adds its backward pass over the same levels.
+:func:`label_propagation_components` (the kernel the paper's Table V times)
+is one ``np.minimum.reduceat`` per round; PageRank is a power iteration.
+Nothing hand-written serves as a reference: :mod:`networkx` is the only
+correctness oracle, and only the tests use it as one.
 """
 
 from repro.graph.graph import Graph
@@ -31,7 +31,6 @@ from repro.graph.connected_components import (
 from repro.graph.betweenness import betweenness_centrality
 from repro.graph.pagerank import pagerank
 from repro.graph.distance import eccentricity, diameter, closeness_centrality
-from repro.graph.conversion import to_networkx, from_networkx
 
 __all__ = [
     "Graph",
@@ -45,6 +44,4 @@ __all__ = [
     "eccentricity",
     "diameter",
     "closeness_centrality",
-    "to_networkx",
-    "from_networkx",
 ]

@@ -29,7 +29,7 @@ def connected_components(graph: Graph) -> np.ndarray:
     undirected mode builds first.
     """
     _, labels = csgraph.connected_components(
-        graph.adjacency_matrix(weighted=False), directed=True, connection="strong"
+        graph.adjacency_matrix(), directed=True, connection="strong"
     )
     return by_smallest_vertex(labels)
 

@@ -2,26 +2,18 @@
 
 These back the paper's s-distance, s-eccentricity and s-closeness measures:
 the s-distance between hyperedges is the hop distance between the
-corresponding vertices of the s-line graph.  Each measure is a row
-reduction of the hop distances from one block of sources at a time; the
-dense ``n × n`` distance matrix is never built.
+corresponding vertices of the s-line graph.  Each measure is a column
+reduction of the hop distances :func:`repro.graph.bfs.levels` finds from
+one block of sources at a time; the dense ``n × n`` distance matrix is
+never built.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
-
 import numpy as np
 
-from repro.graph.bfs import hops, source_blocks
+from repro.graph.bfs import all_sources
 from repro.graph.graph import Graph
-
-
-def _distance_blocks(graph: Graph) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """``(sources, hop distances from each source)`` per source block."""
-    adjacency = graph.adjacency_matrix(weighted=False)
-    for sources in source_blocks(graph.num_vertices):
-        yield sources, hops(adjacency, sources)
 
 
 def eccentricity(graph: Graph) -> np.ndarray:
@@ -31,9 +23,9 @@ def eccentricity(graph: Graph) -> np.ndarray:
     reporting per-component s-measures); isolated vertices get 0.
     """
     out = np.zeros(graph.num_vertices, dtype=np.int64)
-    for sources, dist in _distance_blocks(graph):
+    for sources, dist, _, _ in all_sources(graph.adjacency_matrix()):
         # Unreachable vertices sit at −1, below the source's own 0.
-        out[sources] = dist.max(axis=1)
+        out[sources] = dist.max(axis=0)
     return out
 
 
@@ -50,9 +42,9 @@ def closeness_centrality(graph: Graph) -> np.ndarray:
     """
     n = graph.num_vertices
     out = np.zeros(n, dtype=np.float64)
-    for sources, dist in _distance_blocks(graph):
-        count = np.count_nonzero(dist > 0, axis=1)
-        total = np.maximum(dist, 0).sum(axis=1)
+    for sources, dist, _, _ in all_sources(graph.adjacency_matrix()):
+        count = np.count_nonzero(dist > 0, axis=0)
+        total = np.maximum(dist, 0).sum(axis=0, dtype=np.int64)
         some = total > 0  # so some other vertex is reachable and n > 1
         out[sources[some]] = (count[some] / total[some]) * (count[some] / (n - 1))
     return out

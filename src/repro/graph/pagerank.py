@@ -23,14 +23,14 @@ MAX_ITERATIONS = 200
 def pagerank(graph: Graph) -> np.ndarray:
     """PageRank scores of every vertex (sums to 1).
 
-    Each undirected edge of ``graph`` acts as two directed edges, edge
-    weights are ignored, the restart distribution is uniform and the
-    damping factor is :data:`DAMPING`.
+    Each undirected edge of ``graph`` acts as two directed edges, the
+    restart distribution is uniform and the damping factor is
+    :data:`DAMPING`.
     """
     n = graph.num_vertices
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    adjacency = graph.adjacency_matrix(weighted=False)
+    adjacency = graph.adjacency_matrix()
     out_weight = np.asarray(adjacency.sum(axis=1)).ravel()
     dangling = out_weight == 0
     inv_out = np.zeros(n, dtype=np.float64)

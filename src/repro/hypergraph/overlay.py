@@ -39,7 +39,8 @@ def replay_rows(
     in one concatenation and every removed row is cut with one mask, so the
     result pays for a single :class:`Hypergraph` construction (one
     transpose) however many updates it holds.  ``names[i]`` labels
-    ``rows[i]`` when ``h`` is labelled (``None`` labels a row by its ID);
+    ``rows[i]`` when ``h`` is labelled (``None`` labels a row by its ID,
+    as a string);
     ``removed`` may name appended rows too.  ``digest`` is the result's
     :meth:`~Hypergraph.digest_lanes` when the caller carries them.
     """
@@ -60,14 +61,16 @@ def replay_rows(
             keep[starts[edge_id] : starts[edge_id + 1]] = False
         indices = indices[keep]
         degrees[np.asarray(removed, dtype=np.int64)] = 0
+    # A row or vertex without a label is named by its ID as a string: the
+    # form a store's snapshot and log hold, so a reopen serves the same.
     edge_names = h.edge_names
     if edge_names is not None:
         edge_names = edge_names + [
-            h.num_edges + i if name is None else name for i, name in enumerate(names)
+            str(h.num_edges + i) if name is None else name for i, name in enumerate(names)
         ]
     vertex_names = h.vertex_names
     if vertex_names is not None:
-        vertex_names = vertex_names + list(range(h.num_vertices, num_vertices))
+        vertex_names = vertex_names + [str(v) for v in range(h.num_vertices, num_vertices)]
     return Hypergraph(
         edges=CSRMatrix(
             indptr=np.concatenate([[0], np.cumsum(degrees)]),

@@ -56,6 +56,14 @@ def _list_field(request: Request, name: str) -> list:
     return value
 
 
+def _raw_field(request: Request) -> bool:
+    """The optional ``raw`` flag, which must be a JSON boolean."""
+    raw = request.get("raw", False)
+    if not isinstance(raw, bool):
+        raise ValidationError(f"raw must be a boolean, got {raw!r}")
+    return raw
+
+
 @contract.bind_handlers
 class QueryService:
     """Concurrent serving façade over one shared store (module docstring).
@@ -466,7 +474,7 @@ class QueryService:
         return {
             "traces": self._tracer.finished_traces(
                 trace_id=None if trace_id is None else str(trace_id),
-                limit=int(request.get("limit", 20)),
+                limit=check_positive_int(request.get("limit", 20), "limit", minimum=0),
             ),
             "tracing": self._tracer.stats(),
         }
@@ -477,18 +485,20 @@ class QueryService:
 
     def _op_repl_wal(self, request: Request) -> Dict[str, object]:
         """``generation`` plus a cursor -> WAL suffix or records (§4.3-4.4)."""
+        generation = check_positive_int(request["generation"], "generation", minimum=0)
         if "after_bytes" in request or "next_seq" in request:
             # Byte-offset cursor mode: ship the raw validated log
             # suffix after (generation, byte_offset) — O(suffix), not
             # O(WAL) — see docs/PROTOCOL.md.
             return self._replication.repl_wal_suffix(
-                int(request["generation"]),
-                int(request.get("after_bytes", 0)),
-                int(request.get("next_seq", 1)),
-                raw=bool(request.get("raw", False)),
+                generation,
+                check_positive_int(request.get("after_bytes", 0), "after_bytes", minimum=0),
+                check_positive_int(request.get("next_seq", 1), "next_seq", minimum=1),
+                raw=_raw_field(request),
             )
         return self._replication.repl_wal(
-            int(request["generation"]), int(request.get("after_seq", 0))
+            generation,
+            check_positive_int(request.get("after_seq", 0), "after_seq", minimum=0),
         )
 
     def _op_repl_fetch(self, request: Request) -> Dict[str, object]:
@@ -496,11 +506,11 @@ class QueryService:
         snapshot-file chunk (§4.2)."""
         return self._replication.repl_fetch(
             str(request["file"]),
-            int(request["generation"]),
-            int(request.get("offset", 0)),
-            int(request["length"]),
+            check_positive_int(request["generation"], "generation", minimum=0),
+            check_positive_int(request.get("offset", 0), "offset", minimum=0),
+            check_positive_int(request["length"], "length", minimum=0),
             # Raw bytes ride a binary frame; base64 is the v1 fallback.
-            raw=bool(request.get("raw", False)),
+            raw=_raw_field(request),
         )
 
     def _op_chaos(self, request: Request) -> Dict[str, object]:

@@ -38,4 +38,4 @@ def s_normalized_algebraic_connectivity(
     if members.size < 2:
         return 0.0
     sub, _ = graph.subgraph(members)
-    return normalized_algebraic_connectivity(sub.adjacency_matrix(weighted=False))
+    return normalized_algebraic_connectivity(sub.adjacency_matrix())

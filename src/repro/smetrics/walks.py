@@ -72,7 +72,7 @@ def shortest_s_path(
     except KeyError:  # an endpoint has no s-incident partner
         return None
     _, pred = csgraph.breadth_first_order(
-        graph.adjacency_matrix(weighted=False), src, return_predecessors=True
+        graph.adjacency_matrix(), src, return_predecessors=True
     )
     if pred[dst] < 0:  # scipy marks unreached vertices (and the source) -9999
         return None
@@ -102,6 +102,6 @@ def s_reachable_set(
     except KeyError:  # no s-incident partner
         return [int(source)]
     reachable = csgraph.breadth_first_order(
-        graph.adjacency_matrix(weighted=False), src, return_predecessors=False
+        graph.adjacency_matrix(), src, return_predecessors=False
     )
     return sorted(mapping.new_to_old[reachable].tolist())

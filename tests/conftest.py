@@ -135,7 +135,7 @@ class EdgeListModel:
     An add appends its members (sorted, deduplicated) and a remove empties
     its edge to ``[]``, so every hyperedge ID stays put.  Labels and the
     vertex count are carried as an add extends them: an unnamed edge is
-    named by its ID, and each new vertex by its own.  :meth:`hypergraph`
+    named by its ID as a string, and each new vertex by its own.  :meth:`hypergraph`
     builds the current state from scratch.
     """
 
@@ -152,9 +152,9 @@ class EdgeListModel:
         self.members.append(members)
         grown = max([self.num_vertices] + [v + 1 for v in members])
         if self.edge_names is not None:
-            self.edge_names.append(new_id if name is None else name)
+            self.edge_names.append(str(new_id) if name is None else name)
         if self.vertex_names is not None:
-            self.vertex_names.extend(range(self.num_vertices, grown))
+            self.vertex_names.extend(str(v) for v in range(self.num_vertices, grown))
         self.num_vertices = grown
         return new_id
 

@@ -75,7 +75,7 @@ class TestAddHyperedge:
         engine.add_hyperedge([0, 7], name="new-paper")  # vertices 6 and 7 are new
         after = engine.hypergraph
         assert after.edge_names == edge_names + ["new-paper"]
-        assert after.vertex_names == vertex_names + [6, 7]
+        assert after.vertex_names == vertex_names + ["6", "7"]
         # The superseded hypergraph keeps its own, unextended labels.
         assert before.edge_names == edge_names
         assert before.vertex_names == vertex_names

@@ -102,7 +102,6 @@ class TestCaching:
         ):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 99
-        assert graph.weights is None  # Stage 4 keeps no weights to write to
         assert engine.metric_by_hyperedge(2, "pagerank") == before
         assert engine.line_graph(2).edge_set() == edges_before
         assert engine.metric(2, "connected_components").tolist() == [0.0, 0.0, 0.0]
@@ -122,7 +121,7 @@ class TestCaching:
             held = [getattr(graph, name) for name in type(graph).__slots__]
             arrays = [value for value in held if isinstance(value, np.ndarray)]
             assert sum(array.nbytes for array in arrays) == graph.indptr.nbytes + 4 * nnz
-            assert graph.weights is None and graph.indices.dtype == np.int32
+            assert graph.indices.dtype == np.int32
         assert engine.stats().patched_entries > 0
 
     def test_metric_columns_are_the_dict_view_sorted_by_hyperedge(self, engine):

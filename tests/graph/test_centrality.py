@@ -12,14 +12,14 @@ from repro.graph.connected_components import (
     connected_components,
     label_propagation_components,
 )
-from repro.graph.conversion import from_networkx
 from repro.graph.distance import closeness_centrality, diameter, eccentricity
 from repro.graph.graph import Graph
 from repro.graph.pagerank import pagerank, score_percentiles
 
 
 def nx_to_graph(nx_graph):
-    return from_networkx(nx.convert_node_labels_to_integers(nx_graph))
+    g = nx.convert_node_labels_to_integers(nx_graph)
+    return Graph.from_edge_list(g.number_of_nodes(), list(g.edges()))
 
 
 ORACLE_GRAPHS = {
@@ -54,14 +54,6 @@ class TestPageRank:
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
     def test_matches_networkx(self, name):
         nx_graph = nx.convert_node_labels_to_integers(ORACLE_GRAPHS[name])
-        ours = pagerank(nx_to_graph(nx_graph))
-        theirs = nx.pagerank(nx_graph, alpha=0.85, tol=1e-12, max_iter=1000, weight=None)
-        for v, expected in theirs.items():
-            assert ours[v] == pytest.approx(expected, abs=1e-6)
-
-    def test_edge_weights_are_ignored(self):
-        nx_graph = nx.Graph()
-        nx_graph.add_weighted_edges_from([(0, 1, 3.0), (1, 2, 1.0), (0, 2, 0.5), (2, 3, 9.0)])
         ours = pagerank(nx_to_graph(nx_graph))
         theirs = nx.pagerank(nx_graph, alpha=0.85, tol=1e-12, max_iter=1000, weight=None)
         for v, expected in theirs.items():

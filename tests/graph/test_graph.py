@@ -2,10 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.graph.connected_components import connected_components
-from repro.graph.conversion import to_networkx
 from repro.graph.distance import closeness_centrality, eccentricity
 from repro.graph.graph import Graph
 from repro.utils.validation import ValidationError
@@ -13,9 +11,7 @@ from repro.utils.validation import ValidationError
 
 def triangle_plus_isolated():
     """Triangle 0-1-2 plus isolated vertex 3."""
-    return Graph.from_edge_list(
-        4, np.array([[0, 1], [1, 2], [0, 2]]), np.array([1.0, 2.0, 3.0])
-    )
+    return Graph.from_edge_list(4, np.array([[0, 1], [1, 2], [0, 2]]))
 
 
 class TestConstruction:
@@ -43,44 +39,27 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             Graph.from_edge_list(2, np.array([[0, 5]]))
 
-    def test_weight_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            Graph.from_edge_list(3, np.array([[0, 1]]), np.array([1.0, 2.0]))
-
-    def test_from_scipy_drops_diagonal(self):
-        adj = sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 0.0]]))
-        g = Graph.from_scipy(adj)
-        assert g.num_edges == 1
-        assert g.weights[g.indptr[0] : g.indptr[1]].tolist() == [2.0]
-
-    def test_from_scipy_rejects_non_square(self):
-        with pytest.raises(ValidationError):
-            Graph.from_scipy(sparse.csr_matrix((2, 3)))
-
 
 class TestAccess:
-    def test_edges_iteration(self):
-        g = triangle_plus_isolated()
-        edges = {(u, v): w for u, v, w in g.edges()}
-        assert edges == {(0, 1): 1.0, (0, 2): 3.0, (1, 2): 2.0}
-
-    def test_adjacency_matrix_symmetric(self):
-        g = triangle_plus_isolated()
-        A = g.adjacency_matrix().toarray()
-        assert np.array_equal(A, A.T)
-        assert A[0, 2] == 3.0
-        B = g.adjacency_matrix(weighted=False).toarray()
-        assert B[0, 2] == 1.0
+    def test_adjacency_matrix_is_symmetric_float_ones(self):
+        A = triangle_plus_isolated().adjacency_matrix()
+        assert A.dtype == np.float64
+        assert A.toarray().tolist() == [
+            [0.0, 1.0, 1.0, 0.0],
+            [1.0, 0.0, 1.0, 0.0],
+            [1.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
 
 
 class TestTraversalView:
-    def test_each_metric_call_builds_one_unweighted_view(self, monkeypatch):
+    def test_each_metric_call_builds_one_view(self, monkeypatch):
         built = []
         original = Graph.adjacency_matrix
 
-        def counting(self, weighted=True):
-            built.append(weighted)
-            return original(self, weighted)
+        def counting(self):
+            built.append(self)
+            return original(self)
 
         monkeypatch.setattr(Graph, "adjacency_matrix", counting)
         g = triangle_plus_isolated()
@@ -88,7 +67,7 @@ class TestTraversalView:
         assert closeness_centrality(g).shape == (4,)
         assert eccentricity(g).tolist() == [1, 1, 1, 0]
         # One view per call, shared by its sources, not one per source.
-        assert built == [False, False, False]
+        assert built == [g, g, g]
 
 
 class TestSubgraph:
@@ -110,33 +89,19 @@ class TestSubgraph:
         assert g.metadata["s"] == 7
 
 
-class TestUnweighted:
+class TestPattern:
     def path(self):
         return Graph.from_edge_list(4, np.array([[0, 1], [1, 2], [2, 3]]))
 
-    def test_no_weights_given_means_none_held(self):
+    def test_the_arrays_are_typed(self):
         g = self.path()
-        assert g.weights is None
         assert (g.indptr.dtype, g.indices.dtype) == (np.int64, np.int32)
-
-    def test_every_edge_counts_as_one(self):
-        g = self.path()
-        assert list(g.edges()) == [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
-        weighted = g.adjacency_matrix(weighted=True)
-        assert weighted.dtype == np.float64
-        assert np.array_equal(weighted.toarray(), g.adjacency_matrix(weighted=False).toarray())
-        assert {(u, v): w for u, v, w in to_networkx(g).edges(data="weight")} == {
-            (0, 1): 1.0,
-            (1, 2): 1.0,
-            (2, 3): 1.0,
-        }
 
     def test_subgraph_keeps_the_form(self):
         sub, _ = self.path().subgraph([1, 2, 3])
-        assert sub.weights is None and sub.indices.dtype == np.int32
-        assert sub.num_edges == 2
-        weighted, _ = triangle_plus_isolated().subgraph([0, 2])
-        assert weighted.weights.tolist() == [3.0, 3.0]
+        assert (sub.indptr.dtype, sub.indices.dtype) == (np.int64, np.int32)
+        assert sub.indptr.tolist() == [0, 1, 3, 4]
+        assert sub.indices.tolist() == [1, 0, 2, 1]
 
     def test_int32_columns_are_adopted_without_a_copy(self):
         indices = np.array([1, 0], dtype=np.int32)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.bfs import BLOCK, bfs_distances, hops, source_blocks
+from repro.graph.bfs import BLOCK, bfs_distances, levels, source_blocks
 from repro.graph.connected_components import (
     component_sizes,
     connected_components,
@@ -38,12 +38,27 @@ class TestBFS:
         with pytest.raises(IndexError):
             bfs_distances(path_graph(3), 7)
 
-    def test_a_block_of_sources_is_one_row_each(self):
+    def test_a_block_of_sources_is_one_column_each(self):
         g = two_components()
-        block = hops(g.adjacency_matrix(weighted=False), [0, 4, 5])
-        assert block.dtype == np.int64
-        assert block.tolist() == [bfs_distances(g, v).tolist() for v in (0, 4, 5)]
+        dist, sigma, depth = levels(g.adjacency_matrix(), np.array([0, 4, 5]))
+        assert (dist.dtype, sigma.dtype, depth) == (np.int32, np.float64, 2)
+        assert dist.T.tolist() == [bfs_distances(g, v).tolist() for v in (0, 4, 5)]
+        # One shortest path to every reached vertex of a forest, none elsewhere.
+        assert sigma.T.tolist() == [
+            [1, 1, 1, 0, 0, 0],
+            [0, 0, 0, 1, 1, 0],
+            [0, 0, 0, 0, 0, 1],
+        ]
 
+    def test_path_counts_add_up_over_a_cycle(self):
+        # Opposite vertex of a 4-cycle: two shortest paths.
+        g = Graph.from_edge_list(4, np.array([[0, 1], [1, 2], [2, 3], [3, 0]]))
+        dist, sigma, depth = levels(g.adjacency_matrix(), np.array([0]))
+        assert (dist[:, 0].tolist(), sigma[:, 0].tolist(), depth) == (
+            [0, 1, 2, 1],
+            [1.0, 1.0, 2.0, 1.0],
+            2,
+        )
 
     def test_source_blocks_cover_every_vertex_in_order(self):
         assert list(source_blocks(0)) == []

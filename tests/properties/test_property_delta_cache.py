@@ -34,7 +34,6 @@ def arrays_of(value):
         }
     if isinstance(value, tuple):
         graph, mapping = value
-        assert graph.weights is None  # Stage 4 is unweighted, carried or fresh
         return {
             "indptr": graph.indptr,
             "indices": graph.indices,

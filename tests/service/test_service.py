@@ -326,6 +326,46 @@ class TestRequestProtocol:
             assert svc.engine.store.num_wal_records() == 0
             assert svc.engine.fingerprint() == fingerprint
 
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"op": "trace", "limit": 2.9},
+            {"op": "trace", "limit": "5"},
+            {"op": "trace", "limit": -1},
+            {"op": "repl_wal", "generation": 0.5},
+            {"op": "repl_wal", "generation": 0, "after_seq": 0.2},
+            {"op": "repl_wal", "generation": 0.9, "after_bytes": 0, "next_seq": 1},
+            {"op": "repl_wal", "generation": 0, "after_bytes": 0.5, "next_seq": 1},
+            {"op": "repl_wal", "generation": 0, "after_bytes": 0, "next_seq": 1.5},
+            {"op": "repl_wal", "generation": 0, "after_bytes": 0, "next_seq": 0},
+            {"op": "repl_wal", "generation": 0, "after_bytes": 0, "raw": "false"},
+            {"op": "repl_fetch", "generation": 0.9, "length": 16},
+            {"op": "repl_fetch", "generation": True, "length": 16},
+            {"op": "repl_fetch", "generation": 0, "offset": 0.5, "length": 16},
+            {"op": "repl_fetch", "generation": 0, "offset": -1, "length": 16},
+            {"op": "repl_fetch", "generation": 0, "length": 16.7},
+            {"op": "repl_fetch", "generation": 0, "length": 16, "raw": "false"},
+            {"op": "repl_fetch", "generation": 0, "length": 16, "raw": 1},
+        ],
+        ids=lambda request: "-".join(f"{k}={v!r}" for k, v in request.items()),
+    )
+    def test_a_replication_or_trace_field_is_refused_not_truncated(
+        self, paper_example_unlabelled, tmp_path, request_
+    ):
+        path = str(tmp_path / "four")
+        IndexStore.build(paper_example_unlabelled, path, num_shards=2)
+        if request_["op"] == "repl_fetch":
+            request_ = {"file": "hypergraph.npz", **request_}
+        valid = {
+            key: (False if key == "raw" else 1 if key in ("next_seq", "length") else 0)
+            for key in request_
+            if key not in ("op", "file")
+        }
+        with QueryService(path) as svc:
+            assert svc.execute({**request_, **valid})["ok"], valid
+            response = svc.execute(request_)
+            assert response["ok"] is False and response["code"] == "bad_request", response
+
     def test_compact_request_reports_generation(self, store_path):
         with QueryService(store_path) as svc:
             svc.submit_add([0, 1, 2])

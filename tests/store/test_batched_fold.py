@@ -210,9 +210,9 @@ class TestBatchedReplay:
         store = IndexStore.open(tmp_path / "idx")
         batched = store.load_hypergraph()
         reference = reference_hypergraph(store)
-        assert batched.edge_names == reference.edge_names == ["x", "y", "z", 3]
+        assert batched.edge_names == reference.edge_names == ["x", "y", "z", "3"]
         assert batched.vertex_names == reference.vertex_names
-        assert batched.vertex_names[-3:] == [4, 5, 6]
+        assert batched.vertex_names[-3:] == ["4", "5", "6"]
 
 
 # --------------------------------------------------------------------- #

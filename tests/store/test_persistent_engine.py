@@ -115,6 +115,25 @@ class TestDurability:
         assert engine.hypergraph.edge_names == names
         assert PersistentQueryEngine.open(path, read_only=True).hypergraph.edge_names == names
 
+    def test_unnamed_labels_are_one_type_across_a_compaction(self, paper_example, tmp_path):
+        path = tmp_path / "labelled"
+        IndexStore.build(paper_example, path, num_shards=2)
+        engine = PersistentQueryEngine.open(path)
+        num_vertices = engine.hypergraph.num_vertices
+        new_id = engine.add_hyperedge([0, num_vertices, num_vertices + 1])
+        labels = (engine.hypergraph.edge_names, engine.hypergraph.vertex_names)
+        assert labels[0][-1] == str(new_id)
+        assert labels[1][-2:] == [str(num_vertices), str(num_vertices + 1)]
+
+        def reopened():
+            h = PersistentQueryEngine.open(path, read_only=True).hypergraph
+            return h.edge_names, h.vertex_names
+
+        assert reopened() == labels
+        engine.compact()
+        assert (engine.hypergraph.edge_names, engine.hypergraph.vertex_names) == labels
+        assert reopened() == labels
+
     def test_compact_keeps_serving(self, store_path):
         engine = PersistentQueryEngine.open(store_path)
         engine.add_hyperedge([3, 4, 5])
