@@ -186,7 +186,7 @@ class ManagedProcess:
 #: Files legitimately differing between a writer store and its mirror:
 #: the mirror's sync cursor and each side's writer-lock lease.
 _NON_STORE_FILES = {"replication.json", "writer.lock"}
-_TRANSIENT_SUFFIXES = (".sync", ".staged", ".tmp")
+_TRANSIENT_SUFFIXES = (".sync", ".tmp")
 
 
 def store_files(path: str) -> Dict[str, str]:

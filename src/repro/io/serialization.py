@@ -29,8 +29,8 @@ PathLike = Union[str, os.PathLike]
 def save_hypergraph_npz(h: Hypergraph, path: PathLike) -> None:
     """Save a hypergraph (CSR arrays, optional labels, fingerprint) to ``path``.
 
-    The archive is written uncompressed: a store rewrites this copy on
-    every compaction and ships it to every mirror, and deflating it cost
+    The archive is written uncompressed: a store writes a copy with every
+    snapshot generation and ships it to every mirror, and deflating it cost
     more time than its bytes saved.  :func:`load_hypergraph_npz` reads
     stored and deflated archives alike.
     """
@@ -80,6 +80,14 @@ def load_hypergraph_npz(path: PathLike, verify_fingerprint: bool = True) -> Hype
             "store holding it with `repro index build`) or the file is corrupted"
         )
     return h
+
+
+def load_edge_sizes_npz(path: PathLike) -> np.ndarray:
+    """The hyperedge sizes ``|e_i|`` of an archive written by
+    :func:`save_hypergraph_npz` — the row lengths of its incidence CSR —
+    read without loading (or verifying) the rest of it."""
+    with np.load(str(path), allow_pickle=False) as data:
+        return np.diff(data["indptr"]).astype(np.int64, copy=False)
 
 
 def save_slinegraph_npz(graph: SLineGraph, path: PathLike) -> None:

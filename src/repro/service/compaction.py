@@ -6,10 +6,12 @@ costs climb linearly.  :class:`CompactionPolicy` says *when* folding is
 worth it (a WAL record threshold); the
 :class:`BackgroundCompactor` thread evaluates the policy off the query
 path and runs :meth:`~repro.store.PersistentQueryEngine.compact` under the
-service's exclusive lock, cooperating with the admission writer.  Readers
-in other processes pick the new generation up through their change token
-(:class:`~repro.service.ReadReplica` hot reload); their already-open mmaps
-of the swept generation stay valid until their in-flight queries finish.
+service's exclusive lock, cooperating with the admission writer.  A
+requested compaction runs the same routine, so every compaction is counted
+alike.  Readers in other processes pick the new generation up through
+their change token (:class:`~repro.service.ReadReplica` hot reload); their
+already-open mmaps of the swept generation stay valid until their
+in-flight queries finish.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Optional
 
 from repro.obs import get_registry
 from repro.service.sync import RWLock
+from repro.store.format import WriterAheadOfLogError
 from repro.store.persistent import PersistentQueryEngine
 from repro.utils.log import get_logger
 from repro.utils.validation import check_positive_int
@@ -47,7 +50,8 @@ class CompactionPolicy:
 
 
 class BackgroundCompactor:
-    """Daemon thread compacting a persistent engine when the policy fires.
+    """Compacts a persistent engine on request, and from a daemon thread
+    when a policy is given and fires.
 
     Parameters
     ----------
@@ -58,14 +62,15 @@ class BackgroundCompactor:
         so it serialises against the admission writer and in-flight
         queries without any extra protocol.
     policy / poll_interval:
-        When to compact, and how often to check.
+        When to compact, and how often to check; ``None`` starts no
+        thread, and only :meth:`maybe_compact` with ``force`` compacts.
     """
 
     def __init__(
         self,
         engine: PersistentQueryEngine,
         write_lock: RWLock,
-        policy: CompactionPolicy,
+        policy: Optional[CompactionPolicy],
         poll_interval: float = 0.1,
     ) -> None:
         self._engine = engine
@@ -91,10 +96,12 @@ class BackgroundCompactor:
             "repro_compaction_folded_bytes_total",
             "WAL bytes folded into snapshots by compaction.",
         )
-        self._thread = threading.Thread(
-            target=self._run, name="background-compactor", daemon=True
-        )
-        self._thread.start()
+        self._thread: Optional[threading.Thread] = None
+        if policy is not None:
+            self._thread = threading.Thread(
+                target=self._run, name="background-compactor", daemon=True
+            )
+            self._thread.start()
 
     def _wal_bytes(self) -> int:
         try:
@@ -106,6 +113,11 @@ class BackgroundCompactor:
         while not self._stop.wait(self._poll_interval):
             try:
                 self.maybe_compact()
+            except WriterAheadOfLogError:
+                # Every later tick would fail alike until a restart serves
+                # the logged state: say so once and stop.
+                _log.error("background compaction stopped", exc_info=True)
+                return
             except Exception:
                 # Compaction failure must not kill the service loop; the
                 # WAL stays authoritative and the next tick retries — but
@@ -118,8 +130,9 @@ class BackgroundCompactor:
 
     def maybe_compact(self, force: bool = False) -> bool:
         """Compact now if the policy (or ``force``) says so; True when run."""
-        if not force and not self.policy.should_compact(
-            self._engine.store.num_wal_records()
+        if not force and not (
+            self.policy is not None
+            and self.policy.should_compact(self._engine.store.num_wal_records())
         ):
             return False
         folded_records = self._engine.store.num_wal_records()
@@ -137,4 +150,5 @@ class BackgroundCompactor:
     def stop(self, timeout: Optional[float] = None) -> None:
         """Stop the polling thread (any in-progress compaction finishes)."""
         self._stop.set()
-        self._thread.join(timeout=timeout)
+        if self._thread is not None:
+            self._thread.join(timeout=timeout)

@@ -153,13 +153,12 @@ class QueryService:
             self._admission = AdmissionQueue(
                 self._engine, write_lock=self._rw, max_batch=max_batch
             )
-            if compaction is not None:
-                self._compactor = BackgroundCompactor(
-                    self._engine,
-                    self._rw,
-                    policy=compaction,
-                    poll_interval=compaction_poll_interval,
-                )
+            self._compactor = BackgroundCompactor(
+                self._engine,
+                self._rw,
+                policy=compaction,
+                poll_interval=compaction_poll_interval,
+            )
         except BaseException:
             self._lock.release()
             raise
@@ -290,13 +289,8 @@ class QueryService:
 
     def compact(self) -> bool:
         """Flush pending updates, then fold the WAL into a new generation."""
-        admission = self._admission_or_raise()
-        admission.flush()
-        if self._compactor is not None:
-            return self._compactor.maybe_compact(force=True)
-        with self._rw.write():
-            self._engine.compact()
-        return True
+        self._admission_or_raise().flush()
+        return self._compactor.maybe_compact(force=True)
 
     # ------------------------------------------------------------------ #
     # Batched request serving

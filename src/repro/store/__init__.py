@@ -33,6 +33,7 @@ from repro.store.format import (
     ShardInfo,
     StoreError,
     StoreFormatError,
+    WriterAheadOfLogError,
     read_manifest,
 )
 from repro.store.persistent import PersistentQueryEngine
@@ -65,6 +66,7 @@ __all__ = [
     "SyncReport",
     "WalRecord",
     "WriteAheadLog",
+    "WriterAheadOfLogError",
     "read_manifest",
     "write_snapshot",
 ]

@@ -6,8 +6,8 @@ A store is a directory:
 
     <store>/
         manifest.json        versioned description of the snapshot (below)
-        edge_sizes.npy       per-hyperedge sizes |e_i| (int64)
-        hypergraph.npz       source hypergraph (io.serialization; uncompressed)
+        g<G>-hypergraph.npz  source hypergraph (io.serialization; uncompressed);
+                             its CSR row lengths are the sizes |e_i|
         wal.log              write-ahead log of incremental updates
         shards/
             g<G>-shard-00000.edges.npy    (k_b, 2) int64, weight-ascending
@@ -34,12 +34,18 @@ versions: it carries the old snapshot's values forward.
 * Version 1: the fingerprint was one SHA-256 over the sorted CSR.
 * Version 2: the fingerprint is a multiset digest of the incidences
   (:meth:`repro.hypergraph.Hypergraph.fingerprint`), carried through every
-  update in O(|e|).  The manifest, every WAL record and ``hypergraph.npz``
-  hold fingerprints, so a version-1 store's values no longer verify.
+  update in O(|e|).  The manifest, every WAL record and the hypergraph
+  copy hold fingerprints, so a version-1 store's values no longer verify.
+* Version 3: the hypergraph copy is named by its generation (the
+  manifest's ``hypergraph_file``), and the per-hyperedge sizes are its row
+  lengths; version 2's ``hypergraph.npz`` and size file are gone.
 
-The ``generation`` counter names the shard files of the live snapshot —
-compaction writes generation ``G+1`` files before atomically replacing the
-manifest, so a crash mid-compaction leaves the old snapshot intact.
+The ``generation`` counter names every data file of the live snapshot, so
+no committed file is ever rewritten: a build or compaction lays down
+generation ``G+1``'s files next to the live ones, fsyncs them and the
+directories holding them, and then atomically replaces the manifest.  That
+rename is the one commit point — a crash before it leaves the old snapshot
+intact, and the files it never committed are orphans the next writer sweeps.
 """
 
 from __future__ import annotations
@@ -54,11 +60,9 @@ from repro.utils.validation import ValidationError
 PathLike = Union[str, os.PathLike]
 
 #: Bumped on any change an older reader cannot interpret (see the module docstring).
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
-EDGE_SIZES_NAME = "edge_sizes.npy"
-HYPERGRAPH_NAME = "hypergraph.npz"
 WAL_NAME = "wal.log"
 SHARD_DIR = "shards"
 #: Advisory single-writer lock file (see :class:`repro.service.StoreLock`).
@@ -71,6 +75,12 @@ class StoreError(ValidationError):
 
 class StoreFormatError(StoreError):
     """The on-disk layout cannot be interpreted by this reader."""
+
+
+class WriterAheadOfLogError(StoreError):
+    """A writer's engine holds an update its log does not: the update was
+    applied in memory and its append refused.  Only a reopen, which serves
+    the logged (acknowledged) state, brings the two together again."""
 
 
 class ReadOnlyStoreError(StoreError):
@@ -105,14 +115,20 @@ class Manifest:
     max_weight: int
     #: Stage-3 algorithm that enumerated the pairs (build provenance).
     algorithm: str
+    #: The generation's copy of the source hypergraph (:func:`hypergraph_file_name`).
+    hypergraph_file: str
     #: Snapshot generation; names the shard files (bumped by compaction).
     generation: int = 0
     shards: List[ShardInfo] = field(default_factory=list)
     #: Free-form build provenance (builder, creation time, source dataset…).
     provenance: Dict[str, object] = field(default_factory=dict)
-    #: Per-hyperedge size array; generation-named so writing a new snapshot
-    #: never clobbers the file the live manifest references.
-    edge_sizes_file: str = EDGE_SIZES_NAME
+
+    def file_names(self) -> List[str]:
+        """Every data file of the snapshot, relative to the store (posix-style)."""
+        shards = [(info.edges_file, info.weights_file) for info in self.shards]
+        return [f"{SHARD_DIR}/{name}" for pair in shards for name in pair] + [
+            self.hypergraph_file
+        ]
 
     def to_json(self) -> str:
         """The manifest as the JSON text written to ``manifest.json``."""
@@ -132,9 +148,9 @@ class Manifest:
         if version != FORMAT_VERSION:
             raise StoreFormatError(
                 f"snapshot format version {version!r} is not supported by this "
-                f"reader (expected {FORMAT_VERSION}; version 2 changed the "
-                "hypergraph fingerprint); rebuild the store from its source "
-                "hypergraph with `repro index build`"
+                f"reader (expected {FORMAT_VERSION}; version 3 named the "
+                "hypergraph copy by its generation); rebuild the store from its "
+                "source hypergraph with `repro index build`"
             )
         try:
             # Ignore unknown shard keys: the format policy allows writers at
@@ -144,6 +160,9 @@ class Manifest:
                 ShardInfo(**{k: v for k, v in s.items() if k in known})
                 for s in raw.get("shards", [])
             ]
+            for info in shards:
+                _plain_name(info.edges_file)
+                _plain_name(info.weights_file)
             return cls(
                 format_version=int(version),
                 fingerprint=str(raw["fingerprint"]),
@@ -151,10 +170,10 @@ class Manifest:
                 num_pairs=int(raw["num_pairs"]),
                 max_weight=int(raw["max_weight"]),
                 algorithm=str(raw.get("algorithm", "")),
+                hypergraph_file=_plain_name(raw["hypergraph_file"]),
                 generation=int(raw.get("generation", 0)),
                 shards=shards,
                 provenance=dict(raw.get("provenance", {})),
-                edge_sizes_file=str(raw.get("edge_sizes_file", EDGE_SIZES_NAME)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreFormatError(f"manifest is malformed: {exc}") from exc
@@ -166,9 +185,22 @@ def shard_file_names(generation: int, shard_id: int) -> tuple:
     return f"{stem}.edges.npy", f"{stem}.weights.npy"
 
 
-def edge_sizes_file_name(generation: int) -> str:
-    """Generation-named per-hyperedge size file."""
-    return f"g{int(generation)}-{EDGE_SIZES_NAME}"
+def hypergraph_file_name(generation: int) -> str:
+    """Generation-named copy of the source hypergraph."""
+    return f"g{int(generation)}-hypergraph.npz"
+
+
+def _plain_name(name: object) -> str:
+    """``name`` when it names a file inside its directory, else
+    :class:`StoreFormatError`: a manifest's file names are joined onto the
+    store's path, so none may climb out of it."""
+    if (
+        not isinstance(name, str)
+        or name in ("", ".", "..")
+        or any(c in name for c in "/\\\0")
+    ):
+        raise StoreFormatError(f"manifest names {name!r}, which is not a plain file name")
+    return name
 
 
 def fsync_path(path: PathLike) -> None:

@@ -20,7 +20,7 @@ from typing import Optional
 from repro.engine.engine import QueryEngine
 from repro.engine.index import BUILD_ALGORITHM
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.store.format import PathLike
+from repro.store.format import PathLike, WriterAheadOfLogError
 from repro.store.store import IndexStore
 from repro.utils.validation import ValidationError
 
@@ -140,8 +140,19 @@ class PersistentQueryEngine(QueryEngine):
         never the logical state (the fingerprint is unchanged).  The
         hypergraph overlay is folded into a new frozen base at the same
         time, so neither overlay outgrows one compaction interval.
+
+        Raises :class:`~repro.store.format.WriterAheadOfLogError`, writing
+        nothing, when the engine holds an update its log lacks.
         """
         self.store.check_writable()
+        logged = self.store.current_fingerprint()
+        if self.fingerprint() != logged:
+            raise WriterAheadOfLogError(
+                f"the engine serves state {self.fingerprint()[:12]}… but the log "
+                f"of {self.store.path} ends at {str(logged)[:12]}…: an update was "
+                "applied without being logged; reopen the store to serve the "
+                "logged state"
+            )
         self.store.compact(num_shards=num_shards)
         self._fold_overlay()
         self.close()  # the superseded index maps files compaction just swept

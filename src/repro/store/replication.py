@@ -11,9 +11,9 @@ serving peer answers:
     plus the size and CRC32 of every snapshot file it references, pinned to
     one generation.
 ``repl_fetch``
-    One chunk of one snapshot file (shard arrays, the generation-named
-    edge-size array, ``hypergraph.npz``) at a pinned generation, sized
-    under the frame cap, riding a protocol v2 binary frame as raw bytes.
+    One chunk of one snapshot file (shard arrays, the hypergraph copy) at a
+    pinned generation, sized under the frame cap, riding a protocol v2
+    binary frame as raw bytes.
 ``repl_wal``
     The write-ahead-log tail: the mirror asks with a ``(generation,
     byte_offset, next_seq)`` cursor and receives the raw validated on-disk
@@ -29,10 +29,10 @@ Sync is *delta* by construction: files whose checksum the mirror already
 holds (under any name — compaction renames shards it did not change) are
 hard-linked/copied locally instead of re-fetched, and between compactions
 only the WAL tail crosses the wire.  Crash safety reuses the store's own
-layout: fetched shard/edge-size files are generation-named (laying them
-down never touches the live snapshot), the manifest and WAL are swapped
-atomically, and a sync killed at any point leaves the previous state
-serveable — the next sync detects the partial files by checksum and
+layout: every snapshot file is generation-named and written once (laying
+one down never touches the live snapshot), the manifest and WAL are
+swapped atomically, and a sync killed at any point leaves the previous
+state serveable — the next sync detects the partial files by checksum and
 finishes the job.
 
 The ops are served by :meth:`repro.service.QueryService.execute` (local or
@@ -57,7 +57,6 @@ from typing import Dict, List, Optional, Protocol, Sequence
 from repro.chaos.failpoints import REPL_FETCH, REPL_MANIFEST, REPL_WAL
 from repro.obs import get_registry, get_tracer
 from repro.store.format import (
-    HYPERGRAPH_NAME,
     Manifest,
     PathLike,
     SHARD_DIR,
@@ -109,17 +108,6 @@ def file_crc32(path: PathLike, chunk_bytes: int = 1 << 20) -> int:
     return crc & 0xFFFFFFFF
 
 
-def _snapshot_file_names(manifest: Manifest) -> List[str]:
-    """Relative (posix-style) names of every file the snapshot references."""
-    names: List[str] = []
-    for info in manifest.shards:
-        names.append(f"{SHARD_DIR}/{info.edges_file}")
-        names.append(f"{SHARD_DIR}/{info.weights_file}")
-    names.append(manifest.edge_sizes_file)
-    names.append(HYPERGRAPH_NAME)
-    return names
-
-
 def _local_path(store_path: str, name: str) -> str:
     return os.path.join(str(store_path), *name.split("/"))
 
@@ -163,7 +151,7 @@ def manifest_payload(
                 text = handle.read()
             manifest = Manifest.from_json(text)
             files = []
-            for name in _snapshot_file_names(manifest):
+            for name in manifest.file_names():
                 full = _local_path(path, name)
                 st = os.stat(full)
                 key = (name, st.st_size, st.st_mtime_ns)
@@ -320,7 +308,7 @@ def fetch_payload(
             f"snapshot at {path} is at generation {manifest.generation}, "
             f"not the pinned {generation}"
         )
-    allowed = set(_snapshot_file_names(manifest))
+    allowed = set(manifest.file_names())
     if str(name) not in allowed:
         raise ValidationError(
             f"{name!r} is not a snapshot file of generation {generation}"
@@ -593,9 +581,6 @@ class StoreMirror:
         remote = self.source.repl_manifest()
         generation = int(remote["generation"])
         known = self._state.get("files", {})
-        # A compaction killed after replacing hypergraph.npz leaves the
-        # generation unchanged but the file's checksum new: only a
-        # snapshot sync re-fetches it.
         if self.generation == generation and all(
             known.get(str(e["name"])) == {"size": int(e["size"]), "crc32": int(e["crc32"])}
             for e in remote["files"]
@@ -670,25 +655,28 @@ class StoreMirror:
     # -- Snapshot (generation changed or first sync) -------------------- #
     def _sync_snapshot(self, remote: Dict[str, object]) -> SyncReport:
         generation = int(remote["generation"])
+        # Refuses a file name that is not plain, so each joins onto our path
+        # inside it; the list must name exactly the manifest's files.
         manifest = Manifest.from_json(str(remote["manifest_json"]))
+        listed = [str(entry["name"]) for entry in remote["files"]]
+        if listed != manifest.file_names():
+            raise ReplicationError(
+                f"source listed the files {listed} for a manifest naming "
+                f"{manifest.file_names()}"
+            )
         report = SyncReport(generation=generation, full_sync=True, changed=True)
 
-        # Files already present under their final name and checksum (e.g.
-        # an unchanged hypergraph.npz) are kept; files whose *content* the
-        # previous generation already holds under another name (compaction
-        # renames every shard, changes few) are linked/copied locally.
-        # Only generation-named files may act as donors: they are
-        # write-once, so the sidecar checksum is trustworthy — a
-        # same-name file like hypergraph.npz can have been atomically
-        # replaced by a killed sync after the sidecar was last written.
+        # Files already present under their final name and checksum are
+        # kept; files whose *content* the previous generation already holds
+        # under another name (compaction renames every shard, changes few)
+        # are linked/copied locally.  Every snapshot file is write-once, so
+        # the sidecar's checksum of it is trustworthy.
         known: Dict[str, Dict[str, object]] = dict(self._state.get("files", {}))
         # Donors are keyed by (size, crc32), not bare CRC32: 32 bits alone
         # is thin enough that a collision across many generations would
         # silently install the wrong shard and poison the sidecar.
         by_content: Dict[tuple, str] = {}
         for known_name, meta in known.items():
-            if known_name == HYPERGRAPH_NAME:
-                continue
             local = _local_path(self.path, known_name)
             if os.path.isfile(local) and os.path.getsize(local) == int(meta["size"]):
                 by_content.setdefault((int(meta["size"]), int(meta["crc32"])), known_name)
@@ -708,10 +696,6 @@ class StoreMirror:
                 and int(prior["crc32"]) == crc
                 and os.path.isfile(dest)
                 and os.path.getsize(dest) == size
-                # Replace-in-place files re-verify against the disk (the
-                # sidecar may be stale after a killed sync); write-once
-                # generation-named files trust the sidecar.
-                and (name != HYPERGRAPH_NAME or file_crc32(dest) == crc)
             ):
                 continue  # unchanged in place
             donor = by_content.get((size, crc))
@@ -719,28 +703,16 @@ class StoreMirror:
                 to_reuse.append((donor, name))
             else:
                 to_fetch.append(entry)
-        # All local reuse happens before any fetch lands, so a fetch that
-        # overwrites a same-name file can never corrupt a donor.  Files
-        # whose final name already exists locally (hypergraph.npz, or any
-        # same-name collision) are *staged* and only installed in the swap
-        # sequence below — a sync killed mid-fetch must leave the previous
-        # state fully openable.
-        self._clean_stale_staged()
-        staged: Dict[str, str] = {}
-
-        def _dest(name: str) -> str:
-            dest = _local_path(self.path, name)
-            if name == HYPERGRAPH_NAME or os.path.exists(dest):
-                staged[dest] = dest + ".staged"
-                return staged[dest]
-            return dest
-
+        # All local reuse happens before any fetch lands, so a fetch can
+        # never replace a donor.  Every file lands under its final name: a
+        # name the source commits is never committed with other bytes, so a
+        # file the live manifest names already holds the bytes it gets.
         for donor, name in to_reuse:
-            self._reuse_file(_local_path(self.path, donor), _dest(name))
+            self._reuse_file(_local_path(self.path, donor), _local_path(self.path, name))
             report.reused_files += 1
         for entry in to_fetch:
             name, size, crc = str(entry["name"]), int(entry["size"]), int(entry["crc32"])
-            self._fetch_file(name, generation, size, crc, _dest(name))
+            self._fetch_file(name, generation, size, crc, _local_path(self.path, name))
             report.fetched_files += 1
             report.fetched_bytes += size
         if to_reuse or to_fetch:
@@ -755,7 +727,7 @@ class StoreMirror:
             fsync_path(self.path)
 
         # The WAL for the pinned generation (the source's raw on-disk
-        # bytes), staged next to the live one.
+        # bytes), written next to the live one.
         suffix = self._wal_suffix(generation, 0, 1)
         wal_total = int(suffix["count"])
         wal_path = os.path.join(self.path, WAL_NAME)
@@ -765,15 +737,10 @@ class StoreMirror:
             handle.flush()
             os.fsync(handle.fileno())
 
-        # Install: back-to-back renames in the writer compaction's own
-        # order — hypergraph (and any other staged in-place file),
-        # manifest, log.  Every fetch above only staged files, so a kill
+        # Install: two back-to-back renames, manifest then log.  A kill
         # before this point leaves the previous state fully openable; the
-        # windows between the renames are the same (microsecond) ones the
-        # writer's compact() accepts, and the serving replica rides them
-        # out on its already-open engine.
-        for final, tmp in staged.items():
-            os.replace(tmp, final)
+        # serving replica rides out the (microsecond) window between the
+        # renames on its already-open engine.
         self._write_manifest_text(str(remote["manifest_json"]))
         os.replace(wal_tmp, wal_path)
         fsync_path(self.path)
@@ -788,18 +755,6 @@ class StoreMirror:
         report.wal_records = wal_total
         sweep_orphan_shards(self.path, manifest)
         return report
-
-    def _clean_stale_staged(self) -> None:
-        """Drop ``*.staged`` leftovers of an earlier killed sync."""
-        for directory in (self.path, os.path.join(self.path, SHARD_DIR)):
-            if not os.path.isdir(directory):
-                continue
-            for name in os.listdir(directory):
-                if name.endswith(".staged"):
-                    try:
-                        os.remove(os.path.join(directory, name))
-                    except OSError:  # pragma: no cover - racing cleanup
-                        pass
 
     def _write_manifest_text(self, text: str) -> None:
         _write_file_atomic(manifest_path(self.path), text.encode("utf-8"))

@@ -2,7 +2,8 @@
 
 A snapshot is an :class:`~repro.engine.index.OverlapIndex` — its base
 segments plus its overlay — written as weight-ascending pair arrays,
-partitioned into row-block shards (see :mod:`repro.store.format`).  One
+partitioned into row-block shards, next to a copy of the hypergraph it
+indexes (see :mod:`repro.store.format`).  One
 writer, :func:`write_snapshot`, serves a build and a compaction alike, and
 writes every shard in the one base order of pairs
 (:func:`~repro.engine.index.weight_pair_order`): a snapshot's bytes depend
@@ -23,21 +24,22 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.engine.index import OverlapIndex, weight_pair_order
+from repro.hypergraph.hypergraph import Hypergraph
+from repro.io.serialization import load_edge_sizes_npz, save_hypergraph_npz
 from repro.parallel.partition import blocked_partitions
 from repro.store.format import (
-    EDGE_SIZES_NAME,
     FORMAT_VERSION,
     Manifest,
     PathLike,
     SHARD_DIR,
     ShardInfo,
     StoreFormatError,
-    edge_sizes_file_name,
     fsync_path,
+    hypergraph_file_name,
     shard_file_names,
     write_manifest,
 )
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import ValidationError, check_positive_int
 
 
 def _in_base_order(edges: np.ndarray, weights: np.ndarray) -> bool:
@@ -54,13 +56,14 @@ def _in_base_order(edges: np.ndarray, weights: np.ndarray) -> bool:
 def write_snapshot(
     index: OverlapIndex,
     store_path: PathLike,
-    fingerprint: str,
+    hypergraph: Hypergraph,
     num_shards: int = 1,
     generation: int = 0,
     provenance: Optional[Dict[str, object]] = None,
 ) -> Manifest:
     """Serialise ``index`` — its base plus its overlay — as a sharded
-    snapshot under ``store_path``, one row block at a time.
+    snapshot of ``hypergraph`` under ``store_path``, one row block at a
+    time, and commit it by replacing the manifest.
 
     The hyperedge-ID space is split into ``num_shards`` contiguous row
     blocks; pair ``(i, j)`` (``i < j``) goes to the block owning ``i``.
@@ -70,12 +73,19 @@ def write_snapshot(
     it, as every block of a build is, skips.  So the files depend only on
     the index's state, the shard count and the generation: a compaction
     writes the bytes a fresh build of the same hypergraph writes.  Peak
-    memory is one block, whatever the store's size.  Shard files are named
-    by ``generation`` so a compaction can lay down a fresh snapshot next to
-    the live one before switching the manifest atomically.
+    memory is one block, whatever the store's size.  The copy of
+    ``hypergraph`` is written with the shards, and the manifest takes its
+    fingerprint; every file is named by ``generation``, so a compaction
+    lays a fresh snapshot down next to the live one, and the manifest
+    rename is the only step a reader can see.
     """
     num_shards = check_positive_int(num_shards, "num_shards")
     edge_sizes = index.edge_sizes
+    if not np.array_equal(edge_sizes, hypergraph.edge_sizes()):
+        raise ValidationError(
+            f"index of {edge_sizes.size} hyperedges does not index the "
+            f"hypergraph of {hypergraph.num_edges} it is written with"
+        )
     store_path = str(store_path)
     shard_dir = os.path.join(store_path, SHARD_DIR)
     os.makedirs(shard_dir, exist_ok=True)
@@ -116,32 +126,29 @@ def write_snapshot(
             )
         )
 
-    # Generation-named: a newer snapshot being laid down never touches the
-    # size array the live manifest references (crash-window safety).
-    edge_sizes_file = edge_sizes_file_name(generation)
-    np.save(
-        os.path.join(store_path, edge_sizes_file),
-        np.ascontiguousarray(edge_sizes, dtype=np.int64),
-    )
-    fsync_path(os.path.join(store_path, edge_sizes_file))
+    hypergraph_file = hypergraph_file_name(generation)
+    save_hypergraph_npz(hypergraph, os.path.join(store_path, hypergraph_file))
+    fsync_path(os.path.join(store_path, hypergraph_file))
     # Data files must be durable BEFORE the manifest rename makes them
-    # reachable; otherwise power loss could leave a valid manifest pointing
-    # at torn shard arrays.
+    # reachable — their contents and both directory entries — otherwise
+    # power loss could leave a valid manifest pointing at torn or missing
+    # files.
     fsync_path(shard_dir)
+    fsync_path(store_path)
     meta = {"builder": "repro.store", "created_unix": time.time()}
     if provenance:
         meta.update(provenance)
     manifest = Manifest(
         format_version=FORMAT_VERSION,
-        fingerprint=str(fingerprint),
+        fingerprint=hypergraph.fingerprint(),
         num_hyperedges=int(edge_sizes.size),
         num_pairs=sum(info.num_pairs for info in shards),
         max_weight=max((info.max_weight for info in shards), default=0),
         algorithm=index.algorithm,
+        hypergraph_file=hypergraph_file,
         generation=int(generation),
         shards=shards,
         provenance=meta,
-        edge_sizes_file=edge_sizes_file,
     )
     write_manifest(store_path, manifest)
     return manifest
@@ -152,46 +159,45 @@ def sweep_orphan_shards(store_path: PathLike, manifest: Manifest) -> int:
 
     Superseded generations (compaction, in-place rebuild) and half-written
     generations abandoned by a crash both leave orphans; sweeping by
-    "not referenced" rather than "previous generation" catches them all —
-    shard arrays and generation-named edge-size files alike.  Assumes the
-    single-writer protocol: only the process holding the store open for
-    writing may sweep.  Returns the number of files removed.
+    "not referenced" rather than "previous generation" catches them all:
+    every file under ``shards/`` and every array file (``.npy``, ``.npz``)
+    in the store root that the manifest does not name, an earlier format's
+    files included, and the ``.sync`` temporaries a killed mirror sync
+    left.  Assumes the single-writer protocol: only the process holding the
+    store open for writing may sweep.  Returns the number of files removed.
     """
-    removed = 0
-    shard_dir = os.path.join(str(store_path), SHARD_DIR)
+    root = str(store_path)
+    shard_dir = os.path.join(root, SHARD_DIR)
+    live = set(manifest.file_names())
+    names = [n for n in os.listdir(root) if n.endswith((".npy", ".npz", ".sync"))]
     if os.path.isdir(shard_dir):
-        live = {info.edges_file for info in manifest.shards}
-        live |= {info.weights_file for info in manifest.shards}
-        for name in os.listdir(shard_dir):
-            if name not in live:
-                try:
-                    os.remove(os.path.join(shard_dir, name))
-                    removed += 1
-                except FileNotFoundError:
-                    pass
-    for name in os.listdir(str(store_path)):
-        is_sizes = name == EDGE_SIZES_NAME or name.endswith("-" + EDGE_SIZES_NAME)
-        if is_sizes and name != manifest.edge_sizes_file:
-            try:
-                os.remove(os.path.join(str(store_path), name))
-                removed += 1
-            except FileNotFoundError:
-                pass
+        names += [f"{SHARD_DIR}/{name}" for name in os.listdir(shard_dir)]
+    removed = 0
+    for name in names:
+        if name in live:
+            continue
+        try:
+            os.remove(os.path.join(root, *name.split("/")))
+            removed += 1
+        except FileNotFoundError:
+            pass
     return removed
 
 
 def load_edge_sizes(store_path: PathLike, manifest: Manifest) -> np.ndarray:
-    """The per-hyperedge size array of the snapshot (in memory, writable)."""
-    path = os.path.join(str(store_path), manifest.edge_sizes_file)
-    if not os.path.isfile(path):
+    """The per-hyperedge sizes of the snapshot — the row lengths of its
+    hypergraph copy — in memory and writable."""
+    path = os.path.join(str(store_path), manifest.hypergraph_file)
+    try:
+        sizes = load_edge_sizes_npz(path)
+    except FileNotFoundError as exc:
         raise StoreFormatError(
-            f"snapshot is missing {manifest.edge_sizes_file} at {path}"
-        )
-    sizes = np.array(np.load(path), dtype=np.int64)
+            f"snapshot is missing {manifest.hypergraph_file} at {path}"
+        ) from exc
     if sizes.size != manifest.num_hyperedges:
         raise StoreFormatError(
-            f"{manifest.edge_sizes_file} has {sizes.size} entries but the "
-            f"manifest records {manifest.num_hyperedges} hyperedges"
+            f"{manifest.hypergraph_file} has {sizes.size} hyperedges but the "
+            f"manifest records {manifest.num_hyperedges}"
         )
     return sizes
 

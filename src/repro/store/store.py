@@ -3,9 +3,9 @@
 :class:`IndexStore` owns the lifecycle of a persistent overlap index:
 
 * :meth:`IndexStore.build` computes the overlap structure once (via the
-  Stage-3 algorithms) and lays down a sharded snapshot, the per-hyperedge
-  sizes and the source hypergraph itself, so every store is a
-  self-contained artefact any later process opens from its path alone;
+  Stage-3 algorithms) and lays down a sharded snapshot with a copy of the
+  source hypergraph, so every store is a self-contained artefact any later
+  process opens from its path alone;
 * :meth:`IndexStore.open` validates the manifest's format version and
   recovers the write-ahead log, truncating any torn tail left by a crash;
 * :meth:`append_add` / :meth:`append_remove` make incremental updates
@@ -31,9 +31,8 @@ from repro.chaos.failpoints import STORE_COMPACT_FOLD, STORE_COMPACT_INSTALL
 from repro.engine.index import BUILD_ALGORITHM, OverlapIndex
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.overlay import replay_rows
-from repro.io.serialization import load_hypergraph_npz, save_hypergraph_npz
+from repro.io.serialization import load_hypergraph_npz
 from repro.store.format import (
-    HYPERGRAPH_NAME,
     Manifest,
     PathLike,
     ReadOnlyStoreError,
@@ -41,7 +40,6 @@ from repro.store.format import (
     StoreError,
     StoreFormatError,
     WAL_NAME,
-    fsync_path,
     manifest_path,
     read_manifest,
 )
@@ -49,6 +47,7 @@ from repro.store.overlay import fold_records
 from repro.store.sharded import ShardedIndex
 from repro.store.snapshot import sweep_orphan_shards, write_snapshot
 from repro.store.wal import OP_ADD, WalRecord, WriteAheadLog
+from repro.utils.validation import ValidationError
 
 
 def _next_generation(path: PathLike) -> int:
@@ -71,18 +70,6 @@ def _next_generation(path: PathLike) -> int:
                 if prefix.isdigit():
                     best = max(best, int(prefix))
     return best + 1
-
-
-def _save_hypergraph_atomic(h: Hypergraph, path: str) -> None:
-    """Write ``hypergraph.npz`` via temp-fsync-rename-fsync-dir so a crash
-    mid-write can never clobber the store's only copy of the source
-    hypergraph, and a completed write survives power loss."""
-    tmp = path + ".tmp.npz"
-    save_hypergraph_npz(h, tmp)
-    with open(tmp, "rb") as handle:
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    fsync_path(os.path.dirname(path) or ".")
 
 
 def _held(record: WalRecord) -> WalRecord:
@@ -207,19 +194,24 @@ class IndexStore:
         hypergraph: Hypergraph,
         provenance: Optional[Dict[str, object]] = None,
     ) -> "IndexStore":
-        """Persist an already-built index of ``hypergraph`` with a copy of it.
+        """Persist an already-built index of ``hypergraph`` with a copy of it
+        (:class:`ValidationError` when ``fingerprint`` is not the hypergraph's).
 
         Rebuilding over an existing store continues its generation sequence
         (so stale WAL records are recognisable) and sweeps the superseded
-        snapshot's shard files.
+        snapshot's files.
         """
+        if fingerprint != hypergraph.fingerprint():
+            raise ValidationError(
+                f"fingerprint {str(fingerprint)[:12]}… is not the hypergraph's "
+                f"{hypergraph.fingerprint()[:12]}…"
+            )
         os.makedirs(str(path), exist_ok=True)
         generation = _next_generation(path)
-        _save_hypergraph_atomic(hypergraph, os.path.join(str(path), HYPERGRAPH_NAME))
         manifest = write_snapshot(
             index,
             path,
-            fingerprint=fingerprint,
+            hypergraph,
             num_shards=num_shards,
             generation=generation,
             provenance=provenance,
@@ -326,36 +318,18 @@ class IndexStore:
         return index
 
     def load_hypergraph(self) -> Hypergraph:
-        """The current source hypergraph (saved copy + replayed WAL).
-
-        The archive's own fingerprint disambiguates *which* state the saved
-        copy holds: a copy already at the current (post-WAL) fingerprint —
-        e.g. written by a compaction that died before swapping the manifest
-        — is returned as-is, so log records are never double-applied.
-        """
-        path = os.path.join(self.path, HYPERGRAPH_NAME)
+        """The current source hypergraph: the snapshot's copy plus the whole
+        log, checked against the current fingerprint."""
+        name = self._manifest.hypergraph_file
+        path = os.path.join(self.path, name)
         if not os.path.isfile(path):
             raise StoreFormatError(
-                f"store at {self.path} has no {HYPERGRAPH_NAME}; rebuild the "
-                "store from its source hypergraph"
+                f"store at {self.path} has no {name}; rebuild the store from "
+                "its source hypergraph"
             )
-        h = load_hypergraph_npz(path)
-        target = self.current_fingerprint()
-        saved = h.fingerprint()
-        if target is not None and saved == target:
-            return h
         records = self._records
-        # The saved copy may sit *mid*-sequence: a compaction that died
-        # after atomically swapping in the folded hypergraph but before
-        # the manifest swap leaves a copy already containing a prefix of
-        # the log.  Each record carries its post-apply fingerprint, so
-        # replay only the suffix the copy does not yet contain —
-        # otherwise the prefix would be applied twice.
-        for position, record in enumerate(records):
-            if record.fingerprint is not None and record.fingerprint == saved:
-                records = records[position + 1:]
-                break
-        h = _replay_hypergraph(h, records)
+        h = _replay_hypergraph(load_hypergraph_npz(path), records)
+        target = self.current_fingerprint()
         if target is not None and h.fingerprint() != target:
             raise StoreError(
                 f"store at {self.path} is inconsistent: saved hypergraph plus "
@@ -424,18 +398,15 @@ class IndexStore:
     def compact(self, num_shards: Optional[int] = None) -> Manifest:
         """Fold the WAL into a fresh snapshot generation and truncate it.
 
-        Crash-safe ordering: (1) the updated hypergraph is atomically
-        swapped in — if the process dies after this, the old manifest plus
-        the still-intact WAL remain authoritative and
-        :meth:`load_hypergraph` detects the already-current copy by its
-        fingerprint; (2) the new generation's shard files are laid down
-        (fsynced) next to the live ones by :func:`write_snapshot`, one row
-        block at a time from the mmap'd old shards (one mapped at a time)
-        plus the folded log, so the pair store is never materialised; (3)
-        the manifest is atomically replaced — from this point the WAL is
-        stale and recovery discards it by its generation stamp even if (4)
-        the truncate never runs.  Superseded and abandoned shard files are
-        swept last.
+        Crash-safe ordering: (1) :func:`write_snapshot` lays the new
+        generation's files down (fsynced) next to the live ones — its shards
+        one row block at a time from the mmap'd old shards (one mapped at a
+        time) plus the folded log, so the pair store is never materialised,
+        and the copy of the current hypergraph; a crash before (2) leaves
+        the old manifest and the intact WAL authoritative; (2) the manifest
+        is atomically replaced — from this point the WAL is stale and
+        recovery discards it by its generation stamp even if (3) the
+        truncate never runs.  Superseded and abandoned files are swept last.
         """
         self.check_writable()
         old_manifest = self._manifest
@@ -449,15 +420,14 @@ class IndexStore:
         provenance = dict(old_manifest.provenance)
         provenance["compacted_from_generation"] = old_manifest.generation
         provenance["compacted_wal_records"] = self.num_wal_records()
-        _save_hypergraph_atomic(hypergraph, os.path.join(self.path, HYPERGRAPH_NAME))
-        # Chaos: a fault here models a crash during the install — new shard
-        # files may be partially laid down, the manifest swap has not
-        # happened, so the old generation + WAL must stay authoritative.
+        # Chaos: a fault here models a crash as the install begins — no file
+        # of the new generation is reachable before the manifest swap, so
+        # the old generation + WAL must stay authoritative.
         STORE_COMPACT_INSTALL.fire()
         manifest = write_snapshot(
             index,
             self.path,
-            fingerprint=hypergraph.fingerprint(),
+            hypergraph,
             num_shards=num_shards,
             generation=old_manifest.generation + 1,
             provenance=provenance,

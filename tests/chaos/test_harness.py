@@ -133,7 +133,7 @@ class TestDiffStores:
                 "manifest.json": b"{}",
                 "writer.lock": b"b",
                 "replication.json": b"{}",
-                "shards/s1.npz.staged": b"tmp",
+                "shards/s1.npy.sync": b"tmp",
                 "wal.jsonl.sync": b"tmp",
             },
         )

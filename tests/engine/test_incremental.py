@@ -270,7 +270,7 @@ class TestWeightOrderInvariant:
         for members in ([0, 1, 2], [0, 1], [0, 2]):
             engine.add_hyperedge(members)
             engine.line_graph(2)
-        manifest = write_snapshot(engine.index, tmp_path, engine.fingerprint())
+        manifest = write_snapshot(engine.index, tmp_path, engine.hypergraph)
         for info in manifest.shards:
             _, weights = load_shard(tmp_path, info)
             assert np.all(np.diff(weights) >= 0)

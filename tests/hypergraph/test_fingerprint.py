@@ -84,9 +84,9 @@ def _reference_fingerprint(h):
 class TestFingerprintPinned:
     """The digest is a storage format: manifests and WAL records carry it.
 
-    These hex values are frozen for ``FORMAT_VERSION`` 2, the multiset
-    digest; a store written at that version must still open, so they may
-    never change without another version bump.
+    These hex values are frozen since ``FORMAT_VERSION`` 2, the multiset
+    digest, and format 3 keeps it; a store written at the current version
+    must still open, so they may never change without another version bump.
     """
 
     def test_paper_example_digest(self, paper_example_unlabelled):

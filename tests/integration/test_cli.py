@@ -231,7 +231,7 @@ class TestIndexCommands:
         fields = dict(
             line.split(None, 1) for line in out.splitlines() if line.strip()
         )
-        assert fields["format_version"] == "2"
+        assert fields["format_version"] == "3"
         assert fields["num_pairs"] == "4"
         assert fields["num_shards"] == "2"
         assert fields["wal_records"] == "0"
@@ -295,11 +295,11 @@ class TestIndexErrorPaths:
 
         from repro.hypergraph.builders import hypergraph_from_edge_lists
         from repro.io.serialization import save_hypergraph_npz
-        from repro.store import StoreError
-        from repro.store.format import HYPERGRAPH_NAME
+        from repro.store import StoreError, read_manifest
 
         other = hypergraph_from_edge_lists([[0, 1], [1, 2, 3]], num_vertices=4)
-        save_hypergraph_npz(other, os.path.join(store_dir, HYPERGRAPH_NAME))
+        copy = read_manifest(store_dir).hypergraph_file
+        save_hypergraph_npz(other, os.path.join(store_dir, copy))
         with pytest.raises(StoreError, match="inconsistent"):
             main(["query", "--path", store_dir, "--s", "2"])
 

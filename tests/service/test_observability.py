@@ -78,6 +78,24 @@ class TestStatsPayload:
         assert hits.labels(cache="engine").value >= 1
 
 
+class TestCompactionIsCounted:
+    def test_a_requested_compaction_without_a_policy_is_counted(
+        self, store_path, registry
+    ):
+        """A ``compact`` op on a writer with no CompactionPolicy runs the
+        routine the background thread runs, so it lands in the same
+        instruments and in ``stats()``."""
+        with QueryService(store_path) as svc:
+            svc.submit_add([0, 1, 2])
+            response = svc.execute({"op": "compact"})
+            assert response["ok"] and response["compacted"], response
+            assert svc.stats()["compactions"] == 1
+        assert registry.get("repro_compactions_total").value == 1
+        assert registry.get("repro_compaction_seconds").count == 1
+        assert registry.get("repro_compaction_folded_records_total").value == 1
+        assert registry.get("repro_compaction_folded_bytes_total").value > 0
+
+
 class TestMetricsOp:
     def test_writer_serves_prometheus_text_over_the_socket(
         self, store_path, registry

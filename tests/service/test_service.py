@@ -2,6 +2,7 @@
 
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -275,6 +276,44 @@ class TestCompaction:
         )
 
 
+    def test_a_writer_ahead_of_its_log_stops_the_loop_with_one_error(self, caplog):
+        """That state lasts until a restart: every tick would fail alike, so
+        the loop says so once and stops instead of warning every tick."""
+        import logging
+
+        from repro.service.compaction import BackgroundCompactor
+        from repro.service.sync import RWLock
+        from repro.store import WriterAheadOfLogError
+
+        class _AheadStore:
+            wal = SimpleNamespace(path="/nonexistent/wal")
+
+            def num_wal_records(self):
+                return 5
+
+        class _AheadEngine:
+            store = _AheadStore()
+            calls = 0
+
+            def compact(self):
+                _AheadEngine.calls += 1
+                raise WriterAheadOfLogError("engine ahead of its log")
+
+        with caplog.at_level(logging.WARNING, logger="repro.service.compaction"):
+            compactor = BackgroundCompactor(
+                _AheadEngine(), RWLock(), CompactionPolicy(max_wal_records=1),
+                poll_interval=0.01,
+            )
+            try:
+                compactor._thread.join(timeout=5)
+                assert not compactor._thread.is_alive()
+                time.sleep(0.05)
+            finally:
+                compactor.stop(timeout=5)
+        assert _AheadEngine.calls == 1
+        assert [r.message for r in caplog.records] == ["background compaction stopped"]
+
+
 class TestRequestProtocol:
     def test_add_wait_and_sweep_round_trip(self, store_path):
         with QueryService(store_path) as svc:
@@ -355,7 +394,7 @@ class TestRequestProtocol:
         path = str(tmp_path / "four")
         IndexStore.build(paper_example_unlabelled, path, num_shards=2)
         if request_["op"] == "repl_fetch":
-            request_ = {"file": "hypergraph.npz", **request_}
+            request_ = {"file": "g0-hypergraph.npz", **request_}
         valid = {
             key: (False if key == "raw" else 1 if key in ("next_seq", "length") else 0)
             for key in request_

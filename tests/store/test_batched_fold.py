@@ -24,7 +24,7 @@ from repro.engine.index import OverlapIndex, overlap_counts_for_members, weight_
 from repro.generators.community import planted_community_hypergraph
 from repro.hypergraph.builders import hypergraph_from_edge_dict
 from repro.io.serialization import load_hypergraph_npz
-from repro.store.format import HYPERGRAPH_NAME, SHARD_DIR
+from repro.store.format import SHARD_DIR
 from repro.store.persistent import PersistentQueryEngine
 from repro.store.replication import LocalReplicationSource, StoreMirror
 from repro.store.sharded import ShardedIndex
@@ -62,7 +62,8 @@ def reference_sharded(store):
 def reference_model(store):
     """The edge-list model of the store's snapshot hypergraph with every
     logged record applied in turn."""
-    model = EdgeListModel(load_hypergraph_npz(os.path.join(store.path, HYPERGRAPH_NAME)))
+    copy = os.path.join(store.path, store.manifest.hypergraph_file)
+    model = EdgeListModel(load_hypergraph_npz(copy))
     for record in store.wal_records:
         if record.op == OP_ADD:
             model.add(record.payload["members"], record.payload.get("name"))
@@ -227,7 +228,7 @@ def compaction_provenance(store):
 
 def snapshot_files(path, manifest):
     """The bytes of each file the manifest names, and of the manifest."""
-    names = [manifest.edge_sizes_file, "manifest.json"]
+    names = [manifest.hypergraph_file, "manifest.json"]
     for info in manifest.shards:
         names.append(os.path.join(SHARD_DIR, info.edges_file))
         names.append(os.path.join(SHARD_DIR, info.weights_file))
@@ -260,10 +261,11 @@ class TestStreamedCompaction:
         for a fresh build of the model hypergraph — a Stage-3 recount of
         every pair — at the same shard count and generation."""
         old = logged_store.manifest
+        h = reference_hypergraph(logged_store)
         fresh = write_snapshot(
-            OverlapIndex.build(reference_hypergraph(logged_store)),
+            OverlapIndex.build(h),
             tmp_path / "fresh",
-            logged_store.current_fingerprint(),
+            h,
             num_shards=len(old.shards) if num_shards is None else num_shards,
             generation=old.generation + 1,
             provenance=compaction_provenance(logged_store),
@@ -274,8 +276,9 @@ class TestStreamedCompaction:
         )
 
     def test_recompaction_keeps_every_shard_byte(self, logged_store, tmp_path):
-        """A compaction with nothing logged rewrites each shard with the
-        bytes it had, so a mirror re-fetches no shard file."""
+        """A compaction with nothing logged rewrites each shard and the
+        hypergraph copy with the bytes they had, so a mirror re-fetches no
+        file: it links every one from the generation it holds."""
         source = FetchLog(logged_store.path)
         mirror = StoreMirror(source, tmp_path / "mirror")
         first = logged_store.compact()
@@ -287,7 +290,8 @@ class TestStreamedCompaction:
         source.fetched.clear()
         report = mirror.sync()
         assert report.generation == second.generation
-        assert not [name for name in source.fetched if name.startswith(SHARD_DIR)]
+        assert source.fetched == []
+        assert report.reused_files == len(second.file_names())
 
     def test_store_with_ties_out_of_pair_order_opens_and_compacts_to_base_order(
         self, community_hypergraph, tmp_path
@@ -312,7 +316,7 @@ class TestStreamedCompaction:
         fresh = write_snapshot(
             oracle,
             tmp_path / "fresh",
-            reopened.current_fingerprint(),
+            community_hypergraph,
             num_shards=4,
             generation=reopened.manifest.generation + 1,
             provenance=compaction_provenance(reopened),
@@ -470,15 +474,13 @@ class TestCompactionFailpoints:
         self, logged_store, monkeypatch
     ):
         before = files_under(logged_store.path)
-        archive_before = before.pop(HYPERGRAPH_NAME)
         target = logged_store.current_fingerprint()
         seen = []
 
         def spy(point):
-            on_disk = files_under(logged_store.path)
-            archive = on_disk.pop(HYPERGRAPH_NAME)
-            assert on_disk == before, point  # no shard, size or manifest byte yet
-            seen.append((point, archive != archive_before))
+            # No byte of the store has changed yet: no shard, copy or manifest.
+            assert files_under(logged_store.path) == before, point
+            seen.append(point)
 
         for handle in ("STORE_COMPACT_FOLD", "STORE_COMPACT_INSTALL"):
             point = getattr(store_module, handle).name
@@ -486,11 +488,7 @@ class TestCompactionFailpoints:
                 store_module, handle, SimpleNamespace(fire=lambda point=point: spy(point))
             )
         logged_store.compact()
-        assert [point for point, _ in seen] == [
-            "store.compact.fold",
-            "store.compact.install",
-        ]
-        assert seen[0][1] is False  # fold: not even the hypergraph swap happened
+        assert seen == ["store.compact.fold", "store.compact.install"]
         assert logged_store.load_hypergraph().fingerprint() == target
 
     @pytest.mark.parametrize("point", ["store.compact.fold", "store.compact.install"])

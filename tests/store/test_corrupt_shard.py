@@ -23,7 +23,7 @@ def store_path(community_hypergraph, tmp_path):
     write_snapshot(
         OverlapIndex.build(community_hypergraph),
         tmp_path,
-        community_hypergraph.fingerprint(),
+        community_hypergraph,
         num_shards=3,
     )
     return tmp_path

@@ -1,11 +1,13 @@
 """PersistentQueryEngine: warm opens, builds, durable updates, compaction."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core.pipeline import SLinePipeline
 from repro.engine.engine import QueryEngine
-from repro.store.format import HYPERGRAPH_NAME, StoreError
+from repro.store.format import StoreError, WriterAheadOfLogError
 from repro.store.persistent import PersistentQueryEngine
 from repro.store.sharded import ShardedIndex
 from repro.store.store import IndexStore
@@ -39,7 +41,8 @@ class TestOpenAndServe:
         hash to the snapshot's fingerprint is refused, never served."""
         from repro.io.serialization import save_hypergraph_npz
 
-        save_hypergraph_npz(paper_example, store_path / HYPERGRAPH_NAME)
+        copy = IndexStore.open(store_path, read_only=True).manifest.hypergraph_file
+        save_hypergraph_npz(paper_example, store_path / copy)
         with pytest.raises(StoreError, match="inconsistent"):
             PersistentQueryEngine.open(store_path)
 
@@ -155,6 +158,50 @@ class TestDurability:
         assert superseded.num_resident_shards == 0
         assert engine.index is not superseded
         assert engine.index.manifest.generation == superseded.manifest.generation + 1
+
+
+    def test_a_writer_ahead_of_its_log_is_not_compacted(self, tmp_path):
+        """An add applied in memory but refused by the log leaves the engine
+        ahead of what was acknowledged; compacting it would commit one state
+        in the copy and another in the shards.  It is refused, nothing is
+        written, and a reopen serves the acknowledged state."""
+        import errno
+
+        from repro.chaos import failpoints
+        from repro.hypergraph.builders import hypergraph_from_edge_lists
+
+        h = hypergraph_from_edge_lists(
+            [[0, 1, 2], [1, 2, 3], [0, 1, 2, 3, 4], [4, 5], [2, 3, 5]], num_vertices=6
+        )
+        path = tmp_path / "ahead"
+        IndexStore.build(h, path, num_shards=2)
+        engine = PersistentQueryEngine.open(path)
+        engine.add_hyperedge([0, 2, 4])
+        acknowledged = engine.hypergraph
+        failpoints.activate("wal.append", "error", value=errno.ENOSPC, count=1)
+        try:
+            with pytest.raises(OSError):
+                engine.add_hyperedge([1, 3, 5])
+        finally:
+            failpoints.reset()
+        def files():
+            found = {}
+            for root, _, names in os.walk(path):
+                for name in names:
+                    with open(os.path.join(root, name), "rb") as handle:
+                        found[os.path.join(root, name)] = handle.read()
+            return found
+
+        before = files()
+        with pytest.raises(WriterAheadOfLogError, match="reopen"):
+            engine.compact()
+        assert files() == before
+        reopened = PersistentQueryEngine.open(path, read_only=True)
+        assert reopened.fingerprint() == acknowledged.fingerprint()
+        oracle = QueryEngine(acknowledged)
+        for s in (1, 2, 3):
+            assert reopened.line_graph(s) == oracle.line_graph(s), s
+        reopened.close()
 
 
 class TestIndexInjection:

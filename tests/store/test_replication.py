@@ -6,6 +6,7 @@ write-ahead log (the sidecar cursor and writer lock excepted), so any
 store reader serves identical answers from either directory.
 """
 
+import json
 import os
 import zlib
 from pathlib import Path
@@ -21,7 +22,7 @@ from repro.store import (
     ReplicationStaleError,
     StoreMirror,
 )
-from repro.store.format import HYPERGRAPH_NAME, WAL_NAME
+from repro.store.format import WAL_NAME, StoreFormatError
 from repro.store.replication import (
     MIRROR_STATE_NAME,
     fetch_payload,
@@ -40,7 +41,7 @@ def store_files(path):
     out = {}
     for root, _, files in os.walk(str(path)):
         for name in files:
-            if name in _NON_STORE_FILES or name.endswith((".sync", ".staged")):
+            if name in _NON_STORE_FILES or name.endswith(".sync"):
                 continue
             full = os.path.join(root, name)
             rel = os.path.relpath(full, str(path)).replace(os.sep, "/")
@@ -51,13 +52,13 @@ def store_files(path):
 
 def live_store_files(path):
     """``relative name -> bytes`` of the files the live manifest references
-    (plus the manifest, WAL and hypergraph) — the state a reader opens.
-    A killed sync may leave staged next-generation files alongside; those
-    are invisible to readers and excluded here."""
+    (plus the manifest and WAL) — the state a reader opens.
+    A killed sync may leave next-generation files alongside; those are
+    invisible to readers and excluded here."""
     from repro.store.format import read_manifest
 
     manifest = read_manifest(path)
-    names = ["manifest.json", WAL_NAME, HYPERGRAPH_NAME, manifest.edge_sizes_file]
+    names = ["manifest.json", WAL_NAME, manifest.hypergraph_file]
     for info in manifest.shards:
         names.append(f"shards/{info.edges_file}")
         names.append(f"shards/{info.weights_file}")
@@ -105,8 +106,8 @@ class TestPayloads:
         for info in store.manifest.shards:
             assert f"shards/{info.edges_file}" in names
             assert f"shards/{info.weights_file}" in names
-        assert store.manifest.edge_sizes_file in names
-        assert HYPERGRAPH_NAME in names
+        assert store.manifest.hypergraph_file in names
+        assert len(names) == 2 * len(store.manifest.shards) + 1
         assert payload["generation"] == store.manifest.generation
         assert payload["state_token"] == list(store.current_state_token())
         for entry in payload["files"]:
@@ -140,7 +141,7 @@ class TestPayloads:
 
     def test_fetch_payload_chunks_and_bounds(self, source_path):
         store = IndexStore.open(source_path)
-        name = store.manifest.edge_sizes_file
+        name = store.manifest.hypergraph_file
         size = os.path.getsize(os.path.join(source_path, name))
         first = fetch_payload(source_path, name, 0, 0, 16, raw=True)
         assert first["size"] == size and len(first["data"]) == 16
@@ -154,7 +155,7 @@ class TestPayloads:
         import base64
 
         store = IndexStore.open(source_path)
-        name = store.manifest.edge_sizes_file
+        name = store.manifest.hypergraph_file
         wire = fetch_payload(source_path, name, 0, 0, 16)
         assert isinstance(wire["data"], str)
         assert base64.b64decode(wire["data"]) == fetch_payload(
@@ -257,6 +258,61 @@ class TestStoreMirror:
                 ), (phase, s)
 
 
+class _HostileSource(LocalReplicationSource):
+    """A source whose ``repl_manifest`` lists a file outside the store, and
+    serves its bytes when asked."""
+
+    def __init__(self, path, tamper):
+        super().__init__(path)
+        self.tamper = tamper
+        self.manifests = 0
+
+    def repl_manifest(self):
+        self.manifests += 1
+        payload = dict(super().repl_manifest())
+        self.tamper(payload)
+        return payload
+
+    def repl_fetch(self, name, generation, offset, length, raw=True):
+        if name.startswith(".."):
+            return {"data": b"planted"[offset : offset + length]}
+        return super().repl_fetch(name, generation, offset, length, raw=raw)
+
+
+def _list_escape(payload):
+    escape = {"name": "../escaped.bin", "size": 7, "crc32": zlib.crc32(b"planted")}
+    payload["files"] = list(payload["files"]) + [escape]
+
+
+def _name_escape_in_manifest(payload):
+    raw = json.loads(payload["manifest_json"])
+    raw["hypergraph_file"] = "../escaped.bin"
+    payload["manifest_json"] = json.dumps(raw)
+    _list_escape(payload)
+    payload["files"] = [f for f in payload["files"] if not f["name"].endswith(".npz")]
+
+
+class TestHostileSource:
+    @pytest.mark.parametrize(
+        "tamper, error",
+        [(_list_escape, ReplicationError), (_name_escape_in_manifest, StoreFormatError)],
+        ids=["files_list", "manifest"],
+    )
+    def test_a_file_outside_the_mirror_is_refused_once(
+        self, source_path, tmp_path, tamper, error
+    ):
+        """A source naming a file outside the store gets a typed error on the
+        first try, and no byte lands outside the mirror's directory."""
+        source = _HostileSource(source_path, tamper)
+        outside = set(os.listdir(tmp_path))
+        mirror = StoreMirror(source, tmp_path / "dst")
+        with pytest.raises(error):
+            mirror.sync()
+        assert source.manifests == 1  # not retried
+        assert set(os.listdir(tmp_path)) == outside | {"dst"}
+        assert not (tmp_path / "escaped.bin").exists()
+
+
 class _KilledSync(Exception):
     """Stands in for SIGKILL: aborts a sync at an arbitrary point."""
 
@@ -321,13 +377,37 @@ class TestCrashSafety:
         killed = StoreMirror(flaky, mirror_path)
         with pytest.raises(_KilledSync):
             killed.sync()
-        # The mirror still serves its previous, consistent state (staged
-        # next-generation files may linger; readers never see them).
+        # The mirror still serves its previous, consistent state
+        # (next-generation files may linger; readers never see them).
         assert live_store_files(mirror_path) == before
         survivor = PersistentQueryEngine.open(mirror_path, read_only=True)
         assert survivor.metric_by_hyperedge(2, "pagerank") == pytest.approx(old_answers)
         # The next sync (fresh process) completes and converges.
         StoreMirror(source, mirror_path).sync()
+        assert_byte_identical(source_path, mirror_path)
+
+    def test_a_killed_fetch_leaves_nothing_once_a_later_generation_lands(
+        self, source_path, mirror_path, writer
+    ):
+        """A bootstrap killed while fetching the hypergraph copy (the last
+        file) leaves its temporary; a sync of a later generation sweeps it,
+        so the mirror holds exactly the files its manifest names."""
+        source = LocalReplicationSource(source_path)
+        shard_files = 2 * len(writer.store.manifest.shards)
+        with pytest.raises(_KilledSync):
+            StoreMirror(_FlakySource(source, shard_files), mirror_path).sync()
+        assert "g0-hypergraph.npz.sync" in os.listdir(mirror_path)
+        writer.add_hyperedge([0, 1, 2])
+        writer.compact()
+        StoreMirror(source, mirror_path).sync()
+        manifest = IndexStore.open(mirror_path, read_only=True).manifest
+        expected = {"manifest.json", WAL_NAME, MIRROR_STATE_NAME, *manifest.file_names()}
+        on_disk = {
+            os.path.relpath(os.path.join(root, name), mirror_path).replace(os.sep, "/")
+            for root, _, names in os.walk(mirror_path)
+            for name in names
+        }
+        assert on_disk == expected
         assert_byte_identical(source_path, mirror_path)
 
     def test_source_wal_shrink_triggers_full_log_rewrite(

@@ -27,7 +27,7 @@ def oracle(community_hypergraph):
 @pytest.fixture
 def store_path(oracle, community_hypergraph, tmp_path):
     write_snapshot(
-        oracle, tmp_path, community_hypergraph.fingerprint(), num_shards=6
+        oracle, tmp_path, community_hypergraph, num_shards=6
     )
     return tmp_path
 

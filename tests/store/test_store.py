@@ -12,7 +12,16 @@ import pytest
 from repro.engine.engine import QueryEngine
 from repro.engine.index import OverlapIndex
 from repro.service import QueryService
-from repro.store.format import HYPERGRAPH_NAME, StoreError, StoreFormatError, WAL_NAME
+from repro.io.serialization import save_hypergraph_npz
+from repro.service import StoreLock
+from repro.store.format import (
+    LOCK_NAME,
+    MANIFEST_NAME,
+    SHARD_DIR,
+    WAL_NAME,
+    StoreError,
+    StoreFormatError,
+)
 from repro.store.persistent import PersistentQueryEngine
 from repro.store.replication import LocalReplicationSource, StoreMirror
 from repro.store.store import IndexStore
@@ -98,7 +107,10 @@ class TestOneStoreShape:
         self, produce, community_hypergraph, tmp_path
     ):
         path, expected = produce(community_hypergraph, tmp_path)
-        assert os.path.isfile(os.path.join(path, HYPERGRAPH_NAME))
+        copy = IndexStore.open(path, read_only=True).manifest.hypergraph_file
+        with zipfile.ZipFile(os.path.join(path, copy)) as archive:
+            # Written stored, not deflated: every compaction writes one.
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
         engine = PersistentQueryEngine.open(path, read_only=True)
         assert engine.hypergraph == expected
         engine.close()
@@ -113,9 +125,55 @@ class TestOneStoreShape:
         ids=["engine_open", "read_only_service", "repl_manifest"],
     )
     def test_a_missing_copy_is_a_typed_error(self, open_store, store):
-        os.remove(os.path.join(store.path, HYPERGRAPH_NAME))
-        with pytest.raises(StoreError, match=HYPERGRAPH_NAME):
+        os.remove(os.path.join(store.path, store.manifest.hypergraph_file))
+        with pytest.raises(StoreError, match=store.manifest.hypergraph_file):
             open_store(store.path)
+
+    @pytest.mark.parametrize(
+        "produce",
+        [
+            _built,
+            _from_index,
+            _compacted,
+            lambda h, root: _built(h, Path(_compacted(h, root)[0]).parent),
+        ],
+        ids=["build", "from_index", "compact", "rebuild_over_compacted"],
+    )
+    def test_a_store_holds_only_what_its_manifest_names(
+        self, produce, community_hypergraph, tmp_path
+    ):
+        """One commit point per generation: after a writer finishes, the
+        directory holds the manifest, the log, the lock and the manifest's
+        files — nothing superseded or left half-written."""
+        path, _ = produce(community_hypergraph, tmp_path)
+        StoreLock(path).acquire(blocking=False).release()
+        manifest = IndexStore.open(path, read_only=True).manifest
+        expected = {MANIFEST_NAME, WAL_NAME, LOCK_NAME, manifest.hypergraph_file}
+        expected |= {
+            os.path.join(SHARD_DIR, name)
+            for info in manifest.shards
+            for name in (info.edges_file, info.weights_file)
+        }
+        on_disk = {
+            os.path.relpath(os.path.join(root, name), path)
+            for root, _, names in os.walk(path)
+            for name in names
+        }
+        assert on_disk == expected
+
+
+    def test_from_index_refuses_a_fingerprint_not_of_its_hypergraph(
+        self, community_hypergraph, paper_example, tmp_path
+    ):
+        from repro.utils.validation import ValidationError
+
+        index = OverlapIndex.build(community_hypergraph)
+        with pytest.raises(ValidationError, match="not the hypergraph's"):
+            IndexStore.from_index(
+                index, paper_example.fingerprint(), tmp_path / "idx",
+                hypergraph=community_hypergraph,
+            )
+        assert not (tmp_path / "idx").exists()
 
 
 class TestDurableUpdates:
@@ -226,11 +284,9 @@ class TestCompaction:
         new_files = set(os.listdir(os.path.join(store.path, "shards")))
         assert not (old_files & new_files)
         assert all(name.startswith("g1-") for name in new_files)
-        # The superseded generation's edge-size file is swept too.
-        size_files = [
-            n for n in os.listdir(store.path) if n.endswith("edge_sizes.npy")
-        ]
-        assert size_files == [store.manifest.edge_sizes_file]
+        # The superseded generation's hypergraph copy is swept too.
+        copies = [n for n in os.listdir(store.path) if n.endswith(".npz")]
+        assert copies == [store.manifest.hypergraph_file] == ["g1-hypergraph.npz"]
 
     def test_interleaved_update_compact_cycles(self, store, community_hypergraph):
         """Updates and compactions interleaved stay faithful to the oracle."""
@@ -279,31 +335,12 @@ class TestCompactionCrashWindows:
             assert loaded.line_graph(s) == oracle.line_graph(s), s
         assert reopened.load_hypergraph().fingerprint() == engine.fingerprint()
 
-    def test_crash_after_hypergraph_swap_before_manifest(self, store):
-        """Updated hypergraph.npz in place, old manifest + live WAL: the
-        fingerprint check must recognise the copy as current and skip the
-        replay (no double-applied edges)."""
-        from repro.store.store import _save_hypergraph_atomic
-
-        engine = updated_engine(store, n_adds=2, n_removes=0)
-        current = engine.hypergraph
-        _save_hypergraph_atomic(
-            current, os.path.join(store.path, "hypergraph.npz")
-        )
-        reopened = IndexStore.open(store.path)
-        assert reopened.num_wal_records() == 2  # WAL still authoritative
-        recovered = reopened.load_hypergraph()
-        assert recovered.num_edges == current.num_edges
-        assert recovered.fingerprint() == current.fingerprint()
-
     def test_inconsistent_hypergraph_detected(self, store, paper_example):
         """A saved copy matching neither the base nor the current state is
         reported loudly instead of silently mis-replayed."""
-        from repro.store.store import _save_hypergraph_atomic
-
         updated_engine(store, n_adds=1, n_removes=0)
-        _save_hypergraph_atomic(
-            paper_example, os.path.join(store.path, "hypergraph.npz")
+        save_hypergraph_npz(
+            paper_example, os.path.join(store.path, store.manifest.hypergraph_file)
         )
         reopened = IndexStore.open(store.path)
         with pytest.raises(Exception, match="inconsistent"):
@@ -332,72 +369,3 @@ class TestCompactionCrashWindows:
         # The rebuilt store serves the new hypergraph.
         oracle = QueryEngine(paper_example)
         assert rebuilt.sharded_index().line_graph(2) == oracle.line_graph(2)
-
-
-def _member_compression(path):
-    with zipfile.ZipFile(path) as archive:
-        return {info.compress_type for info in archive.infolist()}
-
-
-class TestDeflatedHypergraphCopy:
-    """Stores whose ``hypergraph.npz`` members are deflated (the layout
-    before the copy was written stored) open and serve unchanged at the
-    same format version; their next compaction rewrites the copy stored,
-    and a mirror of them stays byte-identical throughout."""
-
-    def test_deflated_copy_opens_compacts_and_mirrors(
-        self, community_hypergraph, tmp_path
-    ):
-        from repro.chaos.harness import diff_stores
-        from repro.core.pipeline import SLinePipeline
-        from repro.hypergraph.builders import hypergraph_from_edge_lists
-        from repro.store.format import FORMAT_VERSION
-
-        assert FORMAT_VERSION == 2
-        store = IndexStore.build(community_hypergraph, tmp_path / "idx", num_shards=4)
-        copy = os.path.join(store.path, HYPERGRAPH_NAME)
-        assert _member_compression(copy) == {zipfile.ZIP_STORED}
-        with np.load(copy) as data:
-            members = {name: data[name] for name in data.files}
-        np.savez_compressed(copy, **members)
-        assert _member_compression(copy) == {zipfile.ZIP_DEFLATED}
-
-        cc = "connected_components"
-        oracle = SLinePipeline(
-            metrics=(cc,), drop_empty_edges=False, drop_isolated_vertices=False
-        )
-        num_vertices = community_hypergraph.num_vertices
-        model = [m.tolist() for _, m in community_hypergraph.iter_edges()]
-
-        def assert_serves_the_model(engine):
-            h = hypergraph_from_edge_lists(model, num_vertices=num_vertices)
-            assert engine.fingerprint() == h.fingerprint()
-            for s in (1, 2, 3):
-                expected = oracle.run(h, s).metric_by_hyperedge(cc)
-                assert engine.metric_by_hyperedge(s, cc) == expected, s
-
-        engine = PersistentQueryEngine.open(store.path)
-        assert_serves_the_model(engine)
-        mirror = StoreMirror(LocalReplicationSource(store.path), tmp_path / "mirror")
-        assert mirror.sync().full_sync
-        assert diff_stores(store.path, mirror.path) == []
-
-        rng = make_rng(11)
-        for _ in range(3):
-            added = random_members(engine.hypergraph, rng)
-            assert engine.add_hyperedge(added) == len(model)
-            model.append(added)
-        engine.remove_hyperedge(0)
-        model[0] = []
-        engine.compact()
-        assert _member_compression(copy) == {zipfile.ZIP_STORED}
-        assert IndexStore.open(store.path).manifest.format_version == FORMAT_VERSION
-        assert_serves_the_model(engine)
-        engine.close()
-
-        mirror.sync()
-        assert diff_stores(store.path, mirror.path) == []
-        for path in (store.path, mirror.path):
-            reader = PersistentQueryEngine.open(path, read_only=True)
-            assert_serves_the_model(reader)
-            reader.close()
